@@ -12,6 +12,9 @@ convention detunings are usually quoted in) and `*_ns` values are times
 in nanoseconds.  With gamma31 = 2pi x 3 MHz both convert by a fixed
 factor, applied exactly once while the config is parsed; nothing past the
 parser ever sees a suffixed key.
+
+Exit codes: 0 success, 1 a failed acceptance criterion, 2 a config error
+(reported before any compute), 3 a physics violation during a run.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import configparser
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +34,13 @@ from .core import (
     ControlSegment,
     ControlTimeline,
     MediumParams,
+    PhysicsViolation,
     PulseEnvelope,
     make_grid,
 )
 from .mbloch import SimulationConfig, evolve
 from .splitter import phi_rt_analytic, tau_from_fwhm
-from .stats import classical_bounds, g2_formula
+from .stats import classical_bounds
 from . import scenarios
 
 # gamma31 = 2pi x 3 MHz anchors the normalized unit system.
@@ -44,8 +49,24 @@ NS_TO_NORM = 2.0 * math.pi * GAMMA31_MHZ * 1e6 * 1e-9
 
 _FLOAT_FMT = "%.10g"
 
+Config = dict[str, dict[str, object]]
+
 
 def _fmt(value) -> str:
+    """One value as written to a CSV cell or a header line.
+
+    Parsed list values print in the config's own syntax (comma-separated,
+    tuple items colon-separated), so a header line reads as config text.
+    """
+    if isinstance(value, ControlTimeline):
+        value = tuple(
+            (s.label, s.t_start, s.t_end, s.amplitude) for s in value.segments
+        )
+    if isinstance(value, tuple):
+        return ", ".join(
+            ":".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
+            for v in value
+        )
     if isinstance(value, (float, np.floating)):
         return _FLOAT_FMT % float(value)
     return str(value)
@@ -93,26 +114,148 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "num": "6",
         "spacing": "linear",
     },
-    "output": {
-        "prefix": "",
-    },
 }
 
 
-def load_config(
-    path: str | None, overrides: list[str]
-) -> dict[str, dict[str, object]]:
-    """Read, override, and unit-normalize the scenario configuration.
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
 
-    Returns {section: {key: float | str}} with every `_mhz` / `_ns`
+
+def _int(text: str) -> int:
+    value = _number(text)
+    if value != int(value):
+        raise ConfigError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def _count(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise ConfigError(f"must be at least 1, got {value}")
+    return value
+
+
+def _items(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_number(s) for s in _items(text))
+
+
+def _parse_triples(text: str) -> tuple[tuple[float, float], ...]:
+    out = []
+    for chunk in _items(text):
+        od_s, sep, delta_s = chunk.partition(":")
+        if not sep:
+            raise ConfigError(f"triple must look like od:delta, got {chunk!r}")
+        out.append((_number(od_s), _number(delta_s)))
+    return tuple(out)
+
+
+def _parse_segments(text: str) -> ControlTimeline:
+    segments = []
+    for chunk in _items(text):
+        parts = chunk.split(":")
+        if len(parts) != 4:
+            raise ConfigError(
+                f"segment must look like label:t0:t1:rabi, got {chunk!r}"
+            )
+        label, t0, t1, rabi = parts
+        segments.append(
+            ControlSegment(_number(t0), _number(t1), _number(rabi), label.strip())
+        )
+    if not segments:
+        raise ConfigError("control.segments is empty")
+    return ControlTimeline(tuple(segments))
+
+
+def _spacing(text: str) -> str:
+    if text not in ("linear", "log", "random"):
+        raise ConfigError(f"unknown sweep spacing: {text!r}")
+    return text
+
+
+# The parser of every known key, by section and unsuffixed name.  Keys
+# missing from DEFAULTS are optional: absent from the config unless given.
+KEY_TYPES = {
+    "scenario": {
+        "ods": _floats,
+        "i_peak": _number,
+        "fig4_i_peak": _number,
+        "phase_rabi": _number,
+        "phase_fwhm": _number,
+        "triples": _parse_triples,
+        "delay_span": _number,
+        "delay_steps": _count,
+        "phase_steps": _count,
+        "fig4_steps": _count,
+        "fig4_span": _number,
+        "rabi_s_grid": _floats,
+    },
+    "medium": {"od": _number, "delta": _number, "gamma12": _number},
+    "pulse": {"fwhm": _number, "t_center": _number, "amplitude_norm": _number},
+    "control": {"segments": _parse_segments},
+    "grid": {"n_z": _int, "t_end": _number, "snapshots": _floats},
+    "sweep": {
+        "parameter": str,
+        "start": _number,
+        "stop": _number,
+        "num": _count,
+        "spacing": _spacing,
+        "values": _floats,
+    },
+}
+
+# Unit suffixes of float keys and their conversion to normalized units.
+_UNITS = {
+    "_mhz": lambda x: x / GAMMA31_MHZ,
+    "_ns": lambda x: x * NS_TO_NORM,
+}
+
+
+def _parse_item(section: str, key: str, raw: str) -> tuple[str, object]:
+    """(unsuffixed key, typed value) of one config entry."""
+    name, convert = key, None
+    for suffix, unit in _UNITS.items():
+        if key.endswith(suffix):
+            name, convert = key[: -len(suffix)], unit
+    parse = KEY_TYPES.get(section, {}).get(name)
+    if parse is None:
+        raise ConfigError(f"unknown config key: {section}.{key}")
+    if convert is not None and parse is not _number:
+        raise ConfigError(f"{section}.{key}: unit suffix on a non-float key")
+    try:
+        value = parse(raw.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from None
+    return name, value if convert is None else convert(value)
+
+
+def load_config(path: str | None, overrides: list[str]) -> Config:
+    """Read, override, type-check and unit-normalize the configuration.
+
+    Returns {section: {key: typed value}} with every `_mhz` / `_ns`
     suffix resolved to normalized units.  Override syntax is
-    `section.key=value`; overrides apply before unit conversion so they
-    may use suffixed keys too.
+    `section.key=value`; overrides may use suffixed keys too.  Entries
+    apply in order (defaults, file, overrides), the last one setting a key
+    winning whatever its suffix.  A key missing from KEY_TYPES or a value
+    that does not parse as its type raises ConfigError.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_dict(DEFAULTS)
+    entries = [(s, k, v) for s, kv in DEFAULTS.items() for k, v in kv.items()]
     if path is not None:
-        found = parser.read(path)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        try:
+            found = parser.read(path)
+            entries += [(s, k, v) for s in parser.sections() for k, v in parser.items(s)]
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from None
         if not found:
             raise ConfigError(f"config file not found: {path}")
     for item in overrides:
@@ -122,35 +265,16 @@ def load_config(
         section, dot, name = key.strip().partition(".")
         if not dot:
             raise ConfigError(f"override key must be section.key: {key!r}")
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, name.strip(), value.strip())
+        entries.append((section, name.strip().lower(), value))
 
-    resolved: dict[str, dict[str, object]] = {}
-    for section in parser.sections():
-        out: dict[str, object] = {}
-        for key, raw in parser.items(section):
-            if key.endswith("_mhz"):
-                out[key[: -len("_mhz")]] = float(raw) / GAMMA31_MHZ
-            elif key.endswith("_ns"):
-                out[key[: -len("_ns")]] = float(raw) * NS_TO_NORM
-            else:
-                try:
-                    out[key] = float(raw)
-                except ValueError:
-                    out[key] = raw
-        resolved[section] = out
-    return resolved
+    config: Config = {section: {} for section in DEFAULTS}
+    for section, key, raw in entries:
+        name, value = _parse_item(section, key, raw)
+        config[section][name] = value
+    return config
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    items = [s.strip() for s in str(text).split(",")]
-    return tuple(float(s) for s in items if s)
-
-
-def header_lines(
-    command: str, config: dict[str, dict[str, object]], seed: int
-) -> list[str]:
+def header_lines(command: str, config: Config, seed: int) -> list[str]:
     lines = [
         f"magnonbs {command}",
         "units: rates in gamma31 (= 2pi x 3 MHz), times in 1/gamma31, "
@@ -175,45 +299,22 @@ def write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
 # ------------------------------------------------------- figure scenarios
 
 
-def _fig2_params(od: float, config: dict[str, dict[str, object]]):
+def _fig2_params(od: float) -> scenarios.Fig2Params:
     if od == 30.0:
         return scenarios.FIG2_OD30
     if od == 150.0:
         return scenarios.FIG2_OD150
     # Uncalibrated depth: reuse the low-depth drive schedule so shallow
     # and empty cells stay runnable.
-    base = scenarios.FIG2_OD30
-    return scenarios.Fig2Params(
-        od=od,
-        rabi_bs=base.rabi_bs,
-        ref_rabi_s=base.ref_rabi_s,
-        rabi_s_grid=base.rabi_s_grid,
-        n_z=base.n_z,
-        probe_center=base.probe_center,
-        t_end=base.t_end,
-    )
+    return replace(scenarios.FIG2_OD30, od=od)
 
 
-def cmd_fig2(config, out_dir: Path, seed: int, workers: int) -> None:
-    ods = _floats(config["scenario"]["ods"])
-    grid_override = config["scenario"].get("rabi_s_grid")
-    for od in ods:
-        params = _fig2_params(od, config)
-        if grid_override is not None:
-            grid = (
-                (float(grid_override),)
-                if isinstance(grid_override, float)
-                else _floats(grid_override)
-            )
-            params = scenarios.Fig2Params(
-                od=params.od,
-                rabi_bs=params.rabi_bs,
-                ref_rabi_s=params.ref_rabi_s,
-                rabi_s_grid=grid,
-                n_z=params.n_z,
-                probe_center=params.probe_center,
-                t_end=params.t_end,
-            )
+def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
+    sc = config["scenario"]
+    for od in sc["ods"]:
+        params = _fig2_params(od)
+        if "rabi_s_grid" in sc:
+            params = replace(params, rabi_s_grid=sc["rabi_s_grid"])
         curve = scenarios.fig2_curve(params)
         header = header_lines("fig2", config, seed)
         header.append(f"od = {_fmt(od)}")
@@ -240,36 +341,23 @@ def cmd_fig2(config, out_dir: Path, seed: int, workers: int) -> None:
         g2_cols = ["rabi_s", "visibility", "g2"]
         g2_rows = [[r.rabi_s, r.visibility, r.g2] for r in curve.rows]
         write_csv(out_dir / f"fig2_{tag}_g2.csv", header, g2_cols, g2_rows)
+    return 0
 
 
-def _parse_triples(text: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for chunk in str(text).split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        od_s, sep, delta_s = chunk.partition(":")
-        if not sep:
-            raise ConfigError(f"triple must look like od:delta, got {chunk!r}")
-        out.append((float(od_s), float(delta_s)))
-    return tuple(out)
-
-
-def cmd_fig3(config, out_dir: Path, seed: int, workers: int) -> None:
+def cmd_fig3(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
-    triples = _parse_triples(sc["triples"])
-    rabi = float(sc["phase_rabi"])
-    tau = tau_from_fwhm(float(sc["phase_fwhm"]))
-    i_peak = float(sc["i_peak"])
-    phis = [phi_rt_analytic(rabi, d, od, tau) for od, d in triples]
+    triples = sc["triples"]
+    tau = tau_from_fwhm(sc["phase_fwhm"])
+    i_peak = sc["i_peak"]
+    phis = [phi_rt_analytic(sc["phase_rabi"], d, od, tau) for od, d in triples]
 
     bounds = classical_bounds()
     header = header_lines("fig3", config, seed)
     for (od, d), phi in zip(triples, phis):
         header.append(f"phi_rt(od={od:g}, delta={d:g}) = {_fmt(phi)}")
 
-    span = float(sc["delay_span"])
-    delays = np.linspace(-span, span, int(sc["delay_steps"]))
+    span = sc["delay_span"]
+    delays = np.linspace(-span, span, sc["delay_steps"])
     curves = [
         scenarios.fig3_delay_curve(phi, delays=delays, i_peak=i_peak)[1]
         for phi in phis
@@ -285,7 +373,7 @@ def cmd_fig3(config, out_dir: Path, seed: int, workers: int) -> None:
     ]
     write_csv(out_dir / "fig3_delay.csv", header, delay_cols, delay_rows)
 
-    phases = np.linspace(0.0, 2.0 * math.pi, int(sc["phase_steps"]))
+    phases = np.linspace(0.0, 2.0 * math.pi, sc["phase_steps"])
     _, g2 = scenarios.fig3_phase_curve(phases=phases, i_value=i_peak)
     phase_rows = [
         [phases[i], g2[i], bounds.g2_min, bounds.g2_max]
@@ -297,14 +385,15 @@ def cmd_fig3(config, out_dir: Path, seed: int, workers: int) -> None:
         ["phi_rt", "g2", "classical_lo", "classical_hi"],
         phase_rows,
     )
+    return 0
 
 
-def cmd_fig4(config, out_dir: Path, seed: int, workers: int) -> None:
+def cmd_fig4(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
-    i_peak = float(sc["fig4_i_peak"])
-    n = int(sc["fig4_steps"])
-    span = float(sc["fig4_span"])
-    d1, d2, grid = scenarios.fig4_grid(n=n, delay_span=span, i_peak=i_peak)
+    n = sc["fig4_steps"]
+    d1, d2, grid = scenarios.fig4_grid(
+        n=n, delay_span=sc["fig4_span"], i_peak=sc["fig4_i_peak"]
+    )
     bounds = classical_bounds()
 
     header = header_lines("fig4", config, seed)
@@ -330,54 +419,26 @@ def cmd_fig4(config, out_dir: Path, seed: int, workers: int) -> None:
     write_csv(
         out_dir / "fig4_corners.csv", header, ["source", "g3"], corner_rows
     )
+    return 0
 
 
 # ------------------------------------------------------------ run / sweep
 
 
-def _parse_segments(text: str) -> ControlTimeline:
-    segments = []
-    for chunk in str(text).split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 4:
-            raise ConfigError(
-                f"segment must look like label:t0:t1:rabi, got {chunk!r}"
-            )
-        label, t0, t1, rabi = parts
-        segments.append(
-            ControlSegment(float(t0), float(t1), float(rabi), label.strip())
-        )
-    if not segments:
-        raise ConfigError("control.segments is empty")
-    return ControlTimeline(tuple(segments))
-
-
-def _build_run(config) -> tuple[MediumParams, ControlTimeline, SimulationConfig, PulseEnvelope]:
-    med = config["medium"]
-    medium = MediumParams(
-        od=float(med["od"]),
-        delta=float(med.get("delta", 0.0)),
-        gamma12=float(med.get("gamma12", 0.0)),
-    )
-    timeline = _parse_segments(config["control"]["segments"])
-    grid = config["grid"]
-    snaps = grid.get("snapshots", "")
-    snapshot_times = _floats(snaps) if isinstance(snaps, str) else (float(snaps),)
+def _build_run(
+    config: Config,
+) -> tuple[MediumParams, ControlTimeline, SimulationConfig, PulseEnvelope]:
+    med, grid, pul = config["medium"], config["grid"], config["pulse"]
+    medium = MediumParams(od=med["od"], delta=med["delta"], gamma12=med["gamma12"])
     sim = SimulationConfig(
-        t_end=float(grid["t_end"]),
-        n_z=int(grid["n_z"]),
-        snapshot_times=snapshot_times,
+        t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"]
     )
-    pul = config["pulse"]
     pulse = PulseEnvelope(
-        fwhm=float(pul["fwhm"]),
-        t_center=float(pul["t_center"]),
-        amplitude_norm=float(pul.get("amplitude_norm", 1.0)),
+        fwhm=pul["fwhm"],
+        t_center=pul["t_center"],
+        amplitude_norm=pul["amplitude_norm"],
     )
-    return medium, timeline, sim, pulse
+    return medium, config["control"]["segments"], sim, pulse
 
 
 def _run_summary(traj) -> dict[str, float]:
@@ -392,7 +453,7 @@ def _run_summary(traj) -> dict[str, float]:
     }
 
 
-def cmd_run(config, out_dir: Path, seed: int, workers: int) -> None:
+def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
     medium, timeline, sim, pulse = _build_run(config)
     traj = evolve(medium, timeline, sim, pulse=pulse)
 
@@ -440,75 +501,64 @@ def cmd_run(config, out_dir: Path, seed: int, workers: int) -> None:
             ["t", "z", "e_abs", "s12_abs"],
             snap_rows,
         )
+    return 0
 
 
-def _apply_value(config, parameter: str, value: float):
+def _apply_value(config: Config, parameter: str, value: float) -> Config:
     section, dot, key = parameter.partition(".")
     if not dot:
         raise ConfigError(f"sweep parameter must be section.key: {parameter!r}")
     patched = {s: dict(kv) for s, kv in config.items()}
-    if section == "control" and key == "rabi":
-        # Convenience target: scales every control segment amplitude.
-        timeline = _parse_segments(patched["control"]["segments"])
-        patched["control"]["segments"] = ", ".join(
-            f"{seg.label}:{seg.t_start:g}:{seg.t_end:g}:{value:g}"
-            for seg in timeline.segments
+    parse = KEY_TYPES.get(section, {}).get(key)
+    if parameter == "control.rabi":
+        # Convenience target: sets every control segment amplitude.
+        timeline = config["control"]["segments"]
+        patched["control"]["segments"] = ControlTimeline(
+            tuple(replace(seg, amplitude=value) for seg in timeline.segments)
         )
+    elif parse in (_number, _int, _count):
+        # Through the key's own parser, so a swept value meets the same
+        # checks as a configured one.
+        patched[section][key] = parse(repr(float(value)))
     else:
-        if section not in patched or key not in patched[section]:
-            raise ConfigError(f"unknown sweep parameter: {parameter!r}")
-        patched[section][key] = value
+        raise ConfigError(f"unknown sweep parameter: {parameter!r}")
     return patched
 
 
-def _sweep_values(config, seed: int) -> np.ndarray:
+def _sweep_values(config: Config, seed: int) -> np.ndarray:
     sw = config["sweep"]
     if "values" in sw:
-        return np.array(_floats(sw["values"]))
-    start, stop = float(sw["start"]), float(sw["stop"])
-    num = int(sw["num"])
-    if num < 1:
-        raise ConfigError("sweep.num must be at least 1")
-    spacing = str(sw.get("spacing", "linear"))
-    if spacing == "linear":
+        return np.array(sw["values"])
+    start, stop, num = sw["start"], sw["stop"], sw["num"]
+    if sw["spacing"] == "linear":
         return np.linspace(start, stop, num)
-    if spacing == "log":
+    if sw["spacing"] == "log":
         if start <= 0 or stop <= 0:
             raise ConfigError("log spacing needs positive endpoints")
         return np.geomspace(start, stop, num)
-    if spacing == "random":
-        rng = np.random.default_rng(seed)
-        return np.sort(rng.uniform(start, stop, size=num))
-    raise ConfigError(f"unknown sweep spacing: {spacing!r}")
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.uniform(start, stop, size=num))
 
 
-def _sweep_job(args: tuple[int, dict, str, float]) -> tuple[int, list[float]]:
-    index, config, parameter, value = args
-    patched = _apply_value(config, parameter, value)
-    medium, timeline, sim, pulse = _build_run(patched)
-    traj = evolve(medium, timeline, sim, pulse=pulse)
-    summary = _run_summary(traj)
-    return index, [
-        float(index), value,
-        summary["input_norm"], summary["emitted_norm"],
-        summary["photon_norm"], summary["magnon_norm"],
-        summary["loss"], summary["residual"],
-    ]
+def _sweep_job(run) -> list[float]:
+    medium, timeline, sim, pulse = run
+    # The summary's keys are in the order of the sweep table's columns.
+    return list(_run_summary(evolve(medium, timeline, sim, pulse=pulse)).values())
 
 
-def cmd_sweep(config, out_dir: Path, seed: int, workers: int) -> None:
-    parameter = str(config["sweep"]["parameter"])
-    values = _sweep_values(config, seed)
-    jobs = [
-        (i, config, parameter, float(v)) for i, v in enumerate(values)
-    ]
+def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int) -> int:
+    if workers < 1:
+        raise ConfigError("--workers must be at least 1")
+    parameter = config["sweep"]["parameter"]
+    values = [float(v) for v in _sweep_values(config, seed)]
+    # Every point is built, and so validated, before the first solver call.
+    runs = [_build_run(_apply_value(config, parameter, v)) for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_sweep_job, jobs))
+            # map yields in submission order, whatever order the runs finish.
+            summaries = list(pool.map(_sweep_job, runs))
     else:
-        done = [_sweep_job(job) for job in jobs]
-    # Completion order must not leak into the table.
-    done.sort(key=lambda item: item[0])
+        summaries = [_sweep_job(run) for run in runs]
 
     header = header_lines("sweep", config, seed)
     header.append(f"sweep parameter = {parameter}")
@@ -517,11 +567,12 @@ def cmd_sweep(config, out_dir: Path, seed: int, workers: int) -> None:
         header,
         ["index", parameter.replace(".", "_"), "input_norm", "emitted_norm",
          "photon_norm", "magnon_norm", "loss", "residual"],
-        [row for _, row in done],
+        [[float(i), v] + s for i, (v, s) in enumerate(zip(values, summaries))],
     )
+    return 0
 
 
-def cmd_accept(config, out_dir: Path, seed: int, workers: int) -> int:
+def cmd_accept(config: Config, out_dir: Path, seed: int) -> int:
     from .acceptance import format_report, run_all
 
     results = run_all()
@@ -565,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=".", help="existing output directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--override",
@@ -574,6 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="config override, repeatable, applied before unit conversion",
         )
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -583,25 +635,27 @@ _COMMANDS = {
     "fig4": cmd_fig4,
     "run": cmd_run,
     "sweep": cmd_sweep,
+    "accept": cmd_accept,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "accept" and (args.config is not None or args.override):
+            raise ConfigError("accept runs fixed settings: no --config or --override")
         config = load_config(args.config, args.override)
         out_dir = Path(args.out)
         if not out_dir.is_dir():
             raise ConfigError(f"output directory does not exist: {out_dir}")
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-        if args.command == "accept":
-            return cmd_accept(config, out_dir, args.seed, args.workers)
-        _COMMANDS[args.command](config, out_dir, args.seed, args.workers)
-        return 0
+        options = {"workers": args.workers} if "workers" in args else {}
+        return _COMMANDS[args.command](config, out_dir, args.seed, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except PhysicsViolation as exc:
+        print(f"physics violation: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ on the same footing as the field norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +47,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr)
     out.setflags(write=False)
     return out
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Raise ConfigError if one of obj's named fields is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
 def make_grid(length: float, n_cells: int) -> np.ndarray:
@@ -109,6 +117,7 @@ class MediumParams:
             g = math.sqrt(od * self.gamma31 * self.c_eff / (2.0 * self.length))
             object.__setattr__(self, "od", od)
             object.__setattr__(self, "coupling", g)
+        _require_finite(self, "od", "delta", "gamma12")
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,7 @@ class PulseEnvelope:
     def __post_init__(self) -> None:
         if self.shape not in ("gaussian", "custom"):
             raise ConfigError(f"unknown pulse shape {self.shape!r}")
+        _require_finite(self, "fwhm", "t_center")
         if self.shape == "gaussian" and self.fwhm <= 0:
             raise ConfigError("pulse fwhm must be positive")
         if not 0.0 <= self.amplitude_norm <= 1.0 + PROBABILITY_SLACK:
@@ -194,6 +204,9 @@ class ControlSegment:
         if self.label not in SEGMENT_LABELS:
             raise ConfigError(
                 f"segment label {self.label!r} not in {SEGMENT_LABELS}")
+        _require_finite(self, "t_start", "t_end")
+        if not callable(self.amplitude):
+            _require_finite(self, "amplitude")
         if not self.t_end > self.t_start:
             raise ConfigError("segment must have positive duration")
         if self.ramp < 0:
@@ -287,11 +300,6 @@ class FieldState:
         if self.loss_accum < -PROBABILITY_SLACK:
             raise PhysicsViolation(f"negative accumulated loss {self.loss_accum}")
 
-    @classmethod
-    def vacuum(cls, z_grid: np.ndarray, t_now: float = 0.0) -> "FieldState":
-        zero = np.zeros(z_grid.size, dtype=complex)
-        return cls(z_grid, zero, zero.copy(), zero.copy(), t_now, 0.0)
-
     @property
     def dz(self) -> float:
         return float(self.z_grid[1] - self.z_grid[0])
@@ -321,30 +329,6 @@ class FieldState:
             + self.loss_accum
         )
         return self.input_norm - held
-
-
-class NormSplit(NamedTuple):
-    photon: float
-    magnon: float
-    loss: float
-
-
-def norm_decomposition(state: FieldState, medium: MediumParams) -> NormSplit:
-    """Split the tracked excitation into photon / magnon / dissipated parts.
-
-    The in-flight excited-state amplitude is counted with the dissipated
-    share: it lives in the decaying channel and outside transients it is
-    negligible.  The three components plus the already-emitted norm add up to
-    the input norm.
-    """
-    del medium  # collective scaling makes the split medium-independent
-    photon = state.photon_norm
-    magnon = state.magnon_norm
-    loss = state.loss_accum + state.excited_norm
-    for name, val in (("photon", photon), ("magnon", magnon), ("loss", loss)):
-        if val < -PROBABILITY_SLACK:
-            raise PhysicsViolation(f"negative {name} norm {val}")
-    return NormSplit(photon, magnon, loss)
 
 
 @dataclass(frozen=True)
@@ -388,37 +372,3 @@ class SplitterMatrix:
             abs(self.t1) ** 2 + abs(self.r1) ** 2,
             abs(self.t2) ** 2 + abs(self.r2) ** 2,
         )
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """Correlation observables for one splitter configuration."""
-
-    output_probs: dict[tuple[int, ...], float]
-    g2: float | None = None
-    g3: float | None = None
-    overlap: float | None = None
-    phi_rt: float | None = None
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for pattern, p in self.output_probs.items():
-            if p < -PROBABILITY_SLACK:
-                raise PhysicsViolation(f"negative probability {p} for {pattern}")
-            total += p
-        if abs(total - 1.0) > PROBABILITY_SLACK:
-            raise PhysicsViolation(
-                f"output probabilities sum to {total}, expected 1 "
-                f"(loss outcomes included)"
-            )
-        if self.overlap is not None and not (
-            -PROBABILITY_SLACK <= self.overlap <= 1 + PROBABILITY_SLACK
-        ):
-            raise PhysicsViolation(f"overlap {self.overlap} outside [0, 1]")
-
-
-def check_unit_interval(value: float, what: str) -> float:
-    """Validate a probability-like scalar, tolerating roundoff-level slack."""
-    if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
-        raise PhysicsViolation(f"{what} = {value} outside [0, 1]")
-    return float(min(max(value, 0.0), 1.0))

@@ -52,7 +52,6 @@ class ModeNetwork:
     """Square transfer matrix between signal modes, possibly lossy."""
 
     transfer: np.ndarray
-    port_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         t = np.array(self.transfer, dtype=complex)
@@ -65,8 +64,6 @@ class ModeNetwork:
             )
         t.setflags(write=False)
         object.__setattr__(self, "transfer", t)
-        if self.port_labels and len(self.port_labels) != t.shape[0]:
-            raise ConfigError("one port label per mode, or none")
 
     @property
     def n_modes(self) -> int:
@@ -74,7 +71,7 @@ class ModeNetwork:
 
 
 def network_from_splitter(b: SplitterMatrix) -> ModeNetwork:
-    return ModeNetwork(b.matrix, port_labels=("magnon", "photon"))
+    return ModeNetwork(b.matrix)
 
 
 def dilate(net: ModeNetwork) -> np.ndarray:
@@ -317,4 +314,4 @@ def cascade_three(
         ],
         dtype=complex,
     )
-    return ModeNetwork(t, port_labels=("stage1", "stage2", "retrieval"))
+    return ModeNetwork(t)

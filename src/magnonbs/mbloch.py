@@ -29,8 +29,7 @@ accumulated loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -42,6 +41,7 @@ from .core import (
     MediumParams,
     PhysicsViolation,
     PulseEnvelope,
+    _require_finite,
     make_grid,
 )
 
@@ -63,6 +63,7 @@ class SimulationConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(self, "t_end")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
         if self.record_every < 1:

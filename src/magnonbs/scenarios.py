@@ -98,7 +98,6 @@ class Fig2Curve:
     rows: tuple[Fig2Row, ...]
     transmission: float
     release: float
-    probe_peak_time: float
     max_residual: float
 
     def optimum(self) -> Fig2Row:
@@ -141,8 +140,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
 
     probe = PulseEnvelope(fwhm=PULSE_FWHM, t_center=params.probe_center)
     run_probe = evolve(medium, timeline, config, pulse=probe)
-    peak = max(run_probe.snapshots, key=lambda s: s.magnon_norm)
-    spin_probe = peak.sigma12
+    spin_probe = max(run_probe.snapshots, key=lambda s: s.magnon_norm).sigma12
     transmission = (
         run_probe.final_state.emitted_norm / run_probe.input_norm
     )
@@ -204,7 +202,6 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
         rows=tuple(rows),
         transmission=float(transmission),
         release=float(release),
-        probe_peak_time=float(peak.t_now),
         max_residual=float(residual),
     )
 
@@ -310,7 +307,6 @@ def triangle_check(scenario: MixingScenario) -> TriangleCheck:
 
 
 FIG3_PEAK_OVERLAP = 0.75
-FIG3_PHASES = (0.0, np.pi / 2, np.pi)
 
 
 def fig3_delay_curve(

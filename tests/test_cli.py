@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError
+from magnonbs import ConfigError, PhysicsViolation, cli, mbloch, scenarios, splitter
 from magnonbs.cli import (
     GAMMA31_MHZ,
     NS_TO_NORM,
+    _apply_value,
     _parse_segments,
     _parse_triples,
     _sweep_values,
@@ -45,11 +46,18 @@ def test_config_file_and_override_precedence(tmp_path):
     config = load_config(str(ini), ["medium.delta=9"])
     assert config["medium"]["od"] == 77.0
     assert config["medium"]["delta"] == 9.0
+    # The later entry wins whichever of the two carries the unit suffix.
+    ini.write_text("[medium]\ndelta_mhz = 60\n", encoding="utf-8")
+    assert load_config(str(ini), ["medium.delta=9"])["medium"]["delta"] == 9.0
 
 
-def test_missing_config_file_raises():
+def test_missing_config_file_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.ini", [])
+    headless = tmp_path / "headless.ini"
+    headless.write_text("od = 30\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(str(headless), [])
 
 
 def test_override_syntax_guards():
@@ -197,9 +205,93 @@ def test_sweep_is_deterministic_across_worker_counts(tmp_path):
 
 def test_sweep_rejects_unknown_parameter():
     config = load_config(None, ["sweep.parameter=medium.nonsense"])
-    from magnonbs.cli import _apply_value
-
     with pytest.raises(ConfigError):
         _apply_value(config, "medium.nonsense", 1.0)
     with pytest.raises(ConfigError):
         _apply_value(config, "plainkey", 1.0)
+    # Only numeric keys can be swept, and integer keys only to integers.
+    with pytest.raises(ConfigError):
+        _apply_value(config, "sweep.spacing", 1.0)
+    with pytest.raises(ConfigError):
+        _apply_value(config, "grid.n_z", 64.5)
+    assert _apply_value(config, "grid.n_z", 64.0)["grid"]["n_z"] == 64
+
+
+def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
+    ran = []
+
+    def recording_evolve(medium, timeline, sim, pulse=None):
+        ran.append(timeline.segments[0])
+        return mbloch.evolve(medium, timeline, sim, pulse=pulse)
+
+    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    overrides = [
+        "sweep.spacing=random", "sweep.num=2", "grid.n_z=16", "grid.t_end=1.5",
+        "control.segments=storage:0:1.23456789:5",
+    ]
+    args = ["sweep", "--out", str(tmp_path), "--seed", "3"]
+    assert main(args + [a for o in overrides for a in ("--override", o)]) == 0
+    listed = _sweep_values(load_config(None, overrides), 3)
+    assert [seg.amplitude for seg in ran] == list(listed)
+    assert all(seg.t_end == 1.23456789 for seg in ran)
+    body = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    column = [float(line.split(",")[1]) for line in body if line[0].isdigit()]
+    assert column == pytest.approx(list(listed), rel=1e-9)
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Make any solver call fail the test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    for module in (cli, mbloch, scenarios, splitter):
+        monkeypatch.setattr(module, "evolve", forbidden)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--override", "grid.n_z=abc"],
+        ["run", "--override", "grid.n_z=160.9"],
+        ["run", "--override", "medium.odd=30"],
+        ["run", "--override", "pulse.fwhm=nan"],
+        ["run", "--override", "grid.t_end=inf"],
+        ["fig4", "--override", "scenario.fig4_steps=2.5"],
+        ["fig4", "--override", "scenario.fig4_steps=0"],
+        ["sweep", "--override", "sweep.num=0"],
+        ["fig3", "--override", "scenario.delay_steps=abc"],
+        ["fig2", "--override", "scenario.ods=abc"],
+        ["fig3", "--override", "output.prefix=x"],
+        ["run", "--override", "pulse.fwhm_ns=1, 2"],
+        ["sweep", "--workers", "0"],
+        ["accept", "--override", "medium.od=1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_a_config_error_before_compute(args, tmp_path, capsys, no_solver):
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig4_accepts_a_fig3_key(tmp_path):
+    assert main(["fig4", "--out", str(tmp_path),
+                 "--override", "scenario.i_peak=0.6"]) == 0
+
+
+def test_workers_is_a_sweep_option_only(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["fig4", "--out", str(tmp_path), "--workers", "2"])
+
+
+def test_physics_violation_exits_with_its_own_code(tmp_path, capsys, monkeypatch):
+    def violating(*args, **kwargs):
+        raise PhysicsViolation("held norm exceeds input")
+
+    monkeypatch.setattr(cli, "evolve", violating)
+    assert main(["run", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["physics violation: held norm exceeds input"]

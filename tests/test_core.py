@@ -7,11 +7,11 @@ from magnonbs import (
     ConfigError,
     ControlSegment,
     ControlTimeline,
-    CorrelationResult,
     FieldState,
     MediumParams,
     PhysicsViolation,
     PulseEnvelope,
+    SimulationConfig,
     SplitterMatrix,
     make_grid,
 )
@@ -56,6 +56,29 @@ def test_medium_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigError):
         MediumParams(**kwargs)
 
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MediumParams(od=math.nan),
+        lambda: MediumParams(od=math.inf),
+        lambda: MediumParams(od=30.0, delta=-math.inf),
+        lambda: MediumParams(od=30.0, gamma12=math.nan),
+        lambda: PulseEnvelope(fwhm=math.inf),
+        lambda: PulseEnvelope(fwhm=math.nan),
+        lambda: PulseEnvelope(t_center=math.nan),
+        lambda: ControlSegment(math.nan, 1.0, 1.0, "storage"),
+        lambda: ControlSegment(0.0, math.inf, 1.0, "storage"),
+        lambda: ControlSegment(0.0, 1.0, complex(math.nan, 0.0), "storage"),
+        lambda: SimulationConfig(t_end=math.inf),
+    ],
+    ids=["od-nan", "od-inf", "delta", "gamma12", "fwhm-inf", "fwhm-nan", "t_center",
+         "t_start", "t_end", "amplitude", "sim-t_end"],
+)
+def test_constructors_reject_non_finite_values(build):
+    with pytest.raises(ConfigError, match="must be finite"):
+        build()
 
 def test_pulse_norm_matches_amplitude_norm():
     pulse = PulseEnvelope(fwhm=1.5, t_center=5.0, amplitude_norm=0.7)
@@ -161,11 +184,3 @@ def test_splitter_matrix_rejects_gain():
     r = math.sqrt(0.5)
     with pytest.raises(PhysicsViolation):
         SplitterMatrix(t1=r, r1=r, t2=r, r2=r)
-
-
-def test_correlation_result_checks_probabilities():
-    CorrelationResult(output_probs={(1, 1): 0.4, (2, 0): 0.6})
-    with pytest.raises(PhysicsViolation):
-        CorrelationResult(output_probs={(1, 1): 0.7})
-    with pytest.raises(PhysicsViolation):
-        CorrelationResult(output_probs={(1, 1): -0.2, (2, 0): 1.2})
