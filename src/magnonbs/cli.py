@@ -311,10 +311,15 @@ def _fig2_params(od: float) -> scenarios.Fig2Params:
 
 def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
+    # Every curve's params are built, and so validated, before the first
+    # solver call.
+    plans = []
     for od in sc["ods"]:
         params = _fig2_params(od)
         if "rabi_s_grid" in sc:
             params = replace(params, rabi_s_grid=sc["rabi_s_grid"])
+        plans.append((od, params))
+    for od, params in plans:
         curve = scenarios.fig2_curve(params)
         header = header_lines("fig2", config, seed)
         header.append(f"od = {_fmt(od)}")

@@ -57,6 +57,15 @@ def _require_finite(obj, *names: str) -> None:
             raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
+def _require_cells(n_cells: int) -> None:
+    """Raise ConfigError if a grid of n_cells cannot resolve a stored profile."""
+    if n_cells < 16:
+        raise ConfigError(
+            f"spatial grid needs at least 16 cells to resolve a stored "
+            f"profile, got {n_cells}"
+        )
+
+
 def make_grid(length: float, n_cells: int) -> np.ndarray:
     """Cell-center positions of a uniform grid of n_cells over [0, length].
 
@@ -66,11 +75,7 @@ def make_grid(length: float, n_cells: int) -> np.ndarray:
     """
     if length <= 0:
         raise ConfigError(f"medium length must be positive, got {length}")
-    if n_cells < 16:
-        raise ConfigError(
-            f"spatial grid needs at least 16 cells to resolve a stored "
-            f"profile, got {n_cells}"
-        )
+    _require_cells(n_cells)
     dz = float(length) / int(n_cells)
     grid = (np.arange(int(n_cells)) + 0.5) * dz
     return _readonly(grid)

@@ -21,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ConfigError,
     ControlSegment,
     ControlTimeline,
     MediumParams,
     PulseEnvelope,
+    _require_cells,
+    _require_finite,
 )
 from .fock_oracle import (
     cascade_three,
@@ -60,6 +63,19 @@ class Fig2Params:
     n_z: int
     probe_center: float = 1.0
     t_end: float = 10.0
+
+    def __post_init__(self) -> None:
+        # Checked here, so that a bad curve fails before any curve is run.
+        _require_finite(self, "od", "t_end")
+        if self.od < 0:
+            raise ConfigError("optical depth cannot be negative")
+        if not self.rabi_s_grid:
+            raise ConfigError("rabi_s_grid needs at least one storage drive")
+        if 0.0 in self.rabi_s_grid or self.ref_rabi_s == 0.0:
+            raise ConfigError("storage drive must be nonzero")
+        _require_cells(self.n_z)
+        if self.t_end <= 0:
+            raise ConfigError("t_end must be positive")
 
 
 FIG2_OD30 = Fig2Params(

@@ -137,6 +137,7 @@ class PortProjection:
 
 def splitter_from_outputs(
     times: np.ndarray,
+    dt: float,
     ea_out: np.ndarray,
     eb_out: np.ndarray,
     sa_fin: np.ndarray,
@@ -152,14 +153,14 @@ def splitter_from_outputs(
     The photon output mode is the windowed sum emission of both runs; the
     magnon output mode is the sum of both final spin waves.  By linearity the
     interference run is the coherent sum of the two, so these are the modes an
-    actual two-input experiment would populate.
+    actual two-input experiment would populate.  The emitted fields are
+    sampled at `times`, `dt` apart.
     """
     if input_a < 1e-3 or input_b < 1e-3:
         raise ConfigError(
             f"port inputs too small to characterize: {input_a:.3g}, {input_b:.3g}"
         )
     times = np.asarray(times, dtype=float)
-    dt = float(times[1] - times[0])
     if window is None:
         mask = np.ones(times.size, dtype=bool)
     else:
@@ -255,6 +256,7 @@ def extract_matrix(
     input_b = run_b.final_state.injected_norm
     proj = splitter_from_outputs(
         run_a.times,
+        run_a.dt,
         run_a.emitted,
         run_b.emitted,
         run_a.final_state.sigma12,

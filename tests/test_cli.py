@@ -241,13 +241,18 @@ def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
 
 @pytest.fixture
 def no_solver(monkeypatch):
-    """Make any solver call fail the test."""
+    """Make any solver call fail the test.
+
+    Every propagator is built by `expm` as bound in `mbloch`, so patching it
+    also catches solver work done outside `evolve`.
+    """
 
     def forbidden(*args, **kwargs):
         raise AssertionError("solver called")
 
     for module in (cli, mbloch, scenarios, splitter):
         monkeypatch.setattr(module, "evolve", forbidden)
+    monkeypatch.setattr(mbloch, "expm", forbidden)
 
 
 @pytest.mark.parametrize(
@@ -263,6 +268,10 @@ def no_solver(monkeypatch):
         ["sweep", "--override", "sweep.num=0"],
         ["fig3", "--override", "scenario.delay_steps=abc"],
         ["fig2", "--override", "scenario.ods=abc"],
+        ["fig2", "--override", "scenario.ods=30,-5"],
+        ["fig2", "--override", "scenario.rabi_s_grid=0"],
+        ["sweep", "--override", "sweep.parameter=grid.n_z",
+         "--override", "sweep.values=32,8"],
         ["fig3", "--override", "output.prefix=x"],
         ["run", "--override", "pulse.fwhm_ns=1, 2"],
         ["sweep", "--workers", "0"],

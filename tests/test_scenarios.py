@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from magnonbs import ConfigError
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
@@ -13,6 +15,24 @@ from magnonbs.scenarios import (
     ideal_cascade_g3,
     triangle_check,
 )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"od": -5.0},
+        {"od": math.nan},
+        {"rabi_s_grid": ()},
+        {"rabi_s_grid": (2.0, 0.0)},
+        {"ref_rabi_s": 0.0},
+        {"n_z": 8},
+        {"t_end": 0.0},
+    ],
+    ids=str,
+)
+def test_fig2_params_reject_what_the_solver_would_reject(change):
+    with pytest.raises(ConfigError):
+        replace(FIG2_OD30, **change)
 
 
 def test_fig3_delay_curve_shapes():

@@ -139,6 +139,7 @@ def _synthetic_projection(b, input_a=0.9, input_b=0.8):
     ra, rb = math.sqrt(input_a), math.sqrt(input_b)
     return splitter_from_outputs(
         times,
+        dt,
         b.r1 * ra * g,
         b.t2 * rb * g,
         b.t1 * ra * m,
@@ -174,7 +175,7 @@ def test_projection_guards():
     zeros_z = np.zeros(64, dtype=complex)
     with pytest.raises(ConfigError):
         splitter_from_outputs(
-            times, zeros_t, zeros_t, zeros_z, zeros_z, 1.0 / 64, 1.0, 1.0
+            times, 0.1, zeros_t, zeros_t, zeros_z, zeros_z, 1.0 / 64, 1.0, 1.0
         )
 
 
