@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SplitterMatrix
+from .core import PulseEnvelope, SplitterMatrix
 from .fock_oracle import (
     g2_from_distribution,
     network_from_splitter,
@@ -35,7 +35,7 @@ from .scenarios import (
     triangle_check,
 )
 from .splitter import fold_phase, phi_rt_analytic, tau_from_fwhm
-from .stats import classical_bounds, g2_formula, g3_formula
+from .stats import OverlapEnvelope, classical_bounds, g2_formula, g3_formula
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,6 @@ def criterion_6() -> CriterionResult:
 
     d1, d2, grid = fig4_grid(n=5)
     worst = 0.0
-    from .stats import OverlapEnvelope
-    from .core import PulseEnvelope
-
     env = OverlapEnvelope.from_pulse(
         PulseEnvelope(fwhm=1.5, t_center=0.0), i_peak=1.0
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -127,63 +126,38 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Temporal envelope of the input probe amplitude at the cell entrance.
+    """Gaussian envelope of the input probe amplitude at the cell entrance.
 
     `amplitude(t)` is normalized so that its squared integral over time equals
     `amplitude_norm` (the injected excitation number).  fwhm refers to the
     intensity profile.
     """
 
-    shape: str = "gaussian"
     fwhm: float = 1.0
     t_center: float = 0.0
     amplitude_norm: float = 1.0
-    samples: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.shape not in ("gaussian", "custom"):
-            raise ConfigError(f"unknown pulse shape {self.shape!r}")
         _require_finite(self, "fwhm", "t_center")
-        if self.shape == "gaussian" and self.fwhm <= 0:
+        if self.fwhm <= 0:
             raise ConfigError("pulse fwhm must be positive")
         if not 0.0 <= self.amplitude_norm <= 1.0 + PROBABILITY_SLACK:
             raise ConfigError(
                 f"amplitude_norm is a single-excitation weight in [0, 1], "
                 f"got {self.amplitude_norm}"
             )
-        if self.shape == "custom":
-            if self.samples is None:
-                raise ConfigError("custom pulse needs (t, value) samples")
-            t, v = self.samples
-            t = np.asarray(t, dtype=float)
-            v = np.asarray(v, dtype=complex)
-            if t.ndim != 1 or t.size < 4 or t.size != v.size:
-                raise ConfigError("custom pulse samples must be matching 1d arrays")
-            if np.any(np.diff(t) <= 0):
-                raise ConfigError("custom pulse times must increase strictly")
-            norm = np.trapezoid(np.abs(v) ** 2, t)
-            if norm <= 0:
-                raise ConfigError("custom pulse has zero norm")
-            scale = math.sqrt(self.amplitude_norm / norm)
-            object.__setattr__(self, "samples", (_readonly(t), _readonly(v * scale)))
 
     @property
     def sigma(self) -> float:
-        """Standard deviation of the intensity profile (gaussian shape)."""
+        """Standard deviation of the intensity profile."""
         return self.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
     def amplitude(self, t: np.ndarray | float) -> np.ndarray | complex:
         t = np.asarray(t, dtype=float)
-        if self.shape == "gaussian":
-            s = self.sigma
-            peak = self.amplitude_norm / (s * math.sqrt(2.0 * math.pi))
-            out = math.sqrt(peak) * np.exp(-((t - self.t_center) ** 2) / (4.0 * s * s))
-            out = out.astype(complex)
-        else:
-            ts, vs = self.samples
-            out = np.interp(t, ts, vs.real, left=0.0, right=0.0) + 1j * np.interp(
-                t, ts, vs.imag, left=0.0, right=0.0
-            )
+        s = self.sigma
+        peak = self.amplitude_norm / (s * math.sqrt(2.0 * math.pi))
+        out = math.sqrt(peak) * np.exp(-((t - self.t_center) ** 2) / (4.0 * s * s))
+        out = out.astype(complex)
         if out.ndim == 0:
             return complex(out)
         return out
@@ -191,17 +165,16 @@ class PulseEnvelope:
 
 @dataclass(frozen=True)
 class ControlSegment:
-    """One labeled interval of control-field drive.
+    """One labeled interval of constant control drive.
 
-    `amplitude` is either a complex Rabi frequency or a callable t -> complex
-    evaluated inside the segment.  Edges are raised-cosine ramps of duration
-    `ramp` placed inside the interval, so the drive is continuous and vanishes
-    at both segment ends.
+    `amplitude` is the complex Rabi frequency held inside the interval.  Edges
+    are raised-cosine ramps of duration `ramp` placed inside the interval, so
+    the drive is continuous and vanishes at both segment ends.
     """
 
     t_start: float
     t_end: float
-    amplitude: complex | Callable[[np.ndarray], np.ndarray]
+    amplitude: complex
     label: str = "off"
     ramp: float = DEFAULT_RAMP
 
@@ -209,32 +182,38 @@ class ControlSegment:
         if self.label not in SEGMENT_LABELS:
             raise ConfigError(
                 f"segment label {self.label!r} not in {SEGMENT_LABELS}")
-        _require_finite(self, "t_start", "t_end")
-        if not callable(self.amplitude):
-            _require_finite(self, "amplitude")
+        _require_finite(self, "t_start", "t_end", "amplitude")
         if not self.t_end > self.t_start:
             raise ConfigError("segment must have positive duration")
         if self.ramp < 0:
             raise ConfigError("ramp duration cannot be negative")
 
-    def _edge(self, t: np.ndarray) -> np.ndarray:
-        # Raised-cosine turn-on/turn-off confined to the segment interior.
-        ramp = min(self.ramp, 0.5 * (self.t_end - self.t_start))
-        w = np.ones_like(t)
-        if ramp > 0:
-            up = np.clip((t - self.t_start) / ramp, 0.0, 1.0)
-            down = np.clip((self.t_end - t) / ramp, 0.0, 1.0)
-            w = 0.5 * (1 - np.cos(np.pi * up)) * 0.5 * (1 - np.cos(np.pi * down))
+    def _edge(self, t: np.ndarray, ramp: float) -> np.ndarray:
+        # Raised-cosine turn-on/turn-off weight; it is exactly 1 wherever both
+        # clipped ramp coordinates are 1, so callers pass only ramp samples.
+        up = np.clip((t - self.t_start) / ramp, 0.0, 1.0)
+        down = np.clip((self.t_end - t) / ramp, 0.0, 1.0)
+        return 0.5 * (1 - np.cos(np.pi * up)) * 0.5 * (1 - np.cos(np.pi * down))
+
+    def _add_to(self, out: np.ndarray, t: np.ndarray) -> None:
+        """Add this segment's drive at the times t into `out`, in place."""
         inside = (t >= self.t_start) & (t <= self.t_end)
-        return np.where(inside, w, 0.0)
+        ramp = min(self.ramp, 0.5 * (self.t_end - self.t_start))
+        if ramp > 0:
+            # (t - t_start) / ramp < 1 exactly when t - t_start < ramp, so
+            # this selects the samples whose clipped coordinate is below 1.
+            ramped = t - self.t_start < ramp
+            ramped |= self.t_end - t < ramp
+            ramped &= inside
+            inside &= ~ramped
+            out[ramped] += self.amplitude * self._edge(t[ramped], ramp)
+        np.add(out, self.amplitude, out=out, where=inside)
 
     def value(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if callable(self.amplitude):
-            amp = np.asarray(self.amplitude(t), dtype=complex)
-        else:
-            amp = complex(self.amplitude)
-        return amp * self._edge(t)
+        out = np.zeros(t.shape, dtype=complex)
+        self._add_to(out, t)
+        return out
 
 
 @dataclass(frozen=True)
@@ -258,7 +237,7 @@ class ControlTimeline:
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for seg in self.segments:
-            out = out + seg.value(t)
+            seg._add_to(out, t)
         if out.ndim == 0:
             return complex(out)
         return out
@@ -355,8 +334,7 @@ class SplitterMatrix:
         for name in ("t1", "r1", "t2", "r2"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         tol = 1e-9
-        s1 = abs(self.t1) ** 2 + abs(self.r1) ** 2
-        s2 = abs(self.t2) ** 2 + abs(self.r2) ** 2
+        s1, s2 = self.port_sums
         if s1 > 1 + tol or s2 > 1 + tol:
             raise PhysicsViolation(
                 f"port survival exceeds unity: |t1|^2+|r1|^2={s1:.3e}, "

@@ -170,13 +170,13 @@ def three_photon_input(
 
 
 def output_distribution(
-    net: ModeNetwork, inp: FockInput, resolve_loss: bool = False
+    net: ModeNetwork, inp: FockInput
 ) -> dict[tuple[int, ...], float]:
     """Exact output counting distribution, loss modes marginalized.
 
-    Keys are occupation patterns over the M signal modes; with
-    `resolve_loss` a final entry counts particles absorbed by the loss sinks.
-    Probabilities sum to one either way.
+    Keys are occupation patterns over the M signal modes; a pattern that
+    holds fewer than all the particles means the rest went to the loss
+    sinks.  Probabilities sum to one.
     """
     if len(inp.occupations) != net.n_modes:
         raise ConfigError(
@@ -210,40 +210,13 @@ def output_distribution(
         counts = [0] * m2
         for f in combo:
             counts[flavors[f][0]] += 1
-        if resolve_loss:
-            key = tuple(counts[: net.n_modes]) + (sum(counts[net.n_modes :]),)
-        else:
-            key = tuple(counts[: net.n_modes])
+        key = tuple(counts[: net.n_modes])
         raw[key] = raw.get(key, 0.0) + prob
 
     total = sum(raw.values())
     if abs(total - 1.0) > 1e-9:
         raise PhysicsViolation(f"output probabilities sum to {total}")
     return raw
-
-
-def classical_routing_distribution(
-    net: ModeNetwork, inp: FockInput, resolve_loss: bool = False
-) -> dict[tuple[int, ...], float]:
-    """Distribution for fully distinguishable particles routed independently."""
-    d = dilate(net)
-    ports = inp.ports
-    m2 = 2 * net.n_modes
-    probs_per_particle = [np.abs(d[:, p]) ** 2 for p in ports]
-    out: dict[tuple[int, ...], float] = {}
-    for assignment in itertools.product(range(m2), repeat=len(ports)):
-        p = 1.0
-        for j, q in enumerate(assignment):
-            p *= probs_per_particle[j][q]
-        counts = [0] * m2
-        for q in assignment:
-            counts[q] += 1
-        if resolve_loss:
-            key = tuple(counts[: net.n_modes]) + (sum(counts[net.n_modes :]),)
-        else:
-            key = tuple(counts[: net.n_modes])
-        out[key] = out.get(key, 0.0) + p
-    return out
 
 
 def _routing_products(transfer: np.ndarray, ports: tuple[int, ...]) -> list[float]:

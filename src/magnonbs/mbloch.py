@@ -49,7 +49,9 @@ from scipy.linalg import expm
 
 from .core import (
     ConfigError,
+    ControlSegment,
     ControlTimeline,
+    DEFAULT_RAMP,
     FieldState,
     MediumParams,
     PhysicsViolation,
@@ -73,15 +75,12 @@ class SimulationConfig:
 
     t_end: float
     n_z: int = 160
-    record_every: int = 4
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         _require_finite(self, "t_end")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be at least 1")
         _require_cells(self.n_z)
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
@@ -90,24 +89,20 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time series and final state of one propagation run.
+    """Emitted field, final state and snapshots of one propagation run.
 
     `times` are the step midpoints, `dt` apart.  `emitted` holds the
     outgoing amplitude at z = L in temporal normalization: dt * sum
     |emitted|^2 is the norm that left the cell.  `control` is the control
-    Rabi frequency sampled at the same midpoint times.
+    Rabi frequency sampled at the same midpoint times.  The norm ledger is
+    observable at the end (`final_state`) and at each requested snapshot
+    time (`snapshots`); each is a FieldState carrying the full ledger.
     """
 
     times: np.ndarray
     dt: float
     emitted: np.ndarray
     control: np.ndarray
-    norm_times: np.ndarray
-    photon_series: np.ndarray
-    magnon_series: np.ndarray
-    excited_series: np.ndarray
-    loss_series: np.ndarray
-    emitted_series: np.ndarray
     final_state: FieldState
     loss_quad: float
     snapshots: tuple[FieldState, ...] = ()
@@ -115,21 +110,6 @@ class Trajectory:
     @property
     def input_norm(self) -> float:
         return self.final_state.input_norm
-
-    def emitted_norm_between(self, t0: float, t1: float) -> float:
-        """Norm emitted at z = L inside the window [t0, t1]."""
-        mask = (self.times >= t0) & (self.times <= t1)
-        return float(self.dt * np.sum(np.abs(self.emitted[mask]) ** 2))
-
-    def norm_split_at(self, t: float) -> tuple[float, float, float, float]:
-        """(photon, magnon, excited, loss) at the recorded time nearest t."""
-        i = int(np.argmin(np.abs(self.norm_times - t)))
-        return (
-            float(self.photon_series[i]),
-            float(self.magnon_series[i]),
-            float(self.excited_series[i]),
-            float(self.loss_series[i]),
-        )
 
 
 def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.ndarray:
@@ -175,7 +155,6 @@ def evolve(
     # Squared norms are dot products of the float64 views: re^2 + im^2 per
     # entry, with no temporary arrays.
     v_flat = v.view(np.float64).reshape(-1)
-    v_rows = tuple(v.view(np.float64))
     w_rows = tuple(w.view(np.float64))
     w_field = w[0]
     dot = np.dot
@@ -197,14 +176,6 @@ def evolve(
         injected = np.zeros(n_steps)
     emitted = np.empty(n_steps, dtype=complex)
 
-    n_rec = n_steps // config.record_every + 2
-    norm_times = np.empty(n_rec)
-    photon_s = np.empty(n_rec)
-    magnon_s = np.empty(n_rec)
-    excited_s = np.empty(n_rec)
-    loss_s = np.empty(n_rec)
-    emitted_s = np.empty(n_rec)
-
     snap_steps = {
         min(n_steps - 1, max(0, int(round((t - t0) / dt))))
         for t in config.snapshot_times
@@ -219,17 +190,6 @@ def evolve(
     loss_quad = 0.0
     quad_p = dt * dz * 2.0 * medium.gamma31
     quad_s = dt * dz * 2.0 * medium.gamma12
-    i_rec = 0
-
-    def record(t: float) -> None:
-        nonlocal i_rec
-        norm_times[i_rec] = t
-        photon_s[i_rec] = dz * dot(v_rows[0], v_rows[0])
-        magnon_s[i_rec] = dz * dot(v_rows[2], v_rows[2])
-        excited_s[i_rec] = dz * dot(v_rows[1], v_rows[1])
-        loss_s[i_rec] = loss_accum
-        emitted_s[i_rec] = emitted_norm
-        i_rec += 1
 
     for n in range(n_steps):
         u = maps[map_index[n]]
@@ -257,9 +217,6 @@ def evolve(
         held = dz * dot(v_flat, v_flat)
         loss_accum += before - held
 
-        if n % config.record_every == 0:
-            record(t0 + (n + 1) * dt)
-
         if n in snap_steps:
             snapshots.append(
                 FieldState(
@@ -280,7 +237,6 @@ def evolve(
                     f"t={t_mid:.4g}"
                 )
 
-    record(t0 + n_steps * dt)
     emitted *= sqrt_c
 
     final = FieldState(
@@ -292,12 +248,6 @@ def evolve(
         dt=dt,
         emitted=emitted,
         control=control,
-        norm_times=norm_times[:i_rec],
-        photon_series=photon_s[:i_rec],
-        magnon_series=magnon_s[:i_rec],
-        excited_series=excited_s[:i_rec],
-        loss_series=loss_s[:i_rec],
-        emitted_series=emitted_s[:i_rec],
         final_state=final,
         loss_quad=loss_quad,
         snapshots=tuple(snapshots),
@@ -311,42 +261,6 @@ def v_group(medium: MediumParams, rabi: complex) -> float:
     if w2 == 0:
         return 0.0
     return medium.c_eff * w2 / (w2 + g2)
-
-
-def dsp_project(
-    state: FieldState, rabi: complex, medium: MediumParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the state into dark and bright polariton amplitudes.
-
-    The mixing angle follows tan(theta) = G / |Omega|: dark = cos(theta) E -
-    sin(theta) S and bright = sin(theta) E + cos(theta) S, evaluated on the
-    spatial grid.  With the control off the dark component is the (negated)
-    spin wave; with a strong control it is the bare field.
-    """
-    g = medium.coupling
-    w = abs(rabi)
-    denom = math.hypot(w, g)
-    if denom == 0:
-        cos_t, sin_t = 0.0, 1.0
-    else:
-        cos_t, sin_t = w / denom, g / denom
-    dark = cos_t * state.e_field - sin_t * state.sigma12
-    bright = sin_t * state.e_field + cos_t * state.sigma12
-    return dark, bright
-
-
-def overlap(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
-    """Mode overlap |<a|b>|^2 / (<a|a><b|b>) on a common uniform grid."""
-    psi_a = np.asarray(psi_a, dtype=complex)
-    psi_b = np.asarray(psi_b, dtype=complex)
-    if psi_a.shape != psi_b.shape:
-        raise ConfigError("overlap needs amplitudes on the same grid")
-    na = float(np.sum(np.abs(psi_a) ** 2))
-    nb = float(np.sum(np.abs(psi_b) ** 2))
-    if na <= 0 or nb <= 0:
-        raise ConfigError("overlap of a zero-norm mode is undefined")
-    inner = abs(np.vdot(psi_a, psi_b)) ** 2 / (na * nb)
-    return float(min(inner, 1.0))
 
 
 @dataclass(frozen=True)
@@ -376,8 +290,6 @@ def store_magnon(
     leave; the returned state keeps only the spin wave and restarts the
     bookkeeping, with the dropped residual norm reported.
     """
-    from .core import ControlSegment, DEFAULT_RAMP
-
     if ramp is None:
         ramp = DEFAULT_RAMP
     if t_off is None:
@@ -408,16 +320,3 @@ def store_magnon(
         trajectory=traj,
     )
 
-
-def storage_efficiency(
-    traj: Trajectory, timeline: ControlTimeline, settle: float = 1.0
-) -> float:
-    """Fraction of the input norm held as spin wave after the write stage."""
-    stores = timeline.by_label("storage")
-    if not stores:
-        raise ConfigError("timeline has no storage segment")
-    t_eval = stores[-1].t_end + settle
-    _, magnon, _, _ = traj.norm_split_at(t_eval)
-    if traj.input_norm <= 0:
-        raise ConfigError("trajectory carries no input norm")
-    return magnon / traj.input_norm

@@ -26,6 +26,7 @@ from .core import (
     ControlTimeline,
     MediumParams,
     PulseEnvelope,
+    SplitterMatrix,
     _require_cells,
     _require_finite,
 )
@@ -359,8 +360,6 @@ def ideal_cascade_g3() -> float:
     force loss: 1/2 is the largest passive choice.
     """
     r = 0.5
-    from .core import SplitterMatrix
-
     stage = SplitterMatrix(t1=r, r1=r, t2=r, r2=r)
     network = cascade_three(stage, stage)
     dist = output_distribution(network, three_photon_input(1.0, 1.0))

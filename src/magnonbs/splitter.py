@@ -25,13 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     ConfigError,
-    ControlSegment,
     ControlTimeline,
-    DEFAULT_RAMP,
     FieldState,
     MediumParams,
     PulseEnvelope,
@@ -97,44 +94,6 @@ def phi_rt_of_matrix(b: SplitterMatrix) -> float:
     return float((np.angle(b.r1 * b.r2) - np.angle(b.t1 * b.t2)) % _TWO_PI)
 
 
-@dataclass(frozen=True)
-class HermiticityReport:
-    """How far a splitter matrix is from lossless (unitary) operation."""
-
-    port_sums: tuple[float, float]
-    singular_values: tuple[float, float]
-    unitarity_distance: float
-    phi_rt: float | None
-
-    @property
-    def is_lossless(self) -> bool:
-        return self.unitarity_distance < 1e-9
-
-
-def hermiticity_report(b: SplitterMatrix) -> HermiticityReport:
-    svals = np.linalg.svd(b.matrix, compute_uv=False)
-    dist = float(math.sqrt(np.sum((svals - 1.0) ** 2)))
-    try:
-        phi = phi_rt_of_matrix(b)
-    except ConfigError:
-        phi = None
-    return HermiticityReport(
-        port_sums=b.port_sums,
-        singular_values=(float(svals[0]), float(svals[1])),
-        unitarity_distance=dist,
-        phi_rt=phi,
-    )
-
-
-@dataclass(frozen=True)
-class PortProjection:
-    """Transfer matrix plus the output modes it was measured against."""
-
-    matrix: SplitterMatrix
-    photon_mode: np.ndarray
-    magnon_mode: np.ndarray
-
-
 def splitter_from_outputs(
     times: np.ndarray,
     dt: float,
@@ -146,7 +105,7 @@ def splitter_from_outputs(
     input_a: float,
     input_b: float,
     window: tuple[float, float] | None = None,
-) -> PortProjection:
+) -> SplitterMatrix:
     """Project two single-input runs onto shared output modes.
 
     Run (a) starts from a stored spin wave, run (b) from an incoming probe.
@@ -188,11 +147,7 @@ def splitter_from_outputs(
     r2 = dz * np.vdot(m_hat, sb_fin) * rb
     r1 = dt * np.vdot(u_hat, ea) * ra
     t2 = dt * np.vdot(u_hat, eb) * rb
-    return PortProjection(
-        matrix=SplitterMatrix(t1=t1, r1=r1, t2=t2, r2=r2),
-        photon_mode=u_hat,
-        magnon_mode=m_hat,
-    )
+    return SplitterMatrix(t1=t1, r1=r1, t2=t2, r2=r2)
 
 
 @dataclass(frozen=True)
@@ -200,17 +155,11 @@ class ExtractionResult:
     """Measured splitter matrix with the runs behind it."""
 
     matrix: SplitterMatrix
-    photon_mode: np.ndarray
-    magnon_mode: np.ndarray
     window: tuple[float, float]
     input_a: float
     input_b: float
     run_magnon: Trajectory
     run_photon: Trajectory
-
-    @property
-    def report(self) -> HermiticityReport:
-        return hermiticity_report(self.matrix)
 
 
 def _default_window(
@@ -254,7 +203,7 @@ def extract_matrix(
 
     input_a = run_a.final_state.initial_norm
     input_b = run_b.final_state.injected_norm
-    proj = splitter_from_outputs(
+    matrix = splitter_from_outputs(
         run_a.times,
         run_a.dt,
         run_a.emitted,
@@ -267,9 +216,7 @@ def extract_matrix(
         window=window,
     )
     return ExtractionResult(
-        matrix=proj.matrix,
-        photon_mode=proj.photon_mode,
-        magnon_mode=proj.magnon_mode,
+        matrix=matrix,
         window=window,
         input_a=input_a,
         input_b=input_b,
@@ -304,54 +251,3 @@ def effective_overlap(result: ExtractionResult) -> float:
     c_mg = abs(np.vdot(sa, sb)) / den_mg
     return float(min(1.0, c_ph * c_mg))
 
-
-def calibrate_balance(
-    medium: MediumParams,
-    pulse: PulseEnvelope,
-    initial_magnon: FieldState,
-    rabi_bs: complex,
-    t_on: float,
-    t_cut_lo: float,
-    t_cut_hi: float,
-    ramp: float = DEFAULT_RAMP,
-    n_z: int = 160,
-    xtol: float = 1e-3,
-    n_scan: int = 9,
-) -> tuple[float, ExtractionResult]:
-    """Find the control cutoff that balances the splitter.
-
-    Cutting the mixing drive early leaves more excitation in the spin wave;
-    cutting late sends more into light.  The imbalance |t1 t2| - |r1 r2| is
-    not monotone in the cutoff, so the interval is first scanned on a coarse
-    grid and the earliest sign change is refined by bisection.
-    """
-    if n_scan < 2:
-        raise ConfigError("n_scan must be at least 2")
-
-    def run(t_cut: float) -> ExtractionResult:
-        timeline = ControlTimeline(
-            (ControlSegment(t_on, t_cut, rabi_bs, "beamsplit", ramp),)
-        )
-        return extract_matrix(
-            medium, timeline, pulse, initial_magnon, n_z=n_z
-        )
-
-    def imbalance(t_cut: float) -> float:
-        b = run(t_cut).matrix
-        return abs(b.t1 * b.t2) - abs(b.r1 * b.r2)
-
-    grid = np.linspace(t_cut_lo, t_cut_hi, n_scan)
-    values = [imbalance(t) for t in grid]
-    for t, f in zip(grid, values):
-        if f == 0.0:
-            return float(t), run(float(t))
-    for i in range(n_scan - 1):
-        if values[i] * values[i + 1] < 0:
-            t_cut = float(
-                brentq(imbalance, grid[i], grid[i + 1], xtol=xtol)
-            )
-            return t_cut, run(t_cut)
-    table = ", ".join(
-        f"f({t:.3g})={f:.4g}" for t, f in zip(grid, values)
-    )
-    raise ConfigError(f"no balance crossing in scan: {table}")

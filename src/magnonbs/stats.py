@@ -8,8 +8,7 @@ interfering pairwise in sequence at zero round-trip phase the enhancements
 compound as  g3 = (1 + I12)(1 + I23).
 
 The exact reference model lives elsewhere; these expressions are what the
-reference is compared against and what measured coincidence data is fitted
-with.
+reference is compared against.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .core import ConfigError, PROBABILITY_SLACK, PulseEnvelope
 
@@ -71,100 +69,26 @@ def g3_formula(i12: float, i23: float, phi_rt: float = 0.0) -> float:
 class OverlapEnvelope:
     """Mode overlap I as a function of the delay between the two inputs.
 
-    Gaussian kind: I(dt) = i_peak * exp(-dt^2 / (4 sigma^2)) with sigma the
-    intensity-profile standard deviation of the pulses (two identical
-    Gaussian modes delayed by dt overlap by exactly this much).  Table kind
-    interpolates measured (delay >= 0, overlap) samples and is zero beyond
-    the last sample.
+    I(dt) = i_peak * exp(-dt^2 / (4 sigma^2)) with sigma the intensity-profile
+    standard deviation of the pulses: two identical Gaussian modes delayed by
+    dt overlap by exactly this much.
     """
 
-    kind: str = "gaussian"
     i_peak: float = 1.0
     sigma: float = 1.0
-    table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "table"):
-            raise ConfigError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "gaussian":
-            _check_overlap(self.i_peak, "i_peak")
-            if self.sigma <= 0:
-                raise ConfigError("envelope width must be positive")
-        else:
-            if self.table is None:
-                raise ConfigError("table envelope needs (delays, values)")
-            d = np.asarray(self.table[0], dtype=float)
-            v = np.asarray(self.table[1], dtype=float)
-            if d.ndim != 1 or d.size < 2 or d.shape != v.shape:
-                raise ConfigError("envelope table needs matching 1d arrays")
-            if d[0] < 0 or np.any(np.diff(d) <= 0):
-                raise ConfigError("envelope delays must be >= 0 and increasing")
-            if np.any(v < -PROBABILITY_SLACK) or np.any(v > 1 + PROBABILITY_SLACK):
-                raise ConfigError("envelope values must lie in [0, 1]")
-            d.setflags(write=False)
-            v.setflags(write=False)
-            object.__setattr__(self, "table", (d, v))
+        _check_overlap(self.i_peak, "i_peak")
+        if self.sigma <= 0:
+            raise ConfigError("envelope width must be positive")
 
     @classmethod
     def from_pulse(cls, pulse: PulseEnvelope, i_peak: float = 1.0) -> "OverlapEnvelope":
-        return cls(kind="gaussian", i_peak=i_peak, sigma=pulse.sigma)
+        return cls(i_peak=i_peak, sigma=pulse.sigma)
 
     def __call__(self, dtau: float | np.ndarray) -> float | np.ndarray:
         dtau = np.abs(np.asarray(dtau, dtype=float))
-        if self.kind == "gaussian":
-            out = self.i_peak * np.exp(-(dtau**2) / (4.0 * self.sigma**2))
-        else:
-            d, v = self.table
-            out = np.interp(dtau, d, v, left=v[0], right=0.0)
+        out = self.i_peak * np.exp(-(dtau**2) / (4.0 * self.sigma**2))
         if out.ndim == 0:
             return float(out)
         return out
-
-
-@dataclass(frozen=True)
-class EnvelopeFit:
-    envelope: OverlapEnvelope
-    i_peak: float
-    sigma: float
-
-
-def fit_envelope(
-    delays: np.ndarray, g2_values: np.ndarray, phi_rt: float
-) -> EnvelopeFit:
-    """Recover the overlap envelope from coincidence-versus-delay data.
-
-    Inverts g2 = 1 + I cos(phi_rt) pointwise, then fits a Gaussian envelope.
-    Needs at least three delay points and a round-trip phase away from
-    quadrature (|cos| > 0.1), where the inversion loses its signal.
-    """
-    delays = np.asarray(delays, dtype=float)
-    g2_values = np.asarray(g2_values, dtype=float)
-    if delays.ndim != 1 or delays.size < 3 or delays.shape != g2_values.shape:
-        raise ConfigError("need at least three (delay, g2) samples")
-    c = math.cos(phi_rt)
-    if abs(c) <= 0.1:
-        raise ConfigError(
-            f"round-trip phase too close to quadrature (cos = {c:.3f}) to "
-            f"invert the coincidence data"
-        )
-    i_samples = (g2_values - 1.0) / c
-
-    def model(dt, i_peak, sigma):
-        return i_peak * np.exp(-(dt**2) / (4.0 * sigma**2))
-
-    scale = max(float(np.max(np.abs(delays))), 1e-6)
-    p0 = (float(np.clip(np.max(i_samples), 0.05, 1.0)), 0.5 * scale)
-    popt, _ = curve_fit(
-        model,
-        delays,
-        i_samples,
-        p0=p0,
-        bounds=([0.0, 1e-6 * scale], [1.0 + 1e-6, 10.0 * scale]),
-        maxfev=10000,
-    )
-    i_peak, sigma = float(popt[0]), float(popt[1])
-    return EnvelopeFit(
-        envelope=OverlapEnvelope(kind="gaussian", i_peak=i_peak, sigma=sigma),
-        i_peak=i_peak,
-        sigma=sigma,
-    )

@@ -93,23 +93,11 @@ def test_pulse_fwhm_is_intensity_width():
     assert half == pytest.approx(0.5, rel=1e-9)
 
 
-def test_custom_pulse_rescales_to_requested_norm():
-    t = np.linspace(0.0, 4.0, 401)
-    v = np.exp(-((t - 2.0) ** 2)) * 3.7
-    pulse = PulseEnvelope(
-        shape="custom", samples=(t, v), amplitude_norm=0.5
-    )
-    norm = np.trapezoid(np.abs(pulse.amplitude(t)) ** 2, t)
-    assert norm == pytest.approx(0.5, rel=1e-6)
-
-
 def test_pulse_guards():
     with pytest.raises(ConfigError):
         PulseEnvelope(fwhm=0.0)
     with pytest.raises(ConfigError):
         PulseEnvelope(amplitude_norm=1.5)
-    with pytest.raises(ConfigError):
-        PulseEnvelope(shape="custom")
 
 
 def test_segment_drive_is_continuous_across_edges():
@@ -118,11 +106,6 @@ def test_segment_drive_is_continuous_across_edges():
     v = np.abs(seg.value(t))
     assert np.max(np.abs(np.diff(v))) < 8.0 * 0.02
     assert v[0] == 0.0 and v[-1] == 0.0
-
-
-def test_segment_callable_amplitude():
-    seg = ControlSegment(0.0, 2.0, lambda t: 3.0 * t, "storage", ramp=0.0)
-    assert seg.value(np.array([1.0]))[0] == pytest.approx(3.0)
 
 
 def test_timeline_rejects_overlap_and_reads_gaps_as_zero():

@@ -12,11 +12,9 @@ from magnonbs import (
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
-    calibrate_balance,
     effective_overlap,
     extract_matrix,
     fold_phase,
-    hermiticity_report,
     phi_rt_analytic,
     phi_rt_of_matrix,
     store_magnon,
@@ -54,7 +52,9 @@ def test_phi_rt_of_matrix_rejects_vanishing_amplitude():
 @settings(max_examples=60, deadline=None)
 @given(
     phases=st.tuples(*[st.floats(0.0, 2.0 * math.pi) for _ in range(4)]),
-    mags=st.tuples(*[st.floats(0.05, 0.55) for _ in range(4)]),
+    # Four magnitudes of at most 1/2 bound the Frobenius norm, and with it
+    # the largest singular value, by 1: every drawn matrix is passive.
+    mags=st.tuples(*[st.floats(0.05, 0.5) for _ in range(4)]),
 )
 def test_phi_rt_is_gauge_invariant(phases, mags):
     # Rephasing input or output ports multiplies rows/columns by unit
@@ -107,21 +107,6 @@ def test_phi_rt_analytic_guards():
         phi_rt_analytic(10.0, 0.0, 30.0, tau, gamma31=0.0)
 
 
-def test_hermiticity_report_flags_loss():
-    r = math.sqrt(0.5)
-    lossless = hermiticity_report(
-        SplitterMatrix(t1=r, r1=1j * r, t2=r, r2=1j * r)
-    )
-    assert lossless.is_lossless
-    assert lossless.phi_rt == pytest.approx(math.pi)
-    lossy = hermiticity_report(
-        SplitterMatrix(t1=0.5, r1=0.5, t2=0.5, r2=0.5)
-    )
-    assert not lossy.is_lossless
-    assert lossy.unitarity_distance > 0.4
-    assert lossy.port_sums == (pytest.approx(0.5), pytest.approx(0.5))
-
-
 def _synthetic_projection(b, input_a=0.9, input_b=0.8):
     # Manufacture two single-input runs that realize a known matrix on
     # shared gaussian output modes, then ask the projector for it back.
@@ -154,7 +139,7 @@ def test_extraction_round_trips_a_synthetic_matrix():
     b = SplitterMatrix(
         t1=0.52, r1=0.31j, t2=0.44 * np.exp(0.3j), r2=0.27 + 0.11j
     )
-    got = _synthetic_projection(b).matrix
+    got = _synthetic_projection(b)
     # Output-mode phases are set by the summed-run convention, so the
     # magnitudes and the gauge-invariant phase are what round-trip.
     assert abs(got.t1) == pytest.approx(abs(b.t1), abs=1e-6)
@@ -225,20 +210,3 @@ def test_extract_matrix_requires_a_beamsplit_segment():
     )
     with pytest.raises(ConfigError):
         extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96)
-
-
-def test_calibrate_balance_reports_a_scan_without_crossing():
-    # An empty cell never reflects, so the imbalance stays positive over
-    # any cutoff scan and the calibration refuses with the scan table.
-    empty = MediumParams(od=0.0)
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
-    with pytest.raises(ConfigError, match="no balance crossing"):
-        calibrate_balance(
-            empty, PROBE, stored.state, 13.0,
-            t_on=0.0, t_cut_lo=1.0, t_cut_hi=2.0, n_z=96, n_scan=3,
-        )
-    with pytest.raises(ConfigError):
-        calibrate_balance(
-            empty, PROBE, stored.state, 13.0,
-            t_on=0.0, t_cut_lo=1.0, t_cut_hi=2.0, n_z=96, n_scan=1,
-        )

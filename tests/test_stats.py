@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +9,6 @@ from magnonbs import (
     OverlapEnvelope,
     PulseEnvelope,
     classical_bounds,
-    fit_envelope,
     g2_formula,
     g3_formula,
 )
@@ -65,7 +63,7 @@ def test_classical_bounds_values():
 
 
 def test_gaussian_envelope_peak_symmetry_and_tails():
-    env = OverlapEnvelope(kind="gaussian", i_peak=0.8, sigma=0.7)
+    env = OverlapEnvelope(i_peak=0.8, sigma=0.7)
     assert env(0.0) == pytest.approx(0.8)
     assert env(1.3) == pytest.approx(env(-1.3))
     assert env(50.0) < 1e-12
@@ -80,40 +78,8 @@ def test_envelope_from_pulse_uses_intensity_sigma():
     assert env(0.0) == pytest.approx(0.9)
 
 
-def test_table_envelope_interpolates_and_clips():
-    env = OverlapEnvelope(
-        kind="table",
-        table=(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.1])),
-    )
-    assert env(0.0) == pytest.approx(1.0)
-    assert env(0.5) == pytest.approx(0.75)
-    assert env(-0.5) == pytest.approx(0.75)
-    assert env(3.0) == pytest.approx(0.0)
-
-
 def test_envelope_guards():
     with pytest.raises(ConfigError):
-        OverlapEnvelope(kind="gaussian", i_peak=1.2, sigma=0.5)
+        OverlapEnvelope(i_peak=1.2, sigma=0.5)
     with pytest.raises(ConfigError):
-        OverlapEnvelope(kind="gaussian", i_peak=0.5, sigma=0.0)
-
-
-def test_fit_envelope_round_trip():
-    true = OverlapEnvelope(kind="gaussian", i_peak=0.82, sigma=0.64)
-    delays = np.linspace(-3.0, 3.0, 41)
-    for phi in (0.0, math.pi):
-        g2 = np.array([g2_formula(true(d), phi) for d in delays])
-        fit = fit_envelope(delays, g2, phi)
-        assert fit.i_peak == pytest.approx(0.82, abs=1e-6)
-        assert fit.sigma == pytest.approx(0.64, abs=1e-6)
-        assert fit.envelope(1.1) == pytest.approx(true(1.1), abs=1e-6)
-
-
-def test_fit_envelope_guards():
-    delays = np.linspace(-2.0, 2.0, 21)
-    g2 = np.ones(21)
-    with pytest.raises(ConfigError):
-        # Quadrature phase: the inversion has no signal.
-        fit_envelope(delays, g2, math.pi / 2)
-    with pytest.raises(ConfigError):
-        fit_envelope(np.array([0.0, 1.0]), np.array([1.5, 1.2]), 0.0)
+        OverlapEnvelope(i_peak=0.5, sigma=0.0)
