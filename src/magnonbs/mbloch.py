@@ -16,33 +16,44 @@ cell shift and introduces no numerical dispersion.
 
 Whatever does not depend on the state is computed once per run, before the
 first step.  The control drive and the probe pulse are sampled at all step
-midpoints t0 + (n + 1/2) dt in one vector call each, and the half-step
-propagators come from one stacked `expm` over the distinct drive values: a
-constant drive needs one, a ramp one per step of the ramp.  Each step then
-picks its propagator by index and applies it between two preallocated
-buffers, taking squared norms as dot products of their float64 views.
+midpoints t0 + (n + 1/2) dt in one vector call each.  The drive splits into
+runs of equal values, each with one half-step map R from a stacked `expm`:
+a constant drive has one run, a ramp one per step of the ramp.  The maps
+are built at most _MAP_BLOCK runs at a time, which bounds their memory.
 
-Norm bookkeeping is exact by construction: every half step records the norm
-it removed (the local map is contractive), and the advection moves one cell
-of |E|^2 out at z = L and one cell in at z = 0.  The ledger reuses the norms
-it has: the norm before the first half step is the one after the previous
-step, and the norm before the second is the one after the first, minus the
-emitted cell, plus the injected cell.  The sum
+The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
+Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
+The loop carries the state half a step past each step start, w_n = U_n v_n,
+so that the second half step of step n and the first of step n + 1 fuse
+into one map F_n = U_{n+1} U_n: R_s R_s inside a run, R_{s+1} R_s where run
+s ends.  A step then reads the loss quadrature off w_n, emits the last E
+cell, shifts and injects, and applies F_n: one real matrix product.
 
-    photon + magnon + excited + emitted + loss
+The ledger of norms is kept where the state is read: every 256 steps, at
+each snapshot and at the last step.  There the state at the step end,
+v_{n+1} = U_n S(w_n) with S the advection, goes to a scratch buffer that
+never feeds back into the carried state, so snapshots leave the run
+unchanged.  Every half step is a contraction and the advection moves one
+cell of |E|^2 out at z = L and one in at z = 0, so the norm removed per
+half step telescopes into
 
-therefore equals the injected plus initial norm to machine precision at every
-step, independent of grid resolution.  A separate quadrature of
-2*gamma31*|P|^2 + 2*gamma12*|S|^2 is kept as a physics cross-check on the
-accumulated loss; it reads the norms after the first half step, which the
-advection leaves unchanged.  Every 256 steps the held norm is checked for
-non-finite values and for exceeding the input.
+    loss = initial + injected - emitted - held,
+
+with the emitted norm summed from the recorded field and the injected norm
+from the sampled pulse.  The ledger thus closes to roundoff by
+construction, whatever the grid.  The independent check is the per-step
+quadrature `loss_quad` of 2*gamma31*|P|^2 + 2*gamma12*|S|^2, read off each
+w_n (the advection leaves P and S unchanged): its gap to the ledger's loss,
+`Trajectory.loss_gap`, is the midpoint rule's discretization error and
+falls 4x per grid doubling.  Every 256 steps the held norm is also checked
+for non-finite values and for exceeding the input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.linalg import expm
@@ -64,6 +75,12 @@ from .core import (
 # Stop the run if the held norm ever exceeds the input by this much; the
 # scheme is contractive, so anything above roundoff means corrupted state.
 _RUNAWAY_TOL = 1e-6
+# Steps between the non-finite and runaway checks on the held norm.
+_CHECK_EVERY = 256
+# Drive runs whose maps are built at once: this bounds the memory a drive
+# that changes every step (a long ramp) can take, while every run of the
+# acceptance gate (at most about 600 drive runs) is one block.
+_MAP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -95,8 +112,10 @@ class Trajectory:
     outgoing amplitude at z = L in temporal normalization: dt * sum
     |emitted|^2 is the norm that left the cell.  `control` is the control
     Rabi frequency sampled at the same midpoint times.  The norm ledger is
-    observable at the end (`final_state`) and at each requested snapshot
-    time (`snapshots`); each is a FieldState carrying the full ledger.
+    observable at the end (`final_state`) and at the step end nearest each
+    requested snapshot time (`snapshots`); each is a FieldState carrying
+    the full ledger.  `loss_quad` is the loss summed independently of that
+    ledger, step by step from the decay rates.
     """
 
     times: np.ndarray
@@ -111,16 +130,75 @@ class Trajectory:
     def input_norm(self) -> float:
         return self.final_state.input_norm
 
+    @property
+    def loss_gap(self) -> float:
+        """|loss_quad - ledger loss| / ledger loss, the independent loss check.
+
+        Infinite when the ledger records no loss, as no relative gap exists.
+        """
+        loss = self.final_state.loss_accum
+        return abs(self.loss_quad - loss) / loss if loss > 0 else math.inf
+
 
 def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.ndarray:
-    """Half-step propagators of the local 3x3 system, one per drive value."""
+    """Half-step propagators of the local system, one per drive value.
+
+    Each complex 3x3 map is returned in its real 6x6 block form, acting on
+    the state's interleaved rows (Re E, Im E, Re P, Im P, Re S, Im S).
+    """
     gen = np.zeros((drives.size, 3, 3), dtype=complex)
     gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling
     gen[:, 1, 1] = -(medium.gamma31 - 1j * medium.delta)
     gen[:, 1, 2] = 0.5j * drives
     gen[:, 2, 1] = 0.5j * np.conj(drives)
     gen[:, 2, 2] = -medium.gamma12
-    return expm(gen * dt_half)
+    return _real_block(expm(gen * dt_half))
+
+
+def _real_block(maps: np.ndarray) -> np.ndarray:
+    """Real 6x6 form of a stack of complex 3x3 maps, for interleaved rows."""
+    real = np.empty(maps.shape[:-2] + (6, 6))
+    real[..., 0::2, 0::2] = real[..., 1::2, 1::2] = maps.real
+    real[..., 1::2, 0::2] = maps.imag
+    real[..., 0::2, 1::2] = -maps.imag
+    return real
+
+
+def _map_blocks(medium: MediumParams, control: np.ndarray, dt_half: float):
+    """The step maps of a run, built at most _MAP_BLOCK drive runs at a time.
+
+    A drive run is a stretch of steps with one drive value; it has one half
+    map R.  For each block this yields the first steps of its runs, their
+    half maps and, per step, the map that takes the half-stepped state
+    across the step boundary: R_s @ R_s inside run s, R_{s+1} @ R_s on its
+    last step.  The last step of the whole run gets a zero map, as nothing
+    reads the state it would carry.
+    """
+    n_steps = control.size
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [n_steps])
+    )
+    n_runs = bounds.size - 1
+    ahead = None
+    for r0 in range(0, n_runs, _MAP_BLOCK):
+        r1 = min(r0 + _MAP_BLOCK, n_runs)
+        nb = r1 - r0
+        # One expm for the block's runs and the first run of the next block,
+        # which that block then reuses.
+        lo = r0 if ahead is None else r0 + 1
+        half = _local_maps(medium, control[bounds[lo : min(r1 + 1, n_runs)]], dt_half)
+        if ahead is not None:
+            half = np.concatenate((ahead[None], half))
+        fused = np.zeros((2 * nb, 6, 6))
+        np.matmul(half[:nb], half[:nb], out=fused[0::2])
+        np.matmul(half[1:], half[:-1], out=fused[1 : 2 * half.shape[0] - 2 : 2])
+        ahead = half[nb] if r1 < n_runs else None
+        lengths = np.diff(bounds[r0 : r1 + 1]).tolist()
+        step_maps = chain.from_iterable(
+            chain(repeat(inside, length - 1), (across,))
+            for inside, across, length in zip(fused[0::2], fused[1::2], lengths)
+        )
+        yield bounds[r0:r1], half, step_maps
 
 
 def evolve(
@@ -142,107 +220,110 @@ def evolve(
     dt = dz / medium.c_eff
     sqrt_c = math.sqrt(medium.c_eff)
 
-    # v holds the state between steps and w the state between the two half
-    # steps; the rows are E, sigma13, sigma12.
-    v = np.zeros((3, z.size), dtype=complex)
+    # v is the state at a step end, w the carried state half a step later;
+    # each is real with rows (Re E, Im E, Re P, Im P, Re S, Im S).
+    v = np.zeros((6, z.size))
     t0 = 0.0
     if initial is not None:
         if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
             raise ConfigError("initial state grid does not match the run grid")
-        v[0], v[1], v[2] = initial.e_field, initial.sigma13, initial.sigma12
+        for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
+            v[2 * row], v[2 * row + 1] = amp.real, amp.imag
         t0 = initial.t_now
-    w = np.empty_like(v)
-    # Squared norms are dot products of the float64 views: re^2 + im^2 per
-    # entry, with no temporary arrays.
-    v_flat = v.view(np.float64).reshape(-1)
-    w_rows = tuple(w.view(np.float64))
-    w_field = w[0]
+    v_flat = v.reshape(-1)
+
+    def views(x):
+        # The buffer, its P and S rows flattened for the norms, and the E
+        # cells that the advection reads and writes.
+        return (x, x[2:4].reshape(-1), x[4:6].reshape(-1),
+                x[0:2, -1], x[0:2, 1:], x[0:2, :-1], x[0:2, 0])
+
+    carried, spare = views(np.empty_like(v)), views(np.empty_like(v))
     dot = np.dot
+    matmul = np.matmul
 
     n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-9)))
     times = t0 + (np.arange(n_steps) + 0.5) * dt
     control = timeline.rabi(times)
-    drives, map_index = np.unique(control, return_inverse=True)
-    maps = _local_maps(medium, drives, 0.5 * dt)
-    map_index = map_index.astype(np.int32)
+    # The emitted and injected E cells, one per step; the loop reads and
+    # writes them as (Re, Im) rows of their float64 views.
+    emitted = np.empty(n_steps, dtype=complex)
+    emitted_rows = emitted.view(np.float64).reshape(n_steps, 2)
+    emitted_flat = emitted_rows.reshape(-1)
     if pulse is not None:
         amps = pulse.amplitude(times)
-        boundary = amps / sqrt_c
         # dt |amp|^2 is also dz |amp / sqrt(c_eff)|^2, the norm of the
-        # injected cell.
-        injected = dt * np.abs(amps) ** 2
+        # injected cell; injected[n] is the norm injected up to step n.
+        injected = np.abs(amps)
+        injected **= 2
+        injected *= dt
+        np.cumsum(injected, out=injected)
+        amps /= sqrt_c
+        boundary = amps.view(np.float64).reshape(n_steps, 2)
     else:
-        boundary = np.zeros(n_steps, dtype=complex)
+        boundary = np.zeros((n_steps, 2))
         injected = np.zeros(n_steps)
-    emitted = np.empty(n_steps, dtype=complex)
 
+    # A snapshot at t records the state at the step end nearest t: step n
+    # ends at t0 + (n + 1) dt.
     snap_steps = {
-        min(n_steps - 1, max(0, int(round((t - t0) / dt))))
+        min(n_steps - 1, max(0, int(round((t - t0) / dt)) - 1))
         for t in config.snapshot_times
     }
+    reads = set(range(0, n_steps, _CHECK_EVERY)) | snap_steps | {n_steps - 1}
     snapshots: list[FieldState] = []
 
-    held = dz * dot(v_flat, v_flat)
-    initial_norm = float(held)
-    loss_accum = 0.0
+    initial_norm = float(dz * dot(v_flat, v_flat))
     emitted_norm = 0.0
-    injected_norm = 0.0
+    emitted_upto = 0
     loss_quad = 0.0
     quad_p = dt * dz * 2.0 * medium.gamma31
     quad_s = dt * dz * 2.0 * medium.gamma12
 
-    for n in range(n_steps):
-        u = maps[map_index[n]]
-        np.matmul(u, v, out=w)
-        e_sq = dot(w_rows[0], w_rows[0])
-        p_sq = dot(w_rows[1], w_rows[1])
-        s_sq = dot(w_rows[2], w_rows[2])
-        mid = dz * (e_sq + p_sq + s_sq)
-        loss_accum += held - mid
-        # The advection below touches only the E row, so these sigma norms
-        # are also those the quadrature would read after it.
-        loss_quad += quad_p * p_sq + quad_s * s_sq
-
-        e_out = w_field[-1]
-        emitted[n] = e_out
-        out_norm = dz * abs(e_out) ** 2
-        emitted_norm += out_norm
-        w_field[1:] = w_field[:-1]
-        w_field[0] = boundary[n]
-        in_norm = injected[n]
-        injected_norm += in_norm
-
-        np.matmul(u, w, out=v)
-        before = mid - out_norm + in_norm
-        held = dz * dot(v_flat, v_flat)
-        loss_accum += before - held
-
-        if n in snap_steps:
-            snapshots.append(
-                FieldState(
-                    z, v[0].copy(), v[2].copy(), v[1].copy(),
-                    t0 + (n + 1) * dt, loss_accum, emitted_norm,
-                    injected_norm, initial_norm,
-                )
-            )
-
-        if n % 256 == 0:
-            t_mid = times[n]
-            if not np.isfinite(held):
-                raise PhysicsViolation(f"non-finite state norm at t={t_mid:.4g}")
-            budget = initial_norm + injected_norm
-            if held > budget + _RUNAWAY_TOL:
-                raise PhysicsViolation(
-                    f"held norm {held:.6g} exceeds input {budget:.6g} at "
-                    f"t={t_mid:.4g}"
-                )
+    for starts, half, step_maps in _map_blocks(medium, control, 0.5 * dt):
+        if starts[0] == 0:
+            matmul(half[0], v, out=carried[0])
+        for n, fused in enumerate(step_maps, int(starts[0])):
+            w, w_p, w_s, e_last, e_to, e_from, e_first = carried
+            loss_quad += quad_p * dot(w_p, w_p) + quad_s * dot(w_s, w_s)
+            emitted_rows[n] = e_last
+            e_to[...] = e_from
+            e_first[...] = boundary[n]
+            if n in reads:
+                # The state at the end of step n, in a scratch buffer that
+                # never feeds back into the carried state.
+                matmul(half[starts.searchsorted(n, "right") - 1], w, out=v)
+                # The per-half-step ledger telescopes: whatever the held and
+                # emitted norms do not account for of the input was lost.
+                held = dz * dot(v_flat, v_flat)
+                chunk = emitted_flat[2 * emitted_upto : 2 * n + 2]
+                emitted_norm += dz * dot(chunk, chunk)
+                emitted_upto = n + 1
+                budget = initial_norm + injected[n]
+                loss = float(budget - emitted_norm - held)
+                if n % _CHECK_EVERY == 0:
+                    if not np.isfinite(held):
+                        raise PhysicsViolation(
+                            f"non-finite state norm at t={times[n]:.4g}"
+                        )
+                    if held > budget + _RUNAWAY_TOL:
+                        raise PhysicsViolation(
+                            f"held norm {held:.6g} exceeds input {budget:.6g} at "
+                            f"t={times[n]:.4g}"
+                        )
+                if n in snap_steps or n == n_steps - 1:
+                    state = FieldState(
+                        z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
+                        t0 + (n + 1) * dt, loss, emitted_norm,
+                        float(injected[n]), initial_norm,
+                    )
+                    if n in snap_steps:
+                        snapshots.append(state)
+                    final = state
+            matmul(fused, w, out=spare[0])
+            carried, spare = spare, carried
 
     emitted *= sqrt_c
-
-    final = FieldState(
-        z, v[0].copy(), v[2].copy(), v[1].copy(),
-        t0 + n_steps * dt, loss_accum, emitted_norm, injected_norm, initial_norm,
-    )
     return Trajectory(
         times=times,
         dt=dt,

@@ -5,9 +5,12 @@ curves and the mixing-point runs are computed once per session and shared.
 Run with `-s` to see the per-criterion lines as they complete.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from magnonbs.acceptance import (
+    LOSS_GAP_TOL,
     _triangle_pair,
     criterion_1,
     criterion_2,
@@ -70,3 +73,13 @@ def test_criterion_7_conservation_and_grid(fig2_curves, mixing_checks):
 
 def test_criterion_8_efficiency_optimum(fig2_curves):
     _report(criterion_8(curves=fig2_curves))
+
+
+def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_curves, mixing_checks):
+    # The ledger's residual closes by construction, so the loss quadrature
+    # is what catches a ledger that drifts from the physics.
+    curves = dict(fig2_curves)
+    curves[30.0] = replace(curves[30.0], max_loss_gap=1.5 * LOSS_GAP_TOL)
+    result = criterion_7(curves=curves, checks=mixing_checks)
+    assert not result.passed
+    assert "worst loss quadrature gap=1.50e-04" in result.details

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from magnonbs import mbloch
 from magnonbs import (
     ConfigError,
     ControlSegment,
@@ -253,21 +256,32 @@ def test_constant_drive_run_matches_the_eit_transfer_function():
     assert error(32, od) / error(64, od) == pytest.approx(4.0, rel=0.05)
 
 
-def _reference_evolve(medium, timeline, n_z, t_end, pulse):
-    """The step loop written out: one expm per step, full-array norms."""
+def _reference_evolve(medium, timeline, n_z, t_end, pulse=None, initial=None,
+                      ledger_at=()):
+    """The step loop written out: one expm per step, full-array norms.
+
+    Returns the emitted field, the final state, the loss ledger, the loss
+    quadrature and, for each step in `ledger_at`, the state at the end of
+    that step with its ledger (loss, emitted norm, injected norm).
+    """
     dz = medium.length / n_z
     dt = dz / medium.c_eff
     sqrt_c = math.sqrt(medium.c_eff)
     g = medium.coupling
     v = np.zeros((3, n_z), dtype=complex)
+    t0 = 0.0
+    if initial is not None:
+        v[:] = initial.e_field, initial.sigma13, initial.sigma12
+        t0 = initial.t_now
     emitted = []
-    loss = loss_quad = 0.0
+    ledgers = {}
+    loss = loss_quad = emitted_norm = injected_norm = 0.0
 
     def norm(x):
         return dz * np.sum(np.abs(x) ** 2)
 
     for n in range(int(math.ceil(t_end / dt - 1e-9))):
-        t = (n + 0.5) * dt
+        t = t0 + (n + 0.5) * dt
         omega = complex(timeline.rabi(t))
         gen = np.array([
             [0.0, 1j * g, 0.0],
@@ -279,17 +293,31 @@ def _reference_evolve(medium, timeline, n_z, t_end, pulse):
         v = u @ v
         loss += before - norm(v)
         emitted.append(sqrt_c * v[0, -1])
+        emitted_norm += norm(v[0, -1])
         v[0, 1:] = v[0, :-1]
-        v[0, 0] = pulse.amplitude(t) / sqrt_c
+        v[0, 0] = pulse.amplitude(t) / sqrt_c if pulse is not None else 0.0
+        injected_norm += norm(v[0, 0])
         loss_quad += dt * (2 * medium.gamma31 * norm(v[1])
                            + 2 * medium.gamma12 * norm(v[2]))
         before = norm(v)
         v = u @ v
         loss += before - norm(v)
-    return np.array(emitted), v, loss, loss_quad
+        if n in ledger_at:
+            ledgers[n] = (v.copy(), loss, emitted_norm, injected_norm)
+    return np.array(emitted), v, loss, loss_quad, ledgers
 
 
-def test_step_loop_matches_the_written_out_reference():
+def _assert_state_matches(state, v):
+    assert np.allclose(state.e_field, v[0], rtol=0, atol=1e-13)
+    assert np.allclose(state.sigma13, v[1], rtol=0, atol=1e-13)
+    assert np.allclose(state.sigma12, v[2], rtol=0, atol=1e-13)
+
+
+def _check_against_the_reference():
+    # A detuned, lossy, ramped run that starts from a stored spin wave and
+    # takes a probe pulse too.
+    n_z = 32
+    dt = 1.0 / (n_z * 12.0)
     medium = MediumParams(od=30.0, delta=-2.0, gamma12=0.05)
     tl = ControlTimeline(
         (
@@ -297,13 +325,91 @@ def test_step_loop_matches_the_written_out_reference():
             ControlSegment(2.5, 4.0, 13.0 + 2.0j, "beamsplit", ramp=0.5),
         )
     )
-    traj = evolve(medium, tl, SimulationConfig(t_end=4.5, n_z=32), pulse=PULSE)
-    emitted, v, loss, loss_quad = _reference_evolve(medium, tl, 32, 4.5, PULSE)
+    stored = store_magnon(OD30, PULSE, 5.0, n_z=n_z).state
+    # Step 1036 ends inside the beamsplit turn-on ramp; step 512 is one the
+    # in-loop norm checks read as well.
+    snap_steps = (512, 1036)
+    traj = evolve(
+        medium, tl,
+        SimulationConfig(t_end=4.5, n_z=n_z,
+                         snapshot_times=tuple((n + 1) * dt for n in snap_steps)),
+        pulse=PULSE, initial=stored,
+    )
+    emitted, v, loss, loss_quad, ledgers = _reference_evolve(
+        medium, tl, n_z, 4.5, PULSE, initial=stored, ledger_at=snap_steps
+    )
     fin = traj.final_state
     assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
-    assert np.allclose(fin.e_field, v[0], rtol=0, atol=1e-13)
-    assert np.allclose(fin.sigma13, v[1], rtol=0, atol=1e-13)
-    assert np.allclose(fin.sigma12, v[2], rtol=0, atol=1e-13)
+    _assert_state_matches(fin, v)
     assert fin.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
     assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
     assert abs(fin.bookkeeping_residual()) < 1e-13
+    for snap, n in zip(traj.snapshots, snap_steps, strict=True):
+        v_n, loss_n, emitted_n, injected_n = ledgers[n]
+        assert snap.t_now == pytest.approx((n + 1) * dt, rel=1e-12)
+        _assert_state_matches(snap, v_n)
+        assert snap.loss_accum == pytest.approx(loss_n, rel=0, abs=1e-13)
+        assert snap.emitted_norm == pytest.approx(emitted_n, rel=0, abs=1e-13)
+        assert snap.injected_norm == pytest.approx(injected_n, rel=0, abs=1e-13)
+        assert snap.initial_norm == pytest.approx(stored.magnon_norm, rel=1e-13)
+
+
+def test_step_loop_matches_the_written_out_reference():
+    _check_against_the_reference()
+
+
+def test_step_maps_built_in_small_blocks_match_the_reference(monkeypatch):
+    # Three drive runs per block, so that blocks meet inside the ramps.
+    monkeypatch.setattr(mbloch, "_MAP_BLOCK", 3)
+    calls = []
+    local_maps = mbloch._local_maps
+    monkeypatch.setattr(
+        mbloch, "_local_maps", lambda *args: calls.append(1) or local_maps(*args)
+    )
+    _check_against_the_reference()
+    assert len(calls) > 100
+
+
+def test_a_snapshot_is_taken_at_the_step_end_nearest_its_time():
+    # n_z = 160 steps by dt = 1/1920, so a step ends exactly at t = 2.
+    pulse = PulseEnvelope(fwhm=1.5, t_center=1.0)
+    tl = constant_drive(13.0, 10.0)
+    longer = evolve(
+        OD30, tl, SimulationConfig(t_end=4.0, snapshot_times=(2.0,)), pulse=pulse
+    )
+    upto = evolve(OD30, tl, SimulationConfig(t_end=2.0), pulse=pulse)
+    (snap,) = longer.snapshots
+    fin = upto.final_state
+    assert snap.t_now == pytest.approx(2.0, rel=1e-12)
+    assert snap.t_now == fin.t_now
+    for name in ("e_field", "sigma12", "sigma13"):
+        assert np.array_equal(getattr(snap, name), getattr(fin, name))
+    assert (snap.loss_accum, snap.emitted_norm, snap.injected_norm) == (
+        fin.loss_accum, fin.emitted_norm, fin.injected_norm
+    )
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.lists(_UNIT, min_size=18, max_size=18),
+    x=st.lists(_UNIT, min_size=12, max_size=12),
+)
+def test_real_block_form_applies_the_complex_map(m, x):
+    # The solver holds its state as interleaved real rows (Re E, Im E, Re P,
+    # Im P, Re S, Im S) and each 3x3 map in its real 6x6 block form.
+    cmap = (np.array(m[:9]) + 1j * np.array(m[9:])).reshape(3, 3)
+    state = (np.array(x[:6]) + 1j * np.array(x[6:])).reshape(3, 2)
+    block = mbloch._real_block(cmap)
+    rows = np.empty((6, 2))
+    rows[0::2], rows[1::2] = state.real, state.imag
+    got = block @ rows
+    want = cmap @ state
+    # Bounded relative to the sum of the product magnitudes, which no
+    # cancellation can shrink.
+    scale = np.abs(block) @ np.abs(rows)
+    err = np.empty((6, 2))
+    err[0::2], err[1::2] = got[0::2] - want.real, got[1::2] - want.imag
+    assert np.all(np.abs(err) <= 1e-15 * scale + 1e-300)
