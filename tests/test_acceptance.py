@@ -37,42 +37,51 @@ def mixing_checks():
     return _triangle_pair()
 
 
-def _report(result):
-    print()
-    print(result.line())
-    assert result.passed, result.details
+@pytest.fixture(scope="session")
+def report(contract_dir, same_output):
+    """Print a criterion's line, then hold it to a pass and to the contract."""
+    path = contract_dir / "accept_details.txt"
+    details = path.read_text(encoding="utf-8").splitlines()
+
+    def check(result):
+        print()
+        print(result.line())
+        assert result.passed, result.details
+        same_output(result.details, details[result.number - 1])
+
+    return check
 
 
-def test_criterion_1_coincidence_dip():
-    _report(criterion_1())
+def test_criterion_1_coincidence_dip(report):
+    report(criterion_1())
 
 
-def test_criterion_2_fermionized_coincidences():
-    _report(criterion_2())
+def test_criterion_2_fermionized_coincidences(report):
+    report(criterion_2())
 
 
-def test_criterion_3_pair_statistics_formula():
-    _report(criterion_3())
+def test_criterion_3_pair_statistics_formula(report):
+    report(criterion_3())
 
 
-def test_criterion_4_phase_operating_points():
-    _report(criterion_4())
+def test_criterion_4_phase_operating_points(report):
+    report(criterion_4())
 
 
-def test_criterion_5_triangle_consistency(mixing_checks):
-    _report(criterion_5(checks=mixing_checks))
+def test_criterion_5_triangle_consistency(mixing_checks, report):
+    report(criterion_5(checks=mixing_checks))
 
 
-def test_criterion_6_triple_correlations():
-    _report(criterion_6())
+def test_criterion_6_triple_correlations(report):
+    report(criterion_6())
 
 
-def test_criterion_7_conservation_and_grid(fig2_curves, mixing_checks):
-    _report(criterion_7(curves=fig2_curves, checks=mixing_checks))
+def test_criterion_7_conservation_and_grid(fig2_curves, mixing_checks, report):
+    report(criterion_7(curves=fig2_curves, checks=mixing_checks))
 
 
-def test_criterion_8_efficiency_optimum(fig2_curves):
-    _report(criterion_8(curves=fig2_curves))
+def test_criterion_8_efficiency_optimum(fig2_curves, report):
+    report(criterion_8(curves=fig2_curves))
 
 
 def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_curves, mixing_checks):
