@@ -328,7 +328,7 @@ def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
         header.append(f"max_bookkeeping_residual = {_fmt(curve.max_residual)}")
         tag = f"od{od:g}"
 
-        z = make_grid(1.0, params.n_z)
+        z = make_grid(params.n_z)
         prof_cols = ["z"] + [f"s12_abs_rabi_{r.rabi_s:g}" for r in curve.rows]
         prof_rows = [
             [z[i]] + [r.spin_abs[i] for r in curve.rows]

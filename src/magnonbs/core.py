@@ -6,11 +6,12 @@ Everything internal runs in normalized units:
 * time in units of 1/gamma31 (optical coherence decay rate),
 * Rabi frequencies, detunings and couplings in units of gamma31.
 
-SI values (MHz, ns) exist only at the CLI boundary.  The optical depth is an
-intensity depth: with the control off, a resonant cw probe leaves with
-transmission exp(-od).  That convention ties the collective coupling G to the
-depth through  od = 2 G^2 L / (gamma31 c_eff),  where c_eff is the normalized
-propagation speed of the bare field.
+So L = gamma31 = 1 by definition, and the bare field's propagation speed is
+the fixed model constant C_EFF in these units.  SI values (MHz, ns) exist
+only at the CLI boundary.  The optical depth is an intensity depth: with the
+control off, a resonant cw probe leaves with transmission exp(-od).  That
+convention ties the collective coupling G to the depth through
+od = 2 G^2 / C_EFF.
 
 Atomic amplitudes are stored collectively: the sigma12/sigma13 arrays hold
 sqrt(N) * (coherence per atom), so their squared integrals count excitations
@@ -30,6 +31,9 @@ PROBABILITY_SLACK = 1e-6
 
 # Default duration of the raised-cosine edges on control segments.
 DEFAULT_RAMP = 0.1
+
+# Propagation speed of the bare probe field, in cell lengths per 1/gamma31.
+C_EFF = 12.0
 
 SEGMENT_LABELS = ("storage", "beamsplit", "readout", "off")
 
@@ -65,17 +69,15 @@ def _require_cells(n_cells: int) -> None:
         )
 
 
-def make_grid(length: float, n_cells: int) -> np.ndarray:
-    """Cell-center positions of a uniform grid of n_cells over [0, length].
+def make_grid(n_cells: int) -> np.ndarray:
+    """Cell-center positions of a uniform grid of n_cells over the cell [0, 1].
 
     Cell-centered samples make the transport bookkeeping exact: a field cell
     traverses exactly n_cells steps of interaction over the length, with no
     half-weight endpoints.
     """
-    if length <= 0:
-        raise ConfigError(f"medium length must be positive, got {length}")
     _require_cells(n_cells)
-    dz = float(length) / int(n_cells)
+    dz = 1.0 / int(n_cells)
     grid = (np.arange(int(n_cells)) + 0.5) * dz
     return _readonly(grid)
 
@@ -84,44 +86,25 @@ def make_grid(length: float, n_cells: int) -> np.ndarray:
 class MediumParams:
     """Static parameters of the atomic cell.
 
-    Exactly one of `od` and `coupling` must be supplied; the other is derived
-    from  od = 2 coupling^2 length / (gamma31 c_eff).
+    The collective coupling G is derived from the optical depth through
+    od = 2 G^2 / C_EFF (L = gamma31 = 1).
     """
 
-    od: float | None = None
-    gamma31: float = 1.0
+    od: float
     gamma12: float = 0.0
     delta: float = 0.0
-    length: float = 1.0
-    c_eff: float = 12.0
-    coupling: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma31 <= 0:
-            raise ConfigError("gamma31 must be positive")
         if self.gamma12 < 0:
             raise ConfigError("gamma12 cannot be negative")
-        if self.length <= 0:
-            raise ConfigError("medium length must be positive")
-        if self.c_eff <= 0:
-            raise ConfigError("propagation speed must be positive")
-        if (self.od is None) == (self.coupling is None):
-            raise ConfigError("give exactly one of od / coupling, the other is derived")
-        if self.od is None:
-            g = float(self.coupling)
-            if g < 0:
-                raise ConfigError("coupling cannot be negative")
-            od = 2.0 * g * g * self.length / (self.gamma31 * self.c_eff)
-            object.__setattr__(self, "od", od)
-            object.__setattr__(self, "coupling", g)
-        else:
-            od = float(self.od)
-            if od < 0:
-                raise ConfigError("optical depth cannot be negative")
-            g = math.sqrt(od * self.gamma31 * self.c_eff / (2.0 * self.length))
-            object.__setattr__(self, "od", od)
-            object.__setattr__(self, "coupling", g)
+        if self.od < 0:
+            raise ConfigError("optical depth cannot be negative")
         _require_finite(self, "od", "delta", "gamma12")
+
+    @property
+    def coupling(self) -> float:
+        """Collective coupling G, in units of gamma31."""
+        return math.sqrt(self.od * C_EFF / 2.0)
 
 
 @dataclass(frozen=True)
@@ -208,12 +191,6 @@ class ControlSegment:
             inside &= ~ramped
             out[ramped] += self.amplitude * self._edge(t[ramped], ramp)
         np.add(out, self.amplitude, out=out, where=inside)
-
-    def value(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        self._add_to(out, t)
-        return out
 
 
 @dataclass(frozen=True)

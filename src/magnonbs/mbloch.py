@@ -4,15 +4,16 @@ The coupled amplitudes are the slowly varying probe field E(z, t), the
 collective optical polarization P(z, t) and the collective spin wave S(z, t),
 obeying
 
-    (d/dt + c_eff d/dz) E = i G P
-    dP/dt = -(gamma31 - i delta) P + i G E + (i/2) Omega(t) S
+    (d/dt + C_EFF d/dz) E = i G P
+    dP/dt = -(1 - i delta) P + i G E + (i/2) Omega(t) S
     dS/dt = -gamma12 S + (i/2) conj(Omega(t)) P
 
-with G the collective coupling and Omega the control Rabi frequency.  The
-integrator uses Strang splitting: a half step of the local (z-independent)
-3x3 linear map, an exact one-cell advection of E, then the second half step.
-The time step is locked to dt = dz / c_eff so the advection is an integer
-cell shift and introduces no numerical dispersion.
+in the units of `core` (gamma31 = L = 1), with G the collective coupling
+and Omega the control Rabi frequency.  The integrator uses Strang
+splitting: a half step of the local (z-independent) 3x3 linear map, an
+exact one-cell advection of E, then the second half step.  The time step
+is locked to dt = dz / C_EFF so the advection is an integer cell shift and
+introduces no numerical dispersion.
 
 Whatever does not depend on the state is computed once per run, before the
 first step.  The control drive and the probe pulse are sampled at all step
@@ -34,7 +35,7 @@ each snapshot and at the last step.  There the state at the step end,
 v_{n+1} = U_n S(w_n) with S the advection, goes to a scratch buffer that
 never feeds back into the carried state, so snapshots leave the run
 unchanged.  Every half step is a contraction and the advection moves one
-cell of |E|^2 out at z = L and one in at z = 0, so the norm removed per
+cell of |E|^2 out at z = 1 and one in at z = 0, so the norm removed per
 half step telescopes into
 
     loss = initial + injected - emitted - held,
@@ -42,7 +43,7 @@ half step telescopes into
 with the emitted norm summed from the recorded field and the injected norm
 from the sampled pulse.  The ledger thus closes to roundoff by
 construction, whatever the grid.  The independent check is the per-step
-quadrature `loss_quad` of 2*gamma31*|P|^2 + 2*gamma12*|S|^2, read off each
+quadrature `loss_quad` of 2*|P|^2 + 2*gamma12*|S|^2, read off each
 w_n (the advection leaves P and S unchanged): its gap to the ledger's loss,
 `Trajectory.loss_gap`, is the midpoint rule's discretization error and
 falls 4x per grid doubling.  Every 256 steps the held norm is also checked
@@ -59,10 +60,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import (
+    C_EFF,
     ConfigError,
     ControlSegment,
     ControlTimeline,
-    DEFAULT_RAMP,
     FieldState,
     MediumParams,
     PhysicsViolation,
@@ -87,7 +88,7 @@ _MAP_BLOCK = 1024
 class SimulationConfig:
     """Grid resolution and run length for one propagation run.
 
-    `n_z` counts spatial cells; the time step is length / (n_z * c_eff).
+    `n_z` counts spatial cells; the time step is 1 / (n_z * C_EFF).
     """
 
     t_end: float
@@ -109,7 +110,7 @@ class Trajectory:
     """Emitted field, final state and snapshots of one propagation run.
 
     `times` are the step midpoints, `dt` apart.  `emitted` holds the
-    outgoing amplitude at z = L in temporal normalization: dt * sum
+    outgoing amplitude at z = 1 in temporal normalization: dt * sum
     |emitted|^2 is the norm that left the cell.  `control` is the control
     Rabi frequency sampled at the same midpoint times.  The norm ledger is
     observable at the end (`final_state`) and at the step end nearest each
@@ -148,7 +149,7 @@ def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.
     """
     gen = np.zeros((drives.size, 3, 3), dtype=complex)
     gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling
-    gen[:, 1, 1] = -(medium.gamma31 - 1j * medium.delta)
+    gen[:, 1, 1] = -(1.0 - 1j * medium.delta)
     gen[:, 1, 2] = 0.5j * drives
     gen[:, 2, 1] = 0.5j * np.conj(drives)
     gen[:, 2, 2] = -medium.gamma12
@@ -215,10 +216,10 @@ def evolve(
     becomes the initial norm, prior ledger entries are discarded).  Both may
     be given at once; either may be omitted.
     """
-    z = make_grid(medium.length, config.n_z)
-    dz = medium.length / config.n_z
-    dt = dz / medium.c_eff
-    sqrt_c = math.sqrt(medium.c_eff)
+    z = make_grid(config.n_z)
+    dz = 1.0 / config.n_z
+    dt = dz / C_EFF
+    sqrt_c = math.sqrt(C_EFF)
 
     # v is the state at a step end, w the carried state half a step later;
     # each is real with rows (Re E, Im E, Re P, Im P, Re S, Im S).
@@ -252,7 +253,7 @@ def evolve(
     emitted_flat = emitted_rows.reshape(-1)
     if pulse is not None:
         amps = pulse.amplitude(times)
-        # dt |amp|^2 is also dz |amp / sqrt(c_eff)|^2, the norm of the
+        # dt |amp|^2 is also dz |amp / sqrt(C_EFF)|^2, the norm of the
         # injected cell; injected[n] is the norm injected up to step n.
         injected = np.abs(amps)
         injected **= 2
@@ -277,7 +278,7 @@ def evolve(
     emitted_norm = 0.0
     emitted_upto = 0
     loss_quad = 0.0
-    quad_p = dt * dz * 2.0 * medium.gamma31
+    quad_p = dt * dz * 2.0
     quad_s = dt * dz * 2.0 * medium.gamma12
 
     for starts, half, step_maps in _map_blocks(medium, control, 0.5 * dt):
@@ -341,7 +342,7 @@ def v_group(medium: MediumParams, rabi: complex) -> float:
     g2 = 4.0 * medium.coupling**2
     if w2 == 0:
         return 0.0
-    return medium.c_eff * w2 / (w2 + g2)
+    return C_EFF * w2 / (w2 + g2)
 
 
 @dataclass(frozen=True)
@@ -350,7 +351,6 @@ class StorageResult:
 
     state: FieldState
     efficiency: float
-    residual: float
     trajectory: Trajectory
 
 
@@ -358,36 +358,28 @@ def store_magnon(
     medium: MediumParams,
     pulse: PulseEnvelope,
     rabi_storage: complex,
-    t_off: float | None = None,
     n_z: int = 160,
-    ramp: float | None = None,
-    settle: float = 3.0,
 ) -> StorageResult:
     """Write the probe pulse into a stationary spin wave.
 
-    The control is held at `rabi_storage` until `t_off` (by default the time
-    at which the pulse center reaches the middle of the cell) and then ramped
-    off.  After a settle period the leftover field and polarization decay or
-    leave; the returned state keeps only the spin wave and restarts the
-    bookkeeping, with the dropped residual norm reported.
+    The control is held at `rabi_storage` until the pulse center reaches
+    the middle of the cell and then ramped off.  After a settle period of
+    3 the leftover field and polarization have decayed or left; the
+    returned state keeps only the spin wave and restarts the bookkeeping.
     """
-    if ramp is None:
-        ramp = DEFAULT_RAMP
-    if t_off is None:
-        vg = v_group(medium, rabi_storage)
-        if vg <= 0:
-            raise ConfigError("storage drive must be nonzero")
-        t_off = pulse.t_center + 0.5 * medium.length / vg
+    vg = v_group(medium, rabi_storage)
+    if vg <= 0:
+        raise ConfigError("storage drive must be nonzero")
+    t_off = pulse.t_center + 0.5 / vg
     timeline = ControlTimeline(
-        (ControlSegment(0.0, t_off, rabi_storage, "storage", ramp),)
+        (ControlSegment(0.0, t_off, rabi_storage, "storage"),)
     )
-    config = SimulationConfig(t_end=t_off + settle, n_z=n_z)
+    config = SimulationConfig(t_end=t_off + 3.0, n_z=n_z)
     traj = evolve(medium, timeline, config, pulse=pulse)
     fin = traj.final_state
     stored = fin.magnon_norm
     if fin.input_norm <= 0:
         raise ConfigError("storage run received no input norm")
-    residual = fin.photon_norm + fin.excited_norm
     z = fin.z_grid
     zero = np.zeros(z.size, dtype=complex)
     state = FieldState(
@@ -397,7 +389,5 @@ def store_magnon(
     return StorageResult(
         state=state,
         efficiency=stored / fin.input_norm,
-        residual=residual,
         trajectory=traj,
     )
-

@@ -117,7 +117,6 @@ class Fig2Row:
 
 @dataclass(frozen=True)
 class Fig2Curve:
-    params: Fig2Params
     rows: tuple[Fig2Row, ...]
     transmission: float
     release: float
@@ -187,8 +186,12 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
               _ledger_checks(reference.trajectory)]
     rows = []
     for rabi_s in params.rabi_s_grid:
-        stored = store_magnon(medium, pulse, rabi_s, n_z=params.n_z)
-        checks.append(_ledger_checks(stored.trajectory))
+        if rabi_s == params.ref_rabi_s:
+            # The reference storage run already wrote at this drive.
+            stored = reference
+        else:
+            stored = store_magnon(medium, pulse, rabi_s, n_z=params.n_z)
+            checks.append(_ledger_checks(stored.trajectory))
         spin_stored = stored.state.sigma12
         num = abs(np.vdot(spin_stored, spin_probe)) ** 2
         den = float(
@@ -217,7 +220,6 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
             )
         )
     return Fig2Curve(
-        params=params,
         rows=tuple(rows),
         transmission=float(transmission),
         release=float(release),
@@ -302,7 +304,6 @@ class TriangleCheck:
     g2_formula: float
     overlap: float
     phi_rt: float
-    imbalance: float
     # Worst bookkeeping residual and loss-quadrature gap over the runs.
     residual: float
     loss_gap: float
@@ -330,7 +331,6 @@ def triangle_check(scenario: MixingScenario) -> TriangleCheck:
         g2_formula=float(g2_closed),
         overlap=float(overlap_value),
         phi_rt=float(phi),
-        imbalance=float(abs(b.t1 * b.t2) - abs(b.r1 * b.r2)),
         residual=max(c[0] for c in checks),
         loss_gap=max(c[1] for c in checks),
     )
@@ -340,27 +340,20 @@ FIG3_PEAK_OVERLAP = 0.75
 
 
 def fig3_delay_curve(
-    phi_rt: float,
-    delays: np.ndarray | None = None,
-    i_peak: float = FIG3_PEAK_OVERLAP,
-    fwhm: float = PULSE_FWHM,
+    phi_rt: float, delays: np.ndarray, i_peak: float = FIG3_PEAK_OVERLAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """g2 versus arrival delay at a fixed round-trip phase."""
-    if delays is None:
-        delays = np.linspace(-4.0, 4.0, 81)
     envelope = OverlapEnvelope.from_pulse(
-        PulseEnvelope(fwhm=fwhm, t_center=0.0), i_peak=i_peak
+        PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0), i_peak=i_peak
     )
     g2 = np.array([g2_formula(envelope(d), phi_rt) for d in delays])
     return delays, g2
 
 
 def fig3_phase_curve(
-    phases: np.ndarray | None = None, i_value: float = FIG3_PEAK_OVERLAP
+    phases: np.ndarray, i_value: float = FIG3_PEAK_OVERLAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """g2 versus round-trip phase at a fixed overlap."""
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * np.pi, 97)
     g2 = np.array([g2_formula(i_value, p) for p in phases])
     return phases, g2
 
@@ -380,15 +373,12 @@ def ideal_cascade_g3() -> float:
 
 
 def fig4_grid(
-    n: int = 5,
-    delay_span: float = 3.0,
-    i_peak: float = 1.0,
-    fwhm: float = PULSE_FWHM,
+    n: int = 5, delay_span: float = 3.0, i_peak: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factorized three-particle correlation on a delay grid."""
     delays = np.linspace(-delay_span, delay_span, n)
     envelope = OverlapEnvelope.from_pulse(
-        PulseEnvelope(fwhm=fwhm, t_center=0.0), i_peak=i_peak
+        PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0), i_peak=i_peak
     )
     g3 = np.zeros((n, n))
     for i, d1 in enumerate(delays):

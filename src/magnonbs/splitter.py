@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    C_EFF,
     ConfigError,
     ControlTimeline,
     FieldState,
@@ -46,9 +47,7 @@ def tau_from_fwhm(fwhm: float) -> float:
     return fwhm / (2.0 * math.sqrt(math.log(2.0)))
 
 
-def phi_rt_analytic(
-    rabi: float, detuning: float, od: float, tau: float, gamma31: float = 1.0
-) -> float:
+def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> float:
     """Adiabatic estimate of the round-trip phase for a pulsed control stage.
 
     Valid for a control pulse of amplitude duration `tau` (see
@@ -57,13 +56,10 @@ def phi_rt_analytic(
     """
     if od <= 0:
         raise ConfigError("round-trip phase estimate needs a positive od")
-    if gamma31 <= 0:
-        raise ConfigError("gamma31 must be positive")
-    x = abs(rabi) ** 2 * tau / (4.0 * gamma31)
+    x = abs(rabi) ** 2 * tau / 4.0
     if x <= 0:
         raise ConfigError("control pulse area must be nonzero")
-    d = detuning / gamma31
-    xi = np.exp(-x / (1.0 - 1j * d))
+    xi = np.exp(-x / (1.0 - 1j * detuning))
     scale = max(x, od, 1.0)
     den = x - od * (1.0 - xi)
     if abs(den) < 1e-12 * scale:
@@ -104,28 +100,25 @@ def splitter_from_outputs(
     dz: float,
     input_a: float,
     input_b: float,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
 ) -> SplitterMatrix:
     """Project two single-input runs onto shared output modes.
 
     Run (a) starts from a stored spin wave, run (b) from an incoming probe.
-    The photon output mode is the windowed sum emission of both runs; the
-    magnon output mode is the sum of both final spin waves.  By linearity the
-    interference run is the coherent sum of the two, so these are the modes an
-    actual two-input experiment would populate.  The emitted fields are
-    sampled at `times`, `dt` apart.
+    The photon output mode is the sum emission of both runs inside the time
+    `window`; the magnon output mode is the sum of both final spin waves.
+    By linearity the interference run is the coherent sum of the two, so
+    these are the modes an actual two-input experiment would populate.  The
+    emitted fields are sampled at `times`, `dt` apart.
     """
     if input_a < 1e-3 or input_b < 1e-3:
         raise ConfigError(
             f"port inputs too small to characterize: {input_a:.3g}, {input_b:.3g}"
         )
     times = np.asarray(times, dtype=float)
-    if window is None:
-        mask = np.ones(times.size, dtype=bool)
-    else:
-        mask = (times >= window[0]) & (times <= window[1])
-        if not np.any(mask):
-            raise ConfigError(f"photon window {window} contains no samples")
+    mask = (times >= window[0]) & (times <= window[1])
+    if not np.any(mask):
+        raise ConfigError(f"photon window {window} contains no samples")
 
     ea = np.where(mask, ea_out, 0.0)
     eb = np.where(mask, eb_out, 0.0)
@@ -156,20 +149,16 @@ class ExtractionResult:
 
     matrix: SplitterMatrix
     window: tuple[float, float]
-    input_a: float
-    input_b: float
     run_magnon: Trajectory
     run_photon: Trajectory
 
 
-def _default_window(
-    medium: MediumParams, timeline: ControlTimeline
-) -> tuple[float, float]:
+def _photon_window(timeline: ControlTimeline) -> tuple[float, float]:
     segs = timeline.by_label("beamsplit")
     if not segs:
         raise ConfigError("timeline has no beamsplit segment")
     start = segs[0].t_start
-    stop = segs[-1].t_end + medium.length / medium.c_eff + 0.5
+    stop = segs[-1].t_end + 1.0 / C_EFF + 0.5
     for seg in timeline.segments:
         if seg.t_start >= segs[-1].t_end and seg.label != "beamsplit":
             stop = min(stop, seg.t_start)
@@ -181,28 +170,25 @@ def extract_matrix(
     timeline: ControlTimeline,
     pulse: PulseEnvelope,
     initial_magnon: FieldState,
+    t_end: float,
     n_z: int = 160,
-    t_end: float | None = None,
-    window: tuple[float, float] | None = None,
 ) -> ExtractionResult:
     """Measure the splitter matrix realized by a control timeline.
 
-    Runs the solver twice: once from the stored spin wave with no input
-    light, once from vacuum with the probe pulse.  The timeline should end
-    with the mixing stage (no readout segment), so the final spin wave is the
-    magnon output port.
+    Runs the solver twice, for `t_end` each: once from the stored spin wave
+    with no input light, once from vacuum with the probe pulse.  The
+    timeline should end with the mixing stage (no readout segment), so the
+    final spin wave is the magnon output port.  The photon output port is
+    read from the first beamsplit segment's start until 0.5 after the cell
+    transit that follows the last one's end, or until a later segment
+    starts.
     """
-    if t_end is None:
-        t_end = timeline.t_last + 3.0
-    if window is None:
-        window = _default_window(medium, timeline)
+    window = _photon_window(timeline)
     config = SimulationConfig(t_end=t_end, n_z=n_z)
 
     run_a = evolve(medium, timeline, config, pulse=None, initial=initial_magnon)
     run_b = evolve(medium, timeline, config, pulse=pulse, initial=None)
 
-    input_a = run_a.final_state.initial_norm
-    input_b = run_b.final_state.injected_norm
     matrix = splitter_from_outputs(
         run_a.times,
         run_a.dt,
@@ -211,15 +197,13 @@ def extract_matrix(
         run_a.final_state.sigma12,
         run_b.final_state.sigma12,
         run_a.final_state.dz,
-        input_a,
-        input_b,
+        run_a.final_state.initial_norm,
+        run_b.final_state.injected_norm,
         window=window,
     )
     return ExtractionResult(
         matrix=matrix,
         window=window,
-        input_a=input_a,
-        input_b=input_b,
         run_magnon=run_a,
         run_photon=run_b,
     )

@@ -50,7 +50,7 @@ def g2_formula(overlap_i: float, phi_rt: float) -> float:
     return 1.0 + i * math.cos(phi_rt)
 
 
-def g3_formula(i12: float, i23: float, phi_rt: float = 0.0) -> float:
+def g3_formula(i12: float, i23: float) -> float:
     """Sequential three-particle ratio (1 + I12)(1 + I23).
 
     Only valid when both mixing stages run at zero round-trip phase; other
@@ -58,10 +58,6 @@ def g3_formula(i12: float, i23: float, phi_rt: float = 0.0) -> float:
     """
     a = _check_overlap(i12, "i12")
     b = _check_overlap(i23, "i23")
-    if min(phi_rt % (2 * math.pi), -phi_rt % (2 * math.pi)) > 1e-6:
-        raise ConfigError(
-            "three-particle factorization holds at zero round-trip phase only"
-        )
     return (1.0 + a) * (1.0 + b)
 
 

@@ -40,11 +40,11 @@ def test_command_tables_match_the_contract(case, tmp_path, contract_dir, same_ou
 
 
 def test_importing_the_cli_loads_no_optimizer():
-    # scipy.optimize costs most of the command's start-up time; nothing
-    # on the command path needs it.
+    # Importing scipy.optimize adds to every command's start-up time, and
+    # nothing the commands run needs it.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, magnonbs.cli; "
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import magnonbs.cli; "
             "sys.exit('scipy.optimize' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+    done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr or "magnonbs.cli imports scipy.optimize"

@@ -21,6 +21,7 @@ from magnonbs import (
     store_magnon,
     v_group,
 )
+from magnonbs.core import C_EFF
 
 OD30 = MediumParams(od=30.0)
 PULSE = PulseEnvelope(fwhm=1.5, t_center=3.2)
@@ -32,7 +33,7 @@ def constant_drive(rabi, t_end=12.0, label="beamsplit"):
 
 def test_vacuum_propagation_is_a_pure_delay():
     # Empty cell: the emitted field is the input shifted by the transit
-    # time L / c_eff; the advection step moves exactly one cell per step,
+    # time 1 / C_EFF; the advection step moves exactly one cell per step,
     # so the shape is preserved to interpolation accuracy.
     medium = MediumParams(od=0.0)
     pulse = PulseEnvelope(fwhm=1.5, t_center=5.0)
@@ -43,7 +44,7 @@ def test_vacuum_propagation_is_a_pure_delay():
     assert traj.final_state.emitted_norm == pytest.approx(
         traj.input_norm, rel=1e-6
     )
-    expected = pulse.amplitude(traj.times - 1.0 / medium.c_eff)
+    expected = pulse.amplitude(traj.times - 1.0 / C_EFF)
     num = abs(np.vdot(expected, traj.emitted)) ** 2
     den = np.sum(np.abs(expected) ** 2) * np.sum(np.abs(traj.emitted) ** 2)
     assert num / den > 0.9999
@@ -149,7 +150,6 @@ def test_store_magnon_returns_a_pure_spin_wave():
     assert np.all(stored.state.e_field == 0)
     assert np.all(stored.state.sigma13 == 0)
     assert 0.0 < stored.efficiency < 1.0
-    assert stored.residual >= 0.0
     assert stored.state.magnon_norm == pytest.approx(
         stored.efficiency * stored.trajectory.input_norm, rel=1e-12
     )
@@ -159,7 +159,7 @@ def test_v_group_limits():
     assert v_group(OD30, 0.0) == 0.0
     assert v_group(OD30, 20.0) == pytest.approx(12.0 * 400.0 / 1120.0)
     empty = MediumParams(od=0.0)
-    assert v_group(empty, 7.0) == pytest.approx(empty.c_eff)
+    assert v_group(empty, 7.0) == pytest.approx(C_EFF)
 
 
 def test_simulation_config_guards():
@@ -176,7 +176,7 @@ def test_a_non_finite_state_stops_the_run():
     spin = np.full(n_z, 0.25, dtype=complex)
     spin[n_z // 2] = np.nan
     zero = np.zeros(n_z, dtype=complex)
-    seeded = FieldState(make_grid(1.0, n_z), zero, spin, zero, 0.0, 0.0)
+    seeded = FieldState(make_grid(n_z), zero, spin, zero, 0.0, 0.0)
     with pytest.raises(PhysicsViolation, match="non-finite"):
         evolve(OD30, constant_drive(5.0, 2.0), SimulationConfig(t_end=2.0, n_z=n_z),
                initial=seeded)
@@ -264,9 +264,9 @@ def _reference_evolve(medium, timeline, n_z, t_end, pulse=None, initial=None,
     quadrature and, for each step in `ledger_at`, the state at the end of
     that step with its ledger (loss, emitted norm, injected norm).
     """
-    dz = medium.length / n_z
-    dt = dz / medium.c_eff
-    sqrt_c = math.sqrt(medium.c_eff)
+    dz = 1.0 / n_z
+    dt = dz / 12.0
+    sqrt_c = math.sqrt(12.0)
     g = medium.coupling
     v = np.zeros((3, n_z), dtype=complex)
     t0 = 0.0
@@ -285,7 +285,7 @@ def _reference_evolve(medium, timeline, n_z, t_end, pulse=None, initial=None,
         omega = complex(timeline.rabi(t))
         gen = np.array([
             [0.0, 1j * g, 0.0],
-            [1j * g, -(medium.gamma31 - 1j * medium.delta), 0.5j * omega],
+            [1j * g, -(1.0 - 1j * medium.delta), 0.5j * omega],
             [0.0, 0.5j * np.conj(omega), -medium.gamma12],
         ])
         u = expm(gen * 0.5 * dt)
@@ -297,8 +297,7 @@ def _reference_evolve(medium, timeline, n_z, t_end, pulse=None, initial=None,
         v[0, 1:] = v[0, :-1]
         v[0, 0] = pulse.amplitude(t) / sqrt_c if pulse is not None else 0.0
         injected_norm += norm(v[0, 0])
-        loss_quad += dt * (2 * medium.gamma31 * norm(v[1])
-                           + 2 * medium.gamma12 * norm(v[2]))
+        loss_quad += dt * (2 * norm(v[1]) + 2 * medium.gamma12 * norm(v[2]))
         before = norm(v)
         v = u @ v
         loss += before - norm(v)

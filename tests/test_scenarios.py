@@ -36,9 +36,9 @@ def test_fig2_params_reject_what_the_solver_would_reject(change):
 
 
 def test_fig3_delay_curve_shapes():
-    delays, bump = fig3_delay_curve(0.0)
-    _, flat = fig3_delay_curve(math.pi / 2)
-    _, dip = fig3_delay_curve(math.pi)
+    delays, bump = fig3_delay_curve(0.0, np.linspace(-4.0, 4.0, 81))
+    _, flat = fig3_delay_curve(math.pi / 2, delays)
+    _, dip = fig3_delay_curve(math.pi, delays)
     mid = delays.size // 2
     assert delays[mid] == 0.0
     assert bump[mid] == pytest.approx(1.75)
@@ -51,7 +51,7 @@ def test_fig3_delay_curve_shapes():
 
 
 def test_fig3_phase_curve_is_a_cosine():
-    phases, g2 = fig3_phase_curve()
+    phases, g2 = fig3_phase_curve(np.linspace(0.0, 2.0 * np.pi, 97))
     assert g2[0] == pytest.approx(1.75)
     assert g2[-1] == pytest.approx(1.75)
     assert g2.min() == pytest.approx(0.25, abs=1e-6)

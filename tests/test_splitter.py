@@ -103,8 +103,6 @@ def test_phi_rt_analytic_guards():
         phi_rt_analytic(10.0, 0.0, 0.0, tau)
     with pytest.raises(ConfigError):
         phi_rt_analytic(0.0, 0.0, 30.0, tau)
-    with pytest.raises(ConfigError):
-        phi_rt_analytic(10.0, 0.0, 30.0, tau, gamma31=0.0)
 
 
 def _synthetic_projection(b, input_a=0.9, input_b=0.8):
@@ -132,6 +130,7 @@ def _synthetic_projection(b, input_a=0.9, input_b=0.8):
         dz,
         input_a,
         input_b,
+        window=(0.0, 10.0),
     )
 
 
@@ -160,7 +159,8 @@ def test_projection_guards():
     zeros_z = np.zeros(64, dtype=complex)
     with pytest.raises(ConfigError):
         splitter_from_outputs(
-            times, 0.1, zeros_t, zeros_t, zeros_z, zeros_z, 1.0 / 64, 1.0, 1.0
+            times, 0.1, zeros_t, zeros_t, zeros_z, zeros_z, 1.0 / 64, 1.0, 1.0,
+            window=(0.0, 10.0),
         )
 
 
@@ -209,4 +209,4 @@ def test_extract_matrix_requires_a_beamsplit_segment():
         (ControlSegment(0.0, 2.0, 13.0, "readout"),)
     )
     with pytest.raises(ConfigError):
-        extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96)
+        extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)

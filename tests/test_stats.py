@@ -47,12 +47,6 @@ def test_g3_formula_factorizes():
     assert g3_formula(1.0, 1.0) == pytest.approx(4.0)
     assert g3_formula(0.75, 0.75) == pytest.approx(3.0625)
     assert g3_formula(0.3, 0.8) == pytest.approx(1.3 * 1.8)
-    assert g3_formula(0.5, 0.5, phi_rt=2.0 * math.pi) == pytest.approx(2.25)
-
-
-def test_g3_formula_requires_zero_phase():
-    with pytest.raises(ConfigError):
-        g3_formula(0.5, 0.5, phi_rt=0.3)
 
 
 def test_classical_bounds_values():
