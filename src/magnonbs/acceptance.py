@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import PulseEnvelope, SplitterMatrix
 from .fock_oracle import (
+    ModeNetwork,
     g2_from_distribution,
-    network_from_splitter,
     output_distribution,
     two_photon_input,
 )
@@ -69,7 +69,7 @@ def criterion_1() -> CriterionResult:
     t0 = time.time()
     root = math.sqrt(0.5)
     b = SplitterMatrix(t1=root, r1=1j * root, t2=root, r2=1j * root)
-    dist = output_distribution(network_from_splitter(b), two_photon_input(1.0))
+    dist = output_distribution(ModeNetwork(b.matrix), two_photon_input(1.0))
     p11 = dist.get((1, 1), 0.0)
     g2 = g2_formula(1.0, math.pi)
     ok = p11 <= 1e-9 and abs(g2) <= 1e-9
@@ -91,7 +91,7 @@ def criterion_2() -> CriterionResult:
         t2=math.sqrt(0.26),
         r2=math.sqrt(0.22),
     )
-    dist = output_distribution(network_from_splitter(b), two_photon_input(1.0))
+    dist = output_distribution(ModeNetwork(b.matrix), two_photon_input(1.0))
     g2 = g2_from_distribution(dist, b.matrix)
     ok = abs(g2 - 2.0) <= 1e-6
     return _result(

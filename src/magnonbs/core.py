@@ -53,10 +53,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(obj, *names: str) -> None:
-    """Raise ConfigError if one of obj's named fields is NaN or infinite."""
+    """Raise ConfigError if one of obj's named fields holds a NaN or infinity."""
     for name in names:
         value = getattr(obj, name)
-        if not np.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
@@ -310,6 +310,7 @@ class SplitterMatrix:
     def __post_init__(self) -> None:
         for name in ("t1", "r1", "t2", "r2"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+        _require_finite(self, "t1", "r1", "t2", "r2")
         tol = 1e-9
         s1, s2 = self.port_sums
         if s1 > 1 + tol or s2 > 1 + tol:

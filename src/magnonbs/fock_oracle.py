@@ -2,11 +2,21 @@
 
 This is a brute-force reference model, deliberately independent of the wave
 solver and of any closed-form interference formula.  A subunitary transfer
-matrix is dilated to a unitary on twice as many modes (the extra modes absorb
-the loss), input particles carry arbitrary pairwise-overlapping temporal
-modes, and output probabilities come from permanents over every output
-configuration.  Everything is enumerated; nothing is sampled or approximated,
-so results are exact to machine precision for up to three particles.
+matrix is dilated to a unitary D on twice as many modes (the extra modes
+absorb the loss), and the input particles carry temporal modes with
+arbitrary pairwise overlaps, the Gram matrix G.  With p_j the port of
+particle j, the probability of an output multiset o = (o_1 <= ... <= o_n) of
+dilated modes, mode q holding m_q particles, is
+
+    P(o) = sum over permutations s, t of n particles of
+           conj(A_s) W_st A_t / prod_q m_q!,
+    A_s  = prod_j D[o_j, p_s(j)],    W_st = prod_j G[s(j), t(j)]
+
+(Tichy, J. Phys. B 47, 103001 (2014); Shchesnovich, PRA 91, 013844
+(2015)).  For identical particles W is all ones and P(o) is the familiar
+|per|^2 / prod m_q!.  Every pattern is enumerated; nothing is sampled or
+approximated, so results are exact to machine precision for up to three
+particles.
 
 Coincidence ratios are normalized per distinguishable routing: for the
 all-ports-coincidence pattern the reference value is
@@ -27,24 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PhysicsViolation, SplitterMatrix
+from .core import ConfigError, PhysicsViolation, SplitterMatrix, _require_finite
 
 _MAX_PARTICLES = 3
-
-
-def permanent(m: np.ndarray) -> complex:
-    """Permanent by direct expansion; fine for the sizes used here."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ConfigError("permanent needs a square matrix")
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= m[i, j]
-        total += prod
-    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -57,21 +52,18 @@ class ModeNetwork:
         t = np.array(self.transfer, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ConfigError("transfer matrix must be square")
+        object.__setattr__(self, "transfer", t)
+        _require_finite(self, "transfer")
         smax = np.linalg.svd(t, compute_uv=False)[0]
         if smax > 1 + 1e-10:
             raise PhysicsViolation(
                 f"transfer matrix has gain: largest singular value {smax}"
             )
         t.setflags(write=False)
-        object.__setattr__(self, "transfer", t)
 
     @property
     def n_modes(self) -> int:
         return self.transfer.shape[0]
-
-
-def network_from_splitter(b: SplitterMatrix) -> ModeNetwork:
-    return ModeNetwork(b.matrix)
 
 
 def dilate(net: ModeNetwork) -> np.ndarray:
@@ -101,17 +93,17 @@ class FockInput:
 
     `occupations[p]` is 0 or 1 for each network port; `gram[j, k]` is the
     temporal-mode inner product between the j-th and k-th injected particles
-    (ordered by port index).  The Gram matrix must be positive semidefinite
-    with unit diagonal.
+    (ordered by port index).  The Gram matrix must be real, finite, and
+    positive semidefinite with unit diagonal.
     """
 
     occupations: tuple[int, ...]
     gram: np.ndarray
 
     def __post_init__(self) -> None:
-        occ = tuple(int(o) for o in self.occupations)
-        if any(o not in (0, 1) for o in occ):
+        if any(o not in (0, 1) for o in self.occupations):
             raise ConfigError("port occupations must be 0 or 1")
+        occ = tuple(int(o) for o in self.occupations)
         n = sum(occ)
         if n == 0:
             raise ConfigError("at least one particle required")
@@ -119,32 +111,28 @@ class FockInput:
             raise ConfigError(
                 f"enumeration supports at most {_MAX_PARTICLES} particles, got {n}"
             )
+        if np.iscomplexobj(self.gram):
+            raise ConfigError("gram matrix must be real")
         g = np.array(self.gram, dtype=float)
         if g.shape != (n, n):
             raise ConfigError(f"gram matrix must be {n}x{n} for {n} particles")
+        object.__setattr__(self, "gram", g)
+        _require_finite(self, "gram")
         if np.max(np.abs(g - g.T)) > 1e-9:
             raise ConfigError("gram matrix must be symmetric")
         if np.max(np.abs(np.diag(g) - 1.0)) > 1e-9:
             raise ConfigError("gram matrix needs a unit diagonal")
+        low = np.linalg.eigvalsh(g).min()
+        if low < -1e-9:
+            raise ConfigError(
+                f"gram matrix is not positive semidefinite (eigenvalue {low:.3e})"
+            )
         g.setflags(write=False)
         object.__setattr__(self, "occupations", occ)
-        object.__setattr__(self, "gram", g)
 
     @property
     def ports(self) -> tuple[int, ...]:
         return tuple(p for p, o in enumerate(self.occupations) if o)
-
-    def mode_amplitudes(self) -> np.ndarray:
-        """Rows are each particle's amplitudes over an orthonormal basis."""
-        vals, vecs = np.linalg.eigh(self.gram)
-        if vals.min() < -1e-9:
-            raise ConfigError(
-                f"gram matrix is not positive semidefinite "
-                f"(eigenvalue {vals.min():.3e})"
-            )
-        vals = np.clip(vals, 0.0, None)
-        keep = vals > 1e-14
-        return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def two_photon_input(overlap_i: float) -> FockInput:
@@ -159,8 +147,8 @@ def three_photon_input(
     i12: float, i23: float, i13: float | None = None
 ) -> FockInput:
     """Three particles, one per port; i13 defaults to the chain product."""
-    for name, val in (("i12", i12), ("i23", i23)):
-        if not 0.0 <= val <= 1.0 + 1e-9:
+    for name, val in (("i12", i12), ("i23", i23), ("i13", i13)):
+        if val is not None and not 0.0 <= val <= 1.0 + 1e-9:
             raise ConfigError(f"{name} must lie in [0, 1], got {val}")
     if i13 is None:
         i13 = i12 * i23
@@ -174,44 +162,39 @@ def output_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact output counting distribution, loss modes marginalized.
 
-    Keys are occupation patterns over the M signal modes; a pattern that
-    holds fewer than all the particles means the rest went to the loss
-    sinks.  Probabilities sum to one.
+    For every multiset o of dilated output modes,
+
+        P(o) = sum_{s,t} conj(A_s) W_st A_t / prod_q m_q!,
+        A_s = prod_j D[o_j, p_s(j)],    W_st = prod_j G[s(j), t(j)],
+
+    with s, t running over the permutations of the particles, D the
+    dilation, G the Gram matrix, p_j the port of particle j and m_q the
+    number of particles in mode q.  Keys are occupation patterns over the M
+    signal modes; a pattern that holds fewer than all the particles means
+    the rest went to the loss sinks.  Probabilities sum to one.
     """
     if len(inp.occupations) != net.n_modes:
         raise ConfigError(
             f"input has {len(inp.occupations)} ports, network has {net.n_modes}"
         )
     d = dilate(net)
-    amps = inp.mode_amplitudes()
+    g = inp.gram
     ports = inp.ports
     n = len(ports)
-    m2 = 2 * net.n_modes
-    n_t = amps.shape[1]
-
-    # One flavor per (dilated mode, temporal basis state); particle j reaches
-    # flavor (q, m) with amplitude D[q, p_j] * amps[j, m].
-    flavors = [(q, mm) for q in range(m2) for mm in range(n_t)]
-    b = np.empty((len(flavors), n), dtype=complex)
-    for f, (q, mm) in enumerate(flavors):
-        for j, p in enumerate(ports):
-            b[f, j] = d[q, p] * amps[j, mm]
+    perms = list(itertools.permutations(range(n)))
+    # The same for every output pattern: built once.
+    w = np.array(
+        [[math.prod(g[s[j], t[j]] for j in range(n)) for t in perms] for s in perms]
+    )
 
     raw: dict[tuple[int, ...], float] = {}
-    for combo in itertools.combinations_with_replacement(range(len(flavors)), n):
-        sub = b[list(combo), :]
-        amp = permanent(sub)
-        if amp == 0:
-            continue
-        mult = 1.0
-        for _, count in itertools.groupby(combo):
-            mult *= math.factorial(len(tuple(count)))
-        prob = abs(amp) ** 2 / mult
-        counts = [0] * m2
-        for f in combo:
-            counts[flavors[f][0]] += 1
-        key = tuple(counts[: net.n_modes])
-        raw[key] = raw.get(key, 0.0) + prob
+    for o in itertools.combinations_with_replacement(range(2 * net.n_modes), n):
+        a = np.array([math.prod(d[o[j], ports[s[j]]] for j in range(n)) for s in perms])
+        if not a.any():
+            continue  # every A_s is zero: o cannot occur and adds no key
+        mult = math.prod(math.factorial(o.count(q)) for q in set(o))
+        key = tuple(o.count(q) for q in range(net.n_modes))
+        raw[key] = raw.get(key, 0.0) + float((a.conj() @ w @ a).real) / mult
 
     total = sum(raw.values())
     if abs(total - 1.0) > 1e-9:

@@ -89,6 +89,7 @@ class SimulationConfig:
     """Grid resolution and run length for one propagation run.
 
     `n_z` counts spatial cells; the time step is 1 / (n_z * C_EFF).
+    Snapshot times are measured from the run's start and lie in [0, t_end].
     """
 
     t_end: float
@@ -103,6 +104,12 @@ class SimulationConfig:
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
         )
+        _require_finite(self, "snapshot_times")
+        if any(not 0.0 <= t <= self.t_end for t in self.snapshot_times):
+            raise ConfigError(
+                f"snapshot times must lie in [0, t_end = {self.t_end}], "
+                f"got {self.snapshot_times}"
+            )
 
 
 @dataclass(frozen=True)
@@ -265,12 +272,10 @@ def evolve(
         boundary = np.zeros((n_steps, 2))
         injected = np.zeros(n_steps)
 
-    # A snapshot at t records the state at the step end nearest t: step n
-    # ends at t0 + (n + 1) dt.
-    snap_steps = {
-        min(n_steps - 1, max(0, int(round((t - t0) / dt)) - 1))
-        for t in config.snapshot_times
-    }
+    # A snapshot at t records the state at the step end nearest t0 + t:
+    # step n ends at t0 + (n + 1) dt.  As t <= t_end, no index passes the
+    # last step.
+    snap_steps = {max(0, int(round(t / dt)) - 1) for t in config.snapshot_times}
     reads = set(range(0, n_steps, _CHECK_EVERY)) | snap_steps | {n_steps - 1}
     snapshots: list[FieldState] = []
 

@@ -31,10 +31,10 @@ from .core import (
     _require_finite,
 )
 from .fock_oracle import (
+    ModeNetwork,
     cascade_three,
     g2_from_distribution,
     g3_from_distribution,
-    network_from_splitter,
     output_distribution,
     three_photon_input,
     two_photon_input,
@@ -57,6 +57,8 @@ from .stats import OverlapEnvelope, g2_formula
 
 PULSE_FWHM = 1.5
 PULSE_CENTER = 3.2
+# fig2 takes the probe spin wave from the largest-magnon snapshot at these times.
+_PROBE_SNAPSHOTS = tuple(np.arange(0.3, 4.0, 0.05))
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,9 @@ class Fig2Params:
         if 0.0 in self.rabi_s_grid or self.ref_rabi_s == 0.0:
             raise ConfigError("storage drive must be nonzero")
         _require_cells(self.n_z)
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        if self.t_end < _PROBE_SNAPSHOTS[-1]:
+            last = _PROBE_SNAPSHOTS[-1]
+            raise ConfigError(f"t_end must reach the last probe snapshot, {last:.2f}")
 
 
 FIG2_OD30 = Fig2Params(
@@ -157,9 +160,8 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     timeline = ControlTimeline(
         (ControlSegment(0.0, params.t_end, params.rabi_bs, "beamsplit"),)
     )
-    snapshots = tuple(np.arange(0.3, 4.0, 0.05))
     config = SimulationConfig(
-        t_end=params.t_end, n_z=params.n_z, snapshot_times=snapshots
+        t_end=params.t_end, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS
     )
 
     probe = PulseEnvelope(fwhm=PULSE_FWHM, t_center=params.probe_center)
@@ -319,7 +321,7 @@ def triangle_check(scenario: MixingScenario) -> TriangleCheck:
     b = result.matrix
     overlap_value = effective_overlap(result)
     phi = phi_rt_of_matrix(b)
-    network = network_from_splitter(b)
+    network = ModeNetwork(b.matrix)
     dist = output_distribution(network, two_photon_input(overlap_value))
     g2_oracle = g2_from_distribution(dist, b.matrix)
     g2_closed = g2_formula(overlap_value, phi)

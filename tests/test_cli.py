@@ -272,6 +272,10 @@ def no_solver(monkeypatch):
         ["fig2", "--override", "scenario.rabi_s_grid=0"],
         ["sweep", "--override", "sweep.parameter=grid.n_z",
          "--override", "sweep.values=32,8"],
+        ["run", "--override", "grid.snapshots=-3"],
+        ["run", "--override", "grid.snapshots=50"],
+        ["sweep", "--override", "sweep.parameter=grid.t_end",
+         "--override", "sweep.values=8,2", "--override", "grid.snapshots=5"],
         ["fig3", "--override", "output.prefix=x"],
         ["run", "--override", "pulse.fwhm_ns=1, 2"],
         ["sweep", "--workers", "0"],

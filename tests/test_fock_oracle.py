@@ -6,14 +6,13 @@ import pytest
 
 from magnonbs import (
     ConfigError,
+    ModeNetwork,
     SplitterMatrix,
     cascade_three,
     dilate,
     g2_from_distribution,
     g3_from_distribution,
-    network_from_splitter,
     output_distribution,
-    permanent,
     three_photon_input,
     two_photon_input,
 )
@@ -31,20 +30,6 @@ def brute_permanent(m):
     return total
 
 
-def test_permanent_small_cases():
-    assert permanent(np.zeros((0, 0), dtype=complex)) == pytest.approx(1.0)
-    assert permanent(np.array([[3.5 + 1j]])) == pytest.approx(3.5 + 1j)
-    m2 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert permanent(m2) == pytest.approx(10.0)
-
-
-def test_permanent_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 4):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert permanent(m) == pytest.approx(brute_permanent(m), abs=1e-9)
-
-
 def balanced_unitary():
     r = math.sqrt(0.5)
     return SplitterMatrix(t1=r, r1=1j * r, t2=r, r2=1j * r)
@@ -52,7 +37,7 @@ def balanced_unitary():
 
 def test_hom_dip_frozen():
     dist = output_distribution(
-        network_from_splitter(balanced_unitary()), two_photon_input(1.0)
+        ModeNetwork(balanced_unitary().matrix), two_photon_input(1.0)
     )
     assert dist.get((1, 1), 0.0) == pytest.approx(0.0, abs=1e-12)
     assert dist[(2, 0)] == pytest.approx(0.5, abs=1e-12)
@@ -63,7 +48,7 @@ def test_distribution_sums_to_one_even_with_loss():
     b = SplitterMatrix(t1=0.4, r1=0.3, t2=0.35, r2=0.25)
     for i_val in (0.0, 0.4, 1.0):
         dist = output_distribution(
-            network_from_splitter(b), two_photon_input(i_val)
+            ModeNetwork(b.matrix), two_photon_input(i_val)
         )
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(p >= -1e-12 for p in dist.values())
@@ -71,7 +56,7 @@ def test_distribution_sums_to_one_even_with_loss():
 
 def test_unitary_network_loses_nothing():
     dist = output_distribution(
-        network_from_splitter(balanced_unitary()),
+        ModeNetwork(balanced_unitary().matrix),
         two_photon_input(0.7),
     )
     # Both particles stay in the signal modes: patterns that hold fewer
@@ -89,7 +74,7 @@ def test_fermionized_pair_at_zero_phase():
         t2=math.sqrt(0.26),
         r2=math.sqrt(0.22),
     )
-    dist = output_distribution(network_from_splitter(b), two_photon_input(1.0))
+    dist = output_distribution(ModeNetwork(b.matrix), two_photon_input(1.0))
     assert g2_from_distribution(dist, b.matrix) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -119,7 +104,7 @@ def _routed_independently(transfer, ports):
 
 def test_distinguishable_pair_reduces_to_classical_routing():
     b = SplitterMatrix(t1=0.5, r1=0.4j, t2=0.45, r2=0.3 * np.exp(1j))
-    net = network_from_splitter(b)
+    net = ModeNetwork(b.matrix)
     quantum = output_distribution(net, two_photon_input(0.0))
     classical = _routed_independently(b.matrix, (0, 1))
     assert set(quantum) == set(classical)
@@ -129,13 +114,13 @@ def test_distinguishable_pair_reduces_to_classical_routing():
 
 def test_distinguishable_g2_is_one_plus_imbalance_squared():
     sym = SplitterMatrix(t1=0.5, r1=0.5, t2=0.5, r2=0.5)
-    dist = output_distribution(network_from_splitter(sym), two_photon_input(0.0))
+    dist = output_distribution(ModeNetwork(sym.matrix), two_photon_input(0.0))
     assert g2_from_distribution(dist, sym.matrix) == pytest.approx(1.0, abs=1e-12)
 
     skew = SplitterMatrix(t1=0.6, r1=0.2, t2=0.6, r2=0.2)
     a, b = 0.36, 0.04
     rho = (a - b) / (a + b)
-    dist = output_distribution(network_from_splitter(skew), two_photon_input(0.0))
+    dist = output_distribution(ModeNetwork(skew.matrix), two_photon_input(0.0))
     assert g2_from_distribution(dist, skew.matrix) == pytest.approx(
         1.0 + rho**2, abs=1e-12
     )
@@ -144,9 +129,9 @@ def test_distinguishable_g2_is_one_plus_imbalance_squared():
 def test_exchange_symmetry_of_the_two_input_ports():
     b = SplitterMatrix(t1=0.5, r1=0.4j, t2=0.45, r2=0.3)
     swapped = SplitterMatrix(t1=b.t2, r1=b.r2, t2=b.t1, r2=b.r1)
-    d1 = output_distribution(network_from_splitter(b), two_photon_input(0.6))
+    d1 = output_distribution(ModeNetwork(b.matrix), two_photon_input(0.6))
     d2 = output_distribution(
-        network_from_splitter(swapped), two_photon_input(0.6)
+        ModeNetwork(swapped.matrix), two_photon_input(0.6)
     )
     for key, p in d1.items():
         assert p == pytest.approx(d2[key[::-1]], abs=1e-12)
@@ -175,7 +160,7 @@ def test_oracle_matches_closed_form_over_random_sweep():
         b = _random_passive(rng)
         i_val = rng.uniform(0.0, 1.0)
         dist = output_distribution(
-            network_from_splitter(b), two_photon_input(i_val)
+            ModeNetwork(b.matrix), two_photon_input(i_val)
         )
         got = g2_from_distribution(dist, b.matrix)
         a = abs(b.t1 * b.t2)
@@ -186,6 +171,73 @@ def test_oracle_matches_closed_form_over_random_sweep():
             1.0 - i_val * math.cos(phi)
         ) * rho**2
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+def _halmos_dilation(t):
+    """[[T, (1 - T T^+)^1/2], [(1 - T^+ T)^1/2, -T^+]], a unitary dilation.
+
+    It differs from the oracle's own; the signal-mode statistics do not
+    depend on which dilation absorbs the loss.
+    """
+
+    def psd_sqrt(m):
+        vals, vecs = np.linalg.eigh(m)
+        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+    eye = np.eye(t.shape[0])
+    th = t.conj().T
+    return np.block([[t, psd_sqrt(eye - t @ th)], [psd_sqrt(eye - th @ t), -th]])
+
+
+def _flavour_distribution(transfer, gram):
+    """Output distribution by expanding each particle over internal modes.
+
+    Particle j's temporal mode has amplitudes amps[j, k] on an orthonormal
+    basis (from the eigenvectors of the Gram matrix).  One flavour is a
+    (dilated mode, basis state) pair; each multiset of flavours is a state
+    of identical bosons with probability |per|^2 / prod(multiplicity!).
+    """
+    n_modes, n = transfer.shape[0], gram.shape[0]
+    d = _halmos_dilation(transfer)
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > 1e-14
+    amps = vecs[:, keep] * np.sqrt(vals[keep])
+    flavours = [(q, k) for q in range(2 * n_modes) for k in range(amps.shape[1])]
+    out = {}
+    for combo in itertools.combinations_with_replacement(flavours, n):
+        sub = np.array([[d[q, j] * amps[j, k] for j in range(n)] for q, k in combo])
+        mult = math.prod(math.factorial(combo.count(f)) for f in set(combo))
+        key = tuple(sum(q == mode for q, _ in combo) for mode in range(n_modes))
+        out[key] = out.get(key, 0.0) + abs(brute_permanent(sub)) ** 2 / mult
+    return out
+
+
+def _random_gram(rng, n):
+    # Rows of unit vectors in n + 1 dimensions: real, PSD, unit diagonal.
+    v = rng.normal(size=(n, n + 1))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v @ v.T
+
+
+def _random_lossy(rng, n):
+    # U1 diag(s) U2 with singular values in [0.2, 1]: passive, often lossy.
+    def unitary():
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return unitary() @ np.diag(rng.uniform(0.2, 1.0, size=n)) @ unitary()
+
+
+def test_partial_overlap_matches_the_internal_mode_expansion():
+    # Partly distinguishable particles on random passive networks, each
+    # pattern against an expansion over internal modes with its own dilation.
+    rng = np.random.default_rng(20261018)
+    for n in (2, 3) * 6:
+        transfer, gram = _random_lossy(rng, n), _random_gram(rng, n)
+        got = output_distribution(ModeNetwork(transfer), FockInput((1,) * n, gram))
+        ref = _flavour_distribution(transfer, gram)
+        for key in set(got) | set(ref):
+            assert got.get(key, 0.0) == pytest.approx(ref.get(key, 0.0), abs=1e-12)
 
 
 def test_fock_input_guards():
@@ -204,9 +256,19 @@ def test_fock_input_guards():
         FockInput(
             (1, 1, 1),
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
-        ).mode_amplitudes()
+        )
     with pytest.raises(ConfigError):
         two_photon_input(1.5)
+    with pytest.raises(ConfigError):
+        FockInput((1, 1.5), np.eye(2))
+    with pytest.raises(ConfigError):
+        # Hermitian, but the oracle takes real overlaps only.
+        FockInput((1, 1), np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+    with pytest.raises(ConfigError):
+        FockInput((1, 1), np.array([[1.0, math.nan], [math.nan, 1.0]]))
+    for i13 in (-0.5, 2.0, math.nan):
+        with pytest.raises(ConfigError):
+            three_photon_input(0.5, 0.5, i13)
 
 
 def test_three_photon_input_defaults_to_chain_overlap():
@@ -218,7 +280,7 @@ def test_three_photon_input_defaults_to_chain_overlap():
 
 def test_dilation_is_unitary_with_transfer_block():
     b = SplitterMatrix(t1=0.4, r1=0.3j, t2=0.35, r2=0.25)
-    net = network_from_splitter(b)
+    net = ModeNetwork(b.matrix)
     d = dilate(net)
     eye = np.eye(d.shape[0])
     assert np.abs(d.conj().T @ d - eye).max() < 1e-12
@@ -235,7 +297,9 @@ def test_cascade_corner_values():
     # corners.  At (I12, I23) = (0, 1) it does not: after a
     # no-interference first stage the stored magnon is an even mixture of
     # particle-1 and particle-2 flavor, and particle 3 (identical to 2
-    # only) interferes with just half of it, giving 1.5 instead of 2.
+    # only) interferes with just half of it, giving 1.5 instead of 2.  At
+    # partial overlap it falls below the product too: 2.125 against 2.25 at
+    # I12 = I23 = 0.5.
     net = ideal_cascade()
     assert net.transfer.shape == (3, 3)
     cases = (
@@ -243,6 +307,9 @@ def test_cascade_corner_values():
         ((0.0, 0.0), 1.0),
         ((1.0, 0.0), 2.0),
         ((0.0, 1.0), 1.5),
+        ((0.5, 0.5), 2.125),
+        ((0.75, 0.3), 2.2375),
+        ((0.2, 0.9), 1.92),
     )
     for (i12, i23), expected in cases:
         dist = output_distribution(
@@ -254,7 +321,7 @@ def test_cascade_corner_values():
 
 def test_correlation_helpers_check_matrix_shape():
     b = balanced_unitary()
-    dist = output_distribution(network_from_splitter(b), two_photon_input(1.0))
+    dist = output_distribution(ModeNetwork(b.matrix), two_photon_input(1.0))
     with pytest.raises(ConfigError):
         g2_from_distribution(dist, np.eye(3))
     with pytest.raises(ConfigError):

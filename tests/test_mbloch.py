@@ -167,6 +167,10 @@ def test_simulation_config_guards():
         SimulationConfig(t_end=0.0)
     with pytest.raises(ConfigError):
         SimulationConfig(t_end=1.0, n_z=15)
+    with pytest.raises(ConfigError):
+        SimulationConfig(t_end=1.0, snapshot_times=(-0.1,))
+    with pytest.raises(ConfigError):
+        SimulationConfig(t_end=1.0, snapshot_times=(0.5, 1.1))
 
 
 def test_a_non_finite_state_stops_the_run():
@@ -412,3 +416,18 @@ def test_real_block_form_applies_the_complex_map(m, x):
     err = np.empty((6, 2))
     err[0::2], err[1::2] = got[0::2] - want.real, got[1::2] - want.imag
     assert np.all(np.abs(err) <= 1e-15 * scale + 1e-300)
+
+
+def test_snapshot_times_are_measured_from_the_run_start():
+    # A run seeded at t_now = 5 with a snapshot at 0.5 reads the step that
+    # ends at 5.5, 960 steps of dt = 1/1920 in.
+    z = make_grid(160)
+    spin = np.exp(-((z - 0.5) / 0.1) ** 2).astype(complex)
+    zero = np.zeros(z.size, dtype=complex)
+    start = FieldState(z, zero, spin, zero.copy(), 5.0, 0.0)
+    traj = evolve(
+        OD30, constant_drive(13.0, 7.0),
+        SimulationConfig(t_end=1.0, snapshot_times=(0.5,)), initial=start,
+    )
+    (snap,) = traj.snapshots
+    assert snap.t_now == pytest.approx(5.5, rel=1e-12)

@@ -27,6 +27,7 @@ from magnonbs.scenarios import (
         {"ref_rabi_s": 0.0},
         {"n_z": 8},
         {"t_end": 0.0},
+        {"t_end": 3.5},
     ],
     ids=str,
 )
