@@ -44,7 +44,8 @@ class CriterionResult:
     label: str
     passed: bool
     details: str
-    runtime: float
+    # Seconds since the previous criterion ended, set by `run_all`.
+    runtime: float = 0.0
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -54,37 +55,24 @@ class CriterionResult:
         )
 
 
-def _result(number, label, passed, details, t0, setup_s=0.0) -> CriterionResult:
-    return CriterionResult(
-        number=number,
-        label=label,
-        passed=bool(passed),
-        details=details,
-        runtime=setup_s + time.time() - t0,
-    )
-
-
 def criterion_1() -> CriterionResult:
     """Balanced lossless splitter with full overlap: exact coincidence dip."""
-    t0 = time.time()
     root = math.sqrt(0.5)
     b = SplitterMatrix(t1=root, r1=1j * root, t2=root, r2=1j * root)
     dist = output_distribution(ModeNetwork(b.matrix), two_photon_input(1.0))
     p11 = dist.get((1, 1), 0.0)
     g2 = g2_formula(1.0, math.pi)
     ok = p11 <= 1e-9 and abs(g2) <= 1e-9
-    return _result(
+    return CriterionResult(
         1,
         "coincidence dip at the Hermitian balanced splitter",
-        ok,
+        bool(ok),
         f"P(1,1)={p11:.3e} (tol 1e-9), g2(I=1,phi=pi)={g2:.3e} (tol 1e-9)",
-        t0,
     )
 
 
 def criterion_2() -> CriterionResult:
     """Fermionized statistics at the published splitting magnitudes."""
-    t0 = time.time()
     b = SplitterMatrix(
         t1=math.sqrt(0.15),
         r1=math.sqrt(0.20),
@@ -94,18 +82,16 @@ def criterion_2() -> CriterionResult:
     dist = output_distribution(ModeNetwork(b.matrix), two_photon_input(1.0))
     g2 = g2_from_distribution(dist, b.matrix)
     ok = abs(g2 - 2.0) <= 1e-6
-    return _result(
+    return CriterionResult(
         2,
         "antibunched pair at the zero-phase lossy splitter",
-        ok,
+        bool(ok),
         f"g2={g2:.9f} vs 2 (tol 1e-6)",
-        t0,
     )
 
 
 def criterion_3() -> CriterionResult:
     """Closed-form pair correlation at the published overlap values."""
-    t0 = time.time()
     cases = (
         (0.75, 0.0, 1.75),
         (0.71, 0.0, 1.71),
@@ -119,12 +105,11 @@ def criterion_3() -> CriterionResult:
         f"g2({i_val},{phi:.2f})={g2_formula(i_val, phi):.4f} vs {exp}"
         for (i_val, phi, exp) in cases
     )
-    return _result(
+    return CriterionResult(
         3,
         "pair correlation formula at published overlaps",
-        ok,
+        bool(ok),
         detail + " (tol 0.01)",
-        t0,
     )
 
 
@@ -135,14 +120,6 @@ PHASE_CAL_RABI = 34.25
 PHASE_FWHM = 1.8847
 PHASE_POINTS = ((30.0, 0.0), (66.0, 10.0), (100.0, 20.0))
 PHASE_TARGETS = (0.0, math.pi / 2, math.pi)
-
-
-def _phase_distance(phi: float, target: float) -> float:
-    return min(
-        abs(phi - target),
-        abs(phi - target - 2 * math.pi),
-        abs(phi - target + 2 * math.pi),
-    )
 
 
 def criterion_4() -> CriterionResult:
@@ -156,13 +133,12 @@ def criterion_4() -> CriterionResult:
     continuous, cover the [0, pi] range on a monotone folded segment, and
     report the offsets, which is what this check verifies.
     """
-    t0 = time.time()
     tau = tau_from_fwhm(PHASE_FWHM)
     phis = [
         phi_rt_analytic(PHASE_CAL_RABI, delta, od, tau)
         for od, delta in PHASE_POINTS
     ]
-    dists = [_phase_distance(p, t) for p, t in zip(phis, PHASE_TARGETS)]
+    dists = [fold_phase(p - t) for p, t in zip(phis, PHASE_TARGETS)]
     triples_ok = all(d <= 0.3 for d in dists)
 
     # Continuity: the maximum step along the fixed-depth detuning sweep
@@ -211,7 +187,7 @@ def criterion_4() -> CriterionResult:
         f"{steps[0]:.3f}->{steps[1]:.3f}; global monotone={monotone}, "
         f"folded monotone cover segment={coverage}"
     )
-    return _result(4, "analytic phase at published operating points", ok, detail, t0)
+    return CriterionResult(4, "analytic phase at published operating points", bool(ok), detail)
 
 
 def _triangle_pair() -> tuple:
@@ -220,13 +196,8 @@ def _triangle_pair() -> tuple:
     )
 
 
-def criterion_5(checks: tuple, setup_s: float = 0.0) -> CriterionResult:
-    """Solver-extracted splitters close the oracle/formula triangle.
-
-    `setup_s` is the time the caller spent building `checks`; it counts
-    toward this criterion's runtime.
-    """
-    t0 = time.time()
+def criterion_5(checks: tuple) -> CriterionResult:
+    """Solver-extracted splitters close the oracle/formula triangle."""
     parts = []
     ok = True
     for tc in checks:
@@ -237,29 +208,26 @@ def criterion_5(checks: tuple, setup_s: float = 0.0) -> CriterionResult:
             f"{tc.g2_formula:.5f} ({100 * rel:.3f}%, I={tc.overlap:.3f}, "
             f"phi={tc.phi_rt:.3f})"
         )
-    return _result(
+    return CriterionResult(
         5,
         "solver/oracle/formula triangle within 2%",
-        ok,
+        bool(ok),
         "; ".join(parts),
-        t0,
-        setup_s,
     )
 
 
 def criterion_6() -> CriterionResult:
     """Three-particle cascade value, factorization, classical threshold."""
-    t0 = time.time()
     g3 = ideal_cascade_g3()
     value_ok = abs(g3 - 4.0) <= 1e-6
 
-    d1, d2, grid = fig4_grid(n=5)
+    delays, grid = fig4_grid(5, 3.0, 1.0)
     worst = 0.0
     env = OverlapEnvelope.from_pulse(
         PulseEnvelope(fwhm=1.5, t_center=0.0), i_peak=1.0
     )
-    for i, a in enumerate(d1):
-        for j, b in enumerate(d2):
+    for i, a in enumerate(delays):
+        for j, b in enumerate(delays):
             expected = g3_formula(env(a), env(b))
             worst = max(worst, abs(grid[i, j] - expected))
     grid_ok = worst <= 1e-9
@@ -267,13 +235,12 @@ def criterion_6() -> CriterionResult:
     threshold = classical_bounds().g3_max
     threshold_ok = abs(threshold - 2.25) < 1e-12
     ok = value_ok and grid_ok and threshold_ok
-    return _result(
+    return CriterionResult(
         6,
         "three-particle cascade and factorization",
-        ok,
+        bool(ok),
         f"ideal g3={g3:.9f} vs 4 (tol 1e-6); 5x5 factorization worst "
         f"dev={worst:.2e} (tol 1e-9); classical threshold={threshold}",
-        t0,
     )
 
 
@@ -284,19 +251,13 @@ def criterion_6() -> CriterionResult:
 LOSS_GAP_TOL = 1e-4
 
 
-def criterion_7(
-    curves: dict[float, Fig2Curve], checks: tuple, setup_s: float = 0.0
-) -> CriterionResult:
+def criterion_7(curves: dict[float, Fig2Curve], checks: tuple) -> CriterionResult:
     """Excitation bookkeeping and grid convergence on figure scenarios.
 
     Over every run behind the curves, the checks and the halved-grid
     curves, the norm ledger must close and the ledger's loss must agree
     with the independent per-step quadrature of the decay rates.
-    `setup_s` is the time the caller spent building `curves`; it counts
-    toward this criterion's runtime.
     """
-    t0 = time.time()
-
     rel_changes = []
     swept = list(curves.values())
     for params in (FIG2_OD30, FIG2_OD150):
@@ -324,22 +285,19 @@ def criterion_7(
     gap_ok = worst_gap <= LOSS_GAP_TOL
 
     ok = book_ok and gap_ok and conv_ok
-    return _result(
+    return CriterionResult(
         7,
         "conservation and grid convergence",
-        ok,
+        bool(ok),
         f"worst bookkeeping residual={worst_resid:.2e} (tol 1e-4); "
         f"worst loss quadrature gap={worst_gap:.2e} (tol {LOSS_GAP_TOL:.0e}); "
         f"grid-halving rel changes={['%.2e' % r for r in rel_changes]} "
         f"(tol 1e-3)",
-        t0,
-        setup_s,
     )
 
 
 def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
     """Storage-drive sweep shape and the depth ordering of the optima."""
-    t0 = time.time()
     low, high = curves[30.0], curves[150.0]
     uni_low = low.is_unimodal()
     uni_high = high.is_unimodal()
@@ -347,37 +305,43 @@ def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
     eff_high = high.efficiency_optimum().efficiency
     ordered = eff_high > eff_low
     ok = uni_low and uni_high and ordered
-    return _result(
+    return CriterionResult(
         8,
         "storage-drive sweep shape and optimum ordering",
-        ok,
+        bool(ok),
         f"od=30 unimodal={uni_low} (peak g2="
         f"{low.optimum().g2:.4f} at {low.optimum().rabi_s:g}); "
         f"od=150 unimodal={uni_high} (peak g2="
         f"{high.optimum().g2:.4f} at {high.optimum().rabi_s:g}); "
         f"efficiency optimum {eff_high:.4f} > {eff_low:.4f}: {ordered}",
-        t0,
     )
 
 
 def run_all() -> list[CriterionResult]:
-    # The shared solver runs are charged to the first criterion that needs
-    # them, so the runtimes add up to the time the whole gate takes.
-    t0 = time.time()
+    """The eight criteria in order, each charged the time since the last ended.
+
+    The shared solver runs are made just before the first criterion that
+    needs them, so they count toward criteria 5 and 7, and the runtimes add
+    up to the time the whole gate takes.
+    """
+    results = []
+    start = time.time()
+
+    def charge(result: CriterionResult) -> None:
+        nonlocal start
+        now = time.time()
+        results.append(replace(result, runtime=now - start))
+        start = now
+
+    for criterion in (criterion_1, criterion_2, criterion_3, criterion_4):
+        charge(criterion())
     checks = _triangle_pair()
-    t1 = time.time()
+    charge(criterion_5(checks))
+    charge(criterion_6())
     curves = {30.0: fig2_curve(FIG2_OD30), 150.0: fig2_curve(FIG2_OD150)}
-    t2 = time.time()
-    return [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(),
-        criterion_4(),
-        criterion_5(checks, setup_s=t1 - t0),
-        criterion_6(),
-        criterion_7(curves, checks, setup_s=t2 - t1),
-        criterion_8(curves),
-    ]
+    charge(criterion_7(curves, checks))
+    charge(criterion_8(curves))
+    return results
 
 
 def format_report(results: list[CriterionResult]) -> str:

@@ -5,6 +5,14 @@ UTF-8 CSV whose '#'-prefixed header repeats the fully resolved
 configuration (after unit conversion), so a table alone is enough to
 rerun the scenario that produced it.
 
+Config keys: `KEYS` declares every key once, by section, with its parser
+and its typed default; a key whose default is None (`scenario.rabi_s_grid`,
+`sweep.values`) is optional.  Defaults, then the INI file, then the
+`--override` entries apply in that order, and every entry meets its key's
+parser.  A list that would leave a command nothing to compute (fig2 depths
+and drives, fig3 triples, control segments, sweep values) must not be
+empty; `grid.snapshots` may be.
+
 Unit policy: the solver works in normalized units (rates in gamma31,
 times in 1/gamma31, lengths in the cell length).  Config keys may carry a
 unit suffix: `*_mhz` values are linear frequencies f = x/2pi in MHz (the
@@ -22,6 +30,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -75,48 +84,6 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------- config
 
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "scenario": {
-        "ods": "30, 150",
-        "i_peak": "0.75",
-        "fig4_i_peak": "1.0",
-        "phase_rabi": "34.25",
-        "phase_fwhm_ns": "100",
-        "triples": "30:0, 66:10, 100:20",
-        "delay_span": "4.0",
-        "delay_steps": "81",
-        "phase_steps": "97",
-        "fig4_steps": "5",
-        "fig4_span": "3.0",
-    },
-    "medium": {
-        "od": "30",
-        "delta": "0",
-        "gamma12": "0",
-    },
-    "pulse": {
-        "fwhm": "1.5",
-        "t_center": "3.2",
-        "amplitude_norm": "1",
-    },
-    "control": {
-        "segments": "beamsplit:0:10:13",
-    },
-    "grid": {
-        "n_z": "160",
-        "t_end": "10",
-        "snapshots": "",
-    },
-    "sweep": {
-        "parameter": "control.rabi",
-        "start": "2",
-        "stop": "12",
-        "num": "6",
-        "spacing": "linear",
-    },
-}
-
-
 def _number(text: str) -> float:
     try:
         value = float(text)
@@ -145,8 +112,16 @@ def _items(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_number(s) for s in _items(text))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    # An empty list would leave its command nothing to compute.
+    values = _float_list(text)
+    if not values:
+        raise ConfigError("needs at least one value")
+    return values
 
 
 def _parse_triples(text: str) -> tuple[tuple[float, float], ...]:
@@ -156,6 +131,8 @@ def _parse_triples(text: str) -> tuple[tuple[float, float], ...]:
         if not sep:
             raise ConfigError(f"triple must look like od:delta, got {chunk!r}")
         out.append((_number(od_s), _number(delta_s)))
+    if not out:
+        raise ConfigError("needs at least one od:delta triple")
     return tuple(out)
 
 
@@ -172,7 +149,7 @@ def _parse_segments(text: str) -> ControlTimeline:
             ControlSegment(_number(t0), _number(t1), _number(rabi), label.strip())
         )
     if not segments:
-        raise ConfigError("control.segments is empty")
+        raise ConfigError("needs at least one segment")
     return ControlTimeline(tuple(segments))
 
 
@@ -182,34 +159,52 @@ def _spacing(text: str) -> str:
     return text
 
 
-# The parser of every known key, by section and unsuffixed name.  Keys
-# missing from DEFAULTS are optional: absent from the config unless given.
-KEY_TYPES = {
+# Every known key, by section and unsuffixed name: its parser and its
+# default, already typed and in normalized units.  A key whose default is
+# None is optional: absent from the config unless given.
+KEYS: dict[str, dict[str, tuple]] = {
     "scenario": {
-        "ods": _floats,
-        "i_peak": _number,
-        "fig4_i_peak": _number,
-        "phase_rabi": _number,
-        "phase_fwhm": _number,
-        "triples": _parse_triples,
-        "delay_span": _number,
-        "delay_steps": _count,
-        "phase_steps": _count,
-        "fig4_steps": _count,
-        "fig4_span": _number,
-        "rabi_s_grid": _floats,
+        "ods": (_floats, (30.0, 150.0)),
+        "i_peak": (_number, 0.75),
+        "fig4_i_peak": (_number, 1.0),
+        "phase_rabi": (_number, 34.25),
+        "phase_fwhm": (_number, 100 * NS_TO_NORM),
+        "triples": (_parse_triples, ((30.0, 0.0), (66.0, 10.0), (100.0, 20.0))),
+        "delay_span": (_number, 4.0),
+        "delay_steps": (_count, 81),
+        "phase_steps": (_count, 97),
+        "fig4_steps": (_count, 5),
+        "fig4_span": (_number, 3.0),
+        "rabi_s_grid": (_floats, None),
     },
-    "medium": {"od": _number, "delta": _number, "gamma12": _number},
-    "pulse": {"fwhm": _number, "t_center": _number, "amplitude_norm": _number},
-    "control": {"segments": _parse_segments},
-    "grid": {"n_z": _int, "t_end": _number, "snapshots": _floats},
+    "medium": {
+        "od": (_number, 30.0),
+        "delta": (_number, 0.0),
+        "gamma12": (_number, 0.0),
+    },
+    "pulse": {
+        "fwhm": (_number, 1.5),
+        "t_center": (_number, 3.2),
+        "amplitude_norm": (_number, 1.0),
+    },
+    "control": {
+        "segments": (
+            _parse_segments,
+            ControlTimeline((ControlSegment(0.0, 10.0, 13.0, "beamsplit"),)),
+        ),
+    },
+    "grid": {
+        "n_z": (_int, 160),
+        "t_end": (_number, 10.0),
+        "snapshots": (_float_list, ()),
+    },
     "sweep": {
-        "parameter": str,
-        "start": _number,
-        "stop": _number,
-        "num": _count,
-        "spacing": _spacing,
-        "values": _floats,
+        "parameter": (str, "control.rabi"),
+        "start": (_number, 2.0),
+        "stop": (_number, 12.0),
+        "num": (_count, 6),
+        "spacing": (_spacing, "linear"),
+        "values": (_floats, None),
     },
 }
 
@@ -226,9 +221,9 @@ def _parse_item(section: str, key: str, raw: str) -> tuple[str, object]:
     for suffix, unit in _UNITS.items():
         if key.endswith(suffix):
             name, convert = key[: -len(suffix)], unit
-    parse = KEY_TYPES.get(section, {}).get(name)
-    if parse is None:
+    if name not in KEYS.get(section, {}):
         raise ConfigError(f"unknown config key: {section}.{key}")
+    parse = KEYS[section][name][0]
     if convert is not None and parse is not _number:
         raise ConfigError(f"{section}.{key}: unit suffix on a non-float key")
     try:
@@ -245,10 +240,10 @@ def load_config(path: str | None, overrides: list[str]) -> Config:
     suffix resolved to normalized units.  Override syntax is
     `section.key=value`; overrides may use suffixed keys too.  Entries
     apply in order (defaults, file, overrides), the last one setting a key
-    winning whatever its suffix.  A key missing from KEY_TYPES or a value
-    that does not parse as its type raises ConfigError.
+    winning whatever its suffix.  A key missing from KEYS or a value that
+    does not parse as its type raises ConfigError.
     """
-    entries = [(s, k, v) for s, kv in DEFAULTS.items() for k, v in kv.items()]
+    entries = []
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         try:
@@ -267,7 +262,10 @@ def load_config(path: str | None, overrides: list[str]) -> Config:
             raise ConfigError(f"override key must be section.key: {key!r}")
         entries.append((section, name.strip().lower(), value))
 
-    config: Config = {section: {} for section in DEFAULTS}
+    config: Config = {
+        section: {key: default for key, (_, default) in keys.items() if default is not None}
+        for section, keys in KEYS.items()
+    }
     for section, key, raw in entries:
         name, value = _parse_item(section, key, raw)
         config[section][name] = value
@@ -287,12 +285,17 @@ def header_lines(command: str, config: Config, seed: int) -> list[str]:
     return lines
 
 
-def write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns: list[tuple[str, object]]) -> None:
+    """One table from its (name, values) columns, all of one length.
+
+    A list of pairs, not a dict, so that two columns may share a name.
+    """
+    names, values = zip(*columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*values, strict=True):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -328,24 +331,22 @@ def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
         header.append(f"max_bookkeeping_residual = {_fmt(curve.max_residual)}")
         tag = f"od{od:g}"
 
-        z = make_grid(params.n_z)
-        prof_cols = ["z"] + [f"s12_abs_rabi_{r.rabi_s:g}" for r in curve.rows]
-        prof_rows = [
-            [z[i]] + [r.spin_abs[i] for r in curve.rows]
-            for i in range(params.n_z)
-        ]
-        write_csv(out_dir / f"fig2_{tag}_profiles.csv", header, prof_cols, prof_rows)
-
-        over_cols = ["rabi_s", "storage_efficiency", "overlap_i", "balance"]
-        over_rows = [
-            [r.rabi_s, r.efficiency, r.mode_overlap, r.balance]
-            for r in curve.rows
-        ]
-        write_csv(out_dir / f"fig2_{tag}_overlap.csv", header, over_cols, over_rows)
-
-        g2_cols = ["rabi_s", "visibility", "g2"]
-        g2_rows = [[r.rabi_s, r.visibility, r.g2] for r in curve.rows]
-        write_csv(out_dir / f"fig2_{tag}_g2.csv", header, g2_cols, g2_rows)
+        rows = curve.rows
+        profiles = [(f"s12_abs_rabi_{r.rabi_s:g}", r.spin_abs) for r in rows]
+        write_csv(out_dir / f"fig2_{tag}_profiles.csv", header,
+                  [("z", make_grid(params.n_z))] + profiles)
+        rabi_s = ("rabi_s", [r.rabi_s for r in rows])
+        write_csv(out_dir / f"fig2_{tag}_overlap.csv", header, [
+            rabi_s,
+            ("storage_efficiency", [r.efficiency for r in rows]),
+            ("overlap_i", [r.mode_overlap for r in rows]),
+            ("balance", [r.balance for r in rows]),
+        ])
+        write_csv(out_dir / f"fig2_{tag}_g2.csv", header, [
+            rabi_s,
+            ("visibility", [r.visibility for r in rows]),
+            ("g2", [r.g2 for r in rows]),
+        ])
     return 0
 
 
@@ -361,69 +362,47 @@ def cmd_fig3(config: Config, out_dir: Path, seed: int) -> int:
     for (od, d), phi in zip(triples, phis):
         header.append(f"phi_rt(od={od:g}, delta={d:g}) = {_fmt(phi)}")
 
+    def classical(n: int) -> list[tuple[str, list[float]]]:
+        return [("classical_lo", [bounds.g2_min] * n),
+                ("classical_hi", [bounds.g2_max] * n)]
+
     span = sc["delay_span"]
     delays = np.linspace(-span, span, sc["delay_steps"])
     curves = [
-        scenarios.fig3_delay_curve(phi, delays=delays, i_peak=i_peak)[1]
-        for phi in phis
+        (f"g2_od{od:g}_delta{d:g}", scenarios.fig3_delay_curve(phi, delays, i_peak))
+        for (od, d), phi in zip(triples, phis)
     ]
-    delay_cols = ["delay"]
-    delay_cols += [f"g2_od{od:g}_delta{d:g}" for od, d in triples]
-    delay_cols += ["classical_lo", "classical_hi"]
-    delay_rows = [
-        [delays[i]]
-        + [c[i] for c in curves]
-        + [bounds.g2_min, bounds.g2_max]
-        for i in range(delays.size)
-    ]
-    write_csv(out_dir / "fig3_delay.csv", header, delay_cols, delay_rows)
+    write_csv(out_dir / "fig3_delay.csv", header,
+              [("delay", delays)] + curves + classical(delays.size))
 
     phases = np.linspace(0.0, 2.0 * math.pi, sc["phase_steps"])
-    _, g2 = scenarios.fig3_phase_curve(phases=phases, i_value=i_peak)
-    phase_rows = [
-        [phases[i], g2[i], bounds.g2_min, bounds.g2_max]
-        for i in range(phases.size)
-    ]
-    write_csv(
-        out_dir / "fig3_phase.csv",
-        header,
-        ["phi_rt", "g2", "classical_lo", "classical_hi"],
-        phase_rows,
-    )
+    g2 = scenarios.fig3_phase_curve(phases, i_peak)
+    write_csv(out_dir / "fig3_phase.csv", header,
+              [("phi_rt", phases), ("g2", g2)] + classical(phases.size))
     return 0
 
 
 def cmd_fig4(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
     n = sc["fig4_steps"]
-    d1, d2, grid = scenarios.fig4_grid(
-        n=n, delay_span=sc["fig4_span"], i_peak=sc["fig4_i_peak"]
-    )
+    delays, grid = scenarios.fig4_grid(n, sc["fig4_span"], sc["fig4_i_peak"])
     bounds = classical_bounds()
 
     header = header_lines("fig4", config, seed)
     header.append(f"classical_g3_max = {_fmt(bounds.g3_max)}")
-    rows = [
-        [d1[i], d2[j], grid[i, j], bounds.g3_max]
-        for i in range(n)
-        for j in range(n)
-    ]
-    write_csv(
-        out_dir / "fig4_surface.csv",
-        header,
-        ["delay_1", "delay_2", "g3", "classical_g3_max"],
-        rows,
-    )
+    # Row-major over the grid: delay_1 is the row, delay_2 the column.
+    write_csv(out_dir / "fig4_surface.csv", header, [
+        ("delay_1", np.repeat(delays, n)),
+        ("delay_2", np.tile(delays, n)),
+        ("g3", grid.ravel()),
+        ("classical_g3_max", [bounds.g3_max] * n * n),
+    ])
 
     peak = float(grid[n // 2, n // 2]) if n % 2 else float(grid.max())
-    corner_rows = [
-        ["oracle_ideal", scenarios.ideal_cascade_g3()],
-        ["formula_peak", peak],
-        ["classical_threshold", bounds.g3_max],
-    ]
-    write_csv(
-        out_dir / "fig4_corners.csv", header, ["source", "g3"], corner_rows
-    )
+    write_csv(out_dir / "fig4_corners.csv", header, [
+        ("source", ["oracle_ideal", "formula_peak", "classical_threshold"]),
+        ("g3", [scenarios.ideal_cascade_g3(), peak, bounds.g3_max]),
+    ])
     return 0
 
 
@@ -466,46 +445,32 @@ def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
     for key, value in _run_summary(traj).items():
         header.append(f"{key} = {_fmt(value)}")
 
-    emitted_rows = [
-        [traj.times[i], traj.emitted[i].real, traj.emitted[i].imag,
-         abs(traj.control[i])]
-        for i in range(traj.times.size)
-    ]
-    write_csv(
-        out_dir / "run_emitted.csv",
-        header,
-        ["t", "e_out_re", "e_out_im", "control_abs"],
-        emitted_rows,
-    )
+    write_csv(out_dir / "run_emitted.csv", header, [
+        ("t", traj.times),
+        ("e_out_re", traj.emitted.real),
+        ("e_out_im", traj.emitted.imag),
+        ("control_abs", np.abs(traj.control)),
+    ])
 
     fin = traj.final_state
-    final_rows = [
-        [fin.z_grid[i], fin.e_field[i].real, fin.e_field[i].imag,
-         fin.sigma12[i].real, fin.sigma12[i].imag,
-         fin.sigma13[i].real, fin.sigma13[i].imag]
-        for i in range(fin.z_grid.size)
-    ]
-    write_csv(
-        out_dir / "run_final.csv",
-        header,
-        ["z", "e_re", "e_im", "s12_re", "s12_im", "s13_re", "s13_im"],
-        final_rows,
-    )
+    write_csv(out_dir / "run_final.csv", header, [
+        ("z", fin.z_grid),
+        ("e_re", fin.e_field.real),
+        ("e_im", fin.e_field.imag),
+        ("s12_re", fin.sigma12.real),
+        ("s12_im", fin.sigma12.imag),
+        ("s13_re", fin.sigma13.real),
+        ("s13_im", fin.sigma13.imag),
+    ])
 
-    if traj.snapshots:
-        snap_rows = []
-        for snap in traj.snapshots:
-            for i in range(snap.z_grid.size):
-                snap_rows.append(
-                    [snap.t_now, snap.z_grid[i],
-                     abs(snap.e_field[i]), abs(snap.sigma12[i])]
-                )
-        write_csv(
-            out_dir / "run_snapshots.csv",
-            header,
-            ["t", "z", "e_abs", "s12_abs"],
-            snap_rows,
-        )
+    snaps = traj.snapshots
+    if snaps:
+        write_csv(out_dir / "run_snapshots.csv", header, [
+            ("t", [s.t_now for s in snaps for _ in s.z_grid]),
+            ("z", np.concatenate([s.z_grid for s in snaps])),
+            ("e_abs", np.concatenate([np.abs(s.e_field) for s in snaps])),
+            ("s12_abs", np.concatenate([np.abs(s.sigma12) for s in snaps])),
+        ])
     return 0
 
 
@@ -514,7 +479,7 @@ def _apply_value(config: Config, parameter: str, value: float) -> Config:
     if not dot:
         raise ConfigError(f"sweep parameter must be section.key: {parameter!r}")
     patched = {s: dict(kv) for s, kv in config.items()}
-    parse = KEY_TYPES.get(section, {}).get(key)
+    parse = KEYS.get(section, {}).get(key, (None,))[0]
     if parameter == "control.rabi":
         # Convenience target: sets every control segment amplitude.
         timeline = config["control"]["segments"]
@@ -545,10 +510,9 @@ def _sweep_values(config: Config, seed: int) -> np.ndarray:
     return np.sort(rng.uniform(start, stop, size=num))
 
 
-def _sweep_job(run) -> list[float]:
+def _sweep_job(run) -> dict[str, float]:
     medium, timeline, sim, pulse = run
-    # The summary's keys are in the order of the sweep table's columns.
-    return list(_run_summary(evolve(medium, timeline, sim, pulse=pulse)).values())
+    return _run_summary(evolve(medium, timeline, sim, pulse=pulse))
 
 
 def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int) -> int:
@@ -558,6 +522,9 @@ def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int) -> int:
     values = [float(v) for v in _sweep_values(config, seed)]
     # Every point is built, and so validated, before the first solver call.
     runs = [_build_run(_apply_value(config, parameter, v)) for v in values]
+    # A pool starts all its processes at once, so it gets no more than there
+    # are points to run and cores to run them on.
+    workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map yields in submission order, whatever order the runs finish.
@@ -567,13 +534,11 @@ def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int) -> int:
 
     header = header_lines("sweep", config, seed)
     header.append(f"sweep parameter = {parameter}")
-    write_csv(
-        out_dir / "sweep.csv",
-        header,
-        ["index", parameter.replace(".", "_"), "input_norm", "emitted_norm",
-         "photon_norm", "magnon_norm", "loss", "residual"],
-        [[float(i), v] + s for i, (v, s) in enumerate(zip(values, summaries))],
-    )
+    write_csv(out_dir / "sweep.csv", header, [
+        ("index", range(len(values))),
+        (parameter.replace(".", "_"), values),
+        *((key, [s[key] for s in summaries]) for key in summaries[0]),
+    ])
     return 0
 
 
@@ -583,18 +548,13 @@ def cmd_accept(config: Config, out_dir: Path, seed: int) -> int:
     results = run_all()
     report = format_report(results)
     print(report)
-    header = header_lines("accept", config, seed)
-    rows = [
-        [r.number, "pass" if r.passed else "fail", r.runtime,
-         f'"{r.label}"', f'"{r.details}"']
-        for r in results
-    ]
-    write_csv(
-        out_dir / "acceptance.csv",
-        header,
-        ["criterion", "status", "runtime_s", "label", "details"],
-        rows,
-    )
+    write_csv(out_dir / "acceptance.csv", header_lines("accept", config, seed), [
+        ("criterion", [r.number for r in results]),
+        ("status", ["pass" if r.passed else "fail" for r in results]),
+        ("runtime_s", [r.runtime for r in results]),
+        ("label", [f'"{r.label}"' for r in results]),
+        ("details", [f'"{r.details}"' for r in results]),
+    ])
     return 0 if all(r.passed for r in results) else 1
 
 

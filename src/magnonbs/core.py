@@ -222,10 +222,6 @@ class ControlTimeline:
     def by_label(self, label: str) -> tuple[ControlSegment, ...]:
         return tuple(s for s in self.segments if s.label == label)
 
-    @property
-    def t_last(self) -> float:
-        return max((s.t_end for s in self.segments), default=0.0)
-
 
 @dataclass(frozen=True)
 class FieldState:

@@ -338,26 +338,21 @@ def triangle_check(scenario: MixingScenario) -> TriangleCheck:
     )
 
 
-FIG3_PEAK_OVERLAP = 0.75
-
-
-def fig3_delay_curve(
-    phi_rt: float, delays: np.ndarray, i_peak: float = FIG3_PEAK_OVERLAP
-) -> tuple[np.ndarray, np.ndarray]:
-    """g2 versus arrival delay at a fixed round-trip phase."""
-    envelope = OverlapEnvelope.from_pulse(
+def _delay_envelope(i_peak: float) -> OverlapEnvelope:
+    return OverlapEnvelope.from_pulse(
         PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0), i_peak=i_peak
     )
-    g2 = np.array([g2_formula(envelope(d), phi_rt) for d in delays])
-    return delays, g2
 
 
-def fig3_phase_curve(
-    phases: np.ndarray, i_value: float = FIG3_PEAK_OVERLAP
-) -> tuple[np.ndarray, np.ndarray]:
+def fig3_delay_curve(phi_rt: float, delays: np.ndarray, i_peak: float) -> np.ndarray:
+    """g2 versus arrival delay at a fixed round-trip phase."""
+    envelope = _delay_envelope(i_peak)
+    return np.array([g2_formula(envelope(d), phi_rt) for d in delays])
+
+
+def fig3_phase_curve(phases: np.ndarray, i_value: float) -> np.ndarray:
     """g2 versus round-trip phase at a fixed overlap."""
-    g2 = np.array([g2_formula(i_value, p) for p in phases])
-    return phases, g2
+    return np.array([g2_formula(i_value, p) for p in phases])
 
 
 def ideal_cascade_g3() -> float:
@@ -375,17 +370,14 @@ def ideal_cascade_g3() -> float:
 
 
 def fig4_grid(
-    n: int = 5, delay_span: float = 3.0, i_peak: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factorized three-particle correlation on a delay grid."""
+    n: int, delay_span: float, i_peak: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factorized three-particle correlation on an n x n delay grid.
+
+    Returns the delays, shared by both axes, and g3[i, j] at
+    (delays[i], delays[j]).
+    """
     delays = np.linspace(-delay_span, delay_span, n)
-    envelope = OverlapEnvelope.from_pulse(
-        PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0), i_peak=i_peak
-    )
-    g3 = np.zeros((n, n))
-    for i, d1 in enumerate(delays):
-        for j, d2 in enumerate(delays):
-            g3[i, j] = g2_formula(envelope(d1), 0.0) * g2_formula(
-                envelope(d2), 0.0
-            )
-    return delays, delays, g3
+    envelope = _delay_envelope(i_peak)
+    g2 = np.array([g2_formula(envelope(d), 0.0) for d in delays])
+    return delays, np.outer(g2, g2)

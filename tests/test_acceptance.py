@@ -9,8 +9,10 @@ from dataclasses import replace
 
 import pytest
 
+from magnonbs import acceptance
 from magnonbs.acceptance import (
     LOSS_GAP_TOL,
+    CriterionResult,
     _triangle_pair,
     criterion_1,
     criterion_2,
@@ -92,3 +94,36 @@ def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_curves, mixing_checks):
     result = criterion_7(curves=curves, checks=mixing_checks)
     assert not result.passed
     assert "worst loss quadrature gap=1.50e-04" in result.details
+
+
+def test_run_all_charges_each_criterion_the_time_since_the_last(monkeypatch):
+    # A clock that moves only when the stubs below say so: the shared
+    # solver runs take 10 s and 100 s, each criterion 1 s.
+    now = [0.0]
+
+    class Clock:
+        @staticmethod
+        def time():
+            return now[0]
+
+    def taking(seconds, value=None):
+        def stub(*args):
+            now[0] += seconds
+            return value
+        return stub
+
+    def criterion(number):
+        def stub(*args):
+            now[0] += 1.0
+            return CriterionResult(number, f"c{number}", True, "")
+        return stub
+
+    monkeypatch.setattr(acceptance, "time", Clock)
+    monkeypatch.setattr(acceptance, "_triangle_pair", taking(10.0, ()))
+    monkeypatch.setattr(acceptance, "fig2_curve", taking(50.0))
+    for number in range(1, 9):
+        monkeypatch.setattr(acceptance, f"criterion_{number}", criterion(number))
+    results = acceptance.run_all()
+    assert [r.number for r in results] == list(range(1, 9))
+    assert [r.runtime for r in results] == [1, 1, 1, 1, 11, 1, 101, 1]
+    assert sum(r.runtime for r in results) == now[0]

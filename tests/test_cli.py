@@ -114,16 +114,16 @@ def test_header_lines_are_deterministic():
 
 def test_write_csv_format(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(
-        path,
-        ["demo header"],
-        ["a", "b"],
-        [[1.0, 0.123456789012345], [2.0, 3.0]],
-    )
+    # Two columns may share a name: fig2's profiles repeat a drive.
+    write_csv(path, ["demo header"], [
+        ("a", [1.0, 2.0]),
+        ("b", np.array([0.123456789012345, 3.0])),
+        ("b", ["x", 4]),
+    ])
     text = path.read_text(encoding="utf-8")
-    assert text == (
-        "# demo header\na,b\n1,0.123456789\n2,3\n"
-    )
+    assert text == "# demo header\na,b,b\n1,0.123456789,x\n2,3,4\n"
+    with pytest.raises(ValueError):
+        write_csv(path, [], [("a", [1.0, 2.0]), ("b", [1.0])])
 
 
 def test_missing_output_directory_fails_before_compute(tmp_path):
@@ -280,6 +280,10 @@ def no_solver(monkeypatch):
         ["run", "--override", "pulse.fwhm_ns=1, 2"],
         ["sweep", "--workers", "0"],
         ["accept", "--override", "medium.od=1"],
+        # Empty lists that would leave the command nothing to compute.
+        ["fig2", "--override", "scenario.ods="],
+        ["sweep", "--override", "sweep.values="],
+        ["fig3", "--override", "scenario.triples="],
     ],
     ids=" ".join,
 )
@@ -308,3 +312,89 @@ def test_physics_violation_exits_with_its_own_code(tmp_path, capsys, monkeypatch
     assert main(["run", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["physics violation: held norm exceeds input"]
+
+
+@pytest.mark.parametrize(
+    "workers, points, cores, pool",
+    [(2, 3, 2, 2), (8, 3, 4, 3), (8, 6, 4, 4), (8, 1, 4, None), (2, 3, None, None)],
+)
+def test_sweep_pool_is_no_larger_than_its_points_and_cores(
+    workers, points, cores, pool, tmp_path, monkeypatch
+):
+    # A fork-started pool forks all its processes at once, whatever the
+    # number of points; the stub records the size and starts none.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    overrides = [f"sweep.num={points}", "grid.n_z=16", "grid.t_end=1.5",
+                 "control.segments=beamsplit:0:1.5:13"]
+    args = ["sweep", "--out", str(tmp_path), "--workers", str(workers)]
+    assert main(args + [a for o in overrides for a in ("--override", o)]) == 0
+    assert sizes == ([] if pool is None else [pool])
+    rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert sum(line[0].isdigit() for line in rows) == points
+
+
+def test_accept_writes_its_table_and_fails_on_a_failed_criterion(
+    tmp_path, monkeypatch, capsys
+):
+    from magnonbs import acceptance
+
+    results = [
+        acceptance.CriterionResult(1, "first, with a comma", True, "x=1, y=2", 0.5),
+        acceptance.CriterionResult(2, "second", False, "z=3.25 (tol 1e-6)", 1.25),
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    assert main(["accept", "--out", str(tmp_path), "--seed", "4"]) == 1
+    header = header_lines("accept", load_config(None, []), 4)
+    assert (tmp_path / "acceptance.csv").read_text(encoding="utf-8") == (
+        "".join(f"# {line}\n" for line in header)
+        + "criterion,status,runtime_s,label,details\n"
+        + '1,pass,0.5,"first, with a comma","x=1, y=2"\n'
+        + '2,fail,1.25,"second","z=3.25 (tol 1e-6)"\n'
+    )
+    out = capsys.readouterr().out
+    assert out == acceptance.format_report(results) + "\n"
+    assert out.endswith("1/2 criteria passed\n")
+
+    monkeypatch.setattr(acceptance, "run_all", lambda: results[:1])
+    assert main(["accept", "--out", str(tmp_path)]) == 0
+
+
+def _close(a, b) -> bool:
+    if isinstance(a, float):
+        return b == pytest.approx(a, rel=1e-9)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_close, a, b))
+    return a == b
+
+
+def test_header_lines_rebuild_the_config():
+    # A table's header is enough to rerun it: its `section.key = value`
+    # lines, fed back as overrides, give the same config.
+    config = load_config(None, [])
+    lines = header_lines("run", config, 0)[3:]
+    assert len(lines) == sum(len(keys) for keys in config.values())
+    rebuilt = load_config(None, [line.replace(" = ", "=", 1) for line in lines])
+    assert {s: set(kv) for s, kv in rebuilt.items()} == {
+        s: set(kv) for s, kv in config.items()
+    }
+    mismatches = [
+        f"{s}.{k}" for s, kv in config.items() for k, v in kv.items()
+        if not _close(v, rebuilt[s][k])
+    ]
+    assert mismatches == []

@@ -117,7 +117,6 @@ def test_timeline_rejects_overlap_and_reads_gaps_as_zero():
     )
     assert tl.rabi(1.5) == 0.0
     assert tl.by_label("readout")[0].t_start == 2.0
-    assert tl.t_last == 3.0
 
 
 def test_segment_label_must_be_known():

@@ -37,9 +37,11 @@ def test_fig2_params_reject_what_the_solver_would_reject(change):
 
 
 def test_fig3_delay_curve_shapes():
-    delays, bump = fig3_delay_curve(0.0, np.linspace(-4.0, 4.0, 81))
-    _, flat = fig3_delay_curve(math.pi / 2, delays)
-    _, dip = fig3_delay_curve(math.pi, delays)
+    delays = np.linspace(-4.0, 4.0, 81)
+    bump = fig3_delay_curve(0.0, delays, 0.75)
+    flat = fig3_delay_curve(math.pi / 2, delays, 0.75)
+    dip = fig3_delay_curve(math.pi, delays, 0.75)
+    assert bump.shape == delays.shape
     mid = delays.size // 2
     assert delays[mid] == 0.0
     assert bump[mid] == pytest.approx(1.75)
@@ -52,7 +54,8 @@ def test_fig3_delay_curve_shapes():
 
 
 def test_fig3_phase_curve_is_a_cosine():
-    phases, g2 = fig3_phase_curve(np.linspace(0.0, 2.0 * np.pi, 97))
+    phases = np.linspace(0.0, 2.0 * np.pi, 97)
+    g2 = fig3_phase_curve(phases, 0.75)
     assert g2[0] == pytest.approx(1.75)
     assert g2[-1] == pytest.approx(1.75)
     assert g2.min() == pytest.approx(0.25, abs=1e-6)
@@ -65,7 +68,8 @@ def test_ideal_cascade_value():
 
 
 def test_fig4_grid_is_a_product_surface():
-    d1, d2, grid = fig4_grid(n=5, i_peak=1.0)
+    delays, grid = fig4_grid(5, 3.0, 1.0)
+    assert np.array_equal(delays, np.linspace(-3.0, 3.0, 5))
     assert grid.shape == (5, 5)
     assert grid[2, 2] == pytest.approx(4.0)
     col = grid[:, 2] / grid[2, 2]
