@@ -15,7 +15,6 @@ from .fock_oracle import (
     FockInput,
     ModeNetwork,
     cascade_three,
-    dilate,
     g2_from_distribution,
     g3_from_distribution,
     output_distribution,
@@ -63,7 +62,6 @@ __all__ = [
     "FockInput",
     "ModeNetwork",
     "cascade_three",
-    "dilate",
     "g2_from_distribution",
     "g3_from_distribution",
     "output_distribution",

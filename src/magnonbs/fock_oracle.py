@@ -1,19 +1,25 @@
 """Exact few-particle statistics of a lossy linear network.
 
 This is a brute-force reference model, deliberately independent of the wave
-solver and of any closed-form interference formula.  A subunitary transfer
-matrix is dilated to a unitary D on twice as many modes (the extra modes
-absorb the loss), and the input particles carry temporal modes with
-arbitrary pairwise overlaps, the Gram matrix G.  With p_j the port of
-particle j, the probability of an output multiset o = (o_1 <= ... <= o_n) of
-dilated modes, mode q holding m_q particles, is
+solver and of any closed-form interference formula.  The input particles
+carry temporal modes with arbitrary pairwise overlaps, the Gram matrix G,
+and particle k enters at port p_k of a subunitary transfer matrix T.  Each
+detector port d gets a port Gram matrix
+
+    G^(d)_kl = conj(T[d, p_k]) T[d, p_l] G_kl,
+
+and all the loss together acts as one more port L, whose Gram matrix is
+
+    G^(L)_kl = (Vh^+ diag(1 - s^2) Vh)[p_k, p_l] G_kl,    T = U diag(s) Vh.
+
+The probability of an output multiset o = (o_1 <= ... <= o_n) of these M + 1
+ports, port q holding m_q particles, is
 
     P(o) = sum over permutations s, t of n particles of
-           conj(A_s) W_st A_t / prod_q m_q!,
-    A_s  = prod_j D[o_j, p_s(j)],    W_st = prod_j G[s(j), t(j)]
+           prod_j G^(o_j)[s(j), t(j)] / prod_q m_q!
 
 (Tichy, J. Phys. B 47, 103001 (2014); Shchesnovich, PRA 91, 013844
-(2015)).  For identical particles W is all ones and P(o) is the familiar
+(2015)).  For identical particles G is all ones and P(o) is the familiar
 |per|^2 / prod m_q!.  Every pattern is enumerated; nothing is sampled or
 approximated, so results are exact to machine precision for up to three
 particles.
@@ -52,6 +58,8 @@ class ModeNetwork:
         t = np.array(self.transfer, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ConfigError("transfer matrix must be square")
+        if t.size == 0:
+            raise ConfigError("transfer matrix needs at least one mode")
         object.__setattr__(self, "transfer", t)
         _require_finite(self, "transfer")
         smax = np.linalg.svd(t, compute_uv=False)[0]
@@ -64,27 +72,6 @@ class ModeNetwork:
     @property
     def n_modes(self) -> int:
         return self.transfer.shape[0]
-
-
-def dilate(net: ModeNetwork) -> np.ndarray:
-    """Unitary on 2M modes whose top-left block is the transfer matrix.
-
-    Modes M..2M-1 are loss sinks: amplitude routed there is excitation the
-    physical network dissipated.
-    """
-    t = net.transfer
-    m = net.n_modes
-    u, s, vh = np.linalg.svd(t)
-    s = np.minimum(s, 1.0)
-    comp = np.sqrt(1.0 - s * s)
-    top_right = u @ np.diag(comp) @ vh
-    bottom_left = -vh.conj().T @ np.diag(comp) @ vh
-    bottom_right = vh.conj().T @ np.diag(s) @ vh
-    d = np.block([[u @ np.diag(s) @ vh, top_right], [bottom_left, bottom_right]])
-    err = np.max(np.abs(d.conj().T @ d - np.eye(2 * m)))
-    if err > 1e-9:
-        raise PhysicsViolation(f"dilation failed unitarity check ({err:.2e})")
-    return d
 
 
 @dataclass(frozen=True)
@@ -160,41 +147,50 @@ def three_photon_input(
 def output_distribution(
     net: ModeNetwork, inp: FockInput
 ) -> dict[tuple[int, ...], float]:
-    """Exact output counting distribution, loss modes marginalized.
+    """Exact output counting distribution, the loss lumped into one port.
 
-    For every multiset o of dilated output modes,
+    With the (M + 1, n, n) stack of port Grams G^(d) of the M signal ports
+    and the loss port (see the module docstring), every multiset o of the
+    M + 1 ports has
 
-        P(o) = sum_{s,t} conj(A_s) W_st A_t / prod_q m_q!,
-        A_s = prod_j D[o_j, p_s(j)],    W_st = prod_j G[s(j), t(j)],
+        P(o) = sum_{s,t} prod_j G^(o_j)[s(j), t(j)] / prod_q m_q!,
 
-    with s, t running over the permutations of the particles, D the
-    dilation, G the Gram matrix, p_j the port of particle j and m_q the
-    number of particles in mode q.  Keys are occupation patterns over the M
-    signal modes; a pattern that holds fewer than all the particles means
-    the rest went to the loss sinks.  Probabilities sum to one.
+    with s, t running over the permutations of the particles and m_q the
+    number of particles at port q.  Keys are occupation patterns over the M
+    signal ports; a pattern that holds fewer than all the particles means
+    the rest were lost.  Probabilities sum to one.
     """
     if len(inp.occupations) != net.n_modes:
         raise ConfigError(
             f"input has {len(inp.occupations)} ports, network has {net.n_modes}"
         )
-    d = dilate(net)
-    g = inp.gram
     ports = inp.ports
     n = len(ports)
-    perms = list(itertools.permutations(range(n)))
-    # The same for every output pattern: built once.
-    w = np.array(
-        [[math.prod(g[s[j], t[j]] for j in range(n)) for t in perms] for s in perms]
+    cols = net.transfer[:, ports]
+    signal = cols.conj()[:, :, None] * cols[:, None, :] * inp.gram
+    # Vh^+ diag(1 - s^2) Vh is D^+ P_loss D for any unitary dilation D, and
+    # positive semidefinite by construction; the equal I - T^+ T is not at
+    # roundoff, where a unitary network would gain spurious loss patterns.
+    _, s, vh = np.linalg.svd(net.transfer)
+    sink = vh.conj().T @ ((1.0 - np.minimum(s, 1.0) ** 2)[:, None] * vh)
+    loss = sink[np.ix_(ports, ports)] * inp.gram
+    grams = np.concatenate([signal, loss[None]])
+
+    perms = np.array(list(itertools.permutations(range(n))))
+    patterns = list(
+        itertools.combinations_with_replacement(range(net.n_modes + 1), n)
     )
+    # terms[i, a, b] = prod_j grams[o_j, s_a(j), s_b(j)], o = patterns[i].
+    o_idx = np.array(patterns)[:, None, None, :]
+    terms = grams[o_idx, perms[None, :, None, :], perms[None, None, :, :]].prod(-1)
 
     raw: dict[tuple[int, ...], float] = {}
-    for o in itertools.combinations_with_replacement(range(2 * net.n_modes), n):
-        a = np.array([math.prod(d[o[j], ports[s[j]]] for j in range(n)) for s in perms])
-        if not a.any():
-            continue  # every A_s is zero: o cannot occur and adds no key
+    for o, term in zip(patterns, terms):
+        if not term.any():
+            continue  # o cannot occur and adds no key
         mult = math.prod(math.factorial(o.count(q)) for q in set(o))
         key = tuple(o.count(q) for q in range(net.n_modes))
-        raw[key] = raw.get(key, 0.0) + float((a.conj() @ w @ a).real) / mult
+        raw[key] = raw.get(key, 0.0) + float(term.sum().real) / mult
 
     total = sum(raw.values())
     if abs(total - 1.0) > 1e-9:
@@ -202,19 +198,13 @@ def output_distribution(
     return raw
 
 
-def _routing_products(transfer: np.ndarray, ports: tuple[int, ...]) -> list[float]:
-    prods = []
-    for perm in itertools.permutations(range(len(ports))):
-        p = 1.0
-        for out_mode, j in enumerate(perm):
-            p *= abs(transfer[out_mode, ports[j]])
-        prods.append(p)
-    return prods
-
-
 def coincidence_baseline(transfer: np.ndarray, ports: tuple[int, ...]) -> float:
     """Per-routing reference probability for the all-ports coincidence."""
-    prods = _routing_products(np.asarray(transfer, dtype=complex), ports)
+    t = np.asarray(transfer, dtype=complex)
+    prods = [
+        math.prod(abs(t[out_mode, ports[j]]) for out_mode, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(ports)))
+    ]
     top = max(prods)
     if top <= 0:
         raise ConfigError("no routing connects the inputs to a full coincidence")
@@ -222,24 +212,27 @@ def coincidence_baseline(transfer: np.ndarray, ports: tuple[int, ...]) -> float:
     return sum(prods) ** 2 / k
 
 
+def _coincidence_ratio(
+    probs: dict[tuple[int, ...], float], transfer: np.ndarray, n: int
+) -> float:
+    t = np.asarray(transfer, dtype=complex)
+    if t.shape != (n, n):
+        raise ConfigError(f"g{n} needs a {n}-mode transfer matrix")
+    return probs.get((1,) * n, 0.0) / coincidence_baseline(t, tuple(range(n)))
+
+
 def g2_from_distribution(
     probs: dict[tuple[int, ...], float], transfer: np.ndarray
 ) -> float:
     """Two-particle coincidence ratio g(2) from an output distribution."""
-    t = np.asarray(transfer, dtype=complex)
-    if t.shape != (2, 2):
-        raise ConfigError("g2 needs a two-mode transfer matrix")
-    return probs.get((1, 1), 0.0) / coincidence_baseline(t, (0, 1))
+    return _coincidence_ratio(probs, transfer, 2)
 
 
 def g3_from_distribution(
     probs: dict[tuple[int, ...], float], transfer: np.ndarray
 ) -> float:
     """Three-particle coincidence ratio g(3) from an output distribution."""
-    t = np.asarray(transfer, dtype=complex)
-    if t.shape != (3, 3):
-        raise ConfigError("g3 needs a three-mode transfer matrix")
-    return probs.get((1, 1, 1), 0.0) / coincidence_baseline(t, (0, 1, 2))
+    return _coincidence_ratio(probs, transfer, 3)
 
 
 def cascade_three(

@@ -9,7 +9,6 @@ from magnonbs import (
     ModeNetwork,
     SplitterMatrix,
     cascade_three,
-    dilate,
     g2_from_distribution,
     g3_from_distribution,
     output_distribution,
@@ -59,10 +58,10 @@ def test_unitary_network_loses_nothing():
         ModeNetwork(balanced_unitary().matrix),
         two_photon_input(0.7),
     )
-    # Both particles stay in the signal modes: patterns that hold fewer
-    # than two carry no weight.
-    kept = sum(p for key, p in dist.items() if sum(key) == 2)
-    assert kept == pytest.approx(1.0, abs=1e-12)
+    # Both particles stay in the signal modes: no pattern holds fewer than
+    # two, not even at roundoff.
+    assert set(dist) == {(2, 0), (1, 1), (0, 2)}
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fermionized_pair_at_zero_phase():
@@ -176,8 +175,8 @@ def test_oracle_matches_closed_form_over_random_sweep():
 def _halmos_dilation(t):
     """[[T, (1 - T T^+)^1/2], [(1 - T^+ T)^1/2, -T^+]], a unitary dilation.
 
-    It differs from the oracle's own; the signal-mode statistics do not
-    depend on which dilation absorbs the loss.
+    The oracle builds no dilation: it lumps the loss into one port.  The
+    signal-mode statistics do not depend on which dilation absorbs the loss.
     """
 
     def psd_sqrt(m):
@@ -219,21 +218,34 @@ def _random_gram(rng, n):
     return v @ v.T
 
 
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _random_lossy(rng, n):
     # U1 diag(s) U2 with singular values in [0.2, 1]: passive, often lossy.
-    def unitary():
-        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    return unitary() @ np.diag(rng.uniform(0.2, 1.0, size=n)) @ unitary()
+    return (
+        _random_unitary(rng, n)
+        @ np.diag(rng.uniform(0.2, 1.0, size=n))
+        @ _random_unitary(rng, n)
+    )
 
 
 def test_partial_overlap_matches_the_internal_mode_expansion():
-    # Partly distinguishable particles on random passive networks, each
-    # pattern against an expansion over internal modes with its own dilation.
+    # Partly distinguishable particles on random passive networks, on
+    # lossless ones and on cascades (a structural zero plus loss), each
+    # pattern against an expansion over internal modes with a dilation.
     rng = np.random.default_rng(20261018)
-    for n in (2, 3) * 6:
-        transfer, gram = _random_lossy(rng, n), _random_gram(rng, n)
+    cases = [(_random_lossy(rng, n), _random_gram(rng, n)) for n in (2, 3) * 6]
+    cases += [(_random_unitary(rng, n), _random_gram(rng, n)) for n in (2, 3) * 3]
+    cascades = [
+        ideal_cascade(),
+        cascade_three(_random_passive(rng), _random_passive(rng), 0.9j, 0.8),
+    ]
+    cases += [(net.transfer, _random_gram(rng, 3)) for net in cascades * 2]
+    for transfer, gram in cases:
+        n = gram.shape[0]
         got = output_distribution(ModeNetwork(transfer), FockInput((1,) * n, gram))
         ref = _flavour_distribution(transfer, gram)
         for key in set(got) | set(ref):
@@ -269,6 +281,8 @@ def test_fock_input_guards():
     for i13 in (-0.5, 2.0, math.nan):
         with pytest.raises(ConfigError):
             three_photon_input(0.5, 0.5, i13)
+    with pytest.raises(ConfigError):
+        ModeNetwork(np.zeros((0, 0)))
 
 
 def test_three_photon_input_defaults_to_chain_overlap():
@@ -276,15 +290,6 @@ def test_three_photon_input_defaults_to_chain_overlap():
     assert inp.gram[0, 2] == pytest.approx(math.sqrt(0.49 * 0.25))
     explicit = three_photon_input(0.49, 0.25, i13=0.09)
     assert explicit.gram[0, 2] == pytest.approx(0.3)
-
-
-def test_dilation_is_unitary_with_transfer_block():
-    b = SplitterMatrix(t1=0.4, r1=0.3j, t2=0.35, r2=0.25)
-    net = ModeNetwork(b.matrix)
-    d = dilate(net)
-    eye = np.eye(d.shape[0])
-    assert np.abs(d.conj().T @ d - eye).max() < 1e-12
-    assert np.abs(d[:2, :2] - net.transfer).max() < 1e-12
 
 
 def ideal_cascade():

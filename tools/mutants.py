@@ -1,0 +1,115 @@
+"""Hand-run mutant catalogue: can each listed check fail?
+
+Each mutant is a (name, file, old text, new text, test ids) entry.  The
+script copies the repository to a temporary directory, checks that the
+named tests pass on the unchanged copy, then for each mutant replaces the
+old text (which must occur exactly once) with the new one, runs the named
+tests and puts the file back.  A mutant is killed when a named test fails,
+and survives when all of them pass.  The exit status is 1 unless every
+mutant is killed.
+
+    python tools/mutants.py
+
+Standard library only; not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ORACLE = "src/magnonbs/fock_oracle.py"
+ORACLE_TESTS = ("tests/test_fock_oracle.py",)
+
+MUTANTS = (
+    ("oracle: drop the loss-port Gram", ORACLE,
+     "loss = sink[np.ix_(ports, ports)] * inp.gram",
+     "loss = 0.0 * sink[np.ix_(ports, ports)] * inp.gram",
+     ORACLE_TESTS),
+    ("oracle: U in place of Vh in the loss-port Gram", ORACLE,
+     "_, s, vh = np.linalg.svd(net.transfer)",
+     "vh, s, _ = np.linalg.svd(net.transfer)",
+     ORACLE_TESTS),
+    ("oracle: I - T^+ T as the loss-port Gram", ORACLE,
+     "sink = vh.conj().T @ ((1.0 - np.minimum(s, 1.0) ** 2)[:, None] * vh)",
+     "sink = np.eye(len(s)) - net.transfer.conj().T @ net.transfer",
+     ORACLE_TESTS),
+    ("oracle: drop / mult", ORACLE,
+     "float(term.sum().real) / mult",
+     "float(term.sum().real)",
+     ORACLE_TESTS),
+    ("oracle: drop * G on the signal Grams", ORACLE,
+     "cols[:, None, :] * inp.gram",
+     "cols[:, None, :]",
+     ORACLE_TESTS),
+    # Criterion 6's grid and its reference share the envelope, so criterion
+    # 6 alone cannot kill this one.
+    ("stats: OverlapEnvelope width 4 sigma^2 -> 2 sigma^2", "src/magnonbs/stats.py",
+     "np.exp(-(dtau**2) / (4.0 * self.sigma**2))",
+     "np.exp(-(dtau**2) / (2.0 * self.sigma**2))",
+     ("tests/test_acceptance.py::test_criterion_6_triple_correlations",
+      "tests/test_stats.py", "tests/test_scenarios.py")),
+    ("scenarios: drop the storage run from triangle_check's ledger checks",
+     "src/magnonbs/scenarios.py",
+     "(stored.trajectory, result.run_magnon, result.run_photon)]",
+     "(result.run_magnon, result.run_photon)]",
+     ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",
+      "tests/test_acceptance.py::test_criterion_7_conservation_and_grid",
+      "tests/test_scenarios.py")),
+)
+
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def run_tests(tree: Path, ids: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Pytest's exit code and the ids it reports as failed or in error."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
+        cwd=tree, capture_output=True, text=True,
+    )
+    return proc.returncode, _FAILED.findall(proc.stdout)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".out"))
+        all_ids = tuple(dict.fromkeys(i for m in MUTANTS for i in m[4]))
+        code, failed = run_tests(tree, all_ids)
+        if code != 0:
+            print(f"the unchanged tree fails its tests (exit {code}): {failed}")
+            return 1
+        not_killed = 0
+        for name, rel, old, new, ids in MUTANTS:
+            path = tree / rel
+            original = path.read_text()
+            if original.count(old) != 1:
+                print(f"stale     {name}: old text found {original.count(old)} times")
+                not_killed += 1
+                continue
+            path.write_text(original.replace(old, new))
+            try:
+                code, failed = run_tests(tree, ids)
+            finally:
+                path.write_text(original)
+            if code == 1:
+                more = f" and {len(failed) - 1} more" if len(failed) > 1 else ""
+                print(f"killed    {name}  by {failed[0]}{more}")
+            elif code == 0:
+                print(f"survived  {name}")
+                not_killed += 1
+            else:
+                print(f"error     {name}: pytest exit {code}")
+                not_killed += 1
+    return 1 if not_killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
