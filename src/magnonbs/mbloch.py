@@ -18,9 +18,11 @@ introduces no numerical dispersion.
 Whatever does not depend on the state is computed once per run, before the
 first step.  The control drive and the probe pulse are sampled at all step
 midpoints t0 + (n + 1/2) dt in one vector call each.  The drive splits into
-runs of equal values, each with one half-step map R from a stacked `expm`:
-a constant drive has one run, a ramp one per step of the ramp.  The maps
-are built at most _MAP_BLOCK runs at a time, which bounds their memory.
+runs of equal values, each with one half-step map R = exp(M dt/2) of its
+local generator M: a constant drive has one run, a ramp one per step of
+the ramp.  The maps are built at most _MAP_BLOCK runs at a time, which
+bounds their memory, by this module's `expm`, which exponentiates the
+block's stacked generators at once in numpy.
 
 The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
 Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
@@ -57,7 +59,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     C_EFF,
@@ -78,10 +79,20 @@ from .core import (
 _RUNAWAY_TOL = 1e-6
 # Steps between the non-finite and runaway checks on the held norm.
 _CHECK_EVERY = 256
-# Drive runs whose maps are built at once: this bounds the memory a drive
-# that changes every step (a long ramp) can take, while every run of the
-# acceptance gate (at most about 600 drive runs) is one block.
+# Drive runs whose maps are built at once, by one `expm` of their stacked
+# generators: this bounds the memory a drive that changes every step (a long
+# ramp) can take, while every run of the acceptance gate (at most about 600
+# drive runs) is one block.
 _MAP_BLOCK = 1024
+# Coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, and the
+# largest 1-norm at which it is exact to double precision (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,37 @@ class Trajectory:
         """
         loss = self.final_state.loss_accum
         return abs(self.loss_quad - loss) / loss if loss > 0 else math.inf
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in a stack of shape (k, n, n).
+
+    Scaling and squaring with the degree-13 Pade approximant, all matrices
+    at once: one scaling power s from the stack's largest 1-norm, the
+    approximant from batched products and one batched solve, then s
+    squarings.  A non-finite entry raises PhysicsViolation.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise PhysicsViolation("non-finite matrix in the exponential")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a * 2.0**-s
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: near the identity, roundoff
+    # then falls on the small correction, not on the entries near 1.
+    r = np.linalg.solve(v - u, 2.0 * u)
+    r += eye
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.ndarray:
@@ -291,7 +333,8 @@ def evolve(
             matmul(half[0], v, out=carried[0])
         for n, fused in enumerate(step_maps, int(starts[0])):
             w, w_p, w_s, e_last, e_to, e_from, e_first = carried
-            loss_quad += quad_p * dot(w_p, w_p) + quad_s * dot(w_s, w_s)
+            loss_quad += (quad_p * dot(w_p, w_p) + quad_s * dot(w_s, w_s)
+                          if quad_s else quad_p * dot(w_p, w_p))
             emitted_rows[n] = e_last
             e_to[...] = e_from
             e_first[...] = boundary[n]

@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ORACLE = "src/magnonbs/fock_oracle.py"
 ORACLE_TESTS = ("tests/test_fock_oracle.py",)
+MBLOCH = "src/magnonbs/mbloch.py"
+EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 
 MUTANTS = (
     ("oracle: drop the loss-port Gram", ORACLE,
@@ -48,6 +50,20 @@ MUTANTS = (
      "cols[:, None, :] * inp.gram",
      "cols[:, None, :]",
      ORACLE_TESTS),
+    ("mbloch: drop the expm squaring loop", MBLOCH,
+     "for _ in range(s):",
+     "for _ in range(0):",
+     EXPM_TESTS),
+    ("mbloch: one Pade coefficient of expm changed", MBLOCH,
+     "33522128640.0",
+     "33522128460.0",
+     EXPM_TESTS),
+    # The reference run has gamma12 = 0.05 and checks loss_quad against a
+    # written-out quadrature.
+    ("mbloch: gamma12 term of loss_quad never added", MBLOCH,
+     "if quad_s else",
+     "if False else",
+     ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
     # Criterion 6's grid and its reference share the envelope, so criterion
     # 6 alone cannot kill this one.
     ("stats: OverlapEnvelope width 4 sigma^2 -> 2 sigma^2", "src/magnonbs/stats.py",
