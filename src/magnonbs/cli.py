@@ -49,7 +49,7 @@ from .core import (
 )
 from .mbloch import SimulationConfig, evolve
 from .splitter import phi_rt_analytic, tau_from_fwhm
-from .stats import classical_bounds
+from .stats import classical_bounds, g2_formula
 from . import scenarios
 
 # gamma31 = 2pi x 3 MHz anchors the normalized unit system.
@@ -302,23 +302,13 @@ def write_csv(path: Path, header: list[str], columns: list[tuple[str, object]]) 
 # ------------------------------------------------------- figure scenarios
 
 
-def _fig2_params(od: float) -> scenarios.Fig2Params:
-    if od == 30.0:
-        return scenarios.FIG2_OD30
-    if od == 150.0:
-        return scenarios.FIG2_OD150
-    # Uncalibrated depth: reuse the low-depth drive schedule so shallow
-    # and empty cells stay runnable.
-    return replace(scenarios.FIG2_OD30, od=od)
-
-
 def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
     # Every curve's params are built, and so validated, before the first
     # solver call.
     plans = []
     for od in sc["ods"]:
-        params = _fig2_params(od)
+        params = scenarios.fig2_params(od)
         if "rabi_s_grid" in sc:
             params = replace(params, rabi_s_grid=sc["rabi_s_grid"])
         plans.append((od, params))
@@ -376,7 +366,7 @@ def cmd_fig3(config: Config, out_dir: Path, seed: int) -> int:
               [("delay", delays)] + curves + classical(delays.size))
 
     phases = np.linspace(0.0, 2.0 * math.pi, sc["phase_steps"])
-    g2 = scenarios.fig3_phase_curve(phases, i_peak)
+    g2 = g2_formula(i_peak, phases)
     write_csv(out_dir / "fig3_phase.csv", header,
               [("phi_rt", phases), ("g2", g2)] + classical(phases.size))
     return 0
@@ -474,12 +464,16 @@ def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
     return 0
 
 
+# The sections a sweep's runs read; a key elsewhere would change no run.
+_RUN_SECTIONS = ("medium", "pulse", "grid")
+
+
 def _apply_value(config: Config, parameter: str, value: float) -> Config:
     section, dot, key = parameter.partition(".")
     if not dot:
         raise ConfigError(f"sweep parameter must be section.key: {parameter!r}")
     patched = {s: dict(kv) for s, kv in config.items()}
-    parse = KEYS.get(section, {}).get(key, (None,))[0]
+    parse = KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None
     if parameter == "control.rabi":
         # Convenience target: sets every control segment amplitude.
         timeline = config["control"]["segments"]
@@ -491,7 +485,10 @@ def _apply_value(config: Config, parameter: str, value: float) -> Config:
         # checks as a configured one.
         patched[section][key] = parse(repr(float(value)))
     else:
-        raise ConfigError(f"unknown sweep parameter: {parameter!r}")
+        raise ConfigError(
+            f"sweep parameter must be control.rabi or a number of "
+            f"{', '.join(_RUN_SECTIONS)}: {parameter!r}"
+        )
     return patched
 
 
@@ -609,6 +606,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "accept" and (args.config is not None or args.override):
             raise ConfigError("accept runs fixed settings: no --config or --override")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config = load_config(args.config, args.override)
         out_dir = Path(args.out)
         if not out_dir.is_dir():

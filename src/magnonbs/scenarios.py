@@ -16,7 +16,7 @@ Conventions used by every protocol here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,19 @@ FIG2_OD150 = Fig2Params(
     rabi_s_grid=(5.0, 7.0, 9.0, 11.0, 14.0, 17.0, 20.0, 24.0),
     n_z=240,
 )
+
+
+def fig2_params(od: float) -> Fig2Params:
+    """The storage-drive sweep calibrated for depth `od`.
+
+    An uncalibrated depth reuses the low-depth drive schedule, so that
+    shallow and empty cells stay runnable.
+    """
+    if od == FIG2_OD30.od:
+        return FIG2_OD30
+    if od == FIG2_OD150.od:
+        return FIG2_OD150
+    return replace(FIG2_OD30, od=od)
 
 
 @dataclass(frozen=True)
@@ -338,21 +351,15 @@ def triangle_check(scenario: MixingScenario) -> TriangleCheck:
     )
 
 
-def _delay_envelope(i_peak: float) -> OverlapEnvelope:
-    return OverlapEnvelope.from_pulse(
-        PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0), i_peak=i_peak
-    )
+def delay_envelope(i_peak: float) -> OverlapEnvelope:
+    """Mode overlap versus arrival delay of two of the figures' probe pulses."""
+    pulse = PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0)
+    return OverlapEnvelope(i_peak=i_peak, sigma=pulse.sigma)
 
 
 def fig3_delay_curve(phi_rt: float, delays: np.ndarray, i_peak: float) -> np.ndarray:
     """g2 versus arrival delay at a fixed round-trip phase."""
-    envelope = _delay_envelope(i_peak)
-    return np.array([g2_formula(envelope(d), phi_rt) for d in delays])
-
-
-def fig3_phase_curve(phases: np.ndarray, i_value: float) -> np.ndarray:
-    """g2 versus round-trip phase at a fixed overlap."""
-    return np.array([g2_formula(i_value, p) for p in phases])
+    return g2_formula(delay_envelope(i_peak)(delays), phi_rt)
 
 
 def ideal_cascade_g3() -> float:
@@ -378,6 +385,5 @@ def fig4_grid(
     (delays[i], delays[j]).
     """
     delays = np.linspace(-delay_span, delay_span, n)
-    envelope = _delay_envelope(i_peak)
-    g2 = np.array([g2_formula(envelope(d), 0.0) for d in delays])
+    g2 = g2_formula(delay_envelope(i_peak)(delays), 0.0)
     return delays, np.outer(g2, g2)

@@ -91,64 +91,64 @@ def phi_rt_of_matrix(b: SplitterMatrix) -> float:
 
 
 def splitter_from_outputs(
-    times: np.ndarray,
+    photon: np.ndarray,
+    magnon: np.ndarray,
     dt: float,
-    ea_out: np.ndarray,
-    eb_out: np.ndarray,
-    sa_fin: np.ndarray,
-    sb_fin: np.ndarray,
     dz: float,
-    input_a: float,
-    input_b: float,
-    window: tuple[float, float],
+    inputs: tuple[float, float],
 ) -> SplitterMatrix:
     """Project two single-input runs onto shared output modes.
 
-    Run (a) starts from a stored spin wave, run (b) from an incoming probe.
-    The photon output mode is the sum emission of both runs inside the time
-    `window`; the magnon output mode is the sum of both final spin waves.
-    By linearity the interference run is the coherent sum of the two, so
-    these are the modes an actual two-input experiment would populate.  The
-    emitted fields are sampled at `times`, `dt` apart.
+    Row 0 of each array is run (a), which starts from a stored spin wave;
+    row 1 is run (b), which starts from an incoming probe.  `photon` holds
+    the runs' emitted fields, sampled `dt` apart and zero outside the
+    photon window; `magnon` holds their final spin waves on cells `dz`
+    wide; `inputs` are the excitations the two runs started with.  The
+    photon output mode is the sum of the two emissions and the magnon
+    output mode the sum of the two spin waves.  By linearity the
+    interference run is the coherent sum of the two, so these are the modes
+    an actual two-input experiment would populate.
     """
-    if input_a < 1e-3 or input_b < 1e-3:
+    if min(inputs) < 1e-3:
         raise ConfigError(
-            f"port inputs too small to characterize: {input_a:.3g}, {input_b:.3g}"
+            "port inputs too small to characterize: "
+            f"{inputs[0]:.3g}, {inputs[1]:.3g}"
         )
-    times = np.asarray(times, dtype=float)
-    mask = (times >= window[0]) & (times <= window[1])
-    if not np.any(mask):
-        raise ConfigError(f"photon window {window} contains no samples")
+    photon = np.asarray(photon, dtype=complex)
+    magnon = np.asarray(magnon, dtype=complex)
 
-    ea = np.where(mask, ea_out, 0.0)
-    eb = np.where(mask, eb_out, 0.0)
-    u = ea + eb
+    u = photon[0] + photon[1]
     u_norm = dt * np.sum(np.abs(u) ** 2)
     if u_norm <= 1e-12:
         raise ConfigError("photon output mode has vanishing norm")
     u_hat = u / math.sqrt(u_norm)
 
-    m = np.asarray(sa_fin, dtype=complex) + np.asarray(sb_fin, dtype=complex)
+    m = magnon[0] + magnon[1]
     m_norm = dz * np.sum(np.abs(m) ** 2)
     if m_norm <= 1e-12:
         raise ConfigError("magnon output mode has vanishing norm")
     m_hat = m / math.sqrt(m_norm)
 
-    ra = 1.0 / math.sqrt(input_a)
-    rb = 1.0 / math.sqrt(input_b)
-    t1 = dz * np.vdot(m_hat, sa_fin) * ra
-    r2 = dz * np.vdot(m_hat, sb_fin) * rb
-    r1 = dt * np.vdot(u_hat, ea) * ra
-    t2 = dt * np.vdot(u_hat, eb) * rb
+    ra, rb = (1.0 / math.sqrt(x) for x in inputs)
+    t1 = dz * np.vdot(m_hat, magnon[0]) * ra
+    r2 = dz * np.vdot(m_hat, magnon[1]) * rb
+    r1 = dt * np.vdot(u_hat, photon[0]) * ra
+    t2 = dt * np.vdot(u_hat, photon[1]) * rb
     return SplitterMatrix(t1=t1, r1=r1, t2=t2, r2=r2)
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Measured splitter matrix with the runs behind it."""
+    """Measured splitter matrix with the runs behind it.
+
+    `photon` holds the two runs' emissions inside the photon window (zero
+    outside it) and `magnon` their final spin waves; row 0 is the magnon
+    run and row 1 the photon run in both.
+    """
 
     matrix: SplitterMatrix
-    window: tuple[float, float]
+    photon: np.ndarray
+    magnon: np.ndarray
     run_magnon: Trajectory
     run_photon: Trajectory
 
@@ -187,23 +187,20 @@ def extract_matrix(
     config = SimulationConfig(t_end=t_end, n_z=n_z)
 
     run_a = evolve(medium, timeline, config, pulse=None, initial=initial_magnon)
+    mask = (run_a.times >= window[0]) & (run_a.times <= window[1])
+    if not mask.any():
+        raise ConfigError(f"photon window {window} contains no samples")
     run_b = evolve(medium, timeline, config, pulse=pulse, initial=None)
 
-    matrix = splitter_from_outputs(
-        run_a.times,
-        run_a.dt,
-        run_a.emitted,
-        run_b.emitted,
-        run_a.final_state.sigma12,
-        run_b.final_state.sigma12,
-        run_a.final_state.dz,
-        run_a.final_state.initial_norm,
-        run_b.final_state.injected_norm,
-        window=window,
-    )
+    photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)
+    magnon = np.stack([run_a.final_state.sigma12, run_b.final_state.sigma12])
+    inputs = (run_a.final_state.initial_norm, run_b.final_state.injected_norm)
     return ExtractionResult(
-        matrix=matrix,
-        window=window,
+        matrix=splitter_from_outputs(
+            photon, magnon, run_a.dt, run_a.final_state.dz, inputs
+        ),
+        photon=photon,
+        magnon=magnon,
         run_magnon=run_a,
         run_photon=run_b,
     )
@@ -219,14 +216,8 @@ def effective_overlap(result: ExtractionResult) -> float:
     normalized to [0, 1].  The product form keeps the value a bound on the
     interference contrast rather than a single-port mode match.
     """
-    run_a, run_b = result.run_magnon, result.run_photon
-    t = run_a.times
-    lo, hi = result.window
-    mask = (t >= lo) & (t <= hi)
-    ea = np.where(mask, run_a.emitted, 0.0)
-    eb = np.where(mask, run_b.emitted, 0.0)
-    sa = run_a.final_state.sigma12
-    sb = run_b.final_state.sigma12
+    ea, eb = result.photon
+    sa, sb = result.magnon
     den_ph = np.linalg.norm(ea) * np.linalg.norm(eb)
     den_mg = np.linalg.norm(sa) * np.linalg.norm(sb)
     if den_ph < 1e-12 or den_mg < 1e-12:
@@ -234,4 +225,3 @@ def effective_overlap(result: ExtractionResult) -> float:
     c_ph = abs(np.vdot(ea, eb)) / den_ph
     c_mg = abs(np.vdot(sa, sb)) / den_mg
     return float(min(1.0, c_ph * c_mg))
-

@@ -13,13 +13,12 @@ reference is compared against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, PROBABILITY_SLACK, PulseEnvelope
+from .core import ConfigError, PROBABILITY_SLACK, _require_finite
 
 
 class ClassicalBounds(NamedTuple):
@@ -38,23 +37,36 @@ def classical_bounds() -> ClassicalBounds:
     return ClassicalBounds(0.5, 1.5, 2.25)
 
 
-def _check_overlap(value: float, name: str) -> float:
-    if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
+def _check_overlap(value: float | np.ndarray, name: str) -> np.ndarray:
+    """The overlap(s) clipped onto [0, 1]; NaN or out of range raises."""
+    v = np.asarray(value, dtype=float)
+    # Written so that NaN, which fails every comparison, fails the check.
+    if not ((v >= -PROBABILITY_SLACK) & (v <= 1.0 + PROBABILITY_SLACK)).all():
         raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    return float(min(max(value, 0.0), 1.0))
+    return np.clip(v, 0.0, 1.0)
 
 
-def g2_formula(overlap_i: float, phi_rt: float) -> float:
-    """Balanced-splitter coincidence ratio 1 + I cos(phi_rt)."""
+def g2_formula(
+    overlap_i: float | np.ndarray, phi_rt: float | np.ndarray
+) -> float | np.ndarray:
+    """Balanced-splitter coincidence ratio 1 + I cos(phi_rt).
+
+    Broadcasts over arrays of overlaps and phases.
+    """
     i = _check_overlap(overlap_i, "overlap")
-    return 1.0 + i * math.cos(phi_rt)
+    if not np.isfinite(phi_rt).all():
+        raise ConfigError(f"phi_rt must be finite, got {phi_rt}")
+    return 1.0 + i * np.cos(phi_rt)
 
 
-def g3_formula(i12: float, i23: float) -> float:
+def g3_formula(
+    i12: float | np.ndarray, i23: float | np.ndarray
+) -> float | np.ndarray:
     """Sequential three-particle ratio (1 + I12)(1 + I23).
 
-    Only valid when both mixing stages run at zero round-trip phase; other
-    phases need the exact reference model.
+    Broadcasts over arrays of overlaps.  Only valid when both mixing stages
+    run at zero round-trip phase; other phases need the exact reference
+    model.
     """
     a = _check_overlap(i12, "i12")
     b = _check_overlap(i23, "i23")
@@ -75,16 +87,10 @@ class OverlapEnvelope:
 
     def __post_init__(self) -> None:
         _check_overlap(self.i_peak, "i_peak")
+        _require_finite(self, "sigma")
         if self.sigma <= 0:
             raise ConfigError("envelope width must be positive")
 
-    @classmethod
-    def from_pulse(cls, pulse: PulseEnvelope, i_peak: float = 1.0) -> "OverlapEnvelope":
-        return cls(i_peak=i_peak, sigma=pulse.sigma)
-
     def __call__(self, dtau: float | np.ndarray) -> float | np.ndarray:
-        dtau = np.abs(np.asarray(dtau, dtype=float))
-        out = self.i_peak * np.exp(-(dtau**2) / (4.0 * self.sigma**2))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        dtau = np.asarray(dtau, dtype=float)
+        return self.i_peak * np.exp(-(dtau**2) / (4.0 * self.sigma**2))

@@ -214,6 +214,10 @@ def test_sweep_rejects_unknown_parameter():
         _apply_value(config, "sweep.spacing", 1.0)
     with pytest.raises(ConfigError):
         _apply_value(config, "grid.n_z", 64.5)
+    # Only what a run reads: a figure or sweep setting would change no run.
+    for parameter in ("scenario.i_peak", "sweep.num", "control.segments"):
+        with pytest.raises(ConfigError):
+            _apply_value(config, parameter, 1.0)
     assert _apply_value(config, "grid.n_z", 64.0)["grid"]["n_z"] == 64
 
 
@@ -284,6 +288,10 @@ def no_solver(monkeypatch):
         ["fig2", "--override", "scenario.ods="],
         ["sweep", "--override", "sweep.values="],
         ["fig3", "--override", "scenario.triples="],
+        # A key that no run reads would give identical rows.
+        ["sweep", "--override", "sweep.parameter=scenario.i_peak",
+         "--override", "sweep.num=3"],
+        ["sweep", "--override", "sweep.spacing=random", "--seed", "-1"],
     ],
     ids=" ".join,
 )

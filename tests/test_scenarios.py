@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError
+from magnonbs import ConfigError, g2_formula
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
     RESONANT_MIXING,
+    delay_envelope,
     fig3_delay_curve,
-    fig3_phase_curve,
     fig4_grid,
     ideal_cascade_g3,
     triangle_check,
@@ -53,9 +53,26 @@ def test_fig3_delay_curve_shapes():
         assert curve[-1] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_figure_curves_equal_their_pointwise_values():
+    delays = np.linspace(-4.0, 4.0, 81)
+    env = delay_envelope(0.75)
+    for phi in (0.0, 1.5332, math.pi):
+        assert np.array_equal(
+            fig3_delay_curve(phi, delays, 0.75),
+            [g2_formula(env(d), phi) for d in delays],
+        )
+    delays, grid = fig4_grid(7, 2.71, 0.83)
+    env = delay_envelope(0.83)
+    assert np.array_equal(
+        grid,
+        [[g2_formula(env(a), 0.0) * g2_formula(env(b), 0.0) for b in delays]
+         for a in delays],
+    )
+
+
 def test_fig3_phase_curve_is_a_cosine():
     phases = np.linspace(0.0, 2.0 * np.pi, 97)
-    g2 = fig3_phase_curve(phases, 0.75)
+    g2 = g2_formula(0.75, phases)
     assert g2[0] == pytest.approx(1.75)
     assert g2[-1] == pytest.approx(1.75)
     assert g2.min() == pytest.approx(0.25, abs=1e-6)

@@ -121,16 +121,11 @@ def _synthetic_projection(b, input_a=0.9, input_b=0.8):
 
     ra, rb = math.sqrt(input_a), math.sqrt(input_b)
     return splitter_from_outputs(
-        times,
+        np.stack([b.r1 * ra * g, b.t2 * rb * g]),
+        np.stack([b.t1 * ra * m, b.r2 * rb * m]),
         dt,
-        b.r1 * ra * g,
-        b.t2 * rb * g,
-        b.t1 * ra * m,
-        b.r2 * rb * m,
         dz,
-        input_a,
-        input_b,
-        window=(0.0, 10.0),
+        (input_a, input_b),
     )
 
 
@@ -154,14 +149,10 @@ def test_projection_guards():
     b = SplitterMatrix(t1=0.5, r1=0.3, t2=0.5, r2=0.3)
     with pytest.raises(ConfigError):
         _synthetic_projection(b, input_a=1e-6)
-    times = np.linspace(0.0, 10.0, 101)
-    zeros_t = np.zeros(101, dtype=complex)
-    zeros_z = np.zeros(64, dtype=complex)
+    zeros_t = np.zeros((2, 101), dtype=complex)
+    zeros_z = np.zeros((2, 64), dtype=complex)
     with pytest.raises(ConfigError):
-        splitter_from_outputs(
-            times, 0.1, zeros_t, zeros_t, zeros_z, zeros_z, 1.0 / 64, 1.0, 1.0,
-            window=(0.0, 10.0),
-        )
+        splitter_from_outputs(zeros_t, zeros_z, 0.1, 1.0 / 64, (1.0, 1.0))
 
 
 OD30 = MediumParams(od=30.0)
@@ -209,4 +200,13 @@ def test_extract_matrix_requires_a_beamsplit_segment():
         (ControlSegment(0.0, 2.0, 13.0, "readout"),)
     )
     with pytest.raises(ConfigError):
+        extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)
+
+
+def test_extract_matrix_rejects_a_window_past_the_run():
+    stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
+    timeline = ControlTimeline(
+        (ControlSegment(6.0, 7.0, 13.0, "beamsplit"),)
+    )
+    with pytest.raises(ConfigError, match="contains no samples"):
         extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from magnonbs import (
     g2_formula,
     g3_formula,
 )
+from magnonbs.scenarios import delay_envelope
 
 
 def test_g2_formula_frozen_values():
@@ -24,10 +26,37 @@ def test_g2_formula_frozen_values():
 
 
 def test_g2_formula_rejects_bad_overlap():
-    with pytest.raises(ConfigError):
-        g2_formula(1.2, 0.0)
-    with pytest.raises(ConfigError):
-        g2_formula(-0.2, 0.0)
+    for overlap, phase in [
+        (1.2, 0.0),
+        (-0.2, 0.0),
+        (math.nan, 0.0),
+        (np.array([0.2, math.nan, 0.7]), 0.0),
+        # One bad element among good ones is enough.
+        (np.array([0.2, 0.5, 1.2]), 0.0),
+        (0.5, math.nan),
+        (0.5, np.array([0.0, math.inf])),
+    ]:
+        with pytest.raises(ConfigError):
+            g2_formula(overlap, phase)
+    for overlap in (1.2, math.nan, np.array([0.2, 0.5, 1.2])):
+        with pytest.raises(ConfigError):
+            g3_formula(0.5, overlap)
+
+
+def test_closed_forms_over_arrays_equal_their_scalar_values():
+    rng = np.random.default_rng(7)
+    overlaps = rng.uniform(0.0, 1.0, 40)
+    phases = rng.uniform(0.0, 2.0 * math.pi, 40)
+    g2 = g2_formula(overlaps, phases)
+    assert np.array_equal(g2, [g2_formula(i, p) for i, p in zip(overlaps, phases)])
+    g3 = g3_formula(overlaps[:, None], overlaps[None, :])
+    assert g3.shape == (40, 40)
+    assert np.array_equal(
+        g3, [[g3_formula(a, b) for b in overlaps] for a in overlaps]
+    )
+    # Scalars give numpy scalars, which print as floats do.
+    assert type(g2_formula(0.5, 0.3)) is np.float64
+    assert str(g2_formula(0.5, 0.3)) == str(1.0 + 0.5 * math.cos(0.3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -66,14 +95,16 @@ def test_gaussian_envelope_peak_symmetry_and_tails():
 
 
 def test_envelope_from_pulse_uses_intensity_sigma():
+    # The figures' delay envelope takes its width from their probe pulse.
     pulse = PulseEnvelope(fwhm=1.5, t_center=0.0)
-    env = OverlapEnvelope.from_pulse(pulse, i_peak=0.9)
+    env = delay_envelope(0.9)
     assert env.sigma == pytest.approx(pulse.sigma)
     assert env(0.0) == pytest.approx(0.9)
 
 
 def test_envelope_guards():
-    with pytest.raises(ConfigError):
-        OverlapEnvelope(i_peak=1.2, sigma=0.5)
-    with pytest.raises(ConfigError):
-        OverlapEnvelope(i_peak=0.5, sigma=0.0)
+    for i_peak, sigma in [
+        (1.2, 0.5), (0.5, 0.0), (math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)
+    ]:
+        with pytest.raises(ConfigError):
+            OverlapEnvelope(i_peak=i_peak, sigma=sigma)

@@ -71,6 +71,25 @@ MUTANTS = (
      "np.exp(-(dtau**2) / (2.0 * self.sigma**2))",
      ("tests/test_acceptance.py::test_criterion_6_triple_correlations",
       "tests/test_stats.py", "tests/test_scenarios.py")),
+    # The old chained comparison's reading of the range check, under which
+    # NaN fails neither bound.
+    ("stats: _check_overlap lets NaN through", "src/magnonbs/stats.py",
+     "if not ((v >= -PROBABILITY_SLACK) & (v <= 1.0 + PROBABILITY_SLACK)).all():",
+     "if ((v < -PROBABILITY_SLACK) | (v > 1.0 + PROBABILITY_SLACK)).any():",
+     ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",)),
+    ("acceptance: criterion 4's coarse stride 16 -> 8", "src/magnonbs/acceptance.py",
+     "for stride in (16, 4):",
+     "for stride in (8, 4):",
+     ("tests/test_acceptance.py::test_criterion_4_phase_operating_points",)),
+    ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
+     "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
+     "KEYS.get(section, {}).get(key, (None,))[0]",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
+      "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
+    ("splitter: extract_matrix drops the photon window", "src/magnonbs/splitter.py",
+     "photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)",
+     "photon = np.stack([run_a.emitted, run_b.emitted])",
+     ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",)),
     ("scenarios: drop the storage run from triangle_check's ledger checks",
      "src/magnonbs/scenarios.py",
      "(stored.trajectory, result.run_magnon, result.run_photon)]",
