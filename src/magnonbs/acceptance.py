@@ -25,8 +25,13 @@ from .fock_oracle import (
 )
 from .scenarios import (
     DETUNED_MIXING,
-    FIG2_OD150,
-    FIG2_OD30,
+    FIG2_CURVES,
+    FIG4_I_PEAK,
+    FIG4_SPAN,
+    FIG4_STEPS,
+    PHASE_CAL_RABI,
+    PHASE_FWHM,
+    PHASE_POINTS,
     Fig2Curve,
     RESONANT_MIXING,
     delay_envelope,
@@ -114,13 +119,7 @@ def criterion_3() -> CriterionResult:
     )
 
 
-# Shared control amplitude for the analytic-phase operating points.  The
-# value is calibrated so the resonant point lands exactly on zero phase;
-# gamma31 = 2pi x 3 MHz converts the published detunings to internal units.
-PHASE_CAL_RABI = 34.25
-PHASE_FWHM = 1.8847
-PHASE_POINTS = ((30.0, 0.0), (66.0, 10.0), (100.0, 20.0))
-PHASE_TARGETS = (0.0, math.pi / 2, math.pi)
+PHASE_TARGETS = (0.0, math.pi / 2, math.pi)  # one per PHASE_POINTS entry
 
 
 def criterion_4() -> CriterionResult:
@@ -139,8 +138,8 @@ def criterion_4() -> CriterionResult:
         phi_rt_analytic(PHASE_CAL_RABI, delta, od, tau)
         for od, delta in PHASE_POINTS
     ]
-    dists = [fold_phase(p - t) for p, t in zip(phis, PHASE_TARGETS)]
-    triples_ok = all(d <= 0.3 for d in dists)
+    dists = fold_phase(np.subtract(phis, PHASE_TARGETS))
+    triples_ok = bool((dists <= 0.3).all())
 
     # One detuning sweep at fixed depth.  Its step, 20/32000, is 1/16 of a
     # 2,001-point grid's step over the same range and 1/4 of an 8,001-point
@@ -163,7 +162,7 @@ def criterion_4() -> CriterionResult:
     # [0, pi] (existence plus endpoints reported).  The segments are the
     # runs of one sign of the folded curve's steps; each is monotone, so
     # its extremes are its two ends.
-    folded = np.minimum(phi, 2 * math.pi - phi)
+    folded = fold_phase(phi)
     signs = np.sign(np.diff(folded))
     edges = np.flatnonzero(np.diff(signs)) + 1
     starts = np.concatenate(([0], edges))
@@ -221,8 +220,8 @@ def criterion_6() -> CriterionResult:
     g3 = ideal_cascade_g3()
     value_ok = abs(g3 - 4.0) <= 1e-6
 
-    delays, grid = fig4_grid(5, 3.0, 1.0)
-    env = delay_envelope(1.0)(delays)
+    delays, grid = fig4_grid(FIG4_STEPS, FIG4_SPAN, FIG4_I_PEAK)
+    env = delay_envelope(FIG4_I_PEAK)(delays)
     worst = float(np.abs(grid - g3_formula(env[:, None], env[None, :])).max())
     grid_ok = worst <= 1e-9
 
@@ -233,8 +232,8 @@ def criterion_6() -> CriterionResult:
         6,
         "three-particle cascade and factorization",
         bool(ok),
-        f"ideal g3={g3:.9f} vs 4 (tol 1e-6); 5x5 factorization worst "
-        f"dev={worst:.2e} (tol 1e-9); classical threshold={threshold}",
+        f"ideal g3={g3:.9f} vs 4 (tol 1e-6); {FIG4_STEPS}x{FIG4_STEPS} factorization "
+        f"worst dev={worst:.2e} (tol 1e-9); classical threshold={threshold}",
     )
 
 
@@ -254,7 +253,7 @@ def criterion_7(curves: dict[float, Fig2Curve], checks: tuple) -> CriterionResul
     """
     rel_changes = []
     swept = list(curves.values())
-    for params in (FIG2_OD30, FIG2_OD150):
+    for params in FIG2_CURVES:
         fine = curves[params.od]
         opt = fine.optimum()
         halved = replace(params, rabi_s_grid=(opt.rabi_s,), n_z=params.n_z // 2)
@@ -292,7 +291,7 @@ def criterion_7(curves: dict[float, Fig2Curve], checks: tuple) -> CriterionResul
 
 def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
     """Storage-drive sweep shape and the depth ordering of the optima."""
-    low, high = curves[30.0], curves[150.0]
+    low, high = (curves[params.od] for params in FIG2_CURVES)
     uni_low = low.is_unimodal()
     uni_high = high.is_unimodal()
     eff_low = low.efficiency_optimum().efficiency
@@ -303,9 +302,9 @@ def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
         8,
         "storage-drive sweep shape and optimum ordering",
         bool(ok),
-        f"od=30 unimodal={uni_low} (peak g2="
+        f"od={FIG2_CURVES[0].od:g} unimodal={uni_low} (peak g2="
         f"{low.optimum().g2:.4f} at {low.optimum().rabi_s:g}); "
-        f"od=150 unimodal={uni_high} (peak g2="
+        f"od={FIG2_CURVES[1].od:g} unimodal={uni_high} (peak g2="
         f"{high.optimum().g2:.4f} at {high.optimum().rabi_s:g}); "
         f"efficiency optimum {eff_high:.4f} > {eff_low:.4f}: {ordered}",
     )
@@ -332,7 +331,7 @@ def run_all() -> list[CriterionResult]:
     checks = _triangle_pair()
     charge(criterion_5(checks))
     charge(criterion_6())
-    curves = {30.0: fig2_curve(FIG2_OD30), 150.0: fig2_curve(FIG2_OD150)}
+    curves = {params.od: fig2_curve(params) for params in FIG2_CURVES}
     charge(criterion_7(curves, checks))
     charge(criterion_8(curves))
     return results

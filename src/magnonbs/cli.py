@@ -164,17 +164,18 @@ def _spacing(text: str) -> str:
 # None is optional: absent from the config unless given.
 KEYS: dict[str, dict[str, tuple]] = {
     "scenario": {
-        "ods": (_floats, (30.0, 150.0)),
+        "ods": (_floats, tuple(params.od for params in scenarios.FIG2_CURVES)),
         "i_peak": (_number, 0.75),
-        "fig4_i_peak": (_number, 1.0),
-        "phase_rabi": (_number, 34.25),
+        "fig4_i_peak": (_number, scenarios.FIG4_I_PEAK),
+        "phase_rabi": (_number, scenarios.PHASE_CAL_RABI),
+        # Not scenarios.PHASE_FWHM (a FOUND in CHANGES.md): it moves fig3's output.
         "phase_fwhm": (_number, 100 * NS_TO_NORM),
-        "triples": (_parse_triples, ((30.0, 0.0), (66.0, 10.0), (100.0, 20.0))),
+        "triples": (_parse_triples, scenarios.PHASE_POINTS),
         "delay_span": (_number, 4.0),
         "delay_steps": (_count, 81),
         "phase_steps": (_count, 97),
-        "fig4_steps": (_count, 5),
-        "fig4_span": (_number, 3.0),
+        "fig4_steps": (_count, scenarios.FIG4_STEPS),
+        "fig4_span": (_number, scenarios.FIG4_SPAN),
         "rabi_s_grid": (_floats, None),
     },
     "medium": {
@@ -183,8 +184,8 @@ KEYS: dict[str, dict[str, tuple]] = {
         "gamma12": (_number, 0.0),
     },
     "pulse": {
-        "fwhm": (_number, 1.5),
-        "t_center": (_number, 3.2),
+        "fwhm": (_number, scenarios.PULSE.fwhm),
+        "t_center": (_number, scenarios.PULSE.t_center),
         "amplitude_norm": (_number, 1.0),
     },
     "control": {

@@ -60,6 +60,23 @@ def _require_finite(obj, *names: str) -> None:
             raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
+def _require_passive(matrix: np.ndarray) -> None:
+    """Raise PhysicsViolation if the largest singular value exceeds 1 + 1e-10."""
+    smax = np.linalg.svd(matrix, compute_uv=False)[0]
+    if not smax <= 1.0 + 1e-10:
+        raise PhysicsViolation(
+            f"transfer matrix has gain: largest singular value {smax}"
+        )
+
+
+def _check_overlap(value: float | np.ndarray, name: str) -> np.ndarray:
+    """The overlap(s) clipped onto [0, 1]; NaN or outside [0, 1 + 1e-9] raises."""
+    v = np.asarray(value, dtype=float)
+    if not ((v >= 0.0) & (v <= 1.0 + 1e-9)).all():  # NaN fails both bounds
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    return np.minimum(v, 1.0)
+
+
 def _require_cells(n_cells: int) -> None:
     """Raise ConfigError if a grid of n_cells cannot resolve a stored profile."""
     if n_cells < 16:
@@ -294,8 +311,8 @@ class SplitterMatrix:
 
     Acts on (magnon_in, photon_in); the matrix is [[t1, r2], [r1, t2]] so
     magnon_out = t1 * magnon_in + r2 * photon_in and
-    photon_out = r1 * magnon_in + t2 * photon_in.  Passivity (no gain) is
-    checked on construction.
+    photon_out = r1 * magnon_in + t2 * photon_in.  Passivity is checked on
+    construction, so no column's squared norm (a port's survival) exceeds 1.
     """
 
     t1: complex
@@ -307,25 +324,8 @@ class SplitterMatrix:
         for name in ("t1", "r1", "t2", "r2"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         _require_finite(self, "t1", "r1", "t2", "r2")
-        tol = 1e-9
-        s1, s2 = self.port_sums
-        if s1 > 1 + tol or s2 > 1 + tol:
-            raise PhysicsViolation(
-                f"port survival exceeds unity: |t1|^2+|r1|^2={s1:.3e}, "
-                f"|t2|^2+|r2|^2={s2:.3e}"
-            )
-        smax = np.linalg.svd(self.matrix, compute_uv=False)[0]
-        if smax > 1 + tol:
-            raise PhysicsViolation(f"largest singular value {smax} exceeds unity")
+        _require_passive(self.matrix)
 
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.t1, self.r2], [self.r1, self.t2]], dtype=complex)
-
-    @property
-    def port_sums(self) -> tuple[float, float]:
-        """Survival probabilities (magnon port, photon port)."""
-        return (
-            abs(self.t1) ** 2 + abs(self.r1) ** 2,
-            abs(self.t2) ** 2 + abs(self.r2) ** 2,
-        )

@@ -24,15 +24,17 @@ ports, port q holding m_q particles, is
 approximated, so results are exact to machine precision for up to three
 particles.
 
-Coincidence ratios are normalized per distinguishable routing: for the
-all-ports-coincidence pattern the reference value is
+Coincidence ratios are normalized per distinguishable routing, in
+`_coincidence_ratio` alone: for the all-ports-coincidence pattern the
+reference value is
 
     N = per(|T|)^2 / K
 
 with K the number of routings (permutations of particles onto distinct
 output ports) carrying nonzero amplitude.  For a two-port splitter this is
 (|t1 t2| + |r1 r2|)^2 / 2, which reduces to the familiar 1/2 baseline when
-the splitting is balanced.
+the splitting is balanced, but differs from the distinguishable
+probability |t1 t2|^2 + |r1 r2|^2 when the two routings are unequal.
 """
 
 from __future__ import annotations
@@ -43,14 +45,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PhysicsViolation, SplitterMatrix, _require_finite
+from .core import (
+    ConfigError,
+    PhysicsViolation,
+    SplitterMatrix,
+    _check_overlap,
+    _require_finite,
+    _require_passive,
+)
 
 _MAX_PARTICLES = 3
 
 
 @dataclass(frozen=True)
 class ModeNetwork:
-    """Square transfer matrix between signal modes, possibly lossy."""
+    """Square transfer matrix between signal modes, possibly lossy but never amplifying."""
 
     transfer: np.ndarray
 
@@ -62,11 +71,7 @@ class ModeNetwork:
             raise ConfigError("transfer matrix needs at least one mode")
         object.__setattr__(self, "transfer", t)
         _require_finite(self, "transfer")
-        smax = np.linalg.svd(t, compute_uv=False)[0]
-        if smax > 1 + 1e-10:
-            raise PhysicsViolation(
-                f"transfer matrix has gain: largest singular value {smax}"
-            )
+        _require_passive(t)
         t.setflags(write=False)
 
     @property
@@ -124,9 +129,7 @@ class FockInput:
 
 def two_photon_input(overlap_i: float) -> FockInput:
     """Two particles, one per port, with intensity overlap `overlap_i`."""
-    if not 0.0 <= overlap_i <= 1.0 + 1e-9:
-        raise ConfigError(f"overlap must lie in [0, 1], got {overlap_i}")
-    c = math.sqrt(min(overlap_i, 1.0))
+    c = math.sqrt(_check_overlap(overlap_i, "overlap"))
     return FockInput((1, 1), np.array([[1.0, c], [c, 1.0]]))
 
 
@@ -134,12 +137,9 @@ def three_photon_input(
     i12: float, i23: float, i13: float | None = None
 ) -> FockInput:
     """Three particles, one per port; i13 defaults to the chain product."""
-    for name, val in (("i12", i12), ("i23", i23), ("i13", i13)):
-        if val is not None and not 0.0 <= val <= 1.0 + 1e-9:
-            raise ConfigError(f"{name} must lie in [0, 1], got {val}")
-    if i13 is None:
-        i13 = i12 * i23
-    c12, c23, c13 = (math.sqrt(min(v, 1.0)) for v in (i12, i23, i13))
+    i12, i23 = _check_overlap(i12, "i12"), _check_overlap(i23, "i23")
+    i13 = i12 * i23 if i13 is None else _check_overlap(i13, "i13")
+    c12, c23, c13 = (math.sqrt(v) for v in (i12, i23, i13))
     g = np.array([[1.0, c12, c13], [c12, 1.0, c23], [c13, c23, 1.0]])
     return FockInput((1, 1, 1), g)
 
@@ -198,27 +198,21 @@ def output_distribution(
     return raw
 
 
-def coincidence_baseline(transfer: np.ndarray, ports: tuple[int, ...]) -> float:
-    """Per-routing reference probability for the all-ports coincidence."""
-    t = np.asarray(transfer, dtype=complex)
-    prods = [
-        math.prod(abs(t[out_mode, ports[j]]) for out_mode, j in enumerate(perm))
-        for perm in itertools.permutations(range(len(ports)))
-    ]
-    top = max(prods)
-    if top <= 0:
-        raise ConfigError("no routing connects the inputs to a full coincidence")
-    k = sum(1 for p in prods if p > 1e-12 * top)
-    return sum(prods) ** 2 / k
-
-
 def _coincidence_ratio(
     probs: dict[tuple[int, ...], float], transfer: np.ndarray, n: int
 ) -> float:
     t = np.asarray(transfer, dtype=complex)
     if t.shape != (n, n):
         raise ConfigError(f"g{n} needs a {n}-mode transfer matrix")
-    return probs.get((1,) * n, 0.0) / coincidence_baseline(t, tuple(range(n)))
+    prods = [
+        math.prod(abs(t[out_mode, j]) for out_mode, j in enumerate(perm))
+        for perm in itertools.permutations(range(n))
+    ]
+    top = max(prods)
+    if top <= 0:
+        raise ConfigError("no routing connects the inputs to a full coincidence")
+    k = sum(1 for p in prods if p > 1e-12 * top)
+    return probs.get((1,) * n, 0.0) / (sum(prods) ** 2 / k)
 
 
 def g2_from_distribution(

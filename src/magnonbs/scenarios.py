@@ -7,8 +7,6 @@ splitter extraction and the Fock oracle; the delay curves and the
 three-particle grid are formula-level and reuse the envelope model.
 
 Conventions used by every protocol here:
-- the probe pulse has FWHM 1.5 and is centered late enough (t = 3.2) that
-  its leading tail is negligible at t = 0;
 - the storage control is resonant; mixing stages may be detuned;
 - lasers retune between stages, so storage and mixing may use different
   MediumParams while the stored spin wave carries over unchanged.
@@ -55,8 +53,22 @@ from .splitter import (
 from .stats import OverlapEnvelope, g2_formula
 
 
-PULSE_FWHM = 1.5
-PULSE_CENTER = 3.2
+# Every protocol's storage pulse, centered late enough that its leading tail
+# is negligible at t = 0; a probe pulse differs from it only in its timing.
+PULSE = PulseEnvelope(fwhm=1.5, t_center=3.2)
+
+# The analytic phase's (od, detuning) operating points share one control
+# amplitude, calibrated so the resonant point lands exactly on zero phase;
+# gamma31 = 2pi x 3 MHz converts the published detunings to internal units.
+PHASE_CAL_RABI = 34.25
+PHASE_FWHM = 1.8847
+PHASE_POINTS = ((30.0, 0.0), (66.0, 10.0), (100.0, 20.0))
+
+# fig4's delay grid: steps per axis, delay span and peak overlap.
+FIG4_STEPS = 5
+FIG4_SPAN = 3.0
+FIG4_I_PEAK = 1.0
+
 # fig2 takes the probe spin wave from the largest-magnon snapshot at these times.
 _PROBE_SNAPSHOTS = tuple(np.arange(0.3, 4.0, 0.05))
 
@@ -104,6 +116,9 @@ FIG2_OD150 = Fig2Params(
     n_z=240,
 )
 
+# The published depths, low then high: fig2's default curves and the gate's.
+FIG2_CURVES = (FIG2_OD30, FIG2_OD150)
+
 
 def fig2_params(od: float) -> Fig2Params:
     """The storage-drive sweep calibrated for depth `od`.
@@ -111,10 +126,9 @@ def fig2_params(od: float) -> Fig2Params:
     An uncalibrated depth reuses the low-depth drive schedule, so that
     shallow and empty cells stay runnable.
     """
-    if od == FIG2_OD30.od:
-        return FIG2_OD30
-    if od == FIG2_OD150.od:
-        return FIG2_OD150
+    for params in FIG2_CURVES:
+        if od == params.od:
+            return params
     return replace(FIG2_OD30, od=od)
 
 
@@ -169,7 +183,6 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     scenarios).
     """
     medium = MediumParams(od=params.od)
-    pulse = PulseEnvelope(fwhm=PULSE_FWHM, t_center=PULSE_CENTER)
     timeline = ControlTimeline(
         (ControlSegment(0.0, params.t_end, params.rabi_bs, "beamsplit"),)
     )
@@ -177,7 +190,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
         t_end=params.t_end, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS
     )
 
-    probe = PulseEnvelope(fwhm=PULSE_FWHM, t_center=params.probe_center)
+    probe = replace(PULSE, t_center=params.probe_center)
     run_probe = evolve(medium, timeline, config, pulse=probe)
     spin_probe = max(run_probe.snapshots, key=lambda s: s.magnon_norm).sigma12
     transmission = (
@@ -185,7 +198,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     )
 
     reference = store_magnon(
-        medium, pulse, params.ref_rabi_s, n_z=params.n_z
+        medium, PULSE, params.ref_rabi_s, n_z=params.n_z
     )
     plain = SimulationConfig(t_end=params.t_end, n_z=params.n_z)
     run_release = evolve(medium, timeline, plain, initial=reference.state)
@@ -205,7 +218,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
             # The reference storage run already wrote at this drive.
             stored = reference
         else:
-            stored = store_magnon(medium, pulse, rabi_s, n_z=params.n_z)
+            stored = store_magnon(medium, PULSE, rabi_s, n_z=params.n_z)
             checks.append(_ledger_checks(stored.trajectory))
         spin_stored = stored.state.sigma12
         num = abs(np.vdot(spin_stored, spin_probe)) ** 2
@@ -267,11 +280,10 @@ class MixingScenario:
 
     def run(self) -> tuple[StorageResult, ExtractionResult]:
         """The storage stage and the splitter extraction that follows it."""
-        pulse = PulseEnvelope(fwhm=PULSE_FWHM, t_center=PULSE_CENTER)
         stored = store_magnon(
-            self.storage_medium, pulse, self.rabi_s, n_z=self.n_z
+            self.storage_medium, PULSE, self.rabi_s, n_z=self.n_z
         )
-        probe = PulseEnvelope(fwhm=PULSE_FWHM, t_center=self.probe_center)
+        probe = replace(PULSE, t_center=self.probe_center)
         timeline = ControlTimeline(
             (ControlSegment(0.0, self.t_cut, self.rabi_bs, "beamsplit"),)
         )
@@ -353,8 +365,7 @@ def triangle_check(scenario: MixingScenario) -> TriangleCheck:
 
 def delay_envelope(i_peak: float) -> OverlapEnvelope:
     """Mode overlap versus arrival delay of two of the figures' probe pulses."""
-    pulse = PulseEnvelope(fwhm=PULSE_FWHM, t_center=0.0)
-    return OverlapEnvelope(i_peak=i_peak, sigma=pulse.sigma)
+    return OverlapEnvelope(i_peak=i_peak, sigma=PULSE.sigma)
 
 
 def fig3_delay_curve(phi_rt: float, delays: np.ndarray, i_peak: float) -> np.ndarray:

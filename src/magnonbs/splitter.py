@@ -42,8 +42,8 @@ _TWO_PI = 2.0 * math.pi
 
 def tau_from_fwhm(fwhm: float) -> float:
     """Gaussian amplitude 1/e half-width from the intensity FWHM."""
-    if fwhm <= 0:
-        raise ConfigError("pulse fwhm must be positive")
+    if not 0 < fwhm < math.inf:
+        raise ConfigError(f"pulse fwhm must be positive and finite, got {fwhm}")
     return fwhm / (2.0 * math.sqrt(math.log(2.0)))
 
 
@@ -52,13 +52,15 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
 
     Valid for a control pulse of amplitude duration `tau` (see
     `tau_from_fwhm`), Rabi frequency `rabi`, one-photon detuning `detuning`
-    and optical depth `od`.  Returns the phase in [0, 2*pi).
+    and optical depth `od`.  Returns the phase in [0, 2*pi).  A NaN or
+    infinite input raises ConfigError.
     """
-    if od <= 0:
-        raise ConfigError("round-trip phase estimate needs a positive od")
+    # Written so that NaN, which fails every comparison, fails the checks.
+    if not (0 < od < math.inf and math.isfinite(detuning)):
+        raise ConfigError("phase estimate needs a finite od > 0 and a finite detuning")
     x = abs(rabi) ** 2 * tau / 4.0
-    if x <= 0:
-        raise ConfigError("control pulse area must be nonzero")
+    if not 0 < x < math.inf:
+        raise ConfigError("control pulse area must be nonzero and finite")
     xi = np.exp(-x / (1.0 - 1j * detuning))
     scale = max(x, od, 1.0)
     den = x - od * (1.0 - xi)
@@ -73,10 +75,10 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
     return float(phase % _TWO_PI)
 
 
-def fold_phase(phi: float) -> float:
-    """Distance of a phase from 0 modulo 2*pi, in [0, pi]."""
-    p = phi % _TWO_PI
-    return min(p, _TWO_PI - p)
+def fold_phase(phi: float | np.ndarray) -> np.floating | np.ndarray:
+    """Distance of each phase (a scalar or an array) from 0 mod 2*pi, in [0, pi]."""
+    p = np.mod(phi, _TWO_PI)
+    return np.minimum(p, _TWO_PI - p)
 
 
 def phi_rt_of_matrix(b: SplitterMatrix) -> float:

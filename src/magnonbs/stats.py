@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, PROBABILITY_SLACK, _require_finite
+from .core import ConfigError, _check_overlap, _require_finite
 
 
 class ClassicalBounds(NamedTuple):
@@ -35,15 +35,6 @@ def classical_bounds() -> ClassicalBounds:
     (3/2)^2.  Values outside these bounds need particle-number statistics.
     """
     return ClassicalBounds(0.5, 1.5, 2.25)
-
-
-def _check_overlap(value: float | np.ndarray, name: str) -> np.ndarray:
-    """The overlap(s) clipped onto [0, 1]; NaN or out of range raises."""
-    v = np.asarray(value, dtype=float)
-    # Written so that NaN, which fails every comparison, fails the check.
-    if not ((v >= -PROBABILITY_SLACK) & (v <= 1.0 + PROBABILITY_SLACK)).all():
-        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    return np.clip(v, 0.0, 1.0)
 
 
 def g2_formula(

@@ -143,13 +143,15 @@ def test_field_state_bookkeeping_closes_on_construction():
     assert st.magnon_norm == 0.0
 
 
-def test_splitter_matrix_layout_and_port_sums():
+def test_splitter_matrix_layout_and_column_norms():
     b = SplitterMatrix(t1=0.5, r1=0.1j, t2=0.4, r2=0.2)
     m = b.matrix
     assert m[0, 0] == 0.5 and m[0, 1] == 0.2
     assert m[1, 0] == 0.1j and m[1, 1] == 0.4
-    assert b.port_sums[0] == pytest.approx(0.26)
-    assert b.port_sums[1] == pytest.approx(0.20)
+    # A column's squared norm is its input port's survival probability.
+    survival = np.linalg.norm(m, axis=0) ** 2
+    assert survival[0] == pytest.approx(0.26)
+    assert survival[1] == pytest.approx(0.20)
 
 
 def test_splitter_matrix_rejects_gain():
@@ -159,3 +161,12 @@ def test_splitter_matrix_rejects_gain():
     r = math.sqrt(0.5)
     with pytest.raises(PhysicsViolation):
         SplitterMatrix(t1=r, r1=r, t2=r, r2=r)
+    # Both constructors hold one tolerance, 1e-10 on the largest singular
+    # value: a gain of 5e-10 fails and one of 5e-11 is roundoff.
+    for build in (
+        lambda t1: SplitterMatrix(t1=t1, r1=0.0, t2=0.5, r2=0.0),
+        lambda t1: ModeNetwork(np.diag([t1, 0.5])),
+    ):
+        with pytest.raises(PhysicsViolation, match="has gain"):
+            build(1.0 + 5e-10)
+        build(1.0 + 5e-11)

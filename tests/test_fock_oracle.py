@@ -15,7 +15,7 @@ from magnonbs import (
     three_photon_input,
     two_photon_input,
 )
-from magnonbs.fock_oracle import FockInput, coincidence_baseline
+from magnonbs.fock_oracle import FockInput
 
 
 def brute_permanent(m):
@@ -269,8 +269,17 @@ def test_fock_input_guards():
             (1, 1, 1),
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
         )
-    with pytest.raises(ConfigError):
-        two_photon_input(1.5)
+    # Overlaps must lie in [0, 1 + 1e-9], the same range g2_formula holds.
+    for bad in (1.5, -1e-7, 1.0 + 5e-7, math.nan):
+        with pytest.raises(ConfigError):
+            two_photon_input(bad)
+        with pytest.raises(ConfigError):
+            three_photon_input(bad, 0.5)
+        with pytest.raises(ConfigError):
+            three_photon_input(0.5, bad)
+    # Roundoff above 1 is clipped to 1.
+    assert two_photon_input(1.0 + 5e-10).gram[0, 1] == 1.0
+    assert np.all(three_photon_input(1.0 + 5e-10, 1.0 + 5e-10).gram == 1.0)
     with pytest.raises(ConfigError):
         FockInput((1, 1.5), np.eye(2))
     with pytest.raises(ConfigError):
@@ -278,7 +287,7 @@ def test_fock_input_guards():
         FockInput((1, 1), np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
     with pytest.raises(ConfigError):
         FockInput((1, 1), np.array([[1.0, math.nan], [math.nan, 1.0]]))
-    for i13 in (-0.5, 2.0, math.nan):
+    for i13 in (-0.5, -1e-7, 2.0, 1.0 + 5e-7, math.nan):
         with pytest.raises(ConfigError):
             three_photon_input(0.5, 0.5, i13)
     with pytest.raises(ConfigError):
@@ -333,6 +342,7 @@ def test_correlation_helpers_check_matrix_shape():
         g3_from_distribution(dist, np.eye(2))
 
 
-def test_coincidence_baseline_rejects_disconnected_routing():
-    with pytest.raises(ConfigError):
-        coincidence_baseline(np.array([[1.0, 0.0], [0.0, 0.0]]), (0, 1))
+def test_g2_from_distribution_rejects_disconnected_routing():
+    # No routing puts one particle at each output, so g2 has no baseline.
+    with pytest.raises(ConfigError, match="no routing"):
+        g2_from_distribution({}, np.array([[1.0, 0.0], [0.0, 0.0]]))

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError, g2_formula
+from magnonbs import ConfigError, MediumParams, g2_formula
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
+    MixingScenario,
     RESONANT_MIXING,
     delay_envelope,
     fig3_delay_curve,
@@ -110,3 +111,24 @@ def test_triangle_check_deviation_property():
     assert tc.deviation == pytest.approx(abs(tc.g2_oracle - tc.g2_formula))
     assert 0.0 <= tc.overlap <= 1.0
     assert 0.0 <= tc.phi_rt < 2.0 * math.pi
+
+
+def test_triangle_check_counts_the_storage_run_in_its_loss_gap():
+    # At both gate points the storage run's loss gap is below the photon
+    # run's, so dropping it from the ledger checks shows nowhere there.  A
+    # deep storage cell and a shallow mixing cell reverse that order.
+    scenario = MixingScenario(
+        label="deep storage",
+        storage_medium=MediumParams(od=150.0),
+        mixing_medium=MediumParams(od=5.0),
+        rabi_s=8.0,
+        rabi_bs=13.0,
+        t_cut=2.0,
+        probe_center=0.6,
+        n_z=48,
+        t_end=5.5,
+    )
+    stored, result = scenario.run()
+    gap = stored.trajectory.loss_gap
+    assert gap > 10 * max(result.run_magnon.loss_gap, result.run_photon.loss_gap)
+    assert triangle_check(scenario).loss_gap == gap

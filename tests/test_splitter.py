@@ -25,8 +25,9 @@ from magnonbs.splitter import splitter_from_outputs
 
 def test_tau_from_fwhm_value_and_guard():
     assert tau_from_fwhm(2.0) == pytest.approx(1.0 / math.sqrt(math.log(2.0)))
-    with pytest.raises(ConfigError):
-        tau_from_fwhm(0.0)
+    for fwhm in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            tau_from_fwhm(fwhm)
 
 
 def test_fold_phase_measures_distance_from_zero():
@@ -34,6 +35,10 @@ def test_fold_phase_measures_distance_from_zero():
     assert fold_phase(2.0 * math.pi - 0.3) == pytest.approx(0.3)
     assert fold_phase(-0.5 * math.pi) == pytest.approx(0.5 * math.pi)
     assert fold_phase(7.0 * math.pi) == pytest.approx(math.pi)
+    # An array folds element by element, as each scalar does.
+    phases = np.array([0.3, 2.0 * math.pi - 0.3, -0.5 * math.pi, 7.0 * math.pi,
+                       -4.0 * math.pi, 0.0])
+    assert np.array_equal(fold_phase(phases), [fold_phase(p) for p in phases])
 
 
 def test_phi_rt_of_matrix_known_values():
@@ -103,6 +108,21 @@ def test_phi_rt_analytic_guards():
         phi_rt_analytic(10.0, 0.0, 0.0, tau)
     with pytest.raises(ConfigError):
         phi_rt_analytic(0.0, 0.0, 30.0, tau)
+    # Non-finite input raises rather than returning NaN (with warnings).
+    nan, inf = math.nan, math.inf
+    for rabi, detuning, od, t in [
+        (nan, 0.0, 30.0, tau),
+        (10.0, 0.0, 30.0, nan),
+        (10.0, nan, 30.0, tau),
+        (10.0, 0.0, nan, tau),
+        (10.0, 0.0, inf, tau),
+        (10.0, inf, 30.0, tau),
+        (10.0, -inf, 30.0, tau),
+        (inf, 0.0, 30.0, tau),
+        (10.0, 0.0, 30.0, inf),
+    ]:
+        with pytest.raises(ConfigError):
+            phi_rt_analytic(rabi, detuning, od, t)
 
 
 def _synthetic_projection(b, input_a=0.9, input_b=0.8):
@@ -190,7 +210,7 @@ def test_extract_matrix_mixes_ports_in_a_driven_cell():
     # All four channels carry weight and the matrix stays passive.
     for amp in (b.t1, b.r1, b.t2, b.r2):
         assert abs(amp) > 0.05
-    assert max(b.port_sums) <= 1.0 + 1e-6
+    assert (np.linalg.norm(b.matrix, axis=0) ** 2).max() <= 1.0 + 1e-6
     assert 0.0 <= effective_overlap(result) <= 1.0
 
 

@@ -29,6 +29,9 @@ def test_g2_formula_rejects_bad_overlap():
     for overlap, phase in [
         (1.2, 0.0),
         (-0.2, 0.0),
+        # Just past the range: no slack below 0, and 1e-9 above 1.
+        (-1e-7, 0.0),
+        (1.0 + 5e-7, 0.0),
         (math.nan, 0.0),
         (np.array([0.2, math.nan, 0.7]), 0.0),
         # One bad element among good ones is enough.
@@ -38,9 +41,12 @@ def test_g2_formula_rejects_bad_overlap():
     ]:
         with pytest.raises(ConfigError):
             g2_formula(overlap, phase)
-    for overlap in (1.2, math.nan, np.array([0.2, 0.5, 1.2])):
+    for overlap in (1.2, -1e-7, 1.0 + 5e-7, math.nan, np.array([0.2, 0.5, 1.2])):
         with pytest.raises(ConfigError):
             g3_formula(0.5, overlap)
+    # Roundoff above 1 is clipped to 1.
+    assert g2_formula(1.0 + 5e-10, 0.0) == 2.0
+    assert g3_formula(1.0 + 5e-10, 1.0) == 4.0
 
 
 def test_closed_forms_over_arrays_equal_their_scalar_values():

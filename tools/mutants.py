@@ -27,6 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/magnonbs/fock_oracle.py"
 ORACLE_TESTS = ("tests/test_fock_oracle.py",)
 MBLOCH = "src/magnonbs/mbloch.py"
+CORE = "src/magnonbs/core.py"
+GAIN_TESTS = ("tests/test_core.py::test_splitter_matrix_rejects_gain",)
+OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
+                 "tests/test_fock_oracle.py::test_fock_input_guards")
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 
 MUTANTS = (
@@ -73,10 +77,16 @@ MUTANTS = (
       "tests/test_stats.py", "tests/test_scenarios.py")),
     # The old chained comparison's reading of the range check, under which
     # NaN fails neither bound.
-    ("stats: _check_overlap lets NaN through", "src/magnonbs/stats.py",
-     "if not ((v >= -PROBABILITY_SLACK) & (v <= 1.0 + PROBABILITY_SLACK)).all():",
-     "if ((v < -PROBABILITY_SLACK) | (v > 1.0 + PROBABILITY_SLACK)).any():",
-     ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",)),
+    ("core: _check_overlap lets NaN through", CORE,
+     "if not ((v >= 0.0) & (v <= 1.0 + 1e-9)).all():",
+     "if ((v < 0.0) | (v > 1.0 + 1e-9)).any():",
+     OVERLAP_TESTS),
+    ("core: overlap upper slack 1e-9 -> 1e-6", CORE,
+     "v <= 1.0 + 1e-9", "v <= 1.0 + 1e-6", OVERLAP_TESTS),
+    ("core: overlap lower bound 0 -> -1e-6", CORE,
+     "v >= 0.0", "v >= -1e-6", OVERLAP_TESTS),
+    ("core: passivity tolerance 1e-10 -> 1e-8", CORE,
+     "if not smax <= 1.0 + 1e-10:", "if not smax <= 1.0 + 1e-8:", GAIN_TESTS),
     ("acceptance: criterion 4's coarse stride 16 -> 8", "src/magnonbs/acceptance.py",
      "for stride in (16, 4):",
      "for stride in (8, 4):",
@@ -96,7 +106,9 @@ MUTANTS = (
      "(result.run_magnon, result.run_photon)]",
      ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",
       "tests/test_acceptance.py::test_criterion_7_conservation_and_grid",
-      "tests/test_scenarios.py")),
+      "tests/test_scenarios.py",
+      "tests/test_scenarios.py::"
+      "test_triangle_check_counts_the_storage_run_in_its_loss_gap")),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
