@@ -32,13 +32,13 @@ into one map F_n = U_{n+1} U_n: R_s R_s inside a run, R_{s+1} R_s where run
 s ends.  A step then reads the loss quadrature off w_n, emits the last E
 cell, shifts and injects, and applies F_n: one real matrix product.
 
-The ledger of norms is kept where the state is read: every 256 steps, at
-each snapshot and at the last step.  There the state at the step end,
-v_{n+1} = U_n S(w_n) with S the advection, goes to a scratch buffer that
-never feeds back into the carried state, so snapshots leave the run
-unchanged.  Every half step is a contraction and the advection moves one
-cell of |E|^2 out at z = 1 and one in at z = 0, so the norm removed per
-half step telescopes into
+The ledger of norms is kept where the state is read, for each member of a
+batch on its own: every 256 steps, at each snapshot and at the last step.
+There the state at the step end, v_{n+1} = U_n S(w_n) with S the
+advection, goes to a scratch buffer that never feeds back into the carried
+state, so snapshots leave the run unchanged.  Every half step is a
+contraction and the advection moves one cell of |E|^2 out at z = 1 and one
+in at z = 0, so the norm removed per half step telescopes into
 
     loss = initial + injected - emitted - held,
 
@@ -50,13 +50,28 @@ w_n (the advection leaves P and S unchanged): its gap to the ledger's loss,
 `Trajectory.loss_gap`, is the midpoint rule's discretization error and
 falls 4x per grid doubling.  Every 256 steps the held norm is also checked
 for non-finite values and for exceeding the input.
+
+Runs that share a medium and a grid step together: `evolve_batch` takes a
+list of runs and `evolve` is a batch of one.  The members' states stack
+into one (members, 6, n_z) array, so a step is one batched product and one
+call each for the emission, the advection and the injection, whatever the
+number of members; a step's cost is mostly numpy call overhead, which the
+members then share.  The members are sorted longest first and stepped at
+most _BATCH at a time; a finished member drops off the end of the active
+prefix.  The trajectories come back in call order.  What a batch holds
+while it steps is bounded per member: one block of maps, and between two
+ledger reads (at most _CHECK_EVERY steps) the emitted and injected cells
+and the loss-quadrature terms in small blocks shared by the members,
+never an array of steps x members.  Members with the same start time
+share one array of step midpoints, and those with the same pulse as well
+share its samples; a trajectory derives its control drive from its
+timeline when read, rather than storing it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -84,6 +99,10 @@ _CHECK_EVERY = 256
 # ramp) can take, while every run of the acceptance gate (at most about 600
 # drive runs) is one block.
 _MAP_BLOCK = 1024
+# Runs stepped side by side at most.  Each member holds its own block of
+# maps and its own outputs while it steps, so this bounds what a batch
+# holds at once; a wider batch is stepped in groups, longest runs first.
+_BATCH = 4
 # Coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, and the
 # largest 1-norm at which it is exact to double precision (Higham, SIAM J.
 # Matrix Anal. Appl. 26, 1179 (2005)).
@@ -127,10 +146,12 @@ class SimulationConfig:
 class Trajectory:
     """Emitted field, final state and snapshots of one propagation run.
 
-    `times` are the step midpoints, `dt` apart.  `emitted` holds the
+    `times` are the step midpoints, `dt` apart; runs of one batch that start
+    together share one array of them, as views.  `emitted` holds the
     outgoing amplitude at z = 1 in temporal normalization: dt * sum
-    |emitted|^2 is the norm that left the cell.  `control` is the control
-    Rabi frequency sampled at the same midpoint times.  The norm ledger is
+    |emitted|^2 is the norm that left the cell.  `timeline` is the run's
+    control timeline, and `control` the control Rabi frequency at the same
+    midpoint times, sampled from it when read.  The norm ledger is
     observable at the end (`final_state`) and at the step end nearest each
     requested snapshot time (`snapshots`); each is a FieldState carrying
     the full ledger.  `loss_quad` is the loss summed independently of that
@@ -140,10 +161,15 @@ class Trajectory:
     times: np.ndarray
     dt: float
     emitted: np.ndarray
-    control: np.ndarray
+    timeline: ControlTimeline
     final_state: FieldState
     loss_quad: float
     snapshots: tuple[FieldState, ...] = ()
+
+    @property
+    def control(self) -> np.ndarray:
+        """The control Rabi frequency at the step midpoints `times`."""
+        return self.timeline.rabi(self.times)
 
     @property
     def input_norm(self) -> float:
@@ -214,21 +240,32 @@ def _real_block(maps: np.ndarray) -> np.ndarray:
     return real
 
 
-def _map_blocks(medium: MediumParams, control: np.ndarray, dt_half: float):
-    """The step maps of a run, built at most _MAP_BLOCK drive runs at a time.
+def _drive_runs(control: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the drive's runs of equal values start, and their values.
 
-    A drive run is a stretch of steps with one drive value; it has one half
-    map R.  For each block this yields the first steps of its runs, their
-    half maps and, per step, the map that takes the half-stepped state
-    across the step boundary: R_s @ R_s inside run s, R_{s+1} @ R_s on its
-    last step.  The last step of the whole run gets a zero map, as nothing
-    reads the state it would carry.
+    A drive run is a stretch of steps with one drive value.  The bounds
+    end with the step count, so run s covers steps bounds[s] to
+    bounds[s + 1] - 1.
     """
-    n_steps = control.size
     bounds = np.concatenate(
-        ([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [n_steps])
+        ([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [control.size])
     )
-    n_runs = bounds.size - 1
+    return bounds, control[bounds[:-1]]
+
+
+def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
+                  dt_half: float):
+    """The step maps of one run, as stretches of steps that share a map.
+
+    Each drive run has one half map R.  The map that takes the half-stepped
+    state across a step boundary is R_s @ R_s inside run s and
+    R_{s+1} @ R_s on its last step; the last step of the whole run gets a
+    zero map, as nothing reads the state it would carry.  Yields, in step
+    order, (stop, fused, half) for each stretch: it ends before step
+    `stop`, its steps take `fused`, and `half` is its drive run's R.  The
+    maps are built at most _MAP_BLOCK drive runs at a time.
+    """
+    n_runs = drives.size
     ahead = None
     for r0 in range(0, n_runs, _MAP_BLOCK):
         r1 = min(r0 + _MAP_BLOCK, n_runs)
@@ -236,19 +273,44 @@ def _map_blocks(medium: MediumParams, control: np.ndarray, dt_half: float):
         # One expm for the block's runs and the first run of the next block,
         # which that block then reuses.
         lo = r0 if ahead is None else r0 + 1
-        half = _local_maps(medium, control[bounds[lo : min(r1 + 1, n_runs)]], dt_half)
+        half = _local_maps(medium, drives[lo : min(r1 + 1, n_runs)], dt_half)
         if ahead is not None:
             half = np.concatenate((ahead[None], half))
-        fused = np.zeros((2 * nb, 6, 6))
-        np.matmul(half[:nb], half[:nb], out=fused[0::2])
-        np.matmul(half[1:], half[:-1], out=fused[1 : 2 * half.shape[0] - 2 : 2])
+        inside = np.matmul(half[:nb], half[:nb])
+        across = np.zeros((nb, 6, 6))
+        np.matmul(half[1:], half[:-1], out=across[: half.shape[0] - 1])
         ahead = half[nb] if r1 < n_runs else None
-        lengths = np.diff(bounds[r0 : r1 + 1]).tolist()
-        step_maps = chain.from_iterable(
-            chain(repeat(inside, length - 1), (across,))
-            for inside, across, length in zip(fused[0::2], fused[1::2], lengths)
-        )
-        yield bounds[r0:r1], half, step_maps
+        for s, (start, stop) in enumerate(zip(bounds[r0:r1].tolist(),
+                                              bounds[r0 + 1 : r1 + 1].tolist())):
+            if stop - start > 1:
+                yield stop - 1, inside[s], half[s]
+            yield stop, across[s], half[s]
+
+
+def _steps(config: SimulationConfig) -> tuple[float, int]:
+    """A run's time step dt = dz / C_EFF and its number of steps."""
+    dt = 1.0 / config.n_z / C_EFF
+    return dt, max(1, int(math.ceil(config.t_end / dt - 1e-9)))
+
+
+def _step_times(config: SimulationConfig, t0: float) -> np.ndarray:
+    """The step midpoints t0 + (n + 1/2) dt of a run that starts at t0."""
+    dt, n_steps = _steps(config)
+    return t0 + (np.arange(n_steps) + 0.5) * dt
+
+
+def _pulse_samples(pulse: PulseEnvelope, times: np.ndarray, dt: float):
+    """The cells a pulse injects at z = 0, as (Re, Im) rows, one per step,
+    and the norm injected up to and including each step."""
+    amps = pulse.amplitude(times)
+    # dt |amp|^2 is also dz |amp / sqrt(C_EFF)|^2, the norm of the
+    # injected cell.
+    injected = np.abs(amps)
+    injected **= 2
+    injected *= dt
+    np.cumsum(injected, out=injected)
+    amps /= math.sqrt(C_EFF)
+    return amps.view(np.float64).reshape(times.size, 2), injected
 
 
 def evolve(
@@ -263,125 +325,234 @@ def evolve(
     `pulse` injects probe amplitude at z = 0; `initial` seeds the cell with a
     prepared state (its bookkeeping is restarted: whatever norm it holds
     becomes the initial norm, prior ledger entries are discarded).  Both may
-    be given at once; either may be omitted.
+    be given at once; either may be omitted.  A batch of one run.
     """
-    z = make_grid(config.n_z)
-    dz = 1.0 / config.n_z
-    dt = dz / C_EFF
-    sqrt_c = math.sqrt(C_EFF)
+    return evolve_batch(medium, [(timeline, config, pulse, initial)])[0]
 
-    # v is the state at a step end, w the carried state half a step later;
-    # each is real with rows (Re E, Im E, Re P, Im P, Re S, Im S).
-    v = np.zeros((6, z.size))
-    t0 = 0.0
-    if initial is not None:
-        if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
+
+def evolve_batch(
+    medium: MediumParams,
+    runs: list[tuple[ControlTimeline, SimulationConfig, PulseEnvelope | None,
+                     FieldState | None]],
+) -> list[Trajectory]:
+    """`[evolve(medium, *run) for run in runs]`, the runs stepped together.
+
+    Each run is a (timeline, config, pulse, initial) tuple as `evolve`
+    takes them; all share `medium` and `config.n_z`.  The trajectories come
+    back in call order.  The runs are stepped longest first, at most _BATCH
+    at a time.  An empty batch, mixed grids or an initial state on another
+    grid raise ConfigError before any step.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ConfigError("a batch needs at least one run")
+    grids = {config.n_z for _, config, _, _ in runs}
+    if len(grids) > 1:
+        raise ConfigError(f"the runs of a batch must share one grid, got n_z {sorted(grids)}")
+    z = make_grid(runs[0][1].n_z)
+    for *_, initial in runs:
+        if initial is not None and (
+            initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12
+        ):
             raise ConfigError("initial state grid does not match the run grid")
-        for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
-            v[2 * row], v[2 * row + 1] = amp.real, amp.imag
-        t0 = initial.t_now
-    v_flat = v.reshape(-1)
+    dt = _steps(runs[0][1])[0]
+    t0s = [0.0 if initial is None else initial.t_now for *_, initial in runs]
 
-    def views(x):
-        # The buffer, its P and S rows flattened for the norms, and the E
-        # cells that the advection reads and writes.
-        return (x, x[2:4].reshape(-1), x[4:6].reshape(-1),
-                x[0:2, -1], x[0:2, 1:], x[0:2, :-1], x[0:2, 0])
+    # Runs that start at one time share the step midpoints of the longest
+    # of them, and those that also share a pulse share its samples.
+    by_length = sorted(range(len(runs)), key=lambda i: runs[i][1].t_end)
+    starts = {t0s[i]: runs[i][1] for i in by_length}
+    shared = {t0: _step_times(config, t0) for t0, config in starts.items()}
+    times = [shared[t0][: _steps(config)[1]] for (_, config, _, _), t0 in zip(runs, t0s)]
+    pulses = {(runs[i][2], t0s[i]): times[i] for i in by_length if runs[i][2] is not None}
+    samples = {key: _pulse_samples(key[0], t, dt) for key, t in pulses.items()}
 
-    carried, spare = views(np.empty_like(v)), views(np.empty_like(v))
+    order = sorted(range(len(runs)), key=lambda i: -times[i].size)
+    out: list = [None] * len(runs)
+    for lo in range(0, len(order), _BATCH):
+        group = order[lo : lo + _BATCH]
+        members = [
+            (runs[i][0], runs[i][1], runs[i][3], t0s[i], times[i],
+             *samples.get((runs[i][2], t0s[i]), (None, None)))
+            for i in group
+        ]
+        for i, traj in zip(group, _step_together(medium, z, dt, members)):
+            out[i] = traj
+    return out
+
+
+def _views(buf: np.ndarray, a: int) -> tuple:
+    """The first a members of a state buffer and the parts a step uses:
+    the P and S rows flattened per member for the norms, and the E cells
+    that the advection reads and writes."""
+    x = buf[:a]
+    return (buf, x, x[:, 2:4].reshape(a, -1), x[:, 4:6].reshape(a, -1),
+            x[:, 0:2, -1], x[:, 0:2, 1:], x[:, 0:2, :-1], x[:, 0:2, 0])
+
+
+def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
+                   members: list) -> list[Trajectory]:
+    """Step runs side by side; one Trajectory per member, in member order.
+
+    Each member is (timeline, config, initial, t0, times, boundary,
+    injected), the last two None for a run without a pulse, and no member
+    is longer than the one before it.
+    """
+    b = len(members)
+    n_z = z.size
+    dz = 1.0 / n_z
     dot = np.dot
     matmul = np.matmul
+    vecdot = np.vecdot
+    lengths = [m[4].size for m in members]
 
-    n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-9)))
-    times = t0 + (np.arange(n_steps) + 0.5) * dt
-    control = timeline.rabi(times)
-    # The emitted and injected E cells, one per step; the loop reads and
-    # writes them as (Re, Im) rows of their float64 views.
-    emitted = np.empty(n_steps, dtype=complex)
-    emitted_rows = emitted.view(np.float64).reshape(n_steps, 2)
-    emitted_flat = emitted_rows.reshape(-1)
-    if pulse is not None:
-        amps = pulse.amplitude(times)
-        # dt |amp|^2 is also dz |amp / sqrt(C_EFF)|^2, the norm of the
-        # injected cell; injected[n] is the norm injected up to step n.
-        injected = np.abs(amps)
-        injected **= 2
-        injected *= dt
-        np.cumsum(injected, out=injected)
-        amps /= sqrt_c
-        boundary = amps.view(np.float64).reshape(n_steps, 2)
-    else:
-        boundary = np.zeros((n_steps, 2))
-        injected = np.zeros(n_steps)
+    # v holds states at a step end, w the carried states half a step later;
+    # each member's is real with rows (Re E, Im E, Re P, Im P, Re S, Im S).
+    v = np.zeros((b, 6, n_z))
+    for v_i, (_, _, initial, *_) in zip(v, members):
+        if initial is not None:
+            for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
+                v_i[2 * row], v_i[2 * row + 1] = amp.real, amp.imag
+    initial_norm = [float(dz * dot(v_i.reshape(-1), v_i.reshape(-1))) for v_i in v]
 
-    # A snapshot at t records the state at the step end nearest t0 + t:
-    # step n ends at t0 + (n + 1) dt.  As t <= t_end, no index passes the
-    # last step.
-    snap_steps = {max(0, int(round(t / dt)) - 1) for t in config.snapshot_times}
-    reads = set(range(0, n_steps, _CHECK_EVERY)) | snap_steps | {n_steps - 1}
-    snapshots: list[FieldState] = []
+    # Each member's current stretch of one map: where it ends, the half map
+    # of its drive run, and its fused map in the stack the step applies.
+    # The segments keep the drive's runs, not its samples at every step.
+    segments = [
+        _map_segments(medium, *_drive_runs(timeline.rabi(times)), 0.5 * dt)
+        for timeline, _, _, _, times, _, _ in members
+    ]
+    stops = [0] * b
+    halves: list = [None] * b
+    fused = np.empty((b, 6, 6))
+    for i in range(b):
+        stops[i], fused[i], halves[i] = next(segments[i])
+    carried = _views(np.empty_like(v), b)
+    spare = _views(np.empty_like(v), b)
+    matmul(np.stack(halves), v, out=carried[0])
 
-    initial_norm = float(dz * dot(v_flat, v_flat))
-    emitted_norm = 0.0
-    emitted_upto = 0
-    loss_quad = 0.0
+    # The ledger is read every _CHECK_EVERY steps, at each snapshot and at
+    # the last step.  A snapshot at t records the state at the step end
+    # nearest t0 + t: step n ends at t0 + (n + 1) dt.  As t <= t_end, no
+    # index passes the last step.
+    snap_steps = [{max(0, int(round(t / dt)) - 1) for t in m[1].snapshot_times}
+                  for m in members]
+    readers: dict[int, list[int]] = {}
+    for i, n_i in enumerate(lengths):
+        for n in sorted(set(range(0, n_i, _CHECK_EVERY)) | snap_steps[i] | {n_i - 1}):
+            readers.setdefault(n, []).append(i)
+
+    # Per step and member, between two reads (at most _CHECK_EVERY steps
+    # apart): |P|^2 and |S|^2 of the carried state, the emitted E cell and
+    # the injected one.  Each read moves them into the members' own totals
+    # and arrays.
+    norms_p = np.empty((_CHECK_EVERY, b))
+    norms_s = np.empty((_CHECK_EVERY, b))
     quad_p = dt * dz * 2.0
-    quad_s = dt * dz * 2.0 * medium.gamma12
+    quad_s = quad_p * medium.gamma12
+    out_e = np.empty((_CHECK_EVERY, b, 2))
+    in_e = np.zeros((_CHECK_EVERY, b, 2))
+    loss_quad = np.zeros(b)
+    emitted = [np.empty(n_i, dtype=complex) for n_i in lengths]
+    emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
+    emitted_norm = [0.0] * b
+    emitted_upto = [0] * b
+    snapshots: list[list[FieldState]] = [[] for _ in range(b)]
+    finals: list = [None] * b
 
-    for starts, half, step_maps in _map_blocks(medium, control, 0.5 * dt):
-        if starts[0] == 0:
-            matmul(half[0], v, out=carried[0])
-        for n, fused in enumerate(step_maps, int(starts[0])):
-            w, w_p, w_s, e_last, e_to, e_from, e_first = carried
-            loss_quad += (quad_p * dot(w_p, w_p) + quad_s * dot(w_s, w_s)
-                          if quad_s else quad_p * dot(w_p, w_p))
-            emitted_rows[n] = e_last
-            e_to[...] = e_from
-            e_first[...] = boundary[n]
-            if n in reads:
-                # The state at the end of step n, in a scratch buffer that
-                # never feeds back into the carried state.
-                matmul(half[starts.searchsorted(n, "right") - 1], w, out=v)
-                # The per-half-step ledger telescopes: whatever the held and
-                # emitted norms do not account for of the input was lost.
-                held = dz * dot(v_flat, v_flat)
-                chunk = emitted_flat[2 * emitted_upto : 2 * n + 2]
-                emitted_norm += dz * dot(chunk, chunk)
-                emitted_upto = n + 1
-                budget = initial_norm + injected[n]
-                loss = float(budget - emitted_norm - held)
-                if n % _CHECK_EVERY == 0:
-                    if not np.isfinite(held):
-                        raise PhysicsViolation(
-                            f"non-finite state norm at t={times[n]:.4g}"
-                        )
-                    if held > budget + _RUNAWAY_TOL:
-                        raise PhysicsViolation(
-                            f"held norm {held:.6g} exceeds input {budget:.6g} at "
-                            f"t={times[n]:.4g}"
-                        )
-                if n in snap_steps or n == n_steps - 1:
-                    state = FieldState(
-                        z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
-                        t0 + (n + 1) * dt, loss, emitted_norm,
-                        float(injected[n]), initial_norm,
+    a = b  # members still stepping: the longest come first
+    n = base = 0  # the next step, and the first step not yet read
+    for r in sorted(readers):
+        active = sum(n_i > n for n_i in lengths)
+        if active < a:
+            a = active
+            carried, spare = _views(carried[0], a), _views(spare[0], a)
+        fused_a = fused[:a]
+        np_a, ns_a, out_a, in_a = norms_p[:, :a], norms_s[:, :a], out_e[:, :a], in_e[:, :a]
+        for i in range(a):
+            if members[i][5] is not None:
+                rows = members[i][5][base : base + _CHECK_EVERY]
+                in_e[: rows.shape[0], i] = rows
+
+        # Whole steps up to r, then step r up to its read, in stretches
+        # over which no member's map changes.
+        while n <= r:
+            for i in range(a):
+                if stops[i] == n:
+                    stops[i], fused[i], halves[i] = next(segments[i])
+            for n in range(n, min(r + 1, *stops[:a])):
+                k = n - base
+                _, w, w_p, w_s, e_last, e_to, e_from, e_first = carried
+                vecdot(w_p, w_p, out=np_a[k])
+                if quad_s:
+                    vecdot(w_s, w_s, out=ns_a[k])
+                out_a[k] = e_last
+                e_to[...] = e_from
+                e_first[...] = in_a[k]
+                if n == r:
+                    break
+                matmul(fused_a, w, out=spare[1])
+                carried, spare = spare, carried
+            n += 1
+
+        m = r + 1 - base
+        loss_quad[:a] += quad_p * np_a[:m].sum(axis=0)
+        if quad_s:
+            loss_quad[:a] += quad_s * ns_a[:m].sum(axis=0)
+        for i in range(a):
+            emitted_rows[i][base : r + 1] = out_a[:m, i]
+        base = r + 1
+        w = carried[1]
+        for i in readers[r]:
+            _, config, _, t0, times, _, injected = members[i]
+            # The state at the end of step r, in a scratch buffer that never
+            # feeds back into the carried state.
+            v_i = v[i]
+            matmul(halves[i], w[i], out=v_i)
+            # The per-half-step ledger telescopes: whatever the held and
+            # emitted norms do not account for of the input was lost.
+            flat = v_i.reshape(-1)
+            held = dz * dot(flat, flat)
+            chunk = emitted_rows[i][emitted_upto[i] : r + 1].reshape(-1)
+            emitted_norm[i] += dz * dot(chunk, chunk)
+            emitted_upto[i] = r + 1
+            budget = initial_norm[i] + (injected[r] if injected is not None else 0.0)
+            loss = float(budget - emitted_norm[i] - held)
+            if r % _CHECK_EVERY == 0:
+                if not np.isfinite(held):
+                    raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
+                if held > budget + _RUNAWAY_TOL:
+                    raise PhysicsViolation(
+                        f"held norm {held:.6g} exceeds input {budget:.6g} at "
+                        f"t={times[r]:.4g}"
                     )
-                    if n in snap_steps:
-                        snapshots.append(state)
-                    final = state
-            matmul(fused, w, out=spare[0])
-            carried, spare = spare, carried
+            if r in snap_steps[i] or r == lengths[i] - 1:
+                state = FieldState(
+                    z, v_i[0] + 1j * v_i[1], v_i[4] + 1j * v_i[5], v_i[2] + 1j * v_i[3],
+                    t0 + (r + 1) * dt, loss, emitted_norm[i],
+                    float(injected[r]) if injected is not None else 0.0,
+                    initial_norm[i],
+                )
+                if r in snap_steps[i]:
+                    snapshots[i].append(state)
+                finals[i] = state
+        matmul(fused_a, w, out=spare[1])
+        carried, spare = spare, carried
 
-    emitted *= sqrt_c
-    return Trajectory(
-        times=times,
-        dt=dt,
-        emitted=emitted,
-        control=control,
-        final_state=final,
-        loss_quad=loss_quad,
-        snapshots=tuple(snapshots),
-    )
+    sqrt_c = math.sqrt(C_EFF)
+    trajectories = []
+    for i, (timeline, _, _, _, times, _, _) in enumerate(members):
+        emitted[i] *= sqrt_c
+        trajectories.append(Trajectory(
+            times=times,
+            dt=dt,
+            emitted=emitted[i],
+            timeline=timeline,
+            final_state=finals[i],
+            loss_quad=float(loss_quad[i]),
+            snapshots=tuple(snapshots[i]),
+        ))
+    return trajectories
 
 
 def v_group(medium: MediumParams, rabi: complex) -> float:
@@ -415,27 +586,43 @@ def store_magnon(
     3 the leftover field and polarization have decayed or left; the
     returned state keeps only the spin wave and restarts the bookkeeping.
     """
-    vg = v_group(medium, rabi_storage)
-    if vg <= 0:
-        raise ConfigError("storage drive must be nonzero")
-    t_off = pulse.t_center + 0.5 / vg
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, t_off, rabi_storage, "storage"),)
-    )
-    config = SimulationConfig(t_end=t_off + 3.0, n_z=n_z)
-    traj = evolve(medium, timeline, config, pulse=pulse)
-    fin = traj.final_state
-    stored = fin.magnon_norm
-    if fin.input_norm <= 0:
-        raise ConfigError("storage run received no input norm")
-    z = fin.z_grid
-    zero = np.zeros(z.size, dtype=complex)
-    state = FieldState(
-        z, zero, fin.sigma12.copy(), zero.copy(),
-        0.0, 0.0, 0.0, 0.0, stored,
-    )
-    return StorageResult(
-        state=state,
-        efficiency=stored / fin.input_norm,
-        trajectory=traj,
-    )
+    (stored,) = _store_batch(medium, pulse, (rabi_storage,), n_z)
+    return stored
+
+
+def _store_batch(
+    medium: MediumParams,
+    pulse: PulseEnvelope,
+    rabis: tuple[complex, ...],
+    n_z: int,
+) -> list[StorageResult]:
+    """`store_magnon` at each storage drive in `rabis`, as one batch.
+
+    Every drive is checked before the first step.
+    """
+    runs = []
+    for rabi in rabis:
+        vg = v_group(medium, rabi)
+        if vg <= 0:
+            raise ConfigError("storage drive must be nonzero")
+        t_off = pulse.t_center + 0.5 / vg
+        timeline = ControlTimeline((ControlSegment(0.0, t_off, rabi, "storage"),))
+        runs.append((timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), pulse, None))
+    results = []
+    for traj in evolve_batch(medium, runs):
+        fin = traj.final_state
+        stored = fin.magnon_norm
+        if fin.input_norm <= 0:
+            raise ConfigError("storage run received no input norm")
+        z = fin.z_grid
+        zero = np.zeros(z.size, dtype=complex)
+        state = FieldState(
+            z, zero, fin.sigma12.copy(), zero.copy(),
+            0.0, 0.0, 0.0, 0.0, stored,
+        )
+        results.append(StorageResult(
+            state=state,
+            efficiency=stored / fin.input_norm,
+            trajectory=traj,
+        ))
+    return results

@@ -35,7 +35,7 @@ from .core import (
     PulseEnvelope,
     SplitterMatrix,
 )
-from .mbloch import SimulationConfig, Trajectory, evolve
+from .mbloch import SimulationConfig, Trajectory, _step_times, evolve_batch
 
 _TWO_PI = 2.0 * math.pi
 
@@ -177,22 +177,27 @@ def extract_matrix(
 ) -> ExtractionResult:
     """Measure the splitter matrix realized by a control timeline.
 
-    Runs the solver twice, for `t_end` each: once from the stored spin wave
-    with no input light, once from vacuum with the probe pulse.  The
-    timeline should end with the mixing stage (no readout segment), so the
-    final spin wave is the magnon output port.  The photon output port is
-    read from the first beamsplit segment's start until 0.5 after the cell
-    transit that follows the last one's end, or until a later segment
-    starts.
+    Runs the solver twice, as one batch, for `t_end` each: once from the
+    stored spin wave with no input light, once from vacuum with the probe
+    pulse.  The timeline should end with the mixing stage (no readout
+    segment), so the final spin wave is the magnon output port.  The photon
+    output port is read from the first beamsplit segment's start until 0.5
+    after the cell transit that follows the last one's end, or until a
+    later segment starts; a window that holds no step fails before either
+    run.
     """
     window = _photon_window(timeline)
     config = SimulationConfig(t_end=t_end, n_z=n_z)
-
-    run_a = evolve(medium, timeline, config, pulse=None, initial=initial_magnon)
-    mask = (run_a.times >= window[0]) & (run_a.times <= window[1])
+    # The window is read on the magnon run's steps.
+    times = _step_times(config, initial_magnon.t_now)
+    mask = (times >= window[0]) & (times <= window[1])
     if not mask.any():
         raise ConfigError(f"photon window {window} contains no samples")
-    run_b = evolve(medium, timeline, config, pulse=pulse, initial=None)
+
+    run_a, run_b = evolve_batch(medium, [
+        (timeline, config, None, initial_magnon),
+        (timeline, config, pulse, None),
+    ])
 
     photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)
     magnon = np.stack([run_a.final_state.sigma12, run_b.final_state.sigma12])

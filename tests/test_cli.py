@@ -248,14 +248,16 @@ def no_solver(monkeypatch):
     """Make any solver call fail the test.
 
     Every propagator is built by `expm` as bound in `mbloch`, so patching it
-    also catches solver work done outside `evolve`.
+    also catches solver work done outside `evolve` and `evolve_batch`.
     """
 
     def forbidden(*args, **kwargs):
         raise AssertionError("solver called")
 
     for module in (cli, mbloch, scenarios, splitter):
-        monkeypatch.setattr(module, "evolve", forbidden)
+        for name in ("evolve", "evolve_batch"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(mbloch, "expm", forbidden)
 
 

@@ -198,18 +198,6 @@ def test_a_one_step_run_keeps_its_time_step():
     assert abs(traj.final_state.bookkeeping_residual()) < 1e-15
 
 
-def test_control_is_the_timeline_sampled_at_the_step_midpoints():
-    tl = ControlTimeline(
-        (
-            ControlSegment(0.0, 1.0, 5.0, "storage", ramp=0.3),
-            ControlSegment(1.5, 3.0, 13.0 + 2.0j, "beamsplit", ramp=0.5),
-        )
-    )
-    traj = evolve(OD30, tl, SimulationConfig(t_end=3.2, n_z=32), pulse=PULSE)
-    assert np.array_equal(traj.control, tl.rabi(traj.times))
-    assert np.allclose(np.diff(traj.times), traj.dt, rtol=1e-9, atol=0)
-
-
 def _gaussian(t, fwhm, t_center):
     # Unit-norm input amplitude; fwhm of |a|^2.
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -371,6 +359,144 @@ def test_step_maps_built_in_small_blocks_match_the_reference(monkeypatch):
     )
     _check_against_the_reference()
     assert len(calls) > 100
+
+
+def test_control_is_the_timeline_sampled_at_the_step_midpoints():
+    # A two-segment ramped timeline with a complex drive: the steps sit at
+    # t0 + (n + 1/2) dt, and the run follows the written-out reference.
+    n_z = 32
+    dt = 1.0 / (n_z * 12.0)
+    tl = ControlTimeline(
+        (
+            ControlSegment(0.0, 1.0, 5.0, "storage", ramp=0.3),
+            ControlSegment(1.5, 3.0, 13.0 + 2.0j, "beamsplit", ramp=0.5),
+        )
+    )
+    traj = evolve(OD30, tl, SimulationConfig(t_end=3.2, n_z=n_z), pulse=PULSE)
+    midpoints = (np.arange(math.ceil(3.2 / dt - 1e-9)) + 0.5) * dt
+    assert traj.times.shape == midpoints.shape
+    assert np.allclose(traj.times, midpoints, rtol=1e-12, atol=0)
+    assert np.allclose(traj.control, tl.rabi(midpoints), rtol=1e-9, atol=1e-12)
+    emitted, v, *_ = _reference_evolve(OD30, tl, n_z, 3.2, PULSE)
+    assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
+    _assert_state_matches(traj.final_state, v)
+
+
+def _batch_runs():
+    """Five runs on one lossy, detuned medium and grid, in no length order.
+
+    Unequal lengths, distinct ramped drives, runs with only a pulse and
+    only an initial state, two start times, two pulses (one shared by two
+    runs) and different snapshot times; the longest run has a pulse.
+    """
+    n_z = 32
+    stored = store_magnon(OD30, PULSE, 5.0, n_z=n_z).state
+    later = FieldState(stored.z_grid, stored.e_field, stored.sigma12, stored.sigma13,
+                       0.7, 0.0)
+    probe = PulseEnvelope(fwhm=1.0, t_center=1.0)
+
+    def ramped(t_end, rabi, ramp):
+        return ControlTimeline((
+            ControlSegment(0.0, 0.6 * t_end, rabi, "storage", ramp=ramp),
+            ControlSegment(0.7 * t_end, t_end, 1.5 * rabi, "beamsplit", ramp=ramp),
+        ))
+
+    def config(t_end, *snaps):
+        return SimulationConfig(t_end=t_end, n_z=n_z, snapshot_times=snaps)
+
+    return [
+        (ramped(2.2, 7.0, 0.2), config(2.2), None, stored),
+        (ramped(4.5, 5.0, 0.3), config(4.5, 0.3, 2.7), PULSE, stored),
+        (ramped(3.0, 9.0 - 1.0j, 0.4), config(3.0, 1.0), probe, None),
+        (ramped(1.3, 4.0, 0.1), config(1.3, 1.3), None, later),
+        (ramped(3.6, 6.0, 0.25), config(3.6, 0.0), PULSE, None),
+    ]
+
+
+_MEDIUM = MediumParams(od=30.0, delta=-2.0, gamma12=0.05)
+
+
+def _assert_same_run(got, want):
+    assert got.dt == want.dt
+    assert np.array_equal(got.times, want.times)
+    assert np.allclose(got.emitted, want.emitted, rtol=0, atol=1e-13)
+    assert got.loss_quad == pytest.approx(want.loss_quad, rel=1e-13)
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip((got.final_state, *got.snapshots), (want.final_state, *want.snapshots)):
+        assert a.t_now == b.t_now
+        for name in ("e_field", "sigma12", "sigma13"):
+            assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-13)
+        for name in ("loss_accum", "emitted_norm", "injected_norm", "initial_norm"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=0, abs=1e-13)
+
+
+def test_batch_members_equal_their_solo_runs_in_call_order():
+    runs = _batch_runs()
+    batch = mbloch.evolve_batch(_MEDIUM, runs)
+    assert len(batch) == len(runs)
+    for got, (timeline, config, pulse, initial) in zip(batch, runs, strict=True):
+        assert got.timeline is timeline
+        _assert_same_run(got, evolve(_MEDIUM, timeline, config, pulse, initial))
+
+
+@pytest.mark.parametrize("map_block", [None, 3])
+def test_batch_members_match_the_written_out_reference(map_block, monkeypatch):
+    # With three drive runs per block of maps, each member's blocks meet
+    # inside its ramps while the others step on.
+    if map_block is not None:
+        monkeypatch.setattr(mbloch, "_MAP_BLOCK", map_block)
+    n_z = 32
+    dt = 1.0 / (n_z * 12.0)
+    runs = _batch_runs()
+    assert mbloch._BATCH < len(runs)  # so that the batch steps in two groups
+    for traj, (timeline, config, pulse, initial) in zip(
+        mbloch.evolve_batch(_MEDIUM, runs), runs, strict=True
+    ):
+        t0 = 0.0 if initial is None else initial.t_now
+        snap_steps = [max(0, round(t / dt) - 1) for t in config.snapshot_times]
+        emitted, v, loss, loss_quad, ledgers = _reference_evolve(
+            _MEDIUM, timeline, n_z, config.t_end, pulse, initial, ledger_at=snap_steps
+        )
+        fin = traj.final_state
+        assert traj.times[0] == pytest.approx(t0 + 0.5 * dt, rel=1e-12)
+        assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
+        _assert_state_matches(fin, v)
+        assert fin.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
+        assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
+        assert len(traj.snapshots) == len(snap_steps)
+        for snap, n in zip(traj.snapshots, snap_steps):
+            v_n, loss_n, emitted_n, injected_n = ledgers[n]
+            assert snap.t_now == pytest.approx(t0 + (n + 1) * dt, rel=1e-12)
+            _assert_state_matches(snap, v_n)
+            assert snap.loss_accum == pytest.approx(loss_n, rel=0, abs=1e-13)
+            assert snap.emitted_norm == pytest.approx(emitted_n, rel=0, abs=1e-13)
+            assert snap.injected_norm == pytest.approx(injected_n, rel=0, abs=1e-13)
+
+
+def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step map was built")
+
+    monkeypatch.setattr(mbloch, "expm", forbidden)
+    tl = constant_drive(5.0, 2.0)
+    with pytest.raises(ConfigError, match="at least one run"):
+        mbloch.evolve_batch(OD30, [])
+    mixed = [(tl, SimulationConfig(t_end=1.0, n_z=32), PULSE, None),
+             (tl, SimulationConfig(t_end=1.0, n_z=48), PULSE, None)]
+    with pytest.raises(ConfigError, match="one grid"):
+        mbloch.evolve_batch(OD30, mixed)
+
+
+def test_a_non_finite_member_stops_the_batch():
+    n_z = 16
+    spin = np.full(n_z, 0.25, dtype=complex)
+    spin[n_z // 2] = np.nan
+    zero = np.zeros(n_z, dtype=complex)
+    seeded = FieldState(make_grid(n_z), zero, spin, zero, 0.0, 0.0)
+    tl = constant_drive(5.0, 2.0)
+    config = SimulationConfig(t_end=2.0, n_z=n_z)
+    with pytest.raises(PhysicsViolation, match="non-finite"):
+        mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (tl, config, None, seeded)])
 
 
 def test_a_snapshot_is_taken_at_the_step_end_nearest_its_time():

@@ -20,6 +20,7 @@ from magnonbs import (
     store_magnon,
     tau_from_fwhm,
 )
+from magnonbs import splitter
 from magnonbs.splitter import splitter_from_outputs
 
 
@@ -223,10 +224,16 @@ def test_extract_matrix_requires_a_beamsplit_segment():
         extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)
 
 
-def test_extract_matrix_rejects_a_window_past_the_run():
+def test_extract_matrix_rejects_a_window_past_the_run(monkeypatch):
     stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
     timeline = ControlTimeline(
         (ControlSegment(6.0, 7.0, 13.0, "beamsplit"),)
     )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solver called before the window was checked")
+
+    # The empty window must fail before either run steps.
+    monkeypatch.setattr(splitter, "evolve_batch", forbidden)
     with pytest.raises(ConfigError, match="contains no samples"):
         extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)

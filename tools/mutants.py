@@ -32,6 +32,8 @@ GAIN_TESTS = ("tests/test_core.py::test_splitter_matrix_rejects_gain",)
 OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
+BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
+               "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
 
 MUTANTS = (
     ("oracle: drop the loss-port Gram", ORACLE,
@@ -65,9 +67,27 @@ MUTANTS = (
     # The reference run has gamma12 = 0.05 and checks loss_quad against a
     # written-out quadrature.
     ("mbloch: gamma12 term of loss_quad never added", MBLOCH,
-     "if quad_s else",
-     "if False else",
+     "loss_quad[:a] += quad_s * ns_a[:m].sum(axis=0)",
+     "loss_quad[:a] += 0.0 * ns_a[:m].sum(axis=0)",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
+    # The batch loop: blocks of per-step values between ledger reads, and
+    # members of unequal length, pulses and start times.
+    ("mbloch: drop the partial loss-quadrature block at a ledger read", MBLOCH,
+     "loss_quad[:a] += quad_p * np_a[:m].sum(axis=0)",
+     "loss_quad[:a] += quad_p * np_a[:m].sum(axis=0) * (m == _CHECK_EVERY)",
+     BATCH_TESTS),
+    ("mbloch: keep a finished member in the step", MBLOCH,
+     "if active < a:",
+     "if False:",
+     BATCH_TESTS),
+    ("mbloch: write the emission buffer one step late", MBLOCH,
+     "emitted_rows[i][base : r + 1] = out_a[:m, i]",
+     "emitted_rows[i][base + 1 : r + 1] = out_a[: m - 1, i]",
+     BATCH_TESTS),
+    ("mbloch: inject member 0's boundary into every member", MBLOCH,
+     "rows = members[i][5][base : base + _CHECK_EVERY]",
+     "rows = members[0][5][base : base + _CHECK_EVERY]",
+     BATCH_TESTS),
     # Criterion 6's grid and its reference share the envelope, so criterion
     # 6 alone cannot kill this one.
     ("stats: OverlapEnvelope width 4 sigma^2 -> 2 sigma^2", "src/magnonbs/stats.py",
