@@ -40,7 +40,7 @@ from .scenarios import (
     ideal_cascade_g3,
     triangle_check,
 )
-from .splitter import fold_phase, phi_rt_analytic, tau_from_fwhm
+from .splitter import fold_phase, phi_rt_analytic, phi_rt_sweep, tau_from_fwhm
 from .stats import classical_bounds, g2_formula, g3_formula
 
 
@@ -146,7 +146,7 @@ def criterion_4() -> CriterionResult:
     # grid's.  Scaling by a power of two is exact, so the [::16] and [::4]
     # slices are those two grids bit for bit.
     ds = np.linspace(0.0, 20.0, 32001)
-    phi = np.array([phi_rt_analytic(PHASE_CAL_RABI, d, 100.0, tau) for d in ds])
+    phi = phi_rt_sweep(PHASE_CAL_RABI, ds, 100.0, tau)
 
     # Continuity: the maximum step along the sweep must shrink in
     # proportion to the grid refinement.

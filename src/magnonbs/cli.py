@@ -32,7 +32,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -524,6 +523,10 @@ def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int) -> int:
     # are points to run and cores to run them on.
     workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which would slow every
+        # command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map yields in submission order, whatever order the runs finish.
             summaries = list(pool.map(_sweep_job, runs))

@@ -29,8 +29,8 @@ Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
 The loop carries the state half a step past each step start, w_n = U_n v_n,
 so that the second half step of step n and the first of step n + 1 fuse
 into one map F_n = U_{n+1} U_n: R_s R_s inside a run, R_{s+1} R_s where run
-s ends.  A step then reads the loss quadrature off w_n, emits the last E
-cell, shifts and injects, and applies F_n: one real matrix product.
+s ends.  A step then emits the last E cell, shifts and injects, and
+applies F_n: one real matrix product.
 
 The ledger of norms is kept where the state is read, for each member of a
 batch on its own: every 256 steps, at each snapshot and at the last step.
@@ -52,20 +52,31 @@ falls 4x per grid doubling.  Every 256 steps the held norm is also checked
 for non-finite values and for exceeding the input.
 
 Runs that share a medium and a grid step together: `evolve_batch` takes a
-list of runs and `evolve` is a batch of one.  The members' states stack
-into one (members, 6, n_z) array, so a step is one batched product and one
-call each for the emission, the advection and the injection, whatever the
-number of members; a step's cost is mostly numpy call overhead, which the
-members then share.  The members are sorted longest first and stepped at
-most _BATCH at a time; a finished member drops off the end of the active
-prefix.  The trajectories come back in call order.  What a batch holds
-while it steps is bounded per member: one block of maps, and between two
-ledger reads (at most _CHECK_EVERY steps) the emitted and injected cells
-and the loss-quadrature terms in small blocks shared by the members,
-never an array of steps x members.  Members with the same start time
-share one array of step midpoints, and those with the same pulse as well
-share its samples; a trajectory derives its control drive from its
-timeline when read, rather than storing it.
+list of runs and `evolve` is a batch of one.  The members are sorted
+longest first and stepped at most _BATCH at a time; a finished member
+drops off the end of the active prefix, and the trajectories come back in
+call order.  A step's cost is mostly numpy call overhead, which the
+members share, so a step makes two calls whatever the number of members.
+The carried states live in a ring of _RING + 1 slots, each a
+(members, 6, n_z + 2) array: columns 1..n_z hold the cells, and in the E
+rows column 0 holds the cell injected at that step and column n_z + 1 the
+cell emitted at it.  Step base + k shifts slot k's E rows, columns 0..n_z,
+one column right, which advects, injects and parks the emitted cell in one
+copy, and then maps slot k's cells into slot k + 1's with the members'
+fused maps.  The steps run in blocks of at most _RING that end at the next
+ledger read.  Once per block, before it, the pulsed members' injected
+cells are written into column 0 of its slots; after it, one vecdot over
+the P rows of all its slots (and one over the S rows when gamma12 is
+nonzero) adds the block's loss quadrature, the emitted cells are copied
+out of column n_z + 1, and the last slot carries on as the next block's
+first.  The P and S rows' edge columns are never written, so they add
+nothing to the quadrature.  What a batch holds while it steps is thus
+bounded: one block of maps per member and the ring,
+(_RING + 1) * members * 6 * (n_z + 2) floats (1.5 MB for 4 members at
+n_z 240), never an array of steps x members.  Members with the same
+start time share one array of step midpoints, and those with the same
+pulse as well share its samples; a trajectory derives its control drive
+from its timeline when read, rather than storing it.
 """
 
 from __future__ import annotations
@@ -99,6 +110,10 @@ _CHECK_EVERY = 256
 # ramp) can take, while every run of the acceptance gate (at most about 600
 # drive runs) is one block.
 _MAP_BLOCK = 1024
+# Steps per block of the step loop, which holds this many carried states
+# per member and settles the loss quadrature, the emitted cells and the
+# injected cells once per block.
+_RING = 32
 # Runs stepped side by side at most.  Each member holds its own block of
 # maps and its own outputs while it steps, so this bounds what a batch
 # holds at once; a wider batch is stepped in groups, longest runs first.
@@ -381,15 +396,6 @@ def evolve_batch(
     return out
 
 
-def _views(buf: np.ndarray, a: int) -> tuple:
-    """The first a members of a state buffer and the parts a step uses:
-    the P and S rows flattened per member for the norms, and the E cells
-    that the advection reads and writes."""
-    x = buf[:a]
-    return (buf, x, x[:, 2:4].reshape(a, -1), x[:, 4:6].reshape(a, -1),
-            x[:, 0:2, -1], x[:, 0:2, 1:], x[:, 0:2, :-1], x[:, 0:2, 0])
-
-
 def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
                    members: list) -> list[Trajectory]:
     """Step runs side by side; one Trajectory per member, in member order.
@@ -402,12 +408,13 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     n_z = z.size
     dz = 1.0 / n_z
     dot = np.dot
+    copyto = np.copyto
     matmul = np.matmul
     vecdot = np.vecdot
     lengths = [m[4].size for m in members]
 
-    # v holds states at a step end, w the carried states half a step later;
-    # each member's is real with rows (Re E, Im E, Re P, Im P, Re S, Im S).
+    # v holds states at a step end; each member's is real with rows
+    # (Re E, Im E, Re P, Im P, Re S, Im S).
     v = np.zeros((b, 6, n_z))
     for v_i, (_, _, initial, *_) in zip(v, members):
         if initial is not None:
@@ -427,9 +434,12 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     fused = np.empty((b, 6, 6))
     for i in range(b):
         stops[i], fused[i], halves[i] = next(segments[i])
-    carried = _views(np.empty_like(v), b)
-    spare = _views(np.empty_like(v), b)
-    matmul(np.stack(halves), v, out=carried[0])
+
+    # The carried states of one block of steps, laid out as the module
+    # docstring says: slot k holds w_{base+k} in columns 1..n_z.
+    ring = np.zeros((_RING + 1, b, 6, n_z + 2))
+    cells = ring[..., 1 : n_z + 1]
+    matmul(np.stack(halves), v, out=cells[0])
 
     # The ledger is read every _CHECK_EVERY steps, at each snapshot and at
     # the last step.  A snapshot at t records the state at the step end
@@ -442,16 +452,8 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
         for n in sorted(set(range(0, n_i, _CHECK_EVERY)) | snap_steps[i] | {n_i - 1}):
             readers.setdefault(n, []).append(i)
 
-    # Per step and member, between two reads (at most _CHECK_EVERY steps
-    # apart): |P|^2 and |S|^2 of the carried state, the emitted E cell and
-    # the injected one.  Each read moves them into the members' own totals
-    # and arrays.
-    norms_p = np.empty((_CHECK_EVERY, b))
-    norms_s = np.empty((_CHECK_EVERY, b))
     quad_p = dt * dz * 2.0
     quad_s = quad_p * medium.gamma12
-    out_e = np.empty((_CHECK_EVERY, b, 2))
-    in_e = np.zeros((_CHECK_EVERY, b, 2))
     loss_quad = np.zeros(b)
     emitted = [np.empty(n_i, dtype=complex) for n_i in lengths]
     emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
@@ -460,55 +462,55 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     snapshots: list[list[FieldState]] = [[] for _ in range(b)]
     finals: list = [None] * b
 
-    a = b  # members still stepping: the longest come first
-    n = base = 0  # the next step, and the first step not yet read
+    a = 0  # members still stepping, the longest first; 0 before any step
+    base = m = 0  # the first step of the block, and the last block's length
     for r in sorted(readers):
-        active = sum(n_i > n for n_i in lengths)
-        if active < a:
-            a = active
-            carried, spare = _views(carried[0], a), _views(spare[0], a)
-        fused_a = fused[:a]
-        np_a, ns_a, out_a, in_a = norms_p[:, :a], norms_s[:, :a], out_e[:, :a], in_e[:, :a]
-        for i in range(a):
-            if members[i][5] is not None:
-                rows = members[i][5][base : base + _CHECK_EVERY]
-                in_e[: rows.shape[0], i] = rows
-
-        # Whole steps up to r, then step r up to its read, in stretches
-        # over which no member's map changes.
-        while n <= r:
+        # Blocks of at most _RING steps; the last one ends at step r.
+        while base <= r:
+            # The last block's final slot carries on as this block's first.
+            ring[0, :a] = ring[m, :a]
+            active = sum(n_i > base for n_i in lengths)
+            if active != a:
+                a = active
+                fused_a = fused[:a]
+                p_rows = ring[:, :a, 2:4].reshape(_RING + 1, a, -1)
+                s_rows = ring[:, :a, 4:6].reshape(_RING + 1, a, -1)
+                # Per slot: where the E shift writes, what it reads, and the
+                # product's input and output cells.
+                slots = [(ring[k, :a, 0:2, 1:], ring[k, :a, 0:2, :-1],
+                          cells[k, :a], cells[k + 1, :a]) for k in range(_RING)]
+            end = min(r + 1, base + _RING)
+            m = end - base
             for i in range(a):
-                if stops[i] == n:
-                    stops[i], fused[i], halves[i] = next(segments[i])
-            for n in range(n, min(r + 1, *stops[:a])):
-                k = n - base
-                _, w, w_p, w_s, e_last, e_to, e_from, e_first = carried
-                vecdot(w_p, w_p, out=np_a[k])
-                if quad_s:
-                    vecdot(w_s, w_s, out=ns_a[k])
-                out_a[k] = e_last
-                e_to[...] = e_from
-                e_first[...] = in_a[k]
-                if n == r:
-                    break
-                matmul(fused_a, w, out=spare[1])
-                carried, spare = spare, carried
-            n += 1
+                if members[i][5] is not None:
+                    ring[:m, i, 0:2, 0] = members[i][5][base:end]
 
-        m = r + 1 - base
-        loss_quad[:a] += quad_p * np_a[:m].sum(axis=0)
-        if quad_s:
-            loss_quad[:a] += quad_s * ns_a[:m].sum(axis=0)
-        for i in range(a):
-            emitted_rows[i][base : r + 1] = out_a[:m, i]
-        base = r + 1
-        w = carried[1]
+            # In stretches over which no member's map changes.
+            n = base
+            while n < end:
+                for i in range(a):
+                    if stops[i] == n:
+                        stops[i], fused[i], halves[i] = next(segments[i])
+                stop = min(end, *stops[:a])
+                for e_to, e_from, w, w_next in slots[n - base : stop - base]:
+                    copyto(e_to, e_from)
+                    matmul(fused_a, w, out=w_next)
+                n = stop
+
+            loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0)
+            if quad_s:
+                loss_quad[:a] += quad_s * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)
+            for i in range(a):
+                emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]
+            base = end
+
+        shifted = cells[m - 1]  # step r's state, advected and injected
         for i in readers[r]:
             _, config, _, t0, times, _, injected = members[i]
-            # The state at the end of step r, in a scratch buffer that never
-            # feeds back into the carried state.
+            # The state at the end of step r, from its shifted slot, in a
+            # scratch buffer that never feeds back into the carried state.
             v_i = v[i]
-            matmul(halves[i], w[i], out=v_i)
+            matmul(halves[i], shifted[i], out=v_i)
             # The per-half-step ledger telescopes: whatever the held and
             # emitted norms do not account for of the input was lost.
             flat = v_i.reshape(-1)
@@ -536,8 +538,6 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
                 if r in snap_steps[i]:
                     snapshots[i].append(state)
                 finals[i] = state
-        matmul(fused_a, w, out=spare[1])
-        carried, spare = spare, carried
 
     sqrt_c = math.sqrt(C_EFF)
     trajectories = []

@@ -58,21 +58,43 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
     # Written so that NaN, which fails every comparison, fails the checks.
     if not (0 < od < math.inf and math.isfinite(detuning)):
         raise ConfigError("phase estimate needs a finite od > 0 and a finite detuning")
+    return float(_round_trip(rabi, detuning, od, tau, bool))
+
+
+def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> np.ndarray:
+    """`phi_rt_analytic` at every detuning of an array, in one evaluation.
+
+    Agrees with the scalar calls to roundoff.  Any non-finite detuning, or
+    any detuning where the estimate is degenerate, raises ConfigError.
+    """
+    detunings = np.asarray(detunings, dtype=float)
+    if not (0 < od < math.inf and np.isfinite(detunings).all()):
+        raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
+    return _round_trip(rabi, detunings, od, tau, np.any)
+
+
+def _round_trip(rabi: float, detuning, od: float, tau: float, any_):
+    """The closed form behind both estimates, for one detuning or an array.
+
+    `od` is already checked.  `any_` reduces a guard's test over the
+    detunings: `bool` for a scalar, `np.any` for an array.  A scalar call
+    stays on numpy scalars: going through the array path, a 0-d array,
+    makes it about three times slower.
+    """
     x = abs(rabi) ** 2 * tau / 4.0
     if not 0 < x < math.inf:
         raise ConfigError("control pulse area must be nonzero and finite")
     xi = np.exp(-x / (1.0 - 1j * detuning))
-    scale = max(x, od, 1.0)
     den = x - od * (1.0 - xi)
-    if abs(den) < 1e-12 * scale:
+    if any_(abs(den) < 1e-12 * max(x, od, 1.0)):
         raise ConfigError(
             "round-trip phase estimate degenerate at this drive/od combination"
         )
-    if abs(xi) < 1e-300:
+    if any_(abs(xi) < 1e-300):
         # exp(-x/(1-id)) underflowed; 1 - 1/xi has no usable phase left.
         raise ConfigError("control pulse area too large for the phase estimate")
     phase = np.angle(1.0 - 1.0 / xi) + np.angle(od * (xi - 1.0) / den)
-    return float(phase % _TWO_PI)
+    return phase % _TWO_PI
 
 
 def fold_phase(phi: float | np.ndarray) -> np.floating | np.ndarray:

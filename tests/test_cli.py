@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -348,7 +349,7 @@ def test_sweep_pool_is_no_larger_than_its_points_and_cores(
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     overrides = [f"sweep.num={points}", "grid.n_z=16", "grid.t_end=1.5",
                  "control.segments=beamsplit:0:1.5:13"]

@@ -349,6 +349,13 @@ def test_step_loop_matches_the_written_out_reference():
     _check_against_the_reference()
 
 
+def test_step_loop_in_blocks_of_five_steps_matches_the_reference(monkeypatch):
+    # Blocks of the step loop then end inside the ramps, on snapshot and
+    # ledger-read steps, and at the last step, not only at ledger reads.
+    monkeypatch.setattr(mbloch, "_RING", 5)
+    _check_against_the_reference()
+
+
 def test_step_maps_built_in_small_blocks_match_the_reference(monkeypatch):
     # Three drive runs per block, so that blocks meet inside the ramps.
     monkeypatch.setattr(mbloch, "_MAP_BLOCK", 3)
@@ -439,12 +446,17 @@ def test_batch_members_equal_their_solo_runs_in_call_order():
         _assert_same_run(got, evolve(_MEDIUM, timeline, config, pulse, initial))
 
 
-@pytest.mark.parametrize("map_block", [None, 3])
-def test_batch_members_match_the_written_out_reference(map_block, monkeypatch):
+@pytest.mark.parametrize("map_block, ring", [(None, None), (3, None), (None, 5), (3, 5)],
+                         ids=["None", "3", "ring5", "3-ring5"])
+def test_batch_members_match_the_written_out_reference(map_block, ring, monkeypatch):
     # With three drive runs per block of maps, each member's blocks meet
-    # inside its ramps while the others step on.
+    # inside its ramps while the others step on.  With five steps per block
+    # of the step loop, its blocks end inside ramps, on snapshot and ledger
+    # steps and on members' last steps.
     if map_block is not None:
         monkeypatch.setattr(mbloch, "_MAP_BLOCK", map_block)
+    if ring is not None:
+        monkeypatch.setattr(mbloch, "_RING", ring)
     n_z = 32
     dt = 1.0 / (n_z * 12.0)
     runs = _batch_runs()

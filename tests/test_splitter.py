@@ -126,6 +126,19 @@ def test_phi_rt_analytic_guards():
             phi_rt_analytic(rabi, detuning, od, t)
 
 
+def test_phi_rt_sweep_is_the_scalar_estimate_over_an_array():
+    tau = tau_from_fwhm(1.8847)
+    detunings = np.linspace(-25.0, 25.0, 201)
+    for rabi, od in ((34.25, 100.0), (12.0, 30.0)):
+        phis = splitter.phi_rt_sweep(rabi, detunings, od, tau)
+        want = [phi_rt_analytic(rabi, d, od, tau) for d in detunings]
+        assert np.allclose(phis, want, rtol=0, atol=1e-13)
+    # One bad entry fails the whole sweep, as it would its scalar call.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            splitter.phi_rt_sweep(34.25, np.append(detunings, bad), 100.0, tau)
+
+
 def _synthetic_projection(b, input_a=0.9, input_b=0.8):
     # Manufacture two single-input runs that realize a known matrix on
     # shared gaussian output modes, then ask the projector for it back.

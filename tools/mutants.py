@@ -67,26 +67,38 @@ MUTANTS = (
     # The reference run has gamma12 = 0.05 and checks loss_quad against a
     # written-out quadrature.
     ("mbloch: gamma12 term of loss_quad never added", MBLOCH,
-     "loss_quad[:a] += quad_s * ns_a[:m].sum(axis=0)",
-     "loss_quad[:a] += 0.0 * ns_a[:m].sum(axis=0)",
+     "loss_quad[:a] += quad_s * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
+     "loss_quad[:a] += 0.0 * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
-    # The batch loop: blocks of per-step values between ledger reads, and
-    # members of unequal length, pulses and start times.
+    # The batch loop: blocks of steps in a ring of state slots, ending at
+    # ledger reads, and members of unequal length, pulses and start times.
     ("mbloch: drop the partial loss-quadrature block at a ledger read", MBLOCH,
-     "loss_quad[:a] += quad_p * np_a[:m].sum(axis=0)",
-     "loss_quad[:a] += quad_p * np_a[:m].sum(axis=0) * (m == _CHECK_EVERY)",
+     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0)",
+     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0) * (m == _RING)",
      BATCH_TESTS),
     ("mbloch: keep a finished member in the step", MBLOCH,
-     "if active < a:",
-     "if False:",
+     "active = sum(n_i > base for n_i in lengths)",
+     "active = b",
      BATCH_TESTS),
     ("mbloch: write the emission buffer one step late", MBLOCH,
-     "emitted_rows[i][base : r + 1] = out_a[:m, i]",
-     "emitted_rows[i][base + 1 : r + 1] = out_a[: m - 1, i]",
+     "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]",
+     "emitted_rows[i][base + 1 : end] = ring[: m - 1, i, 0:2, n_z + 1]",
+     BATCH_TESTS),
+    ("mbloch: read the emitted cell from column n_z", MBLOCH,
+     "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]",
+     "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z]",
      BATCH_TESTS),
     ("mbloch: inject member 0's boundary into every member", MBLOCH,
-     "rows = members[i][5][base : base + _CHECK_EVERY]",
-     "rows = members[0][5][base : base + _CHECK_EVERY]",
+     "ring[:m, i, 0:2, 0] = members[i][5][base:end]",
+     "ring[:m, i, 0:2, 0] = members[0][5][base:end]",
+     BATCH_TESTS),
+    ("mbloch: prefill the injection one slot late", MBLOCH,
+     "ring[:m, i, 0:2, 0] = members[i][5][base:end]",
+     "ring[1 : m + 1, i, 0:2, 0] = members[i][5][base:end]",
+     BATCH_TESTS),
+    ("mbloch: carry slot m - 1 into the next block", MBLOCH,
+     "ring[0, :a] = ring[m, :a]",
+     "ring[0, :a] = ring[m - 1, :a]",
      BATCH_TESTS),
     # Criterion 6's grid and its reference share the envelope, so criterion
     # 6 alone cannot kill this one.
@@ -116,6 +128,10 @@ MUTANTS = (
      "KEYS.get(section, {}).get(key, (None,))[0]",
      ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
+    ("splitter: the phase sweep lets non-finite detunings through", "src/magnonbs/splitter.py",
+     "np.isfinite(detunings).all()",
+     "True",
+     ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
     ("splitter: extract_matrix drops the photon window", "src/magnonbs/splitter.py",
      "photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)",
      "photon = np.stack([run_a.emitted, run_b.emitted])",
