@@ -39,6 +39,7 @@ probability |t1 t2|^2 + |r1 r2|^2 when the two routings are unequal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,6 +160,11 @@ def output_distribution(
     number of particles at port q.  Keys are occupation patterns over the M
     signal ports; a pattern that holds fewer than all the particles means
     the rest were lost.  Probabilities sum to one.
+
+    The patterns, permutations, keys and multiplicities depend on the
+    network's mode count and the particle number alone; `_pattern_table`
+    builds them once per such shape.  A pattern whose every term is
+    exactly zero cannot occur and adds no key.
     """
     if len(inp.occupations) != net.n_modes:
         raise ConfigError(
@@ -176,26 +182,41 @@ def output_distribution(
     loss = sink[np.ix_(ports, ports)] * inp.gram
     grams = np.concatenate([signal, loss[None]])
 
-    perms = np.array(list(itertools.permutations(range(n))))
-    patterns = list(
-        itertools.combinations_with_replacement(range(net.n_modes + 1), n)
-    )
-    # terms[i, a, b] = prod_j grams[o_j, s_a(j), s_b(j)], o = patterns[i].
-    o_idx = np.array(patterns)[:, None, None, :]
-    terms = grams[o_idx, perms[None, :, None, :], perms[None, None, :, :]].prod(-1)
-
-    raw: dict[tuple[int, ...], float] = {}
-    for o, term in zip(patterns, terms):
-        if not term.any():
-            continue  # o cannot occur and adds no key
-        mult = math.prod(math.factorial(o.count(q)) for q in set(o))
-        key = tuple(o.count(q) for q in range(net.n_modes))
-        raw[key] = raw.get(key, 0.0) + float(term.sum().real) / mult
+    index, perms, keys, mult = _pattern_table(net.n_modes, n)
+    # terms[i, a, b] = prod_j grams[o_j, s_a(j), s_b(j)], o = index[i].
+    terms = grams[index[:, None, None, :], perms[None, :, None, :],
+                  perms[None, None, :, :]].prod(-1)
+    possible = terms.any(axis=(1, 2))
+    probs = terms.sum(axis=(1, 2)).real / mult
+    # A pattern that cannot occur adds no key.
+    raw = {key: float(p) for key, p, ok in zip(keys, probs, possible) if ok}
 
     total = sum(raw.values())
     if abs(total - 1.0) > 1e-9:
         raise PhysicsViolation(f"output probabilities sum to {total}")
     return raw
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_table(n_modes: int, n: int):
+    """Output patterns of n particles over n_modes signal ports and the loss port.
+
+    Returns read-only arrays: the patterns, one sorted multiset of port
+    indices per row, the n! permutations of the particles, the patterns'
+    keys (occupations of the signal ports, as tuples) and the
+    multiplicities prod_q m_q!.  Patterns come in
+    `combinations_with_replacement` order, and no two share a key: the
+    signal counts fix the loss count.
+    """
+    patterns = list(itertools.combinations_with_replacement(range(n_modes + 1), n))
+    index = np.array(patterns)
+    perms = np.array(list(itertools.permutations(range(n))))
+    keys = tuple(tuple(o.count(q) for q in range(n_modes)) for o in patterns)
+    mult = np.array([math.prod(math.factorial(o.count(q)) for q in set(o))
+                     for o in patterns], dtype=float)
+    for a in (index, perms, mult):
+        a.setflags(write=False)
+    return index, perms, keys, mult
 
 
 def _coincidence_ratio(

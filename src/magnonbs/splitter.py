@@ -21,6 +21,7 @@ fermionic antibunching.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,7 +59,10 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
     # Written so that NaN, which fails every comparison, fails the checks.
     if not (0 < od < math.inf and math.isfinite(detuning)):
         raise ConfigError("phase estimate needs a finite od > 0 and a finite detuning")
-    return float(_round_trip(rabi, detuning, od, tau, bool))
+    return _round_trip(
+        float(abs(rabi)), float(detuning), float(od), float(tau),
+        cmath.exp, cmath.phase, bool,
+    )
 
 
 def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> np.ndarray:
@@ -70,21 +74,25 @@ def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> n
     detunings = np.asarray(detunings, dtype=float)
     if not (0 < od < math.inf and np.isfinite(detunings).all()):
         raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
-    return _round_trip(rabi, detunings, od, tau, np.any)
+    return _round_trip(rabi, detunings, od, tau, np.exp, np.angle, np.any)
 
 
-def _round_trip(rabi: float, detuning, od: float, tau: float, any_):
+def _round_trip(rabi, detuning, od, tau, exp, angle, any_):
     """The closed form behind both estimates, for one detuning or an array.
 
-    `od` is already checked.  `any_` reduces a guard's test over the
-    detunings: `bool` for a scalar, `np.any` for an array.  A scalar call
-    stays on numpy scalars: going through the array path, a 0-d array,
-    makes it about three times slower.
+    `od` is already checked.  `exp` and `angle` are the complex exponential
+    and argument, and `any_` reduces a guard's test over the detunings:
+    `cmath.exp`, `cmath.phase` and `bool` on Python floats for a scalar,
+    `np.exp`, `np.angle` and `np.any` for an array.  The same scalar call
+    on numpy scalars costs over three times as much, and one through the
+    array path, a 0-d array, about nine times.
     """
-    x = abs(rabi) ** 2 * tau / 4.0
+    # Not `** 2`: a Python float raises OverflowError there, while a
+    # product overflows to inf and fails the guard below.
+    x = abs(rabi) * abs(rabi) * tau / 4.0
     if not 0 < x < math.inf:
         raise ConfigError("control pulse area must be nonzero and finite")
-    xi = np.exp(-x / (1.0 - 1j * detuning))
+    xi = exp(-x / (1.0 - 1j * detuning))
     den = x - od * (1.0 - xi)
     if any_(abs(den) < 1e-12 * max(x, od, 1.0)):
         raise ConfigError(
@@ -93,7 +101,7 @@ def _round_trip(rabi: float, detuning, od: float, tau: float, any_):
     if any_(abs(xi) < 1e-300):
         # exp(-x/(1-id)) underflowed; 1 - 1/xi has no usable phase left.
         raise ConfigError("control pulse area too large for the phase estimate")
-    phase = np.angle(1.0 - 1.0 / xi) + np.angle(od * (xi - 1.0) / den)
+    phase = angle(1.0 - 1.0 / xi) + angle(od * (xi - 1.0) / den)
     return phase % _TWO_PI
 
 

@@ -295,6 +295,8 @@ def no_solver(monkeypatch):
         ["sweep", "--override", "sweep.parameter=scenario.i_peak",
          "--override", "sweep.num=3"],
         ["sweep", "--override", "sweep.spacing=random", "--seed", "-1"],
+        # The pulse area overflows to inf rather than raising OverflowError.
+        ["fig3", "--override", "scenario.phase_rabi=1e200"],
     ],
     ids=" ".join,
 )

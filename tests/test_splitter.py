@@ -121,6 +121,10 @@ def test_phi_rt_analytic_guards():
         (10.0, -inf, 30.0, tau),
         (inf, 0.0, 30.0, tau),
         (10.0, 0.0, 30.0, inf),
+        # The pulse area overflows to inf; the same drive squared with
+        # `**` would raise OverflowError, and a numpy one would warn.
+        (1e200, 0.0, 30.0, tau),
+        (np.float64(1e200), 0.0, 30.0, tau),
     ]:
         with pytest.raises(ConfigError):
             phi_rt_analytic(rabi, detuning, od, t)

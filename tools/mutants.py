@@ -26,8 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ORACLE = "src/magnonbs/fock_oracle.py"
 ORACLE_TESTS = ("tests/test_fock_oracle.py",)
+PATTERN_TESTS = ("tests/test_fock_oracle.py::test_pattern_table_is_keyed_on_modes_and_particles",)
 MBLOCH = "src/magnonbs/mbloch.py"
 CORE = "src/magnonbs/core.py"
+SPLITTER = "src/magnonbs/splitter.py"
 GAIN_TESTS = ("tests/test_core.py::test_splitter_matrix_rejects_gain",)
 OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
@@ -49,9 +51,18 @@ MUTANTS = (
      "sink = np.eye(len(s)) - net.transfer.conj().T @ net.transfer",
      ORACLE_TESTS),
     ("oracle: drop / mult", ORACLE,
-     "float(term.sum().real) / mult",
-     "float(term.sum().real)",
+     "terms.sum(axis=(1, 2)).real / mult",
+     "terms.sum(axis=(1, 2)).real",
      ORACLE_TESTS),
+    # One table per particle number, whatever the network's mode count.
+    ("oracle: _pattern_table keyed on n alone", ORACLE,
+     "@functools.lru_cache(maxsize=16)",
+     "@(lambda f: (lambda memo: lambda m, n: memo.setdefault(n, f(m, n)))({}))",
+     PATTERN_TESTS),
+    ("oracle: keep the patterns that cannot occur", ORACLE,
+     "zip(keys, probs, possible) if ok}",
+     "zip(keys, probs, possible)}",
+     PATTERN_TESTS),
     ("oracle: drop * G on the signal Grams", ORACLE,
      "cols[:, None, :] * inp.gram",
      "cols[:, None, :]",
@@ -128,11 +139,21 @@ MUTANTS = (
      "KEYS.get(section, {}).get(key, (None,))[0]",
      ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
-    ("splitter: the phase sweep lets non-finite detunings through", "src/magnonbs/splitter.py",
+    ("splitter: the scalar phase's exp conjugates its argument", SPLITTER,
+     "cmath.exp, cmath.phase, bool,",
+     "lambda z: cmath.exp(z.conjugate()), cmath.phase, bool,",
+     ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
+    ("splitter: the pulse area squares the drive with **", SPLITTER,
+     "x = abs(rabi) * abs(rabi) * tau / 4.0",
+     "x = abs(rabi) ** 2 * tau / 4.0",
+     ("tests/test_splitter.py::test_phi_rt_analytic_guards",
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig3 --override scenario.phase_rabi=1e200]")),
+    ("splitter: the phase sweep lets non-finite detunings through", SPLITTER,
      "np.isfinite(detunings).all()",
      "True",
      ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
-    ("splitter: extract_matrix drops the photon window", "src/magnonbs/splitter.py",
+    ("splitter: extract_matrix drops the photon window", SPLITTER,
      "photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)",
      "photon = np.stack([run_a.emitted, run_b.emitted])",
      ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",)),
