@@ -188,7 +188,6 @@ def output_distribution(
                   perms[None, None, :, :]].prod(-1)
     possible = terms.any(axis=(1, 2))
     probs = terms.sum(axis=(1, 2)).real / mult
-    # A pattern that cannot occur adds no key.
     raw = {key: float(p) for key, p, ok in zip(keys, probs, possible) if ok}
 
     total = sum(raw.values())

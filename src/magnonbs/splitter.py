@@ -77,7 +77,7 @@ def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> n
     return _round_trip(rabi, detunings, od, tau, np.exp, np.angle, np.any)
 
 
-def _round_trip(rabi, detuning, od, tau, exp, angle, any_):
+def _round_trip(rabi: float, detuning, od: float, tau: float, exp, angle, any_):
     """The closed form behind both estimates, for one detuning or an array.
 
     `od` is already checked.  `exp` and `angle` are the complex exponential
