@@ -54,7 +54,8 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
     Valid for a control pulse of amplitude duration `tau` (see
     `tau_from_fwhm`), Rabi frequency `rabi`, one-photon detuning `detuning`
     and optical depth `od`.  Returns the phase in [0, 2*pi).  A NaN or
-    infinite input raises ConfigError.
+    infinite input, or an od so large that the estimate overflows, raises
+    ConfigError.
     """
     # Written so that NaN, which fails every comparison, fails the checks.
     if not (0 < od < math.inf and math.isfinite(detuning)):
@@ -92,6 +93,10 @@ def _round_trip(rabi: float, detuning, od: float, tau: float, exp, angle, any_):
     x = abs(rabi) * abs(rabi) * tau / 4.0
     if not 0 < x < math.inf:
         raise ConfigError("control pulse area must be nonzero and finite")
+    # No value below exceeds 4 (x + od) in size.  Keep that finite: abs()
+    # of a Python complex raises OverflowError where numpy's gives inf.
+    if not 4.0 * (x + od) < math.inf:
+        raise ConfigError("pulse area and od too large for the phase estimate")
     xi = exp(-x / (1.0 - 1j * detuning))
     den = x - od * (1.0 - xi)
     if any_(abs(den) < 1e-12 * max(x, od, 1.0)):

@@ -297,6 +297,10 @@ def no_solver(monkeypatch):
         ["sweep", "--override", "sweep.spacing=random", "--seed", "-1"],
         # The pulse area overflows to inf rather than raising OverflowError.
         ["fig3", "--override", "scenario.phase_rabi=1e200"],
+        # A finite od large enough to overflow the estimate's denominator
+        # (the drive gives a pulse area of about 4).
+        ["fig3", "--override", "scenario.phase_rabi=3.76",
+         "--override", "scenario.triples=1.7e308:2"],
     ],
     ids=" ".join,
 )

@@ -125,6 +125,9 @@ def test_phi_rt_analytic_guards():
         # `**` would raise OverflowError, and a numpy one would warn.
         (1e200, 0.0, 30.0, tau),
         (np.float64(1e200), 0.0, 30.0, tau),
+        # A finite od whose |x - od (1 - xi)| overflows: abs() of a Python
+        # complex would raise OverflowError.
+        (4.0, 2.0, 1.7e308, 1.0),
     ]:
         with pytest.raises(ConfigError):
             phi_rt_analytic(rabi, detuning, od, t)

@@ -5,7 +5,8 @@
         --out BENCH_new.json
 
 Each revision's committed files are extracted with `git archive` into a
-temporary directory, and `bench/run.py --trace 0` runs from each in turn:
+temporary directory, and `bench/run.py --trace 0` runs from each in turn,
+for the `run_seconds` that BENCHMARK.json sets:
 pairs of one base run and one head run, alternating which goes first, so
 that a drift in machine speed falls on both sides alike.  Pair k runs at
 seed `seeds[k % len(seeds)]`.  `--workload NAME:PAIRS` may repeat.
@@ -41,7 +42,7 @@ def git(*args: str) -> bytes:
 
 def extract(sha: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest)
     return dest
 
 
@@ -63,8 +64,8 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(shas: dict[str, str], plan: list[tuple[str, int]], seeds: list[int],
-           seconds: float) -> dict:
+def record(shas: dict[str, str], plan: list[tuple[str, int]], seeds: list[int]) -> dict:
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
@@ -122,7 +123,6 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:PAIRS, for example oracle:10")
     parser.add_argument("--seeds", default="1", help="comma-separated seeds, cycled over pairs")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
@@ -136,7 +136,7 @@ def main() -> int:
     shas = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
             for side, rev in (("base", args.base), ("head", args.head))}
 
-    result = record(shas, plan, seeds, args.seconds)
+    result = record(shas, plan, seeds)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -26,7 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ORACLE = "src/magnonbs/fock_oracle.py"
 ORACLE_TESTS = ("tests/test_fock_oracle.py",)
-PATTERN_TESTS = ("tests/test_fock_oracle.py::test_pattern_table_is_keyed_on_modes_and_particles",)
+EXPANSION_TESTS = ("tests/test_fock_oracle.py::test_partial_overlap_matches_the_internal_mode_expansion",)
+NO_KEY_TESTS = ("tests/test_fock_oracle.py::test_patterns_that_cannot_occur_add_no_key",)
 MBLOCH = "src/magnonbs/mbloch.py"
 CORE = "src/magnonbs/core.py"
 SPLITTER = "src/magnonbs/splitter.py"
@@ -58,11 +59,11 @@ MUTANTS = (
     ("oracle: _pattern_table keyed on n alone", ORACLE,
      "@functools.lru_cache(maxsize=16)",
      "@(lambda f: (lambda memo: lambda m, n: memo.setdefault(n, f(m, n)))({}))",
-     PATTERN_TESTS),
+     EXPANSION_TESTS),
     ("oracle: keep the patterns that cannot occur", ORACLE,
      "zip(keys, probs, possible) if ok}",
      "zip(keys, probs, possible)}",
-     PATTERN_TESTS),
+     NO_KEY_TESTS),
     ("oracle: drop * G on the signal Grams", ORACLE,
      "cols[:, None, :] * inp.gram",
      "cols[:, None, :]",
@@ -149,6 +150,12 @@ MUTANTS = (
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
       "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
       "[fig3 --override scenario.phase_rabi=1e200]")),
+    ("splitter: drop the od overflow guard", SPLITTER,
+     "if not 4.0 * (x + od) < math.inf:",
+     "if False:",
+     ("tests/test_splitter.py::test_phi_rt_analytic_guards",
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig3 --override scenario.phase_rabi=3.76 --override scenario.triples=1.7e308:2]")),
     ("splitter: the phase sweep lets non-finite detunings through", SPLITTER,
      "np.isfinite(detunings).all()",
      "True",
