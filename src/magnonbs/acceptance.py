@@ -150,13 +150,11 @@ def criterion_4() -> CriterionResult:
 
     # Continuity: the maximum step along the sweep must shrink in
     # proportion to the grid refinement.
-    steps = []
-    for stride in (16, 4):
-        un = np.unwrap(phi[::stride], period=2 * math.pi)
-        steps.append(float(np.abs(np.diff(un)).max()))
+    coarse, fine = (np.unwrap(phi[::stride], period=2 * math.pi) for stride in (16, 4))
+    steps = [float(np.abs(np.diff(un)).max()) for un in (coarse, fine)]
     continuous = steps[1] <= 0.5 * steps[0]
 
-    monotone = bool(np.all(np.diff(un) < 1e-9) or np.all(np.diff(un) > -1e-9))
+    monotone = bool(np.all(np.diff(fine) < 1e-9) or np.all(np.diff(fine) > -1e-9))
 
     # Folded coverage: some monotone segment of the folded curve must span
     # [0, pi] (existence plus endpoints reported).  The segments are the

@@ -182,7 +182,7 @@ class ControlSegment:
         if self.label not in SEGMENT_LABELS:
             raise ConfigError(
                 f"segment label {self.label!r} not in {SEGMENT_LABELS}")
-        _require_finite(self, "t_start", "t_end", "amplitude")
+        _require_finite(self, "t_start", "t_end", "amplitude", "ramp")
         if not self.t_end > self.t_start:
             raise ConfigError("segment must have positive duration")
         if self.ramp < 0:

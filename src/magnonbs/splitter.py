@@ -75,7 +75,9 @@ def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> n
     detunings = np.asarray(detunings, dtype=float)
     if not (0 < od < math.inf and np.isfinite(detunings).all()):
         raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
-    return _round_trip(rabi, detunings, od, tau, np.exp, np.angle, np.any)
+    return _round_trip(
+        float(abs(rabi)), detunings, float(od), float(tau), np.exp, np.angle, np.any
+    )
 
 
 def _round_trip(rabi: float, detuning, od: float, tau: float, exp, angle, any_):
@@ -128,49 +130,34 @@ def phi_rt_of_matrix(b: SplitterMatrix) -> float:
 
 
 def splitter_from_outputs(
-    photon: np.ndarray,
-    magnon: np.ndarray,
-    dt: float,
-    dz: float,
-    inputs: tuple[float, float],
+    grams: np.ndarray, inputs: tuple[float, float]
 ) -> SplitterMatrix:
     """Project two single-input runs onto shared output modes.
 
-    Row 0 of each array is run (a), which starts from a stored spin wave;
-    row 1 is run (b), which starts from an incoming probe.  `photon` holds
-    the runs' emitted fields, sampled `dt` apart and zero outside the
-    photon window; `magnon` holds their final spin waves on cells `dz`
-    wide; `inputs` are the excitations the two runs started with.  The
-    photon output mode is the sum of the two emissions and the magnon
-    output mode the sum of the two spin waves.  By linearity the
-    interference run is the coherent sum of the two, so these are the modes
-    an actual two-input experiment would populate.
+    `grams[d]` is port d's Gram matrix of the two runs' outputs,
+    `grams[d][k, l] = <psi_k|psi_l>` over port d, with port 0 the magnon
+    port (final spin waves) and port 1 the photon port (windowed
+    emissions); run 0 starts from a stored spin wave and run 1 from an
+    incoming probe, and `inputs` are the excitations they started with.
+    Each port's output mode is the sum of the two runs' outputs.  By
+    linearity the interference run is the coherent sum of the two, so
+    these are the modes an actual two-input experiment would populate.
     """
     if min(inputs) < 1e-3:
         raise ConfigError(
             "port inputs too small to characterize: "
             f"{inputs[0]:.3g}, {inputs[1]:.3g}"
         )
-    photon = np.asarray(photon, dtype=complex)
-    magnon = np.asarray(magnon, dtype=complex)
-
-    u = photon[0] + photon[1]
-    u_norm = dt * np.sum(np.abs(u) ** 2)
-    if u_norm <= 1e-12:
+    grams = np.asarray(grams, dtype=complex)
+    # <psi_0 + psi_1|psi_l> is column l's sum, and the mode's norm the
+    # sum of all four entries.
+    norms = grams.sum(axis=(1, 2)).real
+    if norms[1] <= 1e-12:
         raise ConfigError("photon output mode has vanishing norm")
-    u_hat = u / math.sqrt(u_norm)
-
-    m = magnon[0] + magnon[1]
-    m_norm = dz * np.sum(np.abs(m) ** 2)
-    if m_norm <= 1e-12:
+    if norms[0] <= 1e-12:
         raise ConfigError("magnon output mode has vanishing norm")
-    m_hat = m / math.sqrt(m_norm)
-
-    ra, rb = (1.0 / math.sqrt(x) for x in inputs)
-    t1 = dz * np.vdot(m_hat, magnon[0]) * ra
-    r2 = dz * np.vdot(m_hat, magnon[1]) * rb
-    r1 = dt * np.vdot(u_hat, photon[0]) * ra
-    t2 = dt * np.vdot(u_hat, photon[1]) * rb
+    amps = grams.sum(axis=1) / np.sqrt(norms)[:, None] / np.sqrt(inputs)
+    (t1, r2), (r1, t2) = amps
     return SplitterMatrix(t1=t1, r1=r1, t2=t2, r2=r2)
 
 
@@ -178,14 +165,14 @@ def splitter_from_outputs(
 class ExtractionResult:
     """Measured splitter matrix with the runs behind it.
 
-    `photon` holds the two runs' emissions inside the photon window (zero
-    outside it) and `magnon` their final spin waves; row 0 is the magnon
-    run and row 1 the photon run in both.
+    `grams` holds the two port Gram matrices of the runs' outputs, as
+    `splitter_from_outputs` reads them: the magnon port's over the final
+    spin waves, then the photon port's over the photon window.  Row and
+    column 0 are the magnon run, 1 the photon run.
     """
 
     matrix: SplitterMatrix
-    photon: np.ndarray
-    magnon: np.ndarray
+    grams: np.ndarray
     run_magnon: Trajectory
     run_photon: Trajectory
 
@@ -218,15 +205,20 @@ def extract_matrix(
     segment), so the final spin wave is the magnon output port.  The photon
     output port is read from the first beamsplit segment's start until 0.5
     after the cell transit that follows the last one's end, or until a
-    later segment starts; a window that holds no step fails before either
-    run.
+    later segment starts.  Both runs start at t = 0, so they share the
+    step times the window is read on; a stored spin wave with another
+    `t_now`, or a window that holds no step, fails before either run.
     """
+    t_now = initial_magnon.t_now
+    if t_now != 0.0:
+        raise ConfigError(f"stored spin wave must start at t_now = 0, got {t_now}")
     window = _photon_window(timeline)
     config = SimulationConfig(t_end=t_end, n_z=n_z)
-    # The window is read on the magnon run's steps.
-    times = _step_times(config, initial_magnon.t_now)
-    mask = (times >= window[0]) & (times <= window[1])
-    if not mask.any():
+    # The step times are sorted, so the window is one contiguous slice.
+    times = _step_times(config, 0.0)
+    lo = np.searchsorted(times, window[0], side="left")
+    hi = np.searchsorted(times, window[1], side="right")
+    if lo >= hi:
         raise ConfigError(f"photon window {window} contains no samples")
 
     run_a, run_b = evolve_batch(medium, [
@@ -234,15 +226,16 @@ def extract_matrix(
         (timeline, config, pulse, None),
     ])
 
-    photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)
-    magnon = np.stack([run_a.final_state.sigma12, run_b.final_state.sigma12])
+    spin = np.stack([run_a.final_state.sigma12, run_b.final_state.sigma12])
+    light = np.stack([run_a.emitted[lo:hi], run_b.emitted[lo:hi]])
+    grams = np.stack([
+        run_a.final_state.dz * (spin.conj() @ spin.T),
+        run_a.dt * (light.conj() @ light.T),
+    ])
     inputs = (run_a.final_state.initial_norm, run_b.final_state.injected_norm)
     return ExtractionResult(
-        matrix=splitter_from_outputs(
-            photon, magnon, run_a.dt, run_a.final_state.dz, inputs
-        ),
-        photon=photon,
-        magnon=magnon,
+        matrix=splitter_from_outputs(grams, inputs),
+        grams=grams,
         run_magnon=run_a,
         run_photon=run_b,
     )
@@ -256,14 +249,12 @@ def effective_overlap(result: ExtractionResult) -> float:
     is the product of the photon-side amplitude overlap (windowed emission
     profiles) and the magnon-side amplitude overlap (final spin waves), each
     normalized to [0, 1].  The product form keeps the value a bound on the
-    interference contrast rather than a single-port mode match.
+    interference contrast rather than a single-port mode match.  Each
+    factor is |G_01| / sqrt(G_00 G_11) of that port's Gram matrix, and a
+    port where sqrt(G_00 G_11) is below 1e-12 gives 0.
     """
-    ea, eb = result.photon
-    sa, sb = result.magnon
-    den_ph = np.linalg.norm(ea) * np.linalg.norm(eb)
-    den_mg = np.linalg.norm(sa) * np.linalg.norm(sb)
-    if den_ph < 1e-12 or den_mg < 1e-12:
+    g = result.grams
+    den = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
+    if den.min() < 1e-12:
         return 0.0
-    c_ph = abs(np.vdot(ea, eb)) / den_ph
-    c_mg = abs(np.vdot(sa, sb)) / den_mg
-    return float(min(1.0, c_ph * c_mg))
+    return float(min(1.0, np.prod(np.abs(g[:, 0, 1]) / den)))

@@ -59,6 +59,9 @@ def test_medium_rejects_bad_parameters(kwargs):
         lambda: ControlSegment(math.nan, 1.0, 1.0, "storage"),
         lambda: ControlSegment(0.0, math.inf, 1.0, "storage"),
         lambda: ControlSegment(0.0, 1.0, complex(math.nan, 0.0), "storage"),
+        # NaN fails both `ramp < 0` and `ramp > 0`; only the finiteness check sees it.
+        lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.nan),
+        lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.inf),
         lambda: SimulationConfig(t_end=math.inf),
         lambda: SimulationConfig(t_end=2.0, snapshot_times=(1.0, math.nan)),
         lambda: SplitterMatrix(t1=math.inf, r1=0.0, t2=0.5, r2=0.5),
@@ -66,8 +69,8 @@ def test_medium_rejects_bad_parameters(kwargs):
         lambda: ModeNetwork(np.array([[0.5, math.nan], [0.0, 0.5]])),
     ],
     ids=["od-nan", "od-inf", "delta", "gamma12", "fwhm-inf", "fwhm-nan", "t_center",
-         "t_start", "t_end", "amplitude", "sim-t_end", "snapshot", "splitter-inf",
-         "splitter-nan", "transfer"],
+         "t_start", "t_end", "amplitude", "ramp-nan", "ramp-inf", "sim-t_end", "snapshot",
+         "splitter-inf", "splitter-nan", "transfer"],
 )
 def test_constructors_reject_non_finite_values(build):
     with pytest.raises(ConfigError, match="must be finite"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from magnonbs import (
     tau_from_fwhm,
 )
 from magnonbs import splitter
+from magnonbs.core import C_EFF
 from magnonbs.splitter import splitter_from_outputs
 
 
@@ -144,6 +146,17 @@ def test_phi_rt_sweep_is_the_scalar_estimate_over_an_array():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError):
             splitter.phi_rt_sweep(34.25, np.append(detunings, bad), 100.0, tau)
+    # A numpy drive whose pulse area overflows raises, with no overflow
+    # warning on the way, as the scalar estimate does.
+    with pytest.raises(ConfigError):
+        splitter.phi_rt_sweep(np.float64(1e200), detunings, 30.0, 1.0)
+
+
+def _port_grams(magnon, photon, dz, dt):
+    # Port Gram matrices, magnon port first, of the runs' sampled outputs
+    # (one row per run).
+    return np.stack([dz * (magnon.conj() @ magnon.T),
+                     dt * (photon.conj() @ photon.T)])
 
 
 def _synthetic_projection(b, input_a=0.9, input_b=0.8):
@@ -161,13 +174,13 @@ def _synthetic_projection(b, input_a=0.9, input_b=0.8):
     m /= math.sqrt(dz * np.sum(np.abs(m) ** 2))
 
     ra, rb = math.sqrt(input_a), math.sqrt(input_b)
-    return splitter_from_outputs(
-        np.stack([b.r1 * ra * g, b.t2 * rb * g]),
+    grams = _port_grams(
         np.stack([b.t1 * ra * m, b.r2 * rb * m]),
-        dt,
+        np.stack([b.r1 * ra * g, b.t2 * rb * g]),
         dz,
-        (input_a, input_b),
+        dt,
     )
+    return splitter_from_outputs(grams, (input_a, input_b))
 
 
 def test_extraction_round_trips_a_synthetic_matrix():
@@ -188,12 +201,23 @@ def test_extraction_round_trips_a_synthetic_matrix():
 
 def test_projection_guards():
     b = SplitterMatrix(t1=0.5, r1=0.3, t2=0.5, r2=0.3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="inputs too small"):
         _synthetic_projection(b, input_a=1e-6)
+    rng = np.random.default_rng(3)
+    light = rng.normal(size=(2, 101)) + 1j * rng.normal(size=(2, 101))
+    spin = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     zeros_t = np.zeros((2, 101), dtype=complex)
     zeros_z = np.zeros((2, 64), dtype=complex)
-    with pytest.raises(ConfigError):
-        splitter_from_outputs(zeros_t, zeros_z, 0.1, 1.0 / 64, (1.0, 1.0))
+    # Each port's guard on its own: the other port carries weight.
+    for magnon, photon, port in ((spin, zeros_t, "photon"), (zeros_z, light, "magnon")):
+        grams = _port_grams(magnon, photon, 1.0 / 64, 0.1)
+        with pytest.raises(ConfigError, match=f"{port} output mode has vanishing norm"):
+            splitter_from_outputs(grams, (1.0, 1.0))
+    # Two runs that cancel leave a zero summed mode, though each has norm.
+    opposite = np.stack([light[0], -light[0]])
+    grams = _port_grams(spin, opposite, 1.0 / 64, 0.1)
+    with pytest.raises(ConfigError, match="photon output mode has vanishing norm"):
+        splitter_from_outputs(grams, (1.0, 1.0))
 
 
 OD30 = MediumParams(od=30.0)
@@ -235,6 +259,40 @@ def test_extract_matrix_mixes_ports_in_a_driven_cell():
     assert 0.0 <= effective_overlap(result) <= 1.0
 
 
+def test_grams_give_the_vector_projection_of_a_driven_cell():
+    # The matrix and overlap read off the port Grams equal the projection
+    # of the sampled outputs onto the summed modes, written out here.
+    stored = store_magnon(OD30, PULSE, 3.0, n_z=96)
+    timeline = ControlTimeline(
+        (ControlSegment(0.0, 2.0, 13.0, "beamsplit"),)
+    )
+    result = extract_matrix(
+        OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.5
+    )
+    run_a, run_b = result.run_magnon, result.run_photon
+    # The photon window of a lone beamsplit segment ending at 2.0.
+    inside = (run_a.times >= 0.0) & (run_a.times <= 2.0 + 1.0 / C_EFF + 0.5)
+    ea, eb = run_a.emitted[inside], run_b.emitted[inside]
+    sa, sb = run_a.final_state.sigma12, run_b.final_state.sigma12
+    dt, dz = run_a.dt, run_a.final_state.dz
+
+    u, m = ea + eb, sa + sb
+    u_hat = u / math.sqrt(dt * np.vdot(u, u).real)
+    m_hat = m / math.sqrt(dz * np.vdot(m, m).real)
+    ra = 1.0 / math.sqrt(run_a.final_state.initial_norm)
+    rb = 1.0 / math.sqrt(run_b.final_state.injected_norm)
+    want = np.array([
+        [dz * np.vdot(m_hat, sa) * ra, dz * np.vdot(m_hat, sb) * rb],
+        [dt * np.vdot(u_hat, ea) * ra, dt * np.vdot(u_hat, eb) * rb],
+    ])
+    assert np.abs(result.matrix.matrix - want).max() < 1e-13
+
+    c_ph = abs(np.vdot(ea, eb)) / (np.linalg.norm(ea) * np.linalg.norm(eb))
+    c_mg = abs(np.vdot(sa, sb)) / (np.linalg.norm(sa) * np.linalg.norm(sb))
+    assert abs(effective_overlap(result) - min(1.0, c_ph * c_mg)) < 1e-13
+    assert 0.0 < c_ph * c_mg < 1.0
+
+
 def test_extract_matrix_requires_a_beamsplit_segment():
     stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
     timeline = ControlTimeline(
@@ -257,3 +315,20 @@ def test_extract_matrix_rejects_a_window_past_the_run(monkeypatch):
     monkeypatch.setattr(splitter, "evolve_batch", forbidden)
     with pytest.raises(ConfigError, match="contains no samples"):
         extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)
+
+
+def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
+    stored = store_magnon(OD30, PULSE, 5.0, n_z=96).state
+    late = replace(stored, t_now=0.5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solver called before the start time was checked")
+
+    # The photon run starts at 0, so a later magnon run could not share
+    # its step times; this must fail before either run steps.
+    monkeypatch.setattr(splitter, "evolve_batch", forbidden)
+    timeline = ControlTimeline(
+        (ControlSegment(0.0, 2.0, 13.0, "beamsplit"),)
+    )
+    with pytest.raises(ConfigError, match="t_now"):
+        extract_matrix(OD30, timeline, PROBE, late, n_z=96, t_end=5.0)

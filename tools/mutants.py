@@ -35,6 +35,7 @@ GAIN_TESTS = ("tests/test_core.py::test_splitter_matrix_rejects_gain",)
 OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
+GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
 
@@ -132,8 +133,8 @@ MUTANTS = (
     ("core: passivity tolerance 1e-10 -> 1e-8", CORE,
      "if not smax <= 1.0 + 1e-10:", "if not smax <= 1.0 + 1e-8:", GAIN_TESTS),
     ("acceptance: criterion 4's coarse stride 16 -> 8", "src/magnonbs/acceptance.py",
-     "for stride in (16, 4):",
-     "for stride in (8, 4):",
+     "for stride in (16, 4))",
+     "for stride in (8, 4))",
      ("tests/test_acceptance.py::test_criterion_4_phase_operating_points",)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
      "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
@@ -161,9 +162,29 @@ MUTANTS = (
      "True",
      ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
     ("splitter: extract_matrix drops the photon window", SPLITTER,
-     "photon = np.where(mask, np.stack([run_a.emitted, run_b.emitted]), 0.0)",
-     "photon = np.stack([run_a.emitted, run_b.emitted])",
-     ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",)),
+     "light = np.stack([run_a.emitted[lo:hi], run_b.emitted[lo:hi]])",
+     "light = np.stack([run_a.emitted, run_b.emitted])",
+     ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",
+      GRAM_TEST)),
+    # Row sums are the column sums' conjugates: the magnitudes stay and
+    # the round-trip phase flips sign.
+    ("splitter: row sums of the port Grams in place of column sums", SPLITTER,
+     "amps = grams.sum(axis=1)",
+     "amps = grams.sum(axis=2)",
+     ("tests/test_splitter.py::test_extraction_round_trips_a_synthetic_matrix",
+      GRAM_TEST)),
+    ("splitter: the photon Gram weighted by dz", SPLITTER,
+     "run_a.dt * (light.conj() @ light.T)",
+     "run_a.final_state.dz * (light.conj() @ light.T)",
+     (GRAM_TEST,)),
+    ("splitter: drop the start-time guard", SPLITTER,
+     "if t_now != 0.0:",
+     "if False:",
+     ("tests/test_splitter.py::test_extract_matrix_rejects_a_stored_wave_that_starts_late",)),
+    ("core: a segment's ramp may be NaN", CORE,
+     '"t_start", "t_end", "amplitude", "ramp")',
+     '"t_start", "t_end", "amplitude")',
+     ("tests/test_core.py::test_constructors_reject_non_finite_values",)),
     ("scenarios: drop the storage run from triangle_check's ledger checks",
      "src/magnonbs/scenarios.py",
      "(stored.trajectory, result.run_magnon, result.run_photon)]",
