@@ -253,17 +253,13 @@ def criterion_7(curves: dict[float, Fig2Curve], checks: tuple) -> CriterionResul
     swept = list(curves.values())
     for params in FIG2_CURVES:
         fine = curves[params.od]
-        opt = fine.optimum()
-        halved = replace(params, rabi_s_grid=(opt.rabi_s,), n_z=params.n_z // 2)
-        coarse_curve = fig2_curve(halved)
-        swept.append(coarse_curve)
-        coarse = coarse_curve.rows[0]
-        rel_changes.append(
-            abs(coarse.efficiency - opt.efficiency) / opt.efficiency
-        )
-        rel_changes.append(
-            abs(coarse.visibility - opt.visibility) / opt.visibility
-        )
+        k = fine.optimum()
+        halved = replace(params, rabi_s_grid=(fine.rabi_s[k],), n_z=params.n_z // 2)
+        coarse = fig2_curve(halved)
+        swept.append(coarse)
+        for column in ("efficiency", "visibility"):
+            f, c = getattr(fine, column)[k], getattr(coarse, column)[0]
+            rel_changes.append(abs(c - f) / f)
     conv_ok = all(r <= 1e-3 for r in rel_changes)
 
     worst_resid = max(
@@ -292,8 +288,8 @@ def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
     low, high = (curves[params.od] for params in FIG2_CURVES)
     uni_low = low.is_unimodal()
     uni_high = high.is_unimodal()
-    eff_low = low.efficiency_optimum().efficiency
-    eff_high = high.efficiency_optimum().efficiency
+    eff_low = low.efficiency.max()
+    eff_high = high.efficiency.max()
     ordered = eff_high > eff_low
     ok = uni_low and uni_high and ordered
     return CriterionResult(
@@ -301,9 +297,9 @@ def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
         "storage-drive sweep shape and optimum ordering",
         bool(ok),
         f"od={FIG2_CURVES[0].od:g} unimodal={uni_low} (peak g2="
-        f"{low.optimum().g2:.4f} at {low.optimum().rabi_s:g}); "
+        f"{low.g2[low.optimum()]:.4f} at {low.rabi_s[low.optimum()]:g}); "
         f"od={FIG2_CURVES[1].od:g} unimodal={uni_high} (peak g2="
-        f"{high.optimum().g2:.4f} at {high.optimum().rabi_s:g}); "
+        f"{high.g2[high.optimum()]:.4f} at {high.rabi_s[high.optimum()]:g}); "
         f"efficiency optimum {eff_high:.4f} > {eff_low:.4f}: {ordered}",
     )
 

@@ -247,10 +247,12 @@ def load_config(path: str | None, overrides: list[str]) -> Config:
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         try:
-            found = parser.read(path)
+            found = parser.read(path, encoding="utf-8")
             entries += [(s, k, v) for s in parser.sections() for k, v in parser.items(s)]
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
         if not found:
             raise ConfigError(f"config file not found: {path}")
     for item in overrides:
@@ -321,22 +323,18 @@ def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
         header.append(f"max_bookkeeping_residual = {_fmt(curve.max_residual)}")
         tag = f"od{od:g}"
 
-        rows = curve.rows
-        profiles = [(f"s12_abs_rabi_{r.rabi_s:g}", r.spin_abs) for r in rows]
+        profiles = [(f"s12_abs_rabi_{r:g}", s) for r, s in zip(curve.rabi_s, curve.spin_abs)]
         write_csv(out_dir / f"fig2_{tag}_profiles.csv", header,
                   [("z", make_grid(params.n_z))] + profiles)
-        rabi_s = ("rabi_s", [r.rabi_s for r in rows])
+        rabi_s = ("rabi_s", curve.rabi_s)
         write_csv(out_dir / f"fig2_{tag}_overlap.csv", header, [
             rabi_s,
-            ("storage_efficiency", [r.efficiency for r in rows]),
-            ("overlap_i", [r.mode_overlap for r in rows]),
-            ("balance", [r.balance for r in rows]),
+            ("storage_efficiency", curve.efficiency),
+            ("overlap_i", curve.mode_overlap),
+            ("balance", curve.balance),
         ])
-        write_csv(out_dir / f"fig2_{tag}_g2.csv", header, [
-            rabi_s,
-            ("visibility", [r.visibility for r in rows]),
-            ("g2", [r.g2 for r in rows]),
-        ])
+        write_csv(out_dir / f"fig2_{tag}_g2.csv", header,
+                  [rabi_s, ("visibility", curve.visibility), ("g2", curve.g2)])
     return 0
 
 

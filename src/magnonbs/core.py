@@ -117,6 +117,9 @@ class MediumParams:
         if self.od < 0:
             raise ConfigError("optical depth cannot be negative")
         _require_finite(self, "od", "delta", "gamma12")
+        # 4 G^2 = 2 od C_EFF enters the group velocity and must stay finite.
+        if not math.isfinite(2.0 * self.od * C_EFF):
+            raise ConfigError(f"optical depth {self.od} overflows 4 G^2")
 
     @property
     def coupling(self) -> float:

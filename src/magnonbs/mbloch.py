@@ -48,8 +48,9 @@ construction, whatever the grid.  The independent check is the per-step
 quadrature `loss_quad` of 2*|P|^2 + 2*gamma12*|S|^2, read off each
 w_n (the advection leaves P and S unchanged): its gap to the ledger's loss,
 `Trajectory.loss_gap`, is the midpoint rule's discretization error and
-falls 4x per grid doubling.  Every 256 steps the held norm is also checked
-for non-finite values and for exceeding the input.
+falls 4x per grid doubling.  At every ledger read the held norm is also
+checked for non-finite values and for exceeding the input, so no run ends
+or takes a snapshot unchecked.
 
 Runs that share a medium and a grid step together: `evolve_batch` takes a
 list of runs and `evolve` is a batch of one.  The members are sorted
@@ -103,7 +104,8 @@ from .core import (
 # Stop the run if the held norm ever exceeds the input by this much; the
 # scheme is contractive, so anything above roundoff means corrupted state.
 _RUNAWAY_TOL = 1e-6
-# Steps between the non-finite and runaway checks on the held norm.
+# Steps between ledger reads, and so between the non-finite and runaway
+# checks on the held norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
 # Drive runs whose maps are built at once, by one `expm` of their stacked
 # generators: this bounds the memory a drive that changes every step (a long
@@ -520,14 +522,13 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             emitted_upto[i] = r + 1
             budget = initial_norm[i] + (injected[r] if injected is not None else 0.0)
             loss = float(budget - emitted_norm[i] - held)
-            if r % _CHECK_EVERY == 0:
-                if not np.isfinite(held):
-                    raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
-                if held > budget + _RUNAWAY_TOL:
-                    raise PhysicsViolation(
-                        f"held norm {held:.6g} exceeds input {budget:.6g} at "
-                        f"t={times[r]:.4g}"
-                    )
+            if not np.isfinite(held):
+                raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
+            if held > budget + _RUNAWAY_TOL:
+                raise PhysicsViolation(
+                    f"held norm {held:.6g} exceeds input {budget:.6g} at "
+                    f"t={times[r]:.4g}"
+                )
             if r in snap_steps[i] or r == lengths[i] - 1:
                 state = FieldState(
                     z, v_i[0] + 1j * v_i[1], v_i[4] + 1j * v_i[5], v_i[2] + 1j * v_i[3],
@@ -557,7 +558,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
 
 def v_group(medium: MediumParams, rabi: complex) -> float:
     """Group velocity of the polariton under a constant control drive."""
-    w2 = abs(rabi) ** 2
+    w2 = abs(rabi) * abs(rabi)
     g2 = 4.0 * medium.coupling**2
     if w2 == 0:
         return 0.0
@@ -603,8 +604,8 @@ def _store_batch(
     runs = []
     for rabi in rabis:
         vg = v_group(medium, rabi)
-        if vg <= 0:
-            raise ConfigError("storage drive must be nonzero")
+        if not 0 < vg < math.inf:  # NaN fails both bounds
+            raise ConfigError("storage drive must be nonzero and finite")
         t_off = pulse.t_center + 0.5 / vg
         timeline = ControlTimeline((ControlSegment(0.0, t_off, rabi, "storage"),))
         runs.append((timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), pulse, None))

@@ -25,8 +25,8 @@ from .core import (
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
+    _readonly,
     _require_cells,
-    _require_finite,
 )
 from .fock_oracle import (
     ModeNetwork,
@@ -70,7 +70,10 @@ FIG4_STEPS = 5
 FIG4_SPAN = 3.0
 FIG4_I_PEAK = 1.0
 
-# fig2 takes the probe spin wave from the largest-magnon snapshot at these times.
+# fig2's probe pulse center and run length; it takes the probe spin wave
+# from the largest-magnon snapshot at these times.
+_PROBE_CENTER = 1.0
+_T_END = 10.0
 _PROBE_SNAPSHOTS = tuple(np.arange(0.3, 4.0, 0.05))
 
 
@@ -83,22 +86,16 @@ class Fig2Params:
     ref_rabi_s: float
     rabi_s_grid: tuple[float, ...]
     n_z: int
-    probe_center: float = 1.0
-    t_end: float = 10.0
 
     def __post_init__(self) -> None:
-        # Checked here, so that a bad curve fails before any curve is run.
-        _require_finite(self, "od", "t_end")
-        if self.od < 0:
-            raise ConfigError("optical depth cannot be negative")
+        # Checked here, so that a bad curve fails before any curve is run;
+        # the medium owns the rules on its depth.
+        MediumParams(od=self.od)
         if not self.rabi_s_grid:
             raise ConfigError("rabi_s_grid needs at least one storage drive")
         if 0.0 in self.rabi_s_grid or self.ref_rabi_s == 0.0:
             raise ConfigError("storage drive must be nonzero")
         _require_cells(self.n_z)
-        if self.t_end < _PROBE_SNAPSHOTS[-1]:
-            last = _PROBE_SNAPSHOTS[-1]
-            raise ConfigError(f"t_end must reach the last probe snapshot, {last:.2f}")
 
 
 FIG2_OD30 = Fig2Params(
@@ -134,42 +131,42 @@ def fig2_params(od: float) -> Fig2Params:
 
 
 @dataclass(frozen=True)
-class Fig2Row:
-    rabi_s: float
-    efficiency: float
-    mode_overlap: float
-    balance: float
-    visibility: float
-    g2: float
-    # |sigma12(z)| of the stored wave on the cell-centered grid, for the
-    # spatial-profile output table.
-    spin_abs: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class Fig2Curve:
-    rows: tuple[Fig2Row, ...]
+    """The storage-drive sweep as read-only columns in `rabi_s_grid` order."""
+
+    rabi_s: np.ndarray
+    efficiency: np.ndarray
+    mode_overlap: np.ndarray
+    balance: np.ndarray
+    visibility: np.ndarray
+    # |sigma12(z)| of each stored wave on the cell-centered grid, one row
+    # per drive, for the spatial-profile output table.
+    spin_abs: np.ndarray
     transmission: float
     release: float
     # Worst bookkeeping residual and loss-quadrature gap over the curve's runs.
     max_residual: float
     max_loss_gap: float
 
-    def optimum(self) -> Fig2Row:
-        return max(self.rows, key=lambda r: r.visibility)
+    def __post_init__(self) -> None:
+        for name in ("rabi_s", "efficiency", "mode_overlap", "balance", "visibility",
+                     "spin_abs"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-    def efficiency_optimum(self) -> Fig2Row:
-        return max(self.rows, key=lambda r: r.efficiency)
+    @property
+    def g2(self) -> np.ndarray:
+        return 1.0 + self.visibility
+
+    def optimum(self) -> int:
+        """The index of the peak visibility."""
+        return int(np.argmax(self.visibility))
 
     def is_unimodal(self) -> bool:
         """Visibility rises strictly to an interior peak, then falls."""
-        v = [r.visibility for r in self.rows]
-        k = int(np.argmax(v))
-        if k == 0 or k == len(v) - 1:
-            return False
-        rising = all(v[i] < v[i + 1] for i in range(k))
-        falling = all(v[i] > v[i + 1] for i in range(k, len(v) - 1))
-        return rising and falling
+        k = self.optimum()
+        steps = np.diff(self.visibility)
+        rising, falling = steps[:k] > 0, steps[k:] < 0
+        return bool(0 < k < steps.size and rising.all() and falling.all())
 
 
 def fig2_curve(params: Fig2Params) -> Fig2Curve:
@@ -185,10 +182,10 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     """
     medium = MediumParams(od=params.od)
     timeline = ControlTimeline(
-        (ControlSegment(0.0, params.t_end, params.rabi_bs, "beamsplit"),)
+        (ControlSegment(0.0, _T_END, params.rabi_bs, "beamsplit"),)
     )
     config = SimulationConfig(
-        t_end=params.t_end, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS
+        t_end=_T_END, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS
     )
 
     # The storage runs first, each kept only as its stored wave, efficiency
@@ -202,8 +199,8 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     }
     checks = [check for _, _, check in stored.values()]
 
-    probe = replace(PULSE, t_center=params.probe_center)
-    plain = SimulationConfig(t_end=params.t_end, n_z=params.n_z)
+    probe = replace(PULSE, t_center=_PROBE_CENTER)
+    plain = SimulationConfig(t_end=_T_END, n_z=params.n_z)
     run_probe, run_release = evolve_batch(medium, [
         (timeline, config, probe, None),
         (timeline, plain, None, stored[params.ref_rabi_s][0]),
@@ -221,38 +218,26 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
         release = 0.0
     checks += [_ledger_checks(run_probe), _ledger_checks(run_release)]
 
-    rows = []
-    for rabi_s in params.rabi_s_grid:
-        state, efficiency, _ = stored[rabi_s]
-        spin_stored = state.sigma12
-        num = abs(np.vdot(spin_stored, spin_probe)) ** 2
-        den = float(
-            np.sum(np.abs(spin_stored) ** 2)
-            * np.sum(np.abs(spin_probe) ** 2)
-        )
-        mode_overlap = num / den if den > 0 else 0.0
-        arm_magnon = efficiency * release
-        if arm_magnon + transmission > 0:
-            balance = (
-                2.0 * np.sqrt(arm_magnon * transmission)
-                / (arm_magnon + transmission)
-            )
-        else:
-            balance = 0.0
-        visibility = mode_overlap * balance
-        rows.append(
-            Fig2Row(
-                rabi_s=rabi_s,
-                efficiency=efficiency,
-                mode_overlap=float(mode_overlap),
-                balance=float(balance),
-                visibility=float(visibility),
-                g2=float(1.0 + visibility),
-                spin_abs=tuple(np.abs(spin_stored).tolist()),
-            )
-        )
+    # The columns, each computed at once; an empty overlap or arm pair
+    # gives 0 rather than 0/0.
+    grid = params.rabi_s_grid
+    spins = np.array([stored[rabi_s][0].sigma12 for rabi_s in grid])
+    efficiency = np.array([stored[rabi_s][1] for rabi_s in grid])
+    spin_abs = np.abs(spins)
+    num = np.array([abs(np.vdot(spin, spin_probe)) ** 2 for spin in spins])
+    den = np.sum(spin_abs**2, axis=1) * np.sum(np.abs(spin_probe) ** 2)
+    mode_overlap = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    arm_magnon = efficiency * release
+    arms = arm_magnon + transmission
+    balance = np.divide(2.0 * np.sqrt(arm_magnon * transmission), arms,
+                        out=np.zeros_like(arms), where=arms > 0)
     return Fig2Curve(
-        rows=tuple(rows),
+        rabi_s=grid,
+        efficiency=efficiency,
+        mode_overlap=mode_overlap,
+        balance=balance,
+        visibility=mode_overlap * balance,
+        spin_abs=spin_abs,
         transmission=float(transmission),
         release=float(release),
         max_residual=max(c[0] for c in checks),

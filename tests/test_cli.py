@@ -61,6 +61,17 @@ def test_missing_config_file_raises(tmp_path):
         load_config(str(headless), [])
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[medium]\nod = 3\xff0\n")
+    with pytest.raises(ConfigError, match="bad.ini"):
+        load_config(str(bad), [])
+    assert main(["fig3", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
 def test_override_syntax_guards():
     with pytest.raises(ConfigError):
         load_config(None, ["odequals30"])
@@ -277,6 +288,11 @@ def no_solver(monkeypatch):
         ["fig2", "--override", "scenario.ods=abc"],
         ["fig2", "--override", "scenario.ods=30,-5"],
         ["fig2", "--override", "scenario.rabi_s_grid=0"],
+        # Squaring the drive, or 4 G^2 from the depth, overflows to inf;
+        # every fig2 plan fails before the first curve writes its tables.
+        ["fig2", "--override", "scenario.rabi_s_grid=1e200"],
+        ["fig2", "--override", "scenario.ods=30,1e308"],
+        ["run", "--override", "medium.od=1e308"],
         ["sweep", "--override", "sweep.parameter=grid.n_z",
          "--override", "sweep.values=32,8"],
         ["run", "--override", "grid.snapshots=-3"],

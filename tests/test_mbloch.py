@@ -186,6 +186,17 @@ def test_a_non_finite_state_stops_the_run():
                initial=seeded)
 
 
+def test_a_state_that_overflows_after_its_first_check_stops_the_run():
+    # 192 steps, fewer than one period of the periodic ledger reads: the
+    # overflowing drive starts after step 0, so only the checks at the last
+    # step can see the non-finite state.
+    tl = ControlTimeline((ControlSegment(0.5, 1.0, 1e200, "beamsplit"),))
+    config = SimulationConfig(t_end=1.0, n_z=16)
+    assert math.ceil(config.t_end * 16 * C_EFF) < mbloch._CHECK_EVERY
+    with np.errstate(all="ignore"), pytest.raises(PhysicsViolation):
+        evolve(OD30, tl, config, pulse=PULSE)
+
+
 def test_a_one_step_run_keeps_its_time_step():
     config = SimulationConfig(t_end=1e-3, n_z=16)
     traj = evolve(OD30, constant_drive(5.0), config, pulse=PULSE)
@@ -304,9 +315,15 @@ def _assert_state_matches(state, v):
     assert np.allclose(state.sigma12, v[2], rtol=0, atol=1e-13)
 
 
-def _check_against_the_reference():
-    # A detuned, lossy, ramped run that starts from a stored spin wave and
-    # takes a probe pulse too.
+@pytest.fixture(scope="module")
+def reference_case():
+    """One run's settings and its written-out reference, computed once.
+
+    A detuned, lossy, ramped run that starts from a stored spin wave and
+    takes a probe pulse too.  The stored wave and the reference are built
+    before any test patches the solver, so a patch reaches only the run
+    under test.
+    """
     n_z = 32
     dt = 1.0 / (n_z * 12.0)
     medium = MediumParams(od=30.0, delta=-2.0, gamma12=0.05)
@@ -320,15 +337,19 @@ def _check_against_the_reference():
     # Step 1036 ends inside the beamsplit turn-on ramp; step 512 is one the
     # in-loop norm checks read as well.
     snap_steps = (512, 1036)
-    traj = evolve(
-        medium, tl,
-        SimulationConfig(t_end=4.5, n_z=n_z,
-                         snapshot_times=tuple((n + 1) * dt for n in snap_steps)),
-        pulse=PULSE, initial=stored,
-    )
-    emitted, v, loss, loss_quad, ledgers = _reference_evolve(
+    config = SimulationConfig(t_end=4.5, n_z=n_z,
+                              snapshot_times=tuple((n + 1) * dt for n in snap_steps))
+    reference = _reference_evolve(
         medium, tl, n_z, 4.5, PULSE, initial=stored, ledger_at=snap_steps
     )
+    return medium, tl, config, stored, snap_steps, reference
+
+
+def _check_against_the_reference(case):
+    medium, tl, config, stored, snap_steps, reference = case
+    dt = 1.0 / (config.n_z * 12.0)
+    traj = evolve(medium, tl, config, pulse=PULSE, initial=stored)
+    emitted, v, loss, loss_quad, ledgers = reference
     fin = traj.final_state
     assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
     _assert_state_matches(fin, v)
@@ -345,18 +366,18 @@ def _check_against_the_reference():
         assert snap.initial_norm == pytest.approx(stored.magnon_norm, rel=1e-13)
 
 
-def test_step_loop_matches_the_written_out_reference():
-    _check_against_the_reference()
+def test_step_loop_matches_the_written_out_reference(reference_case):
+    _check_against_the_reference(reference_case)
 
 
-def test_step_loop_in_blocks_of_five_steps_matches_the_reference(monkeypatch):
+def test_step_loop_in_blocks_of_five_steps_matches_the_reference(reference_case, monkeypatch):
     # Blocks of the step loop then end inside the ramps, on snapshot and
     # ledger-read steps, and at the last step, not only at ledger reads.
     monkeypatch.setattr(mbloch, "_RING", 5)
-    _check_against_the_reference()
+    _check_against_the_reference(reference_case)
 
 
-def test_step_maps_built_in_small_blocks_match_the_reference(monkeypatch):
+def test_step_maps_built_in_small_blocks_match_the_reference(reference_case, monkeypatch):
     # Three drive runs per block, so that blocks meet inside the ramps.
     monkeypatch.setattr(mbloch, "_MAP_BLOCK", 3)
     calls = []
@@ -364,7 +385,7 @@ def test_step_maps_built_in_small_blocks_match_the_reference(monkeypatch):
     monkeypatch.setattr(
         mbloch, "_local_maps", lambda *args: calls.append(1) or local_maps(*args)
     )
-    _check_against_the_reference()
+    _check_against_the_reference(reference_case)
     assert len(calls) > 100
 
 
@@ -423,6 +444,22 @@ def _batch_runs():
 _MEDIUM = MediumParams(od=30.0, delta=-2.0, gamma12=0.05)
 
 
+@pytest.fixture(scope="module")
+def batch_references():
+    """`_batch_runs()`, with each run's snapshot steps and written-out
+    reference, computed once; a test's patches reach only the batch it steps.
+    """
+    dt = 1.0 / (32 * 12.0)
+    runs = _batch_runs()
+    references = []
+    for timeline, config, pulse, initial in runs:
+        snap_steps = [max(0, round(t / dt) - 1) for t in config.snapshot_times]
+        references.append((snap_steps, _reference_evolve(
+            _MEDIUM, timeline, config.n_z, config.t_end, pulse, initial, ledger_at=snap_steps
+        )))
+    return runs, references
+
+
 def _assert_same_run(got, want):
     assert got.dt == want.dt
     assert np.array_equal(got.times, want.times)
@@ -448,7 +485,8 @@ def test_batch_members_equal_their_solo_runs_in_call_order():
 
 @pytest.mark.parametrize("map_block, ring", [(None, None), (3, None), (None, 5), (3, 5)],
                          ids=["None", "3", "ring5", "3-ring5"])
-def test_batch_members_match_the_written_out_reference(map_block, ring, monkeypatch):
+def test_batch_members_match_the_written_out_reference(map_block, ring, batch_references,
+                                                       monkeypatch):
     # With three drive runs per block of maps, each member's blocks meet
     # inside its ramps while the others step on.  With five steps per block
     # of the step loop, its blocks end inside ramps, on snapshot and ledger
@@ -459,16 +497,13 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, monkeypa
         monkeypatch.setattr(mbloch, "_RING", ring)
     n_z = 32
     dt = 1.0 / (n_z * 12.0)
-    runs = _batch_runs()
+    runs, references = batch_references
     assert mbloch._BATCH < len(runs)  # so that the batch steps in two groups
-    for traj, (timeline, config, pulse, initial) in zip(
-        mbloch.evolve_batch(_MEDIUM, runs), runs, strict=True
+    for traj, (_, _, _, initial), (snap_steps, reference) in zip(
+        mbloch.evolve_batch(_MEDIUM, runs), runs, references, strict=True
     ):
         t0 = 0.0 if initial is None else initial.t_now
-        snap_steps = [max(0, round(t / dt) - 1) for t in config.snapshot_times]
-        emitted, v, loss, loss_quad, ledgers = _reference_evolve(
-            _MEDIUM, timeline, n_z, config.t_end, pulse, initial, ledger_at=snap_steps
-        )
+        emitted, v, loss, loss_quad, ledgers = reference
         fin = traj.final_state
         assert traj.times[0] == pytest.approx(t0 + 0.5 * dt, rel=1e-12)
         assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)

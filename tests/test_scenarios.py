@@ -8,6 +8,7 @@ from magnonbs import ConfigError, MediumParams, g2_formula
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
+    Fig2Curve,
     MixingScenario,
     RESONANT_MIXING,
     delay_envelope,
@@ -27,14 +28,38 @@ from magnonbs.scenarios import (
         {"rabi_s_grid": (2.0, 0.0)},
         {"ref_rabi_s": 0.0},
         {"n_z": 8},
-        {"t_end": 0.0},
-        {"t_end": 3.5},
     ],
     ids=str,
 )
 def test_fig2_params_reject_what_the_solver_would_reject(change):
     with pytest.raises(ConfigError):
         replace(FIG2_OD30, **change)
+
+
+@pytest.mark.parametrize(
+    "visibility, unimodal",
+    [
+        ([0.2, 0.5, 0.9, 0.4, 0.1], True),
+        ([0.2, 0.9, 0.9, 0.4], False),  # a plateau at the peak
+        ([0.2, 0.2, 0.9, 0.4], False),  # a plateau on the rise
+        ([0.2, 0.9, 0.4, 0.4], False),  # a plateau on the fall
+        ([0.9, 0.5, 0.2], False),  # a peak at the first drive
+        ([0.2, 0.5, 0.9], False),  # a peak at the last drive
+        ([0.9], False),  # a single drive
+    ],
+)
+def test_fig2_curve_is_unimodal_only_with_a_strict_interior_peak(visibility, unimodal):
+    n = len(visibility)
+    curve = Fig2Curve(
+        rabi_s=np.arange(1.0, n + 1.0), efficiency=np.full(n, 0.5),
+        mode_overlap=visibility, balance=np.ones(n), visibility=visibility,
+        spin_abs=np.ones((n, 16)), transmission=0.5, release=1.0,
+        max_residual=0.0, max_loss_gap=0.0,
+    )
+    assert curve.is_unimodal() is unimodal
+    assert curve.visibility[curve.optimum()] == max(visibility)
+    with pytest.raises(ValueError):
+        curve.visibility[0] = 0.0
 
 
 def test_fig3_delay_curve_shapes():

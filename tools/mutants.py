@@ -194,6 +194,26 @@ MUTANTS = (
       "tests/test_scenarios.py",
       "tests/test_scenarios.py::"
       "test_triangle_check_counts_the_storage_run_in_its_loss_gap")),
+    ("scenarios: is_unimodal lets the visibility rise by zero", "src/magnonbs/scenarios.py",
+     "steps[:k] > 0",
+     "steps[:k] >= 0",
+     ("tests/test_scenarios.py::test_fig2_curve_is_unimodal_only_with_a_strict_interior_peak",)),
+    ("mbloch: check the held norm only every _CHECK_EVERY steps", MBLOCH,
+     "            if not np.isfinite(held):\n",
+     "            if r % _CHECK_EVERY == 0 and not np.isfinite(held):\n",
+     ("tests/test_mbloch.py::test_a_state_that_overflows_after_its_first_check_stops_the_run",)),
+    ("core: drop the od overflow guard of MediumParams", CORE,
+     "if not math.isfinite(2.0 * self.od * C_EFF):",
+     "if False:",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+    ("mbloch: v_group squares the drive with **", MBLOCH,
+     "w2 = abs(rabi) * abs(rabi)",
+     "w2 = abs(rabi) ** 2",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+    ("cli: a config file that is not UTF-8 escapes as a traceback", "src/magnonbs/cli.py",
+     "except UnicodeDecodeError as exc:",
+     "except LookupError as exc:",
+     ("tests/test_cli.py::test_a_config_file_that_is_not_utf8_is_a_config_error",)),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
