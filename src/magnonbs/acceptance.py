@@ -1,11 +1,12 @@
 """Release gate: one check per headline claim, with stated tolerances.
 
 Each criterion function returns a CriterionResult carrying the measured
-values, the tolerance it was held to, and a pass flag.  `run_all` executes
-the suite in order, reusing the storage-sweep curves between the
-conservation and figure criteria so the whole gate stays inside its time
-budget.  The pytest wrapper and the command-line `accept` subcommand both
-call into this module, so the numbers printed in either place are the same.
+values, the tolerance it was held to, and a pass flag.  `run_all` builds
+the deep storage-drive curve and its halved-grid twin in one worker
+process while it runs criteria 1 to 6 and the shallow pair itself; the
+conservation and figure criteria, 7 and 8, then share both pairs.  The
+pytest wrapper and the command-line `accept` subcommand both call into
+this module, so the numbers printed in either place are the same.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .scenarios import (
     PHASE_FWHM,
     PHASE_POINTS,
     Fig2Curve,
+    Fig2Params,
     RESONANT_MIXING,
     delay_envelope,
     fig2_curve,
@@ -242,21 +244,30 @@ def criterion_6() -> CriterionResult:
 LOSS_GAP_TOL = 1e-4
 
 
-def criterion_7(curves: dict[float, Fig2Curve], checks: tuple) -> CriterionResult:
+def curve_pair(params: Fig2Params) -> tuple[Fig2Curve, Fig2Curve]:
+    """A storage-drive curve and its halved-grid twin at the curve's optimum."""
+    fine = fig2_curve(params)
+    halved = replace(params, rabi_s_grid=(fine.rabi_s[fine.optimum()],),
+                     n_z=params.n_z // 2)
+    return fine, fig2_curve(halved)
+
+
+# Each depth's storage-drive curve and its halved-grid twin, keyed by od.
+CurvePairs = dict[float, tuple[Fig2Curve, Fig2Curve]]
+
+
+def criterion_7(pairs: CurvePairs, checks: tuple) -> CriterionResult:
     """Excitation bookkeeping and grid convergence on figure scenarios.
 
-    Over every run behind the curves, the checks and the halved-grid
-    curves, the norm ledger must close and the ledger's loss must agree
+    Over every run behind the curves, their halved-grid twins and the
+    checks, the norm ledger must close and the ledger's loss must agree
     with the independent per-step quadrature of the decay rates.
     """
     rel_changes = []
-    swept = list(curves.values())
+    swept = [curve for pair in pairs.values() for curve in pair]
     for params in FIG2_CURVES:
-        fine = curves[params.od]
+        fine, coarse = pairs[params.od]
         k = fine.optimum()
-        halved = replace(params, rabi_s_grid=(fine.rabi_s[k],), n_z=params.n_z // 2)
-        coarse = fig2_curve(halved)
-        swept.append(coarse)
         for column in ("efficiency", "visibility"):
             f, c = getattr(fine, column)[k], getattr(coarse, column)[0]
             rel_changes.append(abs(c - f) / f)
@@ -283,9 +294,9 @@ def criterion_7(curves: dict[float, Fig2Curve], checks: tuple) -> CriterionResul
     )
 
 
-def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
+def criterion_8(pairs: CurvePairs) -> CriterionResult:
     """Storage-drive sweep shape and the depth ordering of the optima."""
-    low, high = (curves[params.od] for params in FIG2_CURVES)
+    low, high = (pairs[params.od][0] for params in FIG2_CURVES)
     uni_low = low.is_unimodal()
     uni_high = high.is_unimodal()
     eff_low = low.efficiency.max()
@@ -305,12 +316,19 @@ def criterion_8(curves: dict[float, Fig2Curve]) -> CriterionResult:
 
 
 def run_all() -> list[CriterionResult]:
-    """The eight criteria in order, each charged the time since the last ended.
+    """The eight criteria, each charged the time since the last ended.
 
-    The shared solver runs are made just before the first criterion that
-    needs them, so they count toward criteria 5 and 7, and the runtimes add
-    up to the time the whole gate takes.
+    A one-process pool builds the deep curve pair, `FIG2_CURVES[1]`'s,
+    while this process runs criteria 1 to 6 and then the shallow pair;
+    criteria 7 and 8 read both.  The wait for the worker counts toward
+    criterion 7, so the runtimes add up to the time the whole gate takes.
+    The pool is closed before criterion 7 runs, or on any error, and an
+    error in the worker is raised here.
     """
+    # Imported here: it loads multiprocessing, which would slow every
+    # command's start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     results = []
     start = time.time()
 
@@ -320,14 +338,17 @@ def run_all() -> list[CriterionResult]:
         results.append(replace(result, runtime=now - start))
         start = now
 
-    for criterion in (criterion_1, criterion_2, criterion_3, criterion_4):
-        charge(criterion())
-    checks = _triangle_pair()
-    charge(criterion_5(checks))
-    charge(criterion_6())
-    curves = {params.od: fig2_curve(params) for params in FIG2_CURVES}
-    charge(criterion_7(curves, checks))
-    charge(criterion_8(curves))
+    shallow, deep = FIG2_CURVES
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        deep_pair = pool.submit(curve_pair, deep)
+        for criterion in (criterion_1, criterion_2, criterion_3, criterion_4):
+            charge(criterion())
+        checks = _triangle_pair()
+        charge(criterion_5(checks))
+        charge(criterion_6())
+        pairs = {shallow.od: curve_pair(shallow), deep.od: deep_pair.result()}
+    charge(criterion_7(pairs, checks))
+    charge(criterion_8(pairs))
     return results
 
 

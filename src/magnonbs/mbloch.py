@@ -208,7 +208,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     Scaling and squaring with the degree-13 Pade approximant, all matrices
     at once: one scaling power s from the stack's largest 1-norm, the
     approximant from batched products and one batched solve, then s
-    squarings.  A non-finite entry raises PhysicsViolation.
+    squarings.  A non-finite entry, or a squaring that overflows, raises
+    PhysicsViolation.
     """
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(norm):
@@ -228,8 +229,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     # then falls on the small correction, not on the entries near 1.
     r = np.linalg.solve(v - u, 2.0 * u)
     r += eye
-    for _ in range(s):
-        r = r @ r
+    # A huge generator's roundoff can grow past the float range within the
+    # squarings; that is caught at the squaring where it happens.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+            if not np.isfinite(r).all():
+                raise PhysicsViolation("the matrix exponential overflows")
     return r
 
 

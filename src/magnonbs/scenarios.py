@@ -14,7 +14,7 @@ Conventions used by every protocol here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -152,6 +152,11 @@ class Fig2Curve:
         for name in ("rabi_s", "efficiency", "mode_overlap", "balance", "visibility",
                      "spin_abs"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def __reduce__(self):
+        # Unpickled through __init__, so that a curve sent between processes
+        # keeps read-only columns: plain unpickling skips __post_init__.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def g2(self) -> np.ndarray:

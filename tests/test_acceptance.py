@@ -1,11 +1,15 @@
 """Release gate: every headline criterion, one pass/fail line each.
 
 The storage sweeps behind criteria 7 and 8 dominate the runtime, so the
-curves and the mixing-point runs are computed once per session and shared.
-Run with `-s` to see the per-criterion lines as they complete.
+curve pairs and the mixing-point runs are computed once per session and
+shared.  Run with `-s` to see the per-criterion lines as they complete.
 """
 
+import concurrent.futures
+import functools
+import multiprocessing
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,16 +26,14 @@ from magnonbs.acceptance import (
     criterion_6,
     criterion_7,
     criterion_8,
+    curve_pair,
 )
-from magnonbs.scenarios import FIG2_OD150, FIG2_OD30, fig2_curve
+from magnonbs.scenarios import FIG2_CURVES
 
 
 @pytest.fixture(scope="session")
-def fig2_curves():
-    return {
-        30.0: fig2_curve(FIG2_OD30),
-        150.0: fig2_curve(FIG2_OD150),
-    }
+def fig2_pairs():
+    return {params.od: curve_pair(params) for params in FIG2_CURVES}
 
 
 @pytest.fixture(scope="session")
@@ -39,11 +41,15 @@ def mixing_checks():
     return _triangle_pair()
 
 
+def accept_details(contract_dir):
+    path = contract_dir / "accept_details.txt"
+    return path.read_text(encoding="utf-8").splitlines()
+
+
 @pytest.fixture(scope="session")
 def report(contract_dir, same_output):
     """Print a criterion's line, then hold it to a pass and to the contract."""
-    path = contract_dir / "accept_details.txt"
-    details = path.read_text(encoding="utf-8").splitlines()
+    details = accept_details(contract_dir)
 
     def check(result):
         print()
@@ -78,28 +84,57 @@ def test_criterion_6_triple_correlations(report):
     report(criterion_6())
 
 
-def test_criterion_7_conservation_and_grid(fig2_curves, mixing_checks, report):
-    report(criterion_7(curves=fig2_curves, checks=mixing_checks))
+def test_criterion_7_conservation_and_grid(fig2_pairs, mixing_checks, report):
+    report(criterion_7(pairs=fig2_pairs, checks=mixing_checks))
 
 
-def test_criterion_8_efficiency_optimum(fig2_curves, report):
-    report(criterion_8(curves=fig2_curves))
+def test_criterion_8_efficiency_optimum(fig2_pairs, report):
+    report(criterion_8(pairs=fig2_pairs))
 
 
-def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_curves, mixing_checks):
+def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_pairs, mixing_checks):
     # The ledger's residual closes by construction, so the loss quadrature
     # is what catches a ledger that drifts from the physics.
-    curves = dict(fig2_curves)
-    curves[30.0] = replace(curves[30.0], max_loss_gap=1.5 * LOSS_GAP_TOL)
-    result = criterion_7(curves=curves, checks=mixing_checks)
+    pairs = dict(fig2_pairs)
+    fine, coarse = pairs[30.0]
+    pairs[30.0] = (replace(fine, max_loss_gap=1.5 * LOSS_GAP_TOL), coarse)
+    result = criterion_7(pairs=pairs, checks=mixing_checks)
     assert not result.passed
     assert "worst loss quadrature gap=1.50e-04" in result.details
 
 
+def test_run_all_passes_every_criterion_as_in_the_contract(contract_dir, same_output):
+    # The gate as released: the deep curve pair built in the worker process.
+    results = acceptance.run_all()
+    details = accept_details(contract_dir)
+    assert [r.number for r in results] == list(range(1, 9))
+    for result in results:
+        assert result.passed, result.line()
+        same_output(result.details, details[result.number - 1])
+    assert multiprocessing.active_children() == []
+
+
 def test_run_all_charges_each_criterion_the_time_since_the_last(monkeypatch):
-    # A clock that moves only when the stubs below say so: the shared
-    # solver runs take 10 s and 100 s, each criterion 1 s.
+    # A clock that moves only when the stubs below say so: the mixing
+    # checks take 10 s, each curve pair 50 s and each criterion 1 s.  The
+    # pool runs its one task in this process when its result is asked for,
+    # so the deep pair's time falls on criterion 7, which waits for it.
     now = [0.0]
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pools.append("closed")
+            return False
+
+        def submit(self, fn, *args):
+            return SimpleNamespace(result=functools.partial(fn, *args))
 
     class Clock:
         @staticmethod
@@ -120,10 +155,12 @@ def test_run_all_charges_each_criterion_the_time_since_the_last(monkeypatch):
 
     monkeypatch.setattr(acceptance, "time", Clock)
     monkeypatch.setattr(acceptance, "_triangle_pair", taking(10.0, ()))
-    monkeypatch.setattr(acceptance, "fig2_curve", taking(50.0))
+    monkeypatch.setattr(acceptance, "curve_pair", taking(50.0))
     for number in range(1, 9):
         monkeypatch.setattr(acceptance, f"criterion_{number}", criterion(number))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     results = acceptance.run_all()
+    assert pools == [1, "closed"]
     assert [r.number for r in results] == list(range(1, 9))
     assert [r.runtime for r in results] == [1, 1, 1, 1, 11, 1, 101, 1]
     assert sum(r.runtime for r in results) == now[0]

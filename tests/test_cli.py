@@ -1,5 +1,7 @@
 import concurrent.futures
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +347,41 @@ def test_physics_violation_exits_with_its_own_code(tmp_path, capsys, monkeypatch
     assert main(["run", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["physics violation: held norm exceeds input"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_drive_that_overflows_the_exponential_is_a_physics_violation(tmp_path, capsys):
+    # The drive passes every config check; the squarings of its maps'
+    # exponential overflow, which must stop the run without a warning.
+    args = ["run", "--override", "control.segments=beamsplit:0:10:1e200",
+            "--override", "grid.n_z=16", "--override", "grid.t_end=0.1"]
+    assert main(args + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["physics violation: the matrix exponential overflows"]
+
+
+@pytest.mark.parametrize(
+    "change, code, line",
+    [
+        ({"rabi_bs": 1e200}, 3, "physics violation: the matrix exponential overflows"),
+        ({"ref_rabi_s": 1e200}, 2, "config error: storage drive must be nonzero and finite"),
+    ],
+    ids=["physics violation", "config error"],
+)
+def test_an_error_in_the_gate_worker_gives_its_exit_code(
+    change, code, line, tmp_path, capsys, monkeypatch
+):
+    # Only the worker process builds the deep curve pair, here on a coarse
+    # grid; its error comes back through the pool and exits as it would in
+    # the parent, with no worker left running.
+    from magnonbs import acceptance
+
+    shallow, deep = (replace(params, n_z=32) for params in acceptance.FIG2_CURVES)
+    monkeypatch.setattr(acceptance, "FIG2_CURVES", (shallow, replace(deep, **change)))
+    monkeypatch.setattr(acceptance, "_triangle_pair", lambda: ())
+    assert main(["accept", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -42,8 +42,8 @@ def test_command_tables_match_the_contract(case, tmp_path, contract_dir, same_ou
 def test_importing_the_cli_loads_no_scipy():
     # Importing scipy (any of its modules) more than doubles every command's
     # start-up time, and nothing the commands run needs it.  The process
-    # pool's modules cost about 20 ms more, and only `sweep --workers` > 1
-    # needs them.
+    # pool's modules cost about 20 ms more, and only `accept` and
+    # `sweep --workers` > 1 need them.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import magnonbs.cli; "
             "sys.exit(sorted(m for m in sys.modules "

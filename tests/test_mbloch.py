@@ -189,11 +189,14 @@ def test_a_non_finite_state_stops_the_run():
 def test_a_state_that_overflows_after_its_first_check_stops_the_run():
     # 192 steps, fewer than one period of the periodic ledger reads: the
     # overflowing drive starts after step 0, so only the checks at the last
-    # step can see the non-finite state.
-    tl = ControlTimeline((ControlSegment(0.5, 1.0, 1e200, "beamsplit"),))
+    # step can see the non-finite state.  The exponential of this drive's
+    # generator is finite, but its roundoff makes the maps far from
+    # contractive, so the state overflows within the run.
+    tl = ControlTimeline((ControlSegment(0.5, 1.0, 1e21, "beamsplit"),))
     config = SimulationConfig(t_end=1.0, n_z=16)
     assert math.ceil(config.t_end * 16 * C_EFF) < mbloch._CHECK_EVERY
-    with np.errstate(all="ignore"), pytest.raises(PhysicsViolation):
+    with np.errstate(all="ignore"), pytest.raises(PhysicsViolation,
+                                                  match="non-finite state norm"):
         evolve(OD30, tl, config, pulse=PULSE)
 
 
@@ -654,6 +657,13 @@ def test_expm_of_a_non_finite_stack_is_a_physics_violation(bad):
     a[2, 1, 0] = bad
     with pytest.raises(PhysicsViolation, match="non-finite"):
         mbloch.expm(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_whose_squarings_overflow_is_a_physics_violation():
+    # A finite generator far past the float range of its squarings' roundoff.
+    with pytest.raises(PhysicsViolation, match="exponential overflows"):
+        mbloch._local_maps(OD30, np.array([1e200]), 1e-3)
 
 
 def test_snapshot_times_are_measured_from_the_run_start():

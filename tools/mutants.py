@@ -36,6 +36,7 @@ OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
+RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
 
@@ -73,6 +74,11 @@ MUTANTS = (
      "for _ in range(s):",
      "for _ in range(0):",
      EXPM_TESTS),
+    ("mbloch: drop the expm squaring overflow check", MBLOCH,
+     "if not np.isfinite(r).all():",
+     "if False:",
+     ("tests/test_mbloch.py::test_expm_whose_squarings_overflow_is_a_physics_violation",
+      "tests/test_cli.py::test_a_drive_that_overflows_the_exponential_is_a_physics_violation")),
     ("mbloch: one Pade coefficient of expm changed", MBLOCH,
      "33522128640.0",
      "33522128460.0",
@@ -136,6 +142,16 @@ MUTANTS = (
      "for stride in (16, 4))",
      "for stride in (8, 4))",
      ("tests/test_acceptance.py::test_criterion_4_phase_operating_points",)),
+    # run_all builds the shallow pair itself and the deep pair in a worker
+    # process, from one helper.
+    ("acceptance: the halved-grid twin built at the fine n_z", "src/magnonbs/acceptance.py",
+     "n_z=params.n_z // 2)",
+     "n_z=params.n_z)",
+     (RUN_ALL_TEST,)),
+    ("acceptance: the shallow pair read for both depths", "src/magnonbs/acceptance.py",
+     "pairs = {shallow.od: curve_pair(shallow), deep.od: deep_pair.result()}",
+     "pairs = dict.fromkeys((shallow.od, deep.od), curve_pair(shallow))",
+     (RUN_ALL_TEST,)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
      "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
      "KEYS.get(section, {}).get(key, (None,))[0]",
