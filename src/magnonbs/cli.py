@@ -437,7 +437,7 @@ def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
         ("t", traj.times),
         ("e_out_re", traj.emitted.real),
         ("e_out_im", traj.emitted.imag),
-        ("control_abs", np.abs(traj.control)),
+        ("control_abs", np.abs(timeline.rabi(traj.times))),
     ])
 
     fin = traj.final_state

@@ -170,14 +170,16 @@ class PulseEnvelope:
 class ControlSegment:
     """One labeled interval of constant control drive.
 
-    `amplitude` is the complex Rabi frequency held inside the interval.  Edges
-    are raised-cosine ramps of duration `ramp` placed inside the interval, so
-    the drive is continuous and vanishes at both segment ends.
+    `amplitude` is the real Rabi frequency held inside the interval; a
+    constant drive phase is the gauge S -> exp(i theta) S, which a caller
+    applies to the state.  Edges are raised-cosine ramps of duration `ramp`
+    placed inside the interval, so the drive is continuous and vanishes at
+    both segment ends.
     """
 
     t_start: float
     t_end: float
-    amplitude: complex
+    amplitude: float
     label: str = "off"
     ramp: float = DEFAULT_RAMP
 
@@ -185,6 +187,8 @@ class ControlSegment:
         if self.label not in SEGMENT_LABELS:
             raise ConfigError(
                 f"segment label {self.label!r} not in {SEGMENT_LABELS}")
+        if np.iscomplexobj(self.amplitude):
+            raise ConfigError(f"segment drive must be real, got {self.amplitude}")
         _require_finite(self, "t_start", "t_end", "amplitude", "ramp")
         if not self.t_end > self.t_start:
             raise ConfigError("segment must have positive duration")
@@ -215,7 +219,8 @@ class ControlSegment:
 
 @dataclass(frozen=True)
 class ControlTimeline:
-    """Ordered, non-overlapping control segments; gaps mean zero drive."""
+    """Ordered, non-overlapping control segments of real drive; gaps mean
+    zero drive."""
 
     segments: tuple[ControlSegment, ...]
 
@@ -229,14 +234,14 @@ class ControlTimeline:
                 )
         object.__setattr__(self, "segments", segs)
 
-    def rabi(self, t: np.ndarray | float) -> np.ndarray | complex:
-        """Control Rabi frequency at time(s) t."""
+    def rabi(self, t: np.ndarray | float) -> np.ndarray | float:
+        """Control Rabi frequency at time(s) t, real."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
+        out = np.zeros(t.shape)
         for seg in self.segments:
             seg._add_to(out, t)
         if out.ndim == 0:
-            return complex(out)
+            return float(out)
         return out
 
     def by_label(self, label: str) -> tuple[ControlSegment, ...]:

@@ -249,31 +249,22 @@ def g3_from_distribution(
     return _coincidence_ratio(probs, transfer, 3)
 
 
-def cascade_three(
-    stage1: SplitterMatrix,
-    stage2: SplitterMatrix,
-    storage_amp: complex = 1.0,
-    readout_amp: complex = 1.0,
-) -> ModeNetwork:
+def cascade_three(stage1: SplitterMatrix, stage2: SplitterMatrix) -> ModeNetwork:
     """Transfer matrix of two sequential mixing stages on three inputs.
 
-    Particle 1 is written into the spin wave (amplitude `storage_amp`),
-    particle 2 interferes with it at `stage1`, particle 3 interferes with the
-    surviving spin wave at `stage2`, and the final spin wave is retrieved
-    with amplitude `readout_amp`.  Output mode k collects the light leaving
-    after stage k (the last being the retrieval).  Light cannot leave before
-    it arrives, so input 3 has no amplitude into output 1.
+    Particle 1 is written into the spin wave, particle 2 interferes with it
+    at `stage1`, particle 3 interferes with the surviving spin wave at
+    `stage2`, and the final spin wave is retrieved.  Output mode k collects
+    the light leaving after stage k (the last being the retrieval).  Light
+    cannot leave before it arrives, so input 3 has no amplitude into
+    output 1.
     """
-    s = complex(storage_amp)
-    rho = complex(readout_amp)
-    if abs(s) > 1 + 1e-9 or abs(rho) > 1 + 1e-9:
-        raise PhysicsViolation("storage/readout amplitudes cannot exceed unity")
     b1, b2 = stage1, stage2
     t = np.array(
         [
-            [b1.r1 * s, b1.t2, 0.0],
-            [b2.r1 * b1.t1 * s, b2.r1 * b1.r2, b2.t2],
-            [rho * b2.t1 * b1.t1 * s, rho * b2.t1 * b1.r2, rho * b2.r2],
+            [b1.r1, b1.t2, 0.0],
+            [b2.r1 * b1.t1, b2.r1 * b1.r2, b2.t2],
+            [b2.t1 * b1.t1, b2.t1 * b1.r2, b2.r2],
         ],
         dtype=complex,
     )

@@ -6,23 +6,24 @@ obeying
 
     (d/dt + C_EFF d/dz) E = i G P
     dP/dt = -(1 - i delta) P + i G E + (i/2) Omega(t) S
-    dS/dt = -gamma12 S + (i/2) conj(Omega(t)) P
+    dS/dt = -gamma12 S + (i/2) Omega(t) P
 
 in the units of `core` (gamma31 = L = 1), with G the collective coupling
-and Omega the control Rabi frequency.  The integrator uses Strang
+and Omega the real control Rabi frequency.  The integrator uses Strang
 splitting: a half step of the local (z-independent) 3x3 linear map, an
 exact one-cell advection of E, then the second half step.  The time step
 is locked to dt = dz / C_EFF so the advection is an integer cell shift and
 introduces no numerical dispersion.
 
-Whatever does not depend on the state is computed once per run, before the
-first step.  The control drive and the probe pulse are sampled at all step
-midpoints t0 + (n + 1/2) dt in one vector call each.  The drive splits into
-runs of equal values, each with one half-step map R = exp(M dt/2) of its
-local generator M: a constant drive has one run, a ramp one per step of
-the ramp.  The maps are built at most _MAP_BLOCK runs at a time, which
-bounds their memory, by this module's `expm`, which exponentiates the
-block's stacked generators at once in numpy.
+Every run starts at t = 0.  Whatever does not depend on the state is
+computed once per run, before the first step.  The control drive and the
+probe pulse are sampled at all step midpoints (n + 1/2) dt in one vector
+call each.  The drive splits into runs of equal values, each with one
+half-step map R = exp(M dt/2) of its local generator M: a constant drive
+has one run, a ramp one per step of the ramp.  The maps are built at most
+_MAP_BLOCK runs at a time, which bounds their memory, by this module's
+`expm`, which exponentiates the block's stacked generators at once in
+numpy.
 
 The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
 Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
@@ -74,10 +75,10 @@ first.  The P and S rows' edge columns are never written, so they add
 nothing to the quadrature.  What a batch holds while it steps is thus
 bounded: one block of maps per member and the ring,
 (_RING + 1) * members * 6 * (n_z + 2) floats (1.5 MB for 4 members at
-n_z 240), never an array of steps x members.  Members with the same
-start time share one array of step midpoints, and those with the same
-pulse as well share its samples; a trajectory derives its control drive
-from its timeline when read, rather than storing it.
+n_z 240), never an array of steps x members.  A batch has one array of
+step midpoints, the longest run's, of which every member reads a prefix,
+and members with the same pulse share its samples.  A trajectory keeps no
+control drive: its caller holds the timeline.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ import numpy as np
 
 from .core import (
     C_EFF,
+    PROBABILITY_SLACK,
     ConfigError,
     ControlSegment,
     ControlTimeline,
@@ -101,9 +103,11 @@ from .core import (
     make_grid,
 )
 
-# Stop the run if the held norm ever exceeds the input by this much; the
-# scheme is contractive, so anything above roundoff means corrupted state.
-_RUNAWAY_TOL = 1e-6
+# The largest |Omega| dt a run may take, checked on its segments before
+# any step.  The acceptance gate's largest is about 0.017; the half-step
+# maps stay contractive to roundoff up to about 5e3 and drift from it
+# beyond, until their exponential's roundoff breaks the ledger.
+_MAX_DRIVE_STEP = 1e3
 # Steps between ledger reads, and so between the non-finite and runaway
 # checks on the held norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
@@ -135,8 +139,8 @@ _THETA13 = 5.371920351148152
 class SimulationConfig:
     """Grid resolution and run length for one propagation run.
 
-    `n_z` counts spatial cells; the time step is 1 / (n_z * C_EFF).
-    Snapshot times are measured from the run's start and lie in [0, t_end].
+    `n_z` counts spatial cells; the time step is 1 / (n_z * C_EFF).  The
+    run starts at t = 0, and snapshot times lie in [0, t_end].
     """
 
     t_end: float
@@ -163,30 +167,23 @@ class SimulationConfig:
 class Trajectory:
     """Emitted field, final state and snapshots of one propagation run.
 
-    `times` are the step midpoints, `dt` apart; runs of one batch that start
-    together share one array of them, as views.  `emitted` holds the
-    outgoing amplitude at z = 1 in temporal normalization: dt * sum
-    |emitted|^2 is the norm that left the cell.  `timeline` is the run's
-    control timeline, and `control` the control Rabi frequency at the same
-    midpoint times, sampled from it when read.  The norm ledger is
-    observable at the end (`final_state`) and at the step end nearest each
-    requested snapshot time (`snapshots`); each is a FieldState carrying
-    the full ledger.  `loss_quad` is the loss summed independently of that
-    ledger, step by step from the decay rates.
+    `times` are the step midpoints (n + 1/2) dt; the runs of one batch
+    share one array of them, as views.  `emitted` holds the outgoing
+    amplitude at z = 1 in temporal normalization: dt * sum |emitted|^2 is
+    the norm that left the cell.  The norm ledger is observable at the end
+    (`final_state`) and at the step end nearest each requested snapshot
+    time (`snapshots`); each is a FieldState carrying the full ledger.
+    `loss_quad` is the loss summed independently of that ledger, step by
+    step from the decay rates.  The run's control drive is not kept: the
+    caller holds its timeline.
     """
 
     times: np.ndarray
     dt: float
     emitted: np.ndarray
-    timeline: ControlTimeline
     final_state: FieldState
     loss_quad: float
     snapshots: tuple[FieldState, ...] = ()
-
-    @property
-    def control(self) -> np.ndarray:
-        """The control Rabi frequency at the step midpoints `times`."""
-        return self.timeline.rabi(self.times)
 
     @property
     def input_norm(self) -> float:
@@ -248,8 +245,7 @@ def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.
     gen = np.zeros((drives.size, 3, 3), dtype=complex)
     gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling
     gen[:, 1, 1] = -(1.0 - 1j * medium.delta)
-    gen[:, 1, 2] = 0.5j * drives
-    gen[:, 2, 1] = 0.5j * np.conj(drives)
+    gen[:, 1, 2] = gen[:, 2, 1] = 0.5j * drives
     gen[:, 2, 2] = -medium.gamma12
     return _real_block(expm(gen * dt_half))
 
@@ -316,10 +312,10 @@ def _steps(config: SimulationConfig) -> tuple[float, int]:
     return dt, max(1, int(math.ceil(config.t_end / dt - 1e-9)))
 
 
-def _step_times(config: SimulationConfig, t0: float) -> np.ndarray:
-    """The step midpoints t0 + (n + 1/2) dt of a run that starts at t0."""
+def _step_times(config: SimulationConfig) -> np.ndarray:
+    """The step midpoints (n + 1/2) dt of a run."""
     dt, n_steps = _steps(config)
-    return t0 + (np.arange(n_steps) + 0.5) * dt
+    return (np.arange(n_steps) + 0.5) * dt
 
 
 def _pulse_samples(pulse: PulseEnvelope, times: np.ndarray, dt: float):
@@ -343,12 +339,12 @@ def evolve(
     pulse: PulseEnvelope | None = None,
     initial: FieldState | None = None,
 ) -> Trajectory:
-    """Propagate the coupled amplitudes from t = t0 to t0 + t_end.
+    """Propagate the coupled amplitudes from t = 0 to t_end.
 
     `pulse` injects probe amplitude at z = 0; `initial` seeds the cell with a
-    prepared state (its bookkeeping is restarted: whatever norm it holds
-    becomes the initial norm, prior ledger entries are discarded).  Both may
-    be given at once; either may be omitted.  A batch of one run.
+    prepared state at t_now = 0 (its bookkeeping is restarted: whatever norm
+    it holds becomes the initial norm, prior ledger entries are discarded).
+    Both may be given at once; either may be omitted.  A batch of one run.
     """
     return evolve_batch(medium, [(timeline, config, pulse, initial)])[0]
 
@@ -363,8 +359,9 @@ def evolve_batch(
     Each run is a (timeline, config, pulse, initial) tuple as `evolve`
     takes them; all share `medium` and `config.n_z`.  The trajectories come
     back in call order.  The runs are stepped longest first, at most _BATCH
-    at a time.  An empty batch, mixed grids or an initial state on another
-    grid raise ConfigError before any step.
+    at a time.  An empty batch, mixed grids, an initial state on another
+    grid or at t_now != 0, or a drive with |Omega| dt above
+    _MAX_DRIVE_STEP raise ConfigError before any step.
     """
     runs = list(runs)
     if not runs:
@@ -373,30 +370,36 @@ def evolve_batch(
     if len(grids) > 1:
         raise ConfigError(f"the runs of a batch must share one grid, got n_z {sorted(grids)}")
     z = make_grid(runs[0][1].n_z)
-    for *_, initial in runs:
-        if initial is not None and (
-            initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12
-        ):
-            raise ConfigError("initial state grid does not match the run grid")
     dt = _steps(runs[0][1])[0]
-    t0s = [0.0 if initial is None else initial.t_now for *_, initial in runs]
+    for timeline, _, _, initial in runs:
+        if initial is not None:
+            if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
+                raise ConfigError("initial state grid does not match the run grid")
+            if initial.t_now != 0.0:
+                raise ConfigError(f"a run starts at t = 0, got an initial state at "
+                                  f"t_now = {initial.t_now}")
+        drive = max((abs(seg.amplitude) for seg in timeline.segments), default=0.0)
+        if drive * dt > _MAX_DRIVE_STEP:
+            raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
+                              f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
 
-    # Runs that start at one time share the step midpoints of the longest
-    # of them, and those that also share a pulse share its samples.
-    by_length = sorted(range(len(runs)), key=lambda i: runs[i][1].t_end)
-    starts = {t0s[i]: runs[i][1] for i in by_length}
-    shared = {t0: _step_times(config, t0) for t0, config in starts.items()}
-    times = [shared[t0][: _steps(config)[1]] for (_, config, _, _), t0 in zip(runs, t0s)]
-    pulses = {(runs[i][2], t0s[i]): times[i] for i in by_length if runs[i][2] is not None}
-    samples = {key: _pulse_samples(key[0], t, dt) for key, t in pulses.items()}
+    # Every run reads a prefix of the longest run's step midpoints, and the
+    # first run of a pulse, its longest, samples it for all of them.
+    lengths = [_steps(config)[1] for _, config, _, _ in runs]
+    order = sorted(range(len(runs)), key=lambda i: -lengths[i])
+    times = _step_times(runs[order[0]][1])
+    samples: dict = {}
+    for i in order:
+        pulse = runs[i][2]
+        if pulse is not None and pulse not in samples:
+            samples[pulse] = _pulse_samples(pulse, times[: lengths[i]], dt)
 
-    order = sorted(range(len(runs)), key=lambda i: -times[i].size)
     out: list = [None] * len(runs)
     for lo in range(0, len(order), _BATCH):
         group = order[lo : lo + _BATCH]
         members = [
-            (runs[i][0], runs[i][1], runs[i][3], t0s[i], times[i],
-             *samples.get((runs[i][2], t0s[i]), (None, None)))
+            (runs[i][0], runs[i][1], runs[i][3], times[: lengths[i]],
+             *samples.get(runs[i][2], (None, None)))
             for i in group
         ]
         for i, traj in zip(group, _step_together(medium, z, dt, members)):
@@ -408,9 +411,9 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
                    members: list) -> list[Trajectory]:
     """Step runs side by side; one Trajectory per member, in member order.
 
-    Each member is (timeline, config, initial, t0, times, boundary,
-    injected), the last two None for a run without a pulse, and no member
-    is longer than the one before it.
+    Each member is (timeline, config, initial, times, boundary, injected),
+    the last two None for a run without a pulse, and no member is longer
+    than the one before it.
     """
     b = len(members)
     n_z = z.size
@@ -419,7 +422,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     copyto = np.copyto
     matmul = np.matmul
     vecdot = np.vecdot
-    lengths = [m[4].size for m in members]
+    lengths = [m[3].size for m in members]
 
     # v holds states at a step end; each member's is real with rows
     # (Re E, Im E, Re P, Im P, Re S, Im S).
@@ -435,7 +438,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     # The segments keep the drive's runs, not its samples at every step.
     segments = [
         _map_segments(medium, *_drive_runs(timeline.rabi(times)), 0.5 * dt)
-        for timeline, _, _, _, times, _, _ in members
+        for timeline, _, _, times, _, _ in members
     ]
     stops = [0] * b
     halves: list = [None] * b
@@ -451,8 +454,8 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
 
     # The ledger is read every _CHECK_EVERY steps, at each snapshot and at
     # the last step.  A snapshot at t records the state at the step end
-    # nearest t0 + t: step n ends at t0 + (n + 1) dt.  As t <= t_end, no
-    # index passes the last step.
+    # nearest t: step n ends at (n + 1) dt.  As t <= t_end, no index passes
+    # the last step.
     snap_steps = [{max(0, int(round(t / dt)) - 1) for t in m[1].snapshot_times}
                   for m in members]
     readers: dict[int, list[int]] = {}
@@ -490,8 +493,8 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             end = min(r + 1, base + _RING)
             m = end - base
             for i in range(a):
-                if members[i][5] is not None:
-                    ring[:m, i, 0:2, 0] = members[i][5][base:end]
+                if members[i][4] is not None:
+                    ring[:m, i, 0:2, 0] = members[i][4][base:end]
 
             # In stretches over which no member's map changes.
             n = base
@@ -514,7 +517,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
 
         shifted = cells[m - 1]  # step r's state, advected and injected
         for i in readers[r]:
-            _, config, _, t0, times, _, injected = members[i]
+            times, injected = members[i][3], members[i][5]
             # The state at the end of step r, from its shifted slot, in a
             # scratch buffer that never feeds back into the carried state.
             v_i = v[i]
@@ -530,7 +533,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             loss = float(budget - emitted_norm[i] - held)
             if not np.isfinite(held):
                 raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
-            if held > budget + _RUNAWAY_TOL:
+            if held > budget + PROBABILITY_SLACK:
                 raise PhysicsViolation(
                     f"held norm {held:.6g} exceeds input {budget:.6g} at "
                     f"t={times[r]:.4g}"
@@ -538,7 +541,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             if r in snap_steps[i] or r == lengths[i] - 1:
                 state = FieldState(
                     z, v_i[0] + 1j * v_i[1], v_i[4] + 1j * v_i[5], v_i[2] + 1j * v_i[3],
-                    t0 + (r + 1) * dt, loss, emitted_norm[i],
+                    (r + 1) * dt, loss, emitted_norm[i],
                     float(injected[r]) if injected is not None else 0.0,
                     initial_norm[i],
                 )
@@ -548,13 +551,12 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
 
     sqrt_c = math.sqrt(C_EFF)
     trajectories = []
-    for i, (timeline, _, _, _, times, _, _) in enumerate(members):
+    for i, (_, _, _, times, _, _) in enumerate(members):
         emitted[i] *= sqrt_c
         trajectories.append(Trajectory(
             times=times,
             dt=dt,
             emitted=emitted[i],
-            timeline=timeline,
             final_state=finals[i],
             loss_quad=float(loss_quad[i]),
             snapshots=tuple(snapshots[i]),
@@ -562,7 +564,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     return trajectories
 
 
-def v_group(medium: MediumParams, rabi: complex) -> float:
+def v_group(medium: MediumParams, rabi: float) -> float:
     """Group velocity of the polariton under a constant control drive."""
     w2 = abs(rabi) * abs(rabi)
     g2 = 4.0 * medium.coupling**2
@@ -583,7 +585,7 @@ class StorageResult:
 def store_magnon(
     medium: MediumParams,
     pulse: PulseEnvelope,
-    rabi_storage: complex,
+    rabi_storage: float,
     n_z: int = 160,
 ) -> StorageResult:
     """Write the probe pulse into a stationary spin wave.
@@ -600,7 +602,7 @@ def store_magnon(
 def _store_batch(
     medium: MediumParams,
     pulse: PulseEnvelope,
-    rabis: tuple[complex, ...],
+    rabis: tuple[float, ...],
     n_z: int,
 ) -> list[StorageResult]:
     """`store_magnon` at each storage drive in `rabis`, as one batch.

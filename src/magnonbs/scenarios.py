@@ -8,8 +8,9 @@ three-particle grid are formula-level and reuse the envelope model.
 
 Conventions used by every protocol here:
 - the storage control is resonant; mixing stages may be detuned;
-- lasers retune between stages, so storage and mixing may use different
-  MediumParams while the stored spin wave carries over unchanged.
+- a mixing point stores in its own atoms with the lasers retuned to
+  resonance, so its storage medium is its mixing medium at zero
+  detuning, and the stored spin wave carries over unchanged.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ FIG4_I_PEAK = 1.0
 _PROBE_CENTER = 1.0
 _T_END = 10.0
 _PROBE_SNAPSHOTS = tuple(np.arange(0.3, 4.0, 0.05))
+
+# A mixing point's probe pulse center and grid, and how long its runs go on
+# after the mixing stage is cut, for the light it releases to leave.
+_MIX_PROBE_CENTER = 0.6
+_MIX_N_Z = 160
+_MIX_SETTLE = 3.5
 
 
 @dataclass(frozen=True)
@@ -260,59 +267,51 @@ def _ledger_checks(run: Trajectory) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MixingScenario:
-    """One splitter operating point: storage stage plus mixing stage."""
+    """One splitter operating point: storage stage plus mixing stage.
+
+    The wave is stored in `medium` at zero detuning, then mixed in `medium`
+    under a beamsplit drive `rabi_bs` cut at `t_cut`.
+    """
 
     label: str
-    storage_medium: MediumParams
-    mixing_medium: MediumParams
+    medium: MediumParams
     rabi_s: float
     rabi_bs: float
     t_cut: float
-    probe_center: float
-    n_z: int
-    t_end: float
 
     def run(self) -> tuple[StorageResult, ExtractionResult]:
         """The storage stage and the splitter extraction that follows it."""
         stored = store_magnon(
-            self.storage_medium, PULSE, self.rabi_s, n_z=self.n_z
+            replace(self.medium, delta=0.0), PULSE, self.rabi_s, n_z=_MIX_N_Z
         )
-        probe = replace(PULSE, t_center=self.probe_center)
+        probe = replace(PULSE, t_center=_MIX_PROBE_CENTER)
         timeline = ControlTimeline(
             (ControlSegment(0.0, self.t_cut, self.rabi_bs, "beamsplit"),)
         )
         return stored, extract_matrix(
-            self.mixing_medium,
+            self.medium,
             timeline,
             probe,
             stored.state,
-            n_z=self.n_z,
-            t_end=self.t_end,
+            n_z=_MIX_N_Z,
+            t_end=self.t_cut + _MIX_SETTLE,
         )
 
 
 RESONANT_MIXING = MixingScenario(
     label="resonant",
-    storage_medium=MediumParams(od=30.0),
-    mixing_medium=MediumParams(od=30.0),
+    medium=MediumParams(od=30.0),
     rabi_s=3.0,
     rabi_bs=13.0,
     t_cut=2.0,
-    probe_center=0.6,
-    n_z=160,
-    t_end=5.5,
 )
 
 DETUNED_MIXING = MixingScenario(
     label="detuned",
-    storage_medium=MediumParams(od=100.0),
-    mixing_medium=MediumParams(od=100.0, delta=20.0),
+    medium=MediumParams(od=100.0, delta=20.0),
     rabi_s=6.0,
     rabi_bs=21.0,
     t_cut=2.15,
-    probe_center=0.6,
-    n_z=160,
-    t_end=5.65,
 )
 
 

@@ -206,16 +206,13 @@ def extract_matrix(
     output port is read from the first beamsplit segment's start until 0.5
     after the cell transit that follows the last one's end, or until a
     later segment starts.  Both runs start at t = 0, so they share the
-    step times the window is read on; a stored spin wave with another
-    `t_now`, or a window that holds no step, fails before either run.
+    step times the window is read on; a window that holds no step fails
+    before either run.
     """
-    t_now = initial_magnon.t_now
-    if t_now != 0.0:
-        raise ConfigError(f"stored spin wave must start at t_now = 0, got {t_now}")
     window = _photon_window(timeline)
     config = SimulationConfig(t_end=t_end, n_z=n_z)
     # The step times are sorted, so the window is one contiguous slice.
-    times = _step_times(config, 0.0)
+    times = _step_times(config)
     lo = np.searchsorted(times, window[0], side="left")
     hi = np.searchsorted(times, window[1], side="right")
     if lo >= hi:

@@ -1,4 +1,5 @@
-"""The output contract shared by the command and acceptance tests.
+"""The output contract shared by the command and acceptance tests, and the
+gate's solver runs, computed once per session.
 
 `tests/data/contract/` holds what the commands wrote, and what the gate's
 criteria reported, when the files were committed.  A later build must
@@ -9,6 +10,9 @@ import re
 from pathlib import Path
 
 import pytest
+
+from magnonbs.acceptance import _triangle_pair, curve_pair
+from magnonbs.scenarios import FIG2_CURVES
 
 CONTRACT = Path(__file__).parent / "data" / "contract"
 
@@ -48,3 +52,15 @@ def contract_dir() -> Path:
 @pytest.fixture(scope="session")
 def same_output():
     return assert_same_output
+
+
+@pytest.fixture(scope="session")
+def fig2_pairs():
+    """Each gate depth's storage-drive curve and its halved-grid twin."""
+    return {params.od: curve_pair(params) for params in FIG2_CURVES}
+
+
+@pytest.fixture(scope="session")
+def mixing_checks():
+    """The triangle checks of the resonant and the detuned mixing point."""
+    return _triangle_pair()

@@ -2,7 +2,7 @@
 
 The storage sweeps behind criteria 7 and 8 dominate the runtime, so the
 curve pairs and the mixing-point runs are computed once per session and
-shared.  Run with `-s` to see the per-criterion lines as they complete.
+shared (the `fig2_pairs` and `mixing_checks` fixtures of conftest.py).  Run with `-s` to see the per-criterion lines as they complete.
 """
 
 import concurrent.futures
@@ -17,7 +17,6 @@ from magnonbs import acceptance
 from magnonbs.acceptance import (
     LOSS_GAP_TOL,
     CriterionResult,
-    _triangle_pair,
     criterion_1,
     criterion_2,
     criterion_3,
@@ -26,19 +25,7 @@ from magnonbs.acceptance import (
     criterion_6,
     criterion_7,
     criterion_8,
-    curve_pair,
 )
-from magnonbs.scenarios import FIG2_CURVES
-
-
-@pytest.fixture(scope="session")
-def fig2_pairs():
-    return {params.od: curve_pair(params) for params in FIG2_CURVES}
-
-
-@pytest.fixture(scope="session")
-def mixing_checks():
-    return _triangle_pair()
 
 
 def accept_details(contract_dir):

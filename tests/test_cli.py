@@ -349,21 +349,38 @@ def test_physics_violation_exits_with_its_own_code(tmp_path, capsys, monkeypatch
     assert err == ["physics violation: held norm exceeds input"]
 
 
+def _drive_run(drive):
+    return ["run", "--override", f"control.segments=beamsplit:0.5:1:{drive}",
+            "--override", "grid.n_z=16", "--override", "grid.t_end=1"]
+
+
 @pytest.mark.filterwarnings("error")
-def test_a_drive_that_overflows_the_exponential_is_a_physics_violation(tmp_path, capsys):
-    # The drive passes every config check; the squarings of its maps'
-    # exponential overflow, which must stop the run without a warning.
-    args = ["run", "--override", "control.segments=beamsplit:0:10:1e200",
-            "--override", "grid.n_z=16", "--override", "grid.t_end=0.1"]
-    assert main(args + ["--out", str(tmp_path)]) == 3
+@pytest.mark.parametrize("drive", ["1e17", "1e18", "6e18", "1e20", "1e22", "1e200"])
+def test_a_drive_the_grid_cannot_resolve_is_a_config_error(drive, tmp_path, capsys,
+                                                           monkeypatch):
+    # At n_z 16 a step is 1/192, so the bound |Omega| dt <= 1e3 allows
+    # drives up to 1.92e5.  Beyond it the maps' roundoff breaks the ledger
+    # (1e17 to 6e18), overflows the state (1e20, 1e22) or the exponential
+    # (1e200); each drive is rejected before a step map is built.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step map was built")
+
+    monkeypatch.setattr(mbloch, "expm", forbidden)
+    assert main(_drive_run(drive) + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["physics violation: the matrix exponential overflows"]
+    assert len(err) == 1 and err[0].startswith("config error: control drive ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_drive_just_under_the_grid_bound_runs(tmp_path):
+    assert main(_drive_run("1.9e5") + ["--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(
     "change, code, line",
     [
-        ({"rabi_bs": 1e200}, 3, "physics violation: the matrix exponential overflows"),
+        ({}, 3, "physics violation: held norm "),
         ({"ref_rabi_s": 1e200}, 2, "config error: storage drive must be nonzero and finite"),
     ],
     ids=["physics violation", "config error"],
@@ -373,14 +390,26 @@ def test_an_error_in_the_gate_worker_gives_its_exit_code(
 ):
     # Only the worker process builds the deep curve pair, here on a coarse
     # grid; its error comes back through the pool and exits as it would in
-    # the parent, with no worker left running.
+    # the parent, with no worker left running.  No drive the solver accepts
+    # breaks its maps, so for the physics violation the half maps of the
+    # deep curve's beamsplit drive are scaled by 1.001.  Only the worker
+    # builds them, and the pool forks it from this process after the patch.
     from magnonbs import acceptance
 
     shallow, deep = (replace(params, n_z=32) for params in acceptance.FIG2_CURVES)
+    if not change:
+        local_maps = mbloch._local_maps
+
+        def gaining(medium, drives, dt_half):
+            maps = local_maps(medium, drives, dt_half)
+            return 1.001 * maps if deep.rabi_bs in drives else maps
+
+        monkeypatch.setattr(mbloch, "_local_maps", gaining)
     monkeypatch.setattr(acceptance, "FIG2_CURVES", (shallow, replace(deep, **change)))
     monkeypatch.setattr(acceptance, "_triangle_pair", lambda: ())
     assert main(["accept", "--out", str(tmp_path)]) == code
-    assert capsys.readouterr().err.splitlines() == [line]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
     assert multiprocessing.active_children() == []
 
 

@@ -58,7 +58,7 @@ def test_medium_rejects_bad_parameters(kwargs):
         lambda: PulseEnvelope(t_center=math.nan),
         lambda: ControlSegment(math.nan, 1.0, 1.0, "storage"),
         lambda: ControlSegment(0.0, math.inf, 1.0, "storage"),
-        lambda: ControlSegment(0.0, 1.0, complex(math.nan, 0.0), "storage"),
+        lambda: ControlSegment(0.0, 1.0, math.nan, "storage"),
         # NaN fails both `ramp < 0` and `ramp > 0`; only the finiteness check sees it.
         lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.nan),
         lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.inf),
@@ -127,6 +127,20 @@ def test_segment_label_must_be_known():
         ControlSegment(0.0, 1.0, 1.0, "warmup")
 
 
+@pytest.mark.parametrize("amplitude", [13.0 + 2.0j, complex(5.0, 0.0), np.complex128(5.0)],
+                         ids=str)
+def test_a_complex_drive_is_a_config_error(amplitude):
+    # A constant drive phase is a gauge of the spin wave, not an input.
+    with pytest.raises(ConfigError, match="must be real"):
+        ControlSegment(0.0, 1.0, amplitude, "beamsplit")
+
+
+def test_timeline_drive_is_real():
+    tl = ControlTimeline((ControlSegment(0.0, 1.0, 8.0, "storage", ramp=0.2),))
+    assert tl.rabi(np.linspace(0.0, 1.0, 11)).dtype == np.float64
+    assert type(tl.rabi(0.5)) is float
+
+
 def _state(n=16, e_scale=0.5):
     z = make_grid(n)
     e = np.full(n, e_scale, dtype=complex)
@@ -137,6 +151,19 @@ def _state(n=16, e_scale=0.5):
         z, e, s, np.zeros(n, dtype=complex), 0.0, 0.0,
         initial_norm=norm,
     )
+
+
+@pytest.mark.parametrize("loss, ok", [(-2e-6, False), (-5e-7, True)])
+def test_field_state_rejects_loss_below_its_slack(loss, ok):
+    # Roundoff may leave the ledger's loss a little below zero; 1e-6 below
+    # is a bug.
+    z = make_grid(16)
+    zero = np.zeros(16, dtype=complex)
+    if ok:
+        assert FieldState(z, zero, zero, zero, 0.0, loss).loss_accum == loss
+    else:
+        with pytest.raises(PhysicsViolation, match="negative accumulated loss"):
+            FieldState(z, zero, zero, zero, 0.0, loss)
 
 
 def test_field_state_bookkeeping_closes_on_construction():

@@ -241,11 +241,13 @@ def test_partial_overlap_matches_the_internal_mode_expansion():
     rng = np.random.default_rng(20261018)
     cases = [(_random_lossy(rng, n), _random_gram(rng, n)) for n in (2, 3) * 6]
     cases += [(_random_unitary(rng, n), _random_gram(rng, n)) for n in (2, 3) * 3]
+    # The second cascade loses amplitude in storage (0.9j) and readout (0.8).
+    lossy = cascade_three(_random_passive(rng), _random_passive(rng)).transfer
     cascades = [
-        ideal_cascade(),
-        cascade_three(_random_passive(rng), _random_passive(rng), 0.9j, 0.8),
+        ideal_cascade().transfer,
+        np.diag([1, 1, 0.8]) @ lossy @ np.diag([0.9j, 1, 1]),
     ]
-    cases += [(net.transfer, _random_gram(rng, 3)) for net in cascades * 2]
+    cases += [(transfer, _random_gram(rng, 3)) for transfer in cascades * 2]
     cases += [(_random_lossy(rng, m), _random_gram(rng, n))
               for m, n in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3))]
     for transfer, gram in cases:

@@ -186,18 +186,41 @@ def test_a_non_finite_state_stops_the_run():
                initial=seeded)
 
 
-def test_a_state_that_overflows_after_its_first_check_stops_the_run():
+def test_a_state_that_overflows_after_its_first_check_stops_the_run(monkeypatch):
     # 192 steps, fewer than one period of the periodic ledger reads: the
-    # overflowing drive starts after step 0, so only the checks at the last
-    # step can see the non-finite state.  The exponential of this drive's
-    # generator is finite, but its roundoff makes the maps far from
-    # contractive, so the state overflows within the run.
-    tl = ControlTimeline((ControlSegment(0.5, 1.0, 1e21, "beamsplit"),))
+    # drive starts after step 0, and its half maps gain 1e3 each, so the
+    # state overflows within the run and only the checks at the last step
+    # can see it.
+    local_maps = mbloch._local_maps
+
+    def gaining(medium, drives, dt_half):
+        maps = local_maps(medium, drives, dt_half)
+        maps[drives != 0] *= 1e3
+        return maps
+
+    monkeypatch.setattr(mbloch, "_local_maps", gaining)
+    tl = ControlTimeline((ControlSegment(0.5, 1.0, 5.0, "beamsplit"),))
     config = SimulationConfig(t_end=1.0, n_z=16)
     assert math.ceil(config.t_end * 16 * C_EFF) < mbloch._CHECK_EVERY
     with np.errstate(all="ignore"), pytest.raises(PhysicsViolation,
                                                   match="non-finite state norm"):
         evolve(OD30, tl, config, pulse=PULSE)
+
+
+def test_a_held_norm_above_the_input_stops_the_run(monkeypatch):
+    # Half maps of 1.001 x identity on a stored spin wave, which no step
+    # emits: the held norm outgrows the input by far more than roundoff at
+    # the first ledger read.
+    monkeypatch.setattr(mbloch, "_local_maps",
+                        lambda medium, drives, dt_half: np.broadcast_to(
+                            1.001 * np.eye(6), (drives.size, 6, 6)))
+    n_z = 16
+    zero = np.zeros(n_z, dtype=complex)
+    seeded = FieldState(make_grid(n_z), zero, np.full(n_z, 0.25, dtype=complex), zero,
+                        0.0, 0.0)
+    with pytest.raises(PhysicsViolation, match="exceeds input"):
+        evolve(OD30, constant_drive(5.0, 1.0), SimulationConfig(t_end=1.0, n_z=n_z),
+               initial=seeded)
 
 
 def test_a_one_step_run_keeps_its_time_step():
@@ -275,10 +298,8 @@ def _reference_evolve(medium, timeline, n_z, t_end, pulse=None, initial=None,
     sqrt_c = math.sqrt(12.0)
     g = medium.coupling
     v = np.zeros((3, n_z), dtype=complex)
-    t0 = 0.0
     if initial is not None:
         v[:] = initial.e_field, initial.sigma13, initial.sigma12
-        t0 = initial.t_now
     emitted = []
     ledgers = {}
     loss = loss_quad = emitted_norm = injected_norm = 0.0
@@ -287,12 +308,12 @@ def _reference_evolve(medium, timeline, n_z, t_end, pulse=None, initial=None,
         return dz * np.sum(np.abs(x) ** 2)
 
     for n in range(int(math.ceil(t_end / dt - 1e-9))):
-        t = t0 + (n + 0.5) * dt
-        omega = complex(timeline.rabi(t))
+        t = (n + 0.5) * dt
+        omega = timeline.rabi(t)
         gen = np.array([
             [0.0, 1j * g, 0.0],
             [1j * g, -(1.0 - 1j * medium.delta), 0.5j * omega],
-            [0.0, 0.5j * np.conj(omega), -medium.gamma12],
+            [0.0, 0.5j * omega, -medium.gamma12],
         ])
         u = expm(gen * 0.5 * dt)
         before = norm(v)
@@ -333,7 +354,7 @@ def reference_case():
     tl = ControlTimeline(
         (
             ControlSegment(0.0, 2.0, 5.0, "storage", ramp=0.3),
-            ControlSegment(2.5, 4.0, 13.0 + 2.0j, "beamsplit", ramp=0.5),
+            ControlSegment(2.5, 4.0, 13.0, "beamsplit", ramp=0.5),
         )
     )
     stored = store_magnon(OD30, PULSE, 5.0, n_z=n_z).state
@@ -393,21 +414,20 @@ def test_step_maps_built_in_small_blocks_match_the_reference(reference_case, mon
 
 
 def test_control_is_the_timeline_sampled_at_the_step_midpoints():
-    # A two-segment ramped timeline with a complex drive: the steps sit at
-    # t0 + (n + 1/2) dt, and the run follows the written-out reference.
+    # A two-segment ramped timeline: the steps sit at (n + 1/2) dt, and the
+    # run follows the written-out reference, which samples the drive there.
     n_z = 32
     dt = 1.0 / (n_z * 12.0)
     tl = ControlTimeline(
         (
             ControlSegment(0.0, 1.0, 5.0, "storage", ramp=0.3),
-            ControlSegment(1.5, 3.0, 13.0 + 2.0j, "beamsplit", ramp=0.5),
+            ControlSegment(1.5, 3.0, 13.0, "beamsplit", ramp=0.5),
         )
     )
     traj = evolve(OD30, tl, SimulationConfig(t_end=3.2, n_z=n_z), pulse=PULSE)
     midpoints = (np.arange(math.ceil(3.2 / dt - 1e-9)) + 0.5) * dt
     assert traj.times.shape == midpoints.shape
     assert np.allclose(traj.times, midpoints, rtol=1e-12, atol=0)
-    assert np.allclose(traj.control, tl.rabi(midpoints), rtol=1e-9, atol=1e-12)
     emitted, v, *_ = _reference_evolve(OD30, tl, n_z, 3.2, PULSE)
     assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
     _assert_state_matches(traj.final_state, v)
@@ -417,13 +437,14 @@ def _batch_runs():
     """Five runs on one lossy, detuned medium and grid, in no length order.
 
     Unequal lengths, distinct ramped drives, runs with only a pulse and
-    only an initial state, two start times, two pulses (one shared by two
-    runs) and different snapshot times; the longest run has a pulse.
+    only an initial state, two initial states (one with light in the cell),
+    two pulses (one shared by two runs) and different snapshot times; the
+    longest run has a pulse.
     """
     n_z = 32
     stored = store_magnon(OD30, PULSE, 5.0, n_z=n_z).state
-    later = FieldState(stored.z_grid, stored.e_field, stored.sigma12, stored.sigma13,
-                       0.7, 0.0)
+    lit = FieldState(stored.z_grid, 0.5j * stored.sigma12, stored.sigma12,
+                     stored.sigma13, 0.0, 0.0)
     probe = PulseEnvelope(fwhm=1.0, t_center=1.0)
 
     def ramped(t_end, rabi, ramp):
@@ -438,8 +459,8 @@ def _batch_runs():
     return [
         (ramped(2.2, 7.0, 0.2), config(2.2), None, stored),
         (ramped(4.5, 5.0, 0.3), config(4.5, 0.3, 2.7), PULSE, stored),
-        (ramped(3.0, 9.0 - 1.0j, 0.4), config(3.0, 1.0), probe, None),
-        (ramped(1.3, 4.0, 0.1), config(1.3, 1.3), None, later),
+        (ramped(3.0, 9.0, 0.4), config(3.0, 1.0), probe, None),
+        (ramped(1.3, 4.0, 0.1), config(1.3, 1.3), None, lit),
         (ramped(3.6, 6.0, 0.25), config(3.6, 0.0), PULSE, None),
     ]
 
@@ -482,7 +503,6 @@ def test_batch_members_equal_their_solo_runs_in_call_order():
     batch = mbloch.evolve_batch(_MEDIUM, runs)
     assert len(batch) == len(runs)
     for got, (timeline, config, pulse, initial) in zip(batch, runs, strict=True):
-        assert got.timeline is timeline
         _assert_same_run(got, evolve(_MEDIUM, timeline, config, pulse, initial))
 
 
@@ -502,13 +522,12 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
     dt = 1.0 / (n_z * 12.0)
     runs, references = batch_references
     assert mbloch._BATCH < len(runs)  # so that the batch steps in two groups
-    for traj, (_, _, _, initial), (snap_steps, reference) in zip(
-        mbloch.evolve_batch(_MEDIUM, runs), runs, references, strict=True
+    for traj, (snap_steps, reference) in zip(
+        mbloch.evolve_batch(_MEDIUM, runs), references, strict=True
     ):
-        t0 = 0.0 if initial is None else initial.t_now
         emitted, v, loss, loss_quad, ledgers = reference
         fin = traj.final_state
-        assert traj.times[0] == pytest.approx(t0 + 0.5 * dt, rel=1e-12)
+        assert traj.times[0] == pytest.approx(0.5 * dt, rel=1e-12)
         assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
         _assert_state_matches(fin, v)
         assert fin.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
@@ -516,7 +535,7 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
         assert len(traj.snapshots) == len(snap_steps)
         for snap, n in zip(traj.snapshots, snap_steps):
             v_n, loss_n, emitted_n, injected_n = ledgers[n]
-            assert snap.t_now == pytest.approx(t0 + (n + 1) * dt, rel=1e-12)
+            assert snap.t_now == pytest.approx((n + 1) * dt, rel=1e-12)
             _assert_state_matches(snap, v_n)
             assert snap.loss_accum == pytest.approx(loss_n, rel=0, abs=1e-13)
             assert snap.emitted_norm == pytest.approx(emitted_n, rel=0, abs=1e-13)
@@ -535,6 +554,13 @@ def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):
              (tl, SimulationConfig(t_end=1.0, n_z=48), PULSE, None)]
     with pytest.raises(ConfigError, match="one grid"):
         mbloch.evolve_batch(OD30, mixed)
+    # n_z 32 steps by dt = 1/384, so the drive bound 1e3 is |Omega| = 3.84e5;
+    # one segment past it fails the batch, whichever member holds it.
+    config = SimulationConfig(t_end=1.0, n_z=32)
+    strong = ControlTimeline((ControlSegment(0.0, 0.5, 1.0, "storage"),
+                              ControlSegment(0.5, 1.0, -3.9e5, "beamsplit")))
+    with pytest.raises(ConfigError, match="too strong for the grid"):
+        mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (strong, config, PULSE, None)])
 
 
 def test_a_non_finite_member_stops_the_batch():
@@ -666,16 +692,18 @@ def test_expm_whose_squarings_overflow_is_a_physics_violation():
         mbloch._local_maps(OD30, np.array([1e200]), 1e-3)
 
 
-def test_snapshot_times_are_measured_from_the_run_start():
-    # A run seeded at t_now = 5 with a snapshot at 0.5 reads the step that
-    # ends at 5.5, 960 steps of dt = 1/1920 in.
+def test_an_initial_state_that_starts_late_is_a_config_error_before_any_step(monkeypatch):
+    # Every run starts at t = 0; a seeded state at t_now = 5 fails before a
+    # step map is built, even as the second member of a batch.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step map was built")
+
     z = make_grid(160)
     spin = np.exp(-((z - 0.5) / 0.1) ** 2).astype(complex)
     zero = np.zeros(z.size, dtype=complex)
     start = FieldState(z, zero, spin, zero.copy(), 5.0, 0.0)
-    traj = evolve(
-        OD30, constant_drive(13.0, 7.0),
-        SimulationConfig(t_end=1.0, snapshot_times=(0.5,)), initial=start,
-    )
-    (snap,) = traj.snapshots
-    assert snap.t_now == pytest.approx(5.5, rel=1e-12)
+    config = SimulationConfig(t_end=1.0, snapshot_times=(0.5,))
+    tl = constant_drive(13.0, 7.0)
+    monkeypatch.setattr(mbloch, "expm", forbidden)
+    with pytest.raises(ConfigError, match="t_now = 5"):
+        mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (tl, config, None, start)])

@@ -5,12 +5,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError, MediumParams, g2_formula
+from magnonbs import ConfigError, g2_formula, scenarios
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
     Fig2Curve,
-    MixingScenario,
     RESONANT_MIXING,
     delay_envelope,
     fig3_delay_curve,
@@ -143,34 +142,35 @@ def test_fig2_parameter_sets_are_consistent():
 
 
 def test_mixing_scenarios_are_distinct_operating_points():
-    assert RESONANT_MIXING.mixing_medium.delta == 0.0
-    assert DETUNED_MIXING.mixing_medium.delta != 0.0
+    assert RESONANT_MIXING.medium.delta == 0.0
+    assert DETUNED_MIXING.medium.delta != 0.0
     assert RESONANT_MIXING.label != DETUNED_MIXING.label
 
 
-def test_triangle_check_deviation_property():
-    tc = triangle_check(RESONANT_MIXING)
+def test_triangle_check_deviation_property(mixing_checks):
+    tc = mixing_checks[0]
+    assert tc.label == RESONANT_MIXING.label
     assert tc.deviation == pytest.approx(abs(tc.g2_oracle - tc.g2_formula))
     assert 0.0 <= tc.overlap <= 1.0
     assert 0.0 <= tc.phi_rt < 2.0 * math.pi
 
 
-def test_triangle_check_counts_the_storage_run_in_its_loss_gap():
+def test_triangle_check_counts_the_storage_run_in_its_loss_gap(monkeypatch):
     # At both gate points the storage run's loss gap is below the photon
     # run's, so dropping it from the ledger checks shows nowhere there.  A
-    # deep storage cell and a shallow mixing cell reverse that order.
-    scenario = MixingScenario(
-        label="deep storage",
-        storage_medium=MediumParams(od=150.0),
-        mixing_medium=MediumParams(od=5.0),
-        rabi_s=8.0,
-        rabi_bs=13.0,
-        t_cut=2.0,
-        probe_center=0.6,
-        n_z=48,
-        t_end=5.5,
-    )
-    stored, result = scenario.run()
-    gap = stored.trajectory.loss_gap
-    assert gap > 10 * max(result.run_magnon.loss_gap, result.run_photon.loss_gap)
-    assert triangle_check(scenario).loss_gap == gap
+    # storage run whose loss quadrature is raised to twice its ledger loss
+    # has a gap of 1, far above the mixing runs' gaps.
+    store_magnon = scenarios.store_magnon
+    gaps = []
+
+    def skewed(*args, **kwargs):
+        stored = store_magnon(*args, **kwargs)
+        run = stored.trajectory
+        run = replace(run, loss_quad=2.0 * run.final_state.loss_accum)
+        gaps.append(run.loss_gap)
+        return replace(stored, trajectory=run)
+
+    monkeypatch.setattr(scenarios, "store_magnon", skewed)
+    tc = triangle_check(RESONANT_MIXING)
+    assert gaps == [pytest.approx(1.0)]
+    assert tc.loss_gap == gaps[0]

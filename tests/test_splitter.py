@@ -21,7 +21,7 @@ from magnonbs import (
     store_magnon,
     tau_from_fwhm,
 )
-from magnonbs import splitter
+from magnonbs import mbloch, splitter
 from magnonbs.core import C_EFF
 from magnonbs.splitter import splitter_from_outputs
 
@@ -322,11 +322,11 @@ def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
     late = replace(stored, t_now=0.5)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("solver called before the start time was checked")
+        raise AssertionError("solver stepped before the start time was checked")
 
-    # The photon run starts at 0, so a later magnon run could not share
-    # its step times; this must fail before either run steps.
-    monkeypatch.setattr(splitter, "evolve_batch", forbidden)
+    # Every run starts at t = 0, so the solver rejects the stored wave
+    # before either run builds a step map.
+    monkeypatch.setattr(mbloch, "expm", forbidden)
     timeline = ControlTimeline(
         (ControlSegment(0.0, 2.0, 13.0, "beamsplit"),)
     )
