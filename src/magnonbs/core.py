@@ -60,9 +60,14 @@ def _require_finite(obj, *names: str) -> None:
             raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
-def _require_passive(matrix: np.ndarray) -> None:
-    """Raise PhysicsViolation if the largest singular value exceeds 1 + 1e-10."""
-    smax = np.linalg.svd(matrix, compute_uv=False)[0]
+def _require_passive(s: np.ndarray) -> None:
+    """Raise PhysicsViolation if the largest singular value exceeds 1 + 1e-10.
+
+    `s` holds a transfer matrix's singular values, largest first, as
+    np.linalg.svd returns them, so a caller that factors the matrix anyway
+    factors it once.
+    """
+    smax = s[0]
     if not smax <= 1.0 + 1e-10:
         raise PhysicsViolation(
             f"transfer matrix has gain: largest singular value {smax}"
@@ -332,7 +337,7 @@ class SplitterMatrix:
         for name in ("t1", "r1", "t2", "r2"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         _require_finite(self, "t1", "r1", "t2", "r2")
-        _require_passive(self.matrix)
+        _require_passive(np.linalg.svd(self.matrix, compute_uv=False))
 
     @property
     def matrix(self) -> np.ndarray:

@@ -108,6 +108,11 @@ from .core import (
 # maps stay contractive to roundoff up to about 5e3 and drift from it
 # beyond, until their exponential's roundoff breaks the ledger.
 _MAX_DRIVE_STEP = 1e3
+# The most steps a run may take, checked when its config is built.  A run
+# holds a few arrays of one row per step (the step midpoints, the pulse
+# samples, the emitted field), about 235 MB at this bound, 119 times the
+# acceptance gate's longest run (35,256 steps).
+_MAX_STEPS = 2**22
 # Steps between ledger reads, and so between the non-finite and runaway
 # checks on the held norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
@@ -140,7 +145,8 @@ class SimulationConfig:
     """Grid resolution and run length for one propagation run.
 
     `n_z` counts spatial cells; the time step is 1 / (n_z * C_EFF).  The
-    run starts at t = 0, and snapshot times lie in [0, t_end].
+    run starts at t = 0, and snapshot times lie in [0, t_end].  A run of
+    more than _MAX_STEPS steps is a ConfigError.
     """
 
     t_end: float
@@ -152,6 +158,15 @@ class SimulationConfig:
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
         _require_cells(self.n_z)
+        # `_steps` rounds t_end / dt - 1e-9 up; its ceiling exceeds the bound
+        # exactly when it does, and comparing the float also catches a count
+        # past the float range.
+        dt = 1.0 / self.n_z / C_EFF
+        if self.t_end / dt - 1e-9 > _MAX_STEPS:
+            raise ConfigError(
+                f"a run to t_end = {self.t_end:g} at n_z = {self.n_z} takes "
+                f"{self.t_end / dt:.3g} steps, more than {_MAX_STEPS}"
+            )
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
         )

@@ -295,6 +295,11 @@ def no_solver(monkeypatch):
         ["fig2", "--override", "scenario.rabi_s_grid=1e200"],
         ["fig2", "--override", "scenario.ods=30,1e308"],
         ["run", "--override", "medium.od=1e308"],
+        # More steps than a run may take: 1.9e15 steps, and storage runs of
+        # 5.8e10 and 2.3e7 steps behind the weak drives.
+        ["run", "--override", "grid.t_end=1e12"],
+        ["fig2", "--override", "scenario.ods=30", "--override", "scenario.rabi_s_grid=1e-3"],
+        ["fig2", "--override", "scenario.ods=30", "--override", "scenario.rabi_s_grid=0.05"],
         ["sweep", "--override", "sweep.parameter=grid.n_z",
          "--override", "sweep.values=32,8"],
         ["run", "--override", "grid.snapshots=-3"],

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from magnonbs import (
     three_photon_input,
     two_photon_input,
 )
-from magnonbs.fock_oracle import FockInput
+from magnonbs.fock_oracle import FockInput, _pattern_table
 
 
 def brute_permanent(m):
@@ -257,6 +259,51 @@ def test_partial_overlap_matches_the_internal_mode_expansion():
         ref = _flavour_distribution(transfer, gram)
         for key in set(got) | set(ref):
             assert got.get(key, 0.0) == pytest.approx(ref.get(key, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_the_gather_table_is_the_written_out_enumeration(n_modes, n):
+    # Entry [j, i, a, b] is the flat index of G^(o_j)[s_a(j), s_b(j)] in the
+    # (n_modes + 1, n, n) stack, o the i-th pattern and s_a the a-th
+    # permutation, each in itertools order.
+    gather, keys, mult = _pattern_table(n_modes, n)
+    patterns = list(itertools.combinations_with_replacement(range(n_modes + 1), n))
+    perms = list(itertools.permutations(range(n)))
+    want = np.empty((n, len(patterns), len(perms), len(perms)), dtype=int)
+    for i, o in enumerate(patterns):
+        for a, s in enumerate(perms):
+            for b, t in enumerate(perms):
+                for j in range(n):
+                    want[j, i, a, b] = np.ravel_multi_index(
+                        (o[j], s[j], t[j]), (n_modes + 1, n, n))
+    assert np.array_equal(gather, want)
+    assert keys == tuple(tuple(o.count(q) for q in range(n_modes)) for o in patterns)
+    assert mult.tolist() == [math.prod(math.factorial(o.count(q)) for q in range(n_modes + 1))
+                             for o in patterns]
+    assert not gather.flags.writeable and not mult.flags.writeable
+
+
+def test_a_network_keeps_its_loss_gram():
+    # The loss port's Gram is kept from the one SVD the network is built
+    # with: read-only, equal to I - T^+ T, and carried through a pickle.
+    rng = np.random.default_rng(23)
+    t = _random_lossy(rng, 3)
+    net = ModeNetwork(t)
+    assert not net._loss_gram.flags.writeable
+    assert np.abs(net._loss_gram - (np.eye(3) - t.conj().T @ t)).max() < 1e-12
+    back = pickle.loads(pickle.dumps(net))
+    assert np.array_equal(back._loss_gram, net._loss_gram)
+    inp = three_photon_input(0.3, 0.8)
+    assert output_distribution(back, inp) == output_distribution(net, inp)
+
+
+def test_network_equality_reads_the_transfer_matrix_alone():
+    assert [f.name for f in dataclasses.fields(ModeNetwork) if f.compare] == ["transfer"]
+    net = ModeNetwork(np.array([[0.6j]]))
+    assert net == ModeNetwork(np.array([[0.6j]]))
+    assert net != ModeNetwork(np.array([[0.6]]))
+    assert repr(net) == "ModeNetwork(transfer=array([[0.+0.6j]]))"
 
 
 def test_patterns_that_cannot_occur_add_no_key():

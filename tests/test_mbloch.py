@@ -173,6 +173,18 @@ def test_simulation_config_guards():
         SimulationConfig(t_end=1.0, snapshot_times=(0.5, 1.1))
 
 
+@pytest.mark.parametrize("n_z", [16, 160])
+def test_a_run_may_take_up_to_the_step_bound(n_z):
+    # A run's per-step arrays have one row per step, so the step count is
+    # bounded where the config is built; the bound itself still constructs.
+    dt = 1.0 / n_z / C_EFF
+    at = SimulationConfig(t_end=mbloch._MAX_STEPS * dt, n_z=n_z)
+    assert mbloch._steps(at)[1] == mbloch._MAX_STEPS
+    for t_end in ((mbloch._MAX_STEPS + 1) * dt, 1e12, 1e308):
+        with pytest.raises(ConfigError, match="more than 4194304"):
+            SimulationConfig(t_end=t_end, n_z=n_z)
+
+
 def test_a_non_finite_state_stops_the_run():
     # A NaN in the seeded spin wave spreads through the whole state; the
     # in-loop check must stop the run rather than return NaN outputs.
@@ -707,3 +719,60 @@ def test_an_initial_state_that_starts_late_is_a_config_error_before_any_step(mon
     monkeypatch.setattr(mbloch, "expm", forbidden)
     with pytest.raises(ConfigError, match="t_now = 5"):
         mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (tl, config, None, start)])
+
+
+_RECIPROCITY_CASES = {
+    "od 30, one ramped segment": (
+        MediumParams(od=30.0),
+        (ControlSegment(0.2, 1.4, 6.0, "beamsplit", ramp=0.3),)),
+    "od 100, delta 20, two segments": (
+        MediumParams(od=100.0, delta=20.0),
+        (ControlSegment(0.1, 0.8, 12.0, "storage"),
+         ControlSegment(1.0, 1.9, 20.0, "beamsplit", ramp=0.2))),
+    "od 66, delta 10, gamma12 0.3": (
+        MediumParams(od=66.0, delta=10.0, gamma12=0.3),
+        (ControlSegment(0.3, 1.7, 9.0, "beamsplit", ramp=0.2),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECIPROCITY_CASES))
+def test_the_step_loop_is_its_own_transpose_run_backwards(case):
+    # Every half-step map is complex symmetric (the drive is real) and the
+    # advection's transpose is the advection reflected in z, so the whole
+    # map U of a run to T obeys x^T U y = (R y)^T U_rev (R x), with R the
+    # cell reversal and U_rev the run under the timeline mirrored about
+    # T / 2 (T a whole number of steps, so the step midpoints map onto each
+    # other).  No conjugation: this is the transpose, not the adjoint.  The
+    # gap measured 5e-18 to 1e-16 of dz |x| |y|; a timeline mirrored one
+    # step late moves it to 4e-6 to 6e-5.
+    medium, segments = _RECIPROCITY_CASES[case]
+    n_z = 160
+    dz = 1.0 / n_z
+    dt = dz / C_EFF
+    t_run = 3840 * dt
+    config = SimulationConfig(t_end=t_run, n_z=n_z)
+    timeline = ControlTimeline(segments)
+
+    def mirrored(shift):
+        return ControlTimeline(tuple(
+            ControlSegment(t_run - s.t_end + shift, t_run - s.t_start + shift,
+                           s.amplitude, s.label, s.ramp)
+            for s in reversed(segments)))
+
+    def run(tl, v):
+        # v holds the rows (E, P, S); the run starts from it with no pulse.
+        seeded = FieldState(make_grid(n_z), v[0], v[2], v[1], 0.0, 0.0)
+        fin = evolve(medium, tl, config, initial=seeded).final_state
+        return np.array([fin.e_field, fin.sigma13, fin.sigma12])
+
+    rng = np.random.default_rng(sorted(_RECIPROCITY_CASES).index(case))
+    x, y = (rng.normal(size=(3, n_z)) + 1j * rng.normal(size=(3, n_z)) for _ in range(2))
+    scale = dz * np.linalg.norm(x) * np.linalg.norm(y)
+    forward = dz * np.sum(x * run(timeline, y))
+
+    def gap(shift):
+        backward = dz * np.sum(y[:, ::-1] * run(mirrored(shift), x[:, ::-1]))
+        return abs(forward - backward) / scale
+
+    assert gap(0.0) < 1e-14
+    assert gap(dt) > 1e-8

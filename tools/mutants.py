@@ -37,21 +37,22 @@ OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
+RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
 
 MUTANTS = (
     ("oracle: drop the loss-port Gram", ORACLE,
-     "loss = sink[np.ix_(ports, ports)] * inp.gram",
-     "loss = 0.0 * sink[np.ix_(ports, ports)] * inp.gram",
+     "loss = net._loss_gram[ports[:, None], ports] * inp.gram",
+     "loss = 0.0 * net._loss_gram[ports[:, None], ports] * inp.gram",
      ORACLE_TESTS),
     ("oracle: U in place of Vh in the loss-port Gram", ORACLE,
-     "_, s, vh = np.linalg.svd(net.transfer)",
-     "vh, s, _ = np.linalg.svd(net.transfer)",
+     "_, s, vh = np.linalg.svd(t)",
+     "vh, s, _ = np.linalg.svd(t)",
      ORACLE_TESTS),
     ("oracle: I - T^+ T as the loss-port Gram", ORACLE,
      "sink = vh.conj().T @ ((1.0 - np.minimum(s, 1.0) ** 2)[:, None] * vh)",
-     "sink = np.eye(len(s)) - net.transfer.conj().T @ net.transfer",
+     "sink = np.eye(len(s)) - t.conj().T @ t",
      ORACLE_TESTS),
     ("oracle: drop / mult", ORACLE,
      "terms.sum(axis=(1, 2)).real / mult",
@@ -69,6 +70,11 @@ MUTANTS = (
     ("oracle: drop * G on the signal Grams", ORACLE,
      "cols[:, None, :] * inp.gram",
      "cols[:, None, :]",
+     ORACLE_TESTS),
+    # The gather reads the wrong port's Gram whenever a pattern leaves port 0.
+    ("oracle: the gather's pattern stride dropped", ORACLE,
+     "(o * n + perms[:, None, :, None]) * n",
+     "(o + perms[:, None, :, None]) * n",
      ORACLE_TESTS),
     ("mbloch: drop the expm squaring loop", MBLOCH,
      "for _ in range(s):",
@@ -117,7 +123,7 @@ MUTANTS = (
     ("mbloch: carry slot m - 1 into the next block", MBLOCH,
      "ring[0, :a] = ring[m, :a]",
      "ring[0, :a] = ring[m - 1, :a]",
-     BATCH_TESTS),
+     (*BATCH_TESTS, RECIPROCITY_TEST)),
     # Criterion 6's grid and its reference share the envelope, so criterion
     # 6 alone cannot kill this one.
     ("stats: OverlapEnvelope width 4 sigma^2 -> 2 sigma^2", "src/magnonbs/stats.py",
@@ -137,6 +143,8 @@ MUTANTS = (
      "v >= 0.0", "v >= -1e-6", OVERLAP_TESTS),
     ("core: passivity tolerance 1e-10 -> 1e-8", CORE,
      "if not smax <= 1.0 + 1e-10:", "if not smax <= 1.0 + 1e-8:", GAIN_TESTS),
+    ("core: passivity read from the smallest singular value", CORE,
+     "smax = s[0]", "smax = s[-1]", GAIN_TESTS),
     ("acceptance: criterion 4's coarse stride 16 -> 8", "src/magnonbs/acceptance.py",
      "for stride in (16, 4))",
      "for stride in (8, 4))",
@@ -203,6 +211,23 @@ MUTANTS = (
      "if False:",
      ("tests/test_mbloch.py::test_a_bad_batch_is_a_config_error_before_any_step",
       "tests/test_cli.py::test_a_drive_the_grid_cannot_resolve_is_a_config_error")),
+    ("mbloch: drop the step bound", MBLOCH,
+     "if self.t_end / dt - 1e-9 > _MAX_STEPS:",
+     "if False:",
+     ("tests/test_mbloch.py::test_a_run_may_take_up_to_the_step_bound",
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[run --override grid.t_end=1e12]")),
+    # Forward and mirrored runs then sample the drive a step apart.
+    ("mbloch: sample the drive one step late", MBLOCH,
+     "timeline.rabi(times)",
+     "timeline.rabi(times + dt)",
+     (RECIPROCITY_TEST,)),
+    # The fault is symmetric under transposition, so the reciprocity test
+    # cannot see it; the written-out references can.
+    ("mbloch: R_s R_{s+1} at a drive-run boundary", MBLOCH,
+     "np.matmul(half[1:], half[:-1], out=",
+     "np.matmul(half[:-1], half[1:], out=",
+     ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference", *BATCH_TESTS)),
     ("mbloch: drop the held-norm check", MBLOCH,
      "if held > budget + PROBABILITY_SLACK:",
      "if False:",
