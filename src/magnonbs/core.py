@@ -21,7 +21,7 @@ on the same footing as the field norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,22 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr)
     out.setflags(write=False)
     return out
+
+
+class _ArrayValue:
+    """Base of the frozen dataclasses (eq=False) that hold arrays: unpickled
+    through __init__, as plain unpickling skips the __post_init__ that makes
+    them read-only, and compared with np.array_equal, where the generated
+    __eq__ would raise on arrays of more than one entry."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -249,12 +265,9 @@ class ControlTimeline:
             return float(out)
         return out
 
-    def by_label(self, label: str) -> tuple[ControlSegment, ...]:
-        return tuple(s for s in self.segments if s.label == label)
 
-
-@dataclass(frozen=True)
-class FieldState:
+@dataclass(frozen=True, eq=False)
+class FieldState(_ArrayValue):
     """Snapshot of the coupled field/atom amplitudes plus norm bookkeeping.
 
     sigma12/sigma13 are collective amplitudes (sqrt(N)-scaled), so

@@ -57,6 +57,7 @@ from .core import (
     ConfigError,
     PhysicsViolation,
     SplitterMatrix,
+    _ArrayValue,
     _check_overlap,
     _require_finite,
     _require_passive,
@@ -65,8 +66,8 @@ from .core import (
 _MAX_PARTICLES = 3
 
 
-@dataclass(frozen=True)
-class ModeNetwork:
+@dataclass(frozen=True, eq=False)
+class ModeNetwork(_ArrayValue):
     """Square transfer matrix between signal modes, possibly lossy but never amplifying."""
 
     transfer: np.ndarray
@@ -96,8 +97,8 @@ class ModeNetwork:
         return self.transfer.shape[0]
 
 
-@dataclass(frozen=True)
-class FockInput:
+@dataclass(frozen=True, eq=False)
+class FockInput(_ArrayValue):
     """Single particles at a subset of input ports with pairwise overlaps.
 
     `occupations[p]` is 0 or 1 for each network port; `gram[j, k]` is the

@@ -75,10 +75,10 @@ first.  The P and S rows' edge columns are never written, so they add
 nothing to the quadrature.  What a batch holds while it steps is thus
 bounded: one block of maps per member and the ring,
 (_RING + 1) * members * 6 * (n_z + 2) floats (1.5 MB for 4 members at
-n_z 240), never an array of steps x members.  A batch has one array of
-step midpoints, the longest run's, of which every member reads a prefix,
-and members with the same pulse share its samples.  A trajectory keeps no
-control drive: its caller holds the timeline.
+n_z 240), never an array of steps x members.  One array of step
+midpoints, the longest run's, serves the batch while it steps, and members
+with the same pulse share its samples.  A trajectory keeps neither: it
+computes its step times from dt, and its caller holds the timeline.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ from .core import (
     MediumParams,
     PhysicsViolation,
     PulseEnvelope,
+    _ArrayValue,
     _require_cells,
     _require_finite,
     make_grid,
@@ -144,9 +145,9 @@ _THETA13 = 5.371920351148152
 class SimulationConfig:
     """Grid resolution and run length for one propagation run.
 
-    `n_z` counts spatial cells; the time step is 1 / (n_z * C_EFF).  The
-    run starts at t = 0, and snapshot times lie in [0, t_end].  A run of
-    more than _MAX_STEPS steps is a ConfigError.
+    `n_z` counts spatial cells; the time step `dt` is 1 / (n_z * C_EFF).
+    The run starts at t = 0 and takes `n_steps` steps, at least one; snapshot
+    times lie in [0, t_end].  More than _MAX_STEPS steps is a ConfigError.
     """
 
     t_end: float
@@ -158,14 +159,13 @@ class SimulationConfig:
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
         _require_cells(self.n_z)
-        # `_steps` rounds t_end / dt - 1e-9 up; its ceiling exceeds the bound
-        # exactly when it does, and comparing the float also catches a count
-        # past the float range.
-        dt = 1.0 / self.n_z / C_EFF
-        if self.t_end / dt - 1e-9 > _MAX_STEPS:
+        # `n_steps` rounds t_end / dt - 1e-9 up; its ceiling exceeds the
+        # bound exactly when it does, and comparing the float also catches a
+        # count past the float range.
+        if self.t_end / self.dt - 1e-9 > _MAX_STEPS:
             raise ConfigError(
                 f"a run to t_end = {self.t_end:g} at n_z = {self.n_z} takes "
-                f"{self.t_end / dt:.3g} steps, more than {_MAX_STEPS}"
+                f"{self.t_end / self.dt:.3g} steps, more than {_MAX_STEPS}"
             )
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
@@ -177,15 +177,23 @@ class SimulationConfig:
                 f"got {self.snapshot_times}"
             )
 
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.n_z / C_EFF
 
-@dataclass(frozen=True)
-class Trajectory:
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(math.ceil(self.t_end / self.dt - 1e-9)))
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(_ArrayValue):
     """Emitted field, final state and snapshots of one propagation run.
 
-    `times` are the step midpoints (n + 1/2) dt; the runs of one batch
-    share one array of them, as views.  `emitted` holds the outgoing
-    amplitude at z = 1 in temporal normalization: dt * sum |emitted|^2 is
-    the norm that left the cell.  The norm ledger is observable at the end
+    `emitted` holds the outgoing amplitude at z = 1 at each step, read-only,
+    in temporal normalization: dt * sum |emitted|^2 is the norm that left
+    the cell.  `times`, the step midpoints (n + 1/2) dt, are computed anew
+    at each read.  The norm ledger is observable at the end
     (`final_state`) and at the step end nearest each requested snapshot
     time (`snapshots`); each is a FieldState carrying the full ledger.
     `loss_quad` is the loss summed independently of that ledger, step by
@@ -193,12 +201,18 @@ class Trajectory:
     caller holds its timeline.
     """
 
-    times: np.ndarray
     dt: float
     emitted: np.ndarray
     final_state: FieldState
     loss_quad: float
     snapshots: tuple[FieldState, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.emitted.setflags(write=False)  # the solver's own buffer, not a copy
+
+    @property
+    def times(self) -> np.ndarray:
+        return (np.arange(self.emitted.size) + 0.5) * self.dt
 
     @property
     def input_norm(self) -> float:
@@ -321,18 +335,6 @@ def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
             yield stop, across[s], half[s]
 
 
-def _steps(config: SimulationConfig) -> tuple[float, int]:
-    """A run's time step dt = dz / C_EFF and its number of steps."""
-    dt = 1.0 / config.n_z / C_EFF
-    return dt, max(1, int(math.ceil(config.t_end / dt - 1e-9)))
-
-
-def _step_times(config: SimulationConfig) -> np.ndarray:
-    """The step midpoints (n + 1/2) dt of a run."""
-    dt, n_steps = _steps(config)
-    return (np.arange(n_steps) + 0.5) * dt
-
-
 def _pulse_samples(pulse: PulseEnvelope, times: np.ndarray, dt: float):
     """The cells a pulse injects at z = 0, as (Re, Im) rows, one per step,
     and the norm injected up to and including each step."""
@@ -385,7 +387,7 @@ def evolve_batch(
     if len(grids) > 1:
         raise ConfigError(f"the runs of a batch must share one grid, got n_z {sorted(grids)}")
     z = make_grid(runs[0][1].n_z)
-    dt = _steps(runs[0][1])[0]
+    dt = runs[0][1].dt
     for timeline, _, _, initial in runs:
         if initial is not None:
             if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
@@ -400,9 +402,9 @@ def evolve_batch(
 
     # Every run reads a prefix of the longest run's step midpoints, and the
     # first run of a pulse, its longest, samples it for all of them.
-    lengths = [_steps(config)[1] for _, config, _, _ in runs]
+    lengths = [config.n_steps for _, config, _, _ in runs]
     order = sorted(range(len(runs)), key=lambda i: -lengths[i])
-    times = _step_times(runs[order[0]][1])
+    times = (np.arange(lengths[order[0]]) + 0.5) * dt
     samples: dict = {}
     for i in order:
         pulse = runs[i][2]
@@ -566,10 +568,9 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
 
     sqrt_c = math.sqrt(C_EFF)
     trajectories = []
-    for i, (_, _, _, times, _, _) in enumerate(members):
+    for i in range(b):
         emitted[i] *= sqrt_c
         trajectories.append(Trajectory(
-            times=times,
             dt=dt,
             emitted=emitted[i],
             final_state=finals[i],

@@ -15,7 +15,7 @@ Conventions used by every protocol here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
+    _ArrayValue,
     _readonly,
     _require_cells,
 )
@@ -137,8 +138,8 @@ def fig2_params(od: float) -> Fig2Params:
     return replace(FIG2_OD30, od=od)
 
 
-@dataclass(frozen=True)
-class Fig2Curve:
+@dataclass(frozen=True, eq=False)
+class Fig2Curve(_ArrayValue):
     """The storage-drive sweep as read-only columns in `rabi_s_grid` order."""
 
     rabi_s: np.ndarray
@@ -159,11 +160,6 @@ class Fig2Curve:
         for name in ("rabi_s", "efficiency", "mode_overlap", "balance", "visibility",
                      "spin_abs"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    def __reduce__(self):
-        # Unpickled through __init__, so that a curve sent between processes
-        # keeps read-only columns: plain unpickling skips __post_init__.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def g2(self) -> np.ndarray:
@@ -285,12 +281,10 @@ class MixingScenario:
             replace(self.medium, delta=0.0), PULSE, self.rabi_s, n_z=_MIX_N_Z
         )
         probe = replace(PULSE, t_center=_MIX_PROBE_CENTER)
-        timeline = ControlTimeline(
-            (ControlSegment(0.0, self.t_cut, self.rabi_bs, "beamsplit"),)
-        )
         return stored, extract_matrix(
             self.medium,
-            timeline,
+            self.rabi_bs,
+            self.t_cut,
             probe,
             stored.state,
             n_z=_MIX_N_Z,

@@ -1,17 +1,19 @@
 """Characterize the memory's light/spin-wave interconversion as a 2x2 splitter.
 
-A control segment applied to a cell holding a stored spin wave while a probe
-pulse arrives mixes the two excitations.  Because the dynamics are linear in
-the weak amplitudes, two single-input runs (spin wave only, probe only)
-determine the full transfer matrix
+A mixing stage, a beamsplit control segment from t = 0 to a cut time, acts
+on a cell holding a stored spin wave while a probe pulse arrives and mixes
+the two excitations.  Because the dynamics are linear in the weak
+amplitudes, two single-input runs (spin wave only, probe only) determine
+the full transfer matrix
 
     [magnon_out]   [t1  r2] [magnon_in]
     [photon_out] = [r1  t2] [photon_in]
 
-with output modes defined by the interference run's own emission profile and
-final spin-wave shape.  The matrix is generally subunitary: population left
-in the excited state or lost to decay during the mixing makes it lossy, which
-is what distinguishes this splitter from a textbook one.
+with output modes defined by the interference run's own emission profile, up
+to a cell transit plus 0.5 after the cut, and final spin-wave shape.  The
+matrix is generally subunitary: population left in the excited state or
+lost to decay during the mixing makes it lossy, which is what distinguishes
+this splitter from a textbook one.
 
 The round-trip phase  phi_rt = arg(r1 r2) - arg(t1 t2)  is gauge invariant
 (unchanged by rephasing any input or output port) and controls two-particle
@@ -30,13 +32,15 @@ import numpy as np
 from .core import (
     C_EFF,
     ConfigError,
+    ControlSegment,
     ControlTimeline,
     FieldState,
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
+    _ArrayValue,
 )
-from .mbloch import SimulationConfig, Trajectory, _step_times, evolve_batch
+from .mbloch import SimulationConfig, Trajectory, evolve_batch
 
 _TWO_PI = 2.0 * math.pi
 
@@ -161,8 +165,8 @@ def splitter_from_outputs(
     return SplitterMatrix(t1=t1, r1=r1, t2=t2, r2=r2)
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+@dataclass(frozen=True, eq=False)
+class ExtractionResult(_ArrayValue):
     """Measured splitter matrix with the runs behind it.
 
     `grams` holds the two port Gram matrices of the runs' outputs, as
@@ -176,55 +180,40 @@ class ExtractionResult:
     run_magnon: Trajectory
     run_photon: Trajectory
 
-
-def _photon_window(timeline: ControlTimeline) -> tuple[float, float]:
-    segs = timeline.by_label("beamsplit")
-    if not segs:
-        raise ConfigError("timeline has no beamsplit segment")
-    start = segs[0].t_start
-    stop = segs[-1].t_end + 1.0 / C_EFF + 0.5
-    for seg in timeline.segments:
-        if seg.t_start >= segs[-1].t_end and seg.label != "beamsplit":
-            stop = min(stop, seg.t_start)
-    return (start, stop)
+    def __post_init__(self) -> None:
+        self.grams.setflags(write=False)  # built for this result alone
 
 
 def extract_matrix(
     medium: MediumParams,
-    timeline: ControlTimeline,
+    rabi_bs: float,
+    t_cut: float,
     pulse: PulseEnvelope,
     initial_magnon: FieldState,
     t_end: float,
     n_z: int = 160,
 ) -> ExtractionResult:
-    """Measure the splitter matrix realized by a control timeline.
+    """Measure the splitter matrix of one mixing stage.
 
-    Runs the solver twice, as one batch, for `t_end` each: once from the
-    stored spin wave with no input light, once from vacuum with the probe
-    pulse.  The timeline should end with the mixing stage (no readout
-    segment), so the final spin wave is the magnon output port.  The photon
-    output port is read from the first beamsplit segment's start until 0.5
-    after the cell transit that follows the last one's end, or until a
-    later segment starts.  Both runs start at t = 0, so they share the
-    step times the window is read on; a window that holds no step fails
-    before either run.
+    The stage is a beamsplit segment of drive `rabi_bs` from t = 0 to
+    `t_cut`.  Runs the solver twice, as one batch, for `t_end` each: once
+    from the stored spin wave with no input light, once from vacuum with
+    the probe pulse.  No drive follows the stage, so the final spin wave
+    is the magnon output port.  The photon output port is the emission at
+    the steps up to t_cut + 1 / C_EFF + 0.5; the window starts at t = 0,
+    so it always holds the first step.
     """
-    window = _photon_window(timeline)
+    timeline = ControlTimeline((ControlSegment(0.0, t_cut, rabi_bs, "beamsplit"),))
     config = SimulationConfig(t_end=t_end, n_z=n_z)
-    # The step times are sorted, so the window is one contiguous slice.
-    times = _step_times(config)
-    lo = np.searchsorted(times, window[0], side="left")
-    hi = np.searchsorted(times, window[1], side="right")
-    if lo >= hi:
-        raise ConfigError(f"photon window {window} contains no samples")
-
     run_a, run_b = evolve_batch(medium, [
         (timeline, config, None, initial_magnon),
         (timeline, config, pulse, None),
     ])
 
+    # The step times are sorted, so the window is a prefix of the steps.
+    hi = np.searchsorted(run_a.times, t_cut + 1.0 / C_EFF + 0.5, side="right")
     spin = np.stack([run_a.final_state.sigma12, run_b.final_state.sigma12])
-    light = np.stack([run_a.emitted[lo:hi], run_b.emitted[lo:hi]])
+    light = np.stack([run_a.emitted[:hi], run_b.emitted[:hi]])
     grams = np.stack([
         run_a.final_state.dz * (spin.conj() @ spin.T),
         run_a.dt * (light.conj() @ light.T),

@@ -304,6 +304,13 @@ def test_network_equality_reads_the_transfer_matrix_alone():
     assert net == ModeNetwork(np.array([[0.6j]]))
     assert net != ModeNetwork(np.array([[0.6]]))
     assert repr(net) == "ModeNetwork(transfer=array([[0.+0.6j]]))"
+    # Values of several entries answer with a bool too.
+    assert ModeNetwork(np.eye(2)) == ModeNetwork(np.eye(2))
+    assert ModeNetwork(np.eye(2)) != ModeNetwork(np.diag([1.0, 0.5]))
+    assert ModeNetwork(np.eye(2)) != ModeNetwork(np.eye(3))
+    assert two_photon_input(0.3) == two_photon_input(0.3)
+    assert two_photon_input(0.3) != two_photon_input(0.4)
+    assert FockInput((1, 1, 0), np.eye(2)) != FockInput((1, 0, 1), np.eye(2))
 
 
 def test_patterns_that_cannot_occur_add_no_key():

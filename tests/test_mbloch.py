@@ -179,7 +179,7 @@ def test_a_run_may_take_up_to_the_step_bound(n_z):
     # bounded where the config is built; the bound itself still constructs.
     dt = 1.0 / n_z / C_EFF
     at = SimulationConfig(t_end=mbloch._MAX_STEPS * dt, n_z=n_z)
-    assert mbloch._steps(at)[1] == mbloch._MAX_STEPS
+    assert at.n_steps == mbloch._MAX_STEPS
     for t_end in ((mbloch._MAX_STEPS + 1) * dt, 1e12, 1e308):
         with pytest.raises(ConfigError, match="more than 4194304"):
             SimulationConfig(t_end=t_end, n_z=n_z)
@@ -245,6 +245,19 @@ def test_a_one_step_run_keeps_its_time_step():
         traj.final_state.emitted_norm, abs=1e-15
     )
     assert abs(traj.final_state.bookkeeping_residual()) < 1e-15
+
+
+def test_batch_members_own_their_outputs():
+    # The emitted field is frozen as the solver hands it over, and each
+    # member computes its own step times: writing one changes no sibling's.
+    run = (constant_drive(5.0, 1.0), SimulationConfig(t_end=1.0, n_z=16), PULSE, None)
+    a, b = mbloch.evolve_batch(OD30, [run, run])
+    for traj in (a, b):
+        with pytest.raises(ValueError, match="read-only"):
+            traj.emitted[0] = 0.0
+    assert not np.shares_memory(a.times, b.times)
+    a.times[0] = -1.0
+    assert a.times[0] == b.times[0] == 0.5 * a.dt
 
 
 def _gaussian(t, fwhm, t_center):

@@ -1,6 +1,5 @@
 import math
-import pickle
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,22 +59,6 @@ def test_fig2_curve_is_unimodal_only_with_a_strict_interior_peak(visibility, uni
     assert curve.visibility[curve.optimum()] == max(visibility)
     with pytest.raises(ValueError):
         curve.visibility[0] = 0.0
-
-
-def test_fig2_curve_keeps_read_only_columns_through_pickle():
-    # The gate's deep curve comes back from its worker process pickled.
-    curve = Fig2Curve(
-        rabi_s=np.arange(1.0, 4.0), efficiency=np.full(3, 0.5),
-        mode_overlap=np.full(3, 0.8), balance=np.ones(3), visibility=np.full(3, 0.8),
-        spin_abs=np.ones((3, 16)), transmission=0.5, release=1.0,
-        max_residual=1e-16, max_loss_gap=2e-5,
-    )
-    copy = pickle.loads(pickle.dumps(curve))
-    for field in fields(Fig2Curve):
-        got, want = getattr(copy, field.name), getattr(curve, field.name)
-        assert np.array_equal(got, want)
-        if isinstance(want, np.ndarray):
-            assert not got.flags.writeable, field.name
 
 
 def test_fig3_delay_curve_shapes():

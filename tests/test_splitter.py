@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from magnonbs import (
     ConfigError,
-    ControlSegment,
-    ControlTimeline,
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
@@ -230,12 +228,7 @@ def test_extract_matrix_identity_without_drive_or_atoms():
     # the probe untouched, so the measured matrix is the identity.
     empty = MediumParams(od=0.0)
     stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, 2.0, 0.0, "beamsplit"),)
-    )
-    result = extract_matrix(
-        empty, timeline, PROBE, stored.state, n_z=96, t_end=5.0
-    )
+    result = extract_matrix(empty, 0.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.0)
     b = result.matrix
     assert abs(b.t1) == pytest.approx(1.0, abs=1e-3)
     assert abs(b.r1) == pytest.approx(0.0, abs=1e-3)
@@ -245,32 +238,23 @@ def test_extract_matrix_identity_without_drive_or_atoms():
 
 def test_extract_matrix_mixes_ports_in_a_driven_cell():
     stored = store_magnon(OD30, PULSE, 3.0, n_z=96)
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, 2.0, 13.0, "beamsplit"),)
-    )
-    result = extract_matrix(
-        OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.5
-    )
+    result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.5)
     b = result.matrix
     # All four channels carry weight and the matrix stays passive.
     for amp in (b.t1, b.r1, b.t2, b.r2):
         assert abs(amp) > 0.05
     assert (np.linalg.norm(b.matrix, axis=0) ** 2).max() <= 1.0 + 1e-6
     assert 0.0 <= effective_overlap(result) <= 1.0
+    assert not result.grams.flags.writeable
 
 
 def test_grams_give_the_vector_projection_of_a_driven_cell():
     # The matrix and overlap read off the port Grams equal the projection
     # of the sampled outputs onto the summed modes, written out here.
     stored = store_magnon(OD30, PULSE, 3.0, n_z=96)
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, 2.0, 13.0, "beamsplit"),)
-    )
-    result = extract_matrix(
-        OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.5
-    )
+    result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.5)
     run_a, run_b = result.run_magnon, result.run_photon
-    # The photon window of a lone beamsplit segment ending at 2.0.
+    # The photon window of a stage cut at 2.0.
     inside = (run_a.times >= 0.0) & (run_a.times <= 2.0 + 1.0 / C_EFF + 0.5)
     ea, eb = run_a.emitted[inside], run_b.emitted[inside]
     sa, sb = run_a.final_state.sigma12, run_b.final_state.sigma12
@@ -293,30 +277,6 @@ def test_grams_give_the_vector_projection_of_a_driven_cell():
     assert 0.0 < c_ph * c_mg < 1.0
 
 
-def test_extract_matrix_requires_a_beamsplit_segment():
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, 2.0, 13.0, "readout"),)
-    )
-    with pytest.raises(ConfigError):
-        extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)
-
-
-def test_extract_matrix_rejects_a_window_past_the_run(monkeypatch):
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
-    timeline = ControlTimeline(
-        (ControlSegment(6.0, 7.0, 13.0, "beamsplit"),)
-    )
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solver called before the window was checked")
-
-    # The empty window must fail before either run steps.
-    monkeypatch.setattr(splitter, "evolve_batch", forbidden)
-    with pytest.raises(ConfigError, match="contains no samples"):
-        extract_matrix(OD30, timeline, PROBE, stored.state, n_z=96, t_end=5.0)
-
-
 def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
     stored = store_magnon(OD30, PULSE, 5.0, n_z=96).state
     late = replace(stored, t_now=0.5)
@@ -327,8 +287,5 @@ def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
     # Every run starts at t = 0, so the solver rejects the stored wave
     # before either run builds a step map.
     monkeypatch.setattr(mbloch, "expm", forbidden)
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, 2.0, 13.0, "beamsplit"),)
-    )
     with pytest.raises(ConfigError, match="t_now"):
-        extract_matrix(OD30, timeline, PROBE, late, n_z=96, t_end=5.0)
+        extract_matrix(OD30, 13.0, 2.0, PROBE, late, n_z=96, t_end=5.0)

@@ -38,6 +38,7 @@ EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
+PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
 
@@ -185,10 +186,19 @@ MUTANTS = (
      "True",
      ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
     ("splitter: extract_matrix drops the photon window", SPLITTER,
-     "light = np.stack([run_a.emitted[lo:hi], run_b.emitted[lo:hi]])",
+     "light = np.stack([run_a.emitted[:hi], run_b.emitted[:hi]])",
      "light = np.stack([run_a.emitted, run_b.emitted])",
      ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",
       GRAM_TEST)),
+    ("splitter: the photon window ends one cell transit early", SPLITTER,
+     "t_cut + 1.0 / C_EFF + 0.5",
+     "t_cut + 0.5",
+     (GRAM_TEST,)),
+    ("splitter: the port Grams left writeable", SPLITTER,
+     "self.grams.setflags(write=False)",
+     "self.grams.setflags(write=True)",
+     ("tests/test_splitter.py::test_extract_matrix_mixes_ports_in_a_driven_cell",
+      PICKLE_TEST)),
     # Row sums are the column sums' conjugates: the magnitudes stay and
     # the round-trip phase flips sign.
     ("splitter: row sums of the port Grams in place of column sums", SPLITTER,
@@ -212,7 +222,7 @@ MUTANTS = (
      ("tests/test_mbloch.py::test_a_bad_batch_is_a_config_error_before_any_step",
       "tests/test_cli.py::test_a_drive_the_grid_cannot_resolve_is_a_config_error")),
     ("mbloch: drop the step bound", MBLOCH,
-     "if self.t_end / dt - 1e-9 > _MAX_STEPS:",
+     "if self.t_end / self.dt - 1e-9 > _MAX_STEPS:",
      "if False:",
      ("tests/test_mbloch.py::test_a_run_may_take_up_to_the_step_bound",
       "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
@@ -228,6 +238,10 @@ MUTANTS = (
      "np.matmul(half[1:], half[:-1], out=",
      "np.matmul(half[:-1], half[1:], out=",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference", *BATCH_TESTS)),
+    ("mbloch: the emitted field left writeable", MBLOCH,
+     "self.emitted.setflags(write=False)",
+     "self.emitted.setflags(write=True)",
+     ("tests/test_mbloch.py::test_batch_members_own_their_outputs", PICKLE_TEST)),
     ("mbloch: drop the held-norm check", MBLOCH,
      "if held > budget + PROBABILITY_SLACK:",
      "if False:",
@@ -236,6 +250,15 @@ MUTANTS = (
      "if self.loss_accum < -PROBABILITY_SLACK:",
      "if False:",
      ("tests/test_core.py::test_field_state_rejects_loss_below_its_slack",)),
+    # Plain unpickling then skips __post_init__, which freezes the arrays.
+    ("core: the array values' base loses its __reduce__", CORE,
+     "    def __reduce__(self):\n",
+     "    def _reduce(self):\n",
+     (PICKLE_TEST,)),
+    ("core: the array values' equality reads only the first field", CORE,
+     "for f in fields(self) if f.compare)",
+     "for f in fields(self)[:1] if f.compare)",
+     ("tests/test_fock_oracle.py::test_network_equality_reads_the_transfer_matrix_alone",)),
     ("core: a segment's drive may be complex", CORE,
      "if np.iscomplexobj(self.amplitude):",
      "if False:",
