@@ -1,6 +1,6 @@
 """Scenario runner: figure tables, parameter sweeps, acceptance gate.
 
-Subcommands: fig2, fig3, fig4, run, sweep, accept.  Every emitted file is
+Commands: fig2, fig3, fig4, run, sweep, accept.  Every emitted file is
 UTF-8 CSV whose '#'-prefixed header repeats the fully resolved
 configuration (after unit conversion), so a table alone is enough to
 rerun the scenario that produced it.
@@ -287,18 +287,25 @@ def header_lines(command: str, config: Config, seed: int) -> list[str]:
     return lines
 
 
+def _cells(values) -> list[str]:
+    """One column's cells: a float array through `_FLOAT_FMT` at once, else `_fmt`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return [_FLOAT_FMT % v for v in values.tolist()]
+    return [_fmt(v) for v in values]
+
+
 def write_csv(path: Path, header: list[str], columns: list[tuple[str, object]]) -> None:
     """One table from its (name, values) columns, all of one length.
 
     A list of pairs, not a dict, so that two columns may share a name.
+    Every cell is formatted, column by column, before the file is opened.
     """
     names, values = zip(*columns)
+    lines = [f"# {line}" for line in header]
+    lines.append(",".join(names))
+    lines += map(",".join, zip(*map(_cells, values), strict=True))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*values, strict=True):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------- figure scenarios
@@ -402,14 +409,9 @@ def _build_run(
 ) -> tuple[MediumParams, ControlTimeline, SimulationConfig, PulseEnvelope]:
     med, grid, pul = config["medium"], config["grid"], config["pulse"]
     medium = MediumParams(od=med["od"], delta=med["delta"], gamma12=med["gamma12"])
-    sim = SimulationConfig(
-        t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"]
-    )
-    pulse = PulseEnvelope(
-        fwhm=pul["fwhm"],
-        t_center=pul["t_center"],
-        amplitude_norm=pul["amplitude_norm"],
-    )
+    sim = SimulationConfig(t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"])
+    pulse = PulseEnvelope(fwhm=pul["fwhm"], t_center=pul["t_center"],
+                          amplitude_norm=pul["amplitude_norm"])
     return medium, config["control"]["segments"], sim, pulse
 
 
@@ -510,7 +512,7 @@ def _sweep_job(run) -> dict[str, float]:
     return _run_summary(evolve(medium, timeline, sim, pulse=pulse))
 
 
-def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int) -> int:
+def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int = 1) -> int:
     if workers < 1:
         raise ConfigError("--workers must be at least 1")
     parameter = config["sweep"]["parameter"]
@@ -563,33 +565,27 @@ def cmd_accept(config: Config, out_dir: Path, seed: int) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magnonbs",
-        description=(
-            "EIT memory as a lossy photon/magnon beam splitter: figure "
-            "tables, parameter sweeps, and the acceptance gate."
-        ),
+        description="EIT memory as a lossy photon/magnon beam splitter: figure\n"
+                    "tables, parameter sweeps, and the acceptance gate.",
+        epilog="""commands:
+  fig2    storage-drive sweep: profiles, overlap, g2 tables
+  fig3    interference crossover: g2 vs delay and vs phase
+  fig4    three-particle surface and corner values
+  run     single propagation run from the config file
+  sweep   parameter sweep with parallel workers
+  accept  run the acceptance suite and report pass/fail""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fig2", "storage-drive sweep: profiles, overlap, g2 tables"),
-        ("fig3", "interference crossover: g2 vs delay and vs phase"),
-        ("fig4", "three-particle surface and corner values"),
-        ("run", "single propagation run from the config file"),
-        ("sweep", "parameter sweep with parallel workers"),
-        ("accept", "run the acceptance suite and report pass/fail"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--out", default=".", help="existing output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="config override, repeatable, applied before unit conversion",
-        )
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=1)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", help="INI config file")
+    parser.add_argument("--out", default=".", help="existing output directory")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="config override, repeatable, applied before unit conversion")
+    # Absent unless given, so that main can reject it outside sweep.
+    parser.add_argument("--workers", type=int, default=argparse.SUPPRESS,
+                        help="sweep only: most processes to run its points (default 1)")
     return parser
 
 
@@ -608,6 +604,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "accept" and (args.config is not None or args.override):
             raise ConfigError("accept runs fixed settings: no --config or --override")
+        if "workers" in args and args.command != "sweep":
+            raise ConfigError(f"--workers applies to sweep only, not to {args.command}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config = load_config(args.config, args.override)

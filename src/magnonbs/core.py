@@ -20,6 +20,7 @@ on the same footing as the field norm.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -69,10 +70,18 @@ class _ArrayValue:
 
 
 def _require_finite(obj, *names: str) -> None:
-    """Raise ConfigError if one of obj's named fields holds a NaN or infinity."""
+    """Raise ConfigError if one of obj's named fields holds a NaN or infinity.
+
+    A Python float or complex is checked with `cmath`, anything else
+    (numpy scalars and arrays, tuples) with numpy.
+    """
     for name in names:
         value = getattr(obj, name)
-        if not np.all(np.isfinite(value)):
+        if type(value) in (float, complex):
+            finite = cmath.isfinite(value)
+        else:
+            finite = np.all(np.isfinite(value))
+        if not finite:
             raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 

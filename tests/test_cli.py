@@ -11,6 +11,7 @@ from magnonbs.cli import (
     GAMMA31_MHZ,
     NS_TO_NORM,
     _apply_value,
+    _fmt,
     _parse_segments,
     _parse_triples,
     _sweep_values,
@@ -138,6 +139,43 @@ def test_write_csv_format(tmp_path):
     assert text == "# demo header\na,b,b\n1,0.123456789,x\n2,3,4\n"
     with pytest.raises(ValueError):
         write_csv(path, [], [("a", [1.0, 2.0]), ("b", [1.0])])
+
+
+def _row_by_row_csv(header, columns):
+    # The reference writer: every cell through `_fmt` on its own, row by row.
+    names, values = zip(*columns)
+    text = "".join(f"# {line}\n" for line in header) + ",".join(names) + "\n"
+    for row in zip(*values, strict=True):
+        text += ",".join(_fmt(v) for v in row) + "\n"
+    return text
+
+
+def test_write_csv_cells_match_the_row_by_row_reference(tmp_path):
+    # One column of each kind the commands write.
+    floats = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e-300,
+                       0.1 + 0.2, 1.0 / 3.0, -2.5, 123456789012.0, 1.0])
+    n = floats.size
+    waves = np.exp(1j * np.linspace(0.0, 3.0, n))
+    columns = [
+        ("float_array", floats),
+        ("strided_view", waves.real),
+        ("read_only", np.repeat(floats[::2], 2)),
+        ("index", range(n)),
+        ("py_floats", [float(v) for v in floats[::-1]]),
+        ("np_float64", [np.float64(v) * 1.5 for v in floats]),
+        ("ints", list(range(100, 100 + n))),
+        ("quoted", [f'"point {i}, side {i % 2}"' for i in range(n)]),
+        ("words", ["pass", "fail"] * (n // 2)),
+    ]
+    columns[2][1].setflags(write=False)
+    config = load_config(None, ["control.segments=storage:0:1.5:3, beamsplit:2:4.25:1e-7"])
+    header = header_lines("run", config, 7) + [f"od = {_fmt(np.float64(1e300))}"]
+    assert "control.segments = storage:0:1.5:3, beamsplit:2:4.25:1e-07" in header
+    path = tmp_path / "kinds.csv"
+    write_csv(path, header, columns)
+    assert path.read_text(encoding="utf-8") == _row_by_row_csv(header, columns)
+    # The check can fail: one cell formatted to nine digits differs.
+    assert "%.9g" % floats[6] != _fmt(floats[6])
 
 
 def test_missing_output_directory_fails_before_compute(tmp_path):
@@ -309,6 +347,8 @@ def no_solver(monkeypatch):
         ["fig3", "--override", "output.prefix=x"],
         ["run", "--override", "pulse.fwhm_ns=1, 2"],
         ["sweep", "--workers", "0"],
+        ["fig4", "--workers", "2"],
+        ["accept", "--workers", "1"],
         ["accept", "--override", "medium.od=1"],
         # Empty lists that would leave the command nothing to compute.
         ["fig2", "--override", "scenario.ods="],
@@ -339,9 +379,38 @@ def test_fig4_accepts_a_fig3_key(tmp_path):
                  "--override", "scenario.i_peak=0.6"]) == 0
 
 
-def test_workers_is_a_sweep_option_only(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["fig4", "--out", str(tmp_path), "--workers", "2"])
+def test_workers_is_a_sweep_option_only(tmp_path, capsys):
+    assert main(["fig4", "--out", str(tmp_path), "--workers", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: --workers applies to sweep only, not to fig4"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_lists_every_command_with_its_line(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    for name, line in (
+        ("fig2", "storage-drive sweep: profiles, overlap, g2 tables"),
+        ("fig3", "interference crossover: g2 vs delay and vs phase"),
+        ("fig4", "three-particle surface and corner values"),
+        ("run", "single propagation run from the config file"),
+        ("sweep", "parameter sweep with parallel workers"),
+        ("accept", "run the acceptance suite and report pass/fail"),
+    ):
+        assert f"  {name:<8}{line}\n" in out
+
+
+def test_options_may_come_before_or_after_the_command(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir()
+    after.mkdir()
+    settings = ["--seed", "5", "--override", "scenario.fig4_steps=3"]
+    assert main([*settings, "--out", str(before), "fig4"]) == 0
+    assert main(["fig4", *settings, "--out", str(after)]) == 0
+    for name in ("fig4_surface.csv", "fig4_corners.csv"):
+        assert (before / name).read_bytes() == (after / name).read_bytes()
 
 
 def test_physics_violation_exits_with_its_own_code(tmp_path, capsys, monkeypatch):

@@ -82,6 +82,33 @@ def test_constructors_reject_non_finite_values(build):
     with pytest.raises(ConfigError, match="must be finite"):
         build()
 
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MediumParams(od=30.0, delta=math.inf), "MediumParams.delta must be finite, got inf"),
+        (lambda: MediumParams(od=30.0, delta=-math.inf),
+         "MediumParams.delta must be finite, got -inf"),
+        (lambda: MediumParams(od=30.0, gamma12=math.nan),
+         "MediumParams.gamma12 must be finite, got nan"),
+        # A numpy scalar takes the numpy path and reads the same.
+        (lambda: MediumParams(od=30.0, delta=np.float64(math.inf)),
+         "MediumParams.delta must be finite, got inf"),
+        (lambda: SplitterMatrix(t1=math.inf, r1=0.0, t2=0.5, r2=0.5),
+         "SplitterMatrix.t1 must be finite, got (inf+0j)"),
+        (lambda: SplitterMatrix(t1=0.5, r1=0.0, t2=0.5, r2=complex(0.1, -math.inf)),
+         "SplitterMatrix.r2 must be finite, got (0.1-infj)"),
+        (lambda: SplitterMatrix(t1=0.5, r1=complex(math.nan, 0.0), t2=0.5, r2=0.5),
+         "SplitterMatrix.r1 must be finite, got (nan+0j)"),
+    ],
+    ids=["delta-inf", "delta-minus-inf", "gamma12-nan", "delta-np-inf", "t1-inf", "r2-inf-imag",
+         "r1-nan"],
+)
+def test_scalar_fields_reject_inf_and_nan_with_the_field_in_the_message(build, message):
+    with pytest.raises(ConfigError) as raised:
+        build()
+    assert str(raised.value) == message
+
 def test_pulse_norm_matches_amplitude_norm():
     pulse = PulseEnvelope(fwhm=1.5, t_center=5.0, amplitude_norm=0.7)
     t = np.linspace(0.0, 10.0, 20001)

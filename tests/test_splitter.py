@@ -289,3 +289,29 @@ def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
     monkeypatch.setattr(mbloch, "expm", forbidden)
     with pytest.raises(ConfigError, match="t_now"):
         extract_matrix(OD30, 13.0, 2.0, PROBE, late, n_z=96, t_end=5.0)
+
+
+def _mixing_grams(od, delta, gamma12=0.0):
+    # A mixing stage at n_z 48 from a wave stored at zero detuning, as
+    # `MixingScenario` stores it.
+    stored = store_magnon(MediumParams(od=od, gamma12=gamma12), PULSE, 3.0, n_z=48)
+    medium = MediumParams(od=od, delta=delta, gamma12=gamma12)
+    return extract_matrix(medium, 13.0, 2.0, PROBE, stored.state, n_z=48, t_end=5.5).grams
+
+
+def test_grams_on_resonance_are_exactly_real():
+    # At delta = 0 the equations are real in the gauge P -> iP, and the
+    # probe and the stored wave are real, so every Gram entry is real.
+    assert np.abs(_mixing_grams(10.0, 0.0).imag).max() == 0.0
+    # The check can fail: a detuning of 1e-6 leaves imaginary parts.
+    assert np.abs(_mixing_grams(10.0, 1e-6).imag).max() > 0.0
+
+
+@pytest.mark.parametrize("od, delta, gamma12", [(10.0, 5.0, 0.0), (30.0, -20.0, 0.3)])
+def test_flipping_the_detuning_conjugates_the_grams_exactly(od, delta, gamma12):
+    # delta -> -delta is complex conjugation of the real-gauge equations.
+    grams = _mixing_grams(od, delta, gamma12)
+    assert np.abs(grams.imag).max() > 0.0
+    assert np.array_equal(_mixing_grams(od, -delta, gamma12), grams.conj())
+    # The check can fail: the grams 1e-6 away from -delta differ.
+    assert not np.array_equal(_mixing_grams(od, -delta + 1e-6, gamma12), grams.conj())
