@@ -409,9 +409,14 @@ def _build_run(
 ) -> tuple[MediumParams, ControlTimeline, SimulationConfig, PulseEnvelope]:
     med, grid, pul = config["medium"], config["grid"], config["pulse"]
     medium = MediumParams(od=med["od"], delta=med["delta"], gamma12=med["gamma12"])
-    sim = SimulationConfig(t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"])
-    pulse = PulseEnvelope(fwhm=pul["fwhm"], t_center=pul["t_center"],
-                          amplitude_norm=pul["amplitude_norm"])
+    sim = SimulationConfig(
+        t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"]
+    )
+    pulse = PulseEnvelope(
+        fwhm=pul["fwhm"],
+        t_center=pul["t_center"],
+        amplitude_norm=pul["amplitude_norm"],
+    )
     return medium, config["control"]["segments"], sim, pulse
 
 
@@ -565,15 +570,12 @@ def cmd_accept(config: Config, out_dir: Path, seed: int) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magnonbs",
-        description="EIT memory as a lossy photon/magnon beam splitter: figure\n"
-                    "tables, parameter sweeps, and the acceptance gate.",
-        epilog="""commands:
-  fig2    storage-drive sweep: profiles, overlap, g2 tables
-  fig3    interference crossover: g2 vs delay and vs phase
-  fig4    three-particle surface and corner values
-  run     single propagation run from the config file
-  sweep   parameter sweep with parallel workers
-  accept  run the acceptance suite and report pass/fail""",
+        description=(
+            "EIT memory as a lossy photon/magnon beam splitter: figure\n"
+            "tables, parameter sweeps, and the acceptance gate."
+        ),
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<8}{line}" for name, (_, line) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
@@ -590,12 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "accept": cmd_accept,
+    "fig2": (cmd_fig2, "storage-drive sweep: profiles, overlap, g2 tables"),
+    "fig3": (cmd_fig3, "interference crossover: g2 vs delay and vs phase"),
+    "fig4": (cmd_fig4, "three-particle surface and corner values"),
+    "run": (cmd_run, "single propagation run from the config file"),
+    "sweep": (cmd_sweep, "parameter sweep with parallel workers"),
+    "accept": (cmd_accept, "run the acceptance suite and report pass/fail"),
 }
 
 
@@ -613,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
         if not out_dir.is_dir():
             raise ConfigError(f"output directory does not exist: {out_dir}")
         options = {"workers": args.workers} if "workers" in args else {}
-        return _COMMANDS[args.command](config, out_dir, args.seed, **options)
+        return _COMMANDS[args.command][0](config, out_dir, args.seed, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ on the same footing as the field norm.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -70,18 +69,10 @@ class _ArrayValue:
 
 
 def _require_finite(obj, *names: str) -> None:
-    """Raise ConfigError if one of obj's named fields holds a NaN or infinity.
-
-    A Python float or complex is checked with `cmath`, anything else
-    (numpy scalars and arrays, tuples) with numpy.
-    """
+    """Raise ConfigError if one of obj's named fields holds a NaN or infinity."""
     for name in names:
         value = getattr(obj, name)
-        if type(value) in (float, complex):
-            finite = cmath.isfinite(value)
-        else:
-            finite = np.all(np.isfinite(value))
-        if not finite:
+        if not np.all(np.isfinite(value)):
             raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 

@@ -51,63 +51,50 @@ def test_medium_rejects_bad_parameters(kwargs):
         MediumParams(**kwargs)
 
 
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: MediumParams(od=math.nan),
-        lambda: MediumParams(od=math.inf),
-        lambda: MediumParams(od=30.0, delta=-math.inf),
-        lambda: MediumParams(od=30.0, gamma12=math.nan),
-        lambda: PulseEnvelope(fwhm=math.inf),
-        lambda: PulseEnvelope(fwhm=math.nan),
-        lambda: PulseEnvelope(t_center=math.nan),
-        lambda: ControlSegment(math.nan, 1.0, 1.0, "storage"),
-        lambda: ControlSegment(0.0, math.inf, 1.0, "storage"),
-        lambda: ControlSegment(0.0, 1.0, math.nan, "storage"),
-        # NaN fails both `ramp < 0` and `ramp > 0`; only the finiteness check sees it.
-        lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.nan),
-        lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.inf),
-        lambda: SimulationConfig(t_end=math.inf),
-        lambda: SimulationConfig(t_end=2.0, snapshot_times=(1.0, math.nan)),
-        lambda: SplitterMatrix(t1=math.inf, r1=0.0, t2=0.5, r2=0.5),
-        lambda: SplitterMatrix(t1=0.5, r1=complex(0.0, math.nan), t2=0.5, r2=0.5),
-        lambda: ModeNetwork(np.array([[0.5, math.nan], [0.0, 0.5]])),
-    ],
-    ids=["od-nan", "od-inf", "delta", "gamma12", "fwhm-inf", "fwhm-nan", "t_center",
-         "t_start", "t_end", "amplitude", "ramp-nan", "ramp-inf", "sim-t_end", "snapshot",
-         "splitter-inf", "splitter-nan", "transfer"],
-)
-def test_constructors_reject_non_finite_values(build):
-    with pytest.raises(ConfigError, match="must be finite"):
-        build()
-
-
+# A case with a message must raise exactly that message.
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: MediumParams(od=30.0, delta=math.inf), "MediumParams.delta must be finite, got inf"),
+        (lambda: MediumParams(od=math.nan), None),
+        (lambda: MediumParams(od=math.inf), None),
         (lambda: MediumParams(od=30.0, delta=-math.inf),
          "MediumParams.delta must be finite, got -inf"),
         (lambda: MediumParams(od=30.0, gamma12=math.nan),
          "MediumParams.gamma12 must be finite, got nan"),
-        # A numpy scalar takes the numpy path and reads the same.
+        (lambda: MediumParams(od=30.0, delta=math.inf), "MediumParams.delta must be finite, got inf"),
         (lambda: MediumParams(od=30.0, delta=np.float64(math.inf)),
          "MediumParams.delta must be finite, got inf"),
+        (lambda: PulseEnvelope(fwhm=math.inf), None),
+        (lambda: PulseEnvelope(fwhm=math.nan), None),
+        (lambda: PulseEnvelope(t_center=math.nan), None),
+        (lambda: ControlSegment(math.nan, 1.0, 1.0, "storage"), None),
+        (lambda: ControlSegment(0.0, math.inf, 1.0, "storage"), None),
+        (lambda: ControlSegment(0.0, 1.0, math.nan, "storage"), None),
+        # NaN fails both `ramp < 0` and `ramp > 0`; only the finiteness check sees it.
+        (lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.nan), None),
+        (lambda: ControlSegment(0.0, 1.0, 5.0, "beamsplit", ramp=math.inf), None),
+        (lambda: SimulationConfig(t_end=math.inf), None),
+        (lambda: SimulationConfig(t_end=2.0, snapshot_times=(1.0, math.nan)), None),
         (lambda: SplitterMatrix(t1=math.inf, r1=0.0, t2=0.5, r2=0.5),
          "SplitterMatrix.t1 must be finite, got (inf+0j)"),
+        (lambda: SplitterMatrix(t1=0.5, r1=complex(0.0, math.nan), t2=0.5, r2=0.5),
+         "SplitterMatrix.r1 must be finite, got nanj"),
         (lambda: SplitterMatrix(t1=0.5, r1=0.0, t2=0.5, r2=complex(0.1, -math.inf)),
          "SplitterMatrix.r2 must be finite, got (0.1-infj)"),
         (lambda: SplitterMatrix(t1=0.5, r1=complex(math.nan, 0.0), t2=0.5, r2=0.5),
          "SplitterMatrix.r1 must be finite, got (nan+0j)"),
+        (lambda: ModeNetwork(np.array([[0.5, math.nan], [0.0, 0.5]])), None),
     ],
-    ids=["delta-inf", "delta-minus-inf", "gamma12-nan", "delta-np-inf", "t1-inf", "r2-inf-imag",
-         "r1-nan"],
+    ids=["od-nan", "od-inf", "delta", "gamma12", "delta-inf", "delta-np-inf", "fwhm-inf",
+         "fwhm-nan", "t_center", "t_start", "t_end", "amplitude", "ramp-nan", "ramp-inf",
+         "sim-t_end", "snapshot", "splitter-inf", "splitter-nan", "splitter-inf-imag",
+         "splitter-nan-real", "transfer"],
 )
-def test_scalar_fields_reject_inf_and_nan_with_the_field_in_the_message(build, message):
-    with pytest.raises(ConfigError) as raised:
+def test_constructors_reject_non_finite_values(build, message):
+    with pytest.raises(ConfigError, match="must be finite") as raised:
         build()
-    assert str(raised.value) == message
+    assert message is None or str(raised.value) == message
+
 
 def test_pulse_norm_matches_amplitude_norm():
     pulse = PulseEnvelope(fwhm=1.5, t_center=5.0, amplitude_norm=0.7)

@@ -39,8 +39,6 @@ GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
-SCALAR_FINITE_TEST = ("tests/test_core.py::"
-                      "test_scalar_fields_reject_inf_and_nan_with_the_field_in_the_message")
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
 
@@ -308,10 +306,6 @@ MUTANTS = (
      ("tests/test_cli.py::test_workers_is_a_sweep_option_only",
       "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
       "[accept --workers 1]")),
-    ("core: the scalar finiteness check lets infinities through", CORE,
-     "finite = cmath.isfinite(value)",
-     "finite = not cmath.isnan(value)",
-     (SCALAR_FINITE_TEST,)),
     ("mbloch: the generator reads |delta|", MBLOCH,
      "gen[:, 1, 1] = -(1.0 - 1j * medium.delta)",
      "gen[:, 1, 1] = -(1.0 - 1j * abs(medium.delta))",
