@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,7 +45,7 @@ from .core import (
     PulseEnvelope,
     make_grid,
 )
-from .mbloch import SimulationConfig, evolve
+from .mbloch import SimulationConfig, evolve, evolve_batch
 from .splitter import phi_rt_analytic, tau_from_fwhm
 from .stats import classical_bounds, g2_formula
 from . import scenarios
@@ -512,31 +511,12 @@ def _sweep_values(config: Config, seed: int) -> np.ndarray:
     return np.sort(rng.uniform(start, stop, size=num))
 
 
-def _sweep_job(run) -> dict[str, float]:
-    medium, timeline, sim, pulse = run
-    return _run_summary(evolve(medium, timeline, sim, pulse=pulse))
-
-
-def cmd_sweep(config: Config, out_dir: Path, seed: int, workers: int = 1) -> int:
-    if workers < 1:
-        raise ConfigError("--workers must be at least 1")
+def cmd_sweep(config: Config, out_dir: Path, seed: int) -> int:
     parameter = config["sweep"]["parameter"]
     values = [float(v) for v in _sweep_values(config, seed)]
     # Every point is built, and so validated, before the first solver call.
-    runs = [_build_run(_apply_value(config, parameter, v)) for v in values]
-    # A pool starts all its processes at once, so it gets no more than there
-    # are points to run and cores to run them on.
-    workers = min(workers, len(runs), os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which would slow every
-        # command's start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map yields in submission order, whatever order the runs finish.
-            summaries = list(pool.map(_sweep_job, runs))
-    else:
-        summaries = [_sweep_job(run) for run in runs]
+    runs = [(*_build_run(_apply_value(config, parameter, v)), None) for v in values]
+    summaries = [_run_summary(traj) for traj in evolve_batch(runs)]
 
     header = header_lines("sweep", config, seed)
     header.append(f"sweep parameter = {parameter}")
@@ -582,12 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one of the commands listed below")
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--out", default=".", help="existing output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", default="0")
     parser.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="config override, repeatable, applied before unit conversion")
-    # Absent unless given, so that main can reject it outside sweep.
-    parser.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="sweep only: most processes to run its points (default 1)")
     return parser
 
 
@@ -596,7 +573,7 @@ _COMMANDS = {
     "fig3": (cmd_fig3, "interference crossover: g2 vs delay and vs phase"),
     "fig4": (cmd_fig4, "three-particle surface and corner values"),
     "run": (cmd_run, "single propagation run from the config file"),
-    "sweep": (cmd_sweep, "parameter sweep with parallel workers"),
+    "sweep": (cmd_sweep, "parameter sweep, its points stepped together"),
     "accept": (cmd_accept, "run the acceptance suite and report pass/fail"),
 }
 
@@ -606,16 +583,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "accept" and (args.config is not None or args.override):
             raise ConfigError("accept runs fixed settings: no --config or --override")
-        if "workers" in args and args.command != "sweep":
-            raise ConfigError(f"--workers applies to sweep only, not to {args.command}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        try:
+            seed = int(args.seed)
+        except ValueError:
+            raise ConfigError(f"--seed must be an integer, got {args.seed!r}") from None
+        if seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {seed}")
         config = load_config(args.config, args.override)
         out_dir = Path(args.out)
         if not out_dir.is_dir():
             raise ConfigError(f"output directory does not exist: {out_dir}")
-        options = {"workers": args.workers} if "workers" in args else {}
-        return _COMMANDS[args.command][0](config, out_dir, args.seed, **options)
+        return _COMMANDS[args.command][0](config, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -53,12 +53,13 @@ falls 4x per grid doubling.  At every ledger read the held norm is also
 checked for non-finite values and for exceeding the input, so no run ends
 or takes a snapshot unchecked.
 
-Runs that share a medium and a grid step together: `evolve_batch` takes a
-list of runs and `evolve` is a batch of one.  The members are sorted
-longest first and stepped at most _BATCH at a time; a finished member
-drops off the end of the active prefix, and the trajectories come back in
-call order.  A step's cost is mostly numpy call overhead, which the
-members share, so a step makes two calls whatever the number of members.
+The runs of one grid step together, whatever their media: `evolve_batch`
+takes a list of runs and `evolve` is a batch of one.  Each grid's members
+are sorted longest first and stepped at most _BATCH at a time, each with
+the maps of its own medium; a finished member drops off the end of the
+active prefix, and the trajectories come back in call order.  A step's
+cost is mostly numpy call overhead, which the members share, so a step
+makes two calls whatever the number of members.
 The carried states live in a ring of _RING + 1 slots, each a
 (members, 6, n_z + 2) array: columns 1..n_z hold the cells, and in the E
 rows column 0 holds the cell injected at that step and column n_z + 1 the
@@ -68,17 +69,18 @@ copy, and then maps slot k's cells into slot k + 1's with the members'
 fused maps.  The steps run in blocks of at most _RING that end at the next
 ledger read.  Once per block, before it, the pulsed members' injected
 cells are written into column 0 of its slots; after it, one vecdot over
-the P rows of all its slots (and one over the S rows when gamma12 is
-nonzero) adds the block's loss quadrature, the emitted cells are copied
-out of column n_z + 1, and the last slot carries on as the next block's
-first.  The P and S rows' edge columns are never written, so they add
-nothing to the quadrature.  What a batch holds while it steps is thus
-bounded: one block of maps per member and the ring,
-(_RING + 1) * members * 6 * (n_z + 2) floats (1.5 MB for 4 members at
-n_z 240), never an array of steps x members.  One array of step
-midpoints, the longest run's, serves the batch while it steps, and members
-with the same pulse share its samples.  A trajectory keeps neither: it
-computes its step times from dt, and its caller holds the timeline.
+the P rows of all its slots (and one over the S rows when a member's
+gamma12 is nonzero, each weighted by its own) adds the block's loss
+quadrature, the emitted cells are copied out of column n_z + 1, and the
+last slot carries on as the next block's first.  The P and S rows' edge
+columns are never written, so they add nothing to the quadrature.  What
+a batch holds while it steps is thus bounded: one block of maps per member
+and the ring, (_RING + 1) * members * 6 * (n_z + 2) floats (1.5 MB for 4
+members at n_z 240), never an array of steps x members.  One array of step
+midpoints, the longest run's, serves each grid's runs while they step, and
+the runs of a grid with the same pulse share its samples.  A trajectory
+keeps neither: it computes its step times from dt, and its caller holds
+the timeline.
 """
 
 from __future__ import annotations
@@ -363,32 +365,28 @@ def evolve(
     it holds becomes the initial norm, prior ledger entries are discarded).
     Both may be given at once; either may be omitted.  A batch of one run.
     """
-    return evolve_batch(medium, [(timeline, config, pulse, initial)])[0]
+    return evolve_batch([(medium, timeline, config, pulse, initial)])[0]
 
 
 def evolve_batch(
-    medium: MediumParams,
-    runs: list[tuple[ControlTimeline, SimulationConfig, PulseEnvelope | None,
-                     FieldState | None]],
+    runs: list[tuple[MediumParams, ControlTimeline, SimulationConfig,
+                     PulseEnvelope | None, FieldState | None]],
 ) -> list[Trajectory]:
-    """`[evolve(medium, *run) for run in runs]`, the runs stepped together.
+    """`[evolve(*run) for run in runs]`, the runs of each grid stepped together.
 
-    Each run is a (timeline, config, pulse, initial) tuple as `evolve`
-    takes them; all share `medium` and `config.n_z`.  The trajectories come
-    back in call order.  The runs are stepped longest first, at most _BATCH
-    at a time.  An empty batch, mixed grids, an initial state on another
-    grid or at t_now != 0, or a drive with |Omega| dt above
-    _MAX_DRIVE_STEP raise ConfigError before any step.
+    Each run is a (medium, timeline, config, pulse, initial) tuple as
+    `evolve` takes them; the media and grids may differ.  The trajectories
+    come back in call order.  The runs of each `config.n_z` are stepped
+    longest first, at most _BATCH at a time.  An empty batch, an initial
+    state on another grid or at t_now != 0, or a drive with |Omega| dt
+    above _MAX_DRIVE_STEP raise ConfigError before any run steps.
     """
     runs = list(runs)
     if not runs:
         raise ConfigError("a batch needs at least one run")
-    grids = {config.n_z for _, config, _, _ in runs}
-    if len(grids) > 1:
-        raise ConfigError(f"the runs of a batch must share one grid, got n_z {sorted(grids)}")
-    z = make_grid(runs[0][1].n_z)
-    dt = runs[0][1].dt
-    for timeline, _, _, initial in runs:
+    grids = {config.n_z: make_grid(config.n_z) for _, _, config, _, _ in runs}
+    for _, timeline, config, _, initial in runs:
+        z, dt = grids[config.n_z], config.dt
         if initial is not None:
             if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
                 raise ConfigError("initial state grid does not match the run grid")
@@ -400,37 +398,39 @@ def evolve_batch(
             raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
                               f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
 
-    # Every run reads a prefix of the longest run's step midpoints, and the
-    # first run of a pulse, its longest, samples it for all of them.
-    lengths = [config.n_steps for _, config, _, _ in runs]
-    order = sorted(range(len(runs)), key=lambda i: -lengths[i])
-    times = (np.arange(lengths[order[0]]) + 0.5) * dt
-    samples: dict = {}
-    for i in order:
-        pulse = runs[i][2]
-        if pulse is not None and pulse not in samples:
-            samples[pulse] = _pulse_samples(pulse, times[: lengths[i]], dt)
-
     out: list = [None] * len(runs)
-    for lo in range(0, len(order), _BATCH):
-        group = order[lo : lo + _BATCH]
-        members = [
-            (runs[i][0], runs[i][1], runs[i][3], times[: lengths[i]],
-             *samples.get(runs[i][2], (None, None)))
-            for i in group
-        ]
-        for i, traj in zip(group, _step_together(medium, z, dt, members)):
-            out[i] = traj
+    for n_z, z in grids.items():
+        # Every run of the grid reads a prefix of its longest run's step
+        # midpoints, and the first run of a pulse, its longest, samples it
+        # for all of them.
+        lengths = {i: run[2].n_steps for i, run in enumerate(runs) if run[2].n_z == n_z}
+        order = sorted(lengths, key=lambda i: -lengths[i])
+        dt = runs[order[0]][2].dt
+        times = (np.arange(lengths[order[0]]) + 0.5) * dt
+        samples: dict = {}
+        for i in order:
+            pulse = runs[i][3]
+            if pulse is not None and pulse not in samples:
+                samples[pulse] = _pulse_samples(pulse, times[: lengths[i]], dt)
+
+        for lo in range(0, len(order), _BATCH):
+            group = order[lo : lo + _BATCH]
+            members = [
+                (*runs[i][:3], runs[i][4], times[: lengths[i]],
+                 *samples.get(runs[i][3], (None, None)))
+                for i in group
+            ]
+            for i, traj in zip(group, _step_together(z, dt, members)):
+                out[i] = traj
     return out
 
 
-def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
-                   members: list) -> list[Trajectory]:
+def _step_together(z: np.ndarray, dt: float, members: list) -> list[Trajectory]:
     """Step runs side by side; one Trajectory per member, in member order.
 
-    Each member is (timeline, config, initial, times, boundary, injected),
-    the last two None for a run without a pulse, and no member is longer
-    than the one before it.
+    Each member is (medium, timeline, config, initial, times, boundary,
+    injected), the last two None for a run without a pulse, and no member
+    is longer than the one before it.
     """
     b = len(members)
     n_z = z.size
@@ -439,12 +439,12 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     copyto = np.copyto
     matmul = np.matmul
     vecdot = np.vecdot
-    lengths = [m[3].size for m in members]
+    lengths = [m[4].size for m in members]
 
     # v holds states at a step end; each member's is real with rows
     # (Re E, Im E, Re P, Im P, Re S, Im S).
     v = np.zeros((b, 6, n_z))
-    for v_i, (_, _, initial, *_) in zip(v, members):
+    for v_i, (_, _, _, initial, *_) in zip(v, members):
         if initial is not None:
             for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
                 v_i[2 * row], v_i[2 * row + 1] = amp.real, amp.imag
@@ -455,7 +455,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     # The segments keep the drive's runs, not its samples at every step.
     segments = [
         _map_segments(medium, *_drive_runs(timeline.rabi(times)), 0.5 * dt)
-        for timeline, _, _, times, _, _ in members
+        for medium, timeline, _, _, times, _, _ in members
     ]
     stops = [0] * b
     halves: list = [None] * b
@@ -473,7 +473,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
     # the last step.  A snapshot at t records the state at the step end
     # nearest t: step n ends at (n + 1) dt.  As t <= t_end, no index passes
     # the last step.
-    snap_steps = [{max(0, int(round(t / dt)) - 1) for t in m[1].snapshot_times}
+    snap_steps = [{max(0, int(round(t / dt)) - 1) for t in m[2].snapshot_times}
                   for m in members]
     readers: dict[int, list[int]] = {}
     for i, n_i in enumerate(lengths):
@@ -481,7 +481,7 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             readers.setdefault(n, []).append(i)
 
     quad_p = dt * dz * 2.0
-    quad_s = quad_p * medium.gamma12
+    quad_s = quad_p * np.array([m[0].gamma12 for m in members])
     loss_quad = np.zeros(b)
     emitted = [np.empty(n_i, dtype=complex) for n_i in lengths]
     emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
@@ -501,6 +501,8 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             if active != a:
                 a = active
                 fused_a = fused[:a]
+                quad_s_a = quad_s[:a]
+                lossy = quad_s_a.any()
                 p_rows = ring[:, :a, 2:4].reshape(_RING + 1, a, -1)
                 s_rows = ring[:, :a, 4:6].reshape(_RING + 1, a, -1)
                 # Per slot: where the E shift writes, what it reads, and the
@@ -510,8 +512,8 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
             end = min(r + 1, base + _RING)
             m = end - base
             for i in range(a):
-                if members[i][4] is not None:
-                    ring[:m, i, 0:2, 0] = members[i][4][base:end]
+                if members[i][5] is not None:
+                    ring[:m, i, 0:2, 0] = members[i][5][base:end]
 
             # In stretches over which no member's map changes.
             n = base
@@ -526,15 +528,15 @@ def _step_together(medium: MediumParams, z: np.ndarray, dt: float,
                 n = stop
 
             loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0)
-            if quad_s:
-                loss_quad[:a] += quad_s * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)
+            if lossy:
+                loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)
             for i in range(a):
                 emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]
             base = end
 
         shifted = cells[m - 1]  # step r's state, advected and injected
         for i in readers[r]:
-            times, injected = members[i][3], members[i][5]
+            times, injected = members[i][4], members[i][6]
             # The state at the end of step r, from its shifted slot, in a
             # scratch buffer that never feeds back into the carried state.
             v_i = v[i]
@@ -632,9 +634,9 @@ def _store_batch(
             raise ConfigError("storage drive must be nonzero and finite")
         t_off = pulse.t_center + 0.5 / vg
         timeline = ControlTimeline((ControlSegment(0.0, t_off, rabi, "storage"),))
-        runs.append((timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), pulse, None))
+        runs.append((medium, timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), pulse, None))
     results = []
-    for traj in evolve_batch(medium, runs):
+    for traj in evolve_batch(runs):
         fin = traj.final_state
         stored = fin.magnon_norm
         if fin.input_norm <= 0:

@@ -209,9 +209,9 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
 
     probe = replace(PULSE, t_center=_PROBE_CENTER)
     plain = SimulationConfig(t_end=_T_END, n_z=params.n_z)
-    run_probe, run_release = evolve_batch(medium, [
-        (timeline, config, probe, None),
-        (timeline, plain, None, stored[params.ref_rabi_s][0]),
+    run_probe, run_release = evolve_batch([
+        (medium, timeline, config, probe, None),
+        (medium, timeline, plain, None, stored[params.ref_rabi_s][0]),
     ])
     spin_probe = max(run_probe.snapshots, key=lambda s: s.magnon_norm).sigma12
     transmission = (

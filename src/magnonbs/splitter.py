@@ -205,9 +205,9 @@ def extract_matrix(
     """
     timeline = ControlTimeline((ControlSegment(0.0, t_cut, rabi_bs, "beamsplit"),))
     config = SimulationConfig(t_end=t_end, n_z=n_z)
-    run_a, run_b = evolve_batch(medium, [
-        (timeline, config, None, initial_magnon),
-        (timeline, config, pulse, None),
+    run_a, run_b = evolve_batch([
+        (medium, timeline, config, None, initial_magnon),
+        (medium, timeline, config, pulse, None),
     ])
 
     # The step times are sorted, so the window is a prefix of the steps.

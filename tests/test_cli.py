@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import multiprocessing
 from dataclasses import replace
@@ -230,27 +229,31 @@ def test_run_emits_tables_with_summary_header(tmp_path):
     assert len(times) == 2
 
 
-def test_sweep_is_deterministic_across_worker_counts(tmp_path):
-    out1 = tmp_path / "w1"
-    out2 = tmp_path / "w2"
-    out1.mkdir()
-    out2.mkdir()
-    overrides = [
-        "--override", "sweep.num=3",
-        "--override", "grid.t_end=6",
-        "--override", "grid.n_z=64",
-        "--override", "control.segments=beamsplit:0:6:13",
-    ]
-    assert main(["sweep", "--out", str(out1), "--workers", "1"] + overrides) == 0
-    assert main(["sweep", "--out", str(out2), "--workers", "2"] + overrides) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    body = [
-        line
-        for line in (out1 / "sweep.csv").read_text(encoding="utf-8").splitlines()
-        if line and not line.startswith("#")
-    ]
-    assert body[0].startswith("index,control_rabi")
-    assert [row.split(",")[0] for row in body[1:]] == ["0", "1", "2"]
+@pytest.mark.parametrize("sweep", [
+    ["sweep.parameter=medium.od", "sweep.start=5", "sweep.stop=60", "sweep.num=5"],
+    ["sweep.parameter=grid.n_z", "sweep.values=32,48,32,24,48"],
+], ids=["medium.od", "grid.n_z"])
+def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path):
+    # `run` steps each point on its own through `evolve` and writes its
+    # summary in its header; the sweep steps its points together.
+    common = ["grid.t_end=5", "grid.n_z=32", "control.segments=beamsplit:0:5:10"]
+    args = [a for o in common + sweep for a in ("--override", o)]
+    assert main(["sweep", "--out", str(tmp_path)] + args) == 0
+    lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    names = body[0][2:]
+    config = load_config(None, common + sweep)
+    parameter = config["sweep"]["parameter"]
+    values = _sweep_values(config, 0)
+    assert [row[0] for row in body[1:]] == [str(i) for i in range(len(values))]
+    for row, value in zip(body[1:], values, strict=True):
+        point = tmp_path / row[0]
+        point.mkdir()
+        assert main(["run", "--out", str(point), *args,
+                     "--override", f"{parameter}={float(value)!r}"]) == 0
+        header = (point / "run_emitted.csv").read_text(encoding="utf-8").splitlines()
+        summary = dict(line[2:].split(" = ", 1) for line in header if " = " in line)
+        assert row[2:] == [summary[name] for name in names]
 
 
 def test_sweep_rejects_unknown_parameter():
@@ -274,11 +277,11 @@ def test_sweep_rejects_unknown_parameter():
 def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
     ran = []
 
-    def recording_evolve(medium, timeline, sim, pulse=None):
-        ran.append(timeline.segments[0])
-        return mbloch.evolve(medium, timeline, sim, pulse=pulse)
+    def recording_batch(runs):
+        ran.extend(timeline.segments[0] for _, timeline, *_ in runs)
+        return mbloch.evolve_batch(runs)
 
-    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    monkeypatch.setattr(cli, "evolve_batch", recording_batch)
     overrides = [
         "sweep.spacing=random", "sweep.num=2", "grid.n_z=16", "grid.t_end=1.5",
         "control.segments=storage:0:1.23456789:5",
@@ -344,9 +347,8 @@ def no_solver(monkeypatch):
          "--override", "sweep.values=8,2", "--override", "grid.snapshots=5"],
         ["fig3", "--override", "output.prefix=x"],
         ["run", "--override", "pulse.fwhm_ns=1, 2"],
-        ["sweep", "--workers", "0"],
-        ["fig4", "--workers", "2"],
-        ["accept", "--workers", "1"],
+        ["fig4", "--seed", "x"],
+        ["fig4", "--seed", "1.5"],
         ["accept", "--override", "medium.od=1"],
         # Empty lists that would leave the command nothing to compute.
         ["fig2", "--override", "scenario.ods="],
@@ -377,13 +379,6 @@ def test_fig4_accepts_a_fig3_key(tmp_path):
                  "--override", "scenario.i_peak=0.6"]) == 0
 
 
-def test_workers_is_a_sweep_option_only(tmp_path, capsys):
-    assert main(["fig4", "--out", str(tmp_path), "--workers", "2"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: --workers applies to sweep only, not to fig4"]
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_help_lists_every_command_with_its_line(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
@@ -394,7 +389,7 @@ def test_help_lists_every_command_with_its_line(capsys):
         ("fig3", "interference crossover: g2 vs delay and vs phase"),
         ("fig4", "three-particle surface and corner values"),
         ("run", "single propagation run from the config file"),
-        ("sweep", "parameter sweep with parallel workers"),
+        ("sweep", "parameter sweep, its points stepped together"),
         ("accept", "run the acceptance suite and report pass/fail"),
     ):
         assert f"  {name:<8}{line}\n" in out
@@ -483,41 +478,6 @@ def test_an_error_in_the_gate_worker_gives_its_exit_code(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(line)
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize(
-    "workers, points, cores, pool",
-    [(2, 3, 2, 2), (8, 3, 4, 3), (8, 6, 4, 4), (8, 1, 4, None), (2, 3, None, None)],
-)
-def test_sweep_pool_is_no_larger_than_its_points_and_cores(
-    workers, points, cores, pool, tmp_path, monkeypatch
-):
-    # A fork-started pool forks all its processes at once, whatever the
-    # number of points; the stub records the size and starts none.
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-    overrides = [f"sweep.num={points}", "grid.n_z=16", "grid.t_end=1.5",
-                 "control.segments=beamsplit:0:1.5:13"]
-    args = ["sweep", "--out", str(tmp_path), "--workers", str(workers)]
-    assert main(args + [a for o in overrides for a in ("--override", o)]) == 0
-    assert sizes == ([] if pool is None else [pool])
-    rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
-    assert sum(line[0].isdigit() for line in rows) == points
 
 
 def test_accept_writes_its_table_and_fails_on_a_failed_criterion(

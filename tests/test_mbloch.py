@@ -250,8 +250,8 @@ def test_a_one_step_run_keeps_its_time_step():
 def test_batch_members_own_their_outputs():
     # The emitted field is frozen as the solver hands it over, and each
     # member computes its own step times: writing one changes no sibling's.
-    run = (constant_drive(5.0, 1.0), SimulationConfig(t_end=1.0, n_z=16), PULSE, None)
-    a, b = mbloch.evolve_batch(OD30, [run, run])
+    run = (OD30, constant_drive(5.0, 1.0), SimulationConfig(t_end=1.0, n_z=16), PULSE, None)
+    a, b = mbloch.evolve_batch([run, run])
     for traj in (a, b):
         with pytest.raises(ValueError, match="read-only"):
             traj.emitted[0] = 0.0
@@ -459,17 +459,20 @@ def test_control_is_the_timeline_sampled_at_the_step_midpoints():
 
 
 def _batch_runs():
-    """Five runs on one lossy, detuned medium and grid, in no length order.
+    """Seven runs on two grids, each grid's in no length order.
 
+    Five on n_z 32, more than one step group holds, and two on n_z 24.
+    Every run has its own medium, of its own depth, detuning and gamma12,
+    and each grid's longest runs mix gamma12 = 0 with gamma12 > 0.
     Unequal lengths, distinct ramped drives, runs with only a pulse and
-    only an initial state, two initial states (one with light in the cell),
-    two pulses (one shared by two runs) and different snapshot times; the
-    longest run has a pulse.
+    only an initial state, initial states on both grids (one with light in
+    the cell), two pulses (one shared by runs on both grids) and different
+    snapshot times; each grid's longest run has a pulse.
     """
-    n_z = 32
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=n_z).state
+    stored = store_magnon(OD30, PULSE, 5.0, n_z=32).state
     lit = FieldState(stored.z_grid, 0.5j * stored.sigma12, stored.sigma12,
                      stored.sigma13, 0.0, 0.0)
+    coarse = store_magnon(OD30, PULSE, 5.0, n_z=24).state
     probe = PulseEnvelope(fwhm=1.0, t_center=1.0)
 
     def ramped(t_end, rabi, ramp):
@@ -478,19 +481,23 @@ def _batch_runs():
             ControlSegment(0.7 * t_end, t_end, 1.5 * rabi, "beamsplit", ramp=ramp),
         ))
 
-    def config(t_end, *snaps):
+    def config(t_end, *snaps, n_z=32):
         return SimulationConfig(t_end=t_end, n_z=n_z, snapshot_times=snaps)
 
     return [
-        (ramped(2.2, 7.0, 0.2), config(2.2), None, stored),
-        (ramped(4.5, 5.0, 0.3), config(4.5, 0.3, 2.7), PULSE, stored),
-        (ramped(3.0, 9.0, 0.4), config(3.0, 1.0), probe, None),
-        (ramped(1.3, 4.0, 0.1), config(1.3, 1.3), None, lit),
-        (ramped(3.6, 6.0, 0.25), config(3.6, 0.0), PULSE, None),
+        (MediumParams(od=20.0, delta=-2.0), ramped(2.2, 7.0, 0.2), config(2.2), None, stored),
+        (MediumParams(od=30.0, delta=-2.0, gamma12=0.05), ramped(4.5, 5.0, 0.3),
+         config(4.5, 0.3, 2.7), PULSE, stored),
+        (MediumParams(od=25.0, delta=1.5), ramped(2.8, 6.0, 0.2), config(2.8, 1.0, n_z=24),
+         None, coarse),
+        (MediumParams(od=50.0, delta=3.0, gamma12=0.2), ramped(3.0, 9.0, 0.4), config(3.0, 1.0),
+         probe, None),
+        (MediumParams(od=30.0, delta=1.0, gamma12=0.1), ramped(1.3, 4.0, 0.1),
+         config(1.3, 1.3), None, lit),
+        (MediumParams(od=40.0, gamma12=0.3), ramped(3.3, 5.0, 0.3), config(3.3, 2.0, n_z=24),
+         PULSE, None),
+        (OD30, ramped(3.6, 6.0, 0.25), config(3.6, 0.0), PULSE, None),
     ]
-
-
-_MEDIUM = MediumParams(od=30.0, delta=-2.0, gamma12=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -498,13 +505,12 @@ def batch_references():
     """`_batch_runs()`, with each run's snapshot steps and written-out
     reference, computed once; a test's patches reach only the batch it steps.
     """
-    dt = 1.0 / (32 * 12.0)
     runs = _batch_runs()
     references = []
-    for timeline, config, pulse, initial in runs:
-        snap_steps = [max(0, round(t / dt) - 1) for t in config.snapshot_times]
+    for medium, timeline, config, pulse, initial in runs:
+        snap_steps = [max(0, round(t / config.dt) - 1) for t in config.snapshot_times]
         references.append((snap_steps, _reference_evolve(
-            _MEDIUM, timeline, config.n_z, config.t_end, pulse, initial, ledger_at=snap_steps
+            medium, timeline, config.n_z, config.t_end, pulse, initial, ledger_at=snap_steps
         )))
     return runs, references
 
@@ -525,10 +531,10 @@ def _assert_same_run(got, want):
 
 def test_batch_members_equal_their_solo_runs_in_call_order():
     runs = _batch_runs()
-    batch = mbloch.evolve_batch(_MEDIUM, runs)
+    batch = mbloch.evolve_batch(runs)
     assert len(batch) == len(runs)
-    for got, (timeline, config, pulse, initial) in zip(batch, runs, strict=True):
-        _assert_same_run(got, evolve(_MEDIUM, timeline, config, pulse, initial))
+    for got, run in zip(batch, runs, strict=True):
+        _assert_same_run(got, evolve(*run))
 
 
 @pytest.mark.parametrize("map_block, ring", [(None, None), (3, None), (None, 5), (3, 5)],
@@ -543,13 +549,13 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
         monkeypatch.setattr(mbloch, "_MAP_BLOCK", map_block)
     if ring is not None:
         monkeypatch.setattr(mbloch, "_RING", ring)
-    n_z = 32
-    dt = 1.0 / (n_z * 12.0)
     runs, references = batch_references
-    assert mbloch._BATCH < len(runs)  # so that the batch steps in two groups
-    for traj, (snap_steps, reference) in zip(
-        mbloch.evolve_batch(_MEDIUM, runs), references, strict=True
+    # So that the n_z 32 runs step in two groups.
+    assert sum(config.n_z == 32 for _, _, config, _, _ in runs) > mbloch._BATCH
+    for traj, (_, _, config, _, _), (snap_steps, reference) in zip(
+        mbloch.evolve_batch(runs), runs, references, strict=True
     ):
+        dt = config.dt
         emitted, v, loss, loss_quad, ledgers = reference
         fin = traj.final_state
         assert traj.times[0] == pytest.approx(0.5 * dt, rel=1e-12)
@@ -574,18 +580,21 @@ def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):
     monkeypatch.setattr(mbloch, "expm", forbidden)
     tl = constant_drive(5.0, 2.0)
     with pytest.raises(ConfigError, match="at least one run"):
-        mbloch.evolve_batch(OD30, [])
-    mixed = [(tl, SimulationConfig(t_end=1.0, n_z=32), PULSE, None),
-             (tl, SimulationConfig(t_end=1.0, n_z=48), PULSE, None)]
-    with pytest.raises(ConfigError, match="one grid"):
-        mbloch.evolve_batch(OD30, mixed)
+        mbloch.evolve_batch([])
     # n_z 32 steps by dt = 1/384, so the drive bound 1e3 is |Omega| = 3.84e5;
     # one segment past it fails the batch, whichever member holds it.
     config = SimulationConfig(t_end=1.0, n_z=32)
     strong = ControlTimeline((ControlSegment(0.0, 0.5, 1.0, "storage"),
                               ControlSegment(0.5, 1.0, -3.9e5, "beamsplit")))
     with pytest.raises(ConfigError, match="too strong for the grid"):
-        mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (strong, config, PULSE, None)])
+        mbloch.evolve_batch([(OD30, tl, config, PULSE, None), (OD30, strong, config, PULSE, None)])
+    # At n_z 48 the bound is |Omega| = 5.76e5, so the same drive passes on
+    # the first grid; on the second, it fails the batch before the first
+    # grid steps.
+    fine = SimulationConfig(t_end=1.0, n_z=48)
+    with pytest.raises(ConfigError, match="too strong for the grid"):
+        mbloch.evolve_batch([(OD30, strong, fine, PULSE, None), (OD30, tl, fine, None, None),
+                             (OD30, strong, config, PULSE, None)])
 
 
 def test_a_non_finite_member_stops_the_batch():
@@ -597,7 +606,7 @@ def test_a_non_finite_member_stops_the_batch():
     tl = constant_drive(5.0, 2.0)
     config = SimulationConfig(t_end=2.0, n_z=n_z)
     with pytest.raises(PhysicsViolation, match="non-finite"):
-        mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (tl, config, None, seeded)])
+        mbloch.evolve_batch([(OD30, tl, config, PULSE, None), (OD30, tl, config, None, seeded)])
 
 
 def test_a_snapshot_is_taken_at_the_step_end_nearest_its_time():
@@ -731,7 +740,7 @@ def test_an_initial_state_that_starts_late_is_a_config_error_before_any_step(mon
     tl = constant_drive(13.0, 7.0)
     monkeypatch.setattr(mbloch, "expm", forbidden)
     with pytest.raises(ConfigError, match="t_now = 5"):
-        mbloch.evolve_batch(OD30, [(tl, config, PULSE, None), (tl, config, None, start)])
+        mbloch.evolve_batch([(OD30, tl, config, PULSE, None), (OD30, tl, config, None, start)])
 
 
 _RECIPROCITY_CASES = {

@@ -92,7 +92,7 @@ MUTANTS = (
     # The reference run has gamma12 = 0.05 and checks loss_quad against a
     # written-out quadrature.
     ("mbloch: gamma12 term of loss_quad never added", MBLOCH,
-     "loss_quad[:a] += quad_s * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
+     "loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
      "loss_quad[:a] += 0.0 * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
     # The batch loop: blocks of steps in a ring of state slots, ending at
@@ -114,12 +114,22 @@ MUTANTS = (
      "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z]",
      BATCH_TESTS),
     ("mbloch: inject member 0's boundary into every member", MBLOCH,
-     "ring[:m, i, 0:2, 0] = members[i][4][base:end]",
-     "ring[:m, i, 0:2, 0] = members[0][4][base:end]",
+     "ring[:m, i, 0:2, 0] = members[i][5][base:end]",
+     "ring[:m, i, 0:2, 0] = members[0][5][base:end]",
      BATCH_TESTS),
     ("mbloch: prefill the injection one slot late", MBLOCH,
-     "ring[:m, i, 0:2, 0] = members[i][4][base:end]",
-     "ring[1 : m + 1, i, 0:2, 0] = members[i][4][base:end]",
+     "ring[:m, i, 0:2, 0] = members[i][5][base:end]",
+     "ring[1 : m + 1, i, 0:2, 0] = members[i][5][base:end]",
+     BATCH_TESTS),
+    # Each step group of the batch tests mixes media, and gamma12 = 0 with
+    # gamma12 > 0.
+    ("mbloch: a member stepped with its neighbour's medium", MBLOCH,
+     "for medium, timeline, _, _, times, _, _ in members",
+     "for (_, timeline, _, _, times, _, _), (medium, *_) in zip(members, members[1:] + members)",
+     BATCH_TESTS),
+    ("mbloch: every member's gamma12 factor taken from member 0", MBLOCH,
+     "np.array([m[0].gamma12 for m in members])",
+     "np.array([members[0][0].gamma12 for m in members])",
      BATCH_TESTS),
     ("mbloch: carry slot m - 1 into the next block", MBLOCH,
      "ring[0, :a] = ring[m, :a]",
@@ -300,12 +310,6 @@ MUTANTS = (
      "return [_FLOAT_FMT % v for v in values.tolist()]",
      'return ["%.9g" % v for v in values.tolist()]',
      ("tests/test_cli.py::test_write_csv_cells_match_the_row_by_row_reference",)),
-    ("cli: --workers accepted outside sweep", "src/magnonbs/cli.py",
-     'if "workers" in args and args.command != "sweep":',
-     "if False:",
-     ("tests/test_cli.py::test_workers_is_a_sweep_option_only",
-      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[accept --workers 1]")),
     ("mbloch: the generator reads |delta|", MBLOCH,
      "gen[:, 1, 1] = -(1.0 - 1j * medium.delta)",
      "gen[:, 1, 1] = -(1.0 - 1j * abs(medium.delta))",
