@@ -45,7 +45,7 @@ from .core import (
     PulseEnvelope,
     make_grid,
 )
-from .mbloch import SimulationConfig, evolve, evolve_batch
+from .mbloch import _BATCH, SimulationConfig, _plan_batch, evolve, evolve_batch
 from .splitter import phi_rt_analytic, tau_from_fwhm
 from .stats import classical_bounds, g2_formula
 from . import scenarios
@@ -514,9 +514,17 @@ def _sweep_values(config: Config, seed: int) -> np.ndarray:
 def cmd_sweep(config: Config, out_dir: Path, seed: int) -> int:
     parameter = config["sweep"]["parameter"]
     values = [float(v) for v in _sweep_values(config, seed)]
-    # Every point is built, and so validated, before the first solver call.
+    # Every point is built and checked before the first solver call.
     runs = [(*_build_run(_apply_value(config, parameter, v)), None) for v in values]
-    summaries = [_run_summary(traj) for traj in evolve_batch(runs)]
+    # At most _BATCH points per call, in the order `evolve_batch` steps
+    # them, so each call is one of its step groups; each trajectory is cut
+    # to its summary before the next call, so one group's are held at a time.
+    summaries: list = [None] * len(runs)
+    for _, order in _plan_batch(runs):
+        for lo in range(0, len(order), _BATCH):
+            group = order[lo : lo + _BATCH]
+            for i, traj in zip(group, evolve_batch([runs[i] for i in group])):
+                summaries[i] = _run_summary(traj)
 
     header = header_lines("sweep", config, seed)
     header.append(f"sweep parameter = {parameter}")
@@ -547,8 +555,16 @@ def cmd_accept(config: Config, out_dir: Path, seed: int) -> int:
 # -------------------------------------------------------------- entrypoint
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors (an unknown command or option, a
+    missing value) are config errors; `--help` still prints and exits 0."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magnonbs",
         description=(
             "EIT memory as a lossy photon/magnon beam splitter: figure\n"
@@ -579,8 +595,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "accept" and (args.config is not None or args.override):
             raise ConfigError("accept runs fixed settings: no --config or --override")
         try:

@@ -382,29 +382,12 @@ def evolve_batch(
     above _MAX_DRIVE_STEP raise ConfigError before any run steps.
     """
     runs = list(runs)
-    if not runs:
-        raise ConfigError("a batch needs at least one run")
-    grids = {config.n_z: make_grid(config.n_z) for _, _, config, _, _ in runs}
-    for _, timeline, config, _, initial in runs:
-        z, dt = grids[config.n_z], config.dt
-        if initial is not None:
-            if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
-                raise ConfigError("initial state grid does not match the run grid")
-            if initial.t_now != 0.0:
-                raise ConfigError(f"a run starts at t = 0, got an initial state at "
-                                  f"t_now = {initial.t_now}")
-        drive = max((abs(seg.amplitude) for seg in timeline.segments), default=0.0)
-        if drive * dt > _MAX_DRIVE_STEP:
-            raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
-                              f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
-
     out: list = [None] * len(runs)
-    for n_z, z in grids.items():
+    for z, order in _plan_batch(runs):
         # Every run of the grid reads a prefix of its longest run's step
         # midpoints, and the first run of a pulse, its longest, samples it
         # for all of them.
-        lengths = {i: run[2].n_steps for i, run in enumerate(runs) if run[2].n_z == n_z}
-        order = sorted(lengths, key=lambda i: -lengths[i])
+        lengths = {i: runs[i][2].n_steps for i in order}
         dt = runs[order[0]][2].dt
         times = (np.arange(lengths[order[0]]) + 0.5) * dt
         samples: dict = {}
@@ -423,6 +406,29 @@ def evolve_batch(
             for i, traj in zip(group, _step_together(z, dt, members)):
                 out[i] = traj
     return out
+
+
+def _plan_batch(runs: list) -> list[tuple[np.ndarray, list[int]]]:
+    """Each grid of a batch with its runs' indices, longest first: the order
+    `evolve_batch` steps them in, after its checks of every run."""
+    if not runs:
+        raise ConfigError("a batch needs at least one run")
+    grids = {config.n_z: make_grid(config.n_z) for _, _, config, _, _ in runs}
+    for _, timeline, config, _, initial in runs:
+        z, dt = grids[config.n_z], config.dt
+        if initial is not None:
+            if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
+                raise ConfigError("initial state grid does not match the run grid")
+            if initial.t_now != 0.0:
+                raise ConfigError(f"a run starts at t = 0, got an initial state at "
+                                  f"t_now = {initial.t_now}")
+        drive = max((abs(seg.amplitude) for seg in timeline.segments), default=0.0)
+        if drive * dt > _MAX_DRIVE_STEP:
+            raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
+                              f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
+    return [(z, sorted((i for i, run in enumerate(runs) if run[2].n_z == n_z),
+                       key=lambda i: -runs[i][2].n_steps))
+            for n_z, z in grids.items()]
 
 
 def _step_together(z: np.ndarray, dt: float, members: list) -> list[Trajectory]:

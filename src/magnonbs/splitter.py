@@ -43,6 +43,8 @@ from .core import (
 from .mbloch import SimulationConfig, Trajectory, evolve_batch
 
 _TWO_PI = 2.0 * math.pi
+_DEGENERATE = "round-trip phase estimate degenerate at this drive/od combination"
+_UNDERFLOW = "control pulse area too large for the phase estimate"  # xi underflows
 
 
 def tau_from_fwhm(fwhm: float) -> float:
@@ -57,17 +59,25 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
 
     Valid for a control pulse of amplitude duration `tau` (see
     `tau_from_fwhm`), Rabi frequency `rabi`, one-photon detuning `detuning`
-    and optical depth `od`.  Returns the phase in [0, 2*pi).  A NaN or
-    infinite input, or an od so large that the estimate overflows, raises
-    ConfigError.
+    and optical depth `od`.  With pulse area x = |rabi|^2 tau / 4,
+    xi = exp(-x / (1 - i detuning)) and den = x - od (1 - xi), the phase is
+    arg((1 - xi)^2 / (xi den)) mod 2 pi, in [0, 2*pi): one angle for
+    arg(1 - 1/xi) + arg(od (xi - 1) / den), as od > 0.  A NaN or infinite
+    input, or an od so large that the estimate overflows, raises ConfigError.
     """
     # Written so that NaN, which fails every comparison, fails the checks.
     if not (0 < od < math.inf and math.isfinite(detuning)):
         raise ConfigError("phase estimate needs a finite od > 0 and a finite detuning")
-    return _round_trip(
-        float(abs(rabi)), float(detuning), float(od), float(tau),
-        cmath.exp, cmath.phase, bool,
-    )
+    x, od = _pulse_area(rabi, od, tau)
+    # Python floats and cmath: on numpy scalars this costs three times as much.
+    xi = cmath.exp(-x / (1.0 - 1j * float(detuning)))
+    m = 1.0 - xi
+    den = x - od * m
+    if abs(den) < 1e-12 * max(x, od, 1.0):
+        raise ConfigError(_DEGENERATE)
+    if abs(xi) < 1e-300:
+        raise ConfigError(_UNDERFLOW)
+    return cmath.phase(m * m / (xi * den)) % _TWO_PI
 
 
 def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> np.ndarray:
@@ -79,41 +89,30 @@ def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> n
     detunings = np.asarray(detunings, dtype=float)
     if not (0 < od < math.inf and np.isfinite(detunings).all()):
         raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
-    return _round_trip(
-        float(abs(rabi)), detunings, float(od), float(tau), np.exp, np.angle, np.any
-    )
+    x, od = _pulse_area(rabi, od, tau)
+    xi = np.exp(-x / (1.0 - 1j * detunings))
+    m = 1.0 - xi
+    den = x - od * m
+    if (np.abs(den) < 1e-12 * max(x, od, 1.0)).any():
+        raise ConfigError(_DEGENERATE)
+    if (np.abs(xi) < 1e-300).any():
+        raise ConfigError(_UNDERFLOW)
+    return np.angle(m * m / (xi * den)) % _TWO_PI
 
 
-def _round_trip(rabi: float, detuning, od: float, tau: float, exp, angle, any_):
-    """The closed form behind both estimates, for one detuning or an array.
-
-    `od` is already checked.  `exp` and `angle` are the complex exponential
-    and argument, and `any_` reduces a guard's test over the detunings:
-    `cmath.exp`, `cmath.phase` and `bool` on Python floats for a scalar,
-    `np.exp`, `np.angle` and `np.any` for an array.  The same scalar call
-    on numpy scalars costs over three times as much, and one through the
-    array path, a 0-d array, about nine times.
-    """
+def _pulse_area(rabi: float, od: float, tau: float) -> tuple[float, float]:
+    """Pulse area |rabi|^2 tau / 4 and `od` as floats: the guards without a detuning."""
+    od, r = float(od), float(abs(rabi))
     # Not `** 2`: a Python float raises OverflowError there, while a
     # product overflows to inf and fails the guard below.
-    x = abs(rabi) * abs(rabi) * tau / 4.0
+    x = r * r * float(tau) / 4.0
     if not 0 < x < math.inf:
         raise ConfigError("control pulse area must be nonzero and finite")
-    # No value below exceeds 4 (x + od) in size.  Keep that finite: abs()
-    # of a Python complex raises OverflowError where numpy's gives inf.
+    # No value of the closed form exceeds 4 (x + od) in size.  Keep that finite:
+    # abs() of a Python complex raises OverflowError where numpy's gives inf.
     if not 4.0 * (x + od) < math.inf:
         raise ConfigError("pulse area and od too large for the phase estimate")
-    xi = exp(-x / (1.0 - 1j * detuning))
-    den = x - od * (1.0 - xi)
-    if any_(abs(den) < 1e-12 * max(x, od, 1.0)):
-        raise ConfigError(
-            "round-trip phase estimate degenerate at this drive/od combination"
-        )
-    if any_(abs(xi) < 1e-300):
-        # exp(-x/(1-id)) underflowed; 1 - 1/xi has no usable phase left.
-        raise ConfigError("control pulse area too large for the phase estimate")
-    phase = angle(1.0 - 1.0 / xi) + angle(od * (xi - 1.0) / den)
-    return phase % _TWO_PI
+    return x, od
 
 
 def fold_phase(phi: float | np.ndarray) -> np.floating | np.ndarray:

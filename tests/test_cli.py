@@ -296,6 +296,39 @@ def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
     assert column == pytest.approx(list(listed), rel=1e-9)
 
 
+@pytest.mark.parametrize("sweep", [
+    ["sweep.parameter=grid.t_end", "sweep.values=0.5,1,0.25,1.5,0.75,1,0.5,1.25,2"],
+    ["sweep.parameter=grid.n_z", "sweep.values=16,24,16,16,24,16,16,16,24"],
+])
+def test_sweep_steps_one_step_group_per_call(sweep, tmp_path, monkeypatch):
+    # Each evolve_batch call gets at most _BATCH points, of one grid and
+    # longest first: the step groups one call over every point would form.
+    calls = []
+
+    def recording_batch(runs):
+        calls.append([(config.n_z, config.n_steps) for _, _, config, _, _ in runs])
+        return mbloch.evolve_batch(runs)
+
+    overrides = ["grid.n_z=16", "grid.t_end=1", "control.segments=beamsplit:0:1:5", *sweep]
+    args = [a for o in overrides for a in ("--override", o)]
+    chunked, whole = tmp_path / "chunked", tmp_path / "whole"
+    chunked.mkdir()
+    whole.mkdir()
+    monkeypatch.setattr(cli, "evolve_batch", recording_batch)
+    assert main(["sweep", "--out", str(chunked), *args]) == 0
+    assert sum(map(len, calls)) == 9 and max(map(len, calls)) <= mbloch._BATCH
+    for call in calls:
+        assert len({n_z for n_z, _ in call}) == 1
+        assert [n for _, n in call] == sorted((n for _, n in call), reverse=True)
+    # The same table as from one call per grid.
+    grids = len({n_z for call in calls for n_z, _ in call})
+    monkeypatch.setattr(cli, "_BATCH", 9)
+    calls.clear()
+    assert main(["sweep", "--out", str(whole), *args]) == 0
+    assert len(calls) == grids
+    assert (chunked / "sweep.csv").read_bytes() == (whole / "sweep.csv").read_bytes()
+
+
 @pytest.fixture
 def no_solver(monkeypatch):
     """Make any solver call fail the test.
@@ -364,6 +397,16 @@ def no_solver(monkeypatch):
         # (the drive gives a pulse area of about 4).
         ["fig3", "--override", "scenario.phase_rabi=3.76",
          "--override", "scenario.triples=1.7e308:2"],
+        # A drive past the grid's bound at the last point, which would be
+        # stepped after the first group of points.
+        ["sweep", "--override", "sweep.values=2,3,4,5,1e7"],
+        # What argparse rejects: the deleted --workers, a misspelt option,
+        # an unknown command, a missing one and an option with no value.
+        ["sweep", "--workers", "2"],
+        ["fig3", "--sede", "1"],
+        ["fig5"],
+        [],
+        ["fig4", "--seed"],
     ],
     ids=" ".join,
 )

@@ -19,7 +19,7 @@ from magnonbs import (
     store_magnon,
     tau_from_fwhm,
 )
-from magnonbs import mbloch, splitter
+from magnonbs import mbloch, scenarios, splitter
 from magnonbs.core import C_EFF
 from magnonbs.splitter import splitter_from_outputs
 
@@ -148,6 +148,52 @@ def test_phi_rt_sweep_is_the_scalar_estimate_over_an_array():
     # warning on the way, as the scalar estimate does.
     with pytest.raises(ConfigError):
         splitter.phi_rt_sweep(np.float64(1e200), detunings, 30.0, 1.0)
+
+
+def _two_angle_phase(rabi, detunings, od, tau):
+    # The estimate written out as two angles on complex128, the form the
+    # one-angle closed form replaced: arg(1 - 1/xi) + arg(od (xi - 1) / den).
+    x = rabi * rabi * tau / 4.0
+    xi = np.exp(-x / (1.0 - 1j * np.asarray(detunings, dtype=np.complex128)))
+    den = x - od * (1.0 - xi)
+    return np.mod(np.angle(1.0 - 1.0 / xi) + np.angle(od * (xi - 1.0) / den), 2 * math.pi)
+
+
+def test_phi_rt_estimates_match_the_two_angle_reference():
+    tau = tau_from_fwhm(scenarios.PHASE_FWHM)
+    rabi = scenarios.PHASE_CAL_RABI
+    # Criterion 4's three operating points.
+    for od, delta in scenarios.PHASE_POINTS:
+        want = _two_angle_phase(rabi, [delta], od, tau)
+        assert fold_phase(phi_rt_analytic(rabi, delta, od, tau) - want) <= 1e-13
+        assert fold_phase(splitter.phi_rt_sweep(rabi, [delta], od, tau) - want) <= 1e-13
+    # A seeded box holding the oracle workload's (drive 20-36, od 30-100,
+    # detuning 0-20), each draw one sweep and its scalar calls.
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        rabi, od = float(rng.uniform(10.0, 40.0)), float(rng.uniform(10.0, 120.0))
+        tau = tau_from_fwhm(float(rng.uniform(1.0, 3.0)))
+        detunings = rng.uniform(-25.0, 25.0, 200)
+        want = _two_angle_phase(rabi, detunings, od, tau)
+        got = splitter.phi_rt_sweep(rabi, detunings, od, tau)
+        assert fold_phase(got - want).max() <= 1e-13
+        got = [phi_rt_analytic(rabi, d, od, tau) for d in detunings.tolist()]
+        assert fold_phase(np.subtract(got, want)).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_phi_rt_analytic_takes_numpy_scalars_as_python_floats():
+    # The oracle benchmark passes np.float64 detunings; any argument as a
+    # numpy scalar must give the same Python float, with no warning.
+    args = (34.25, 7.5, 66.0, tau_from_fwhm(1.8847))
+    want = phi_rt_analytic(*args)
+    assert type(want) is float
+    for k in range(len(args)):
+        numpy_args = [np.float64(a) if i == k else a for i, a in enumerate(args)]
+        got = phi_rt_analytic(*numpy_args)
+        assert type(got) is float and got == want
+    got = phi_rt_analytic(*map(np.float64, args))
+    assert type(got) is float and got == want
 
 
 def _port_grams(magnon, photon, dz, dt):

@@ -36,6 +36,7 @@ OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
+PHASE_REFERENCE_TEST = "tests/test_splitter.py::test_phi_rt_estimates_match_the_two_angle_reference"
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
@@ -170,18 +171,39 @@ MUTANTS = (
      "pairs = {shallow.od: curve_pair(shallow), deep.od: deep_pair.result()}",
      "pairs = dict.fromkeys((shallow.od, deep.od), curve_pair(shallow))",
      (RUN_ALL_TEST,)),
+    ("cli: the sweep checks each group of points only as it steps", "src/magnonbs/cli.py",
+     "for _, order in _plan_batch(runs):",
+     "for order in [sorted(range(len(runs)), key=lambda i: -runs[i][2].n_steps)]:",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+    ("mbloch: a grid's runs stepped shortest first", MBLOCH,
+     "key=lambda i: -runs[i][2].n_steps)",
+     "key=lambda i: runs[i][2].n_steps)",
+     ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
+    ("cli: one evolve_batch call per sweep grid", "src/magnonbs/cli.py",
+     "for lo in range(0, len(order), _BATCH):\n            group = order[lo : lo + _BATCH]",
+     "for lo in range(0, len(order), len(order)):\n            group = order[lo:]",
+     ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
      "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
      "KEYS.get(section, {}).get(key, (None,))[0]",
      ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
     ("splitter: the scalar phase's exp conjugates its argument", SPLITTER,
-     "cmath.exp, cmath.phase, bool,",
-     "lambda z: cmath.exp(z.conjugate()), cmath.phase, bool,",
+     "xi = cmath.exp(-x / (1.0 - 1j * float(detuning)))",
+     "xi = cmath.exp((-x / (1.0 - 1j * float(detuning))).conjugate())",
      ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
+    # The one angle arg((1 - xi)^2 / (xi den)) with one factor conjugated.
+    ("splitter: the scalar phase's one angle takes |1 - xi|^2", SPLITTER,
+     "cmath.phase(m * m / (xi * den))",
+     "cmath.phase(m * m.conjugate() / (xi * den))",
+     (PHASE_REFERENCE_TEST,)),
+    ("splitter: the phase sweep's one angle conjugates xi", SPLITTER,
+     "np.angle(m * m / (xi * den))",
+     "np.angle(m * m / (xi.conj() * den))",
+     (PHASE_REFERENCE_TEST,)),
     ("splitter: the pulse area squares the drive with **", SPLITTER,
-     "x = abs(rabi) * abs(rabi) * tau / 4.0",
-     "x = abs(rabi) ** 2 * tau / 4.0",
+     "x = r * r * float(tau) / 4.0",
+     "x = r ** 2 * float(tau) / 4.0",
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
       "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
       "[fig3 --override scenario.phase_rabi=1e200]")),
