@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,18 @@ from .core import (
 from .mbloch import SimulationConfig, Trajectory, evolve_batch
 
 _TWO_PI = 2.0 * math.pi
+_NOT_FINITE = "phase estimate needs a finite od > 0 and a finite detuning"
 _DEGENERATE = "round-trip phase estimate degenerate at this drive/od combination"
 _UNDERFLOW = "control pulse area too large for the phase estimate"  # xi underflows
+_TOO_DETUNED = "detuning too large against the pulse area for the phase estimate"
+# |1 - xi| falls as x / |detuning|; below this its square is no normal float.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+# The last drive `phi_rt_analytic` validated: its rabi, od and tau objects, each
+# a Python float or int, then what `_drive` made of them.  One tuple, replaced
+# whole, so that a reader never pairs one call's arguments with another's drive.
+# It starts with keys that no caller holds.
+_last_drive: tuple = (object(), object(), object(), None)
+_NUMBERS = (float, int)  # values that cannot change in place
 
 
 def tau_from_fwhm(fwhm: float) -> float:
@@ -63,17 +74,35 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
     xi = exp(-x / (1 - i detuning)) and den = x - od (1 - xi), the phase is
     arg((1 - xi)^2 / (xi den)) mod 2 pi, in [0, 2*pi): one angle for
     arg(1 - 1/xi) + arg(od (xi - 1) / den), as od > 0.  A NaN or infinite
-    input, or an od so large that the estimate overflows, raises ConfigError.
+    input, an od so large that the estimate overflows, or a detuning so large
+    against x that (1 - xi)^2 underflows, raises ConfigError.
+
+    A call passing the same rabi, od and tau objects (Python floats or ints)
+    as the last call that validated its drive reuses that drive: a detuning
+    sweep validates its drive once.
     """
-    # Written so that NaN, which fails every comparison, fails the checks.
-    if not (0 < od < math.inf and math.isfinite(detuning)):
-        raise ConfigError("phase estimate needs a finite od > 0 and a finite detuning")
-    x, od = _pulse_area(rabi, od, tau)
+    global _last_drive
+    last_rabi, last_od, last_tau, drive = _last_drive
+    # Immutable and identical, so equal: the drive the memo holds is theirs.
+    if rabi is last_rabi and od is last_od and tau is last_tau:
+        if not math.isfinite(detuning):
+            raise ConfigError(_NOT_FINITE)
+    else:
+        # Written so that NaN, which fails every comparison, fails the checks.
+        if not (0 < od < math.inf and math.isfinite(detuning)):
+            raise ConfigError(_NOT_FINITE)
+        drive = _drive(rabi, od, tau)
+        if type(rabi) in _NUMBERS and type(od) in _NUMBERS and type(tau) in _NUMBERS:
+            _last_drive = (rabi, od, tau, drive)
+    x, od, floor, max_detuning = drive
     # Python floats and cmath: on numpy scalars this costs three times as much.
-    xi = cmath.exp(-x / (1.0 - 1j * float(detuning)))
+    d = float(detuning)
+    if not -max_detuning <= d <= max_detuning:
+        raise ConfigError(_TOO_DETUNED)
+    xi = cmath.exp(-x / (1.0 - 1j * d))
     m = 1.0 - xi
     den = x - od * m
-    if abs(den) < 1e-12 * max(x, od, 1.0):
+    if abs(den) < floor:
         raise ConfigError(_DEGENERATE)
     if abs(xi) < 1e-300:
         raise ConfigError(_UNDERFLOW)
@@ -84,24 +113,31 @@ def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> n
     """`phi_rt_analytic` at every detuning of an array, in one evaluation.
 
     Agrees with the scalar calls to roundoff.  Any non-finite detuning, or
-    any detuning where the estimate is degenerate, raises ConfigError.
+    any detuning where the scalar call would raise, raises ConfigError.
     """
     detunings = np.asarray(detunings, dtype=float)
     if not (0 < od < math.inf and np.isfinite(detunings).all()):
         raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
-    x, od = _pulse_area(rabi, od, tau)
+    x, od, floor, max_detuning = _drive(rabi, od, tau)
+    if (np.abs(detunings) > max_detuning).any():
+        raise ConfigError(_TOO_DETUNED)
     xi = np.exp(-x / (1.0 - 1j * detunings))
     m = 1.0 - xi
     den = x - od * m
-    if (np.abs(den) < 1e-12 * max(x, od, 1.0)).any():
+    if (np.abs(den) < floor).any():
         raise ConfigError(_DEGENERATE)
     if (np.abs(xi) < 1e-300).any():
         raise ConfigError(_UNDERFLOW)
     return np.angle(m * m / (xi * den)) % _TWO_PI
 
 
-def _pulse_area(rabi: float, od: float, tau: float) -> tuple[float, float]:
-    """Pulse area |rabi|^2 tau / 4 and `od` as floats: the guards without a detuning."""
+def _drive(rabi: float, od: float, tau: float) -> tuple[float, float, float, float]:
+    """The phase estimate's drive, validated without a detuning.
+
+    Returns the pulse area x = |rabi|^2 tau / 4, `od` as a float, the floor
+    below which |den| is degenerate and the largest |detuning| the estimate
+    takes.  `od` must already be known to be finite and positive.
+    """
     od, r = float(od), float(abs(rabi))
     # Not `** 2`: a Python float raises OverflowError there, while a
     # product overflows to inf and fails the guard below.
@@ -112,7 +148,7 @@ def _pulse_area(rabi: float, od: float, tau: float) -> tuple[float, float]:
     # abs() of a Python complex raises OverflowError where numpy's gives inf.
     if not 4.0 * (x + od) < math.inf:
         raise ConfigError("pulse area and od too large for the phase estimate")
-    return x, od
+    return x, od, 1e-12 * max(x, od, 1.0), x / _SQRT_TINY
 
 
 def fold_phase(phi: float | np.ndarray) -> np.floating | np.ndarray:

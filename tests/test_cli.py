@@ -397,6 +397,8 @@ def no_solver(monkeypatch):
         # (the drive gives a pulse area of about 4).
         ["fig3", "--override", "scenario.phase_rabi=3.76",
          "--override", "scenario.triples=1.7e308:2"],
+        # A detuning so far past the pulse area that (1 - xi)^2 underflows.
+        ["fig3", "--override", "scenario.triples=30:1e300"],
         # A drive past the grid's bound at the last point, which would be
         # stepped after the first group of points.
         ["sweep", "--override", "sweep.values=2,3,4,5,1e7"],

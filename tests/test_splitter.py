@@ -103,15 +103,23 @@ def test_phi_rt_analytic_frozen_operating_points():
     )
 
 
-def test_phi_rt_analytic_guards():
+_EMPTY_MEMO = (object(), object(), object(), None)
+
+
+def _outcome(*args):
+    try:
+        return phi_rt_analytic(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_phi_rt_analytic_guards(monkeypatch):
     tau = tau_from_fwhm(1.8847)
-    with pytest.raises(ConfigError):
-        phi_rt_analytic(10.0, 0.0, 0.0, tau)
-    with pytest.raises(ConfigError):
-        phi_rt_analytic(0.0, 0.0, 30.0, tau)
-    # Non-finite input raises rather than returning NaN (with warnings).
     nan, inf = math.nan, math.inf
-    for rabi, detuning, od, t in [
+    for case in [
+        (10.0, 0.0, 0.0, tau),
+        (0.0, 0.0, 30.0, tau),
+        # Non-finite input raises rather than returning NaN (with warnings).
         (nan, 0.0, 30.0, tau),
         (10.0, 0.0, 30.0, nan),
         (10.0, nan, 30.0, tau),
@@ -128,9 +136,89 @@ def test_phi_rt_analytic_guards():
         # A finite od whose |x - od (1 - xi)| overflows: abs() of a Python
         # complex would raise OverflowError.
         (4.0, 2.0, 1.7e308, 1.0),
+        # (1 - xi)^2 underflows: the phase would read 0 where its limit is pi.
+        (30.0, 1e300, 30.0, tau),
     ]:
-        with pytest.raises(ConfigError):
-            phi_rt_analytic(rabi, detuning, od, t)
+        monkeypatch.setattr(splitter, "_last_drive", _EMPTY_MEMO)
+        want = _outcome(*case)
+        assert want[0] is ConfigError, case
+        # The same type and message with the memo holding another drive,
+        # and with it holding this case's own drive objects where that
+        # drive is valid on its own.
+        rabi, _, od, t = case
+        for drive in ((12.0, 5.0, 40.0, 1.5), (rabi, 1.0, od, t)):
+            _outcome(*drive)
+            assert _outcome(*case) == want, (case, drive)
+
+
+def test_phi_rt_analytic_memo_never_serves_a_stale_drive(monkeypatch):
+    tau = tau_from_fwhm(1.8847)
+    # A, and drives that each differ from A in one argument.
+    drives = [(34.25, 66.0, tau), (34.25, 66.0, 1.5 * tau), (20.0, 66.0, tau),
+              (34.25, 30.0, tau)]
+    detunings = np.linspace(-20.0, 20.0, 7)
+
+    def cold(rabi, d, od, t):
+        monkeypatch.setattr(splitter, "_last_drive", _EMPTY_MEMO)
+        return phi_rt_analytic(rabi, d, od, t)
+
+    want = {k: [cold(r, d, od, t) for d in detunings]
+            for k, (r, od, t) in enumerate(drives)}
+    # A, B, A, B, ... each for a whole sweep and then call by call.
+    for k in (0, 1, 0, 2, 0, 3, 0, 1, 2, 3):
+        r, od, t = drives[k]
+        assert [phi_rt_analytic(r, d, od, t) for d in detunings] == want[k]
+        assert splitter._last_drive[:3] == drives[k]
+    for i, d in enumerate(detunings):
+        for k in (0, 1, 0, 2, 3, 0):
+            r, od, t = drives[k]
+            assert phi_rt_analytic(r, d, od, t) == want[k][i]
+    # Equal arguments of other types, with the memo holding the float drive,
+    # give what the cold path gives for them.
+    for rabi, d, od, t in [
+        (34, 7.5, 66.0, tau), (34.0, 7.5, 66, tau), (34.0, 7.5, 66.0, 2),
+        (np.float64(34.25), 7.5, 66.0, tau), (34.25, 7.5, np.float64(66.0), tau),
+        (34.25, 7.5, 66.0, np.float64(tau)), (True, 7.5, 66.0, 4.0 * tau),
+        (1, 7.5, 66.0, 4.0 * tau), (34.25 + 0j, 7.5, 66.0, tau), (-34.25, 7.5, 66.0, tau),
+        (20.0 + 27.0j, 7.5, 66.0, tau),
+    ]:
+        want_value = cold(rabi, d, od, t)
+        plain = (float(abs(rabi)), float(od), float(t))
+        assert cold(plain[0], d, *plain[1:]) == want_value
+        phi_rt_analytic(plain[0], d, *plain[1:])
+        assert phi_rt_analytic(rabi, d, od, t) == want_value
+    # A 0-d array changed in place between two calls gives the new drive.
+    for k in range(3):
+        drive = [34.25, 66.0, tau]
+        drive[k] = np.array(drive[k])
+        phi_rt_analytic(drive[0], 7.5, drive[1], drive[2])
+        drive[k][...] = 1.5 * drive[k]
+        r, od, t = (float(v) for v in drive)
+        assert phi_rt_analytic(drive[0], 7.5, drive[1], drive[2]) == cold(r, 7.5, od, t)
+
+
+def test_phi_rt_estimates_stop_where_the_square_underflows(monkeypatch):
+    # With |delta| >> x, (1 - xi)^2 = -(x / delta)^2 and den = x, so the
+    # phase tends to pi; the bound keeps (x / delta)^2 a normal float.
+    tiny = np.finfo(float).tiny
+    for rabi, od, tau in ((34.25, 30.0, 1.1), (2.0, 100.0, 1.0), (1e-3, 1e-3, 1.0),
+                          (1e50, 5.0, 1.0)):
+        x = rabi * rabi * tau / 4.0
+        bound = x / math.sqrt(tiny)
+        for sign in (1.0, -1.0):
+            inside = sign * bound * (1.0 - 1e-15)
+            monkeypatch.setattr(splitter, "_last_drive", _EMPTY_MEMO)
+            assert phi_rt_analytic(rabi, inside, od, tau) == pytest.approx(math.pi, abs=1e-12)
+            assert phi_rt_analytic(rabi, inside, od, tau) == pytest.approx(math.pi, abs=1e-12)
+            assert splitter.phi_rt_sweep(rabi, [inside / 2.0, inside], od, tau)[1] == pytest.approx(
+                math.pi, abs=1e-12)
+            outside = sign * bound * (1.0 + 1e-15)
+            for memo in (_EMPTY_MEMO, splitter._last_drive):
+                monkeypatch.setattr(splitter, "_last_drive", memo)
+                with pytest.raises(ConfigError, match="detuning too large"):
+                    phi_rt_analytic(rabi, outside, od, tau)
+            with pytest.raises(ConfigError, match="detuning too large"):
+                splitter.phi_rt_sweep(rabi, [outside / 2.0, outside], od, tau)
 
 
 def test_phi_rt_sweep_is_the_scalar_estimate_over_an_array():

@@ -37,6 +37,8 @@ OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
 PHASE_REFERENCE_TEST = "tests/test_splitter.py::test_phi_rt_estimates_match_the_two_angle_reference"
+MEMO_TEST = "tests/test_splitter.py::test_phi_rt_analytic_memo_never_serves_a_stale_drive"
+UNDERFLOW_TEST = "tests/test_splitter.py::test_phi_rt_estimates_stop_where_the_square_underflows"
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
@@ -189,8 +191,8 @@ MUTANTS = (
      ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
     ("splitter: the scalar phase's exp conjugates its argument", SPLITTER,
-     "xi = cmath.exp(-x / (1.0 - 1j * float(detuning)))",
-     "xi = cmath.exp((-x / (1.0 - 1j * float(detuning))).conjugate())",
+     "xi = cmath.exp(-x / (1.0 - 1j * d))",
+     "xi = cmath.exp((-x / (1.0 - 1j * d)).conjugate())",
      ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
     # The one angle arg((1 - xi)^2 / (xi den)) with one factor conjugated.
     ("splitter: the scalar phase's one angle takes |1 - xi|^2", SPLITTER,
@@ -213,6 +215,24 @@ MUTANTS = (
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
       "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
       "[fig3 --override scenario.phase_rabi=3.76 --override scenario.triples=1.7e308:2]")),
+    ("splitter: the phase memo's key leaves out tau", SPLITTER,
+     "if rabi is last_rabi and od is last_od and tau is last_tau:",
+     "if rabi is last_rabi and od is last_od:",
+     (MEMO_TEST,)),
+    ("splitter: a phase memo hit skips the finite-detuning check", SPLITTER,
+     "if not math.isfinite(detuning):",
+     "if False:",
+     ("tests/test_splitter.py::test_phi_rt_analytic_guards",)),
+    ("splitter: the scalar phase drops the detuning bound", SPLITTER,
+     "if not -max_detuning <= d <= max_detuning:",
+     "if False:",
+     (UNDERFLOW_TEST,
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig3 --override scenario.triples=30:1e300]")),
+    ("splitter: the phase sweep drops the detuning bound", SPLITTER,
+     "if (np.abs(detunings) > max_detuning).any():",
+     "if False:",
+     (UNDERFLOW_TEST,)),
     ("splitter: the phase sweep lets non-finite detunings through", SPLITTER,
      "np.isfinite(detunings).all()",
      "True",
