@@ -208,6 +208,7 @@ def test_phi_rt_estimates_stop_where_the_square_underflows(monkeypatch):
         for sign in (1.0, -1.0):
             inside = sign * bound * (1.0 - 1e-15)
             monkeypatch.setattr(splitter, "_last_drive", _EMPTY_MEMO)
+            # Cold, then with the memo holding this drive.
             assert phi_rt_analytic(rabi, inside, od, tau) == pytest.approx(math.pi, abs=1e-12)
             assert phi_rt_analytic(rabi, inside, od, tau) == pytest.approx(math.pi, abs=1e-12)
             assert splitter.phi_rt_sweep(rabi, [inside / 2.0, inside], od, tau)[1] == pytest.approx(
