@@ -45,7 +45,7 @@ from .core import (
     PulseEnvelope,
     make_grid,
 )
-from .mbloch import _BATCH, SimulationConfig, _plan_batch, evolve, evolve_batch
+from .mbloch import SimulationConfig, _plan_batch, evolve, evolve_batch
 from .splitter import phi_rt_analytic, tau_from_fwhm
 from .stats import classical_bounds, g2_formula
 from . import scenarios
@@ -55,6 +55,9 @@ GAMMA31_MHZ = 3.0
 NS_TO_NORM = 2.0 * math.pi * GAMMA31_MHZ * 1e6 * 1e-9
 
 _FLOAT_FMT = "%.10g"
+# Sweep points per solver call at most: each call holds its points'
+# trajectories, emitted fields included, until it returns.
+_SWEEP_CHUNK = 4
 
 Config = dict[str, dict[str, object]]
 
@@ -516,13 +519,13 @@ def cmd_sweep(config: Config, out_dir: Path, seed: int) -> int:
     values = [float(v) for v in _sweep_values(config, seed)]
     # Every point is built and checked before the first solver call.
     runs = [(*_build_run(_apply_value(config, parameter, v)), None) for v in values]
-    # At most _BATCH points per call, in the order `evolve_batch` steps
-    # them, so each call is one of its step groups; each trajectory is cut
-    # to its summary before the next call, so one group's are held at a time.
+    # At most _SWEEP_CHUNK points per call, of one grid and longest first,
+    # so each call is one step group; each trajectory is cut to its summary
+    # before the next call, so one call's are held at a time.
     summaries: list = [None] * len(runs)
     for _, order in _plan_batch(runs):
-        for lo in range(0, len(order), _BATCH):
-            group = order[lo : lo + _BATCH]
+        for lo in range(0, len(order), _SWEEP_CHUNK):
+            group = order[lo : lo + _SWEEP_CHUNK]
             for i, traj in zip(group, evolve_batch([runs[i] for i in group])):
                 summaries[i] = _run_summary(traj)
 

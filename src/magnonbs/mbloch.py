@@ -20,10 +20,10 @@ computed once per run, before the first step.  The control drive and the
 probe pulse are sampled at all step midpoints (n + 1/2) dt in one vector
 call each.  The drive splits into runs of equal values, each with one
 half-step map R = exp(M dt/2) of its local generator M: a constant drive
-has one run, a ramp one per step of the ramp.  The maps are built at most
-_MAP_BLOCK runs at a time, which bounds their memory, by this module's
-`expm`, which exponentiates the block's stacked generators at once in
-numpy.
+has one run, a ramp one per step of the ramp.  The maps are built a window
+of steps at a time, which bounds their memory, by this module's `expm`,
+which exponentiates the window's stacked generators, those of every run
+of a step group in its own medium, at once in numpy.
 
 The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
 Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
@@ -54,39 +54,59 @@ checked for non-finite values and for exceeding the input, so no run ends
 or takes a snapshot unchecked.
 
 The runs of one grid step together, whatever their media: `evolve_batch`
-takes a list of runs and `evolve` is a batch of one.  Each grid's members
-are sorted longest first and stepped at most _BATCH at a time, each with
-the maps of its own medium; a finished member drops off the end of the
-active prefix, and the trajectories come back in call order.  A step's
-cost is mostly numpy call overhead, which the members share, so a step
-makes two calls whatever the number of members.
-The carried states live in a ring of _RING + 1 slots, each a
-(members, 6, n_z + 2) array: columns 1..n_z hold the cells, and in the E
-rows column 0 holds the cell injected at that step and column n_z + 1 the
-cell emitted at it.  Step base + k shifts slot k's E rows, columns 0..n_z,
-one column right, which advects, injects and parks the emitted cell in one
-copy, and then maps slot k's cells into slot k + 1's with the members'
-fused maps.  The steps run in blocks of at most _RING that end at the next
-ledger read.  Once per block, before it, the pulsed members' injected
-cells are written into column 0 of its slots; after it, one vecdot over
-the P rows of all its slots (and one over the S rows when a member's
-gamma12 is nonzero, each weighted by its own) adds the block's loss
-quadrature, the emitted cells are copied out of column n_z + 1, and the
-last slot carries on as the next block's first.  The P and S rows' edge
-columns are never written, so they add nothing to the quadrature.  What
-a batch holds while it steps is thus bounded: one block of maps per member
-and the ring, (_RING + 1) * members * 6 * (n_z + 2) floats (1.5 MB for 4
-members at n_z 240), never an array of steps x members.  One array of step
-midpoints, the longest run's, serves each grid's runs while they step, and
-the runs of a grid with the same pulse share its samples.  A trajectory
-keeps neither: it computes its step times from dt, and its caller holds
-the timeline.
+takes a list of runs and `evolve` is a batch of one.  Each grid's runs are
+sorted longest first and stepped as one group, each with the maps of its
+own medium; a finished member drops off the end of the active prefix, and
+the trajectories come back in call order.  A step's cost is mostly numpy
+call overhead, which the members share, so a step makes two calls
+whatever the number of members.
+
+The carried states live in a ring of slots laid out as (slot, row, member,
+column): row r of every member's state in one slot is one run of floats,
+member after member, each n_z + 2 columns wide.  Columns 1..n_z hold the
+cells from z = 1 down to z = 0; in the E rows, column n_z + 1 holds the
+cell injected at that slot's step and column 0 the cell emitted at it.  So
+the E rows of every member form one contiguous block per slot, and step
+base + k advects, injects and parks the emitted cell with one 1-D copy of
+slot k's E block one float to the left.  (numpy copies an overlapping
+range leftward front to back, up to 2.6 times as fast as rightward, which
+it copies back to front; the cells run from z = 1 down for that.)  The
+copy spills each row's column 0 into the injection column of the row
+before it.  The step then maps slot k's cells into slot k + 1's with the
+members' fused maps.
+
+The steps run in blocks that end at the next ledger read or when the ring
+is full.  Once per block, before it, one copy writes every member's
+injection column in all its slots, which overwrites the spill: the pulse's
+cell for a pulsed member and 0 for any other.  After it, one copy takes
+the emitted cells out.  The block's last step only shifts; once the
+ledger has read its state, its product goes into slot 0, where the next
+block starts, so no slot is copied between blocks.  One vecdot over the P
+rows of the block's slots (and one over the S rows when a member's
+gamma12 is nonzero, each weighted by its own) then adds the quadrature of
+the states the block carried.  So a block's own cost does not grow with
+the number of members.  The injected and emitted cells pass through a
+window of _CHECK_EVERY steps, which every member is read within, refilled
+and emptied member by member at the ledger reads.  The P and S rows' edge
+columns are never written, so they add nothing to the quadrature.
+
+What a group holds in its ring and its window of maps is bounded by
+_BUDGET floats (1.53 MB): three quarters for the ring and one for the maps.
+A wider group takes shorter blocks of steps and windows of fewer drive
+runs, and a grid with more runs than two ring slots fit (73 at n_z 160)
+steps in several groups.  Besides, a group holds its outputs, its members'
+drive runs and the windows of injected and emitted cells; nothing but the
+outputs is an array of steps x members.  One array of step midpoints, the
+longest run's, serves each group while it steps, and the runs of a group
+with the same pulse share its samples.  A trajectory keeps neither: it
+computes its step times from dt, and its caller holds the timeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,18 +140,20 @@ _MAX_STEPS = 2**22
 # checks on the held norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
 # Drive runs whose maps are built at once, by one `expm` of their stacked
-# generators: this bounds the memory a drive that changes every step (a long
-# ramp) can take, while every run of the acceptance gate (at most about 600
-# drive runs) is one block.
+# generators, at most: a narrow group's windows of maps hold this many, and
+# a wider group's fewer, to fit its share of _BUDGET.
 _MAP_BLOCK = 1024
-# Steps per block of the step loop, which holds this many carried states
-# per member and settles the loss quadrature, the emitted cells and the
-# injected cells once per block.
+# Steps per block of the step loop at most, which settles the loss
+# quadrature, the emitted cells and the injected cells once per block: a
+# narrow group's ring holds this many steps, a wider group's fewer.
 _RING = 32
-# Runs stepped side by side at most.  Each member holds its own block of
-# maps and its own outputs while it steps, so this bounds what a batch
-# holds at once; a wider batch is stepped in groups, longest runs first.
-_BATCH = 4
+# The floats one step group may hold in its ring and in its members' blocks
+# of maps: the ring of 4 members at n_z 240 in blocks of 32 steps, 1.53 MB.
+# Three quarters bound the ring and one quarter the maps.
+_BUDGET = 191_664
+# The floats a drive run's maps take while a window of them is built: its
+# half map and both fused maps (108) and the intermediates of `expm`.
+_MAP_FLOATS = 192
 # Coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, and the
 # largest 1-norm at which it is exact to double precision (Higham, SIAM J.
 # Matrix Anal. Appl. 26, 1179 (2005)).
@@ -267,8 +289,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.ndarray:
-    """Half-step propagators of the local system, one per drive value.
+class _Media(NamedTuple):
+    """The media of a stack of drives, one entry per drive."""
+
+    coupling: np.ndarray
+    delta: np.ndarray
+    gamma12: np.ndarray
+
+
+def _local_maps(medium: MediumParams | _Media, drives: np.ndarray,
+                dt_half: float) -> np.ndarray:
+    """Half-step propagators of the local system, one per drive value, in
+    one medium or in each drive's own.
 
     Each complex 3x3 map is returned in its real 6x6 block form, acting on
     the state's interleaved rows (Re E, Im E, Re P, Im P, Re S, Im S).
@@ -303,37 +335,62 @@ def _drive_runs(control: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds, control[bounds[:-1]]
 
 
-def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
-                  dt_half: float):
-    """The step maps of one run, as stretches of steps that share a map.
+def _map_window(media: list, runs: list, s0: int, s1: int, stops: list,
+                dt_half: float) -> list:
+    """The step maps of a group's runs from step s0 to the first drive run
+    of each that starts at or after step s1.
 
-    Each drive run has one half map R.  The map that takes the half-stepped
-    state across a step boundary is R_s @ R_s inside run s and
-    R_{s+1} @ R_s on its last step; the last step of the whole run gets a
-    zero map, as nothing reads the state it would carry.  Yields, in step
-    order, (stop, fused, half) for each stretch: it ends before step
-    `stop`, its steps take `fused`, and `half` is its drive run's R.  The
-    maps are built at most _MAP_BLOCK drive runs at a time.
+    `runs[i]` holds member i's drive runs, (bounds, drives) as `_drive_runs`
+    gives them, `media[i]` its medium and `stops[i]` the end of the stretch
+    it is in.  Each drive run has one half map R.  The map that takes the
+    half-stepped state across a step boundary is R_s @ R_s inside run s and
+    R_{s+1} @ R_s on its last step; the last step of a whole run gets a
+    zero map, as nothing reads the state it would carry.  One `expm` takes
+    every member's runs, each in its own medium, from the run at s0 to the
+    first at or after s1, which its last R_{s+1} @ R_s takes.  So the
+    members' maps share one scaling power, which is 0 unless a generator
+    of the window has a 1-norm above 5.4 (a drive with |Omega| dt above
+    about 20).  Returns one iterator per member, which yields in step
+    order (stop, fused, half) for each
+    stretch of steps that share a map after the one it is in: the stretch
+    ends before step `stop`, its steps take `fused`, and `half` is its
+    drive run's R.  A member that has ended gets none.
     """
-    n_runs = drives.size
-    ahead = None
-    for r0 in range(0, n_runs, _MAP_BLOCK):
-        r1 = min(r0 + _MAP_BLOCK, n_runs)
-        nb = r1 - r0
-        # One expm for the block's runs and the first run of the next block,
-        # which that block then reuses.
-        lo = r0 if ahead is None else r0 + 1
-        half = _local_maps(medium, drives[lo : min(r1 + 1, n_runs)], dt_half)
-        if ahead is not None:
-            half = np.concatenate((ahead[None], half))
-        inside = np.matmul(half[:nb], half[:nb])
-        across = np.zeros((nb, 6, 6))
-        np.matmul(half[1:], half[:-1], out=across[: half.shape[0] - 1])
-        ahead = half[nb] if r1 < n_runs else None
-        for s, (start, stop) in enumerate(zip(bounds[r0:r1].tolist(),
-                                              bounds[r0 + 1 : r1 + 1].tolist())):
-            if stop - start > 1:
-                yield stop - 1, inside[s], half[s]
+    group = [i for i, (bounds, _) in enumerate(runs) if bounds[-1] > s0]
+    spans = []
+    for i in group:
+        bounds, drives = runs[i]
+        lo, hi = np.searchsorted(bounds[:-1], (s0 + 1, s1)).tolist()
+        spans.append((lo - 1, hi, min(hi + 1, drives.size)))
+    counts = [top - lo for lo, _, top in spans]
+    stack = _Media(*(np.repeat([getattr(media[i], name) for i in group], counts)
+                     for name in _Media._fields))
+    half = _local_maps(stack, np.concatenate(
+        [runs[i][1][lo:top] for i, (lo, _, top) in zip(group, spans)]), dt_half)
+    inside = np.matmul(half, half)
+    across = np.zeros_like(half)
+    np.matmul(half[1:], half[:-1], out=across[:-1])
+    stretches: list = [iter(())] * len(runs)
+    o = 0
+    for i, (lo, hi, top) in zip(group, spans):
+        k = hi - lo
+        if top == hi:  # the member's last run
+            across[o + k - 1] = 0.0
+        stretches[i] = _stretches(runs[i][0][lo : hi + 1], half[o : o + k],
+                                  inside[o : o + k], across[o : o + k], stops[i])
+        o += top - lo
+    return stretches
+
+
+def _stretches(bounds: np.ndarray, half: np.ndarray, inside: np.ndarray,
+               across: np.ndarray, after: int):
+    """(stop, fused, half) for each stretch of the drive runs that `bounds`
+    delimit that ends after step `after`, given the runs' half maps and
+    both kinds of fused map."""
+    for s, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        if stop - start > 1 and stop - 1 > after:
+            yield stop - 1, inside[s], half[s]
+        if stop > after:
             yield stop, across[s], half[s]
 
 
@@ -376,34 +433,19 @@ def evolve_batch(
 
     Each run is a (medium, timeline, config, pulse, initial) tuple as
     `evolve` takes them; the media and grids may differ.  The trajectories
-    come back in call order.  The runs of each `config.n_z` are stepped
-    longest first, at most _BATCH at a time.  An empty batch, an initial
-    state on another grid or at t_now != 0, or a drive with |Omega| dt
-    above _MAX_DRIVE_STEP raise ConfigError before any run steps.
+    come back in call order.  The runs of each `config.n_z` are stepped as
+    one group, longest first, or in groups of `_group_width` if it has more.
+    An empty batch, an initial state on another grid or at t_now != 0, or a
+    drive with |Omega| dt above _MAX_DRIVE_STEP raise ConfigError before any
+    run steps.
     """
     runs = list(runs)
     out: list = [None] * len(runs)
     for z, order in _plan_batch(runs):
-        # Every run of the grid reads a prefix of its longest run's step
-        # midpoints, and the first run of a pulse, its longest, samples it
-        # for all of them.
-        lengths = {i: runs[i][2].n_steps for i in order}
-        dt = runs[order[0]][2].dt
-        times = (np.arange(lengths[order[0]]) + 0.5) * dt
-        samples: dict = {}
-        for i in order:
-            pulse = runs[i][3]
-            if pulse is not None and pulse not in samples:
-                samples[pulse] = _pulse_samples(pulse, times[: lengths[i]], dt)
-
-        for lo in range(0, len(order), _BATCH):
-            group = order[lo : lo + _BATCH]
-            members = [
-                (*runs[i][:3], runs[i][4], times[: lengths[i]],
-                 *samples.get(runs[i][3], (None, None)))
-                for i in group
-            ]
-            for i, traj in zip(group, _step_together(z, dt, members)):
+        width = _group_width(z.size)
+        for lo in range(0, len(order), width):
+            group = order[lo : lo + width]
+            for i, traj in zip(group, _step_together(z, [runs[i] for i in group])):
                 out[i] = traj
     return out
 
@@ -431,49 +473,99 @@ def _plan_batch(runs: list) -> list[tuple[np.ndarray, list[int]]]:
             for n_z, z in grids.items()]
 
 
-def _step_together(z: np.ndarray, dt: float, members: list) -> list[Trajectory]:
-    """Step runs side by side; one Trajectory per member, in member order.
+def _group_width(n_z: int) -> int:
+    """The most runs on n_z cells that `_block_sizes` fits in _BUDGET, with
+    two ring slots (one step per block) and one drive run per window of
+    maps; at least one."""
+    return max(1, min(3 * _BUDGET // 4 // (12 * (n_z + 2)),
+                      (_BUDGET // 4 // _MAP_FLOATS - 1) // 2))
 
-    Each member is (medium, timeline, config, initial, times, boundary,
-    injected), the last two None for a run without a pulse, and no member
-    is longer than the one before it.
+
+def _block_sizes(n_members: int, n_z: int) -> tuple[int, int]:
+    """Steps per block of the step loop and drive runs per window of maps,
+    for a group of `n_members` runs on n_z cells.
+
+    The ring holds one slot more than a block's steps, each of
+    6 (n_z + 2) floats per member, in three quarters of _BUDGET.  A window
+    of maps holds its drive runs and, for each member, the run it is in
+    and the first after the window, at _MAP_FLOATS each, in the last
+    quarter.
+    """
+    slots = 3 * _BUDGET // 4 // (6 * n_members * (n_z + 2))
+    runs = _BUDGET // 4 // _MAP_FLOATS - 2 * n_members
+    return max(1, min(_RING, slots - 1)), max(1, min(_MAP_BLOCK, runs))
+
+
+def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
+    """Step runs of one grid side by side; one Trajectory per member, in
+    member order.
+
+    Each member is a (medium, timeline, config, pulse, initial) run, and no
+    member is longer than the one before it.
     """
     b = len(members)
     n_z = z.size
+    width = n_z + 2
     dz = 1.0 / n_z
+    dt = members[0][2].dt
     dot = np.dot
     copyto = np.copyto
     matmul = np.matmul
     vecdot = np.vecdot
-    lengths = [m[4].size for m in members]
+    lengths = [config.n_steps for _, _, config, _, _ in members]
+    steps, map_runs = _block_sizes(b, n_z)
 
-    # v holds states at a step end; each member's is real with rows
-    # (Re E, Im E, Re P, Im P, Re S, Im S).
-    v = np.zeros((b, 6, n_z))
-    for v_i, (_, _, _, initial, *_) in zip(v, members):
-        if initial is not None:
-            for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
-                v_i[2 * row], v_i[2 * row + 1] = amp.real, amp.imag
-    initial_norm = [float(dz * dot(v_i.reshape(-1), v_i.reshape(-1))) for v_i in v]
+    # Every member reads a prefix of the first's step midpoints, and the
+    # first run of a pulse, its longest, samples it for all of them.
+    times = (np.arange(lengths[0]) + 0.5) * dt
+    samples: dict = {}
+    for (_, _, _, pulse, _), n_i in zip(members, lengths):
+        if pulse is not None and pulse not in samples:
+            samples[pulse] = _pulse_samples(pulse, times[:n_i], dt)
+    boundary = [samples[m[3]] if m[3] is not None else (None, None) for m in members]
 
-    # Each member's current stretch of one map: where it ends, the half map
-    # of its drive run, and its fused map in the stack the step applies.
-    # The segments keep the drive's runs, not its samples at every step.
-    segments = [
-        _map_segments(medium, *_drive_runs(timeline.rabi(times)), 0.5 * dt)
-        for medium, timeline, _, _, times, _, _ in members
-    ]
+    # The maps are built a window of steps at a time, each window holding
+    # at most `map_runs` drive runs of all members (or every member's run at
+    # its first step, if more).  Each member's current stretch of one map:
+    # where it ends, the half map of its drive run, and its fused map in the
+    # stack the step applies.  The drive's runs are kept, not its samples
+    # at every step.
+    media = [medium for medium, *_ in members]
+    runs = [_drive_runs(timeline.rabi(times[:n_i]))
+            for (_, timeline, *_), n_i in zip(members, lengths)]
+    starts = np.sort(np.concatenate([bounds[:-1] for bounds, _ in runs]))
+
+    def window(s0: int) -> tuple[int, list]:
+        j = int(np.searchsorted(starts, s0)) + map_runs
+        s1 = max(s0 + 1, int(starts[j])) if j < starts.size else lengths[0]
+        return s1, _map_window(media, runs, s0, s1, stops, 0.5 * dt)
+
     stops = [0] * b
-    halves: list = [None] * b
+    window_end, segments = window(0)
+    halves = np.empty((b, 6, 6))
     fused = np.empty((b, 6, 6))
     for i in range(b):
         stops[i], fused[i], halves[i] = next(segments[i])
+    change = min(stops)
 
     # The carried states of one block of steps, laid out as the module
-    # docstring says: slot k holds w_{base+k} in columns 1..n_z.
-    ring = np.zeros((_RING + 1, b, 6, n_z + 2))
-    cells = ring[..., 1 : n_z + 1]
-    matmul(np.stack(halves), v, out=cells[0])
+    # docstring says: slot k holds w_{base+k}, member i's in states[k, i],
+    # its cells from z = 1 down to z = 0.  v is a scratch state at a step
+    # end, its cells from z = 0 up, and v_rev the same cells reversed.
+    ring = np.zeros((steps + 1, 6, b, width))
+    flat = ring.reshape(steps + 1, -1)
+    states = ring[..., 1 : n_z + 1].transpose(0, 2, 1, 3)
+    v = np.empty((6, n_z))
+    flat_v = v.reshape(-1)
+    v_rev = np.empty((6, n_z))
+    initial_norm = [0.0] * b
+    for i, (*_, initial) in enumerate(members):
+        if initial is not None:
+            for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
+                v[2 * row], v[2 * row + 1] = amp.real, amp.imag
+            initial_norm[i] = float(dz * dot(flat_v, flat_v))
+            copyto(v_rev, v[:, ::-1])
+            matmul(halves[i], v_rev, out=states[0, i])
 
     # The ledger is read every _CHECK_EVERY steps, at each snapshot and at
     # the last step.  A snapshot at t records the state at the step end
@@ -486,6 +578,14 @@ def _step_together(z: np.ndarray, dt: float, members: list) -> list[Trajectory]:
         for n in sorted(set(range(0, n_i, _CHECK_EVERY)) | snap_steps[i] | {n_i - 1}):
             readers.setdefault(n, []).append(i)
 
+    # The window: the injected and the emitted cells of every member at
+    # steps w0 .. w0 + _CHECK_EVERY - 1, which a block reads and writes in
+    # one call each.  Every member still stepping is read at each multiple
+    # of _CHECK_EVERY, so no block crosses a window's end, and each read
+    # moves the member's emitted cells out.  A member without a pulse
+    # injects the zeros it is never given.
+    inflow = np.zeros((_CHECK_EVERY, 2, b))
+    outflow = np.empty((b, _CHECK_EVERY, 2))
     quad_p = dt * dz * 2.0
     quad_s = quad_p * np.array([m[0].gamma12 for m in members])
     loss_quad = np.zeros(b)
@@ -496,65 +596,100 @@ def _step_together(z: np.ndarray, dt: float, members: list) -> list[Trajectory]:
     snapshots: list[list[FieldState]] = [[] for _ in range(b)]
     finals: list = [None] * b
 
-    a = 0  # members still stepping, the longest first; 0 before any step
+    def fill(w0: int) -> None:
+        for i, (rows, _) in enumerate(boundary):
+            if rows is not None and lengths[i] > w0:
+                cut = rows[w0 : w0 + _CHECK_EVERY]
+                inflow[: len(cut), :, i] = cut
+
+    def carry(m: int) -> None:
+        # The last block's final product goes to slot 0, where the next
+        # block starts, once nothing reads its shifted state (through slot
+        # 1 when that state is slot 0's own, as numpy would copy it); then
+        # slots 0 .. m - 1 hold the states the block carried, w_{base+1} ..
+        # w_{base+m}, and their loss quadrature is added.
+        if m > 1:
+            matmul(fused_a, states[m - 1, :a], out=states[0, :a])
+        else:
+            matmul(fused_a, states[0, :a], out=states[1, :a])
+            copyto(ring[0], ring[1])
+        loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=(0, 1))
+        if lossy:
+            loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))
+
+    # The quadrature of w_0; each block adds those of the states it carries.
+    loss_quad += quad_p * vecdot(ring[0, 2:4], ring[0, 2:4]).sum(axis=0)
+    loss_quad += quad_s * vecdot(ring[0, 4:6], ring[0, 4:6]).sum(axis=0)
+    a = 0  # members the views below cover; 0 before any step
+    active = b  # members still stepping, the longest first
     base = m = 0  # the first step of the block, and the last block's length
+    w0 = 0  # the window's first step
+    fill(w0)
     for r in sorted(readers):
-        # Blocks of at most _RING steps; the last one ends at step r.
+        # Blocks of at most `steps` steps; the last one ends at step r.
         while base <= r:
-            # The last block's final slot carries on as this block's first.
-            ring[0, :a] = ring[m, :a]
-            active = sum(n_i > base for n_i in lengths)
+            if m:
+                carry(m)
+            while lengths[active - 1] <= base:
+                active -= 1
             if active != a:
                 a = active
                 fused_a = fused[:a]
                 quad_s_a = quad_s[:a]
                 lossy = quad_s_a.any()
-                p_rows = ring[:, :a, 2:4].reshape(_RING + 1, a, -1)
-                s_rows = ring[:, :a, 4:6].reshape(_RING + 1, a, -1)
-                # Per slot: where the E shift writes, what it reads, and the
-                # product's input and output cells.
-                slots = [(ring[k, :a, 0:2, 1:], ring[k, :a, 0:2, :-1],
-                          cells[k, :a], cells[k + 1, :a]) for k in range(_RING)]
-            end = min(r + 1, base + _RING)
+                p_rows = ring[:, 2:4, :a]
+                s_rows = ring[:, 4:6, :a]
+                # Per slot: where the E shift writes, what it reads (the E
+                # rows of every member up to the last active one's Im E
+                # row, one float to the left), and the product's input and
+                # output cells.
+                e_end = (b + a) * width
+                slots = [(flat[k, : e_end - 1], flat[k, 1:e_end],
+                          states[k, :a], states[k + 1, :a]) for k in range(steps)]
+            end = min(r + 1, base + steps)
             m = end - base
-            for i in range(a):
-                if members[i][5] is not None:
-                    ring[:m, i, 0:2, 0] = members[i][5][base:end]
+            ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]
 
-            # In stretches over which no member's map changes.
+            # In stretches over which no member's map changes.  The last
+            # step only shifts: `carry` makes its product.
             n = base
-            while n < end:
-                for i in range(a):
-                    if stops[i] == n:
-                        stops[i], fused[i], halves[i] = next(segments[i])
-                stop = min(end, *stops[:a])
+            while True:
+                if n == change:
+                    if n >= window_end:
+                        segments = None  # the last window's maps, freed first
+                        window_end, segments = window(n)
+                    for i in range(a):
+                        if stops[i] == n:
+                            stops[i], fused[i], halves[i] = next(segments[i])
+                    change = min(stops[:a])
+                if n == end - 1:
+                    break
+                stop = min(end - 1, change)
                 for e_to, e_from, w, w_next in slots[n - base : stop - base]:
                     copyto(e_to, e_from)
                     matmul(fused_a, w, out=w_next)
                 n = stop
-
-            loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0)
-            if lossy:
-                loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)
-            for i in range(a):
-                emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]
+            copyto(*slots[m - 1][:2])
+            outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)
             base = end
 
-        shifted = cells[m - 1]  # step r's state, advected and injected
+        shifted = states[m - 1]  # step r's state, advected and injected
         for i in readers[r]:
-            times, injected = members[i][4], members[i][6]
             # The state at the end of step r, from its shifted slot, in a
             # scratch buffer that never feeds back into the carried state.
-            v_i = v[i]
-            matmul(halves[i], shifted[i], out=v_i)
+            matmul(halves[i], shifted[i], out=v_rev)
+            copyto(v, v_rev[:, ::-1])
             # The per-half-step ledger telescopes: whatever the held and
             # emitted norms do not account for of the input was lost.
-            flat = v_i.reshape(-1)
-            held = dz * dot(flat, flat)
-            chunk = emitted_rows[i][emitted_upto[i] : r + 1].reshape(-1)
+            held = dz * dot(flat_v, flat_v)
+            chunk = emitted_rows[i][emitted_upto[i] : r + 1]
+            chunk[...] = outflow[i, emitted_upto[i] - w0 : r + 1 - w0]
+            chunk = chunk.reshape(-1)
             emitted_norm[i] += dz * dot(chunk, chunk)
             emitted_upto[i] = r + 1
-            budget = initial_norm[i] + (injected[r] if injected is not None else 0.0)
+            injected = boundary[i][1]
+            inflow_norm = float(injected[r]) if injected is not None else 0.0
+            budget = initial_norm[i] + inflow_norm
             loss = float(budget - emitted_norm[i] - held)
             if not np.isfinite(held):
                 raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
@@ -565,14 +700,16 @@ def _step_together(z: np.ndarray, dt: float, members: list) -> list[Trajectory]:
                 )
             if r in snap_steps[i] or r == lengths[i] - 1:
                 state = FieldState(
-                    z, v_i[0] + 1j * v_i[1], v_i[4] + 1j * v_i[5], v_i[2] + 1j * v_i[3],
-                    (r + 1) * dt, loss, emitted_norm[i],
-                    float(injected[r]) if injected is not None else 0.0,
-                    initial_norm[i],
+                    z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
+                    (r + 1) * dt, loss, emitted_norm[i], inflow_norm, initial_norm[i],
                 )
                 if r in snap_steps[i]:
                     snapshots[i].append(state)
                 finals[i] = state
+        if r % _CHECK_EVERY == 0:
+            w0 = r + 1
+            fill(w0)
+    carry(m)  # the quadrature of the last block; its product is a zero map's
 
     sqrt_c = math.sqrt(C_EFF)
     trajectories = []
@@ -619,22 +756,21 @@ def store_magnon(
     3 the leftover field and polarization have decayed or left; the
     returned state keeps only the spin wave and restarts the bookkeeping.
     """
-    (stored,) = _store_batch(medium, pulse, (rabi_storage,), n_z)
+    (stored,) = _store_batch([(medium, rabi_storage)], pulse, n_z)
     return stored
 
 
 def _store_batch(
-    medium: MediumParams,
+    stages: list[tuple[MediumParams, float]],
     pulse: PulseEnvelope,
-    rabis: tuple[float, ...],
     n_z: int,
 ) -> list[StorageResult]:
-    """`store_magnon` at each storage drive in `rabis`, as one batch.
+    """`store_magnon` of each (medium, storage drive) stage, as one batch.
 
     Every drive is checked before the first step.
     """
     runs = []
-    for rabi in rabis:
+    for medium, rabi in stages:
         vg = v_group(medium, rabi)
         if not 0 < vg < math.inf:  # NaN fails both bounds
             raise ConfigError("storage drive must be nonzero and finite")

@@ -203,7 +203,8 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     drives = tuple(dict.fromkeys((params.ref_rabi_s, *params.rabi_s_grid)))
     stored = {
         rabi_s: (result.state, result.efficiency, _ledger_checks(result.trajectory))
-        for rabi_s, result in zip(drives, _store_batch(medium, PULSE, drives, params.n_z))
+        for rabi_s, result in zip(
+            drives, _store_batch([(medium, r) for r in drives], PULSE, params.n_z))
     }
     checks = [check for _, _, check in stored.values()]
 
@@ -275,11 +276,18 @@ class MixingScenario:
     rabi_bs: float
     t_cut: float
 
-    def run(self) -> tuple[StorageResult, ExtractionResult]:
-        """The storage stage and the splitter extraction that follows it."""
-        stored = store_magnon(
-            replace(self.medium, delta=0.0), PULSE, self.rabi_s, n_z=_MIX_N_Z
-        )
+    def run(
+        self, stored: StorageResult | None = None
+    ) -> tuple[StorageResult, ExtractionResult]:
+        """The storage stage and the splitter extraction that follows it.
+
+        `stored` is the storage stage when it has run already, as
+        `store_mixing` runs it.
+        """
+        if stored is None:
+            stored = store_magnon(
+                replace(self.medium, delta=0.0), PULSE, self.rabi_s, n_z=_MIX_N_Z
+            )
         probe = replace(PULSE, t_center=_MIX_PROBE_CENTER)
         return stored, extract_matrix(
             self.medium,
@@ -327,9 +335,18 @@ class TriangleCheck:
         return abs(self.g2_oracle - self.g2_formula)
 
 
-def triangle_check(scenario: MixingScenario) -> TriangleCheck:
-    """Run a mixing scenario through solver, oracle, and formula."""
-    stored, result = scenario.run()
+def store_mixing(points: tuple[MixingScenario, ...]) -> list[StorageResult]:
+    """The storage stage of each mixing point, as `MixingScenario.run`
+    stores it, all stepped as one batch."""
+    return _store_batch([(replace(p.medium, delta=0.0), p.rabi_s) for p in points],
+                        PULSE, _MIX_N_Z)
+
+
+def triangle_check(scenario: MixingScenario,
+                   stored: StorageResult | None = None) -> TriangleCheck:
+    """Run a mixing scenario through solver, oracle, and formula; `stored`
+    as `MixingScenario.run` takes it."""
+    stored, result = scenario.run(stored)
     b = result.matrix
     overlap_value = effective_overlap(result)
     phi = phi_rt_of_matrix(b)

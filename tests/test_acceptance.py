@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from magnonbs import acceptance
+from magnonbs import acceptance, mbloch, scenarios
 from magnonbs.acceptance import (
     LOSS_GAP_TOL,
     CriterionResult,
@@ -26,6 +26,7 @@ from magnonbs.acceptance import (
     criterion_7,
     criterion_8,
 )
+from magnonbs.scenarios import DETUNED_MIXING, RESONANT_MIXING
 
 
 def accept_details(contract_dir):
@@ -88,6 +89,37 @@ def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_pairs, mixing_checks):
     result = criterion_7(pairs=pairs, checks=mixing_checks)
     assert not result.passed
     assert "worst loss quadrature gap=1.50e-04" in result.details
+
+
+def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monkeypatch):
+    # Both points' storage runs step in one solver call, then each point
+    # takes one triangle check and one extraction, in gate order; each
+    # check equals the one its point's own storage run gives.
+    calls = {"store": [], "triangle": [], "extract": []}
+
+    def recording(name, fn, key):
+        def call(*args, **kwargs):
+            calls[name].append(key(args))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(mbloch, "evolve_batch", recording(
+        "store", mbloch.evolve_batch, lambda args: len(args[0])))
+    monkeypatch.setattr(acceptance, "triangle_check", recording(
+        "triangle", acceptance.triangle_check, lambda args: args[0].label))
+    monkeypatch.setattr(scenarios, "extract_matrix", recording(
+        "extract", scenarios.extract_matrix, lambda args: args[0]))
+    checks = acceptance._triangle_pair()
+    assert calls["store"] == [2]
+    assert calls["triangle"] == ["resonant", "detuned"]
+    assert calls["extract"] == [RESONANT_MIXING.medium, DETUNED_MIXING.medium]
+    assert checks == mixing_checks
+    monkeypatch.undo()
+    for batched, point in zip(checks, (RESONANT_MIXING, DETUNED_MIXING), strict=True):
+        alone = scenarios.triangle_check(point)
+        for name in ("g2_oracle", "g2_formula", "overlap", "phi_rt", "residual", "loss_gap"):
+            assert getattr(batched, name) == pytest.approx(getattr(alone, name),
+                                                           rel=1e-12, abs=1e-15)
 
 
 def test_run_all_passes_every_criterion_as_in_the_contract(contract_dir, same_output):

@@ -301,8 +301,8 @@ def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
     ["sweep.parameter=grid.n_z", "sweep.values=16,24,16,16,24,16,16,16,24"],
 ])
 def test_sweep_steps_one_step_group_per_call(sweep, tmp_path, monkeypatch):
-    # Each evolve_batch call gets at most _BATCH points, of one grid and
-    # longest first: the step groups one call over every point would form.
+    # Each evolve_batch call gets at most _SWEEP_CHUNK points, of one grid
+    # and longest first, and a grid's calls are full but for its last.
     calls = []
 
     def recording_batch(runs):
@@ -316,13 +316,17 @@ def test_sweep_steps_one_step_group_per_call(sweep, tmp_path, monkeypatch):
     whole.mkdir()
     monkeypatch.setattr(cli, "evolve_batch", recording_batch)
     assert main(["sweep", "--out", str(chunked), *args]) == 0
-    assert sum(map(len, calls)) == 9 and max(map(len, calls)) <= mbloch._BATCH
+    assert sum(map(len, calls)) == 9 and max(map(len, calls)) <= cli._SWEEP_CHUNK
     for call in calls:
         assert len({n_z for n_z, _ in call}) == 1
         assert [n for _, n in call] == sorted((n for _, n in call), reverse=True)
+    for before, after in zip(calls, calls[1:]):
+        if before[0][0] == after[0][0]:
+            assert len(before) == cli._SWEEP_CHUNK
+            assert before[-1][1] >= after[0][1]
     # The same table as from one call per grid.
     grids = len({n_z for call in calls for n_z, _ in call})
-    monkeypatch.setattr(cli, "_BATCH", 9)
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 9)
     calls.clear()
     assert main(["sweep", "--out", str(whole), *args]) == 0
     assert len(calls) == grids

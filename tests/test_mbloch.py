@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -541,17 +542,20 @@ def test_batch_members_equal_their_solo_runs_in_call_order():
                          ids=["None", "3", "ring5", "3-ring5"])
 def test_batch_members_match_the_written_out_reference(map_block, ring, batch_references,
                                                        monkeypatch):
-    # With three drive runs per block of maps, each member's blocks meet
-    # inside its ramps while the others step on.  With five steps per block
-    # of the step loop, its blocks end inside ramps, on snapshot and ledger
-    # steps and on members' last steps.
+    # A budget that cuts the five n_z 32 runs to blocks of seven steps and
+    # five drive runs of maps: its blocks end inside ramps, on snapshot and
+    # ledger steps and on members' last steps, and each member's blocks of
+    # maps meet inside its ramps while the others step on.  Three drive
+    # runs per block of maps, or five steps per block, cut them further.
+    monkeypatch.setattr(mbloch, "_BUDGET", 11_520)
+    assert mbloch._block_sizes(5, 32) == (7, 5)
+    assert mbloch._group_width(32) > 5
     if map_block is not None:
         monkeypatch.setattr(mbloch, "_MAP_BLOCK", map_block)
     if ring is not None:
         monkeypatch.setattr(mbloch, "_RING", ring)
     runs, references = batch_references
-    # So that the n_z 32 runs step in two groups.
-    assert sum(config.n_z == 32 for _, _, config, _, _ in runs) > mbloch._BATCH
+    assert sum(config.n_z == 32 for _, _, config, _, _ in runs) == 5
     for traj, (_, _, config, _, _), (snap_steps, reference) in zip(
         mbloch.evolve_batch(runs), runs, references, strict=True
     ):
@@ -571,6 +575,108 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
             assert snap.loss_accum == pytest.approx(loss_n, rel=0, abs=1e-13)
             assert snap.emitted_norm == pytest.approx(emitted_n, rel=0, abs=1e-13)
             assert snap.injected_norm == pytest.approx(injected_n, rel=0, abs=1e-13)
+
+
+def _wide_batch():
+    """Fourteen runs on one grid, n_z 24, of every kind a step group mixes.
+
+    Each has its own medium (depth, detuning and gamma12, zero in every
+    other run), and its own two-segment drive, ramped in all but every
+    third run; lengths differ, and runs without a pulse, which start with
+    light in the cell, sit between runs with one.  Three pulses, one run
+    with a pulse and a stored spin wave in four, and different snapshot
+    times.
+    """
+    stored = store_magnon(OD30, PULSE, 5.0, n_z=24).state
+    lit = FieldState(stored.z_grid, 0.5j * stored.sigma12, stored.sigma12,
+                     stored.sigma13, 0.0, 0.0)
+    pulses = (PULSE, PulseEnvelope(fwhm=1.0, t_center=1.0),
+              PulseEnvelope(fwhm=0.8, t_center=0.5, amplitude_norm=0.5), None)
+    runs = []
+    for k in range(14):
+        t_end = 1.0 + 0.2 * ((5 * k) % 14)
+        ramp = (0.0, 0.1, 0.25)[k % 3]
+        timeline = ControlTimeline((
+            ControlSegment(0.0, 0.5 * t_end, 4.0 + k, "storage", ramp=ramp),
+            ControlSegment(0.6 * t_end, t_end, 6.0 + 0.5 * k, "beamsplit", ramp=ramp),
+        ))
+        medium = MediumParams(od=10.0 + 5.0 * k, delta=(-3.0, 0.0, 2.5)[k % 3],
+                              gamma12=(0.0, 0.1 * (k % 4))[k % 2])
+        snaps = (0.4 * t_end,) if k % 3 else ()
+        runs.append((medium, timeline, SimulationConfig(t_end=t_end, n_z=24, snapshot_times=snaps),
+                     pulses[k % 4], (None, stored, None, lit)[k % 4]))
+    return runs
+
+
+@pytest.mark.parametrize("budget", [None, 6_000], ids=["budget", "small-budget"])
+def test_a_wide_batch_equals_its_solo_runs(budget, monkeypatch):
+    # The default budget steps the fourteen runs as one group.  A budget
+    # of 6,000 floats steps them in groups of three, in blocks of eight
+    # steps and windows of maps of one drive run besides each member's own.
+    runs = _wide_batch()
+    solo = [evolve(*run) for run in runs]
+    widths = []
+    step_together = mbloch._step_together
+
+    def recording(z, members):
+        widths.append(len(members))
+        return step_together(z, members)
+
+    monkeypatch.setattr(mbloch, "_step_together", recording)
+    if budget is not None:
+        monkeypatch.setattr(mbloch, "_BUDGET", budget)
+        assert mbloch._block_sizes(3, 24) == (8, 1)
+    for got, want in zip(mbloch.evolve_batch(runs), solo, strict=True):
+        _assert_same_run(got, want)
+    assert widths == ([14] if budget is None else [3, 3, 3, 3, 2])
+
+
+@pytest.mark.parametrize("n_z", [16, 24, 80, 160, 240, 1000])
+def test_every_step_group_holds_its_ring_and_maps_within_the_budget(n_z):
+    # The ring's slots and a window of maps (its drive runs, and each
+    # member's current run and the first after the window), for every group
+    # width `evolve_batch` uses on the grid.
+    for width in range(1, mbloch._group_width(n_z) + 1):
+        steps, runs = mbloch._block_sizes(width, n_z)
+        ring = (steps + 1) * 6 * width * (n_z + 2)
+        maps = (runs + 2 * width) * mbloch._MAP_FLOATS
+        assert ring + maps <= mbloch._BUDGET, (width, steps, runs)
+    # One run more than the width would not fit.
+    width = mbloch._group_width(n_z) + 1
+    steps, runs = mbloch._block_sizes(width, n_z)
+    assert ((steps + 1) * 6 * width * (n_z + 2) > 3 * mbloch._BUDGET // 4
+            or (runs + 2 * width) * mbloch._MAP_FLOATS > mbloch._BUDGET // 4)
+
+
+def test_a_48_run_group_holds_no_more_than_the_budget():
+    # Forty-eight ramped runs on n_z 160, one group.  At its widest the
+    # ring would take 33 slots of 373 kB, and the maps of every drive run
+    # of the group 7 MB.  What the group held beyond its outputs, at its
+    # peak, is the budget's ring and maps, the windows of injected and
+    # emitted cells (4 floats per member and step of a window), the drive
+    # runs (3 numbers each: where it starts, once more in the sorted list
+    # of all starts, and its drive), and 64 kB for the rest.
+    n_z, b = 160, 48
+    config = SimulationConfig(t_end=0.25, n_z=n_z)
+    times = (np.arange(config.n_steps) + 0.5) * config.dt
+    runs = []
+    for k in range(b):
+        timeline = ControlTimeline((ControlSegment(0.0, 0.25, 5.0 + 0.1 * k, "beamsplit",
+                                                   ramp=0.1),))
+        runs.append((MediumParams(od=30.0 + k), timeline, config, PULSE, None))
+    drive_runs = sum(mbloch._drive_runs(run[1].rabi(times))[1].size for run in runs)
+    assert mbloch._group_width(n_z) >= b
+    steps, map_runs = mbloch._block_sizes(b, n_z)
+    assert steps < mbloch._RING and map_runs < drive_runs
+    tracemalloc.start()
+    try:
+        trajectories = mbloch.evolve_batch(runs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trajectories) == b
+    allowed = 8 * (mbloch._BUDGET + 4 * mbloch._CHECK_EVERY * b + 3 * drive_runs) + 65_536
+    assert peak - held <= allowed
 
 
 def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):

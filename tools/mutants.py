@@ -43,7 +43,11 @@ RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
-               "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order")
+               "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order",
+               "tests/test_mbloch.py::test_a_wide_batch_equals_its_solo_runs")
+BUDGET_TESTS = ("tests/test_mbloch.py::test_a_48_run_group_holds_no_more_than_the_budget",
+                "tests/test_mbloch.py::"
+                "test_every_step_group_holds_its_ring_and_maps_within_the_budget")
 
 MUTANTS = (
     ("oracle: drop the loss-port Gram", ORACLE,
@@ -95,49 +99,80 @@ MUTANTS = (
     # The reference run has gamma12 = 0.05 and checks loss_quad against a
     # written-out quadrature.
     ("mbloch: gamma12 term of loss_quad never added", MBLOCH,
-     "loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
-     "loss_quad[:a] += 0.0 * vecdot(s_rows[:m], s_rows[:m]).sum(axis=0)",
+     "loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))",
+     "loss_quad[:a] += 0.0 * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
     # The batch loop: blocks of steps in a ring of state slots, ending at
     # ledger reads, and members of unequal length, pulses and initial states.
     ("mbloch: drop the partial loss-quadrature block at a ledger read", MBLOCH,
-     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0)",
-     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=0) * (m == _RING)",
+     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=(0, 1))",
+     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=(0, 1)) * (m == steps)",
      BATCH_TESTS),
     ("mbloch: keep a finished member in the step", MBLOCH,
-     "active = sum(n_i > base for n_i in lengths)",
-     "active = b",
+     "while lengths[active - 1] <= base:",
+     "while False:",
      BATCH_TESTS),
-    ("mbloch: write the emission buffer one step late", MBLOCH,
-     "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]",
-     "emitted_rows[i][base + 1 : end] = ring[: m - 1, i, 0:2, n_z + 1]",
+    ("mbloch: write the emission window one step late", MBLOCH,
+     "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
+     "outflow[:a, base - w0 + 1 : end - w0 + 1] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
      BATCH_TESTS),
-    ("mbloch: read the emitted cell from column n_z", MBLOCH,
-     "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z + 1]",
-     "emitted_rows[i][base:end] = ring[:m, i, 0:2, n_z]",
+    ("mbloch: read the emitted cell from column 1", MBLOCH,
+     "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
+     "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 1].transpose(2, 0, 1)",
      BATCH_TESTS),
     ("mbloch: inject member 0's boundary into every member", MBLOCH,
-     "ring[:m, i, 0:2, 0] = members[i][5][base:end]",
-     "ring[:m, i, 0:2, 0] = members[0][5][base:end]",
+     "for i, (rows, _) in enumerate(boundary):",
+     "for i, (rows, _) in enumerate([boundary[0]] * b):",
      BATCH_TESTS),
-    ("mbloch: prefill the injection one slot late", MBLOCH,
-     "ring[:m, i, 0:2, 0] = members[i][5][base:end]",
-     "ring[1 : m + 1, i, 0:2, 0] = members[i][5][base:end]",
+    ("mbloch: write the injection one slot late", MBLOCH,
+     "ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
+     "ring[1 : m + 1, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
+     BATCH_TESTS),
+    # The E shift spills each row's column 0 into the injection column of
+    # the row before it, which only the block's write of every member's
+    # injection column puts right.
+    ("mbloch: no injection-column reset for a member without a pulse", MBLOCH,
+     "ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
+     "for i in range(a):\n"
+     "                if boundary[i][0] is not None:\n"
+     "                    ring[:m, 0:2, i, n_z + 1] = inflow[base - w0 : end - w0, :, i]",
+     BATCH_TESTS),
+    ("mbloch: the injection window never refilled", MBLOCH,
+     "            w0 = r + 1\n            fill(w0)\n",
+     "            w0 = r + 1\n",
      BATCH_TESTS),
     # Each step group of the batch tests mixes media, and gamma12 = 0 with
     # gamma12 > 0.
     ("mbloch: a member stepped with its neighbour's medium", MBLOCH,
-     "for medium, timeline, _, _, times, _, _ in members",
-     "for (_, timeline, _, _, times, _, _), (medium, *_) in zip(members, members[1:] + members)",
+     "media = [medium for medium, *_ in members]",
+     "media = [medium for medium, *_ in members[1:] + members[:1]]",
      BATCH_TESTS),
     ("mbloch: every member's gamma12 factor taken from member 0", MBLOCH,
      "np.array([m[0].gamma12 for m in members])",
      "np.array([members[0][0].gamma12 for m in members])",
      BATCH_TESTS),
-    ("mbloch: carry slot m - 1 into the next block", MBLOCH,
-     "ring[0, :a] = ring[m, :a]",
-     "ring[0, :a] = ring[m - 1, :a]",
+    # The block's last product goes to slot 0, from the shifted state of
+    # its last step, in slot m - 1.
+    ("mbloch: the carried product read from slot m", MBLOCH,
+     "matmul(fused_a, states[m - 1, :a], out=states[0, :a])",
+     "matmul(fused_a, states[m, :a], out=states[0, :a])",
      (*BATCH_TESTS, RECIPROCITY_TEST)),
+    ("mbloch: a window of maps starts after the run each member is in", MBLOCH,
+     "spans.append((lo - 1, hi, min(hi + 1, drives.size)))",
+     "spans.append((lo, hi, min(hi + 1, drives.size)))",
+     BATCH_TESTS),
+    ("mbloch: the ring not cut to the budget", MBLOCH,
+     "return max(1, min(_RING, slots - 1)), max(1, min(_MAP_BLOCK, runs))",
+     "return _RING, max(1, min(_MAP_BLOCK, runs))",
+     BUDGET_TESTS),
+    ("mbloch: the windows of maps not cut to the budget", MBLOCH,
+     "return max(1, min(_RING, slots - 1)), max(1, min(_MAP_BLOCK, runs))",
+     "return max(1, min(_RING, slots - 1)), _MAP_BLOCK",
+     BUDGET_TESTS),
+    ("mbloch: a grid's runs in one group however many", MBLOCH,
+     "width = _group_width(z.size)",
+     "width = len(order)",
+     ("tests/test_mbloch.py::test_a_wide_batch_equals_its_solo_runs",)),
     # Criterion 6's grid and its reference share the envelope, so criterion
     # 6 alone cannot kill this one.
     ("stats: OverlapEnvelope width 4 sigma^2 -> 2 sigma^2", "src/magnonbs/stats.py",
@@ -182,7 +217,7 @@ MUTANTS = (
      "key=lambda i: runs[i][2].n_steps)",
      ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
     ("cli: one evolve_batch call per sweep grid", "src/magnonbs/cli.py",
-     "for lo in range(0, len(order), _BATCH):\n            group = order[lo : lo + _BATCH]",
+     "for lo in range(0, len(order), _SWEEP_CHUNK):\n            group = order[lo : lo + _SWEEP_CHUNK]",
      "for lo in range(0, len(order), len(order)):\n            group = order[lo:]",
      ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
@@ -281,8 +316,8 @@ MUTANTS = (
       "[run --override grid.t_end=1e12]")),
     # Forward and mirrored runs then sample the drive a step apart.
     ("mbloch: sample the drive one step late", MBLOCH,
-     "timeline.rabi(times)",
-     "timeline.rabi(times + dt)",
+     "timeline.rabi(times[:n_i])",
+     "timeline.rabi(times[:n_i] + dt)",
      (RECIPROCITY_TEST,)),
     # The fault is symmetric under transposition, so the reciprocity test
     # cannot see it; the written-out references can.
