@@ -20,10 +20,11 @@ computed once per run, before the first step.  The control drive and the
 probe pulse are sampled at all step midpoints (n + 1/2) dt in one vector
 call each.  The drive splits into runs of equal values, each with one
 half-step map R = exp(M dt/2) of its local generator M: a constant drive
-has one run, a ramp one per step of the ramp.  The maps are built a window
-of steps at a time, which bounds their memory, by this module's `expm`,
-which exponentiates the window's stacked generators, those of every run
-of a step group in its own medium, at once in numpy.
+has one run, a ramp one per step of the ramp.  The maps are built a block
+of drive runs at a time, which bounds their memory, by this module's
+`expm`, which exponentiates the block's stacked generators at once in
+numpy, each scaled by its own power of two, so a run's maps do not depend
+on how its drive runs are cut into blocks.
 
 The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
 Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
@@ -90,12 +91,12 @@ window of _CHECK_EVERY steps, which every member is read within, refilled
 and emptied member by member at the ledger reads.  The P and S rows' edge
 columns are never written, so they add nothing to the quadrature.
 
-What a group holds in its ring and its window of maps is bounded by
-_BUDGET floats (1.53 MB): three quarters for the ring and one for the maps.
-A wider group takes shorter blocks of steps and windows of fewer drive
-runs, and a grid with more runs than two ring slots fit (73 at n_z 160)
-steps in several groups.  Besides, a group holds its outputs, its members'
-drive runs and the windows of injected and emitted cells; nothing but the
+What a group holds in its ring and its members' blocks of maps is bounded
+by _BUDGET floats (1.53 MB): three quarters for the ring and one for the
+maps.  A wider group takes shorter blocks of steps and of drive runs, and
+a grid with more runs than two ring slots fit (73 at n_z 160) steps in
+several groups.  Besides, a group holds its outputs, its members' drive
+runs and the windows of injected and emitted cells; nothing but the
 outputs is an array of steps x members.  One array of step midpoints, the
 longest run's, serves each group while it steps, and the runs of a group
 with the same pulse share its samples.  A trajectory keeps neither: it
@@ -106,8 +107,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import (
@@ -139,10 +138,6 @@ _MAX_STEPS = 2**22
 # Steps between ledger reads, and so between the non-finite and runaway
 # checks on the held norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
-# Drive runs whose maps are built at once, by one `expm` of their stacked
-# generators, at most.  A group's share of _BUDGET cuts its windows of maps
-# shorter still: 247 runs for a run stepped alone, 153 for 48 runs.
-_MAP_BLOCK = 1024
 # Steps per block of the step loop at most, which settles the loss
 # quadrature, the emitted cells and the injected cells once per block: a
 # narrow group's ring holds this many steps, a wider group's fewer.
@@ -151,7 +146,7 @@ _RING = 32
 # of maps: the ring of 4 members at n_z 240 in blocks of 32 steps, 1.53 MB.
 # Three quarters bound the ring and one quarter the maps.
 _BUDGET = 191_664
-# The floats a drive run's maps take while a window of them is built: its
+# The floats a drive run's maps take while a block of them is built: its
 # half map and both fused maps (108) and the intermediates of `expm`.
 _MAP_FLOATS = 192
 # Coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, and the
@@ -256,16 +251,17 @@ def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of every matrix in a stack of shape (k, n, n).
 
     Scaling and squaring with the degree-13 Pade approximant, all matrices
-    at once: one scaling power s from the stack's largest 1-norm, the
+    at once: each matrix scaled by 2^-s with its own s from its 1-norm, the
     approximant from batched products and one batched solve, then s
-    squarings.  A non-finite entry, or a squaring that overflows, raises
+    squarings of each.  So each exponential is the one its matrix would get
+    alone.  A non-finite entry, or a squaring that overflows, raises
     PhysicsViolation.
     """
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
-    if not math.isfinite(norm):
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.isfinite(norm).all():
         raise PhysicsViolation("non-finite matrix in the exponential")
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a * 2.0**-s
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13))
+    a = a * np.exp2(-s)[..., None, None]
     b = _PADE13
     eye = np.eye(a.shape[-1])
     a2 = a @ a
@@ -282,25 +278,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     # A huge generator's roundoff can grow past the float range within the
     # squarings; that is caught at the squaring where it happens.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
+        for k in range(int(s.max(initial=0.0))):
+            r = np.where((s > k)[..., None, None], r @ r, r)
             if not np.isfinite(r).all():
                 raise PhysicsViolation("the matrix exponential overflows")
     return r
 
 
-class _Media(NamedTuple):
-    """The media of a stack of drives, one entry per drive."""
-
-    coupling: np.ndarray
-    delta: np.ndarray
-    gamma12: np.ndarray
-
-
-def _local_maps(medium: MediumParams | _Media, drives: np.ndarray,
-                dt_half: float) -> np.ndarray:
-    """Half-step propagators of the local system, one per drive value, in
-    one medium or in each drive's own.
+def _local_maps(medium: MediumParams, drives: np.ndarray, dt_half: float) -> np.ndarray:
+    """Half-step propagators of the local system, one per drive value.
 
     Each complex 3x3 map is returned in its real 6x6 block form, acting on
     the state's interleaved rows (Re E, Im E, Re P, Im P, Re S, Im S).
@@ -335,62 +321,37 @@ def _drive_runs(control: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds, control[bounds[:-1]]
 
 
-def _map_window(media: list, runs: list, s0: int, s1: int, stops: list,
-                dt_half: float) -> list:
-    """The step maps of a group's runs from step s0 to the first drive run
-    of each that starts at or after step s1.
+def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
+                  dt_half: float, block: int):
+    """The step maps of one run, as stretches of steps that share a map.
 
-    `runs[i]` holds member i's drive runs, (bounds, drives) as `_drive_runs`
-    gives them, `media[i]` its medium and `stops[i]` the end of the stretch
-    it is in.  Each drive run has one half map R.  The map that takes the
-    half-stepped state across a step boundary is R_s @ R_s inside run s and
-    R_{s+1} @ R_s on its last step; the last step of a whole run gets a
-    zero map, as nothing reads the state it would carry.  One `expm` takes
-    every member's runs, each in its own medium, from the run at s0 to the
-    first at or after s1, which its last R_{s+1} @ R_s takes.  So the
-    members' maps share one scaling power, which is 0 unless a generator
-    of the window has a 1-norm above 5.4 (a drive with |Omega| dt above
-    about 20).  Returns one iterator per member, which yields in step
-    order (stop, fused, half) for each
-    stretch of steps that share a map after the one it is in: the stretch
-    ends before step `stop`, its steps take `fused`, and `half` is its
-    drive run's R.  A member that has ended gets none.
+    Each drive run has one half map R.  The map that takes the half-stepped
+    state across a step boundary is R_s @ R_s inside run s and
+    R_{s+1} @ R_s on its last step; the last step of the whole run gets a
+    zero map, as nothing reads the state it would carry.  Yields, in step
+    order, (stop, fused, half) for each stretch: it ends before step
+    `stop`, its steps take `fused`, and `half` is its drive run's R.  The
+    maps are built `block` drive runs at a time.
     """
-    group = [i for i, (bounds, _) in enumerate(runs) if bounds[-1] > s0]
-    spans = []
-    for i in group:
-        bounds, drives = runs[i]
-        lo, hi = np.searchsorted(bounds[:-1], (s0 + 1, s1)).tolist()
-        spans.append((lo - 1, hi, min(hi + 1, drives.size)))
-    counts = [top - lo for lo, _, top in spans]
-    stack = _Media(*(np.repeat([getattr(media[i], name) for i in group], counts)
-                     for name in _Media._fields))
-    half = _local_maps(stack, np.concatenate(
-        [runs[i][1][lo:top] for i, (lo, _, top) in zip(group, spans)]), dt_half)
-    inside = np.matmul(half, half)
-    across = np.zeros_like(half)
-    np.matmul(half[1:], half[:-1], out=across[:-1])
-    stretches: list = [iter(())] * len(runs)
-    o = 0
-    for i, (lo, hi, top) in zip(group, spans):
-        k = hi - lo
-        if top == hi:  # the member's last run
-            across[o + k - 1] = 0.0
-        stretches[i] = _stretches(runs[i][0][lo : hi + 1], half[o : o + k],
-                                  inside[o : o + k], across[o : o + k], stops[i])
-        o += top - lo
-    return stretches
-
-
-def _stretches(bounds: np.ndarray, half: np.ndarray, inside: np.ndarray,
-               across: np.ndarray, after: int):
-    """(stop, fused, half) for each stretch of the drive runs that `bounds`
-    delimit that ends after step `after`, given the runs' half maps and
-    both kinds of fused map."""
-    for s, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        if stop - start > 1 and stop - 1 > after:
-            yield stop - 1, inside[s], half[s]
-        if stop > after:
+    n_runs = drives.size
+    ahead = None
+    for r0 in range(0, n_runs, block):
+        r1 = min(r0 + block, n_runs)
+        nb = r1 - r0
+        # One expm for the block's runs and the first run of the next block,
+        # which that block then reuses.
+        lo = r0 if ahead is None else r0 + 1
+        half = _local_maps(medium, drives[lo : min(r1 + 1, n_runs)], dt_half)
+        if ahead is not None:
+            half = np.concatenate((ahead[None], half))
+        inside = np.matmul(half[:nb], half[:nb])
+        across = np.zeros((nb, 6, 6))
+        np.matmul(half[1:], half[:-1], out=across[: half.shape[0] - 1])
+        ahead = half[nb] if r1 < n_runs else None
+        for s, (start, stop) in enumerate(zip(bounds[r0:r1].tolist(),
+                                              bounds[r0 + 1 : r1 + 1].tolist())):
+            if stop - start > 1:
+                yield stop - 1, inside[s], half[s]
             yield stop, across[s], half[s]
 
 
@@ -475,25 +436,24 @@ def _plan_batch(runs: list) -> list[tuple[np.ndarray, list[int]]]:
 
 def _group_width(n_z: int) -> int:
     """The most runs on n_z cells that `_block_sizes` fits in _BUDGET, with
-    two ring slots (one step per block) and one drive run per window of
+    two ring slots (one step per block) and one drive run per block of
     maps; at least one."""
     return max(1, min(3 * _BUDGET // 4 // (12 * (n_z + 2)),
-                      (_BUDGET // 4 // _MAP_FLOATS - 1) // 2))
+                      _BUDGET // 4 // (2 * _MAP_FLOATS)))
 
 
 def _block_sizes(n_members: int, n_z: int) -> tuple[int, int]:
-    """Steps per block of the step loop and drive runs per window of maps,
+    """Steps per block of the step loop and drive runs per block of maps,
     for a group of `n_members` runs on n_z cells.
 
     The ring holds one slot more than a block's steps, each of
-    6 (n_z + 2) floats per member, in three quarters of _BUDGET.  A window
-    of maps holds its drive runs and, for each member, the run it is in
-    and the first after the window, at _MAP_FLOATS each, in the last
-    quarter.
+    6 (n_z + 2) floats per member, in three quarters of _BUDGET.  Each
+    member's block of maps holds its drive runs and the first run of the
+    next block, at _MAP_FLOATS each, in its share of the last quarter.
     """
     slots = 3 * _BUDGET // 4 // (6 * n_members * (n_z + 2))
-    runs = _BUDGET // 4 // _MAP_FLOATS - 2 * n_members
-    return max(1, min(_RING, slots - 1)), max(1, min(_MAP_BLOCK, runs))
+    runs = _BUDGET // 4 // (_MAP_FLOATS * n_members) - 1
+    return max(1, min(_RING, slots - 1)), max(1, runs)
 
 
 def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
@@ -524,24 +484,14 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             samples[pulse] = _pulse_samples(pulse, times[:n_i], dt)
     boundary = [samples[m[3]] if m[3] is not None else (None, None) for m in members]
 
-    # The maps are built a window of steps at a time, each window holding
-    # at most `map_runs` drive runs of all members (or every member's run at
-    # its first step, if more).  Each member's current stretch of one map:
-    # where it ends, the half map of its drive run, and its fused map in the
-    # stack the step applies.  The drive's runs are kept, not its samples
-    # at every step.
-    media = [medium for medium, *_ in members]
-    runs = [_drive_runs(timeline.rabi(times[:n_i]))
-            for (_, timeline, *_), n_i in zip(members, lengths)]
-    starts = np.sort(np.concatenate([bounds[:-1] for bounds, _ in runs]))
-
-    def window(s0: int) -> tuple[int, list]:
-        j = int(np.searchsorted(starts, s0)) + map_runs
-        s1 = max(s0 + 1, int(starts[j])) if j < starts.size else lengths[0]
-        return s1, _map_window(media, runs, s0, s1, stops, 0.5 * dt)
-
+    # Each member's current stretch of one map: where it ends, the half map
+    # of its drive run, and its fused map in the stack the step applies.
+    # The segments keep the drive's runs, not its samples at every step.
+    segments = [
+        _map_segments(medium, *_drive_runs(timeline.rabi(times[:n_i])), 0.5 * dt, map_runs)
+        for (medium, timeline, *_), n_i in zip(members, lengths)
+    ]
     stops = [0] * b
-    window_end, segments = window(0)
     halves = np.empty((b, 6, 6))
     fused = np.empty((b, 6, 6))
     for i in range(b):
@@ -655,9 +605,6 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             n = base
             while True:
                 if n == change:
-                    if n >= window_end:
-                        segments = None  # the last window's maps, freed first
-                        window_end, segments = window(n)
                     for i in range(a):
                         if stops[i] == n:
                             stops[i], fused[i], halves[i] = next(segments[i])

@@ -45,7 +45,6 @@ from .mbloch import (
     Trajectory,
     _store_batch,
     evolve_batch,
-    store_magnon,
 )
 from .splitter import (
     ExtractionResult,
@@ -281,13 +280,11 @@ class MixingScenario:
     ) -> tuple[StorageResult, ExtractionResult]:
         """The storage stage and the splitter extraction that follows it.
 
-        `stored` is the storage stage when it has run already, as
-        `store_mixing` runs it.
+        `stored` is the storage stage when `store_mixing` has run it
+        already; otherwise it runs here.
         """
         if stored is None:
-            stored = store_magnon(
-                replace(self.medium, delta=0.0), PULSE, self.rabi_s, n_z=_MIX_N_Z
-            )
+            (stored,) = store_mixing((self,))
         probe = replace(PULSE, t_center=_MIX_PROBE_CENTER)
         return stored, extract_matrix(
             self.medium,
@@ -336,8 +333,9 @@ class TriangleCheck:
 
 
 def store_mixing(points: tuple[MixingScenario, ...]) -> list[StorageResult]:
-    """The storage stage of each mixing point, as `MixingScenario.run`
-    stores it, all stepped as one batch."""
+    """The storage stage of each mixing point, all stepped as one batch:
+    the pulse written into the resonant medium at the point's storage
+    drive."""
     return _store_batch([(replace(p.medium, delta=0.0), p.rabi_s) for p in points],
                         PULSE, _MIX_N_Z)
 

@@ -143,17 +143,17 @@ def test_triangle_check_counts_the_storage_run_in_its_loss_gap(monkeypatch):
     # run's, so dropping it from the ledger checks shows nowhere there.  A
     # storage run whose loss quadrature is raised to twice its ledger loss
     # has a gap of 1, far above the mixing runs' gaps.
-    store_magnon = scenarios.store_magnon
+    store_mixing = scenarios.store_mixing
     gaps = []
 
-    def skewed(*args, **kwargs):
-        stored = store_magnon(*args, **kwargs)
+    def skewed(points):
+        (stored,) = store_mixing(points)
         run = stored.trajectory
         run = replace(run, loss_quad=2.0 * run.final_state.loss_accum)
         gaps.append(run.loss_gap)
-        return replace(stored, trajectory=run)
+        return [replace(stored, trajectory=run)]
 
-    monkeypatch.setattr(scenarios, "store_magnon", skewed)
+    monkeypatch.setattr(scenarios, "store_mixing", skewed)
     tc = triangle_check(RESONANT_MIXING)
     assert gaps == [pytest.approx(1.0)]
     assert tc.loss_gap == gaps[0]
