@@ -23,12 +23,9 @@ from .fock_oracle import (
 )
 from .mbloch import (
     SimulationConfig,
-    StorageResult,
     Trajectory,
     evolve,
     evolve_batch,
-    store_magnon,
-    v_group,
 )
 from .splitter import (
     ExtractionResult,
@@ -69,12 +66,9 @@ __all__ = [
     "three_photon_input",
     "two_photon_input",
     "SimulationConfig",
-    "StorageResult",
     "Trajectory",
     "evolve",
     "evolve_batch",
-    "store_magnon",
-    "v_group",
     "ExtractionResult",
     "effective_overlap",
     "extract_matrix",

@@ -30,6 +30,7 @@ from .scenarios import (
     FIG4_I_PEAK,
     FIG4_SPAN,
     FIG4_STEPS,
+    MIX_N_Z,
     PHASE_CAL_RABI,
     PHASE_FWHM,
     PHASE_POINTS,
@@ -40,7 +41,7 @@ from .scenarios import (
     fig2_curve,
     fig4_grid,
     ideal_cascade_g3,
-    store_mixing,
+    store,
     triangle_check,
 )
 from .splitter import fold_phase, phi_rt_analytic, phi_rt_sweep, tau_from_fwhm
@@ -194,9 +195,8 @@ def _triangle_pair() -> tuple:
     # Both points' storage runs step as one batch, then each point's
     # extraction and checks run on their own.
     points = (RESONANT_MIXING, DETUNED_MIXING)
-    return tuple(
-        triangle_check(s, stored) for s, stored in zip(points, store_mixing(points))
-    )
+    stored = store([p.stage for p in points], MIX_N_Z)
+    return tuple(triangle_check(p, s) for p, s in zip(points, stored))
 
 
 def criterion_5(checks: tuple) -> CriterionResult:

@@ -113,7 +113,6 @@ from .core import (
     C_EFF,
     PROBABILITY_SLACK,
     ConfigError,
-    ControlSegment,
     ControlTimeline,
     FieldState,
     MediumParams,
@@ -671,74 +670,3 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
         ))
     return trajectories
 
-
-def v_group(medium: MediumParams, rabi: float) -> float:
-    """Group velocity of the polariton under a constant control drive."""
-    w2 = abs(rabi) * abs(rabi)
-    g2 = 4.0 * medium.coupling**2
-    if w2 == 0:
-        return 0.0
-    return C_EFF * w2 / (w2 + g2)
-
-
-@dataclass(frozen=True)
-class StorageResult:
-    """Outcome of a write stage: prepared spin wave and its efficiency."""
-
-    state: FieldState
-    efficiency: float
-    trajectory: Trajectory
-
-
-def store_magnon(
-    medium: MediumParams,
-    pulse: PulseEnvelope,
-    rabi_storage: float,
-    n_z: int = 160,
-) -> StorageResult:
-    """Write the probe pulse into a stationary spin wave.
-
-    The control is held at `rabi_storage` until the pulse center reaches
-    the middle of the cell and then ramped off.  After a settle period of
-    3 the leftover field and polarization have decayed or left; the
-    returned state keeps only the spin wave and restarts the bookkeeping.
-    """
-    (stored,) = _store_batch([(medium, rabi_storage)], pulse, n_z)
-    return stored
-
-
-def _store_batch(
-    stages: list[tuple[MediumParams, float]],
-    pulse: PulseEnvelope,
-    n_z: int,
-) -> list[StorageResult]:
-    """`store_magnon` of each (medium, storage drive) stage, as one batch.
-
-    Every drive is checked before the first step.
-    """
-    runs = []
-    for medium, rabi in stages:
-        vg = v_group(medium, rabi)
-        if not 0 < vg < math.inf:  # NaN fails both bounds
-            raise ConfigError("storage drive must be nonzero and finite")
-        t_off = pulse.t_center + 0.5 / vg
-        timeline = ControlTimeline((ControlSegment(0.0, t_off, rabi, "storage"),))
-        runs.append((medium, timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), pulse, None))
-    results = []
-    for traj in evolve_batch(runs):
-        fin = traj.final_state
-        stored = fin.magnon_norm
-        if fin.input_norm <= 0:
-            raise ConfigError("storage run received no input norm")
-        z = fin.z_grid
-        zero = np.zeros(z.size, dtype=complex)
-        state = FieldState(
-            z, zero, fin.sigma12.copy(), zero.copy(),
-            0.0, 0.0, 0.0, 0.0, stored,
-        )
-        results.append(StorageResult(
-            state=state,
-            efficiency=stored / fin.input_norm,
-            trajectory=traj,
-        ))
-    return results

@@ -1,10 +1,12 @@
 """Canned figure protocols shared by the CLI and the acceptance suite.
 
 Each protocol pins the operating point of a figure-style numerical
-experiment: medium, drives, timing, and grid.  The storage-drive sweep
-builds the visibility curve g2(Omega_S); the mixing scenarios feed the
-splitter extraction and the Fock oracle; the delay curves and the
-three-particle grid are formula-level and reuse the envelope model.
+experiment: medium, drives, timing, and grid.  The storage stage, `store`,
+writes the pulse into a spin wave for every protocol that starts from one.
+The storage-drive sweep builds the visibility curve g2(Omega_S); the mixing
+scenarios feed the splitter extraction and the Fock oracle; the delay
+curves and the three-particle grid are formula-level and reuse the envelope
+model.
 
 Conventions used by every protocol here:
 - the storage control is resonant; mixing stages may be detuned;
@@ -15,14 +17,17 @@ Conventions used by every protocol here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
+    C_EFF,
     ConfigError,
     ControlSegment,
     ControlTimeline,
+    FieldState,
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
@@ -39,15 +44,8 @@ from .fock_oracle import (
     three_photon_input,
     two_photon_input,
 )
-from .mbloch import (
-    SimulationConfig,
-    StorageResult,
-    Trajectory,
-    _store_batch,
-    evolve_batch,
-)
+from .mbloch import SimulationConfig, Trajectory, evolve_batch
 from .splitter import (
-    ExtractionResult,
     effective_overlap,
     extract_matrix,
     phi_rt_of_matrix,
@@ -80,8 +78,56 @@ _PROBE_SNAPSHOTS = tuple(np.arange(0.3, 4.0, 0.05))
 # A mixing point's probe pulse center and grid, and how long its runs go on
 # after the mixing stage is cut, for the light it releases to leave.
 _MIX_PROBE_CENTER = 0.6
-_MIX_N_Z = 160
+MIX_N_Z = 160
 _MIX_SETTLE = 3.5
+
+
+def v_group(medium: MediumParams, rabi: float) -> float:
+    """Group velocity of the polariton under a constant control drive."""
+    w2 = abs(rabi) * abs(rabi)
+    g2 = 4.0 * medium.coupling**2
+    if w2 == 0:
+        return 0.0
+    return C_EFF * w2 / (w2 + g2)
+
+
+@dataclass(frozen=True)
+class StorageResult:
+    """Outcome of a write stage: prepared spin wave and its efficiency."""
+
+    state: FieldState
+    efficiency: float
+    trajectory: Trajectory
+
+
+def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageResult]:
+    """Write `PULSE` into a stationary spin wave in each (medium, storage
+    drive) stage, all stepped as one batch on `n_z` cells.
+
+    The control is held at the stage's drive until the pulse center
+    reaches the middle of the cell and then ramped off.  After a settle
+    period of 3 the leftover field and polarization have decayed or left;
+    each returned state keeps only the spin wave and restarts the
+    bookkeeping.  Every drive is checked before the first step.
+    """
+    runs = []
+    for medium, rabi in stages:
+        vg = v_group(medium, rabi)
+        if not 0 < vg < math.inf:  # NaN fails both bounds
+            raise ConfigError("storage drive must be nonzero and finite")
+        t_off = PULSE.t_center + 0.5 / vg
+        timeline = ControlTimeline((ControlSegment(0.0, t_off, rabi, "storage"),))
+        runs.append((medium, timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), PULSE, None))
+    results = []
+    for traj in evolve_batch(runs):
+        fin = traj.final_state
+        if fin.input_norm <= 0:
+            raise ConfigError("storage run received no input norm")
+        zero = np.zeros(fin.z_grid.size, dtype=complex)
+        state = FieldState(fin.z_grid, zero, fin.sigma12.copy(), zero.copy(),
+                           0.0, 0.0, 0.0, 0.0, fin.magnon_norm)
+        results.append(StorageResult(state, fin.magnon_norm / fin.input_norm, traj))
+    return results
 
 
 @dataclass(frozen=True)
@@ -203,7 +249,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     stored = {
         rabi_s: (result.state, result.efficiency, _ledger_checks(result.trajectory))
         for rabi_s, result in zip(
-            drives, _store_batch([(medium, r) for r in drives], PULSE, params.n_z))
+            drives, store([(medium, r) for r in drives], params.n_z))
     }
     checks = [check for _, _, check in stored.values()]
 
@@ -275,26 +321,11 @@ class MixingScenario:
     rabi_bs: float
     t_cut: float
 
-    def run(
-        self, stored: StorageResult | None = None
-    ) -> tuple[StorageResult, ExtractionResult]:
-        """The storage stage and the splitter extraction that follows it.
-
-        `stored` is the storage stage when `store_mixing` has run it
-        already; otherwise it runs here.
-        """
-        if stored is None:
-            (stored,) = store_mixing((self,))
-        probe = replace(PULSE, t_center=_MIX_PROBE_CENTER)
-        return stored, extract_matrix(
-            self.medium,
-            self.rabi_bs,
-            self.t_cut,
-            probe,
-            stored.state,
-            n_z=_MIX_N_Z,
-            t_end=self.t_cut + _MIX_SETTLE,
-        )
+    @property
+    def stage(self) -> tuple[MediumParams, float]:
+        """The storage stage as `store` takes it, stored on `MIX_N_Z` cells:
+        the point's medium at zero detuning and its storage drive."""
+        return replace(self.medium, delta=0.0), self.rabi_s
 
 
 RESONANT_MIXING = MixingScenario(
@@ -332,19 +363,14 @@ class TriangleCheck:
         return abs(self.g2_oracle - self.g2_formula)
 
 
-def store_mixing(points: tuple[MixingScenario, ...]) -> list[StorageResult]:
-    """The storage stage of each mixing point, all stepped as one batch:
-    the pulse written into the resonant medium at the point's storage
-    drive."""
-    return _store_batch([(replace(p.medium, delta=0.0), p.rabi_s) for p in points],
-                        PULSE, _MIX_N_Z)
-
-
-def triangle_check(scenario: MixingScenario,
-                   stored: StorageResult | None = None) -> TriangleCheck:
-    """Run a mixing scenario through solver, oracle, and formula; `stored`
-    as `MixingScenario.run` takes it."""
-    stored, result = scenario.run(stored)
+def triangle_check(scenario: MixingScenario, stored: StorageResult) -> TriangleCheck:
+    """Run a mixing point's mixing stage, from its stored stage `stored`,
+    through solver, oracle and formula."""
+    result = extract_matrix(
+        scenario.medium, scenario.rabi_bs, scenario.t_cut,
+        replace(PULSE, t_center=_MIX_PROBE_CENTER), stored.state,
+        n_z=MIX_N_Z, t_end=scenario.t_cut + _MIX_SETTLE,
+    )
     b = result.matrix
     overlap_value = effective_overlap(result)
     phi = phi_rt_of_matrix(b)

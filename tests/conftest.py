@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from magnonbs import scenarios
 from magnonbs.acceptance import _triangle_pair, curve_pair
 from magnonbs.scenarios import FIG2_CURVES
 
@@ -60,7 +61,43 @@ def fig2_pairs():
     return {params.od: curve_pair(params) for params in FIG2_CURVES}
 
 
+def capture_extractions(patch, sink: list) -> None:
+    """Make `patch` send every splitter extraction the scenarios run to `sink`."""
+    extract = scenarios.extract_matrix
+
+    def capturing(*args, **kwargs):
+        sink.append(extract(*args, **kwargs))
+        return sink[-1]
+
+    patch.setattr(scenarios, "extract_matrix", capturing)
+
+
 @pytest.fixture(scope="session")
-def mixing_checks():
+def mixing_runs():
+    """The gate's triangle checks of the resonant and the detuned mixing
+    point, and the extractions behind them, in gate order."""
+    extractions = []
+    with pytest.MonkeyPatch.context() as patch:
+        capture_extractions(patch, extractions)
+        checks = _triangle_pair()
+    return checks, tuple(extractions)
+
+
+@pytest.fixture(scope="session")
+def mixing_checks(mixing_runs):
     """The triangle checks of the resonant and the detuned mixing point."""
-    return _triangle_pair()
+    return mixing_runs[0]
+
+
+@pytest.fixture(scope="session")
+def mixing_extractions(mixing_runs):
+    """The extractions behind `mixing_checks`, in the same order."""
+    return mixing_runs[1]
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Every splitter extraction the scenarios run in the test, in call order."""
+    sink = []
+    capture_extractions(monkeypatch, sink)
+    return sink

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from magnonbs import acceptance, mbloch, scenarios
+from magnonbs import acceptance, scenarios
 from magnonbs.acceptance import (
     LOSS_GAP_TOL,
     CriterionResult,
@@ -103,8 +103,8 @@ def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monke
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(mbloch, "evolve_batch", recording(
-        "store", mbloch.evolve_batch, lambda args: len(args[0])))
+    monkeypatch.setattr(scenarios, "evolve_batch", recording(
+        "store", scenarios.evolve_batch, lambda args: len(args[0])))
     monkeypatch.setattr(acceptance, "triangle_check", recording(
         "triangle", acceptance.triangle_check, lambda args: args[0].label))
     monkeypatch.setattr(scenarios, "extract_matrix", recording(
@@ -116,7 +116,8 @@ def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monke
     assert checks == mixing_checks
     monkeypatch.undo()
     for batched, point in zip(checks, (RESONANT_MIXING, DETUNED_MIXING), strict=True):
-        alone = scenarios.triangle_check(point)
+        (stored,) = scenarios.store([point.stage], scenarios.MIX_N_Z)
+        alone = scenarios.triangle_check(point, stored)
         for name in ("g2_oracle", "g2_formula", "overlap", "phi_rt", "residual", "loss_gap"):
             assert getattr(batched, name) == pytest.approx(getattr(alone, name),
                                                            rel=1e-12, abs=1e-15)

@@ -19,10 +19,9 @@ from magnonbs import (
     SimulationConfig,
     evolve,
     make_grid,
-    store_magnon,
-    v_group,
 )
 from magnonbs.core import C_EFF
+from magnonbs.scenarios import store, v_group
 
 OD30 = MediumParams(od=30.0)
 PULSE = PulseEnvelope(fwhm=1.5, t_center=3.2)
@@ -86,7 +85,7 @@ def test_evolve_is_linear_in_the_input_amplitude():
 def test_two_port_run_is_the_sum_of_single_port_runs():
     config = SimulationConfig(t_end=6.0, n_z=96)
     tl = constant_drive(13.0, 6.0)
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
+    stored = store([(OD30, 5.0)], 96)[0]
     probe = PulseEnvelope(fwhm=1.5, t_center=0.6)
 
     run_a = evolve(OD30, tl, config, initial=stored.state)
@@ -102,7 +101,7 @@ def test_two_port_run_is_the_sum_of_single_port_runs():
 
 
 def test_bookkeeping_closes_through_storage():
-    stored = store_magnon(OD30, PULSE, 5.0)
+    stored = store([(OD30, 5.0)], 160)[0]
     traj = stored.trajectory
     assert abs(traj.final_state.bookkeeping_residual()) < 1e-12
     # Ledger loss against the independent quadrature of 2 gamma31 |P|^2.
@@ -131,7 +130,7 @@ def test_bookkeeping_closes_through_storage():
 
 def test_storage_efficiency_has_an_interior_maximum():
     effs = {
-        rabi: store_magnon(OD30, PULSE, rabi).efficiency
+        rabi: store([(OD30, rabi)], 160)[0].efficiency
         for rabi in (2.0, 5.0, 12.0)
     }
     assert effs[5.0] > effs[2.0]
@@ -139,15 +138,15 @@ def test_storage_efficiency_has_an_interior_maximum():
 
 
 def test_storage_efficiency_frozen_values_and_depth_ordering():
-    low = store_magnon(OD30, PULSE, 5.0).efficiency
-    high = store_magnon(MediumParams(od=150.0), PULSE, 11.0, n_z=240).efficiency
+    low = store([(OD30, 5.0)], 160)[0].efficiency
+    high = store([(MediumParams(od=150.0), 11.0)], 240)[0].efficiency
     assert low == pytest.approx(0.73013, abs=2e-3)
     assert high == pytest.approx(0.87413, abs=2e-3)
     assert high > low
 
 
-def test_store_magnon_returns_a_pure_spin_wave():
-    stored = store_magnon(OD30, PULSE, 5.0)
+def test_storage_returns_a_pure_spin_wave():
+    stored = store([(OD30, 5.0)], 160)[0]
     assert np.all(stored.state.e_field == 0)
     assert np.all(stored.state.sigma13 == 0)
     assert 0.0 < stored.efficiency < 1.0
@@ -383,7 +382,7 @@ def reference_case():
             ControlSegment(2.5, 4.0, 13.0, "beamsplit", ramp=0.5),
         )
     )
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=n_z).state
+    stored = store([(OD30, 5.0)], n_z)[0].state
     # Step 1036 ends inside the beamsplit turn-on ramp; step 512 is one the
     # in-loop norm checks read as well.
     snap_steps = (512, 1036)
@@ -471,10 +470,10 @@ def _batch_runs():
     the cell), two pulses (one shared by runs on both grids) and different
     snapshot times; each grid's longest run has a pulse.
     """
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=32).state
+    stored = store([(OD30, 5.0)], 32)[0].state
     lit = FieldState(stored.z_grid, 0.5j * stored.sigma12, stored.sigma12,
                      stored.sigma13, 0.0, 0.0)
-    coarse = store_magnon(OD30, PULSE, 5.0, n_z=24).state
+    coarse = store([(OD30, 5.0)], 24)[0].state
     probe = PulseEnvelope(fwhm=1.0, t_center=1.0)
 
     def ramped(t_end, rabi, ramp):
@@ -591,7 +590,7 @@ def _wide_batch():
     times.  Two runs, one ramped, beamsplit at a drive of 8,000, whose
     half-step generators pass `expm`'s threshold for scaling.
     """
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=24).state
+    stored = store([(OD30, 5.0)], 24)[0].state
     lit = FieldState(stored.z_grid, 0.5j * stored.sigma12, stored.sigma12,
                      stored.sigma13, 0.0, 0.0)
     pulses = (PULSE, PulseEnvelope(fwhm=1.0, t_center=1.0),

@@ -16,11 +16,11 @@ from magnonbs import (
     fold_phase,
     phi_rt_analytic,
     phi_rt_of_matrix,
-    store_magnon,
     tau_from_fwhm,
 )
 from magnonbs import mbloch, scenarios, splitter
 from magnonbs.core import C_EFF
+from magnonbs.scenarios import store
 from magnonbs.splitter import splitter_from_outputs
 
 
@@ -354,7 +354,6 @@ def test_projection_guards():
 
 
 OD30 = MediumParams(od=30.0)
-PULSE = PulseEnvelope(fwhm=1.5, t_center=3.2)
 PROBE = PulseEnvelope(fwhm=1.5, t_center=0.6)
 
 
@@ -362,7 +361,7 @@ def test_extract_matrix_identity_without_drive_or_atoms():
     # Zero mixing drive freezes the spin wave and an empty cell passes
     # the probe untouched, so the measured matrix is the identity.
     empty = MediumParams(od=0.0)
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=96)
+    stored = store([(OD30, 5.0)], 96)[0]
     result = extract_matrix(empty, 0.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.0)
     b = result.matrix
     assert abs(b.t1) == pytest.approx(1.0, abs=1e-3)
@@ -372,7 +371,7 @@ def test_extract_matrix_identity_without_drive_or_atoms():
 
 
 def test_extract_matrix_mixes_ports_in_a_driven_cell():
-    stored = store_magnon(OD30, PULSE, 3.0, n_z=96)
+    stored = store([(OD30, 3.0)], 96)[0]
     result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.5)
     b = result.matrix
     # All four channels carry weight and the matrix stays passive.
@@ -386,7 +385,7 @@ def test_extract_matrix_mixes_ports_in_a_driven_cell():
 def test_grams_give_the_vector_projection_of_a_driven_cell():
     # The matrix and overlap read off the port Grams equal the projection
     # of the sampled outputs onto the summed modes, written out here.
-    stored = store_magnon(OD30, PULSE, 3.0, n_z=96)
+    stored = store([(OD30, 3.0)], 96)[0]
     result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.5)
     run_a, run_b = result.run_magnon, result.run_photon
     # The photon window of a stage cut at 2.0.
@@ -413,7 +412,7 @@ def test_grams_give_the_vector_projection_of_a_driven_cell():
 
 
 def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
-    stored = store_magnon(OD30, PULSE, 5.0, n_z=96).state
+    stored = store([(OD30, 5.0)], 96)[0].state
     late = replace(stored, t_now=0.5)
 
     def forbidden(*args, **kwargs):
@@ -429,7 +428,7 @@ def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
 def _mixing_grams(od, delta, gamma12=0.0):
     # A mixing stage at n_z 48 from a wave stored at zero detuning, as
     # `MixingScenario` stores it.
-    stored = store_magnon(MediumParams(od=od, gamma12=gamma12), PULSE, 3.0, n_z=48)
+    stored = store([(MediumParams(od=od, gamma12=gamma12), 3.0)], 48)[0]
     medium = MediumParams(od=od, delta=delta, gamma12=gamma12)
     return extract_matrix(medium, 13.0, 2.0, PROBE, stored.state, n_z=48, t_end=5.5).grams
 
