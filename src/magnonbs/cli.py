@@ -62,8 +62,9 @@ _SWEEP_CHUNK = 4
 Config = dict[str, dict[str, object]]
 
 
-def _fmt(value) -> str:
-    """One value as written to a CSV cell or a header line.
+def _fmt(value, number=lambda x: _FLOAT_FMT % x) -> str:
+    """One value as written to a CSV cell or a header line, each float
+    through `number`.
 
     Parsed list values print in the config's own syntax (comma-separated,
     tuple items colon-separated), so a header line reads as config text.
@@ -74,12 +75,19 @@ def _fmt(value) -> str:
         )
     if isinstance(value, tuple):
         return ", ".join(
-            ":".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
+            ":".join(_fmt(x, number) for x in v) if isinstance(v, tuple)
+            else _fmt(v, number)
             for v in value
         )
     if isinstance(value, (float, np.floating)):
-        return _FLOAT_FMT % float(value)
+        return number(float(value))
     return str(value)
+
+
+def _shortest(x: float) -> str:
+    """The shortest text that reads back as x, with no trailing ".0"."""
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
 
 
 # ---------------------------------------------------------------- config
@@ -169,8 +177,7 @@ KEYS: dict[str, dict[str, tuple]] = {
         "i_peak": (_number, 0.75),
         "fig4_i_peak": (_number, scenarios.FIG4_I_PEAK),
         "phase_rabi": (_number, scenarios.PHASE_CAL_RABI),
-        # Not scenarios.PHASE_FWHM (a FOUND in CHANGES.md): it moves fig3's output.
-        "phase_fwhm": (_number, 100 * NS_TO_NORM),
+        "phase_fwhm": (_number, scenarios.PHASE_FWHM),
         "triples": (_parse_triples, scenarios.PHASE_POINTS),
         "delay_span": (_number, 4.0),
         "delay_steps": (_count, 81),
@@ -277,6 +284,9 @@ def load_config(path: str | None, overrides: list[str]) -> Config:
 
 
 def header_lines(command: str, config: Config, seed: int) -> list[str]:
+    """The header of a command's tables: the command, the units, the seed
+    and every config entry, its floats as the shortest text that reads
+    back as them, so that the entries rerun the table exactly."""
     lines = [
         f"magnonbs {command}",
         "units: rates in gamma31 (= 2pi x 3 MHz), times in 1/gamma31, "
@@ -285,7 +295,7 @@ def header_lines(command: str, config: Config, seed: int) -> list[str]:
     ]
     for section in sorted(config):
         for key in sorted(config[section]):
-            lines.append(f"{section}.{key} = {_fmt(config[section][key])}")
+            lines.append(f"{section}.{key} = {_fmt(config[section][key], _shortest)}")
     return lines
 
 
@@ -329,7 +339,6 @@ def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
         header.append(f"od = {_fmt(od)}")
         header.append(f"transmission = {_fmt(curve.transmission)}")
         header.append(f"release = {_fmt(curve.release)}")
-        header.append(f"max_bookkeeping_residual = {_fmt(curve.max_residual)}")
         tag = f"od{od:g}"
 
         profiles = [(f"s12_abs_rabi_{r:g}", s) for r, s in zip(curve.rabi_s, curve.spin_abs)]
@@ -430,7 +439,6 @@ def _run_summary(traj) -> dict[str, float]:
         "photon_norm": fin.photon_norm,
         "magnon_norm": fin.magnon_norm,
         "loss": fin.loss_accum,
-        "residual": fin.bookkeeping_residual(),
     }
 
 

@@ -271,12 +271,13 @@ class FieldState(_ArrayValue):
     """Snapshot of the coupled field/atom amplitudes plus norm bookkeeping.
 
     sigma12/sigma13 are collective amplitudes (sqrt(N)-scaled), so
-    dz * sum|.|^2 counts excitations directly.  The conservation ledger is
+    dz * sum|.|^2 counts excitations directly.  The conservation ledger
 
         injected_norm + initial_norm ==
             photon_norm + magnon_norm + excited_norm + emitted_norm + loss_accum
 
-    and `bookkeeping_residual` returns the left side minus the right side.
+    defines `loss_accum`: whatever of the input was neither emitted nor is
+    held.  A loss below zero by more than roundoff is a PhysicsViolation.
     """
 
     z_grid: np.ndarray
@@ -284,7 +285,6 @@ class FieldState(_ArrayValue):
     sigma12: np.ndarray
     sigma13: np.ndarray
     t_now: float
-    loss_accum: float
     emitted_norm: float = 0.0
     injected_norm: float = 0.0
     initial_norm: float = 0.0
@@ -320,15 +320,10 @@ class FieldState(_ArrayValue):
     def input_norm(self) -> float:
         return self.injected_norm + self.initial_norm
 
-    def bookkeeping_residual(self) -> float:
-        held = (
-            self.photon_norm
-            + self.magnon_norm
-            + self.excited_norm
-            + self.emitted_norm
-            + self.loss_accum
-        )
-        return self.input_norm - held
+    @property
+    def loss_accum(self) -> float:
+        held = self.photon_norm + self.magnon_norm + self.excited_norm
+        return self.input_norm - self.emitted_norm - held
 
 
 @dataclass(frozen=True)

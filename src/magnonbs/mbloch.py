@@ -45,10 +45,11 @@ in at z = 0, so the norm removed per half step telescopes into
     loss = initial + injected - emitted - held,
 
 with the emitted norm summed from the recorded field and the injected norm
-from the sampled pulse.  The ledger thus closes to roundoff by
-construction, whatever the grid.  The independent check is the per-step
-quadrature `loss_quad` of 2*|P|^2 + 2*gamma12*|S|^2, read off each
-w_n (the advection leaves P and S unchanged): its gap to the ledger's loss,
+from the sampled pulse.  `FieldState.loss_accum` derives the loss so from
+the norms it holds, so the ledger closes by construction, whatever the
+grid.  The independent check is the per-step quadrature `loss_quad` of
+2*|P|^2 + 2*gamma12*|S|^2, read off each w_n (the advection leaves P and S
+unchanged): its gap to the ledger's loss,
 `Trajectory.loss_gap`, is the midpoint rule's discretization error and
 falls 4x per grid doubling.  At every ledger read the held norm is also
 checked for non-finite values and for exceeding the input, so no run ends
@@ -625,8 +626,6 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             # scratch buffer that never feeds back into the carried state.
             matmul(halves[i], shifted[i], out=v_rev)
             copyto(v, v_rev[:, ::-1])
-            # The per-half-step ledger telescopes: whatever the held and
-            # emitted norms do not account for of the input was lost.
             held = dz * dot(flat_v, flat_v)
             chunk = emitted_rows[i][emitted_upto[i] : r + 1]
             chunk[...] = outflow[i, emitted_upto[i] - w0 : r + 1 - w0]
@@ -636,7 +635,6 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             injected = boundary[i][1]
             inflow_norm = float(injected[r]) if injected is not None else 0.0
             budget = initial_norm[i] + inflow_norm
-            loss = float(budget - emitted_norm[i] - held)
             if not np.isfinite(held):
                 raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
             if held > budget + PROBABILITY_SLACK:
@@ -647,7 +645,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             if r in snap_steps[i] or r == lengths[i] - 1:
                 state = FieldState(
                     z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
-                    (r + 1) * dt, loss, emitted_norm[i], inflow_norm, initial_norm[i],
+                    (r + 1) * dt, emitted_norm[i], inflow_norm, initial_norm[i],
                 )
                 if r in snap_steps[i]:
                     snapshots[i].append(state)

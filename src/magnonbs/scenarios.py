@@ -124,8 +124,8 @@ def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageRes
         if fin.input_norm <= 0:
             raise ConfigError("storage run received no input norm")
         zero = np.zeros(fin.z_grid.size, dtype=complex)
-        state = FieldState(fin.z_grid, zero, fin.sigma12.copy(), zero.copy(),
-                           0.0, 0.0, 0.0, 0.0, fin.magnon_norm)
+        state = FieldState(fin.z_grid, zero, fin.sigma12.copy(), zero.copy(), 0.0,
+                           initial_norm=fin.magnon_norm)
         results.append(StorageResult(state, fin.magnon_norm / fin.input_norm, traj))
     return results
 
@@ -197,8 +197,7 @@ class Fig2Curve(_ArrayValue):
     spin_abs: np.ndarray
     transmission: float
     release: float
-    # Worst bookkeeping residual and loss-quadrature gap over the curve's runs.
-    max_residual: float
+    # Worst loss-quadrature gap over the curve's runs.
     max_loss_gap: float
 
     def __post_init__(self) -> None:
@@ -242,16 +241,16 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     )
 
     # The storage runs first, each kept only as its stored wave, efficiency
-    # and ledger checks, so that no storage trajectory is held while the
-    # probe and release runs step.  The reference drive's run is one of
-    # them, and a grid drive equal to it reuses it.
+    # and loss gap, so that no storage trajectory is held while the probe
+    # and release runs step.  The reference drive's run is one of them, and
+    # a grid drive equal to it reuses it.
     drives = tuple(dict.fromkeys((params.ref_rabi_s, *params.rabi_s_grid)))
     stored = {
-        rabi_s: (result.state, result.efficiency, _ledger_checks(result.trajectory))
+        rabi_s: (result.state, result.efficiency, result.trajectory.loss_gap)
         for rabi_s, result in zip(
             drives, store([(medium, r) for r in drives], params.n_z))
     }
-    checks = [check for _, _, check in stored.values()]
+    gaps = [gap for _, _, gap in stored.values()]
 
     probe = replace(PULSE, t_center=_PROBE_CENTER)
     plain = SimulationConfig(t_end=_T_END, n_z=params.n_z)
@@ -270,7 +269,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
         )
     else:
         release = 0.0
-    checks += [_ledger_checks(run_probe), _ledger_checks(run_release)]
+    gaps += [run_probe.loss_gap, run_release.loss_gap]
 
     # The columns, each computed at once; an empty overlap or arm pair
     # gives 0 rather than 0/0.
@@ -294,17 +293,8 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
         spin_abs=spin_abs,
         transmission=float(transmission),
         release=float(release),
-        max_residual=max(c[0] for c in checks),
-        max_loss_gap=max(c[1] for c in checks),
+        max_loss_gap=max(gaps),
     )
-
-
-def _ledger_checks(run: Trajectory) -> tuple[float, float]:
-    """A run's bookkeeping residual and loss-quadrature gap.
-
-    Taken as each run ends, so that a sweep holds no finished trajectory.
-    """
-    return abs(run.final_state.bookkeeping_residual()), run.loss_gap
 
 
 @dataclass(frozen=True)
@@ -354,8 +344,7 @@ class TriangleCheck:
     g2_formula: float
     overlap: float
     phi_rt: float
-    # Worst bookkeeping residual and loss-quadrature gap over the runs.
-    residual: float
+    # Worst loss-quadrature gap over the runs.
     loss_gap: float
 
     @property
@@ -378,16 +367,14 @@ def triangle_check(scenario: MixingScenario, stored: StorageResult) -> TriangleC
     dist = output_distribution(network, two_photon_input(overlap_value))
     g2_oracle = g2_from_distribution(dist, b.matrix)
     g2_closed = g2_formula(overlap_value, phi)
-    checks = [_ledger_checks(run) for run in
-              (stored.trajectory, result.run_magnon, result.run_photon)]
     return TriangleCheck(
         label=scenario.label,
         g2_oracle=float(g2_oracle),
         g2_formula=float(g2_closed),
         overlap=float(overlap_value),
         phi_rt=float(phi),
-        residual=max(c[0] for c in checks),
-        loss_gap=max(c[1] for c in checks),
+        loss_gap=max(run.loss_gap for run in
+                     (stored.trajectory, result.run_magnon, result.run_photon)),
     )
 
 

@@ -81,14 +81,23 @@ def test_criterion_8_efficiency_optimum(fig2_pairs, report):
 
 
 def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_pairs, mixing_checks):
-    # The ledger's residual closes by construction, so the loss quadrature
-    # is what catches a ledger that drifts from the physics.
+    # The ledger closes by construction, so the loss quadrature is what
+    # catches a ledger that drifts from the physics.
     pairs = dict(fig2_pairs)
     fine, coarse = pairs[30.0]
     pairs[30.0] = (replace(fine, max_loss_gap=1.5 * LOSS_GAP_TOL), coarse)
     result = criterion_7(pairs=pairs, checks=mixing_checks)
     assert not result.passed
     assert "worst loss quadrature gap=1.50e-04" in result.details
+
+
+def test_the_mixing_points_keep_their_ledger_loss_on_the_loss_quadrature(mixing_checks):
+    # The ledger's loss is the input less the emitted and the held norms,
+    # and the quadrature sums the decay rates on its own: their gaps here
+    # are 8.3e-6 (resonant) and 2.7e-5 (detuned).  An emitted norm counted
+    # 0.1% high opens them to 1.4e-2 and 2.5e-2.
+    for tc in mixing_checks:
+        assert tc.loss_gap <= LOSS_GAP_TOL, tc.label
 
 
 def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monkeypatch):
@@ -118,7 +127,7 @@ def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monke
     for batched, point in zip(checks, (RESONANT_MIXING, DETUNED_MIXING), strict=True):
         (stored,) = scenarios.store([point.stage], scenarios.MIX_N_Z)
         alone = scenarios.triangle_check(point, stored)
-        for name in ("g2_oracle", "g2_formula", "overlap", "phi_rt", "residual", "loss_gap"):
+        for name in ("g2_oracle", "g2_formula", "overlap", "phi_rt", "loss_gap"):
             assert getattr(batched, name) == pytest.approx(getattr(alone, name),
                                                            rel=1e-12, abs=1e-15)
 

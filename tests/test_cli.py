@@ -25,10 +25,8 @@ def test_defaults_resolve_without_a_file():
     config = load_config(None, [])
     assert config["medium"]["od"] == 30.0
     assert config["pulse"]["fwhm"] == 1.5
-    # The default 100 ns phase width lands in normalized units.
-    assert config["scenario"]["phase_fwhm"] == pytest.approx(
-        100.0 * NS_TO_NORM
-    )
+    # fig3's phase width is the gate's.
+    assert config["scenario"]["phase_fwhm"] == scenarios.PHASE_FWHM
     assert "phase_fwhm_ns" not in config["scenario"]
 
 
@@ -219,7 +217,7 @@ def test_run_emits_tables_with_summary_header(tmp_path):
     assert rc == 0
     emitted = (tmp_path / "run_emitted.csv").read_text(encoding="utf-8")
     assert "# emitted_norm = " in emitted
-    assert "# residual = " in emitted
+    assert "# loss = " in emitted
     snaps = (tmp_path / "run_snapshots.csv").read_text(encoding="utf-8")
     times = {
         line.split(",")[0]
@@ -239,8 +237,7 @@ def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path):
     # summary in its header; the sweep steps its points together.  The
     # drives of 12,000 and 20,000 give half-step generators whose 1-norm
     # passes expm's threshold for scaling, and share solver calls with
-    # drives whose generators stay below it.  The residual in each row, a
-    # sum at roundoff, shows any change in a point's roundoff.
+    # drives whose generators stay below it.
     common = ["grid.t_end=5", "grid.n_z=32", "control.segments=beamsplit:0:5:10"]
     args = [a for o in common + sweep for a in ("--override", o)]
     assert main(["sweep", "--out", str(tmp_path)] + args) == 0
@@ -561,18 +558,11 @@ def test_accept_writes_its_table_and_fails_on_a_failed_criterion(
     assert main(["accept", "--out", str(tmp_path)]) == 0
 
 
-def _close(a, b) -> bool:
-    if isinstance(a, float):
-        return b == pytest.approx(a, rel=1e-9)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_close, a, b))
-    return a == b
-
-
 def test_header_lines_rebuild_the_config():
     # A table's header is enough to rerun it: its `section.key = value`
-    # lines, fed back as overrides, give the same config.
-    config = load_config(None, [])
+    # lines, fed back as overrides, give the same config, every float
+    # exactly, also those converted from MHz and ns.
+    config = load_config(None, ["pulse.fwhm_ns=100", "medium.delta_mhz=7"])
     lines = header_lines("run", config, 0)[3:]
     assert len(lines) == sum(len(keys) for keys in config.values())
     rebuilt = load_config(None, [line.replace(" = ", "=", 1) for line in lines])
@@ -581,6 +571,6 @@ def test_header_lines_rebuild_the_config():
     }
     mismatches = [
         f"{s}.{k}" for s, kv in config.items() for k, v in kv.items()
-        if not _close(v, rebuilt[s][k])
+        if v != rebuilt[s][k]
     ]
     assert mismatches == []

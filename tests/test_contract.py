@@ -1,10 +1,14 @@
 """Each command's tables against the committed output contract.
 
 The files under `data/contract/<case>/` are the tables that the case's
-command wrote with `--out data/contract/<case>`; regenerate them that way
-only when an output change is intended, and say so where it is recorded.
+command wrote with `--out data/contract/<case>`.  Regenerate them, and
+`accept_details.txt`, only when an output change is intended, with
+`python tools/contract.py write`, and record the table of moved tokens it
+prints where the change is recorded.
 """
 
+import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,20 +16,9 @@ from pathlib import Path
 import pytest
 
 from magnonbs.cli import main
+from output_contract import CASES
 
-
-def _overrides(*items: str) -> list[str]:
-    return [arg for item in items for arg in ("--override", item)]
-
-
-CASES = {
-    "fig2": ["fig2", *_overrides("scenario.ods=30", "scenario.rabi_s_grid=3,5,8")],
-    "fig3": ["fig3"],
-    "fig4": ["fig4"],
-    "run": ["run", *_overrides("grid.n_z=16", "grid.t_end=2", "grid.snapshots=1",
-                               "medium.delta=1.5", "medium.gamma12=0.02")],
-    "sweep": ["sweep", *_overrides("sweep.num=3", "grid.n_z=16")],
-}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -43,7 +36,7 @@ def test_importing_the_cli_loads_no_scipy():
     # Importing scipy (any of its modules) more than doubles every command's
     # start-up time, and nothing the commands run needs it.  The process
     # pool's modules cost about 20 ms more, and only `accept` needs them.
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import magnonbs.cli; "
             "sys.exit(sorted(m for m in sys.modules "
             "if m in ('scipy', 'multiprocessing', 'concurrent.futures.process') "
@@ -51,3 +44,28 @@ def test_importing_the_cli_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr or "magnonbs.cli imports scipy or a process pool"
+
+
+def _contract_tool():
+    spec = importlib.util.spec_from_file_location("contract_tool", ROOT / "tools" / "contract.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_the_contract_tool_reports_exactly_the_token_that_moved(tmp_path, contract_dir):
+    # On committed files, not on a rerun: an unchanged copy has not moved,
+    # nor has a number rewritten within the tolerance; a number moved past
+    # it is reported alone, with its file, line and column.
+    tool = _contract_tool()
+    copy = tmp_path / "contract"
+    shutil.copytree(contract_dir, copy)
+    assert tool.compare(copy, contract_dir) == []
+    path = copy / "fig4" / "fig4_corners.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    k = lines.index("classical_threshold,2.25\n")
+    for value, moved in (("2.2500000000001", False), ("2.2500001", True)):
+        lines[k] = f"classical_threshold,{value}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        want = [tool.Move("fig4/fig4_corners.csv", str(k + 1), "g3", "2.25", value)]
+        assert tool.compare(copy, contract_dir) == (want if moved else [])

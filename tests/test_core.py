@@ -166,30 +166,36 @@ def _state(n=16, e_scale=0.5):
     s = np.zeros(n, dtype=complex)
     dz = 1.0 / n
     norm = dz * np.sum(np.abs(e) ** 2)
-    return FieldState(
-        z, e, s, np.zeros(n, dtype=complex), 0.0, 0.0,
-        initial_norm=norm,
-    )
+    return FieldState(z, e, s, np.zeros(n, dtype=complex), 0.0, initial_norm=norm)
 
 
 @pytest.mark.parametrize("loss, ok", [(-2e-6, False), (-5e-7, True)])
 def test_field_state_rejects_loss_below_its_slack(loss, ok):
     # Roundoff may leave the ledger's loss a little below zero; 1e-6 below
-    # is a bug.
+    # is a bug.  An empty cell that emitted -loss more than its input of 0
+    # has the loss `loss`.
     z = make_grid(16)
     zero = np.zeros(16, dtype=complex)
     if ok:
-        assert FieldState(z, zero, zero, zero, 0.0, loss).loss_accum == loss
+        assert FieldState(z, zero, zero, zero, 0.0, -loss).loss_accum == loss
     else:
         with pytest.raises(PhysicsViolation, match="negative accumulated loss"):
-            FieldState(z, zero, zero, zero, 0.0, loss)
+            FieldState(z, zero, zero, zero, 0.0, -loss)
 
 
 def test_field_state_bookkeeping_closes_on_construction():
+    # The loss is the input less the emitted and the held norms: none for a
+    # state that holds its whole input.
     st = _state()
-    assert abs(st.bookkeeping_residual()) < 1e-12
-    assert st.photon_norm >= 0.0
+    assert abs(st.loss_accum) < 1e-12
+    assert st.photon_norm == pytest.approx(0.25, rel=1e-12)
     assert st.magnon_norm == 0.0
+    z = make_grid(16)
+    zero = np.zeros(16, dtype=complex)
+    half = np.full(16, 0.5, dtype=complex)
+    spent = FieldState(z, zero, half, half, 0.0, emitted_norm=0.125, injected_norm=0.5,
+                       initial_norm=0.25)
+    assert spent.loss_accum == pytest.approx(0.75 - 0.125 - 0.5, abs=1e-15)
 
 
 def test_splitter_matrix_layout_and_column_norms():
@@ -230,14 +236,14 @@ def _short_run():
 
 _ARRAY_VALUES = {
     "FieldState": lambda: FieldState(make_grid(16), np.full(16, 0.1j), np.full(16, 0.2),
-                                     np.zeros(16), 0.5, 0.01, 0.02, 0.03, 0.04),
+                                     np.zeros(16), 0.5, 0.01, 0.03, 0.04),
     "FockInput": lambda: three_photon_input(0.3, 0.8),
     "ModeNetwork": lambda: ModeNetwork(np.array([[0.6, 0.3j], [0.2, 0.5]])),
     "Fig2Curve": lambda: Fig2Curve(
         rabi_s=np.arange(1.0, 4.0), efficiency=np.full(3, 0.5),
         mode_overlap=np.full(3, 0.8), balance=np.ones(3), visibility=np.full(3, 0.8),
         spin_abs=np.ones((3, 16)), transmission=0.5, release=1.0,
-        max_residual=1e-16, max_loss_gap=2e-5,
+        max_loss_gap=2e-5,
     ),
     "Trajectory": _short_run,
     "ExtractionResult": lambda: ExtractionResult(

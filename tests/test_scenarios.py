@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError, g2_formula, scenarios
+from magnonbs import ConfigError, MediumParams, g2_formula, scenarios
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
     Fig2Curve,
+    MixingScenario,
     RESONANT_MIXING,
     delay_envelope,
     fig3_delay_curve,
@@ -53,7 +54,7 @@ def test_fig2_curve_is_unimodal_only_with_a_strict_interior_peak(visibility, uni
         rabi_s=np.arange(1.0, n + 1.0), efficiency=np.full(n, 0.5),
         mode_overlap=visibility, balance=np.ones(n), visibility=visibility,
         spin_abs=np.ones((n, 16)), transmission=0.5, release=1.0,
-        max_residual=0.0, max_loss_gap=0.0,
+        max_loss_gap=0.0,
     )
     assert curve.is_unimodal() is unimodal
     assert curve.visibility[curve.optimum()] == max(visibility)
@@ -151,9 +152,21 @@ def test_triangle_check_counts_the_storage_run_in_its_loss_gap():
     assert tc.loss_gap == run.loss_gap
 
 
-# The loss Gram's roundoff: its largest anti-Hermitian entry at the gate's
-# mixing points is 2.2e-17, and this bound is 450 times that.
+# The loss Gram's roundoff: its largest anti-Hermitian entry at the mixing
+# points below is 5.6e-17, and this bound is 180 times that.
 _LOSS_GRAM_TOL = 1e-14
+
+# Points on both sides of the bosonic-to-fermionic crossover, as (od,
+# detuning, storage drive, beamsplit drive, cut): one fermionic, then two
+# bosonic.
+_CROSSOVER_POINTS = tuple(
+    MixingScenario(label, MediumParams(od=od, delta=delta), rabi_s, rabi_bs, t_cut)
+    for label, od, delta, rabi_s, rabi_bs, t_cut in (
+        ("fermionic", 10.0, 0.0, 6.0, 6.0, 0.5),
+        ("bosonic", 10.0, -5.0, 6.0, 3.0, 2.0),
+        ("bosonic, deep", 30.0, -20.0, 3.0, 6.0, 2.0),
+    )
+)
 
 
 def _per_input(extraction):
@@ -163,21 +176,30 @@ def _per_input(extraction):
     return extraction.grams / np.outer(root, root)
 
 
-def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(mixing_extractions):
+def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(
+        mixing_extractions, extractions):
     # Per unit input, L = I - G(0) - G(1) is the Gram of what a passive
-    # splitter loses, so it is Hermitian and positive semidefinite.  At the
-    # gate points its smallest eigenvalue is 0.041 (resonant) and 0.029
-    # (detuned).
+    # splitter loses, so it is Hermitian and positive semidefinite.  Its
+    # smallest eigenvalue is 0.041 and 0.029 at the gate points (resonant,
+    # detuned) and 0.213, 0.019 and 0.017 at the crossover points, stored
+    # in one batch.  They add about 0.3 s.
+    stored = scenarios.store([p.stage for p in _CROSSOVER_POINTS], scenarios.MIX_N_Z)
+    for point, stage in zip(_CROSSOVER_POINTS, stored):
+        triangle_check(point, stage)
     resonant, detuned = mixing_extractions
-    for extraction in (resonant, detuned):
+    fermionic, *bosonic = extractions
+    for extraction in (resonant, detuned, fermionic, *bosonic):
         grams = _per_input(extraction)
         loss = np.eye(2) - grams[0] - grams[1]
         assert np.abs(loss - loss.conj().T).max() <= _LOSS_GRAM_TOL
         assert np.linalg.eigvalsh(loss).min() >= -_LOSS_GRAM_TOL
-    # The check can fail: with the detuned point's magnon Gram conjugated,
-    # L has the eigenvalue -8.8e-3.  The point loses too little to hide it.
-    loss = np.eye(2) - grams[0].conj() - grams[1]
-    assert np.linalg.eigvalsh(loss).min() < -_LOSS_GRAM_TOL
+    # The check can fail: with the magnon Gram conjugated, L has the
+    # eigenvalue -8.8e-3 at the detuned gate point and -0.51 and -0.67 at
+    # the bosonic points.  These points lose too little to hide it.
+    for extraction in (detuned, *bosonic):
+        grams = _per_input(extraction)
+        loss = np.eye(2) - grams[0].conj() - grams[1]
+        assert np.linalg.eigvalsh(loss).min() < -_LOSS_GRAM_TOL
 
 
 def _exact_g2(grams):

@@ -343,6 +343,13 @@ MUTANTS = (
      "self.emitted.setflags(write=False)",
      "self.emitted.setflags(write=True)",
      ("tests/test_mbloch.py::test_batch_members_own_their_outputs", PICKLE_TEST)),
+    # The ledger's loss then drifts from the physics by 0.1% of the light
+    # that leaves; only the loss quadrature can see it.
+    ("mbloch: the emitted norm counted 0.1% high", MBLOCH,
+     "emitted_norm[i] += dz * dot(chunk, chunk)",
+     "emitted_norm[i] += 1.001 * dz * dot(chunk, chunk)",
+     ("tests/test_acceptance.py::"
+      "test_the_mixing_points_keep_their_ledger_loss_on_the_loss_quadrature",)),
     ("mbloch: drop the held-norm check", MBLOCH,
      "if held > budget + PROBABILITY_SLACK:",
      "if False:",
@@ -368,10 +375,10 @@ MUTANTS = (
      '"t_start", "t_end", "amplitude", "ramp")',
      '"t_start", "t_end", "amplitude")',
      ("tests/test_core.py::test_constructors_reject_non_finite_values",)),
-    ("scenarios: drop the storage run from triangle_check's ledger checks",
+    ("scenarios: drop the storage run from triangle_check's loss gap",
      SCENARIOS,
-     "(stored.trajectory, result.run_magnon, result.run_photon)]",
-     "(result.run_magnon, result.run_photon)]",
+     "(stored.trajectory, result.run_magnon, result.run_photon)),",
+     "(result.run_magnon, result.run_photon)),",
      ("tests/test_acceptance.py::test_criterion_5_triangle_consistency",
       "tests/test_acceptance.py::test_criterion_7_conservation_and_grid",
       "tests/test_scenarios.py",
@@ -418,6 +425,12 @@ MUTANTS = (
      "1j * medium.coupling",
      "(1e-3 + 1j) * medium.coupling",
      ("tests/test_splitter.py::test_grams_on_resonance_are_exactly_real",)),
+    # A number rewritten within the tolerance then moves.
+    ("contract: the tool compares text only", "tools/contract.py",
+     "if a % 2 and not same_number(new[b], old[a]):",
+     "if a % 2 and new[b] != old[a]:",
+     ("tests/test_contract.py::"
+      "test_the_contract_tool_reports_exactly_the_token_that_moved",)),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
