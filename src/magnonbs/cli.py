@@ -45,7 +45,7 @@ from .core import (
     PulseEnvelope,
     make_grid,
 )
-from .mbloch import SimulationConfig, _plan_batch, evolve, evolve_batch
+from .mbloch import SimulationConfig, evolve, evolve_batch
 from .splitter import phi_rt_analytic, tau_from_fwhm
 from .stats import classical_bounds, g2_formula
 from . import scenarios
@@ -55,9 +55,11 @@ GAMMA31_MHZ = 3.0
 NS_TO_NORM = 2.0 * math.pi * GAMMA31_MHZ * 1e6 * 1e-9
 
 _FLOAT_FMT = "%.10g"
-# Sweep points per solver call at most: each call holds its points'
-# trajectories, emitted fields included, until it returns.
-_SWEEP_CHUNK = 4
+# The most rows a table may have.  A table takes up to about 600 B of
+# memory per row while it is written (fig3's delay table at its default
+# three operating points; fig4's surface takes 400 B), so a table stays
+# within about 60 MB.
+_MAX_ROWS = 100_000
 
 Config = dict[str, dict[str, object]]
 
@@ -114,6 +116,22 @@ def _count(text: str) -> int:
     value = _int(text)
     if value < 1:
         raise ConfigError(f"must be at least 1, got {value}")
+    return value
+
+
+def _rows(text: str) -> int:
+    """A count of table rows, at most _MAX_ROWS."""
+    value = _count(text)
+    if value > _MAX_ROWS:
+        raise ConfigError(f"a table may have at most {_MAX_ROWS} rows, got {value}")
+    return value
+
+
+def _side(text: str) -> int:
+    """The points per axis of a square grid tabulated one row per point."""
+    value = _count(text)
+    if value * value > _MAX_ROWS:
+        raise ConfigError(f"a table may have at most {_MAX_ROWS} rows, got {value}^2")
     return value
 
 
@@ -180,9 +198,9 @@ KEYS: dict[str, dict[str, tuple]] = {
         "phase_fwhm": (_number, scenarios.PHASE_FWHM),
         "triples": (_parse_triples, scenarios.PHASE_POINTS),
         "delay_span": (_number, 4.0),
-        "delay_steps": (_count, 81),
-        "phase_steps": (_count, 97),
-        "fig4_steps": (_count, scenarios.FIG4_STEPS),
+        "delay_steps": (_rows, 81),
+        "phase_steps": (_rows, 97),
+        "fig4_steps": (_side, scenarios.FIG4_STEPS),
         "fig4_span": (_number, scenarios.FIG4_SPAN),
         "rabi_s_grid": (_floats, None),
     },
@@ -416,12 +434,13 @@ def cmd_fig4(config: Config, out_dir: Path, seed: int) -> int:
 
 
 def _build_run(
-    config: Config,
+    config: Config, record_emission: bool = True,
 ) -> tuple[MediumParams, ControlTimeline, SimulationConfig, PulseEnvelope]:
     med, grid, pul = config["medium"], config["grid"], config["pulse"]
     medium = MediumParams(od=med["od"], delta=med["delta"], gamma12=med["gamma12"])
     sim = SimulationConfig(
-        t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"]
+        t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"],
+        record_emission=record_emission,
     )
     pulse = PulseEnvelope(
         fwhm=pul["fwhm"],
@@ -525,17 +544,11 @@ def _sweep_values(config: Config, seed: int) -> np.ndarray:
 def cmd_sweep(config: Config, out_dir: Path, seed: int) -> int:
     parameter = config["sweep"]["parameter"]
     values = [float(v) for v in _sweep_values(config, seed)]
-    # Every point is built and checked before the first solver call.
-    runs = [(*_build_run(_apply_value(config, parameter, v)), None) for v in values]
-    # At most _SWEEP_CHUNK points per call, of one grid and longest first,
-    # so each call is one step group; each trajectory is cut to its summary
-    # before the next call, so one call's are held at a time.
-    summaries: list = [None] * len(runs)
-    for _, order in _plan_batch(runs):
-        for lo in range(0, len(order), _SWEEP_CHUNK):
-            group = order[lo : lo + _SWEEP_CHUNK]
-            for i, traj in zip(group, evolve_batch([runs[i] for i in group])):
-                summaries[i] = _run_summary(traj)
+    # Every point is built here, and checked by the one solver call before
+    # its first step; no run records its emission, which no row reads.
+    runs = [(*_build_run(_apply_value(config, parameter, v), record_emission=False), None)
+            for v in values]
+    summaries = [_run_summary(traj) for traj in evolve_batch(runs)]
 
     header = header_lines("sweep", config, seed)
     header.append(f"sweep parameter = {parameter}")

@@ -16,11 +16,12 @@ is locked to dt = dz / C_EFF so the advection is an integer cell shift and
 introduces no numerical dispersion.
 
 Every run starts at t = 0.  Whatever does not depend on the state is
-computed once per run, before the first step.  The control drive and the
-probe pulse are sampled at all step midpoints (n + 1/2) dt in one vector
-call each.  The drive splits into runs of equal values, each with one
-half-step map R = exp(M dt/2) of its local generator M: a constant drive
-has one run, a ramp one per step of the ramp.  The maps are built a block
+computed once per run, before the first step, but for the probe pulse.
+The control drive is sampled at all step midpoints (n + 1/2) dt in one
+vector call, and the pulse one window of steps at a time (see below).
+The drive splits into runs of equal values, each with one half-step map
+R = exp(M dt/2) of its local generator M: a constant drive has one run,
+a ramp one per step of the ramp.  The maps are built a block
 of drive runs at a time, which bounds their memory, by this module's
 `expm`, which exponentiates the block's stacked generators at once in
 numpy, each scaled by its own power of two, so a run's maps do not depend
@@ -44,14 +45,14 @@ in at z = 0, so the norm removed per half step telescopes into
 
     loss = initial + injected - emitted - held,
 
-with the emitted norm summed from the recorded field and the injected norm
-from the sampled pulse.  `FieldState.loss_accum` derives the loss so from
-the norms it holds, so the ledger closes by construction, whatever the
-grid.  The independent check is the per-step quadrature `loss_quad` of
-2*|P|^2 + 2*gamma12*|S|^2, read off each w_n (the advection leaves P and S
-unchanged): its gap to the ledger's loss,
-`Trajectory.loss_gap`, is the midpoint rule's discretization error and
-falls 4x per grid doubling.  At every ledger read the held norm is also
+with the emitted norm summed from the emitted cells, whether or not the
+run records them, and the injected norm from the pulse's samples.
+`FieldState.loss_accum` derives the loss so from the norms it holds, so
+the ledger closes by construction, whatever the grid.  The independent
+check is the per-step quadrature `loss_quad` of 2*|P|^2 +
+2*gamma12*|S|^2, read off each w_n (the advection leaves P and S
+unchanged): its gap to the ledger's loss, `Trajectory.loss_gap`, is the
+midpoint rule's discretization error and falls 4x per grid doubling.  At every ledger read the held norm is also
 checked for non-finite values and for exceeding the input, so no run ends
 or takes a snapshot unchecked.
 
@@ -89,7 +90,9 @@ gamma12 is nonzero, each weighted by its own) then adds the quadrature of
 the states the block carried.  So a block's own cost does not grow with
 the number of members.  The injected and emitted cells pass through a
 window of _CHECK_EVERY steps, which every member is read within, refilled
-and emptied member by member at the ledger reads.  The P and S rows' edge
+and emptied member by member at the ledger reads.  Each distinct pulse is
+sampled anew for each window, once for every member it feeds, its
+injected norm summed on from the window before.  The P and S rows' edge
 columns are never written, so they add nothing to the quadrature.
 
 What a group holds in its ring and its members' blocks of maps is bounded
@@ -97,11 +100,12 @@ by _BUDGET floats (1.53 MB): three quarters for the ring and one for the
 maps.  A wider group takes shorter blocks of steps and of drive runs, and
 a grid with more runs than two ring slots fit (73 at n_z 160) steps in
 several groups.  Besides, a group holds its outputs, its members' drive
-runs and the windows of injected and emitted cells; nothing but the
-outputs is an array of steps x members.  One array of step midpoints, the
-longest run's, serves each group while it steps, and the runs of a group
-with the same pulse share its samples.  A trajectory keeps neither: it
-computes its step times from dt, and its caller holds the timeline.
+runs and the windows of injected and emitted cells and of pulse samples;
+of the outputs only the emitted fields, of the members that record them,
+are arrays of steps x members.  One array of step midpoints, the longest
+run's, serves each group while it steps.  A trajectory keeps no
+midpoints: it computes its step times from dt, and its caller holds the
+timeline.
 """
 
 from __future__ import annotations
@@ -131,9 +135,10 @@ from .core import (
 # beyond, until their exponential's roundoff breaks the ledger.
 _MAX_DRIVE_STEP = 1e3
 # The most steps a run may take, checked when its config is built.  A run
-# holds a few arrays of one row per step (the step midpoints, the pulse
-# samples, the emitted field), about 235 MB at this bound, 119 times the
-# acceptance gate's longest run (35,256 steps).
+# holds a few arrays of one row per step: the step midpoints, its emitted
+# field if it records it, and, while its maps are planned, its drive's
+# samples.  They peak at about 27 B per step then, 113 MB at this bound,
+# 119 times the acceptance gate's longest run (35,256 steps).
 _MAX_STEPS = 2**22
 # Steps between ledger reads, and so between the non-finite and runaway
 # checks on the held norm, away from snapshots and the last step.
@@ -167,11 +172,14 @@ class SimulationConfig:
     `n_z` counts spatial cells; the time step `dt` is 1 / (n_z * C_EFF).
     The run starts at t = 0 and takes `n_steps` steps, at least one; snapshot
     times lie in [0, t_end].  More than _MAX_STEPS steps is a ConfigError.
+    `record_emission` keeps the field emitted at each step in the
+    trajectory; without it the ledger still counts the emitted norm.
     """
 
     t_end: float
     n_z: int = 160
     snapshot_times: tuple[float, ...] = ()
+    record_emission: bool = True
 
     def __post_init__(self) -> None:
         _require_finite(self, "t_end")
@@ -212,9 +220,11 @@ class Trajectory(_ArrayValue):
     `emitted` holds the outgoing amplitude at z = 1 at each step, read-only,
     in temporal normalization: dt * sum |emitted|^2 is the norm that left
     the cell.  `times`, the step midpoints (n + 1/2) dt, are computed anew
-    at each read.  The norm ledger is observable at the end
-    (`final_state`) and at the step end nearest each requested snapshot
-    time (`snapshots`); each is a FieldState carrying the full ledger.
+    at each read.  A run whose config does not record emission keeps both
+    empty; its ledger's emitted norm is the same, bit for bit.  The norm
+    ledger is observable at the end (`final_state`) and at the step end
+    nearest each requested snapshot time (`snapshots`); each is a
+    FieldState carrying the full ledger.
     `loss_quad` is the loss summed independently of that ledger, step by
     step from the decay rates.  The run's control drive is not kept: the
     caller holds its timeline.
@@ -355,15 +365,17 @@ def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
             yield stop, across[s], half[s]
 
 
-def _pulse_samples(pulse: PulseEnvelope, times: np.ndarray, dt: float):
-    """The cells a pulse injects at z = 0, as (Re, Im) rows, one per step,
-    and the norm injected up to and including each step."""
+def _pulse_window(pulse: PulseEnvelope, times: np.ndarray, dt: float, before: float):
+    """The cells a pulse injects at z = 0 at the steps centered on `times`,
+    as (Re, Im) rows, one per step, and the norm injected up to and
+    including each step, `before` being what it injected before them."""
     amps = pulse.amplitude(times)
     # dt |amp|^2 is also dz |amp / sqrt(C_EFF)|^2, the norm of the
     # injected cell.
     injected = np.abs(amps)
     injected **= 2
     injected *= dt
+    injected[0] += before
     np.cumsum(injected, out=injected)
     amps /= math.sqrt(C_EFF)
     return amps.view(np.float64).reshape(times.size, 2), injected
@@ -475,14 +487,16 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     lengths = [config.n_steps for _, _, config, _, _ in members]
     steps, map_runs = _block_sizes(b, n_z)
 
-    # Every member reads a prefix of the first's step midpoints, and the
-    # first run of a pulse, its longest, samples it for all of them.
+    # Every member reads a prefix of the first's step midpoints.  Each
+    # pulse is sampled once for every member it feeds, as far as the first
+    # of them, its longest, steps.
     times = (np.arange(lengths[0]) + 0.5) * dt
-    samples: dict = {}
-    for (_, _, _, pulse, _), n_i in zip(members, lengths):
-        if pulse is not None and pulse not in samples:
-            samples[pulse] = _pulse_samples(pulse, times[:n_i], dt)
-    boundary = [samples[m[3]] if m[3] is not None else (None, None) for m in members]
+    pulses = [pulse for _, _, _, pulse, _ in members]
+    pulse_ends: dict = {}
+    for pulse, n_i in zip(pulses, lengths):
+        if pulse is not None:
+            pulse_ends.setdefault(pulse, n_i)
+    windows: dict = {}  # each pulse's cells and injected norms in the window
 
     # Each member's current stretch of one map: where it ends, the half map
     # of its drive run, and its fused map in the stack the step applies.
@@ -529,28 +543,38 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             readers.setdefault(n, []).append(i)
 
     # The window: the injected and the emitted cells of every member at
-    # steps w0 .. w0 + _CHECK_EVERY - 1, which a block reads and writes in
-    # one call each.  Every member still stepping is read at each multiple
-    # of _CHECK_EVERY, so no block crosses a window's end, and each read
-    # moves the member's emitted cells out.  A member without a pulse
+    # steps w0 up to the next multiple of _CHECK_EVERY, which a block reads
+    # and writes in one call each.  Every member still stepping is read at
+    # each multiple of _CHECK_EVERY, so no block crosses a window's end,
+    # and each read adds the member's emitted cells to its ledger and,
+    # when it records them, copies them out.  A member without a pulse
     # injects the zeros it is never given.
     inflow = np.zeros((_CHECK_EVERY, 2, b))
     outflow = np.empty((b, _CHECK_EVERY, 2))
     quad_p = dt * dz * 2.0
     quad_s = quad_p * np.array([m[0].gamma12 for m in members])
     loss_quad = np.zeros(b)
-    emitted = [np.empty(n_i, dtype=complex) for n_i in lengths]
+    emitted = [np.empty(n_i if config.record_emission else 0, dtype=complex)
+               for (_, _, config, _, _), n_i in zip(members, lengths)]
     emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
     emitted_norm = [0.0] * b
     emitted_upto = [0] * b
     snapshots: list[list[FieldState]] = [[] for _ in range(b)]
     finals: list = [None] * b
 
-    def fill(w0: int) -> None:
-        for i, (rows, _) in enumerate(boundary):
-            if rows is not None and lengths[i] > w0:
-                cut = rows[w0 : w0 + _CHECK_EVERY]
-                inflow[: len(cut), :, i] = cut
+    def fill(w0: int, w1: int) -> None:
+        # Each pulse's cells at steps w0 .. w1 - 1, cut at its longest run's
+        # end, and the norm it has injected up to each: the sum goes on from
+        # the window before, which ended at step w0 - 1, so the windows
+        # make one cumsum over the run.
+        for pulse, n_p in pulse_ends.items():
+            if n_p > w0:
+                before = windows[pulse][1][-1] if w0 else 0.0
+                windows[pulse] = _pulse_window(pulse, times[w0 : min(w1, n_p)], dt, before)
+        for i, pulse in enumerate(pulses):
+            if pulse is not None and lengths[i] > w0:
+                rows = windows[pulse][0]
+                inflow[: len(rows), :, i] = rows
 
     def carry(m: int) -> None:
         # The last block's final product goes to slot 0, where the next
@@ -574,7 +598,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     active = b  # members still stepping, the longest first
     base = m = 0  # the first step of the block, and the last block's length
     w0 = 0  # the window's first step
-    fill(w0)
+    fill(w0, 1)
     for r in sorted(readers):
         # Blocks of at most `steps` steps; the last one ends at step r.
         while base <= r:
@@ -627,13 +651,14 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             matmul(halves[i], shifted[i], out=v_rev)
             copyto(v, v_rev[:, ::-1])
             held = dz * dot(flat_v, flat_v)
-            chunk = emitted_rows[i][emitted_upto[i] : r + 1]
-            chunk[...] = outflow[i, emitted_upto[i] - w0 : r + 1 - w0]
+            chunk = outflow[i, emitted_upto[i] - w0 : r + 1 - w0]
+            if emitted[i].size:
+                emitted_rows[i][emitted_upto[i] : r + 1] = chunk
             chunk = chunk.reshape(-1)
             emitted_norm[i] += dz * dot(chunk, chunk)
             emitted_upto[i] = r + 1
-            injected = boundary[i][1]
-            inflow_norm = float(injected[r]) if injected is not None else 0.0
+            pulse = pulses[i]
+            inflow_norm = float(windows[pulse][1][r - w0]) if pulse is not None else 0.0
             budget = initial_norm[i] + inflow_norm
             if not np.isfinite(held):
                 raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
@@ -652,7 +677,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                 finals[i] = state
         if r % _CHECK_EVERY == 0:
             w0 = r + 1
-            fill(w0)
+            fill(w0, w0 + _CHECK_EVERY)
     carry(m)  # the quadrature of the last block; its product is a zero map's
 
     sqrt_c = math.sqrt(C_EFF)

@@ -108,7 +108,8 @@ def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageRes
     reaches the middle of the cell and then ramped off.  After a settle
     period of 3 the leftover field and polarization have decayed or left;
     each returned state keeps only the spin wave and restarts the
-    bookkeeping.  Every drive is checked before the first step.
+    bookkeeping.  Every drive is checked before the first step.  The
+    trajectories record no emission: their ledgers count it.
     """
     runs = []
     for medium, rabi in stages:
@@ -117,7 +118,8 @@ def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageRes
             raise ConfigError("storage drive must be nonzero and finite")
         t_off = PULSE.t_center + 0.5 / vg
         timeline = ControlTimeline((ControlSegment(0.0, t_off, rabi, "storage"),))
-        runs.append((medium, timeline, SimulationConfig(t_end=t_off + 3.0, n_z=n_z), PULSE, None))
+        config = SimulationConfig(t_end=t_off + 3.0, n_z=n_z, record_emission=False)
+        runs.append((medium, timeline, config, PULSE, None))
     results = []
     for traj in evolve_batch(runs):
         fin = traj.final_state
@@ -237,7 +239,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
         (ControlSegment(0.0, _T_END, params.rabi_bs, "beamsplit"),)
     )
     config = SimulationConfig(
-        t_end=_T_END, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS
+        t_end=_T_END, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS, record_emission=False
     )
 
     # The storage runs first, each kept only as its stored wave, efficiency
@@ -253,7 +255,7 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     gaps = [gap for _, _, gap in stored.values()]
 
     probe = replace(PULSE, t_center=_PROBE_CENTER)
-    plain = SimulationConfig(t_end=_T_END, n_z=params.n_z)
+    plain = SimulationConfig(t_end=_T_END, n_z=params.n_z, record_emission=False)
     run_probe, run_release = evolve_batch([
         (medium, timeline, config, probe, None),
         (medium, timeline, plain, None, stored[params.ref_rabi_s][0]),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError, PhysicsViolation, cli, mbloch, scenarios, splitter
+from magnonbs import ConfigError, PhysicsViolation, cli, mbloch, scenarios
 from magnonbs.cli import (
     GAMMA31_MHZ,
     NS_TO_NORM,
@@ -304,53 +304,46 @@ def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
     ["sweep.parameter=grid.n_z", "sweep.values=16,24,16,16,24,16,16,16,24"],
 ])
 def test_sweep_steps_one_step_group_per_call(sweep, tmp_path, monkeypatch):
-    # Each evolve_batch call gets at most _SWEEP_CHUNK points, of one grid
-    # and longest first, and a grid's calls are full but for its last.
-    calls = []
+    # One evolve_batch call holds every point, none recording its emission;
+    # it steps each grid's points as one group, longest first.
+    calls, groups = [], []
 
     def recording_batch(runs):
-        calls.append([(config.n_z, config.n_steps) for _, _, config, _, _ in runs])
-        return mbloch.evolve_batch(runs)
+        calls.append([(config.n_z, config.n_steps, config.record_emission)
+                      for _, _, config, _, _ in runs])
+        return evolve_batch(runs)
 
+    def recording_group(z, members):
+        groups.append([(config.n_z, config.n_steps) for _, _, config, _, _ in members])
+        return step_together(z, members)
+
+    evolve_batch, step_together = mbloch.evolve_batch, mbloch._step_together
     overrides = ["grid.n_z=16", "grid.t_end=1", "control.segments=beamsplit:0:1:5", *sweep]
-    args = [a for o in overrides for a in ("--override", o)]
-    chunked, whole = tmp_path / "chunked", tmp_path / "whole"
-    chunked.mkdir()
-    whole.mkdir()
     monkeypatch.setattr(cli, "evolve_batch", recording_batch)
-    assert main(["sweep", "--out", str(chunked), *args]) == 0
-    assert sum(map(len, calls)) == 9 and max(map(len, calls)) <= cli._SWEEP_CHUNK
-    for call in calls:
-        assert len({n_z for n_z, _ in call}) == 1
-        assert [n for _, n in call] == sorted((n for _, n in call), reverse=True)
-    for before, after in zip(calls, calls[1:]):
-        if before[0][0] == after[0][0]:
-            assert len(before) == cli._SWEEP_CHUNK
-            assert before[-1][1] >= after[0][1]
-    # The same table as from one call per grid.
-    grids = len({n_z for call in calls for n_z, _ in call})
-    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 9)
-    calls.clear()
-    assert main(["sweep", "--out", str(whole), *args]) == 0
-    assert len(calls) == grids
-    assert (chunked / "sweep.csv").read_bytes() == (whole / "sweep.csv").read_bytes()
+    monkeypatch.setattr(mbloch, "_step_together", recording_group)
+    assert main(["sweep", "--out", str(tmp_path),
+                 *(a for o in overrides for a in ("--override", o))]) == 0
+    (call,) = calls
+    assert len(call) == 9 and not any(record for _, _, record in call)
+    assert sorted(groups) == sorted(
+        sorted(((n_z, n) for n_z, n, _ in call if n_z == grid), key=lambda p: -p[1])
+        for grid in {n_z for n_z, _, _ in call}
+    )
 
 
 @pytest.fixture
 def no_solver(monkeypatch):
-    """Make any solver call fail the test.
+    """Make any stepping or map building fail the test.
 
-    Every propagator is built by `expm` as bound in `mbloch`, so patching it
-    also catches solver work done outside `evolve` and `evolve_batch`.
+    Every run steps in `mbloch._step_together` and every propagator is
+    built by `expm` as bound in `mbloch`, so a solver call may enter
+    `evolve_batch` and its checks, but no further.
     """
 
     def forbidden(*args, **kwargs):
         raise AssertionError("solver called")
 
-    for module in (cli, mbloch, scenarios, splitter):
-        for name in ("evolve", "evolve_batch"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(mbloch, "_step_together", forbidden)
     monkeypatch.setattr(mbloch, "expm", forbidden)
 
 
@@ -366,6 +359,10 @@ def no_solver(monkeypatch):
         ["fig4", "--override", "scenario.fig4_steps=0"],
         ["sweep", "--override", "sweep.num=0"],
         ["fig3", "--override", "scenario.delay_steps=abc"],
+        # Tables of more than 100,000 rows: fig4's surface has n^2.
+        ["fig3", "--override", "scenario.delay_steps=100001"],
+        ["fig3", "--override", "scenario.phase_steps=100001"],
+        ["fig4", "--override", "scenario.fig4_steps=317"],
         ["fig2", "--override", "scenario.ods=abc"],
         ["fig2", "--override", "scenario.ods=30,-5"],
         ["fig2", "--override", "scenario.rabi_s_grid=0"],
@@ -424,6 +421,13 @@ def test_bad_input_is_a_config_error_before_compute(args, tmp_path, capsys, no_s
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_tables_may_have_up_to_the_row_bound():
+    # 316^2 = 99,856 rows of fig4's surface; 317^2 is past the bound.
+    sizes = {"fig4_steps": 316, "delay_steps": 100_000, "phase_steps": 100_000}
+    config = load_config(None, [f"scenario.{key}={n}" for key, n in sizes.items()])
+    assert {key: config["scenario"][key] for key in sizes} == sizes
 
 
 def test_fig4_accepts_a_fig3_key(tmp_path):

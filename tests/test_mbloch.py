@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,18 +115,21 @@ def test_bookkeeping_closes_through_storage():
     fin = traj.final_state
     assert traj.loss_quad == pytest.approx(fin.loss_accum, rel=1e-4)
     # The ledger closes at an interior time too: snapshot the same write
-    # run at t = 7, once injection has finished, and sum the emitted field
-    # up to the snapshot independently of the ledger.
+    # run at t = 7, once injection has finished, recording its emission,
+    # and sum the emitted field up to the snapshot independently of the
+    # ledger.  The storage run recorded none.
     t_off = PULSE.t_center + 0.5 / v_group(OD30, 5.0)
     rerun = evolve(
         OD30, ControlTimeline((ControlSegment(0.0, t_off, 5.0, "storage"),)),
         SimulationConfig(t_end=t_off + 3.0, snapshot_times=(7.0,)),
         pulse=PULSE,
     )
-    assert np.array_equal(rerun.emitted, traj.emitted)
+    assert traj.emitted.size == 0 and rerun.emitted.size == SimulationConfig(t_off + 3.0).n_steps
+    for name in ("e_field", "sigma12", "sigma13", "t_now", "injected_norm"):
+        assert np.array_equal(getattr(rerun.final_state, name), getattr(fin, name)), name
     (snap,) = rerun.snapshots
     assert PULSE.t_center + 2 * PULSE.fwhm < snap.t_now < rerun.final_state.t_now
-    emitted = traj.dt * np.sum(np.abs(traj.emitted[traj.times < snap.t_now]) ** 2)
+    emitted = rerun.dt * np.sum(np.abs(rerun.emitted[rerun.times < snap.t_now]) ** 2)
     assert emitted == pytest.approx(snap.emitted_norm, rel=1e-12)
     assert (
         snap.photon_norm + snap.magnon_norm + snap.excited_norm
@@ -673,6 +677,65 @@ def test_a_48_run_group_holds_no_more_than_the_budget():
     assert len(trajectories) == b
     allowed = 8 * (mbloch._BUDGET + 4 * mbloch._CHECK_EVERY * b + 2 * drive_runs) + 65_536
     assert peak - held <= allowed
+
+
+def test_a_run_that_records_no_emission_is_the_recording_run_without_it():
+    # Every other member of the seven-run batch records no emission; each
+    # is the recording batch's run bit for bit but for its emitted field.
+    runs = _batch_runs()
+    quiet = [(medium, timeline, replace(config, record_emission=bool(k % 2)), pulse, initial)
+             for k, (medium, timeline, config, pulse, initial) in enumerate(runs)]
+    for k, (got, want) in enumerate(zip(mbloch.evolve_batch(quiet), mbloch.evolve_batch(runs),
+                                        strict=True)):
+        assert want.emitted.size == runs[k][2].n_steps
+        if k % 2:
+            assert np.array_equal(got.emitted, want.emitted)
+        else:
+            assert got.emitted.size == got.times.size == 0
+        assert got.loss_quad == want.loss_quad
+        assert len(got.snapshots) == len(want.snapshots)
+        for a, b in zip((got.final_state, *got.snapshots), (want.final_state, *want.snapshots)):
+            for name in ("e_field", "sigma12", "sigma13", "t_now", "emitted_norm",
+                         "injected_norm", "initial_norm"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _traced_peak(runs):
+    tracemalloc.start()
+    try:
+        mbloch.evolve_batch(runs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _long_runs(n_steps, k, pulsed=True):
+    """k runs of n_steps on n_z 16 under one constant drive, recording no
+    emission, with two pulses between them."""
+    config = SimulationConfig(t_end=n_steps / (16 * C_EFF), n_z=16, record_emission=False)
+    assert config.n_steps == n_steps
+    timeline = constant_drive(5.0, config.t_end)
+    pulses = (PULSE, PulseEnvelope(fwhm=1.0, t_center=1.0)) if pulsed else (None,)
+    return [(MediumParams(od=30.0 + i), timeline, config, pulses[i % len(pulses)], None)
+            for i in range(k)]
+
+
+def test_runs_recording_no_emission_hold_little_per_step():
+    # Beyond the step midpoints and the drive's samples, read while the
+    # maps are planned (8 B per step each), eight runs that record no
+    # emission hold nothing per step: recorded, their emitted fields alone
+    # would take 128 B.
+    n1, n2 = 2_048, 8_192
+    assert _traced_peak(_long_runs(n2, 8)) - _traced_peak(_long_runs(n1, 8)) < 32 * (n2 - n1)
+
+
+def test_a_pulse_is_held_a_window_at_a_time():
+    # What a pulse adds to the traced peak of a run, over the same run
+    # without one, does not grow with the step count.
+    n1, n2 = 2_048, 8_192
+    extra = [_traced_peak(_long_runs(n, 1)) - _traced_peak(_long_runs(n, 1, pulsed=False))
+             for n in (n1, n2)]
+    assert extra[1] - extra[0] < n2 - n1
 
 
 def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):

@@ -125,9 +125,19 @@ MUTANTS = (
      "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
      "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 1].transpose(2, 0, 1)",
      BATCH_TESTS),
-    ("mbloch: inject member 0's boundary into every member", MBLOCH,
-     "for i, (rows, _) in enumerate(boundary):",
-     "for i, (rows, _) in enumerate([boundary[0]] * b):",
+    ("mbloch: inject member 0's pulse into every member", MBLOCH,
+     "for i, pulse in enumerate(pulses):",
+     "for i, pulse in enumerate([pulses[0]] * b):",
+     BATCH_TESTS),
+    ("mbloch: each pulse's samples held for the whole run", MBLOCH,
+     "    windows: dict = {}  # each pulse's cells and injected norms in the window\n",
+     "    windows: dict = {}  # each pulse's cells and injected norms in the window\n"
+     "    history = {pulse: pulse.amplitude(times[:n_p]) for pulse, n_p in pulse_ends.items()}\n",
+     ("tests/test_mbloch.py::test_a_pulse_is_held_a_window_at_a_time",)),
+    # Each window's cumsum goes on from the norm injected before it.
+    ("mbloch: the window's injected-norm carry dropped", MBLOCH,
+     "before = windows[pulse][1][-1] if w0 else 0.0",
+     "before = 0.0",
      BATCH_TESTS),
     ("mbloch: write the injection one slot late", MBLOCH,
      "ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
@@ -139,11 +149,11 @@ MUTANTS = (
     ("mbloch: no injection-column reset for a member without a pulse", MBLOCH,
      "ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
      "for i in range(a):\n"
-     "                if boundary[i][0] is not None:\n"
+     "                if pulses[i] is not None:\n"
      "                    ring[:m, 0:2, i, n_z + 1] = inflow[base - w0 : end - w0, :, i]",
      BATCH_TESTS),
     ("mbloch: the injection window never refilled", MBLOCH,
-     "            w0 = r + 1\n            fill(w0)\n",
+     "            w0 = r + 1\n            fill(w0, w0 + _CHECK_EVERY)\n",
      "            w0 = r + 1\n",
      BATCH_TESTS),
     # Each step group of the batch tests mixes media, and gamma12 = 0 with
@@ -215,18 +225,32 @@ MUTANTS = (
      "pairs = {shallow.od: curve_pair(shallow), deep.od: deep_pair.result()}",
      "pairs = dict.fromkeys((shallow.od, deep.od), curve_pair(shallow))",
      (RUN_ALL_TEST,)),
-    ("cli: the sweep checks each group of points only as it steps", "src/magnonbs/cli.py",
-     "for _, order in _plan_batch(runs):",
-     "for order in [sorted(range(len(runs)), key=lambda i: -runs[i][2].n_steps)]:",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+    ("cli: the sweep checks each point only as it steps", "src/magnonbs/cli.py",
+     "for traj in evolve_batch(runs)]",
+     "for run in runs for traj in evolve_batch([run])]",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[sweep --override sweep.values=2,3,4,5,1e7]",)),
     ("mbloch: a grid's runs stepped shortest first", MBLOCH,
      "key=lambda i: -runs[i][2].n_steps)",
      "key=lambda i: runs[i][2].n_steps)",
      ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
-    ("cli: one evolve_batch call per sweep grid", "src/magnonbs/cli.py",
-     "for lo in range(0, len(order), _SWEEP_CHUNK):\n            group = order[lo : lo + _SWEEP_CHUNK]",
-     "for lo in range(0, len(order), len(order)):\n            group = order[lo:]",
+    ("cli: a sweep stepped in solver calls of four points", "src/magnonbs/cli.py",
+     "for traj in evolve_batch(runs)]",
+     "for lo in range(0, len(runs), 4) for traj in evolve_batch(runs[lo : lo + 4])]",
      ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
+    ("cli: a sweep's points record their emission", "src/magnonbs/cli.py",
+     "record_emission=False), None)",
+     "record_emission=True), None)",
+     ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
+    ("cli: no bound on a table's rows", "src/magnonbs/cli.py",
+     "_MAX_ROWS = 100_000",
+     "_MAX_ROWS = 100_000_000",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+    ("cli: fig4's points per axis bounded, not its rows", "src/magnonbs/cli.py",
+     "if value * value > _MAX_ROWS:",
+     "if value > _MAX_ROWS:",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig4 --override scenario.fig4_steps=317]",)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
      "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
      "KEYS.get(section, {}).get(key, (None,))[0]",
@@ -339,6 +363,11 @@ MUTANTS = (
      "np.matmul(half[1:], half[:-1], out=",
      "np.matmul(half[:-1], half[1:], out=",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference", *BATCH_TESTS)),
+    ("mbloch: emission kept for a run that records none", MBLOCH,
+     "np.empty(n_i if config.record_emission else 0, dtype=complex)",
+     "np.empty(n_i, dtype=complex)",
+     ("tests/test_mbloch.py::test_a_run_that_records_no_emission_is_the_recording_run_without_it",
+      "tests/test_mbloch.py::test_runs_recording_no_emission_hold_little_per_step")),
     ("mbloch: the emitted field left writeable", MBLOCH,
      "self.emitted.setflags(write=False)",
      "self.emitted.setflags(write=True)",
