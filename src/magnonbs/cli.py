@@ -434,13 +434,12 @@ def cmd_fig4(config: Config, out_dir: Path, seed: int) -> int:
 
 
 def _build_run(
-    config: Config, record_emission: bool = True,
+    config: Config,
 ) -> tuple[MediumParams, ControlTimeline, SimulationConfig, PulseEnvelope]:
     med, grid, pul = config["medium"], config["grid"], config["pulse"]
     medium = MediumParams(od=med["od"], delta=med["delta"], gamma12=med["gamma12"])
     sim = SimulationConfig(
         t_end=grid["t_end"], n_z=grid["n_z"], snapshot_times=grid["snapshots"],
-        record_emission=record_emission,
     )
     pulse = PulseEnvelope(
         fwhm=pul["fwhm"],
@@ -544,10 +543,14 @@ def _sweep_values(config: Config, seed: int) -> np.ndarray:
 def cmd_sweep(config: Config, out_dir: Path, seed: int) -> int:
     parameter = config["sweep"]["parameter"]
     values = [float(v) for v in _sweep_values(config, seed)]
-    # Every point is built here, and checked by the one solver call before
-    # its first step; no run records its emission, which no row reads.
-    runs = [(*_build_run(_apply_value(config, parameter, v), record_emission=False), None)
-            for v in values]
+    # Every point is built here, so its snapshot times are checked against
+    # its grid, and the one solver call checks each before its first step.
+    # No run takes snapshots or records its emission: no row reads either.
+    runs = []
+    for v in values:
+        medium, timeline, sim, pulse = _build_run(_apply_value(config, parameter, v))
+        sim = replace(sim, snapshot_times=(), record_emission=False)
+        runs.append((medium, timeline, sim, pulse, None))
     summaries = [_run_summary(traj) for traj in evolve_batch(runs)]
 
     header = header_lines("sweep", config, seed)

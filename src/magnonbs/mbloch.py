@@ -15,17 +15,19 @@ exact one-cell advection of E, then the second half step.  The time step
 is locked to dt = dz / C_EFF so the advection is an integer cell shift and
 introduces no numerical dispersion.
 
-Every run starts at t = 0.  Whatever does not depend on the state is
-computed once per run, before the first step, but for the probe pulse.
-The control drive is sampled at all step midpoints (n + 1/2) dt in one
-vector call, and the pulse one window of steps at a time (see below).
-The drive splits into runs of equal values, each with one half-step map
-R = exp(M dt/2) of its local generator M: a constant drive has one run,
-a ramp one per step of the ramp.  The maps are built a block
-of drive runs at a time, which bounds their memory, by this module's
-`expm`, which exponentiates the block's stacked generators at once in
-numpy, each scaled by its own power of two, so a run's maps do not depend
-on how its drive runs are cut into blocks.
+Every run starts at t = 0 and plans its maps where it steps.  When it
+starts, its control drive is sampled at all step midpoints (n + 1/2) dt
+in one vector call and split into runs of equal values, each with one
+half-step map R = exp(M dt/2) of its local generator M: a constant drive
+has one run, a ramp one per step of the ramp.  The maps are built a block
+of drive runs at a time, as the steps reach them, which bounds their
+memory.  Each block's are built with the next block's first, whose map
+the block's last step needs, in one call of this module's `expm`, which
+exponentiates the stacked generators at once in numpy, each scaled by its
+own power of two.  So that first map, built again by the next block, is
+the same bit for bit, and a run's maps do not depend on how its drive
+runs are cut into blocks.  The probe pulse is sampled one window of steps
+at a time (see below).
 
 The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
 Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
@@ -39,22 +41,27 @@ The ledger of norms is kept where the state is read, for each member of a
 batch on its own: every 256 steps, at each snapshot and at the last step.
 There the state at the step end, v_{n+1} = U_n S(w_n) with S the
 advection, goes to a scratch buffer that never feeds back into the carried
-state, so snapshots leave the run unchanged.  Every half step is a
-contraction and the advection moves one cell of |E|^2 out at z = 1 and one
-in at z = 0, so the norm removed per half step telescopes into
+state.  Every half step is a contraction and the advection moves one cell
+of |E|^2 out at z = 1 and one in at z = 0, so the norm removed per half
+step telescopes into
 
     loss = initial + injected - emitted - held,
 
 with the emitted norm summed from the emitted cells, whether or not the
-run records them, and the injected norm from the pulse's samples.
-`FieldState.loss_accum` derives the loss so from the norms it holds, so
+run records them, and the injected norm from the pulse's samples.  The
+ledger adds the emitted cells of a window of 256 steps once, at the read
+that closes the window or at the run's last step; a snapshot reports the
+ledger with the window's cells so far and adds nothing to it.  So
+snapshot times change none of a run's other outputs but `loss_quad`,
+whose sums follow the blocks of steps that the reads end (see below).
+`FieldState.loss_accum` derives the loss from the norms it holds, so
 the ledger closes by construction, whatever the grid.  The independent
 check is the per-step quadrature `loss_quad` of 2*|P|^2 +
 2*gamma12*|S|^2, read off each w_n (the advection leaves P and S
 unchanged): its gap to the ledger's loss, `Trajectory.loss_gap`, is the
-midpoint rule's discretization error and falls 4x per grid doubling.  At every ledger read the held norm is also
-checked for non-finite values and for exceeding the input, so no run ends
-or takes a snapshot unchecked.
+midpoint rule's discretization error and falls 4x per grid doubling.  At
+every ledger read the held norm is also checked for non-finite values and
+for exceeding the input, so no run ends or takes a snapshot unchecked.
 
 The runs of one grid step together, whatever their media: `evolve_batch`
 takes a list of runs and `evolve` is a batch of one.  Each grid's runs are
@@ -89,11 +96,12 @@ rows of the block's slots (and one over the S rows when a member's
 gamma12 is nonzero, each weighted by its own) then adds the quadrature of
 the states the block carried.  So a block's own cost does not grow with
 the number of members.  The injected and emitted cells pass through a
-window of _CHECK_EVERY steps, which every member is read within, refilled
-and emptied member by member at the ledger reads.  Each distinct pulse is
-sampled anew for each window, once for every member it feeds, its
-injected norm summed on from the window before.  The P and S rows' edge
-columns are never written, so they add nothing to the quadrature.
+window of _CHECK_EVERY steps, at whose end every member still stepping is
+read: the window is emptied there member by member, and refilled.  Each
+distinct pulse is sampled anew for each window, once for every member it
+feeds, its injected norm summed on from the window before.  The P and S
+rows' edge columns are never written, so they add nothing to the
+quadrature.
 
 What a group holds in its ring and its members' blocks of maps is bounded
 by _BUDGET floats (1.53 MB): three quarters for the ring and one for the
@@ -102,10 +110,10 @@ a grid with more runs than two ring slots fit (73 at n_z 160) steps in
 several groups.  Besides, a group holds its outputs, its members' drive
 runs and the windows of injected and emitted cells and of pulse samples;
 of the outputs only the emitted fields, of the members that record them,
-are arrays of steps x members.  One array of step midpoints, the longest
-run's, serves each group while it steps.  A trajectory keeps no
-midpoints: it computes its step times from dt, and its caller holds the
-timeline.
+are arrays of steps x members.  No step midpoints are kept: a member's
+drive is sampled at every step only while its drive runs are found, the
+windows and the checks compute their midpoints from dt, and so does a
+trajectory, whose caller holds the timeline.
 """
 
 from __future__ import annotations
@@ -135,10 +143,10 @@ from .core import (
 # beyond, until their exponential's roundoff breaks the ledger.
 _MAX_DRIVE_STEP = 1e3
 # The most steps a run may take, checked when its config is built.  A run
-# holds a few arrays of one row per step: the step midpoints, its emitted
-# field if it records it, and, while its maps are planned, its drive's
-# samples.  They peak at about 27 B per step then, 113 MB at this bound,
-# 119 times the acceptance gate's longest run (35,256 steps).
+# holds its emitted field if it records it, 16 B per step, and, while its
+# drive runs are found, its step midpoints, its drive's samples and their
+# temporaries: about 27 B per step, 113 MB at this bound, 119 times the
+# acceptance gate's longest run (35,256 steps).
 _MAX_STEPS = 2**22
 # Steps between ledger reads, and so between the non-finite and runaway
 # checks on the held norm, away from snapshots and the last step.
@@ -318,46 +326,35 @@ def _real_block(maps: np.ndarray) -> np.ndarray:
     return real
 
 
-def _drive_runs(control: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the drive's runs of equal values start, and their values.
-
-    A drive run is a stretch of steps with one drive value.  The bounds
-    end with the step count, so run s covers steps bounds[s] to
-    bounds[s + 1] - 1.
-    """
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [control.size])
-    )
-    return bounds, control[bounds[:-1]]
-
-
-def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
-                  dt_half: float, block: int):
+def _map_segments(medium: MediumParams, timeline: ControlTimeline, n_steps: int,
+                  dt: float, block: int):
     """The step maps of one run, as stretches of steps that share a map.
 
-    Each drive run has one half map R.  The map that takes the half-stepped
-    state across a step boundary is R_s @ R_s inside run s and
+    The drive, sampled at the step midpoints (n + 1/2) dt, splits into drive
+    runs of equal values, each with one half map R.  The map that takes the
+    half-stepped state across a step boundary is R_s @ R_s inside run s and
     R_{s+1} @ R_s on its last step; the last step of the whole run gets a
     zero map, as nothing reads the state it would carry.  Yields, in step
     order, (stop, fused, half) for each stretch: it ends before step
     `stop`, its steps take `fused`, and `half` is its drive run's R.  The
-    maps are built `block` drive runs at a time.
+    maps are built `block` drive runs at a time, each block's in one `expm`
+    call with the next block's first run, whose R its last step needs.
     """
+    control = timeline.rabi((np.arange(n_steps) + 0.5) * dt)
+    # Run s covers steps bounds[s] to bounds[s + 1] - 1 at drive drives[s].
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [n_steps])
+    )
+    drives = control[bounds[:-1]]
+    del control  # the generator holds only the drive runs while it steps
     n_runs = drives.size
-    ahead = None
     for r0 in range(0, n_runs, block):
         r1 = min(r0 + block, n_runs)
         nb = r1 - r0
-        # One expm for the block's runs and the first run of the next block,
-        # which that block then reuses.
-        lo = r0 if ahead is None else r0 + 1
-        half = _local_maps(medium, drives[lo : min(r1 + 1, n_runs)], dt_half)
-        if ahead is not None:
-            half = np.concatenate((ahead[None], half))
+        half = _local_maps(medium, drives[r0 : r1 + 1], 0.5 * dt)
         inside = np.matmul(half[:nb], half[:nb])
         across = np.zeros((nb, 6, 6))
         np.matmul(half[1:], half[:-1], out=across[: half.shape[0] - 1])
-        ahead = half[nb] if r1 < n_runs else None
         for s, (start, stop) in enumerate(zip(bounds[r0:r1].tolist(),
                                               bounds[r0 + 1 : r1 + 1].tolist())):
             if stop - start > 1:
@@ -365,11 +362,11 @@ def _map_segments(medium: MediumParams, bounds: np.ndarray, drives: np.ndarray,
             yield stop, across[s], half[s]
 
 
-def _pulse_window(pulse: PulseEnvelope, times: np.ndarray, dt: float, before: float):
-    """The cells a pulse injects at z = 0 at the steps centered on `times`,
-    as (Re, Im) rows, one per step, and the norm injected up to and
-    including each step, `before` being what it injected before them."""
-    amps = pulse.amplitude(times)
+def _pulse_window(pulse: PulseEnvelope, n0: int, n1: int, dt: float, before: float):
+    """The cells a pulse injects at z = 0 at steps n0 .. n1 - 1, as (Re, Im)
+    rows, one per step, and the norm injected up to and including each
+    step, `before` being what it injected before them."""
+    amps = pulse.amplitude((np.arange(n0, n1) + 0.5) * dt)
     # dt |amp|^2 is also dz |amp / sqrt(C_EFF)|^2, the norm of the
     # injected cell.
     injected = np.abs(amps)
@@ -378,7 +375,7 @@ def _pulse_window(pulse: PulseEnvelope, times: np.ndarray, dt: float, before: fl
     injected[0] += before
     np.cumsum(injected, out=injected)
     amps /= math.sqrt(C_EFF)
-    return amps.view(np.float64).reshape(times.size, 2), injected
+    return amps.view(np.float64).reshape(n1 - n0, 2), injected
 
 
 def evolve(
@@ -406,26 +403,13 @@ def evolve_batch(
 
     Each run is a (medium, timeline, config, pulse, initial) tuple as
     `evolve` takes them; the media and grids may differ.  The trajectories
-    come back in call order.  The runs of each `config.n_z` are stepped as
-    one group, longest first, or in groups of `_group_width` if it has more.
-    An empty batch, an initial state on another grid or at t_now != 0, or a
-    drive with |Omega| dt above _MAX_DRIVE_STEP raise ConfigError before any
-    run steps.
+    come back in call order.  Every run is checked first: an empty batch, an
+    initial state on another grid or at t_now != 0, or a drive with
+    |Omega| dt above _MAX_DRIVE_STEP raise ConfigError before any run steps.
+    Then the runs of each `config.n_z` are stepped as one group, longest
+    first, or in groups of `_group_width` if it has more.
     """
     runs = list(runs)
-    out: list = [None] * len(runs)
-    for z, order in _plan_batch(runs):
-        width = _group_width(z.size)
-        for lo in range(0, len(order), width):
-            group = order[lo : lo + width]
-            for i, traj in zip(group, _step_together(z, [runs[i] for i in group])):
-                out[i] = traj
-    return out
-
-
-def _plan_batch(runs: list) -> list[tuple[np.ndarray, list[int]]]:
-    """Each grid of a batch with its runs' indices, longest first: the order
-    `evolve_batch` steps them in, after its checks of every run."""
     if not runs:
         raise ConfigError("a batch needs at least one run")
     grids = {config.n_z: make_grid(config.n_z) for _, _, config, _, _ in runs}
@@ -441,9 +425,16 @@ def _plan_batch(runs: list) -> list[tuple[np.ndarray, list[int]]]:
         if drive * dt > _MAX_DRIVE_STEP:
             raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
                               f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
-    return [(z, sorted((i for i, run in enumerate(runs) if run[2].n_z == n_z),
-                       key=lambda i: -runs[i][2].n_steps))
-            for n_z, z in grids.items()]
+    out: list = [None] * len(runs)
+    for n_z, z in grids.items():
+        order = sorted((i for i, run in enumerate(runs) if run[2].n_z == n_z),
+                       key=lambda i: -runs[i][2].n_steps)
+        width = _group_width(n_z)
+        for lo in range(0, len(order), width):
+            group = order[lo : lo + width]
+            for i, traj in zip(group, _step_together(z, [runs[i] for i in group])):
+                out[i] = traj
+    return out
 
 
 def _group_width(n_z: int) -> int:
@@ -487,10 +478,8 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     lengths = [config.n_steps for _, _, config, _, _ in members]
     steps, map_runs = _block_sizes(b, n_z)
 
-    # Every member reads a prefix of the first's step midpoints.  Each
-    # pulse is sampled once for every member it feeds, as far as the first
-    # of them, its longest, steps.
-    times = (np.arange(lengths[0]) + 0.5) * dt
+    # Each pulse is sampled once for every member it feeds, as far as the
+    # first of them, its longest, steps.
     pulses = [pulse for _, _, _, pulse, _ in members]
     pulse_ends: dict = {}
     for pulse, n_i in zip(pulses, lengths):
@@ -500,9 +489,8 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
 
     # Each member's current stretch of one map: where it ends, the half map
     # of its drive run, and its fused map in the stack the step applies.
-    # The segments keep the drive's runs, not its samples at every step.
     segments = [
-        _map_segments(medium, *_drive_runs(timeline.rabi(times[:n_i])), 0.5 * dt, map_runs)
+        _map_segments(medium, timeline, n_i, dt, map_runs)
         for (medium, timeline, *_), n_i in zip(members, lengths)
     ]
     stops = [0] * b
@@ -545,10 +533,11 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     # The window: the injected and the emitted cells of every member at
     # steps w0 up to the next multiple of _CHECK_EVERY, which a block reads
     # and writes in one call each.  Every member still stepping is read at
-    # each multiple of _CHECK_EVERY, so no block crosses a window's end,
-    # and each read adds the member's emitted cells to its ledger and,
-    # when it records them, copies them out.  A member without a pulse
-    # injects the zeros it is never given.
+    # each multiple of _CHECK_EVERY, so no block crosses a window's end.
+    # The read that closes a window, or ends a member, adds the member's
+    # emitted cells in it to its ledger and, when it records them, copies
+    # them out.  A member without a pulse injects the zeros it is never
+    # given.
     inflow = np.zeros((_CHECK_EVERY, 2, b))
     outflow = np.empty((b, _CHECK_EVERY, 2))
     quad_p = dt * dz * 2.0
@@ -558,7 +547,6 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                for (_, _, config, _, _), n_i in zip(members, lengths)]
     emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
     emitted_norm = [0.0] * b
-    emitted_upto = [0] * b
     snapshots: list[list[FieldState]] = [[] for _ in range(b)]
     finals: list = [None] * b
 
@@ -570,7 +558,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
         for pulse, n_p in pulse_ends.items():
             if n_p > w0:
                 before = windows[pulse][1][-1] if w0 else 0.0
-                windows[pulse] = _pulse_window(pulse, times[w0 : min(w1, n_p)], dt, before)
+                windows[pulse] = _pulse_window(pulse, w0, min(w1, n_p), dt, before)
         for i, pulse in enumerate(pulses):
             if pulse is not None and lengths[i] > w0:
                 rows = windows[pulse][0]
@@ -645,37 +633,42 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             base = end
 
         shifted = states[m - 1]  # step r's state, advected and injected
+        closes = r % _CHECK_EVERY == 0
         for i in readers[r]:
             # The state at the end of step r, from its shifted slot, in a
             # scratch buffer that never feeds back into the carried state.
             matmul(halves[i], shifted[i], out=v_rev)
             copyto(v, v_rev[:, ::-1])
             held = dz * dot(flat_v, flat_v)
-            chunk = outflow[i, emitted_upto[i] - w0 : r + 1 - w0]
-            if emitted[i].size:
-                emitted_rows[i][emitted_upto[i] : r + 1] = chunk
-            chunk = chunk.reshape(-1)
-            emitted_norm[i] += dz * dot(chunk, chunk)
-            emitted_upto[i] = r + 1
+            # A snapshot reads the ledger with the window's cells so far and
+            # adds nothing to it, so snapshots leave the ledger unchanged.
+            window = outflow[i, : r + 1 - w0]
+            cells = window.reshape(-1)
+            emitted_i = emitted_norm[i] + dz * dot(cells, cells)
+            last = r == lengths[i] - 1
+            if closes or last:
+                emitted_norm[i] = emitted_i
+                if emitted[i].size:
+                    emitted_rows[i][w0 : r + 1] = window
             pulse = pulses[i]
             inflow_norm = float(windows[pulse][1][r - w0]) if pulse is not None else 0.0
             budget = initial_norm[i] + inflow_norm
             if not np.isfinite(held):
-                raise PhysicsViolation(f"non-finite state norm at t={times[r]:.4g}")
+                raise PhysicsViolation(f"non-finite state norm at t={(r + 0.5) * dt:.4g}")
             if held > budget + PROBABILITY_SLACK:
                 raise PhysicsViolation(
                     f"held norm {held:.6g} exceeds input {budget:.6g} at "
-                    f"t={times[r]:.4g}"
+                    f"t={(r + 0.5) * dt:.4g}"
                 )
-            if r in snap_steps[i] or r == lengths[i] - 1:
+            if r in snap_steps[i] or last:
                 state = FieldState(
                     z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
-                    (r + 1) * dt, emitted_norm[i], inflow_norm, initial_norm[i],
+                    (r + 1) * dt, emitted_i, inflow_norm, initial_norm[i],
                 )
                 if r in snap_steps[i]:
                     snapshots[i].append(state)
                 finals[i] = state
-        if r % _CHECK_EVERY == 0:
+        if closes:
             w0 = r + 1
             fill(w0, w0 + _CHECK_EVERY)
     carry(m)  # the quadrature of the last block; its product is a zero map's

@@ -231,13 +231,16 @@ def test_run_emits_tables_with_summary_header(tmp_path):
     ["sweep.parameter=medium.od", "sweep.start=5", "sweep.stop=60", "sweep.num=5"],
     ["sweep.parameter=grid.n_z", "sweep.values=32,48,32,24,48"],
     ["sweep.parameter=control.rabi", "sweep.values=10,20000,13,12000,7"],
-], ids=["medium.od", "grid.n_z", "control.rabi"])
+    ["sweep.parameter=medium.od", "sweep.values=5,30,60",
+     "grid.snapshots=" + ",".join(f"{0.1 * k:.1f}" for k in range(1, 50))],
+], ids=["medium.od", "grid.n_z", "control.rabi", "grid.snapshots"])
 def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path):
     # `run` steps each point on its own through `evolve` and writes its
     # summary in its header; the sweep steps its points together.  The
     # drives of 12,000 and 20,000 give half-step generators whose 1-norm
     # passes expm's threshold for scaling, and share solver calls with
-    # drives whose generators stay below it.
+    # drives whose generators stay below it.  The sweep takes no snapshots,
+    # and `run` takes the 49 it is given, which leave its ledger unchanged.
     common = ["grid.t_end=5", "grid.n_z=32", "control.segments=beamsplit:0:5:10"]
     args = [a for o in common + sweep for a in ("--override", o)]
     assert main(["sweep", "--out", str(tmp_path)] + args) == 0
@@ -304,13 +307,14 @@ def test_rabi_sweep_runs_the_listed_value_exactly(tmp_path, monkeypatch):
     ["sweep.parameter=grid.n_z", "sweep.values=16,24,16,16,24,16,16,16,24"],
 ])
 def test_sweep_steps_one_step_group_per_call(sweep, tmp_path, monkeypatch):
-    # One evolve_batch call holds every point, none recording its emission;
-    # it steps each grid's points as one group, longest first.
+    # One evolve_batch call holds every point, none taking snapshots or
+    # recording its emission; it steps each grid's points as one group,
+    # longest first.
     calls, groups = [], []
 
     def recording_batch(runs):
-        calls.append([(config.n_z, config.n_steps, config.record_emission)
-                      for _, _, config, _, _ in runs])
+        calls.append([(config.n_z, config.n_steps, config.record_emission,
+                       config.snapshot_times) for _, _, config, _, _ in runs])
         return evolve_batch(runs)
 
     def recording_group(z, members):
@@ -318,16 +322,17 @@ def test_sweep_steps_one_step_group_per_call(sweep, tmp_path, monkeypatch):
         return step_together(z, members)
 
     evolve_batch, step_together = mbloch.evolve_batch, mbloch._step_together
-    overrides = ["grid.n_z=16", "grid.t_end=1", "control.segments=beamsplit:0:1:5", *sweep]
+    overrides = ["grid.n_z=16", "grid.t_end=1", "grid.snapshots=0.1,0.2",
+                 "control.segments=beamsplit:0:1:5", *sweep]
     monkeypatch.setattr(cli, "evolve_batch", recording_batch)
     monkeypatch.setattr(mbloch, "_step_together", recording_group)
     assert main(["sweep", "--out", str(tmp_path),
                  *(a for o in overrides for a in ("--override", o))]) == 0
     (call,) = calls
-    assert len(call) == 9 and not any(record for _, _, record in call)
+    assert len(call) == 9 and not any(record or snaps for _, _, record, snaps in call)
     assert sorted(groups) == sorted(
-        sorted(((n_z, n) for n_z, n, _ in call if n_z == grid), key=lambda p: -p[1])
-        for grid in {n_z for n_z, _, _ in call}
+        sorted(((n_z, n) for n_z, n, *_ in call if n_z == grid), key=lambda p: -p[1])
+        for grid in {n_z for n_z, *_ in call}
     )
 
 

@@ -664,7 +664,7 @@ def test_a_48_run_group_holds_no_more_than_the_budget():
         timeline = ControlTimeline((ControlSegment(0.0, 0.25, 5.0 + 0.1 * k, "beamsplit",
                                                    ramp=0.1),))
         runs.append((MediumParams(od=30.0 + k), timeline, config, PULSE, None))
-    drive_runs = sum(mbloch._drive_runs(run[1].rabi(times))[1].size for run in runs)
+    drive_runs = sum(1 + np.count_nonzero(np.diff(run[1].rabi(times))) for run in runs)
     assert mbloch._group_width(n_z) >= b
     steps, map_runs = mbloch._block_sizes(b, n_z)
     assert steps < mbloch._RING and map_runs < drive_runs // b
@@ -698,6 +698,27 @@ def test_a_run_that_records_no_emission_is_the_recording_run_without_it():
             for name in ("e_field", "sigma12", "sigma13", "t_now", "emitted_norm",
                          "injected_norm", "initial_norm"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_snapshots_move_no_ledger_number():
+    # One pulsed run with 0, 1, 3 and 199 snapshot times.  A snapshot reads
+    # the ledger and adds nothing to it, so the emission and every field of
+    # the final state are the run's without snapshots, bit for bit.  The
+    # loss quadrature is left out: it sums by blocks of steps, and a
+    # snapshot ends a block.
+    medium = MediumParams(od=30.0, delta=1.5, gamma12=0.02)
+    timeline = ControlTimeline((ControlSegment(0.0, 10.0, 13.0, "beamsplit"),))
+    plain, *snapped = (
+        evolve(medium, timeline, SimulationConfig(t_end=10.0, snapshot_times=times), PULSE)
+        for times in ((), (5.0,), (1.0, 2.5, 7.3), tuple(0.05 * k for k in range(1, 200)))
+    )
+    for run in snapped:
+        assert np.array_equal(run.emitted, plain.emitted)
+        for name in ("emitted_norm", "injected_norm", "initial_norm",
+                     "e_field", "sigma12", "sigma13"):
+            assert np.array_equal(getattr(run.final_state, name),
+                                  getattr(plain.final_state, name)), name
+    assert [len(run.snapshots) for run in snapped] == [1, 3, 199]
 
 
 def _traced_peak(runs):

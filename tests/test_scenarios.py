@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magnonbs import ConfigError, MediumParams, g2_formula, scenarios
+from magnonbs import (
+    ConfigError, MediumParams, effective_overlap, fock_oracle, g2_formula, scenarios,
+)
 from magnonbs.scenarios import (
     DETUNED_MIXING,
     FIG2_OD30,
@@ -200,6 +202,35 @@ def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(
         grams = _per_input(extraction)
         loss = np.eye(2) - grams[0].conj() - grams[1]
         assert np.linalg.eigvalsh(loss).min() < -_LOSS_GRAM_TOL
+
+
+def test_the_oracle_gives_the_exact_coincidence_at_the_gate_points(
+        mixing_checks, mixing_extractions):
+    # The two single-input runs fix the two-particle output exactly.  Per
+    # unit input, the oracle over the stack (G(0), G(1), L), the loss Gram
+    # L = I - G(0) - G(1), gives P(1,1) = N_a M_b + N_b M_a
+    # + 2 Re(<e_a,e_b><s_b,s_a>), with N the photon port's norms and M the
+    # magnon port's (Legero et al., Appl. Phys. B 77, 797 (2003);
+    # Shchesnovich, PRA 91, 013844 (2015)); measured within 3e-17.  With
+    # the cross term's sign flipped the closed form misses by 1.5e-3 and
+    # 1.6e-2 (resonant, detuned).  Its overlap |<e_a,e_b><s_b,s_a>| /
+    # sqrt(N_a N_b M_a M_b) is `effective_overlap`.
+    exact = []
+    for extraction in mixing_extractions:
+        spin, light = _per_input(extraction)
+        stack = np.stack([spin, light, np.eye(2) - spin - light])
+        p11 = fock_oracle._distribution_from_grams(stack)[(1, 1)]
+        apart = (light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]).real
+        cross = light[0, 1] * spin[1, 0]
+        assert abs(p11 - (apart + 2.0 * cross.real)) <= 1e-12
+        assert abs(p11 - (apart - 2.0 * cross.real)) > 1e-3
+        norms = light[0, 0].real * light[1, 1].real * spin[0, 0].real * spin[1, 1].real
+        assert abs(cross) / math.sqrt(norms) == effective_overlap(extraction)
+        exact.append(p11 / apart)
+    assert exact == pytest.approx([1.0116, 0.9551], abs=1e-4)
+    # The detuned point's exact g2 is on the bosonic side, below 1, where
+    # criterion 5 prints 1.0203.
+    assert exact[1] < 1.0 < mixing_checks[1].g2_oracle
 
 
 def _exact_g2(grams):
