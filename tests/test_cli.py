@@ -239,8 +239,9 @@ def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path):
     # summary in its header; the sweep steps its points together.  The
     # drives of 12,000 and 20,000 give half-step generators whose 1-norm
     # passes expm's threshold for scaling, and share solver calls with
-    # drives whose generators stay below it.  The sweep takes no snapshots,
-    # and `run` takes the 49 it is given, which leave its ledger unchanged.
+    # drives whose generators stay below it.  With `grid.snapshots`, the
+    # sweep takes none and `run` takes all 49, which leave its ledger as it
+    # is without them.
     common = ["grid.t_end=5", "grid.n_z=32", "control.segments=beamsplit:0:5:10"]
     args = [a for o in common + sweep for a in ("--override", o)]
     assert main(["sweep", "--out", str(tmp_path)] + args) == 0
