@@ -1,10 +1,10 @@
 """Release gate: one check per headline claim, with stated tolerances.
 
 Each criterion function returns a CriterionResult carrying the measured
-values, the tolerance it was held to, and a pass flag.  `run_all` builds
-the deep storage-drive curve and its halved-grid twin in one worker
-process while it runs criteria 1 to 6 and the shallow pair itself; the
-conservation and figure criteria, 7 and 8, then share both pairs.  The
+values, the tolerance it was held to, and a pass flag.  `run_all` runs
+them in order in one process.  The conservation and figure criteria, 7
+and 8, share the two storage-drive curves, each extrapolated from two
+grids, and a run of each curve's optimum on a third, coarser grid.  The
 pytest wrapper and the command-line `accept` subcommand both call into
 this module, so the numbers printed in either place are the same.
 """
@@ -35,10 +35,12 @@ from .scenarios import (
     PHASE_FWHM,
     PHASE_POINTS,
     Fig2Curve,
+    Fig2Grid,
     Fig2Params,
     RESONANT_MIXING,
     delay_envelope,
     fig2_curve,
+    fig2_grid,
     fig4_grid,
     ideal_cascade_g3,
     store,
@@ -242,60 +244,100 @@ def criterion_6() -> CriterionResult:
 
 
 # Worst relative gap allowed between a run's loss quadrature and its ledger
-# loss.  The quadrature is a midpoint rule, so the gap is discretization
-# error falling 4x per grid doubling; the worst over the gate's runs is
-# 7.6e-5, at n_z = 120 and od = 150 (1.9e-5 at n_z = 240).
+# loss, on a curve's finest grid and on the mixing points' runs.  The
+# quadrature is a midpoint rule, so the gap is discretization error falling
+# 4x per grid doubling; the worst of these runs is 7.6e-5, at n_z = 120 and
+# od = 150.
 LOSS_GAP_TOL = 1e-4
+# A coarser run's raw gap exceeds that bound (up to 1.2e-3 at n_z = 20), so
+# it is held to a tighter one together with its twin on the grid twice as
+# fine: their extrapolated gap |4 g_fine - g_coarse| / 3, measured at most
+# 1.1e-7.
+EXTRAPOLATED_GAP_TOL = 1e-6
+# The band for the observed order of a curve's efficiency at its optimum:
+# the scheme is second order, measured 2.002 and 2.014; a first-order error
+# gives about 1.
+ORDER_BAND = (1.9, 2.1)
 
 
-def curve_pair(params: Fig2Params) -> tuple[Fig2Curve, Fig2Curve]:
-    """A storage-drive curve and its halved-grid twin at the curve's optimum."""
-    fine = fig2_curve(params)
-    halved = replace(params, rabi_s_grid=(fine.rabi_s[fine.optimum()],),
-                     n_z=params.n_z // 2)
-    return fine, fig2_curve(halved)
+def curve_and_quarter(params: Fig2Params) -> tuple[Fig2Curve, Fig2Grid]:
+    """A storage-drive curve and its optimum drive's run on `n_z // 4`
+    cells, which reads the probe spin wave at the curve's probe time."""
+    curve = fig2_curve(params)
+    optimum = replace(params, rabi_s_grid=(float(curve.rabi_s[curve.optimum()]),))
+    return curve, fig2_grid(optimum, params.n_z // 4, curve.fine.t_probe)
 
 
-# Each depth's storage-drive curve and its halved-grid twin, keyed by od.
-CurvePairs = dict[float, tuple[Fig2Curve, Fig2Curve]]
+# Each depth's storage-drive curve and its quarter-grid run, keyed by od.
+Fig2Runs = dict[float, tuple[Fig2Curve, Fig2Grid]]
 
 
-def criterion_7(pairs: CurvePairs, checks: tuple) -> CriterionResult:
-    """Excitation bookkeeping and grid convergence on figure scenarios.
+def _extrapolated_gap(fine: Fig2Grid, coarse: Fig2Grid) -> float:
+    """The worst |4 g_fine - g_coarse| / 3 over the coarse grid's runs, each
+    with its twin on the fine grid."""
+    return max(abs(4.0 * fine.loss_gaps[run] - gap) / 3.0
+               for run, gap in coarse.loss_gaps.items())
 
-    Over every run behind the curves, their halved-grid twins and the
-    checks, the ledger's loss must agree with the independent per-step
-    quadrature of the decay rates.
+
+def _observed_order(coarse: float, middle: float, fine: float) -> float:
+    """log2 of the ratio of successive differences over three grids, each
+    twice as fine as the last; NaN unless both differences share a sign."""
+    d_coarse, d_fine = coarse - middle, middle - fine
+    if not d_coarse * d_fine > 0:
+        return math.nan
+    return math.log2(d_coarse / d_fine)
+
+
+def criterion_7(curves: Fig2Runs, checks: tuple) -> CriterionResult:
+    """Excitation bookkeeping, grid convergence and its order on figure
+    scenarios.
+
+    Over every run on a curve's finest grid and behind the checks, the
+    ledger's loss must agree with the independent per-step quadrature of
+    the decay rates; each coarser run's gap, extrapolated with its twin's,
+    must vanish to a tighter bound.  Halving a curve's grid must move its
+    efficiency and visibility at the optimum little, and the efficiency's
+    observed order over the three grids must be the scheme's.
     """
-    rel_changes = []
-    swept = [curve for pair in pairs.values() for curve in pair]
+    rel_changes, extrapolated, orders = [], [], []
     for params in FIG2_CURVES:
-        fine, coarse = pairs[params.od]
-        k = fine.optimum()
+        curve, quarter = curves[params.od]
+        fine, coarse = curve.fine, curve.coarse
+        k = curve.optimum()
         for column in ("efficiency", "visibility"):
-            f, c = getattr(fine, column)[k], getattr(coarse, column)[0]
+            f, c = getattr(fine, column)[k], getattr(coarse, column)[k]
             rel_changes.append(abs(c - f) / f)
+        extrapolated += [_extrapolated_gap(fine, coarse), _extrapolated_gap(coarse, quarter)]
+        orders.append(_observed_order(float(quarter.efficiency[0]),
+                                      float(coarse.efficiency[k]), float(fine.efficiency[k])))
     conv_ok = all(r <= 1e-3 for r in rel_changes)
+    extrapolated_ok = max(extrapolated) <= EXTRAPOLATED_GAP_TOL
+    lo, hi = ORDER_BAND
+    order_ok = all(lo <= p <= hi for p in orders)
 
     worst_gap = max(
-        [c.max_loss_gap for c in swept] + [tc.loss_gap for tc in checks]
+        [curve.fine.max_loss_gap for curve, _ in curves.values()]
+        + [tc.loss_gap for tc in checks]
     )
     gap_ok = worst_gap <= LOSS_GAP_TOL
 
-    ok = gap_ok and conv_ok
+    ok = gap_ok and extrapolated_ok and conv_ok and order_ok
     return CriterionResult(
         7,
         "conservation and grid convergence",
         bool(ok),
         f"worst loss quadrature gap={worst_gap:.2e} (tol {LOSS_GAP_TOL:.0e}); "
+        f"extrapolated gaps of the coarser runs={['%.2e' % g for g in extrapolated]} "
+        f"(tol {EXTRAPOLATED_GAP_TOL:.0e}); "
         f"grid-halving rel changes={['%.2e' % r for r in rel_changes]} "
-        f"(tol 1e-3)",
+        f"(tol 1e-3); efficiency order at the optima={['%.4f' % p for p in orders]} "
+        f"(band {lo:g} to {hi:g})",
     )
 
 
-def criterion_8(pairs: CurvePairs) -> CriterionResult:
+def criterion_8(curves: Fig2Runs) -> CriterionResult:
     """Storage-drive sweep shape and the depth ordering of the optima."""
-    low, high = (pairs[params.od][0] for params in FIG2_CURVES)
+    low, high = (curves[params.od][0] for params in FIG2_CURVES)
     uni_low = low.is_unimodal()
     uni_high = high.is_unimodal()
     eff_low = low.efficiency.max()
@@ -315,19 +357,10 @@ def criterion_8(pairs: CurvePairs) -> CriterionResult:
 
 
 def run_all() -> list[CriterionResult]:
-    """The eight criteria, each charged the time since the last ended.
-
-    A one-process pool builds the deep curve pair, `FIG2_CURVES[1]`'s,
-    while this process runs criteria 1 to 6 and then the shallow pair;
-    criteria 7 and 8 read both.  The wait for the worker counts toward
-    criterion 7, so the runtimes add up to the time the whole gate takes.
-    The pool is closed before criterion 7 runs, or on any error, and an
-    error in the worker is raised here.
-    """
-    # Imported here: it loads multiprocessing, which would slow every
-    # command's start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
+    """The eight criteria in order, in this process, each charged the time
+    since the last ended, so the runtimes add up to the time the whole
+    gate takes.  Criteria 7 and 8 share the curves, whose runs criterion 7
+    is charged for."""
     results = []
     start = time.time()
 
@@ -337,17 +370,14 @@ def run_all() -> list[CriterionResult]:
         results.append(replace(result, runtime=now - start))
         start = now
 
-    shallow, deep = FIG2_CURVES
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        deep_pair = pool.submit(curve_pair, deep)
-        for criterion in (criterion_1, criterion_2, criterion_3, criterion_4):
-            charge(criterion())
-        checks = _triangle_pair()
-        charge(criterion_5(checks))
-        charge(criterion_6())
-        pairs = {shallow.od: curve_pair(shallow), deep.od: deep_pair.result()}
-    charge(criterion_7(pairs, checks))
-    charge(criterion_8(pairs))
+    for criterion in (criterion_1, criterion_2, criterion_3, criterion_4):
+        charge(criterion())
+    checks = _triangle_pair()
+    charge(criterion_5(checks))
+    charge(criterion_6())
+    curves = {params.od: curve_and_quarter(params) for params in FIG2_CURVES}
+    charge(criterion_7(curves, checks))
+    charge(criterion_8(curves))
     return results
 
 

@@ -353,15 +353,20 @@ def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
         plans.append((od, params))
     for od, params in plans:
         curve = scenarios.fig2_curve(params)
+        # What the curve ran, which no `grid` or `control` entry above sets.
         header = header_lines("fig2", config, seed)
         header.append(f"od = {_fmt(od)}")
+        header.append(f"n_z = {curve.fine.n_z}, {curve.coarse.n_z} (values extrapolated "
+                      f"from both, profiles on {curve.fine.n_z})")
+        header.append(f"rabi_bs = {_fmt(params.rabi_bs)}")
+        header.append(f"ref_rabi_s = {_fmt(params.ref_rabi_s)}")
         header.append(f"transmission = {_fmt(curve.transmission)}")
         header.append(f"release = {_fmt(curve.release)}")
         tag = f"od{od:g}"
 
         profiles = [(f"s12_abs_rabi_{r:g}", s) for r, s in zip(curve.rabi_s, curve.spin_abs)]
         write_csv(out_dir / f"fig2_{tag}_profiles.csv", header,
-                  [("z", make_grid(params.n_z))] + profiles)
+                  [("z", make_grid(curve.fine.n_z))] + profiles)
         rabi_s = ("rabi_s", curve.rabi_s)
         write_csv(out_dir / f"fig2_{tag}_overlap.csv", header, [
             rabi_s,

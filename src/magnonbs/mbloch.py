@@ -261,8 +261,14 @@ class Trajectory(_ArrayValue):
 
         Infinite when the ledger records no loss, as no relative gap exists.
         """
+        return abs(self.signed_loss_gap)
+
+    @property
+    def signed_loss_gap(self) -> float:
+        """(loss_quad - ledger loss) / ledger loss: `loss_gap` with its sign,
+        which falls with the grid at the scheme's order."""
         loss = self.final_state.loss_accum
-        return abs(self.loss_quad - loss) / loss if loss > 0 else math.inf
+        return (self.loss_quad - loss) / loss if loss > 0 else math.inf
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -134,7 +134,11 @@ def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageRes
 
 @dataclass(frozen=True)
 class Fig2Params:
-    """Operating point for one storage-drive sweep."""
+    """Operating point for one storage-drive sweep.
+
+    `n_z` is the curve's finest grid.  The curve also runs on `n_z // 2`
+    cells, so `n_z` must be even and its half must resolve a stored profile.
+    """
 
     od: float
     rabi_bs: float
@@ -150,7 +154,10 @@ class Fig2Params:
             raise ConfigError("rabi_s_grid needs at least one storage drive")
         if 0.0 in self.rabi_s_grid or self.ref_rabi_s == 0.0:
             raise ConfigError("storage drive must be nonzero")
-        _require_cells(self.n_z)
+        if self.n_z % 2:
+            raise ConfigError(f"a storage-drive curve's finest grid needs an even "
+                              f"number of cells, got {self.n_z}")
+        _require_cells(self.n_z // 2)
 
 
 FIG2_OD30 = Fig2Params(
@@ -158,7 +165,7 @@ FIG2_OD30 = Fig2Params(
     rabi_bs=13.0,
     ref_rabi_s=5.0,
     rabi_s_grid=(2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0, 12.0),
-    n_z=160,
+    n_z=80,
 )
 
 FIG2_OD150 = Fig2Params(
@@ -166,7 +173,7 @@ FIG2_OD150 = Fig2Params(
     rabi_bs=27.0,
     ref_rabi_s=11.0,
     rabi_s_grid=(5.0, 7.0, 9.0, 11.0, 14.0, 17.0, 20.0, 24.0),
-    n_z=240,
+    n_z=120,
 )
 
 # The published depths, low then high: fig2's default curves and the gate's.
@@ -186,30 +193,141 @@ def fig2_params(od: float) -> Fig2Params:
 
 
 @dataclass(frozen=True, eq=False)
-class Fig2Curve(_ArrayValue):
-    """The storage-drive sweep as read-only columns in `rabi_s_grid` order."""
+class Fig2Grid(_ArrayValue):
+    """The storage-drive sweep's raw values on one grid, as read-only
+    columns in `rabi_s_grid` order."""
 
-    rabi_s: np.ndarray
+    n_z: int
+    # The time of the snapshot the probe spin wave was read from.
+    t_probe: float
     efficiency: np.ndarray
     mode_overlap: np.ndarray
     balance: np.ndarray
-    visibility: np.ndarray
     # |sigma12(z)| of each stored wave on the cell-centered grid, one row
     # per drive, for the spatial-profile output table.
     spin_abs: np.ndarray
     transmission: float
     release: float
-    # Worst loss-quadrature gap over the curve's runs.
-    max_loss_gap: float
+    # Each run's signed loss-quadrature gap, keyed by its storage drive, or
+    # by "probe" or "release".
+    loss_gaps: dict[float | str, float]
 
     def __post_init__(self) -> None:
-        for name in ("rabi_s", "efficiency", "mode_overlap", "balance", "visibility",
-                     "spin_abs"):
+        for name in ("efficiency", "mode_overlap", "balance", "spin_abs"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @property
+    def visibility(self) -> np.ndarray:
+        return self.mode_overlap * self.balance
+
+    @property
+    def max_loss_gap(self) -> float:
+        """The worst loss-quadrature gap over the grid's runs."""
+        return max(abs(gap) for gap in self.loss_gaps.values())
+
+
+def fig2_grid(params: Fig2Params, n_z: int, t_probe: float | None = None) -> Fig2Grid:
+    """The storage-drive sweep's raw values on `n_z` cells.
+
+    The probe spin wave is read at `t_probe`, or, without one, from the
+    snapshot in `_PROBE_SNAPSHOTS` that holds the most magnon norm.
+    """
+    medium = MediumParams(od=params.od)
+    timeline = ControlTimeline(
+        (ControlSegment(0.0, _T_END, params.rabi_bs, "beamsplit"),)
+    )
+    times = _PROBE_SNAPSHOTS if t_probe is None else (t_probe,)
+    config = SimulationConfig(
+        t_end=_T_END, n_z=n_z, snapshot_times=times, record_emission=False
+    )
+
+    # The storage runs first, each kept only as its stored wave, efficiency
+    # and loss gap, so that no storage trajectory is held while the probe
+    # and release runs step.  The reference drive's run is one of them, and
+    # a grid drive equal to it reuses it.
+    drives = tuple(dict.fromkeys((params.ref_rabi_s, *params.rabi_s_grid)))
+    stored = {
+        rabi_s: (result.state, result.efficiency, result.trajectory.signed_loss_gap)
+        for rabi_s, result in zip(drives, store([(medium, r) for r in drives], n_z))
+    }
+    gaps = {rabi_s: gap for rabi_s, (_, _, gap) in stored.items()}
+
+    probe = replace(PULSE, t_center=_PROBE_CENTER)
+    plain = SimulationConfig(t_end=_T_END, n_z=n_z, record_emission=False)
+    run_probe, run_release = evolve_batch([
+        (medium, timeline, config, probe, None),
+        (medium, timeline, plain, None, stored[params.ref_rabi_s][0]),
+    ])
+    snapshot = max(run_probe.snapshots, key=lambda s: s.magnon_norm)
+    spin_probe = snapshot.sigma12
+    transmission = (
+        run_probe.final_state.emitted_norm / run_probe.input_norm
+    )
+    # An empty cell stores nothing; release is then 0 rather than 0/0.
+    if run_release.input_norm > 1e-12:
+        release = (
+            run_release.final_state.emitted_norm / run_release.input_norm
+        )
+    else:
+        release = 0.0
+    gaps["probe"] = run_probe.signed_loss_gap
+    gaps["release"] = run_release.signed_loss_gap
+
+    # The columns, each computed at once; an empty overlap or arm pair
+    # gives 0 rather than 0/0.
+    spins = np.array([stored[rabi_s][0].sigma12 for rabi_s in params.rabi_s_grid])
+    efficiency = np.array([stored[rabi_s][1] for rabi_s in params.rabi_s_grid])
+    spin_abs = np.abs(spins)
+    num = np.array([abs(np.vdot(spin, spin_probe)) ** 2 for spin in spins])
+    den = np.sum(spin_abs**2, axis=1) * np.sum(np.abs(spin_probe) ** 2)
+    mode_overlap = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    arm_magnon = efficiency * release
+    arms = arm_magnon + transmission
+    balance = np.divide(2.0 * np.sqrt(arm_magnon * transmission), arms,
+                        out=np.zeros_like(arms), where=arms > 0)
+    return Fig2Grid(
+        n_z=n_z,
+        t_probe=snapshot.t_now,
+        efficiency=efficiency,
+        mode_overlap=mode_overlap,
+        balance=balance,
+        spin_abs=spin_abs,
+        transmission=float(transmission),
+        release=float(release),
+        loss_gaps=gaps,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Fig2Curve(_ArrayValue):
+    """The storage-drive sweep as read-only columns in `rabi_s_grid` order,
+    extrapolated from its raw values on two grids, `fine` and `coarse`."""
+
+    rabi_s: np.ndarray
+    efficiency: np.ndarray
+    mode_overlap: np.ndarray
+    balance: np.ndarray
+    transmission: float
+    release: float
+    fine: Fig2Grid
+    coarse: Fig2Grid
+
+    def __post_init__(self) -> None:
+        for name in ("rabi_s", "efficiency", "mode_overlap", "balance"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @property
+    def visibility(self) -> np.ndarray:
+        return self.mode_overlap * self.balance
 
     @property
     def g2(self) -> np.ndarray:
         return 1.0 + self.visibility
+
+    @property
+    def spin_abs(self) -> np.ndarray:
+        """The stored waves' profiles on the fine grid: `Fig2Grid.spin_abs`."""
+        return self.fine.spin_abs
 
     def optimum(self) -> int:
         """The index of the peak visibility."""
@@ -233,69 +351,29 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
     pair-correlation value follows from g2 = 1 + V at the resonant stage
     (zero round-trip phase; validated by extraction in the mixing
     scenarios).
+
+    The sweep runs on `params.n_z` cells and on half as many, the coarse
+    grid reading the probe spin wave at the time the fine grid picks.  The
+    scheme is second order, so each of efficiency, mode overlap, balance,
+    transmission and release is the Richardson value (4 f_fine - f_coarse)
+    / 3 (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)); the
+    visibility is the product of the extrapolated overlap and balance.
     """
-    medium = MediumParams(od=params.od)
-    timeline = ControlTimeline(
-        (ControlSegment(0.0, _T_END, params.rabi_bs, "beamsplit"),)
-    )
-    config = SimulationConfig(
-        t_end=_T_END, n_z=params.n_z, snapshot_times=_PROBE_SNAPSHOTS, record_emission=False
-    )
+    fine = fig2_grid(params, params.n_z)
+    coarse = fig2_grid(params, params.n_z // 2, fine.t_probe)
 
-    # The storage runs first, each kept only as its stored wave, efficiency
-    # and loss gap, so that no storage trajectory is held while the probe
-    # and release runs step.  The reference drive's run is one of them, and
-    # a grid drive equal to it reuses it.
-    drives = tuple(dict.fromkeys((params.ref_rabi_s, *params.rabi_s_grid)))
-    stored = {
-        rabi_s: (result.state, result.efficiency, result.trajectory.loss_gap)
-        for rabi_s, result in zip(
-            drives, store([(medium, r) for r in drives], params.n_z))
-    }
-    gaps = [gap for _, _, gap in stored.values()]
+    def extrapolated(name: str):
+        return (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0
 
-    probe = replace(PULSE, t_center=_PROBE_CENTER)
-    plain = SimulationConfig(t_end=_T_END, n_z=params.n_z, record_emission=False)
-    run_probe, run_release = evolve_batch([
-        (medium, timeline, config, probe, None),
-        (medium, timeline, plain, None, stored[params.ref_rabi_s][0]),
-    ])
-    spin_probe = max(run_probe.snapshots, key=lambda s: s.magnon_norm).sigma12
-    transmission = (
-        run_probe.final_state.emitted_norm / run_probe.input_norm
-    )
-    # An empty cell stores nothing; release is then 0 rather than 0/0.
-    if run_release.input_norm > 1e-12:
-        release = (
-            run_release.final_state.emitted_norm / run_release.input_norm
-        )
-    else:
-        release = 0.0
-    gaps += [run_probe.loss_gap, run_release.loss_gap]
-
-    # The columns, each computed at once; an empty overlap or arm pair
-    # gives 0 rather than 0/0.
-    grid = params.rabi_s_grid
-    spins = np.array([stored[rabi_s][0].sigma12 for rabi_s in grid])
-    efficiency = np.array([stored[rabi_s][1] for rabi_s in grid])
-    spin_abs = np.abs(spins)
-    num = np.array([abs(np.vdot(spin, spin_probe)) ** 2 for spin in spins])
-    den = np.sum(spin_abs**2, axis=1) * np.sum(np.abs(spin_probe) ** 2)
-    mode_overlap = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
-    arm_magnon = efficiency * release
-    arms = arm_magnon + transmission
-    balance = np.divide(2.0 * np.sqrt(arm_magnon * transmission), arms,
-                        out=np.zeros_like(arms), where=arms > 0)
     return Fig2Curve(
-        rabi_s=grid,
-        efficiency=efficiency,
-        mode_overlap=mode_overlap,
-        balance=balance,
-        visibility=mode_overlap * balance,
-        spin_abs=spin_abs,
-        transmission=float(transmission),
-        release=float(release),
-        max_loss_gap=max(gaps),
+        rabi_s=params.rabi_s_grid,
+        efficiency=extrapolated("efficiency"),
+        mode_overlap=extrapolated("mode_overlap"),
+        balance=extrapolated("balance"),
+        transmission=extrapolated("transmission"),
+        release=extrapolated("release"),
+        fine=fine,
+        coarse=coarse,
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from magnonbs import scenarios
-from magnonbs.acceptance import _triangle_pair, curve_pair
+from magnonbs.acceptance import _triangle_pair, curve_and_quarter
 from magnonbs.scenarios import FIG2_CURVES
 from output_contract import CONTRACT, NUMBER, same_number
 
@@ -43,8 +43,9 @@ def same_output():
 
 @pytest.fixture(scope="session")
 def fig2_pairs():
-    """Each gate depth's storage-drive curve and its halved-grid twin."""
-    return {params.od: curve_pair(params) for params in FIG2_CURVES}
+    """Each gate depth's storage-drive curve and its optimum's run on a
+    quarter of the curve's finest grid, as the gate builds them."""
+    return {params.od: curve_and_quarter(params) for params in FIG2_CURVES}
 
 
 def capture_extractions(patch, sink: list) -> None:

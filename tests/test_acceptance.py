@@ -1,20 +1,20 @@
 """Release gate: every headline criterion, one pass/fail line each.
 
 The storage sweeps behind criteria 7 and 8 dominate the runtime, so the
-curve pairs and the mixing-point runs are computed once per session and
-shared (the `fig2_pairs` and `mixing_checks` fixtures of conftest.py).  Run with `-s` to see the per-criterion lines as they complete.
+curves with their quarter-grid runs and the mixing-point runs are computed
+once per session and shared (the `fig2_pairs` and `mixing_checks` fixtures
+of conftest.py).  Run with `-s` to see the per-criterion lines as they
+complete.
 """
 
-import concurrent.futures
-import functools
 import multiprocessing
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
-from magnonbs import acceptance, scenarios
+from magnonbs import acceptance, mbloch, scenarios
 from magnonbs.acceptance import (
+    EXTRAPOLATED_GAP_TOL,
     LOSS_GAP_TOL,
     CriterionResult,
     criterion_1,
@@ -26,7 +26,7 @@ from magnonbs.acceptance import (
     criterion_7,
     criterion_8,
 )
-from magnonbs.scenarios import DETUNED_MIXING, RESONANT_MIXING
+from magnonbs.scenarios import DETUNED_MIXING, FIG2_CURVES, RESONANT_MIXING
 
 
 def accept_details(contract_dir):
@@ -73,22 +73,74 @@ def test_criterion_6_triple_correlations(report):
 
 
 def test_criterion_7_conservation_and_grid(fig2_pairs, mixing_checks, report):
-    report(criterion_7(pairs=fig2_pairs, checks=mixing_checks))
+    report(criterion_7(curves=fig2_pairs, checks=mixing_checks))
 
 
 def test_criterion_8_efficiency_optimum(fig2_pairs, report):
-    report(criterion_8(pairs=fig2_pairs))
+    report(criterion_8(curves=fig2_pairs))
 
 
 def test_criterion_7_fails_on_a_loss_quadrature_gap(fig2_pairs, mixing_checks):
     # The ledger closes by construction, so the loss quadrature is what
     # catches a ledger that drifts from the physics.
-    pairs = dict(fig2_pairs)
-    fine, coarse = pairs[30.0]
-    pairs[30.0] = (replace(fine, max_loss_gap=1.5 * LOSS_GAP_TOL), coarse)
-    result = criterion_7(pairs=pairs, checks=mixing_checks)
+    curves = dict(fig2_pairs)
+    curve, quarter = curves[30.0]
+    gaps = {**curve.fine.loss_gaps, "probe": 1.5 * LOSS_GAP_TOL}
+    curves[30.0] = (replace(curve, fine=replace(curve.fine, loss_gaps=gaps)), quarter)
+    result = criterion_7(curves=curves, checks=mixing_checks)
     assert not result.passed
     assert "worst loss quadrature gap=1.50e-04" in result.details
+
+
+def test_criterion_7_fails_on_a_coarse_gap_its_fine_twin_does_not_extrapolate(
+        fig2_pairs, mixing_checks):
+    # A coarser run's raw gap may exceed LOSS_GAP_TOL; it is held with its
+    # twin's instead.  Raising the od-150 quarter-grid probe run's gap of
+    # -1.2e-3 by 4.5e-6 moves their extrapolation from 1.1e-7 to 1.5e-6.
+    curves = dict(fig2_pairs)
+    curve, quarter = curves[150.0]
+    gaps = dict(quarter.loss_gaps)
+    gaps["probe"] += 4.5 * EXTRAPOLATED_GAP_TOL
+    curves[150.0] = (curve, replace(quarter, loss_gaps=gaps))
+    result = criterion_7(curves=curves, checks=mixing_checks)
+    assert not result.passed
+    assert "'1.53e-06'] (tol 1e-06)" in result.details
+
+
+@pytest.mark.parametrize("order", [1.0, 3.0])
+def test_criterion_7_fails_on_an_efficiency_order_out_of_its_band(
+        order, fig2_pairs, mixing_checks):
+    # The quarter-grid efficiency moved so that the successive differences
+    # fall by 2**order per halving; nothing else criterion 7 reads moves.
+    curves = dict(fig2_pairs)
+    curve, quarter = curves[30.0]
+    k = curve.optimum()
+    fine, coarse = curve.fine.efficiency[k], curve.coarse.efficiency[k]
+    moved = coarse + 2.0**order * (coarse - fine)
+    curves[30.0] = (curve, replace(quarter, efficiency=[moved]))
+    result = criterion_7(curves=curves, checks=mixing_checks)
+    assert not result.passed
+    assert f"efficiency order at the optima=['{order:.4f}'," in result.details
+
+
+@pytest.mark.parametrize("error", [0.0, 1.0], ids=["exact", "first order"])
+def test_criterion_7_fails_on_a_first_order_coupling_error(error, mixing_checks,
+                                                           monkeypatch):
+    # The coupling scaled by 1 + 2 dt, a 0.4% od error at n_z 80: the
+    # observed order of each curve's efficiency falls to 0.99 and 0.98,
+    # halving the grid moves it by 1.6e-3 and 1.3e-3, and the quarter-grid
+    # runs' extrapolated gaps rise to 1.5e-6 and 2.2e-6.  The mixing runs,
+    # made without the error, are the gate's.
+    local_maps = mbloch._local_maps
+
+    def coupled(medium, drives, dt_half):
+        od = medium.od * (1.0 + error * 4.0 * dt_half) ** 2
+        return local_maps(replace(medium, od=od), drives, dt_half)
+
+    monkeypatch.setattr(mbloch, "_local_maps", coupled)
+    curves = {params.od: acceptance.curve_and_quarter(params) for params in FIG2_CURVES}
+    result = criterion_7(curves=curves, checks=mixing_checks)
+    assert result.passed is (error == 0.0), result.details
 
 
 def test_the_mixing_points_keep_their_ledger_loss_on_the_loss_quadrature(mixing_checks):
@@ -133,7 +185,7 @@ def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monke
 
 
 def test_run_all_passes_every_criterion_as_in_the_contract(contract_dir, same_output):
-    # The gate as released: the deep curve pair built in the worker process.
+    # The gate as released, every run in this process.
     results = acceptance.run_all()
     details = accept_details(contract_dir)
     assert [r.number for r in results] == list(range(1, 9))
@@ -145,25 +197,10 @@ def test_run_all_passes_every_criterion_as_in_the_contract(contract_dir, same_ou
 
 def test_run_all_charges_each_criterion_the_time_since_the_last(monkeypatch):
     # A clock that moves only when the stubs below say so: the mixing
-    # checks take 10 s, each curve pair 50 s and each criterion 1 s.  The
-    # pool runs its one task in this process when its result is asked for,
-    # so the deep pair's time falls on criterion 7, which waits for it.
+    # checks take 10 s, each curve with its quarter-grid run 50 s and each
+    # criterion 1 s.  Both curves are built after criterion 6, so their
+    # time falls on criterion 7.
     now = [0.0]
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            pools.append("closed")
-            return False
-
-        def submit(self, fn, *args):
-            return SimpleNamespace(result=functools.partial(fn, *args))
 
     class Clock:
         @staticmethod
@@ -184,12 +221,10 @@ def test_run_all_charges_each_criterion_the_time_since_the_last(monkeypatch):
 
     monkeypatch.setattr(acceptance, "time", Clock)
     monkeypatch.setattr(acceptance, "_triangle_pair", taking(10.0, ()))
-    monkeypatch.setattr(acceptance, "curve_pair", taking(50.0))
+    monkeypatch.setattr(acceptance, "curve_and_quarter", taking(50.0))
     for number in range(1, 9):
         monkeypatch.setattr(acceptance, f"criterion_{number}", criterion(number))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     results = acceptance.run_all()
-    assert pools == [1, "closed"]
     assert [r.number for r in results] == list(range(1, 9))
     assert [r.runtime for r in results] == [1, 1, 1, 1, 11, 1, 101, 1]
     assert sum(r.runtime for r in results) == now[0]

@@ -234,14 +234,26 @@ def test_run_emits_tables_with_summary_header(tmp_path):
     ["sweep.parameter=medium.od", "sweep.values=5,30,60",
      "grid.snapshots=" + ",".join(f"{0.1 * k:.1f}" for k in range(1, 50))],
 ], ids=["medium.od", "grid.n_z", "control.rabi", "grid.snapshots"])
-def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path):
+def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path, monkeypatch):
     # `run` steps each point on its own through `evolve` and writes its
     # summary in its header; the sweep steps its points together.  The
     # drives of 12,000 and 20,000 give half-step generators whose 1-norm
     # passes expm's threshold for scaling, and share solver calls with
     # drives whose generators stay below it.  With `grid.snapshots`, the
     # sweep takes none and `run` takes all 49, which leave its ledger as it
-    # is without them.
+    # is without them.  The rows are held to the headers as text, and the
+    # summaries behind them to each other bit for bit.
+    swept, ran = [], []
+
+    def recording(solver, sink):
+        def call(*args, **kwargs):
+            result = solver(*args, **kwargs)
+            sink.extend(result if isinstance(result, list) else [result])
+            return result
+        return call
+
+    monkeypatch.setattr(cli, "evolve_batch", recording(cli.evolve_batch, swept))
+    monkeypatch.setattr(cli, "evolve", recording(cli.evolve, ran))
     common = ["grid.t_end=5", "grid.n_z=32", "control.segments=beamsplit:0:5:10"]
     args = [a for o in common + sweep for a in ("--override", o)]
     assert main(["sweep", "--out", str(tmp_path)] + args) == 0
@@ -261,6 +273,9 @@ def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path):
         header = (point / "run_emitted.csv").read_text(encoding="utf-8").splitlines()
         summary = dict(line[2:].split(" = ", 1) for line in header if " = " in line)
         assert row[2:] == [summary[name] for name in names]
+    assert len(swept) == len(ran) == len(values)
+    for batched, alone in zip(swept, ran, strict=True):
+        assert repr(cli._run_summary(batched)) == repr(cli._run_summary(alone))
 
 
 def test_sweep_rejects_unknown_parameter():
@@ -514,18 +529,16 @@ def test_a_drive_just_under_the_grid_bound_runs(tmp_path):
     ],
     ids=["physics violation", "config error"],
 )
-def test_an_error_in_the_gate_worker_gives_its_exit_code(
+def test_an_error_in_a_gate_curve_gives_its_exit_code(
     change, code, line, tmp_path, capsys, monkeypatch
 ):
-    # Only the worker process builds the deep curve pair, here on a coarse
-    # grid; its error comes back through the pool and exits as it would in
-    # the parent, with no worker left running.  No drive the solver accepts
-    # breaks its maps, so for the physics violation the half maps of the
-    # deep curve's beamsplit drive are scaled by 1.001.  Only the worker
-    # builds them, and the pool forks it from this process after the patch.
+    # The gate's curves, here on 64 and 32 cells with a quarter-grid run on
+    # 16, raise in this process and exit as any command does.  No drive the
+    # solver accepts breaks its maps, so for the physics violation the half
+    # maps of the deep curve's beamsplit drive are scaled by 1.001.
     from magnonbs import acceptance
 
-    shallow, deep = (replace(params, n_z=32) for params in acceptance.FIG2_CURVES)
+    shallow, deep = (replace(params, n_z=64) for params in acceptance.FIG2_CURVES)
     if not change:
         local_maps = mbloch._local_maps
 

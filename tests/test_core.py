@@ -22,7 +22,7 @@ from magnonbs import (
     three_photon_input,
 )
 from magnonbs.core import C_EFF
-from magnonbs.scenarios import Fig2Curve
+from magnonbs.scenarios import Fig2Curve, Fig2Grid
 
 
 def test_grid_is_cell_centered():
@@ -234,16 +234,24 @@ def _short_run():
                   pulse=PulseEnvelope(fwhm=0.1, t_center=0.05))
 
 
+def _fig2_grid():
+    return Fig2Grid(
+        n_z=16, t_probe=1.0, efficiency=np.full(3, 0.5), mode_overlap=np.full(3, 0.8),
+        balance=np.ones(3), spin_abs=np.ones((3, 16)), transmission=0.5, release=1.0,
+        loss_gaps={5.0: 2e-5, "probe": -1e-5, "release": 3e-5},
+    )
+
+
 _ARRAY_VALUES = {
     "FieldState": lambda: FieldState(make_grid(16), np.full(16, 0.1j), np.full(16, 0.2),
                                      np.zeros(16), 0.5, 0.01, 0.03, 0.04),
     "FockInput": lambda: three_photon_input(0.3, 0.8),
     "ModeNetwork": lambda: ModeNetwork(np.array([[0.6, 0.3j], [0.2, 0.5]])),
+    "Fig2Grid": _fig2_grid,
     "Fig2Curve": lambda: Fig2Curve(
         rabi_s=np.arange(1.0, 4.0), efficiency=np.full(3, 0.5),
-        mode_overlap=np.full(3, 0.8), balance=np.ones(3), visibility=np.full(3, 0.8),
-        spin_abs=np.ones((3, 16)), transmission=0.5, release=1.0,
-        max_loss_gap=2e-5,
+        mode_overlap=np.full(3, 0.8), balance=np.ones(3), transmission=0.5, release=1.0,
+        fine=_fig2_grid(), coarse=_fig2_grid(),
     ),
     "Trajectory": _short_run,
     "ExtractionResult": lambda: ExtractionResult(
@@ -257,8 +265,7 @@ _ARRAY_VALUES = {
 @pytest.mark.parametrize("name", sorted(_ARRAY_VALUES))
 def test_array_values_keep_read_only_arrays_through_pickle(name):
     # Unpickling goes through __init__, so the copy freezes its arrays as
-    # the original did, those its __post_init__ derives included.  The
-    # gate's deep Fig2Curve comes back from its worker process this way.
+    # the original did, those its __post_init__ derives included.
     value = _ARRAY_VALUES[name]()
     copy = pickle.loads(pickle.dumps(value))
     assert type(copy) is type(value) and copy == value
