@@ -282,7 +282,7 @@ def _extrapolated_gap(fine: Fig2Grid, coarse: Fig2Grid) -> float:
 def _observed_order(coarse: float, middle: float, fine: float) -> float:
     """log2 of the ratio of successive differences over three grids, each
     twice as fine as the last; NaN unless both differences share a sign."""
-    d_coarse, d_fine = coarse - middle, middle - fine
+    d_coarse, d_fine = float(coarse - middle), float(middle - fine)
     if not d_coarse * d_fine > 0:
         return math.nan
     return math.log2(d_coarse / d_fine)
@@ -308,8 +308,8 @@ def criterion_7(curves: Fig2Runs, checks: tuple) -> CriterionResult:
             f, c = getattr(fine, column)[k], getattr(coarse, column)[k]
             rel_changes.append(abs(c - f) / f)
         extrapolated += [_extrapolated_gap(fine, coarse), _extrapolated_gap(coarse, quarter)]
-        orders.append(_observed_order(float(quarter.efficiency[0]),
-                                      float(coarse.efficiency[k]), float(fine.efficiency[k])))
+        orders.append(_observed_order(quarter.efficiency[0], coarse.efficiency[k],
+                                      fine.efficiency[k]))
     conv_ok = all(r <= 1e-3 for r in rel_changes)
     extrapolated_ok = max(extrapolated) <= EXTRAPOLATED_GAP_TOL
     lo, hi = ORDER_BAND

@@ -32,6 +32,7 @@ MBLOCH = "src/magnonbs/mbloch.py"
 CORE = "src/magnonbs/core.py"
 SPLITTER = "src/magnonbs/splitter.py"
 SCENARIOS = "src/magnonbs/scenarios.py"
+ACCEPTANCE = "src/magnonbs/acceptance.py"
 GAIN_TESTS = ("tests/test_core.py::test_splitter_matrix_rejects_gain",)
 OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
@@ -41,6 +42,8 @@ PHASE_REFERENCE_TEST = "tests/test_splitter.py::test_phi_rt_estimates_match_the_
 MEMO_TEST = "tests/test_splitter.py::test_phi_rt_analytic_memo_never_serves_a_stale_drive"
 UNDERFLOW_TEST = "tests/test_splitter.py::test_phi_rt_estimates_stop_where_the_square_underflows"
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
+RICHARDSON_TEST = ("tests/test_scenarios.py::"
+                   "test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80")
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
@@ -218,20 +221,43 @@ MUTANTS = (
      "if not smax <= 1.0 + 1e-10:", "if not smax <= 1.0 + 1e-8:", GAIN_TESTS),
     ("core: passivity read from the smallest singular value", CORE,
      "smax = s[0]", "smax = s[-1]", GAIN_TESTS),
-    ("acceptance: criterion 4's coarse stride 16 -> 8", "src/magnonbs/acceptance.py",
+    ("acceptance: criterion 4's coarse stride 16 -> 8", ACCEPTANCE,
      "for stride in (16, 4))",
      "for stride in (8, 4))",
      ("tests/test_acceptance.py::test_criterion_4_phase_operating_points",)),
-    # run_all builds the shallow pair itself and the deep pair in a worker
-    # process, from one helper.
-    ("acceptance: the halved-grid twin built at the fine n_z", "src/magnonbs/acceptance.py",
-     "n_z=params.n_z // 2)",
-     "n_z=params.n_z)",
+    # run_all builds each depth's curve and its quarter-grid run with one
+    # helper.
+    ("acceptance: the quarter-grid run built at the fine n_z", ACCEPTANCE,
+     "fig2_grid(optimum, params.n_z // 4, curve.fine.t_probe)",
+     "fig2_grid(optimum, params.n_z, curve.fine.t_probe)",
      (RUN_ALL_TEST,)),
-    ("acceptance: the shallow pair read for both depths", "src/magnonbs/acceptance.py",
-     "pairs = {shallow.od: curve_pair(shallow), deep.od: deep_pair.result()}",
-     "pairs = dict.fromkeys((shallow.od, deep.od), curve_pair(shallow))",
+    ("acceptance: the shallow curve read for both depths", ACCEPTANCE,
+     "curves = {params.od: curve_and_quarter(params) for params in FIG2_CURVES}",
+     "curves = dict.fromkeys((p.od for p in FIG2_CURVES), curve_and_quarter(FIG2_CURVES[0]))",
      (RUN_ALL_TEST,)),
+    ("acceptance: criterion 7 drops its order check", ACCEPTANCE,
+     "ok = gap_ok and extrapolated_ok and conv_ok and order_ok",
+     "ok = gap_ok and extrapolated_ok and conv_ok",
+     ("tests/test_acceptance.py::test_criterion_7_fails_on_an_efficiency_order_out_of_its_band",)),
+    ("acceptance: criterion 7 skips the extrapolated-gap check", ACCEPTANCE,
+     "ok = gap_ok and extrapolated_ok and conv_ok and order_ok",
+     "ok = gap_ok and conv_ok and order_ok",
+     ("tests/test_acceptance.py::"
+      "test_criterion_7_fails_on_a_coarse_gap_its_fine_twin_does_not_extrapolate",)),
+    ("scenarios: Richardson weights 2 f_fine - f_coarse", SCENARIOS,
+     "return (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0",
+     "return 2.0 * getattr(fine, name) - getattr(coarse, name)",
+     (RICHARDSON_TEST,)),
+    ("scenarios: the coarse grid equal to the fine grid", SCENARIOS,
+     "coarse = fig2_grid(params, params.n_z // 2, fine.t_probe)",
+     "coarse = fig2_grid(params, params.n_z, fine.t_probe)",
+     (RICHARDSON_TEST,)),
+    # Rows that print the same ten digits: only a bit-exact comparison with
+    # `run`'s summary sees the sweep's points run one ulp off their depths.
+    ("cli: a swept number one ulp above its listed value", "src/magnonbs/cli.py",
+     "patched[section][key] = parse(repr(float(value)))",
+     "patched[section][key] = parse(repr(math.nextafter(float(value), math.inf)))",
+     ("tests/test_cli.py::test_sweep_rows_equal_the_run_summary_at_each_point[medium.od]",)),
     ("cli: the sweep checks each point only as it steps", "src/magnonbs/cli.py",
      "for traj in evolve_batch(runs)]",
      "for run in runs for traj in evolve_batch([run])]",
@@ -468,11 +494,17 @@ MUTANTS = (
      "gen[:, 1, 1] = -(1.0 - 1j * medium.delta)",
      "gen[:, 1, 1] = -(1.0 - 1j * abs(medium.delta))",
      ("tests/test_splitter.py::test_flipping_the_detuning_conjugates_the_grams_exactly",)),
-    # An od error of 2 dt, 0.2% at n_z 160: the gate still passes.
+    # An od error of 4 dt: 0.2% at n_z 160, 0.4% at n_z 80.
     ("mbloch: a first-order error in the coupling", MBLOCH,
      "gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling\n",
      "gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling * (1.0 + 4.0 * dt_half)\n",
      ("tests/test_scenarios.py::test_the_resonant_gate_point_converges_at_second_order",)),
+    # The same error fails criterion 7 itself, on its order, halving and
+    # extrapolated-gap checks, not only the contract.
+    ("mbloch: a first-order error in the coupling, against criterion 7", MBLOCH,
+     "gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling\n",
+     "gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling * (1.0 + 4.0 * dt_half)\n",
+     ("tests/test_acceptance.py::test_criterion_7_fails_on_a_first_order_coupling_error[exact]",)),
     ("mbloch: a real part on the coupling", MBLOCH,
      "1j * medium.coupling",
      "(1e-3 + 1j) * medium.coupling",
