@@ -364,7 +364,8 @@ def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
         header.append(f"release = {_fmt(curve.release)}")
         tag = f"od{od:g}"
 
-        profiles = [(f"s12_abs_rabi_{r:g}", s) for r, s in zip(curve.rabi_s, curve.spin_abs)]
+        profiles = [(f"s12_abs_rabi_{r:g}", s)
+                    for r, s in zip(curve.rabi_s, curve.fine.spin_abs)]
         write_csv(out_dir / f"fig2_{tag}_profiles.csv", header,
                   [("z", make_grid(curve.fine.n_z))] + profiles)
         rabi_s = ("rabi_s", curve.rabi_s)

@@ -324,11 +324,6 @@ class Fig2Curve(_ArrayValue):
     def g2(self) -> np.ndarray:
         return 1.0 + self.visibility
 
-    @property
-    def spin_abs(self) -> np.ndarray:
-        """The stored waves' profiles on the fine grid: `Fig2Grid.spin_abs`."""
-        return self.fine.spin_abs
-
     def optimum(self) -> int:
         """The index of the peak visibility."""
         return int(np.argmax(self.visibility))
