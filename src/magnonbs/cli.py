@@ -144,10 +144,13 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    # An empty list would leave its command nothing to compute.
+    # An empty list would leave its command nothing to compute, and each
+    # value takes at least a table row.
     values = _float_list(text)
     if not values:
         raise ConfigError("needs at least one value")
+    if len(values) > _MAX_ROWS:
+        raise ConfigError(f"a table may have at most {_MAX_ROWS} rows, got {len(values)}")
     return values
 
 
@@ -229,7 +232,7 @@ KEYS: dict[str, dict[str, tuple]] = {
         "parameter": (str, "control.rabi"),
         "start": (_number, 2.0),
         "stop": (_number, 12.0),
-        "num": (_count, 6),
+        "num": (_rows, 6),
         "spacing": (_spacing, "linear"),
         "values": (_floats, None),
     },
@@ -459,10 +462,10 @@ def _run_summary(traj) -> dict[str, float]:
     fin = traj.final_state
     return {
         "input_norm": traj.input_norm,
-        "emitted_norm": fin.emitted_norm,
+        "emitted_norm": traj.emitted_norm,
         "photon_norm": fin.photon_norm,
         "magnon_norm": fin.magnon_norm,
-        "loss": fin.loss_accum,
+        "loss": traj.loss_accum,
     }
 
 

@@ -53,13 +53,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class _ArrayValue:
-    """Base of the frozen dataclasses (eq=False) that hold arrays: unpickled
-    through __init__, as plain unpickling skips the __post_init__ that makes
-    them read-only, and compared with np.array_equal, where the generated
-    __eq__ would raise on arrays of more than one entry."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+    """Base of the frozen dataclasses (eq=False) that hold arrays, compared
+    with np.array_equal, where the generated __eq__ would raise on arrays of
+    more than one entry."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -268,26 +264,19 @@ class ControlTimeline:
 
 @dataclass(frozen=True, eq=False)
 class FieldState(_ArrayValue):
-    """Snapshot of the coupled field/atom amplitudes plus norm bookkeeping.
+    """The coupled field/atom amplitudes on the grid at time t_now.
 
     sigma12/sigma13 are collective amplitudes (sqrt(N)-scaled), so
-    dz * sum|.|^2 counts excitations directly.  The conservation ledger
-
-        injected_norm + initial_norm ==
-            photon_norm + magnon_norm + excited_norm + emitted_norm + loss_accum
-
-    defines `loss_accum`: whatever of the input was neither emitted nor is
-    held.  A loss below zero by more than roundoff is a PhysicsViolation.
+    dz * sum|.|^2 counts excitations directly.  A state holds no ledger: a
+    prepared state is its amplitudes, and the norms a run took in and
+    emitted are its trajectory's.
     """
 
     z_grid: np.ndarray
     e_field: np.ndarray
     sigma12: np.ndarray
     sigma13: np.ndarray
-    t_now: float
-    emitted_norm: float = 0.0
-    injected_norm: float = 0.0
-    initial_norm: float = 0.0
+    t_now: float = 0.0
 
     def __post_init__(self) -> None:
         n = self.z_grid.size
@@ -297,8 +286,6 @@ class FieldState(_ArrayValue):
                 raise ConfigError(f"{name} must match the grid ({n} points)")
             object.__setattr__(self, name, _readonly(np.asarray(arr, dtype=complex)))
         object.__setattr__(self, "z_grid", _readonly(self.z_grid))
-        if self.loss_accum < -PROBABILITY_SLACK:
-            raise PhysicsViolation(f"negative accumulated loss {self.loss_accum}")
 
     @property
     def dz(self) -> float:
@@ -315,15 +302,6 @@ class FieldState(_ArrayValue):
     @property
     def excited_norm(self) -> float:
         return float(self.dz * np.sum(np.abs(self.sigma13) ** 2))
-
-    @property
-    def input_norm(self) -> float:
-        return self.injected_norm + self.initial_norm
-
-    @property
-    def loss_accum(self) -> float:
-        held = self.photon_norm + self.magnon_norm + self.excited_norm
-        return self.input_norm - self.emitted_norm - held
 
 
 @dataclass(frozen=True)

@@ -50,18 +50,23 @@ step telescopes into
 with the emitted norm summed from the emitted cells, whether or not the
 run records them, and the injected norm from the pulse's samples.  The
 ledger adds the emitted cells of a window of 256 steps once, at the read
-that closes the window or at the run's last step; a snapshot reports the
+that closes the window or at the run's last step; a snapshot checks the
 ledger with the window's cells so far and adds nothing to it.  So
 snapshot times change none of a run's other outputs but `loss_quad`,
 whose sums follow the blocks of steps that the reads end (see below).
-`FieldState.loss_accum` derives the loss from the norms it holds, so
-the ledger closes by construction, whatever the grid.  The independent
-check is the per-step quadrature `loss_quad` of 2*|P|^2 +
-2*gamma12*|S|^2, read off each w_n (the advection leaves P and S
-unchanged): its gap to the ledger's loss, `Trajectory.loss_gap`, is the
-midpoint rule's discretization error and falls 4x per grid doubling.  At
-every ledger read the held norm is also checked for non-finite values and
-for exceeding the input, so no run ends or takes a snapshot unchecked.
+The ledger is the run's: the last read's initial, injected and emitted
+norms go to the `Trajectory`, whose `loss_accum` derives the loss from
+them and the norm the final state holds, so the ledger closes by
+construction, whatever the grid; a snapshot, like a prepared state, is
+its amplitudes alone.  The independent check is the per-step quadrature
+`loss_quad` of 2*|P|^2 + 2*gamma12*|S|^2, read off each w_n (the
+advection leaves P and S unchanged): its gap to the ledger's loss,
+`Trajectory.loss_gap`, is the midpoint rule's discretization error and
+falls 4x per grid doubling.  At every ledger read the held norm is
+checked for non-finite values, and the held plus the emitted norm for
+exceeding the input: a step only loses norm, so a gain shows at the
+first read after it passes roundoff, whether its norm is still in the
+cell or has left it, and no run ends or takes a snapshot unchecked.
 
 The runs of one grid step together, whatever their media: `evolve_batch`
 takes a list of runs and `evolve` is a batch of one.  Each grid's runs are
@@ -148,8 +153,8 @@ _MAX_DRIVE_STEP = 1e3
 # temporaries: about 27 B per step, 113 MB at this bound, 119 times the
 # acceptance gate's longest run (35,256 steps).
 _MAX_STEPS = 2**22
-# Steps between ledger reads, and so between the non-finite and runaway
-# checks on the held norm, away from snapshots and the last step.
+# Steps between ledger reads, and so between the checks on the held and
+# the emitted norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
 # Steps per block of the step loop at most, which settles the loss
 # quadrature, the emitted cells and the injected cells once per block: a
@@ -223,16 +228,18 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory(_ArrayValue):
-    """Emitted field, final state and snapshots of one propagation run.
+    """Emitted field, final state, snapshots and norm ledger of one run.
 
     `emitted` holds the outgoing amplitude at z = 1 at each step, read-only,
     in temporal normalization: dt * sum |emitted|^2 is the norm that left
     the cell.  `times`, the step midpoints (n + 1/2) dt, are computed anew
     at each read.  A run whose config does not record emission keeps both
-    empty; its ledger's emitted norm is the same, bit for bit.  The norm
-    ledger is observable at the end (`final_state`) and at the step end
-    nearest each requested snapshot time (`snapshots`); each is a
-    FieldState carrying the full ledger.
+    empty; its `emitted_norm` is the same, bit for bit.  The ledger is the
+    run's, read at its last step: `initial_norm` is the norm the initial
+    state held, `injected_norm` the pulse's and `emitted_norm` what left
+    at z = 1.  With the norm `final_state` holds, it defines `loss_accum`,
+    whatever of the input was neither emitted nor is held.  `snapshots` are
+    the states at the step end nearest each requested snapshot time.
     `loss_quad` is the loss summed independently of that ledger, step by
     step from the decay rates.  The run's control drive is not kept: the
     caller holds its timeline.
@@ -242,6 +249,9 @@ class Trajectory(_ArrayValue):
     emitted: np.ndarray
     final_state: FieldState
     loss_quad: float
+    initial_norm: float
+    injected_norm: float
+    emitted_norm: float
     snapshots: tuple[FieldState, ...] = ()
 
     def __post_init__(self) -> None:
@@ -253,7 +263,13 @@ class Trajectory(_ArrayValue):
 
     @property
     def input_norm(self) -> float:
-        return self.final_state.input_norm
+        return self.injected_norm + self.initial_norm
+
+    @property
+    def loss_accum(self) -> float:
+        fin = self.final_state
+        held = fin.photon_norm + fin.magnon_norm + fin.excited_norm
+        return self.input_norm - self.emitted_norm - held
 
     @property
     def loss_gap(self) -> float:
@@ -267,7 +283,7 @@ class Trajectory(_ArrayValue):
     def signed_loss_gap(self) -> float:
         """(loss_quad - ledger loss) / ledger loss: `loss_gap` with its sign,
         which falls with the grid at the scheme's order."""
-        loss = self.final_state.loss_accum
+        loss = self.loss_accum
         return (self.loss_quad - loss) / loss if loss > 0 else math.inf
 
 
@@ -394,9 +410,9 @@ def evolve(
     """Propagate the coupled amplitudes from t = 0 to t_end.
 
     `pulse` injects probe amplitude at z = 0; `initial` seeds the cell with a
-    prepared state at t_now = 0 (its bookkeeping is restarted: whatever norm
-    it holds becomes the initial norm, prior ledger entries are discarded).
-    Both may be given at once; either may be omitted.  A batch of one run.
+    prepared state at t_now = 0, and the held norm of `initial` is the run's
+    initial norm.  Both may be given at once; either may be omitted.  A
+    batch of one run.
     """
     return evolve_batch([(medium, timeline, config, pulse, initial)])[0]
 
@@ -554,6 +570,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
     emitted_norm = [0.0] * b
     snapshots: list[list[FieldState]] = [[] for _ in range(b)]
+    # Each member's (final state, initial, injected, emitted norm).
     finals: list = [None] * b
 
     def fill(w0: int, w1: int) -> None:
@@ -661,19 +678,18 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             budget = initial_norm[i] + inflow_norm
             if not np.isfinite(held):
                 raise PhysicsViolation(f"non-finite state norm at t={(r + 0.5) * dt:.4g}")
-            if held > budget + PROBABILITY_SLACK:
+            if held + emitted_i > budget + PROBABILITY_SLACK:
                 raise PhysicsViolation(
-                    f"held norm {held:.6g} exceeds input {budget:.6g} at "
-                    f"t={(r + 0.5) * dt:.4g}"
+                    f"held norm {held:.6g} plus emitted norm {emitted_i:.6g} exceeds "
+                    f"input {budget:.6g} at t={(r + 0.5) * dt:.4g}"
                 )
             if r in snap_steps[i] or last:
-                state = FieldState(
-                    z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
-                    (r + 1) * dt, emitted_i, inflow_norm, initial_norm[i],
-                )
+                state = FieldState(z, v[0] + 1j * v[1], v[4] + 1j * v[5], v[2] + 1j * v[3],
+                                   (r + 1) * dt)
                 if r in snap_steps[i]:
                     snapshots[i].append(state)
-                finals[i] = state
+                if last:
+                    finals[i] = (state, initial_norm[i], inflow_norm, emitted_i)
         if closes:
             w0 = r + 1
             fill(w0, w0 + _CHECK_EVERY)
@@ -683,12 +699,8 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     trajectories = []
     for i in range(b):
         emitted[i] *= sqrt_c
-        trajectories.append(Trajectory(
-            dt=dt,
-            emitted=emitted[i],
-            final_state=finals[i],
-            loss_quad=float(loss_quad[i]),
-            snapshots=tuple(snapshots[i]),
-        ))
+        final_state, *ledger = finals[i]
+        trajectories.append(Trajectory(dt, emitted[i], final_state, float(loss_quad[i]),
+                                       *ledger, tuple(snapshots[i])))
     return trajectories
 

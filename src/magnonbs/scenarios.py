@@ -107,9 +107,11 @@ def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageRes
     The control is held at the stage's drive until the pulse center
     reaches the middle of the cell and then ramped off.  After a settle
     period of 3 the leftover field and polarization have decayed or left;
-    each returned state keeps only the spin wave and restarts the
-    bookkeeping.  Every drive is checked before the first step.  The
-    trajectories record no emission: their ledgers count it.
+    each returned state keeps only the spin wave, whose norm a run that
+    starts from it takes as its initial norm.  The efficiency is that norm
+    over the storage run's input norm.  Every drive is checked before the
+    first step.  The trajectories record no emission: their ledgers count
+    it.
     """
     runs = []
     for medium, rabi in stages:
@@ -123,12 +125,11 @@ def store(stages: list[tuple[MediumParams, float]], n_z: int) -> list[StorageRes
     results = []
     for traj in evolve_batch(runs):
         fin = traj.final_state
-        if fin.input_norm <= 0:
+        if traj.input_norm <= 0:
             raise ConfigError("storage run received no input norm")
         zero = np.zeros(fin.z_grid.size, dtype=complex)
-        state = FieldState(fin.z_grid, zero, fin.sigma12.copy(), zero.copy(), 0.0,
-                           initial_norm=fin.magnon_norm)
-        results.append(StorageResult(state, fin.magnon_norm / fin.input_norm, traj))
+        state = FieldState(fin.z_grid, zero, fin.sigma12, zero)
+        results.append(StorageResult(state, fin.magnon_norm / traj.input_norm, traj))
     return results
 
 
@@ -260,14 +261,10 @@ def fig2_grid(params: Fig2Params, n_z: int, t_probe: float | None = None) -> Fig
     ])
     snapshot = max(run_probe.snapshots, key=lambda s: s.magnon_norm)
     spin_probe = snapshot.sigma12
-    transmission = (
-        run_probe.final_state.emitted_norm / run_probe.input_norm
-    )
+    transmission = run_probe.emitted_norm / run_probe.input_norm
     # An empty cell stores nothing; release is then 0 rather than 0/0.
     if run_release.input_norm > 1e-12:
-        release = (
-            run_release.final_state.emitted_norm / run_release.input_norm
-        )
+        release = run_release.emitted_norm / run_release.input_norm
     else:
         release = 0.0
     gaps["probe"] = run_probe.signed_loss_gap

@@ -253,7 +253,7 @@ def extract_matrix(
         run_a.final_state.dz * (spin.conj() @ spin.T),
         run_a.dt * (light.conj() @ light.T),
     ])
-    inputs = (run_a.final_state.initial_norm, run_b.final_state.injected_norm)
+    inputs = (run_a.initial_norm, run_b.injected_norm)
     return ExtractionResult(
         matrix=splitter_from_outputs(grams, inputs),
         grams=grams,

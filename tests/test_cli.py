@@ -384,6 +384,9 @@ def no_solver(monkeypatch):
         ["fig3", "--override", "scenario.delay_steps=100001"],
         ["fig3", "--override", "scenario.phase_steps=100001"],
         ["fig4", "--override", "scenario.fig4_steps=317"],
+        ["sweep", "--override", "sweep.num=100001"],
+        pytest.param(["sweep", "--override", "sweep.values=" + ",".join(["2"] * 100_001)],
+                     id="sweep --override sweep.values=<100001 values>"),
         ["fig2", "--override", "scenario.ods=abc"],
         ["fig2", "--override", "scenario.ods=30,-5"],
         ["fig2", "--override", "scenario.rabi_s_grid=0"],
@@ -449,6 +452,10 @@ def test_tables_may_have_up_to_the_row_bound():
     sizes = {"fig4_steps": 316, "delay_steps": 100_000, "phase_steps": 100_000}
     config = load_config(None, [f"scenario.{key}={n}" for key, n in sizes.items()])
     assert {key: config["scenario"][key] for key in sizes} == sizes
+    # A sweep's table has a row per point.
+    sweep = load_config(None, ["sweep.num=100000",
+                               "sweep.values=" + ",".join(["2"] * 100_000)])["sweep"]
+    assert (sweep["num"], len(sweep["values"])) == (100_000, 100_000)
 
 
 def test_fig4_accepts_a_fig3_key(tmp_path):

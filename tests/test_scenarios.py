@@ -176,7 +176,7 @@ def test_triangle_check_counts_the_storage_run_in_its_loss_gap():
     # has a gap of 1, far above the mixing runs' gaps.
     (stored,) = scenarios.store([RESONANT_MIXING.stage], scenarios.MIX_N_Z)
     run = stored.trajectory
-    run = replace(run, loss_quad=2.0 * run.final_state.loss_accum)
+    run = replace(run, loss_quad=2.0 * run.loss_accum)
     assert run.loss_gap == pytest.approx(1.0)
     tc = triangle_check(RESONANT_MIXING, replace(stored, trajectory=run))
     assert tc.loss_gap == run.loss_gap
@@ -201,8 +201,8 @@ _CROSSOVER_POINTS = tuple(
 
 def _per_input(extraction):
     """An extraction's port Grams divided by sqrt(inputs) on both sides."""
-    root = np.sqrt([extraction.run_magnon.final_state.initial_norm,
-                    extraction.run_photon.final_state.injected_norm])
+    root = np.sqrt([extraction.run_magnon.initial_norm,
+                    extraction.run_photon.injected_norm])
     return extraction.grams / np.outer(root, root)
 
 

@@ -397,8 +397,8 @@ def test_grams_give_the_vector_projection_of_a_driven_cell():
     u, m = ea + eb, sa + sb
     u_hat = u / math.sqrt(dt * np.vdot(u, u).real)
     m_hat = m / math.sqrt(dz * np.vdot(m, m).real)
-    ra = 1.0 / math.sqrt(run_a.final_state.initial_norm)
-    rb = 1.0 / math.sqrt(run_b.final_state.injected_norm)
+    ra = 1.0 / math.sqrt(run_a.initial_norm)
+    rb = 1.0 / math.sqrt(run_b.injected_norm)
     want = np.array([
         [dz * np.vdot(m_hat, sa) * ra, dz * np.vdot(m_hat, sb) * rb],
         [dt * np.vdot(u_hat, ea) * ra, dt * np.vdot(u_hat, eb) * rb],

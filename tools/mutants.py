@@ -45,7 +45,8 @@ RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as
 RICHARDSON_TEST = ("tests/test_scenarios.py::"
                    "test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80")
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
-PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
+GAIN_FAULT_TEST = ("tests/test_mbloch.py::"
+                   "test_a_gain_whose_norm_has_left_the_cell_stops_the_run_before_its_end")
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order",
                "tests/test_mbloch.py::test_a_wide_batch_equals_its_solo_runs")
@@ -279,6 +280,16 @@ MUTANTS = (
      "snapshot_times=(), record_emission=False)",
      "record_emission=False)",
      ("tests/test_cli.py::test_sweep_steps_one_step_group_per_call",)),
+    ("cli: a sweep's point count unbounded", "src/magnonbs/cli.py",
+     '"num": (_rows, 6),',
+     '"num": (_count, 6),',
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[sweep --override sweep.num=100001]",)),
+    ("cli: a list of values unbounded", "src/magnonbs/cli.py",
+     "if len(values) > _MAX_ROWS:",
+     "if False:",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[sweep --override sweep.values=<100001 values>]",)),
     ("cli: no bound on a table's rows", "src/magnonbs/cli.py",
      "_MAX_ROWS = 100_000",
      "_MAX_ROWS = 100_000_000",
@@ -352,8 +363,7 @@ MUTANTS = (
     ("splitter: the port Grams left writeable", SPLITTER,
      "self.grams.setflags(write=False)",
      "self.grams.setflags(write=True)",
-     ("tests/test_splitter.py::test_extract_matrix_mixes_ports_in_a_driven_cell",
-      PICKLE_TEST)),
+     ("tests/test_splitter.py::test_extract_matrix_mixes_ports_in_a_driven_cell",)),
     # Row sums are the column sums' conjugates: the magnitudes stay and
     # the round-trip phase flips sign.
     ("splitter: row sums of the port Grams in place of column sums", SPLITTER,
@@ -408,7 +418,7 @@ MUTANTS = (
     ("mbloch: the emitted field left writeable", MBLOCH,
      "self.emitted.setflags(write=False)",
      "self.emitted.setflags(write=True)",
-     ("tests/test_mbloch.py::test_batch_members_own_their_outputs", PICKLE_TEST)),
+     ("tests/test_mbloch.py::test_batch_members_own_their_outputs",)),
     # The ledger's loss then drifts from the physics by 0.1% of the light
     # that leaves; only the loss quadrature can see it.
     ("mbloch: the emitted norm counted 0.1% high", MBLOCH,
@@ -416,23 +426,32 @@ MUTANTS = (
      "emitted_i = emitted_norm[i] + 1.001 * dz * dot(cells, cells)",
      ("tests/test_acceptance.py::"
       "test_the_mixing_points_keep_their_ledger_loss_on_the_loss_quadrature",)),
+    # The window's cells then count again at each later read, until the
+    # read check finds more norm emitted and held than came in.
     ("mbloch: a snapshot adds its window to the ledger", MBLOCH,
      "if closes or last:",
      "if True:",
      ("tests/test_mbloch.py::test_snapshots_move_no_ledger_number",)),
-    ("mbloch: drop the held-norm check", MBLOCH,
+    ("mbloch: drop the read check", MBLOCH,
+     "if held + emitted_i > budget + PROBABILITY_SLACK:",
+     "if False:",
+     ("tests/test_mbloch.py::test_a_held_norm_above_the_input_stops_the_run",
+      GAIN_FAULT_TEST)),
+    # The held norm alone never passes the input there: the gain's norm
+    # has left the cell.
+    ("mbloch: the read check without the emitted norm", MBLOCH,
+     "if held + emitted_i > budget + PROBABILITY_SLACK:",
      "if held > budget + PROBABILITY_SLACK:",
-     "if False:",
-     ("tests/test_mbloch.py::test_a_held_norm_above_the_input_stops_the_run",)),
-    ("core: drop the negative-loss check", CORE,
-     "if self.loss_accum < -PROBABILITY_SLACK:",
-     "if False:",
-     ("tests/test_core.py::test_field_state_rejects_loss_below_its_slack",)),
-    # Plain unpickling then skips __post_init__, which freezes the arrays.
-    ("core: the array values' base loses its __reduce__", CORE,
-     "    def __reduce__(self):\n",
-     "    def _reduce(self):\n",
-     (PICKLE_TEST,)),
+     (GAIN_FAULT_TEST,)),
+    ("mbloch: an initial state enters without its first half step", MBLOCH,
+     "matmul(halves[i], v_rev, out=states[0, i])",
+     "copyto(states[0, i], v_rev)",
+     ("tests/test_mbloch.py::test_a_run_continued_from_a_final_state_is_the_uninterrupted_run",)),
+    # The readout reference takes G from the optical depth itself.
+    ("core: a 1% error in MediumParams.coupling", CORE,
+     "return math.sqrt(self.od * C_EFF / 2.0)",
+     "return 1.01 * math.sqrt(self.od * C_EFF / 2.0)",
+     ("tests/test_mbloch.py::test_readout_of_a_stored_wave_matches_its_continuum_reference",)),
     ("core: the array values' equality reads only the first field", CORE,
      "for f in fields(self) if f.compare)",
      "for f in fields(self)[:1] if f.compare)",
@@ -463,8 +482,8 @@ MUTANTS = (
       "tests/test_scenarios.py::"
       "test_triangle_check_counts_the_storage_run_in_its_loss_gap")),
     ("scenarios: the stored state keeps the field left in the cell", SCENARIOS,
-     "zero, fin.sigma12.copy(), zero.copy(),",
-     "fin.e_field.copy(), fin.sigma12.copy(), zero.copy(),",
+     "FieldState(fin.z_grid, zero, fin.sigma12, zero)",
+     "FieldState(fin.z_grid, fin.e_field, fin.sigma12, zero)",
      ("tests/test_mbloch.py::test_storage_returns_a_pure_spin_wave",)),
     ("scenarios: is_unimodal lets the visibility rise by zero", SCENARIOS,
      "steps[:k] > 0",
