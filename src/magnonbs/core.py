@@ -53,9 +53,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class _ArrayValue:
-    """Base of the frozen dataclasses (eq=False) that hold arrays, compared
-    with np.array_equal, where the generated __eq__ would raise on arrays of
-    more than one entry."""
+    """Base of the frozen dataclasses (eq=False) that hold arrays: unpickled
+    through __init__, as plain unpickling skips the __post_init__ that makes
+    them read-only, and compared with np.array_equal, where the generated
+    __eq__ would raise on arrays of more than one entry."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from magnonbs import (
     ConfigError,
     ControlSegment,
     ControlTimeline,
+    ExtractionResult,
     FieldState,
     MediumParams,
     ModeNetwork,
@@ -15,9 +17,12 @@ from magnonbs import (
     PulseEnvelope,
     SimulationConfig,
     SplitterMatrix,
+    evolve,
     make_grid,
+    three_photon_input,
 )
 from magnonbs.core import C_EFF
+from magnonbs.scenarios import Fig2Curve, Fig2Grid
 
 
 def test_grid_is_cell_centered():
@@ -196,3 +201,54 @@ def test_splitter_matrix_rejects_gain():
         with pytest.raises(PhysicsViolation, match="has gain"):
             build(1.0 + 5e-10)
         build(1.0 + 5e-11)
+
+
+def _short_run():
+    timeline = ControlTimeline((ControlSegment(0.0, 0.2, 5.0, "beamsplit"),))
+    config = SimulationConfig(t_end=0.2, n_z=16, snapshot_times=(0.1,))
+    return evolve(MediumParams(od=30.0), timeline, config,
+                  pulse=PulseEnvelope(fwhm=0.1, t_center=0.05))
+
+
+def _fig2_grid():
+    return Fig2Grid(
+        n_z=16, t_probe=1.0, efficiency=np.full(3, 0.5), mode_overlap=np.full(3, 0.8),
+        balance=np.ones(3), spin_abs=np.ones((3, 16)), transmission=0.5, release=1.0,
+        loss_gaps={5.0: 2e-5, "probe": -1e-5, "release": 3e-5},
+    )
+
+
+_ARRAY_VALUES = {
+    "FieldState": lambda: FieldState(make_grid(16), np.full(16, 0.1j), np.full(16, 0.2),
+                                     np.zeros(16), 0.5),
+    "FockInput": lambda: three_photon_input(0.3, 0.8),
+    "ModeNetwork": lambda: ModeNetwork(np.array([[0.6, 0.3j], [0.2, 0.5]])),
+    "Fig2Grid": _fig2_grid,
+    "Fig2Curve": lambda: Fig2Curve(
+        rabi_s=np.arange(1.0, 4.0), efficiency=np.full(3, 0.5),
+        mode_overlap=np.full(3, 0.8), balance=np.ones(3), transmission=0.5, release=1.0,
+        fine=_fig2_grid(), coarse=_fig2_grid(),
+    ),
+    "Trajectory": _short_run,
+    "ExtractionResult": lambda: ExtractionResult(
+        matrix=SplitterMatrix(t1=0.5, r1=0.5j, t2=0.5, r2=0.5j),
+        grams=np.ones((2, 2, 2), dtype=complex), run_magnon=_short_run(),
+        run_photon=_short_run(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_VALUES))
+def test_array_values_keep_read_only_arrays_through_pickle(name):
+    # Unpickling goes through __init__, so the copy freezes its arrays as
+    # the original did, those its __post_init__ derives included.
+    value = _ARRAY_VALUES[name]()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value
+    arrays = 0
+    for field in dataclasses.fields(value):
+        if isinstance(getattr(value, field.name), np.ndarray):
+            arrays += 1
+            for v in (value, copy):
+                assert not getattr(v, field.name).flags.writeable, field.name
+    assert arrays > 0

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -285,12 +286,16 @@ def test_the_gather_table_is_the_written_out_enumeration(n_modes, n):
 
 def test_a_network_keeps_its_loss_gram():
     # The loss port's Gram is kept from the one SVD the network is built
-    # with: read-only and equal to I - T^+ T.
+    # with: read-only, equal to I - T^+ T, and carried through a pickle.
     rng = np.random.default_rng(23)
     t = _random_lossy(rng, 3)
     net = ModeNetwork(t)
     assert not net._loss_gram.flags.writeable
     assert np.abs(net._loss_gram - (np.eye(3) - t.conj().T @ t)).max() < 1e-12
+    back = pickle.loads(pickle.dumps(net))
+    assert np.array_equal(back._loss_gram, net._loss_gram)
+    inp = three_photon_input(0.3, 0.8)
+    assert output_distribution(back, inp) == output_distribution(net, inp)
 
 
 def test_network_equality_reads_the_transfer_matrix_alone():

@@ -45,6 +45,7 @@ RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as
 RICHARDSON_TEST = ("tests/test_scenarios.py::"
                    "test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80")
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
+PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
 GAIN_FAULT_TEST = ("tests/test_mbloch.py::"
                    "test_a_gain_whose_norm_has_left_the_cell_stops_the_run_before_its_end")
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
@@ -363,7 +364,8 @@ MUTANTS = (
     ("splitter: the port Grams left writeable", SPLITTER,
      "self.grams.setflags(write=False)",
      "self.grams.setflags(write=True)",
-     ("tests/test_splitter.py::test_extract_matrix_mixes_ports_in_a_driven_cell",)),
+     ("tests/test_splitter.py::test_extract_matrix_mixes_ports_in_a_driven_cell",
+      PICKLE_TEST)),
     # Row sums are the column sums' conjugates: the magnitudes stay and
     # the round-trip phase flips sign.
     ("splitter: row sums of the port Grams in place of column sums", SPLITTER,
@@ -418,7 +420,7 @@ MUTANTS = (
     ("mbloch: the emitted field left writeable", MBLOCH,
      "self.emitted.setflags(write=False)",
      "self.emitted.setflags(write=True)",
-     ("tests/test_mbloch.py::test_batch_members_own_their_outputs",)),
+     ("tests/test_mbloch.py::test_batch_members_own_their_outputs", PICKLE_TEST)),
     # The ledger's loss then drifts from the physics by 0.1% of the light
     # that leaves; only the loss quadrature can see it.
     ("mbloch: the emitted norm counted 0.1% high", MBLOCH,
@@ -443,6 +445,11 @@ MUTANTS = (
      "if held + emitted_i > budget + PROBABILITY_SLACK:",
      "if held > budget + PROBABILITY_SLACK:",
      (GAIN_FAULT_TEST,)),
+    # Plain unpickling then skips __post_init__, which freezes the arrays.
+    ("core: the array values' base loses its __reduce__", CORE,
+     "    def __reduce__(self):\n",
+     "    def _reduce(self):\n",
+     (PICKLE_TEST,)),
     ("mbloch: an initial state enters without its first half step", MBLOCH,
      "matmul(halves[i], v_rev, out=states[0, i])",
      "copyto(states[0, i], v_rev)",
