@@ -55,10 +55,12 @@ GAMMA31_MHZ = 3.0
 NS_TO_NORM = 2.0 * math.pi * GAMMA31_MHZ * 1e6 * 1e-9
 
 _FLOAT_FMT = "%.10g"
-# The most rows a table may have.  A table takes up to about 600 B of
-# memory per row while it is written (fig3's delay table at its default
-# three operating points; fig4's surface takes 400 B), so a table stays
-# within about 60 MB.
+# Rows `write_csv` formats and writes at once: about 400 kB of cells.
+_CSV_CHUNK = 1024
+# The most rows a table whose length a config key sets may have.  Its
+# columns take up to about 72 B per row (fig3's two tables at the bound,
+# 7.2 MB traced; fig4's surface 38 B), and `write_csv` holds one chunk of
+# formatted rows besides.
 _MAX_ROWS = 100_000
 
 Config = dict[str, dict[str, object]]
@@ -331,14 +333,20 @@ def write_csv(path: Path, header: list[str], columns: list[tuple[str, object]]) 
     """One table from its (name, values) columns, all of one length.
 
     A list of pairs, not a dict, so that two columns may share a name.
-    Every cell is formatted, column by column, before the file is opened.
+    Every column's length is checked before the file is opened, so a table
+    with a column of another length raises ValueError and leaves no file.
+    The cells are formatted and written _CSV_CHUNK rows at a time.
     """
     names, values = zip(*columns)
-    lines = [f"# {line}" for line in header]
-    lines.append(",".join(names))
-    lines += map(",".join, zip(*map(_cells, values), strict=True))
+    n_rows = len(values[0])
+    if any(len(v) != n_rows for v in values):
+        raise ValueError(f"columns of unequal lengths: {[len(v) for v in values]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {line}\n" for line in header)
+        fh.write(",".join(names) + "\n")
+        for k in range(0, n_rows, _CSV_CHUNK):
+            cells = [_cells(v[k : k + _CSV_CHUNK]) for v in values]
+            fh.writelines(f"{','.join(row)}\n" for row in zip(*cells))
 
 
 # ------------------------------------------------------- figure scenarios

@@ -15,11 +15,13 @@ exact one-cell advection of E, then the second half step.  The time step
 is locked to dt = dz / C_EFF so the advection is an integer cell shift and
 introduces no numerical dispersion.
 
-Every run starts at t = 0 and plans its maps where it steps.  When it
-starts, its control drive is sampled at all step midpoints (n + 1/2) dt
-in one vector call and split into runs of equal values, each with one
-half-step map R = exp(M dt/2) of its local generator M: a constant drive
-has one run, a ramp one per step of the ramp.  The maps are built a block
+Every run starts at t = 0 and plans its maps where it steps.  Its
+control drive is sampled at the step midpoints (n + 1/2) dt, one window of
+_DRIVE_WINDOW steps per vector call as the steps reach it, and split into
+runs of equal values, each with one half-step map R = exp(M dt/2) of its
+local generator M: a constant drive has one run, a ramp one per step of
+the ramp, and a run that goes on across a window's end stays one run.  So
+planning holds no array as long as the run.  The maps are built a block
 of drive runs at a time, as the steps reach them, which bounds their
 memory.  Each block's are built with the next block's first, whose map
 the block's last step needs, in one call of this module's `expm`, which
@@ -112,13 +114,14 @@ What a group holds in its ring and its members' blocks of maps is bounded
 by _BUDGET floats (1.53 MB): three quarters for the ring and one for the
 maps.  A wider group takes shorter blocks of steps and of drive runs, and
 a grid with more runs than two ring slots fit (73 at n_z 160) steps in
-several groups.  Besides, a group holds its outputs, its members' drive
-runs and the windows of injected and emitted cells and of pulse samples;
-of the outputs only the emitted fields, of the members that record them,
-are arrays of steps x members.  No step midpoints are kept: a member's
-drive is sampled at every step only while its drive runs are found, the
-windows and the checks compute their midpoints from dt, and so does a
-trajectory, whose caller holds the timeline.
+several groups.  Besides, a group holds its outputs, its ledger reads (one
+every _CHECK_EVERY steps), the drive runs each member has found and not
+yet built (at most a window's and a block's) and the windows of injected
+and emitted cells and of pulse samples; of the outputs only the emitted
+fields, of the members that record them, are arrays of steps x members.
+No step midpoints are kept: the drive's and the pulse's windows and the
+checks compute their midpoints from dt, and so does a trajectory, whose
+caller holds the timeline.
 """
 
 from __future__ import annotations
@@ -147,11 +150,14 @@ from .core import (
 # maps stay contractive to roundoff up to about 5e3 and drift from it
 # beyond, until their exponential's roundoff breaks the ledger.
 _MAX_DRIVE_STEP = 1e3
-# The most steps a run may take, checked when its config is built.  A run
-# holds its emitted field if it records it, 16 B per step, and, while its
-# drive runs are found, its step midpoints, its drive's samples and their
-# temporaries: about 27 B per step, 113 MB at this bound, 119 times the
-# acceptance gate's longest run (35,256 steps).
+# Steps whose drive is sampled in one call while a run's drive runs are
+# found: 32 kB of samples, whatever the run's length.
+_DRIVE_WINDOW = 4096
+# The most steps a run may take, checked when its config is built: 228
+# times the acceptance gate's longest run (18,384 steps).  A run holds its
+# emitted field if it records it, 16 B per step (67 MB at this bound), and
+# its ledger reads, under 1 B per step; planning its maps holds one window
+# of drive samples, whatever its length.
 _MAX_STEPS = 2**22
 # Steps between ledger reads, and so between the checks on the held and
 # the emitted norm, away from snapshots and the last step.
@@ -348,6 +354,25 @@ def _real_block(maps: np.ndarray) -> np.ndarray:
     return real
 
 
+def _drive_runs(timeline: ControlTimeline, n0: int, n1: int, dt: float,
+                starts: np.ndarray, drives: np.ndarray):
+    """`starts` and `drives`, the first steps and drives of the drive runs
+    found before step n0, with those of the runs that start at steps n0 ..
+    n1 - 1 appended.
+
+    The drive is sampled at those steps' midpoints (n + 1/2) dt.  The run
+    that goes on across step n0, whose drive is drives[-1], starts nothing
+    there, so windows of steps give the runs of the drive sampled at every
+    step at once.
+    """
+    control = timeline.rabi((np.arange(n0, n1) + 0.5) * dt)
+    new = np.empty(control.size, dtype=bool)
+    new[0] = n0 == 0 or control[0] != drives[-1]
+    np.not_equal(control[1:], control[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return np.concatenate((starts, first + n0)), np.concatenate((drives, control[first]))
+
+
 def _map_segments(medium: MediumParams, timeline: ControlTimeline, n_steps: int,
                   dt: float, block: int):
     """The step maps of one run, as stretches of steps that share a map.
@@ -360,28 +385,34 @@ def _map_segments(medium: MediumParams, timeline: ControlTimeline, n_steps: int,
     order, (stop, fused, half) for each stretch: it ends before step
     `stop`, its steps take `fused`, and `half` is its drive run's R.  The
     maps are built `block` drive runs at a time, each block's in one `expm`
-    call with the next block's first run, whose R its last step needs.
+    call with the next block's first run, whose R its last step needs.  The
+    drive runs are found as the blocks need them, _DRIVE_WINDOW steps at a
+    time, so nothing as long as the run is held.
     """
-    control = timeline.rabi((np.arange(n_steps) + 0.5) * dt)
-    # Run s covers steps bounds[s] to bounds[s + 1] - 1 at drive drives[s].
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [n_steps])
-    )
-    drives = control[bounds[:-1]]
-    del control  # the generator holds only the drive runs while it steps
-    n_runs = drives.size
-    for r0 in range(0, n_runs, block):
-        r1 = min(r0 + block, n_runs)
-        nb = r1 - r0
-        half = _local_maps(medium, drives[r0 : r1 + 1], 0.5 * dt)
+    # The drive runs found and not yet built: where each starts, its drive.
+    # While steps are left to sample, the last of them is still going on.
+    starts = np.empty(0, dtype=np.intp)
+    drives = np.empty(0)
+    n0 = 0  # the first step not yet sampled
+    while n0 < n_steps or starts.size:
+        # A block's runs end where the run after them starts, or at the
+        # last step once every step is sampled.
+        while n0 < n_steps and starts.size <= block:
+            n1 = min(n0 + _DRIVE_WINDOW, n_steps)
+            starts, drives = _drive_runs(timeline, n0, n1, dt, starts, drives)
+            n0 = n1
+        nb = min(block, starts.size)
+        half = _local_maps(medium, drives[: nb + 1], 0.5 * dt)
         inside = np.matmul(half[:nb], half[:nb])
         across = np.zeros((nb, 6, 6))
         np.matmul(half[1:], half[:-1], out=across[: half.shape[0] - 1])
-        for s, (start, stop) in enumerate(zip(bounds[r0:r1].tolist(),
-                                              bounds[r0 + 1 : r1 + 1].tolist())):
+        stops = starts[1 : nb + 1].tolist()
+        stops += [n_steps] * (nb - len(stops))
+        for s, (start, stop) in enumerate(zip(starts[:nb].tolist(), stops)):
             if stop - start > 1:
                 yield stop - 1, inside[s], half[s]
             yield stop, across[s], half[s]
+        starts, drives = starts[nb:], drives[nb:]
 
 
 def _pulse_window(pulse: PulseEnvelope, n0: int, n1: int, dt: float, before: float):

@@ -56,6 +56,8 @@ _SQRT_TINY = math.sqrt(sys.float_info.min)
 # It starts with keys that no caller holds.
 _last_drive: tuple = (object(), object(), object(), None)
 _NUMBERS = (float, int)  # values that cannot change in place
+# Detunings `phi_rt_sweep` evaluates at once: 64 B of temporaries each.
+_SWEEP_CHUNK = 4096
 
 
 def tau_from_fwhm(fwhm: float) -> float:
@@ -110,25 +112,40 @@ def phi_rt_analytic(rabi: float, detuning: float, od: float, tau: float) -> floa
 
 
 def phi_rt_sweep(rabi: float, detunings: np.ndarray, od: float, tau: float) -> np.ndarray:
-    """`phi_rt_analytic` at every detuning of an array, in one evaluation.
+    """`phi_rt_analytic` at every detuning of an array, _SWEEP_CHUNK at a time.
 
     Agrees with the scalar calls to roundoff.  Any non-finite detuning, or
-    any detuning where the scalar call would raise, raises ConfigError.
+    any detuning where the scalar call would raise, raises ConfigError; a
+    sweep that holds both a degenerate detuning and one where xi underflows
+    raises the degenerate one's.  What it holds besides its output does not
+    grow with the array.
     """
     detunings = np.asarray(detunings, dtype=float)
-    if not (0 < od < math.inf and np.isfinite(detunings).all()):
+    # The least and the greatest detuning are NaN if any detuning is, and
+    # infinite if any is: both checks read the whole array, with no copy.
+    lo, hi = detunings.min(initial=0.0), detunings.max(initial=0.0)
+    if not (0 < od < math.inf and math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
     x, od, floor, max_detuning = _drive(rabi, od, tau)
-    if (np.abs(detunings) > max_detuning).any():
+    if not -max_detuning <= lo <= hi <= max_detuning:
         raise ConfigError(_TOO_DETUNED)
-    xi = np.exp(-x / (1.0 - 1j * detunings))
-    m = 1.0 - xi
-    den = x - od * m
-    if (np.abs(den) < floor).any():
-        raise ConfigError(_DEGENERATE)
-    if (np.abs(xi) < 1e-300).any():
+    out = np.empty(detunings.shape)
+    flat, flat_out = detunings.reshape(-1), out.reshape(-1)
+    # An xi that underflows is raised once no chunk's den is degenerate;
+    # no phase is taken after it.
+    underflow = False
+    for k in range(0, flat.size, _SWEEP_CHUNK):
+        xi = np.exp(-x / (1.0 - 1j * flat[k : k + _SWEEP_CHUNK]))
+        m = 1.0 - xi
+        den = x - od * m
+        if (np.abs(den) < floor).any():
+            raise ConfigError(_DEGENERATE)
+        underflow = underflow or bool((np.abs(xi) < 1e-300).any())
+        if not underflow:
+            np.mod(np.angle(m * m / (xi * den)), _TWO_PI, out=flat_out[k : k + _SWEEP_CHUNK])
+    if underflow:
         raise ConfigError(_UNDERFLOW)
-    return np.angle(m * m / (xi * den)) % _TWO_PI
+    return out
 
 
 def _drive(rabi: float, od: float, tau: float) -> tuple[float, float, float, float]:

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -134,8 +135,12 @@ def test_write_csv_format(tmp_path):
     ])
     text = path.read_text(encoding="utf-8")
     assert text == "# demo header\na,b,b\n1,0.123456789,x\n2,3,4\n"
-    with pytest.raises(ValueError):
-        write_csv(path, [], [("a", [1.0, 2.0]), ("b", [1.0])])
+    # A column of another length raises before the file is opened.
+    short = tmp_path / "short.csv"
+    for columns in ([("a", [1.0, 2.0]), ("b", [1.0])], [("a", [1.0]), ("b", np.zeros(2))]):
+        with pytest.raises(ValueError):
+            write_csv(short, ["demo header"], columns)
+        assert not short.exists()
 
 
 def _row_by_row_csv(header, columns):
@@ -171,6 +176,32 @@ def test_write_csv_cells_match_the_row_by_row_reference(tmp_path):
     path = tmp_path / "kinds.csv"
     write_csv(path, header, columns)
     assert path.read_text(encoding="utf-8") == _row_by_row_csv(header, columns)
+    # Two whole chunks of rows and part of a third, and no rows at all.
+    n = 2 * cli._CSV_CHUNK + 3
+    for rows in (n, 0):
+        columns = [("index", range(rows)), ("wave", np.sin(np.arange(rows) / 7.0)),
+                   ("floats", (np.arange(rows) / 3.0).tolist()), ("words", ["x"] * rows)]
+        write_csv(path, header, columns)
+        assert path.read_text(encoding="utf-8") == _row_by_row_csv(header, columns)
+
+
+def test_write_csv_holds_one_chunk_of_rows(tmp_path):
+    # Four times the rows take no more memory while they are written: the
+    # growth measured 2 kB.  All rows formatted at once took about 377 B
+    # per row of `run`'s four columns (68.9 MB for 192,000 rows).  The first
+    # table of a process allocates caches once, so a short one goes first.
+    def peak(rows):
+        t = np.arange(rows) * 1e-3
+        columns = [("t", t), ("e_out_re", np.cos(t))]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "long.csv", ["demo header"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)
+    assert peak(200_000) - peak(50_000) < 16_384
 
 
 def test_missing_output_directory_fails_before_compute(tmp_path):

@@ -832,12 +832,192 @@ def _long_runs(n_steps, k, pulsed=True):
 
 
 def test_runs_recording_no_emission_hold_little_per_step():
-    # Beyond the step midpoints and the drive's samples, read while the
-    # maps are planned (8 B per step each), eight runs that record no
-    # emission hold nothing per step: recorded, their emitted fields alone
-    # would take 128 B.
-    n1, n2 = 2_048, 8_192
-    assert _traced_peak(_long_runs(n2, 8)) - _traced_peak(_long_runs(n1, 8)) < 32 * (n2 - n1)
+    # Eight runs that record no emission, longer than several windows of
+    # drive samples, hold nothing per step beyond their ledger reads, one
+    # every _CHECK_EVERY steps: the read's step and its list of members,
+    # about 190 B for eight members, here allowed 256 B (1 B per step;
+    # the growth measured 0.75 B).  Their emitted fields alone would take
+    # 128 B per step, and the drive sampled at every step at once 8 B.  The
+    # first run of a process allocates caches once, so a run goes first.
+    n1, n2 = 8_192, 32_768
+    assert n1 >= 2 * mbloch._DRIVE_WINDOW
+    _traced_peak(_long_runs(n1, 8))
+    grown = _traced_peak(_long_runs(n2, 8)) - _traced_peak(_long_runs(n1, 8))
+    assert grown < 256 * (n2 - n1) // mbloch._CHECK_EVERY
+
+
+def test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step():
+    # One run's maps, planned and dropped stretch by stretch, under a drive
+    # that is one long ramp, so that every step is a drive run of its own:
+    # the planning holds a window of samples and a block of drive runs,
+    # whatever the run's length.  Its traced peak measured 666 kB at both
+    # lengths; sampling the drive at every step at once grows it by 1.7 MB.
+    def peak(n_steps):
+        dt = 1.0 / (16 * C_EFF)
+        t_end = n_steps * dt
+        timeline = ControlTimeline((ControlSegment(0.0, t_end, 5.0, "beamsplit",
+                                                   ramp=0.5 * t_end),))
+        stretches = mbloch._map_segments(OD30, timeline, n_steps, dt,
+                                         mbloch._block_sizes(1, 16)[1])
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in stretches) >= n_steps
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32_768) - peak(8_192) < 8_192
+
+
+# Steps of n_z 16 (dt = 1/192) at which the drive windows meet.
+_SEAMS = tuple(k * mbloch._DRIVE_WINDOW / (16 * C_EFF) for k in (1, 2))
+_S1, _S2 = _SEAMS
+_DT16 = 1.0 / (16 * C_EFF)
+_SEAM_TIMELINES = {
+    # Ramps that run across each seam.
+    "ramps": (ControlSegment(_S1 - 1.0, _S2 + 1.0, 7.0, "beamsplit", ramp=1.5),),
+    # Edges at each seam, of abutting segments with ramp = 0.
+    "abutting, ramp 0": (ControlSegment(0.0, _S1, 3.0, "storage", ramp=0.0),
+                         ControlSegment(_S1, _S2, 5.0, "beamsplit", ramp=0.0),
+                         ControlSegment(_S2, _S2 + 9.0, 4.0, "readout", ramp=0.0)),
+    # Abutting ramped segments whose ramps meet at each seam.
+    "abutting, ramped": (ControlSegment(0.5, _S1, 3.0, "storage", ramp=0.4),
+                         ControlSegment(_S1, _S2, 5.0, "beamsplit", ramp=0.4)),
+    # Gaps of zero drive across each seam.
+    "gaps": (ControlSegment(0.0, _S1 - 0.3, 6.0, "storage", ramp=0.2),
+             ControlSegment(_S1 + 0.4, _S2 - 0.2, 6.0, "beamsplit", ramp=0.2),
+             ControlSegment(_S2 + 0.1, _S2 + 5.0, 6.0, "readout", ramp=0.2)),
+    # Edges at the midpoints of the steps on either side of each seam.
+    "edges a step from a seam": (
+        ControlSegment(_S1 - 0.5 * _DT16, _S1 + 0.5 * _DT16, 9.0, "beamsplit", ramp=0.0),
+        ControlSegment(_S2 - 0.5 * _DT16, _S2 + 5.0, 2.0, "readout", ramp=0.0)),
+    # A drive that changes at every step across both seams.
+    "one long ramp": (ControlSegment(0.0, 2.0 * _S2, 5.0, "beamsplit", ramp=_S2),),
+}
+
+
+def _recorded_maps(monkeypatch):
+    # In place of the half maps, each drive run's drive in every entry; the
+    # drives of each call, in call order.
+    calls = []
+
+    def drive_maps(medium, drives, dt_half):
+        calls.append(drives.copy())
+        return np.repeat(drives, 36).reshape(-1, 6, 6)
+
+    monkeypatch.setattr(mbloch, "_local_maps", drive_maps)
+    return calls
+
+
+@pytest.mark.parametrize("n_steps", [4_095, 4_096, 4_097, 8_193])
+@pytest.mark.parametrize("case", sorted(_SEAM_TIMELINES))
+def test_window_sampled_drive_runs_are_the_timeline_at_every_midpoint(case, n_steps, monkeypatch):
+    # Each stretch's drive, spread over its steps, is the timeline at every
+    # step midpoint bit for bit; in one block, the drive runs are exactly
+    # the runs of equal drive of the timeline sampled at every step at once.
+    timeline = ControlTimeline(_SEAM_TIMELINES[case])
+    control = timeline.rabi((np.arange(n_steps) + 0.5) * _DT16)
+    calls = _recorded_maps(monkeypatch)
+    got = np.empty(n_steps)
+    start = 0
+    for stop, _, half in mbloch._map_segments(OD30, timeline, n_steps, _DT16, n_steps):
+        got[start:stop] = half[0, 0]
+        start = stop
+    assert start == n_steps
+    assert np.array_equal(got, control)
+    (drives,) = calls
+    edges = np.flatnonzero(control[1:] != control[:-1]) + 1
+    assert np.array_equal(drives, control[np.concatenate(([0], edges))])
+
+
+def _whole_run_segments(medium, timeline, n_steps, dt, block):
+    # The maps planned from the drive sampled at every step in one call.
+    control = timeline.rabi((np.arange(n_steps) + 0.5) * dt)
+    bounds = np.concatenate(([0], np.flatnonzero(control[1:] != control[:-1]) + 1, [n_steps]))
+    drives = control[bounds[:-1]]
+    for r0 in range(0, drives.size, block):
+        r1 = min(r0 + block, drives.size)
+        half = mbloch._local_maps(medium, drives[r0 : r1 + 1], 0.5 * dt)
+        for s, (start, stop) in enumerate(zip(bounds[r0:r1], bounds[r0 + 1 : r1 + 1])):
+            following = half[s + 1] if s + 1 < half.shape[0] else np.zeros((6, 6))
+            if stop - start > 1:
+                yield stop - 1, half[s] @ half[s], half[s]
+            yield stop, following @ half[s], half[s]
+
+
+@pytest.mark.parametrize("block", [1, 3, 1_000])
+@pytest.mark.parametrize("case", sorted(_SEAM_TIMELINES))
+def test_window_sampled_maps_are_the_whole_run_maps(case, block):
+    medium = MediumParams(od=40.0, delta=-1.5, gamma12=0.05)
+    timeline = ControlTimeline(_SEAM_TIMELINES[case])
+    n_steps = 8_193
+    got = mbloch._map_segments(medium, timeline, n_steps, _DT16, block)
+    want = _whole_run_segments(medium, timeline, n_steps, _DT16, block)
+    for (stop, fused, half), (stop_w, fused_w, half_w) in zip(got, want, strict=True):
+        assert stop == stop_w
+        assert np.array_equal(fused, fused_w)
+        assert np.array_equal(half, half_w)
+
+
+def test_a_constant_drive_across_several_windows_is_one_drive_run(monkeypatch):
+    n_steps = 3 * mbloch._DRIVE_WINDOW + 5
+    timeline = ControlTimeline((ControlSegment(0.0, n_steps * _DT16 + 1.0, 5.0, "beamsplit",
+                                               ramp=0.0),))
+    calls = _recorded_maps(monkeypatch)
+    stretches = [stop for stop, *_ in mbloch._map_segments(OD30, timeline, n_steps, _DT16, 4)]
+    assert stretches == [n_steps - 1, n_steps]
+    assert len(calls) == 1 and calls[0].tolist() == [5.0]
+
+
+def _exact_emission(medium, rabi, n_z, boundary):
+    """The emitted field of a constant-drive run, from its transfer function.
+
+    With U the half-step map of the generator in mbloch's docstring, each
+    cell obeys v(n + 1) = A v(n) + b f(n), A = U diag(0, 1, 1) U, b = U e_E,
+    and passes f' = (U v)_E to the next cell, so n_z cells take the
+    boundary's z-transform through G(z)^n_z,
+    G(z) = z^-1 e_E^T U (I - z^-1 A)^-1 b.  Evaluated on 16 times the steps
+    of the unit circle, so that the response wraps round only where it has
+    decayed.
+    """
+    g = math.sqrt(medium.od * C_EFF / 2.0)
+    dt = 1.0 / (n_z * C_EFF)
+    gen = np.array([[0.0, 1j * g, 0.0],
+                    [1j * g, -(1.0 - 1j * medium.delta), 0.5j * rabi],
+                    [0.0, 0.5j * rabi, -medium.gamma12]])
+    u = expm(0.5 * dt * gen)
+    a = u @ np.diag([0.0, 1.0, 1.0]) @ u
+    n = boundary.size
+    z_inv = np.exp(-2j * np.pi * np.arange(16 * n) / (16 * n))
+    resolvent = np.linalg.solve(np.eye(3) - z_inv[:, None, None] * a,
+                                np.broadcast_to(u[:, :1], (z_inv.size, 3, 1)))
+    transfer = z_inv * (resolvent[..., 0] @ u[0])
+    return np.fft.ifft(transfer**n_z * np.fft.fft(boundary, 16 * n))[:n]
+
+
+@pytest.mark.parametrize("od, delta, gamma12, rabi", [
+    (30.0, 0.0, 0.0, 5.0), (10.0, -2.0, 0.1, 8.0), (50.0, 3.0, 0.02, 12.0),
+    (100.0, 1.0, 0.0, 20.0)])
+def test_a_constant_drive_run_is_its_exact_discrete_transfer_function(od, delta, gamma12, rabi):
+    # A run of ramp = 0 over three drive windows and part of a fourth.  The
+    # relative gap measured 1.1e-14 to 8.3e-14; with od 1e-6 higher in the
+    # reference it is 2.7e-7 to 1.3e-6.
+    n_z = 16
+    n_steps = 3 * mbloch._DRIVE_WINDOW + 700
+    t_end = n_steps / (n_z * C_EFF)
+    medium = MediumParams(od=od, delta=delta, gamma12=gamma12)
+    timeline = ControlTimeline((ControlSegment(0.0, t_end + 1.0, rabi, "beamsplit", ramp=0.0),))
+    pulse = PulseEnvelope(fwhm=1.5, t_center=4.0)
+    traj = evolve(medium, timeline, SimulationConfig(t_end=t_end, n_z=n_z), pulse=pulse)
+    assert traj.emitted.size == n_steps
+    boundary = pulse.amplitude(traj.times)
+
+    def gap(reference_medium):
+        want = _exact_emission(reference_medium, rabi, n_z, boundary)
+        return np.linalg.norm(traj.emitted - want) / np.linalg.norm(want)
+
+    assert gap(medium) < 1e-12
+    assert gap(replace(medium, od=od * (1.0 + 1e-6))) > 1e-12
 
 
 def test_a_pulse_is_held_a_window_at_a_time():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -231,12 +232,102 @@ def test_phi_rt_sweep_is_the_scalar_estimate_over_an_array():
         assert np.allclose(phis, want, rtol=0, atol=1e-13)
     # One bad entry fails the whole sweep, as it would its scalar call.
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="finite detunings"):
             splitter.phi_rt_sweep(34.25, np.append(detunings, bad), 100.0, tau)
     # A numpy drive whose pulse area overflows raises, with no overflow
     # warning on the way, as the scalar estimate does.
     with pytest.raises(ConfigError):
         splitter.phi_rt_sweep(np.float64(1e200), detunings, 30.0, 1.0)
+
+
+def _whole_array_sweep(rabi, detunings, od, tau):
+    # The sweep over the whole array at once, each check on every entry
+    # before the next: its phases, or the message of the ConfigError.
+    try:
+        d = np.asarray(detunings, dtype=float)
+        if not (0 < od < math.inf and np.isfinite(d).all()):
+            raise ConfigError("phase estimate needs a finite od > 0 and finite detunings")
+        x, od, floor, max_detuning = splitter._drive(rabi, od, tau)
+        if (np.abs(d) > max_detuning).any():
+            raise ConfigError(splitter._TOO_DETUNED)
+        xi = np.exp(-x / (1.0 - 1j * d))
+        m = 1.0 - xi
+        den = x - od * m
+        if (np.abs(den) < floor).any():
+            raise ConfigError(splitter._DEGENERATE)
+        if (np.abs(xi) < 1e-300).any():
+            raise ConfigError(splitter._UNDERFLOW)
+        return np.angle(m * m / (xi * den)) % (2.0 * math.pi)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _sweep_outcome(rabi, detunings, od, tau):
+    try:
+        return splitter.phi_rt_sweep(rabi, detunings, od, tau)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_a_phase_sweep_in_chunks_is_the_sweep_over_the_whole_array():
+    # Three whole chunks and part of a fourth.
+    chunk = splitter._SWEEP_CHUNK
+    n = 3 * chunk + 1_234
+    tau = tau_from_fwhm(1.8847)
+    detunings = np.linspace(-25.0, 25.0, n)
+    for rabi, od in ((34.25, 100.0), (12.0, 30.0)):
+        phis = splitter.phi_rt_sweep(rabi, detunings, od, tau)
+        assert np.array_equal(phis, _whole_array_sweep(rabi, detunings, od, tau))
+        want = [phi_rt_analytic(rabi, d, od, tau) for d in detunings.tolist()]
+        assert np.allclose(phis, want, rtol=0, atol=1e-13)
+    # A 2-d array keeps its shape.
+    grid = detunings[: 3 * chunk].reshape(3, chunk)
+    assert np.array_equal(splitter.phi_rt_sweep(34.25, grid, 100.0, tau),
+                          _whole_array_sweep(34.25, grid, 100.0, tau))
+
+    # A drive of pulse area x = 2500 whose den vanishes at one detuning,
+    # where x d / (1 + d^2) = 16 pi makes xi real: od = x / (1 - xi) there.
+    # Below |d| = 1.6, xi underflows; at |d| in [20, 40] neither happens.
+    rabi, tau, x = 100.0, 1.0, 2500.0
+    c = 16.0 * math.pi
+    degenerate = (x + math.sqrt(x * x - 4.0 * c * c)) / (2.0 * c)
+    od = x / (1.0 - math.exp(-x / (1.0 + degenerate**2)))
+    detunings = np.linspace(20.0, 40.0, n)
+    assert isinstance(_whole_array_sweep(rabi, detunings, od, tau), np.ndarray)
+    for where in (0, chunk + 17, 3 * chunk - 1, n - 1):
+        for bad in (math.nan, math.inf, -math.inf, 1e300, degenerate, 0.5):
+            sweep = detunings.copy()
+            sweep[where] = bad
+            want = _whole_array_sweep(rabi, sweep, od, tau)
+            assert isinstance(want, str)
+            assert _sweep_outcome(rabi, sweep, od, tau) == want, (where, bad)
+    # An underflow in a chunk before a degenerate one, and in the same
+    # chunk: the degenerate den is raised, as the whole array's check is
+    # first.
+    for first, second in ((0, 2 * chunk + 5), (n - 2, n - 1), (chunk, chunk + 1)):
+        sweep = detunings.copy()
+        sweep[first], sweep[second] = 0.5, degenerate
+        assert _sweep_outcome(rabi, sweep, od, tau) == splitter._DEGENERATE
+        sweep[first], sweep[second] = degenerate, 0.5
+        assert _sweep_outcome(rabi, sweep, od, tau) == splitter._DEGENERATE
+
+
+def test_a_phase_sweep_holds_one_chunk_besides_its_output():
+    # 32 times the detunings take no more memory beyond the output array;
+    # the whole array at once would take about 64 B per detuning.
+    tau = tau_from_fwhm(1.8847)
+
+    def held(n):
+        detunings = np.linspace(-20.0, 20.0, n)
+        tracemalloc.start()
+        try:
+            phis = splitter.phi_rt_sweep(34.25, detunings, 100.0, tau)
+            return tracemalloc.get_traced_memory()[1] - phis.nbytes
+        finally:
+            tracemalloc.stop()
+
+    held(4_096)
+    assert held(128_004) - held(4_096) < 4_096
 
 
 def _two_angle_phase(rabi, detunings, od, tau):

@@ -55,6 +55,14 @@ SMALL_BLOCK_TESTS = (
     "tests/test_mbloch.py::test_step_maps_built_in_small_blocks_match_the_reference",
     *BATCH_TESTS)
 BUDGET_TESTS = ("tests/test_mbloch.py::test_a_48_run_group_holds_no_more_than_the_budget",)
+WINDOW_TESTS = ("tests/test_mbloch.py::test_window_sampled_drive_runs_are_the_timeline_at_every_midpoint",
+                "tests/test_mbloch.py::test_window_sampled_maps_are_the_whole_run_maps")
+PLANNING_MEMORY_TESTS = (
+    "tests/test_mbloch.py::test_runs_recording_no_emission_hold_little_per_step",
+    "tests/test_mbloch.py::test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step")
+CHUNK_TEST = "tests/test_splitter.py::test_a_phase_sweep_in_chunks_is_the_sweep_over_the_whole_array"
+ORACLE_STEP_TEST = ("tests/test_mbloch.py::"
+                    "test_a_constant_drive_run_is_its_exact_discrete_transfer_function")
 
 MUTANTS = (
     ("oracle: drop the loss-port Gram", ORACLE,
@@ -182,13 +190,13 @@ MUTANTS = (
      (*BATCH_TESTS, RECIPROCITY_TEST)),
     # A block of maps starts with the last half map the block before it built.
     ("mbloch: a block of maps starts with the run before its own", MBLOCH,
-     "drives[r0 : r1 + 1]",
-     "drives[r0 - (r0 > 0) : r1 + (r0 == 0)]",
+     "starts, drives = starts[nb:], drives[nb:]",
+     "starts, drives = starts[nb:], drives[nb - 1 :]",
      SMALL_BLOCK_TESTS),
     # A block's last step then takes a zero map for R_{s+1} R_s.
     ("mbloch: a block's expm drops the next block's first run", MBLOCH,
-     "drives[r0 : r1 + 1]",
-     "drives[r0 : r1]",
+     "_local_maps(medium, drives[: nb + 1], 0.5 * dt)",
+     "_local_maps(medium, drives[:nb], 0.5 * dt)",
      SMALL_BLOCK_TESTS),
     ("mbloch: the ring not cut to the budget", MBLOCH,
      "return max(1, min(_RING, slots - 1)), max(1, runs)",
@@ -345,13 +353,30 @@ MUTANTS = (
       "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
       "[fig3 --override scenario.triples=30:1e300]")),
     ("splitter: the phase sweep drops the detuning bound", SPLITTER,
-     "if (np.abs(detunings) > max_detuning).any():",
+     "if not -max_detuning <= lo <= hi <= max_detuning:",
      "if False:",
      (UNDERFLOW_TEST,)),
+    # A NaN or infinite detuning then fails the detuning bound instead, with
+    # that bound's message.
     ("splitter: the phase sweep lets non-finite detunings through", SPLITTER,
-     "np.isfinite(detunings).all()",
+     "math.isfinite(lo) and math.isfinite(hi)",
      "True",
-     ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",)),
+     ("tests/test_splitter.py::test_phi_rt_sweep_is_the_scalar_estimate_over_an_array",
+      CHUNK_TEST)),
+    # The output's last entries are then whatever its memory held.
+    ("splitter: the phase sweep's last partial chunk dropped", SPLITTER,
+     "for k in range(0, flat.size, _SWEEP_CHUNK):",
+     "for k in range(0, flat.size - _SWEEP_CHUNK + 1, _SWEEP_CHUNK):",
+     (CHUNK_TEST,)),
+    ("splitter: the phase sweep raises an underflow before a degenerate den", SPLITTER,
+     "        if (np.abs(den) < floor).any():\n            raise ConfigError(_DEGENERATE)\n",
+     "        if (np.abs(xi) < 1e-300).any():\n            raise ConfigError(_UNDERFLOW)\n"
+     "        if (np.abs(den) < floor).any():\n            raise ConfigError(_DEGENERATE)\n",
+     (CHUNK_TEST,)),
+    ("splitter: the phase sweep in one chunk however long", SPLITTER,
+     "_SWEEP_CHUNK = 4096",
+     "_SWEEP_CHUNK = 2**40",
+     ("tests/test_splitter.py::test_a_phase_sweep_holds_one_chunk_besides_its_output",)),
     ("splitter: extract_matrix drops the photon window", SPLITTER,
      "light = np.stack([run_a.emitted[:hi], run_b.emitted[:hi]])",
      "light = np.stack([run_a.emitted, run_b.emitted])",
@@ -403,9 +428,31 @@ MUTANTS = (
       "[run --override grid.t_end=1e12]")),
     # Forward and mirrored runs then sample the drive a step apart.
     ("mbloch: sample the drive one step late", MBLOCH,
-     "timeline.rabi((np.arange(n_steps) + 0.5) * dt)",
-     "timeline.rabi((np.arange(n_steps) + 1.5) * dt)",
-     (RECIPROCITY_TEST,)),
+     "timeline.rabi((np.arange(n0, n1) + 0.5) * dt)",
+     "timeline.rabi((np.arange(n0, n1) + 1.5) * dt)",
+     (RECIPROCITY_TEST, *WINDOW_TESTS)),
+    # The maps are then the same; only the stretches and the count of
+    # drive runs see it.
+    ("mbloch: a window seam starts a new drive run at an unchanged drive", MBLOCH,
+     "new[0] = n0 == 0 or control[0] != drives[-1]",
+     "new[0] = True",
+     ("tests/test_mbloch.py::test_a_constant_drive_across_several_windows_is_one_drive_run",
+      *WINDOW_TESTS)),
+    # Each window after the first then skips the step at its seam.
+    ("mbloch: a window seam one step off", MBLOCH,
+     "            n0 = n1\n",
+     "            n0 = n1 + 1\n",
+     WINDOW_TESTS),
+    ("mbloch: the drive sampled at every step of the run at once", MBLOCH,
+     "_DRIVE_WINDOW = 4096",
+     "_DRIVE_WINDOW = 2**22",
+     PLANNING_MEMORY_TESTS),
+    # A drive 1e-6 off in the generator moves the emission by about as much
+    # as an od 1e-6 off, far past the exact oracle's roundoff.
+    ("mbloch: the drive 1e-6 high in the generator", MBLOCH,
+     "gen[:, 1, 2] = gen[:, 2, 1] = 0.5j * drives",
+     "gen[:, 1, 2] = gen[:, 2, 1] = 0.5j * drives * (1.0 + 1e-6)",
+     (ORACLE_STEP_TEST,)),
     # The fault is symmetric under transposition, so the reciprocity test
     # cannot see it; the written-out references can.
     ("mbloch: R_s R_{s+1} at a drive-run boundary", MBLOCH,
@@ -512,6 +559,18 @@ MUTANTS = (
      "except UnicodeDecodeError as exc:",
      "except LookupError as exc:",
      ("tests/test_cli.py::test_a_config_file_that_is_not_utf8_is_a_config_error",)),
+    ("cli: write_csv lets a column of another length through", "src/magnonbs/cli.py",
+     "if any(len(v) != n_rows for v in values):",
+     "if False:",
+     ("tests/test_cli.py::test_write_csv_format",)),
+    ("cli: write_csv's last partial chunk of rows dropped", "src/magnonbs/cli.py",
+     "for k in range(0, n_rows, _CSV_CHUNK):",
+     "for k in range(0, n_rows - _CSV_CHUNK + 1, _CSV_CHUNK):",
+     ("tests/test_cli.py::test_write_csv_cells_match_the_row_by_row_reference",)),
+    ("cli: write_csv formats every row at once", "src/magnonbs/cli.py",
+     "_CSV_CHUNK = 1024",
+     "_CSV_CHUNK = 2**40",
+     ("tests/test_cli.py::test_write_csv_holds_one_chunk_of_rows",)),
     ("cli: a float array column formatted to nine digits", "src/magnonbs/cli.py",
      "return [_FLOAT_FMT % v for v in values.tolist()]",
      'return ["%.9g" % v for v in values.tolist()]',
