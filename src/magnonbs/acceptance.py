@@ -4,9 +4,10 @@ Each criterion function returns a CriterionResult carrying the measured
 values, the tolerance it was held to, and a pass flag.  `run_all` runs
 them in order in one process.  The conservation and figure criteria, 7
 and 8, share the two storage-drive curves, each extrapolated from two
-grids, and a run of each curve's optimum on a third, coarser grid.  The
-pytest wrapper and the command-line `accept` subcommand both call into
-this module, so the numbers printed in either place are the same.
+grids by `richardson`, as criterion 7's loss gaps are, and a run of each
+curve's optimum on a third, coarser grid for `observed_order`.  The pytest
+wrapper and the command-line `accept` subcommand both call into this
+module, so the numbers printed in either place are the same.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .scenarios import (
     fig2_grid,
     fig4_grid,
     ideal_cascade_g3,
+    observed_order,
+    richardson,
     store,
     triangle_check,
 )
@@ -273,19 +276,10 @@ Fig2Runs = dict[float, tuple[Fig2Curve, Fig2Grid]]
 
 
 def _extrapolated_gap(fine: Fig2Grid, coarse: Fig2Grid) -> float:
-    """The worst |4 g_fine - g_coarse| / 3 over the coarse grid's runs, each
-    with its twin on the fine grid."""
-    return max(abs(4.0 * fine.loss_gaps[run] - gap) / 3.0
+    """The worst |`richardson`| of the coarse grid's runs' gaps, each with
+    its twin's on the fine grid."""
+    return max(abs(richardson(fine.loss_gaps[run], gap))
                for run, gap in coarse.loss_gaps.items())
-
-
-def _observed_order(coarse: float, middle: float, fine: float) -> float:
-    """log2 of the ratio of successive differences over three grids, each
-    twice as fine as the last; NaN unless both differences share a sign."""
-    d_coarse, d_fine = float(coarse - middle), float(middle - fine)
-    if not d_coarse * d_fine > 0:
-        return math.nan
-    return math.log2(d_coarse / d_fine)
 
 
 def criterion_7(curves: Fig2Runs, checks: tuple) -> CriterionResult:
@@ -308,8 +302,8 @@ def criterion_7(curves: Fig2Runs, checks: tuple) -> CriterionResult:
             f, c = getattr(fine, column)[k], getattr(coarse, column)[k]
             rel_changes.append(abs(c - f) / f)
         extrapolated += [_extrapolated_gap(fine, coarse), _extrapolated_gap(coarse, quarter)]
-        orders.append(_observed_order(quarter.efficiency[0], coarse.efficiency[k],
-                                      fine.efficiency[k]))
+        orders.append(observed_order(quarter.efficiency[0], coarse.efficiency[k],
+                                     fine.efficiency[k]))
     conv_ok = all(r <= 1e-3 for r in rel_changes)
     extrapolated_ok = max(extrapolated) <= EXTRAPOLATED_GAP_TOL
     lo, hi = ORDER_BAND

@@ -354,13 +354,14 @@ def write_csv(path: Path, header: list[str], columns: list[tuple[str, object]]) 
 
 def cmd_fig2(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
-    # Every curve's params are built, and so validated, before the first
-    # solver call.
+    # Every curve's params are built, and so validated, and held to the step
+    # bound on its grids before the first solver call.
     plans = []
     for od in sc["ods"]:
         params = scenarios.fig2_params(od)
         if "rabi_s_grid" in sc:
             params = replace(params, rabi_s_grid=sc["rabi_s_grid"])
+        params.require_step_bound()
         plans.append((od, params))
     for od, params in plans:
         curve = scenarios.fig2_curve(params)
@@ -477,6 +478,21 @@ def _run_summary(traj) -> dict[str, float]:
     }
 
 
+class _PerStep:
+    """A column of f(t) at a run's `Trajectory.times`, computed a slice of
+    rows at a time as `write_csv` reads it, so that it holds no array as
+    long as the run."""
+
+    def __init__(self, traj, f=lambda t: t) -> None:
+        self.n_steps, self.dt, self.f = traj.emitted.size, traj.dt, f
+
+    def __len__(self) -> int:
+        return self.n_steps
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.f((np.arange(*rows.indices(self.n_steps)) + 0.5) * self.dt)
+
+
 def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
     medium, timeline, sim, pulse = _build_run(config)
     traj = evolve(medium, timeline, sim, pulse=pulse)
@@ -486,10 +502,10 @@ def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
         header.append(f"{key} = {_fmt(value)}")
 
     write_csv(out_dir / "run_emitted.csv", header, [
-        ("t", traj.times),
+        ("t", _PerStep(traj)),
         ("e_out_re", traj.emitted.real),
         ("e_out_im", traj.emitted.imag),
-        ("control_abs", np.abs(timeline.rabi(traj.times))),
+        ("control_abs", _PerStep(traj, lambda t: np.abs(timeline.rabi(t)))),
     ])
 
     fin = traj.final_state

@@ -150,6 +150,12 @@ from .core import (
 # maps stay contractive to roundoff up to about 5e3 and drift from it
 # beyond, until their exponential's roundoff breaks the ledger.
 _MAX_DRIVE_STEP = 1e3
+# The largest G dt and |delta| dt a run may take, checked with the drive.
+# The gate's largest are 0.083 and 0.010.  Up to 1e2, with the drive at
+# its bound, a half-step map's largest singular value exceeds 1 by at most
+# 13 ulps; it reaches the 100 ulps of the drive's maps at 5e3 between 1e3
+# and 2e3, and past 1e5 a detuned run's ledger gains norm.
+_MAX_MEDIUM_STEP = 1e2
 # Steps whose drive is sampled in one call while a run's drive runs are
 # found: 32 kB of samples, whatever the run's length.
 _DRIVE_WINDOW = 4096
@@ -457,8 +463,9 @@ def evolve_batch(
     Each run is a (medium, timeline, config, pulse, initial) tuple as
     `evolve` takes them; the media and grids may differ.  The trajectories
     come back in call order.  Every run is checked first: an empty batch, an
-    initial state on another grid or at t_now != 0, or a drive with
-    |Omega| dt above _MAX_DRIVE_STEP raise ConfigError before any run steps.
+    initial state on another grid or at t_now != 0, or a drive or medium past
+    the step bound (`_require_step_bound`) raise ConfigError before any run
+    steps.
     Then the runs of each `config.n_z` are stepped as one group, longest
     first, or in groups of `_group_width` if it has more.
     """
@@ -466,7 +473,7 @@ def evolve_batch(
     if not runs:
         raise ConfigError("a batch needs at least one run")
     grids = {config.n_z: make_grid(config.n_z) for _, _, config, _, _ in runs}
-    for _, timeline, config, _, initial in runs:
+    for medium, timeline, config, _, initial in runs:
         z, dt = grids[config.n_z], config.dt
         if initial is not None:
             if initial.z_grid.size != z.size or abs(initial.z_grid[-1] - z[-1]) > 1e-12:
@@ -475,9 +482,7 @@ def evolve_batch(
                 raise ConfigError(f"a run starts at t = 0, got an initial state at "
                                   f"t_now = {initial.t_now}")
         drive = max((abs(seg.amplitude) for seg in timeline.segments), default=0.0)
-        if drive * dt > _MAX_DRIVE_STEP:
-            raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
-                              f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
+        _require_step_bound(medium, drive, dt)
     out: list = [None] * len(runs)
     for n_z, z in grids.items():
         order = sorted((i for i, run in enumerate(runs) if run[2].n_z == n_z),
@@ -488,6 +493,22 @@ def evolve_batch(
             for i, traj in zip(group, _step_together(z, [runs[i] for i in group])):
                 out[i] = traj
     return out
+
+
+def _require_step_bound(medium: MediumParams, drive: float, dt: float) -> None:
+    """Raise ConfigError unless a step of `dt` keeps the local generator's
+    half-step maps contractive to roundoff: |Omega| dt at most
+    _MAX_DRIVE_STEP for the largest drive `drive`, and G dt and |delta| dt
+    at most _MAX_MEDIUM_STEP."""
+    if drive * dt > _MAX_DRIVE_STEP:
+        raise ConfigError(f"control drive {drive:g} is too strong for the grid: "
+                          f"|Omega| dt = {drive * dt:.3g} exceeds {_MAX_DRIVE_STEP:g}")
+    for name, symbol, rate in (("coupling", "G", medium.coupling),
+                               ("detuning", "|delta|", abs(medium.delta))):
+        if rate * dt > _MAX_MEDIUM_STEP:
+            raise ConfigError(f"medium {name} {symbol} = {rate:.3g} is too large for "
+                              f"the grid: {symbol} dt = {rate * dt:.3g} exceeds "
+                              f"{_MAX_MEDIUM_STEP:g}")
 
 
 def _group_width(n_z: int) -> int:

@@ -3,10 +3,11 @@
 Each protocol pins the operating point of a figure-style numerical
 experiment: medium, drives, timing, and grid.  The storage stage, `store`,
 writes the pulse into a spin wave for every protocol that starts from one.
-The storage-drive sweep builds the visibility curve g2(Omega_S); the mixing
-scenarios feed the splitter extraction and the Fock oracle; the delay
-curves and the three-particle grid are formula-level and reuse the envelope
-model.
+The storage-drive sweep builds the visibility curve g2(Omega_S) from its
+runs on two grids with `richardson`, the one grid-refinement rule, which
+the gate reads too, with `observed_order`; the mixing scenarios feed the
+splitter extraction and the Fock oracle; the delay curves and the
+three-particle grid are formula-level and reuse the envelope model.
 
 Conventions used by every protocol here:
 - the storage control is resonant; mixing stages may be detuned;
@@ -44,7 +45,7 @@ from .fock_oracle import (
     three_photon_input,
     two_photon_input,
 )
-from .mbloch import SimulationConfig, Trajectory, evolve_batch
+from .mbloch import SimulationConfig, Trajectory, _require_step_bound, evolve_batch
 from .splitter import (
     effective_overlap,
     extract_matrix,
@@ -159,6 +160,15 @@ class Fig2Params:
             raise ConfigError(f"a storage-drive curve's finest grid needs an even "
                               f"number of cells, got {self.n_z}")
         _require_cells(self.n_z // 2)
+
+    def require_step_bound(self) -> None:
+        """Raise ConfigError unless the curve's medium and drives keep to the
+        step bound on each grid it runs, `n_z` and `n_z // 2` cells, as
+        `evolve_batch` checks each run before any steps."""
+        medium = MediumParams(od=self.od)
+        drive = max(abs(rabi) for rabi in (self.rabi_bs, self.ref_rabi_s, *self.rabi_s_grid))
+        for n_z in (self.n_z, self.n_z // 2):
+            _require_step_bound(medium, drive, SimulationConfig(t_end=_T_END, n_z=n_z).dt)
 
 
 FIG2_OD30 = Fig2Params(
@@ -295,23 +305,41 @@ def fig2_grid(params: Fig2Params, n_z: int, t_probe: float | None = None) -> Fig
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Fig2Curve(_ArrayValue):
-    """The storage-drive sweep as read-only columns in `rabi_s_grid` order,
-    extrapolated from its raw values on two grids, `fine` and `coarse`."""
+def richardson(fine: float | np.ndarray, coarse: float | np.ndarray) -> float | np.ndarray:
+    """A second-order value extrapolated from a grid and one half as fine
+    (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911))."""
+    return (4.0 * fine - coarse) / 3.0
 
-    rabi_s: np.ndarray
-    efficiency: np.ndarray
-    mode_overlap: np.ndarray
-    balance: np.ndarray
-    transmission: float
-    release: float
+
+def observed_order(coarse: float, middle: float, fine: float) -> float:
+    """log2 of the ratio of successive differences over three grids, each
+    twice as fine as the last; NaN unless both differences share a sign."""
+    d_coarse, d_fine = float(coarse - middle), float(middle - fine)
+    if not d_coarse * d_fine > 0:
+        return math.nan
+    return math.log2(d_coarse / d_fine)
+
+
+def _extrapolated(name: str) -> property:
+    return property(lambda curve: richardson(getattr(curve.fine, name),
+                                             getattr(curve.coarse, name)))
+
+
+@dataclass(frozen=True)
+class Fig2Curve:
+    """The storage-drive sweep at the drives `rabi_s` on two grids, `fine`
+    and `coarse`, half as fine; each column but the visibility is the
+    grids' `richardson` value, computed at each read in `rabi_s` order."""
+
+    rabi_s: tuple[float, ...]
     fine: Fig2Grid
     coarse: Fig2Grid
 
-    def __post_init__(self) -> None:
-        for name in ("rabi_s", "efficiency", "mode_overlap", "balance"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+    efficiency = _extrapolated("efficiency")
+    mode_overlap = _extrapolated("mode_overlap")
+    balance = _extrapolated("balance")
+    transmission = _extrapolated("transmission")
+    release = _extrapolated("release")
 
     @property
     def visibility(self) -> np.ndarray:
@@ -346,27 +374,13 @@ def fig2_curve(params: Fig2Params) -> Fig2Curve:
 
     The sweep runs on `params.n_z` cells and on half as many, the coarse
     grid reading the probe spin wave at the time the fine grid picks.  The
-    scheme is second order, so each of efficiency, mode overlap, balance,
-    transmission and release is the Richardson value (4 f_fine - f_coarse)
-    / 3 (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)); the
-    visibility is the product of the extrapolated overlap and balance.
+    scheme is second order, so the curve's values are the grids'
+    `richardson` values; the visibility is the product of the extrapolated
+    overlap and balance.
     """
     fine = fig2_grid(params, params.n_z)
     coarse = fig2_grid(params, params.n_z // 2, fine.t_probe)
-
-    def extrapolated(name: str):
-        return (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0
-
-    return Fig2Curve(
-        rabi_s=params.rabi_s_grid,
-        efficiency=extrapolated("efficiency"),
-        mode_overlap=extrapolated("mode_overlap"),
-        balance=extrapolated("balance"),
-        transmission=extrapolated("transmission"),
-        release=extrapolated("release"),
-        fine=fine,
-        coarse=coarse,
-    )
+    return Fig2Curve(params.rabi_s_grid, fine, coarse)
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,40 @@ def test_write_csv_cells_match_the_row_by_row_reference(tmp_path):
         assert path.read_text(encoding="utf-8") == _row_by_row_csv(header, columns)
 
 
+def test_run_holds_only_its_recorded_emission_per_step(tmp_path):
+    # `run` keeps the field emitted at each step, 16 B, and computes its
+    # time and drive columns a chunk of rows at a time as they are written:
+    # 15.8 B per step measured between 19,200 and 76,800 steps at n_z 16.
+    # Whole time and drive columns took 49 B per step.
+    def peak(t_end):
+        tracemalloc.start()
+        try:
+            assert main(["run", "--out", str(tmp_path), "--override", "grid.n_z=16",
+                         "--override", f"grid.t_end={t_end}"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert (peak(400) - peak(100)) / (192 * 300) < 20.0
+
+
+def test_run_writes_the_time_and_drive_of_every_step(tmp_path):
+    # 19 chunks of rows, under ramps that start and end off their seams:
+    # each row's time and drive are those of the whole run's step midpoints.
+    segments = "storage:0:3.3:5, beamsplit:5.2:5.4:13, readout:5.4:50.7:7, off:52:99.9:-3"
+    assert main(["run", "--out", str(tmp_path), "--override", "grid.n_z=16", "--override",
+                 "grid.t_end=100", "--override", f"control.segments={segments}"]) == 0
+    lines = (tmp_path / "run_emitted.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    times = (np.arange(19_200) + 0.5) * mbloch.SimulationConfig(t_end=100, n_z=16).dt
+    drive = np.abs(load_config(None, [f"control.segments={segments}"])["control"]["segments"]
+                   .rabi(times))
+    assert len(np.unique(drive)) > 100  # the ramps
+    assert [row[0] for row in rows] == [cli._FLOAT_FMT % t for t in times]
+    assert [row[3] for row in rows] == [cli._FLOAT_FMT % c for c in drive]
+
+
 def test_write_csv_holds_one_chunk_of_rows(tmp_path):
     # Four times the rows take no more memory while they are written: the
     # growth measured 2 kB.  All rows formatted at once took about 377 B
@@ -461,6 +495,17 @@ def no_solver(monkeypatch):
         # A drive past the grid's bound at the last point, which would be
         # stepped after the first group of points.
         ["sweep", "--override", "sweep.values=2,3,4,5,1e7"],
+        # A drive past the bound on the second curve's coarse grid only (40
+        # cells; the first curve's are 120 and 60), which would fail after
+        # the first curve wrote its tables.
+        ["fig2", "--override", "scenario.ods=150,30", "--override", "scenario.rabi_s_grid=5e5"],
+        # A coupling or a detuning past the grid's bound: at n_z 16 the
+        # exponential overflows (od 1e160, delta 1e100) or the run ends
+        # with G dt = 1.3e98 (od 1e200) or |delta| dt = 5.2e297.
+        *(["run", "--override", "grid.n_z=16", "--override", "grid.t_end=0.5",
+           "--override", medium]
+          for medium in ("medium.od=1e160", "medium.od=1e200", "medium.delta=1e100",
+                         "medium.delta=1e300")),
         # What argparse rejects: the deleted --workers, a misspelt option,
         # an unknown command, a missing one and an option with no value.
         ["sweep", "--workers", "2"],

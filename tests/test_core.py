@@ -44,6 +44,7 @@ def test_medium_derives_coupling_from_od():
         dict(od=30.0, gamma12=-1e-12),
         dict(od=-1e-12),
         dict(od=-1.0),
+        dict(od=1e308),  # 4 G^2 = 2 od C_EFF overflows
     ],
 )
 def test_medium_rejects_bad_parameters(kwargs):
@@ -224,11 +225,7 @@ _ARRAY_VALUES = {
     "FockInput": lambda: three_photon_input(0.3, 0.8),
     "ModeNetwork": lambda: ModeNetwork(np.array([[0.6, 0.3j], [0.2, 0.5]])),
     "Fig2Grid": _fig2_grid,
-    "Fig2Curve": lambda: Fig2Curve(
-        rabi_s=np.arange(1.0, 4.0), efficiency=np.full(3, 0.5),
-        mode_overlap=np.full(3, 0.8), balance=np.ones(3), transmission=0.5, release=1.0,
-        fine=_fig2_grid(), coarse=_fig2_grid(),
-    ),
+    "Fig2Curve": lambda: Fig2Curve((1.0, 2.0, 3.0), _fig2_grid(), _fig2_grid()),
     "Trajectory": _short_run,
     "ExtractionResult": lambda: ExtractionResult(
         matrix=SplitterMatrix(t1=0.5, r1=0.5j, t2=0.5, r2=0.5j),
@@ -238,17 +235,26 @@ _ARRAY_VALUES = {
 }
 
 
+def _arrays(value, path=""):
+    """The arrays in `value`'s fields and in those of the dataclasses in
+    them, by path."""
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        if isinstance(item, np.ndarray):
+            yield path + field.name, item
+        elif dataclasses.is_dataclass(item):
+            yield from _arrays(item, f"{path}{field.name}.")
+
+
 @pytest.mark.parametrize("name", sorted(_ARRAY_VALUES))
 def test_array_values_keep_read_only_arrays_through_pickle(name):
     # Unpickling goes through __init__, so the copy freezes its arrays as
-    # the original did, those its __post_init__ derives included.
+    # the original did, those its __post_init__ derives included.  A
+    # storage-drive curve holds its arrays in its two grids.
     value = _ARRAY_VALUES[name]()
     copy = pickle.loads(pickle.dumps(value))
     assert type(copy) is type(value) and copy == value
-    arrays = 0
-    for field in dataclasses.fields(value):
-        if isinstance(getattr(value, field.name), np.ndarray):
-            arrays += 1
-            for v in (value, copy):
-                assert not getattr(v, field.name).flags.writeable, field.name
-    assert arrays > 0
+    arrays = [(path, arr) for v in (value, copy) for path, arr in _arrays(v)]
+    assert arrays
+    for path, arr in arrays:
+        assert not arr.flags.writeable, path

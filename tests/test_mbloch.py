@@ -158,6 +158,18 @@ def test_v_group_limits():
     assert v_group(empty, 7.0) == pytest.approx(C_EFF)
 
 
+@pytest.mark.parametrize("rabi", [0.0, 1e200, math.nan])
+def test_a_storage_drive_without_a_finite_group_velocity_is_a_config_error(rabi, monkeypatch):
+    # |Omega|^2 overflows to inf at 1e200, which leaves the group velocity
+    # NaN; the stage fails before any map is built, whichever stage it is.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step map was built")
+
+    monkeypatch.setattr(mbloch, "expm", forbidden)
+    with pytest.raises(ConfigError, match="storage drive must be nonzero and finite"):
+        store([(OD30, 5.0), (OD30, rabi)], 16)
+
+
 def test_simulation_config_guards():
     with pytest.raises(ConfigError):
         SimulationConfig(t_end=0.0)
@@ -1051,6 +1063,30 @@ def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):
     with pytest.raises(ConfigError, match="too strong for the grid"):
         mbloch.evolve_batch([(OD30, strong, fine, PULSE, None), (OD30, tl, fine, None, None),
                              (OD30, strong, config, PULSE, None)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_medium_the_grid_cannot_resolve_is_a_config_error_before_any_step(monkeypatch):
+    # n_z 16 steps by dt = 1/192, so the bound 1e2 on G dt and |delta| dt
+    # is G = |delta| = 19,200, or od = 2 G^2 / C_EFF = 6.14e7.  Just under
+    # it a run steps; just over it the batch fails whichever member holds
+    # the medium, with the drive well under its own bound.
+    config = SimulationConfig(t_end=0.5, n_z=16)
+    tl = constant_drive(5.0, 0.5)
+    for medium in (MediumParams(od=6.1e7), MediumParams(od=30.0, delta=1.9e4),
+                   MediumParams(od=30.0, delta=-1.9e4)):
+        assert np.isfinite(evolve(medium, tl, config, pulse=PULSE).loss_accum)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step map was built")
+
+    monkeypatch.setattr(mbloch, "expm", forbidden)
+    for medium, match in ((MediumParams(od=6.2e7), "coupling G = 1.93e"),
+                          (MediumParams(od=30.0, delta=1.93e4), "detuning"),
+                          (MediumParams(od=30.0, delta=-1.93e4), "detuning")):
+        with pytest.raises(ConfigError, match=match):
+            mbloch.evolve_batch([(OD30, tl, config, PULSE, None),
+                                 (medium, tl, config, None, None)])
 
 
 def test_a_non_finite_member_stops_the_batch():

@@ -9,6 +9,7 @@ from magnonbs import (
 )
 from magnonbs.scenarios import (
     DETUNED_MIXING,
+    FIG2_CURVES,
     FIG2_OD30,
     Fig2Curve,
     Fig2Grid,
@@ -19,6 +20,8 @@ from magnonbs.scenarios import (
     fig3_delay_curve,
     fig4_grid,
     ideal_cascade_g3,
+    observed_order,
+    richardson,
     triangle_check,
 )
 
@@ -55,22 +58,57 @@ def test_fig2_params_reject_what_the_solver_would_reject(change):
     ],
 )
 def test_fig2_curve_is_unimodal_only_with_a_strict_interior_peak(visibility, unimodal):
+    # Both grids hold the visibility as their overlap, so the curve's is
+    # their Richardson value (4 v - v) / 3, within an ulp of it.
     n = len(visibility)
     grid = Fig2Grid(
         n_z=16, t_probe=1.0, efficiency=np.full(n, 0.5), mode_overlap=visibility,
         balance=np.ones(n), spin_abs=np.ones((n, 16)), transmission=0.5, release=1.0,
         loss_gaps={},
     )
-    curve = Fig2Curve(
-        rabi_s=np.arange(1.0, n + 1.0), efficiency=np.full(n, 0.5),
-        mode_overlap=visibility, balance=np.ones(n), transmission=0.5, release=1.0,
-        fine=grid, coarse=grid,
-    )
+    curve = Fig2Curve(tuple(np.arange(1.0, n + 1.0)), grid, grid)
     assert curve.is_unimodal() is unimodal
-    assert curve.visibility[curve.optimum()] == max(visibility)
-    # The visibility is computed from these at each read.
+    assert curve.optimum() == visibility.index(max(visibility))
+    assert np.allclose(curve.visibility, visibility, rtol=1e-15, atol=0.0)
+    # The columns are computed from the grids at each read: writing to one
+    # read leaves the next unchanged, and the grids' arrays are read-only.
+    read = curve.mode_overlap
+    read[:] = 0.0
+    assert np.array_equal(curve.mode_overlap, richardson(grid.mode_overlap, grid.mode_overlap))
     with pytest.raises(ValueError):
-        curve.mode_overlap[0] = 0.0
+        grid.mode_overlap[0] = 0.0
+
+
+def test_each_curve_column_is_the_richardson_value_of_its_grids(fig2_pairs):
+    # Bit for bit, against the expression written out, on the gate's curves.
+    for params in FIG2_CURVES:
+        curve, _ = fig2_pairs[params.od]
+        assert curve.rabi_s == params.rabi_s_grid
+        assert (curve.fine.n_z, curve.coarse.n_z) == (params.n_z, params.n_z // 2)
+        for name in ("efficiency", "mode_overlap", "balance", "transmission", "release"):
+            fine, coarse = getattr(curve.fine, name), getattr(curve.coarse, name)
+            want = np.asarray((4.0 * fine - coarse) / 3.0)
+            assert np.asarray(getattr(curve, name)).tobytes() == want.tobytes(), name
+            assert np.asarray(richardson(fine, coarse)).tobytes() == want.tobytes(), name
+        assert np.array_equal(curve.visibility, curve.mode_overlap * curve.balance)
+
+
+@pytest.mark.parametrize(
+    "values, order",
+    [
+        ((1.3125, 1.0625, 1.0), 2.0),  # differences 0.25 then 0.0625
+        ((0.6875, 0.9375, 1.0), 2.0),  # the same, falling toward the fine grid
+        ((1.125, 1.0625, 1.0), 0.0),  # equal differences
+        ((1.0, 1.25, 1.0), math.nan),  # differences of opposite signs
+        ((0.75, 1.0, 0.875), math.nan),
+        ((1.25, 1.0, 1.0), math.nan),  # a zero difference
+        ((1.0, 1.0, 1.25), math.nan),
+        ((math.nan, 1.0, 1.0), math.nan),
+    ],
+)
+def test_observed_order_of_three_grids(values, order):
+    got = observed_order(*values)
+    assert got == order or (math.isnan(order) and math.isnan(got))
 
 
 def test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80():

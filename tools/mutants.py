@@ -44,6 +44,17 @@ UNDERFLOW_TEST = "tests/test_splitter.py::test_phi_rt_estimates_stop_where_the_s
 RUN_ALL_TEST = "tests/test_acceptance.py::test_run_all_passes_every_criterion_as_in_the_contract"
 RICHARDSON_TEST = ("tests/test_scenarios.py::"
                    "test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80")
+COLUMNS_TEST = ("tests/test_scenarios.py::"
+                "test_each_curve_column_is_the_richardson_value_of_its_grids")
+FIG2_GRID_BOUND_TEST = ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+                        "[fig2 --override scenario.ods=150,30 --override scenario.rabi_s_grid=5e5]")
+MEDIUM_BOUND_TEST = ("tests/test_mbloch.py::"
+                     "test_a_medium_the_grid_cannot_resolve_is_a_config_error_before_any_step")
+MEDIUM_BOUND_CLI_TESTS = tuple(
+    "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+    f"[run --override grid.n_z=16 --override grid.t_end=0.5 --override medium.{medium}]"
+    for medium in ("od=1e160", "od=1e200", "delta=1e100", "delta=1e300"))
+RUN_MEMORY_TEST = "tests/test_cli.py::test_run_holds_only_its_recorded_emission_per_step"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
 GAIN_FAULT_TEST = ("tests/test_mbloch.py::"
@@ -255,9 +266,21 @@ MUTANTS = (
      ("tests/test_acceptance.py::"
       "test_criterion_7_fails_on_a_coarse_gap_its_fine_twin_does_not_extrapolate",)),
     ("scenarios: Richardson weights 2 f_fine - f_coarse", SCENARIOS,
-     "return (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0",
-     "return 2.0 * getattr(fine, name) - getattr(coarse, name)",
-     (RICHARDSON_TEST,)),
+     "return (4.0 * fine - coarse) / 3.0",
+     "return 2.0 * fine - coarse",
+     (RICHARDSON_TEST, COLUMNS_TEST)),
+    ("scenarios: observed_order drops its sign check", SCENARIOS,
+     "if not d_coarse * d_fine > 0:",
+     "if not d_coarse * d_fine:",
+     ("tests/test_scenarios.py::test_observed_order_of_three_grids",)),
+    ("cli: fig2 runs its curves unchecked against their grids", "src/magnonbs/cli.py",
+     "        params.require_step_bound()\n",
+     "",
+     (FIG2_GRID_BOUND_TEST,)),
+    ("scenarios: a curve's drives checked on its finest grid alone", SCENARIOS,
+     "for n_z in (self.n_z, self.n_z // 2):",
+     "for n_z in (self.n_z,):",
+     (FIG2_GRID_BOUND_TEST,)),
     ("scenarios: the coarse grid equal to the fine grid", SCENARIOS,
      "coarse = fig2_grid(params, params.n_z // 2, fine.t_probe)",
      "coarse = fig2_grid(params, params.n_z, fine.t_probe)",
@@ -420,6 +443,14 @@ MUTANTS = (
      "if False:",
      ("tests/test_mbloch.py::test_a_bad_batch_is_a_config_error_before_any_step",
       "tests/test_cli.py::test_a_drive_the_grid_cannot_resolve_is_a_config_error")),
+    ("mbloch: drop the medium bound", MBLOCH,
+     "if rate * dt > _MAX_MEDIUM_STEP:",
+     "if False:",
+     (MEDIUM_BOUND_TEST, *MEDIUM_BOUND_CLI_TESTS)),
+    ("mbloch: the medium bound reads delta, not |delta|", MBLOCH,
+     '("detuning", "|delta|", abs(medium.delta))',
+     '("detuning", "|delta|", medium.delta)',
+     (MEDIUM_BOUND_TEST,)),
     ("mbloch: drop the step bound", MBLOCH,
      "if self.t_end / self.dt - 1e-9 > _MAX_STEPS:",
      "if False:",
@@ -550,15 +581,30 @@ MUTANTS = (
     ("core: drop the od overflow guard of MediumParams", CORE,
      "if not math.isfinite(2.0 * self.od * C_EFF):",
      "if False:",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
+      "tests/test_core.py::test_medium_rejects_bad_parameters")),
     ("scenarios: v_group squares the drive with **", SCENARIOS,
      "w2 = abs(rabi) * abs(rabi)",
      "w2 = abs(rabi) ** 2",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
+      "tests/test_mbloch.py::"
+      "test_a_storage_drive_without_a_finite_group_velocity_is_a_config_error")),
     ("cli: a config file that is not UTF-8 escapes as a traceback", "src/magnonbs/cli.py",
      "except UnicodeDecodeError as exc:",
      "except LookupError as exc:",
      ("tests/test_cli.py::test_a_config_file_that_is_not_utf8_is_a_config_error",)),
+    ("cli: run's time column computed whole", "src/magnonbs/cli.py",
+     '("t", _PerStep(traj)),',
+     '("t", traj.times),',
+     (RUN_MEMORY_TEST,)),
+    ("cli: run's drive column computed whole", "src/magnonbs/cli.py",
+     '("control_abs", _PerStep(traj, lambda t: np.abs(timeline.rabi(t)))),',
+     '("control_abs", np.abs(timeline.rabi(traj.times))),',
+     (RUN_MEMORY_TEST,)),
+    ("cli: run's per-step columns restart at each chunk of rows", "src/magnonbs/cli.py",
+     "np.arange(*rows.indices(self.n_steps))",
+     "np.arange(len(range(*rows.indices(self.n_steps))))",
+     ("tests/test_cli.py::test_run_writes_the_time_and_drive_of_every_step",)),
     ("cli: write_csv lets a column of another length through", "src/magnonbs/cli.py",
      "if any(len(v) != n_rows for v in values):",
      "if False:",
