@@ -154,7 +154,10 @@ class PulseEnvelope:
 
     `amplitude(t)` is normalized so that its squared integral over time equals
     `amplitude_norm` (the injected excitation number).  fwhm refers to the
-    intensity profile.
+    intensity profile.  The amplitude is complex in type and real in value,
+    a Gaussian with no imaginary part, and the solver relies on it: a
+    resonant run stepped in its real rows (`mbloch`) injects the real part
+    alone.
     """
 
     fwhm: float = 1.0

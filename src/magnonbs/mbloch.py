@@ -31,8 +31,23 @@ the same bit for bit, and a run's maps do not depend on how its drive
 runs are cut into blocks.  The probe pulse is sampled one window of steps
 at a time (see below).
 
-The state is held in real form, as a (6, n_z) array with rows (Re E, Im E,
-Re P, Im P, Re S, Im S), and each complex 3x3 map as its real 6x6 block.
+The state is held in real form, with rows (Re E, Im E, Re P, Im P, Re S,
+Im S), and each complex 3x3 map as its real 6x6 block (`_local_maps`).  A
+step group steps either all six rows or, when every member is real, the
+three (Re E, Im P, Re S) alone (`_group_rows`).  A member is real when its
+medium is resonant (delta = 0) and its initial state, if any, has no Im E,
+Re P or Im S; every pulse is real (`PulseEnvelope`).  This is exact, not an
+approximation: at delta = 0 the generator is real on the E-E, P-P, S-S and
+E-S entries and imaginary on E-P and P-S, which the gauge P -> i P makes
+real, and `expm`'s products, Pade solve and squarings keep that pattern
+exactly.  So every map's block between (Re E, Im P, Re S) and (Im E, Re P,
+Im S) is exactly 0.0, a real state's other three rows stay 0.0, and the
+group steps with the 3x3 sub-blocks of the same 6x6 maps.  Each product
+then sums the same nonzero terms in the same order, and adding an exact
+zero changes no float, so a real run's outputs are the ones all six rows
+give, bit for bit, at half the arithmetic per step.  A group with one
+member that is not real steps all six rows.
+
 The loop carries the state half a step past each step start, w_n = U_n v_n,
 so that the second half step of step n and the first of step n + 1 fuse
 into one map F_n = U_{n+1} U_n: R_s R_s inside a run, R_{s+1} R_s where run
@@ -79,49 +94,54 @@ call overhead, which the members share, so a step makes two calls
 whatever the number of members.
 
 The carried states live in a ring of slots laid out as (slot, row, member,
-column): row r of every member's state in one slot is one run of floats,
-member after member, each n_z + 2 columns wide.  Columns 1..n_z hold the
-cells from z = 1 down to z = 0; in the E rows, column n_z + 1 holds the
-cell injected at that slot's step and column 0 the cell emitted at it.  So
-the E rows of every member form one contiguous block per slot, and step
-base + k advects, injects and parks the emitted cell with one 1-D copy of
-slot k's E block one float to the left.  (numpy copies an overlapping
-range leftward front to back, up to 2.6 times as fast as rightward, which
-it copies back to front; the cells run from z = 1 down for that.)  The
-copy spills each row's column 0 into the injection column of the row
-before it.  The step then maps slot k's cells into slot k + 1's with the
-members' fused maps.
+column), with the group's rows, 3 or 6: c rows of E, then c of P and c of
+S, with c 1 or 2.  Row r of every member's state in one slot is one run of
+floats, member after member, each n_z + 2 columns wide.  Columns 1..n_z
+hold the cells from z = 1 down to z = 0; in the E rows, column n_z + 1
+holds the cell injected at that slot's step and column 0 the cell emitted
+at it.  So the E rows of every member form one contiguous block per slot,
+and step base + k advects, injects and parks the emitted cell with one 1-D
+copy of slot k's E block one float to the left.  (numpy copies an
+overlapping range leftward front to back, up to 2.6 times as fast as
+rightward, which it copies back to front; the cells run from z = 1 down for
+that.)  The copy spills each row's column 0 into the injection column of
+the row before it.  The step then maps slot k's cells into slot k + 1's
+with the members' fused maps.
 
 The steps run in blocks that end at the next ledger read or when the ring
 is full.  Once per block, before it, one copy writes every member's
 injection column in all its slots, which overwrites the spill: the pulse's
-cell for a pulsed member and 0 for any other.  After it, one copy takes
-the emitted cells out.  The block's last step only shifts; once the
+cell for a pulsed member and 0 for any other (its real part alone in three
+rows).  After it, one copy takes the emitted cells out, whose imaginary
+parts stay 0 in three rows.  The block's last step only shifts; once the
 ledger has read its state, its product goes into slot 0, where the next
-block starts, so no slot is copied between blocks.  One vecdot over the P
-rows of the block's slots (and one over the S rows when a member's
-gamma12 is nonzero, each weighted by its own) then adds the quadrature of
-the states the block carried.  So a block's own cost does not grow with
-the number of members.  The injected and emitted cells pass through a
-window of _CHECK_EVERY steps, at whose end every member still stepping is
-read: the window is emptied there member by member, and refilled.  Each
-distinct pulse is sampled anew for each window, once for every member it
-feeds, its injected norm summed on from the window before.  The P and S
-rows' edge columns are never written, so they add nothing to the
-quadrature.
+block starts, so no slot is copied between blocks.  At a ledger read the
+group's rows of the state go to a scratch state of all six rows, whose
+other rows stay 0, so the ledger, the snapshots and the final state are
+read as from six rows.  One vecdot over the P rows of the block's slots
+(and one over the S rows when a member's gamma12 is nonzero, each weighted
+by its own) then adds the quadrature of the states the block carried.  So a
+block's own cost does not grow with the number of members.  The injected
+and emitted cells pass through a window of _CHECK_EVERY steps, at whose end
+every member still stepping is read: the window is emptied there member by
+member, and refilled.  Each distinct pulse is sampled anew for each window,
+once for every member it feeds, its injected norm summed on from the window
+before.  The P and S rows' edge columns are never written, so they add
+nothing to the quadrature.
 
 What a group holds in its ring and its members' blocks of maps is bounded
 by _BUDGET floats (1.53 MB): three quarters for the ring and one for the
-maps.  A wider group takes shorter blocks of steps and of drive runs, and
-a grid with more runs than two ring slots fit (73 at n_z 160) steps in
-several groups.  Besides, a group holds its outputs, its ledger reads (one
-every _CHECK_EVERY steps), the drive runs each member has found and not
-yet built (at most a window's and a block's) and the windows of injected
-and emitted cells and of pulse samples; of the outputs only the emitted
-fields, of the members that record them, are arrays of steps x members.
-No step midpoints are kept: the drive's and the pulse's windows and the
-checks compute their midpoints from dt, and so does a trajectory, whose
-caller holds the timeline.
+maps, each sized for six rows, so a real group takes half its share.  A
+wider group takes shorter blocks of steps and of drive runs, and a grid
+with more runs than two ring slots fit (73 at n_z 160) steps in several
+groups.  Besides, a group holds its outputs, its ledger reads (one every
+_CHECK_EVERY steps), the drive runs each member has found and not yet built
+(at most a window's and a block's) and the windows of injected and emitted
+cells and of pulse samples; of the outputs only the emitted fields, of the
+members that record them, are arrays of steps x members.  No step midpoints
+are kept: the drive's and the pulse's windows and the checks compute their
+midpoints from dt, and so does a trajectory, whose caller holds the
+timeline.
 """
 
 from __future__ import annotations
@@ -188,6 +208,10 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# The rows of the real form (Re E, Im E, Re P, Im P, Re S, Im S) that a
+# step group steps: a real group's three, in order E, P, S, or all six.
+_REAL_ROWS = np.array([0, 3, 4])
+_ALL_ROWS = np.arange(6)
 
 
 @dataclass(frozen=True)
@@ -380,20 +404,22 @@ def _drive_runs(timeline: ControlTimeline, n0: int, n1: int, dt: float,
 
 
 def _map_segments(medium: MediumParams, timeline: ControlTimeline, n_steps: int,
-                  dt: float, block: int):
+                  dt: float, block: int, rows: np.ndarray):
     """The step maps of one run, as stretches of steps that share a map.
 
     The drive, sampled at the step midpoints (n + 1/2) dt, splits into drive
-    runs of equal values, each with one half map R.  The map that takes the
-    half-stepped state across a step boundary is R_s @ R_s inside run s and
-    R_{s+1} @ R_s on its last step; the last step of the whole run gets a
-    zero map, as nothing reads the state it would carry.  Yields, in step
-    order, (stop, fused, half) for each stretch: it ends before step
-    `stop`, its steps take `fused`, and `half` is its drive run's R.  The
-    maps are built `block` drive runs at a time, each block's in one `expm`
-    call with the next block's first run, whose R its last step needs.  The
-    drive runs are found as the blocks need them, _DRIVE_WINDOW steps at a
-    time, so nothing as long as the run is held.
+    runs of equal values, each with one half map R: the block on `rows`,
+    the rows of the real form its group steps, of `_local_maps`' 6x6 map.
+    The map that takes the half-stepped state across a step boundary is
+    R_s @ R_s inside run s and R_{s+1} @ R_s on its last step; the last
+    step of the whole run gets a zero map, as nothing reads the state it
+    would carry.  Yields, in step order, (stop, fused, half) for each
+    stretch: it ends before step `stop`, its steps take `fused`, and `half`
+    is its drive run's R.  The maps are built `block` drive runs at a time,
+    each block's in one `expm` call with the next block's first run, whose
+    R its last step needs.  The drive runs are found as the blocks need
+    them, _DRIVE_WINDOW steps at a time, so nothing as long as the run is
+    held.
     """
     # The drive runs found and not yet built: where each starts, its drive.
     # While steps are left to sample, the last of them is still going on.
@@ -408,9 +434,9 @@ def _map_segments(medium: MediumParams, timeline: ControlTimeline, n_steps: int,
             starts, drives = _drive_runs(timeline, n0, n1, dt, starts, drives)
             n0 = n1
         nb = min(block, starts.size)
-        half = _local_maps(medium, drives[: nb + 1], 0.5 * dt)
+        half = _local_maps(medium, drives[: nb + 1], 0.5 * dt)[:, rows[:, None], rows]
         inside = np.matmul(half[:nb], half[:nb])
-        across = np.zeros((nb, 6, 6))
+        across = np.zeros((nb, rows.size, rows.size))
         np.matmul(half[1:], half[:-1], out=across[: half.shape[0] - 1])
         stops = starts[1 : nb + 1].tolist()
         stops += [n_steps] * (nb - len(stops))
@@ -533,6 +559,23 @@ def _block_sizes(n_members: int, n_z: int) -> tuple[int, int]:
     return max(1, min(_RING, slots - 1)), max(1, runs)
 
 
+def _group_rows(members: list) -> np.ndarray:
+    """The rows of the real form a step group steps: Re E, Im P and Re S
+    when every member is real, all six otherwise.
+
+    A member is real when its medium is resonant and its initial state, if
+    any, has no Im E, Re P or Im S.  A pulse is real (`PulseEnvelope`).
+    The generator at delta = 0 keeps such a state real, with P imaginary
+    (see the module docstring), so its other three rows stay 0.
+    """
+    for medium, _, _, _, initial in members:
+        if medium.delta != 0.0 or initial is not None and (
+                initial.e_field.imag.any() or initial.sigma13.real.any()
+                or initial.sigma12.imag.any()):
+            return _ALL_ROWS
+    return _REAL_ROWS
+
+
 def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     """Step runs of one grid side by side; one Trajectory per member, in
     member order.
@@ -551,6 +594,9 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     vecdot = np.vecdot
     lengths = [config.n_steps for _, _, config, _, _ in members]
     steps, map_runs = _block_sizes(b, n_z)
+    # The real-form rows the group steps: c of E, then c of P and c of S.
+    rows = _group_rows(members)
+    c = rows.size // 3
 
     # Each pulse is sampled once for every member it feeds, as far as the
     # first of them, its longest, steps.
@@ -564,12 +610,12 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     # Each member's current stretch of one map: where it ends, the half map
     # of its drive run, and its fused map in the stack the step applies.
     segments = [
-        _map_segments(medium, timeline, n_i, dt, map_runs)
+        _map_segments(medium, timeline, n_i, dt, map_runs, rows)
         for (medium, timeline, *_), n_i in zip(members, lengths)
     ]
     stops = [0] * b
-    halves = np.empty((b, 6, 6))
-    fused = np.empty((b, 6, 6))
+    halves = np.empty((b, 3 * c, 3 * c))
+    fused = np.empty((b, 3 * c, 3 * c))
     for i in range(b):
         stops[i], fused[i], halves[i] = next(segments[i])
     change = min(stops)
@@ -577,21 +623,23 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     # The carried states of one block of steps, laid out as the module
     # docstring says: slot k holds w_{base+k}, member i's in states[k, i],
     # its cells from z = 1 down to z = 0.  v is a scratch state at a step
-    # end, its cells from z = 0 up, and v_rev the same cells reversed.
-    ring = np.zeros((steps + 1, 6, b, width))
+    # end in all six rows, its cells from z = 0 up, and v_rev the group's
+    # rows of the same cells reversed.
+    ring = np.zeros((steps + 1, 3 * c, b, width))
     flat = ring.reshape(steps + 1, -1)
     states = ring[..., 1 : n_z + 1].transpose(0, 2, 1, 3)
     v = np.empty((6, n_z))
     flat_v = v.reshape(-1)
-    v_rev = np.empty((6, n_z))
+    v_rev = np.empty((3 * c, n_z))
     initial_norm = [0.0] * b
     for i, (*_, initial) in enumerate(members):
         if initial is not None:
             for row, amp in enumerate((initial.e_field, initial.sigma13, initial.sigma12)):
                 v[2 * row], v[2 * row + 1] = amp.real, amp.imag
             initial_norm[i] = float(dz * dot(flat_v, flat_v))
-            copyto(v_rev, v[:, ::-1])
+            copyto(v_rev, v[rows, ::-1])
             matmul(halves[i], v_rev, out=states[0, i])
+    v.fill(0.0)  # the rows the group does not step read 0 at every read
 
     # The ledger is read every _CHECK_EVERY steps, at each snapshot and at
     # the last step.  A snapshot at t records the state at the step end
@@ -613,7 +661,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     # them out.  A member without a pulse injects the zeros it is never
     # given.
     inflow = np.zeros((_CHECK_EVERY, 2, b))
-    outflow = np.empty((b, _CHECK_EVERY, 2))
+    outflow = np.zeros((b, _CHECK_EVERY, 2))
     quad_p = dt * dz * 2.0
     quad_s = quad_p * np.array([m[0].gamma12 for m in members])
     loss_quad = np.zeros(b)
@@ -655,8 +703,8 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))
 
     # The quadrature of w_0; each block adds those of the states it carries.
-    loss_quad += quad_p * vecdot(ring[0, 2:4], ring[0, 2:4]).sum(axis=0)
-    loss_quad += quad_s * vecdot(ring[0, 4:6], ring[0, 4:6]).sum(axis=0)
+    loss_quad += quad_p * vecdot(ring[0, c : 2 * c], ring[0, c : 2 * c]).sum(axis=0)
+    loss_quad += quad_s * vecdot(ring[0, 2 * c :], ring[0, 2 * c :]).sum(axis=0)
     a = 0  # members the views below cover; 0 before any step
     active = b  # members still stepping, the longest first
     base = m = 0  # the first step of the block, and the last block's length
@@ -674,18 +722,18 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                 fused_a = fused[:a]
                 quad_s_a = quad_s[:a]
                 lossy = quad_s_a.any()
-                p_rows = ring[:, 2:4, :a]
-                s_rows = ring[:, 4:6, :a]
+                p_rows = ring[:, c : 2 * c, :a]
+                s_rows = ring[:, 2 * c :, :a]
                 # Per slot: where the E shift writes, what it reads (the E
-                # rows of every member up to the last active one's Im E
+                # rows of every member up to the last active one's last E
                 # row, one float to the left), and the product's input and
                 # output cells.
-                e_end = (b + a) * width
+                e_end = ((c - 1) * b + a) * width
                 slots = [(flat[k, : e_end - 1], flat[k, 1:e_end],
                           states[k, :a], states[k + 1, :a]) for k in range(steps)]
             end = min(r + 1, base + steps)
             m = end - base
-            ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]
+            ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]
 
             # In stretches over which no member's map changes.  The last
             # step only shifts: `carry` makes its product.
@@ -704,7 +752,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                     matmul(fused_a, w, out=w_next)
                 n = stop
             copyto(*slots[m - 1][:2])
-            outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)
+            outflow[:a, base - w0 : end - w0, :c] = ring[:m, :c, :a, 0].transpose(2, 0, 1)
             base = end
 
         shifted = states[m - 1]  # step r's state, advected and injected
@@ -713,7 +761,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             # The state at the end of step r, from its shifted slot, in a
             # scratch buffer that never feeds back into the carried state.
             matmul(halves[i], shifted[i], out=v_rev)
-            copyto(v, v_rev[:, ::-1])
+            v[rows] = v_rev[:, ::-1]
             held = dz * dot(flat_v, flat_v)
             # A snapshot reads the ledger with the window's cells so far and
             # adds nothing to it, so snapshots leave the ledger unchanged.

@@ -110,6 +110,16 @@ def test_pulse_fwhm_is_intensity_width():
     assert half == pytest.approx(0.5, rel=1e-9)
 
 
+def test_a_pulse_amplitude_is_real():
+    # Complex in type, real in value: the solver steps a resonant run in its
+    # real rows alone, and injects the real part of each sample.
+    pulse = PulseEnvelope(fwhm=0.7, t_center=1.3, amplitude_norm=0.4)
+    amps = pulse.amplitude(np.linspace(-5.0, 10.0, 1001))
+    assert amps.dtype == complex
+    assert np.all(amps.imag == 0.0)
+    assert pulse.amplitude(2.0).imag == 0.0
+
+
 def test_pulse_guards():
     with pytest.raises(ConfigError):
         PulseEnvelope(fwhm=0.0)

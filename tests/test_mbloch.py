@@ -684,6 +684,122 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
             _assert_state_matches(snap, states[n])
 
 
+def _resonant_batch():
+    """Three resonant runs on n_z 24 that step in the real rows alone.
+
+    The longest has no pulse and reads out a stored spin wave, so it sits
+    before runs whose emitted cells the E shift spills into its injection
+    column; unequal lengths, ramped drives, gamma12 = 0 and > 0, a pulse
+    alone, a pulse with a stored wave, and snapshot times.
+    """
+    stored = store([(OD30, 5.0)], 24)[0].state
+
+    def ramped(t_end, rabi, ramp):
+        return ControlTimeline((
+            ControlSegment(0.0, 0.5 * t_end, rabi, "storage", ramp=ramp),
+            ControlSegment(0.6 * t_end, t_end, 1.5 * rabi, "beamsplit", ramp=ramp),
+        ))
+
+    def config(t_end, *snaps):
+        return SimulationConfig(t_end=t_end, n_z=24, snapshot_times=snaps)
+
+    return [
+        (MediumParams(od=40.0, gamma12=0.1), ramped(2.5, 5.0, 0.3), config(2.5, 0.9), PULSE, None),
+        (MediumParams(od=30.0), ramped(3.0, 6.0, 0.2), config(3.0, 1.2, 2.0), None, stored),
+        (MediumParams(od=20.0, gamma12=0.05), ramped(1.6, 8.0, 0.1), config(1.6),
+         PulseEnvelope(fwhm=0.6, t_center=0.5), stored),
+    ]
+
+
+@pytest.fixture(scope="module")
+def resonant_references():
+    """`_resonant_batch()` with each run's snapshot steps and written-out
+    reference, computed before any test patches the solver."""
+    runs = _resonant_batch()
+    references = []
+    for medium, timeline, config, pulse, initial in runs:
+        snap_steps = [max(0, round(t / config.dt) - 1) for t in config.snapshot_times]
+        references.append((snap_steps, _reference_evolve(
+            medium, timeline, config.n_z, config.t_end, pulse, initial, states_at=snap_steps
+        )))
+    return runs, references
+
+
+@pytest.mark.parametrize("ring", [None, 5], ids=["budget", "ring5"])
+def test_a_resonant_batch_steps_its_real_rows_and_matches_the_reference(
+        ring, resonant_references, monkeypatch):
+    # The real-row counterpart of the mixed batch above: its one group
+    # steps (Re E, Im P, Re S) alone, in blocks that end at snapshots,
+    # ledger reads, members' last steps and, with a ring of five slots,
+    # inside the ramps.
+    runs, references = resonant_references
+    assert np.array_equal(mbloch._group_rows(runs), [0, 3, 4])
+    if ring is not None:
+        monkeypatch.setattr(mbloch, "_RING", ring)
+    for traj, (_, _, config, _, _), (snap_steps, reference) in zip(
+        mbloch.evolve_batch(runs), runs, references, strict=True
+    ):
+        emitted, v, loss, loss_quad, states = reference
+        assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
+        _assert_state_matches(traj.final_state, v)
+        assert traj.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
+        assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
+        assert len(traj.snapshots) == len(snap_steps)
+        for snap, n in zip(traj.snapshots, snap_steps):
+            assert snap.t_now == pytest.approx((n + 1) * config.dt, rel=1e-12)
+            _assert_state_matches(snap, states[n])
+
+
+def test_a_resonant_run_is_the_same_in_three_rows_as_in_six():
+    # Alone, the resonant run steps its three real rows; batched with a
+    # detuned run of the same length and snapshot times, all six, in the
+    # same blocks of steps.  Every output is the same bit for bit: at
+    # delta = 0 each map is 0 between the real rows and the others, which
+    # hold 0.
+    stored = store([(OD30, 5.0)], 32)[0].state
+    config = SimulationConfig(t_end=3.0, n_z=32, snapshot_times=(1.0, 2.2))
+    timeline = ControlTimeline((ControlSegment(0.0, 1.5, 5.0, "storage", ramp=0.3),
+                                ControlSegment(1.8, 3.0, 9.0, "beamsplit", ramp=0.2)))
+    run = (MediumParams(od=40.0, gamma12=0.1), timeline, config, PULSE, stored)
+    detuned = (MediumParams(od=25.0, delta=-1.5), timeline, config,
+               PulseEnvelope(fwhm=1.0, t_center=1.0), None)
+    assert mbloch._group_rows([run]).size == 3
+    assert mbloch._group_rows([detuned, run]).size == 6
+    alone = evolve(*run)
+    _, batched = mbloch.evolve_batch([detuned, run])
+    assert np.array_equal(batched.emitted, alone.emitted)
+    for name in ("loss_quad", "initial_norm", "injected_norm", "emitted_norm"):
+        assert getattr(batched, name) == getattr(alone, name), name
+    assert len(alone.snapshots) == len(batched.snapshots) == 2
+    for a, b in zip((alone.final_state, *alone.snapshots),
+                    (batched.final_state, *batched.snapshots)):
+        assert a.t_now == b.t_now
+        for name in ("e_field", "sigma12", "sigma13"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("part", ["Im S", "Im E", "Re P"])
+def test_a_resonant_run_seeded_off_its_real_rows_matches_the_reference(part):
+    # A seed with any of Im E, Re P or Im S makes the run step all six
+    # rows, though its medium is resonant: in three it would drop them.
+    stored = store([(OD30, 5.0)], 24)[0].state
+    z, s = stored.z_grid, stored.sigma12
+    zero = np.zeros_like(s)
+    seed = {"Im S": FieldState(z, zero, s * np.exp(0.6j), zero),
+            "Im E": FieldState(z, 0.5j * s, s, zero),
+            "Re P": FieldState(z, zero, s, 0.3 * s)}[part]
+    medium = MediumParams(od=30.0, gamma12=0.05)
+    timeline = ControlTimeline((ControlSegment(0.2, 2.0, 6.0, "beamsplit", ramp=0.3),))
+    run = (medium, timeline, SimulationConfig(t_end=2.0, n_z=24), PULSE, seed)
+    assert mbloch._group_rows([run]).size == 6
+    traj = evolve(*run)
+    emitted, v, loss, loss_quad, _ = _reference_evolve(medium, timeline, 24, 2.0, PULSE, seed)
+    assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
+    _assert_state_matches(traj.final_state, v)
+    assert traj.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
+    assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
+
+
 def _wide_batch():
     """Fourteen runs on one grid, n_z 24, of every kind a step group mixes.
 
@@ -870,7 +986,7 @@ def test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step():
         timeline = ControlTimeline((ControlSegment(0.0, t_end, 5.0, "beamsplit",
                                                    ramp=0.5 * t_end),))
         stretches = mbloch._map_segments(OD30, timeline, n_steps, dt,
-                                         mbloch._block_sizes(1, 16)[1])
+                                         mbloch._block_sizes(1, 16)[1], mbloch._ALL_ROWS)
         tracemalloc.start()
         try:
             assert sum(1 for _ in stretches) >= n_steps
@@ -932,7 +1048,8 @@ def test_window_sampled_drive_runs_are_the_timeline_at_every_midpoint(case, n_st
     calls = _recorded_maps(monkeypatch)
     got = np.empty(n_steps)
     start = 0
-    for stop, _, half in mbloch._map_segments(OD30, timeline, n_steps, _DT16, n_steps):
+    for stop, _, half in mbloch._map_segments(OD30, timeline, n_steps, _DT16, n_steps,
+                                             mbloch._ALL_ROWS):
         got[start:stop] = half[0, 0]
         start = stop
     assert start == n_steps
@@ -963,7 +1080,7 @@ def test_window_sampled_maps_are_the_whole_run_maps(case, block):
     medium = MediumParams(od=40.0, delta=-1.5, gamma12=0.05)
     timeline = ControlTimeline(_SEAM_TIMELINES[case])
     n_steps = 8_193
-    got = mbloch._map_segments(medium, timeline, n_steps, _DT16, block)
+    got = mbloch._map_segments(medium, timeline, n_steps, _DT16, block, mbloch._ALL_ROWS)
     want = _whole_run_segments(medium, timeline, n_steps, _DT16, block)
     for (stop, fused, half), (stop_w, fused_w, half_w) in zip(got, want, strict=True):
         assert stop == stop_w
@@ -976,7 +1093,8 @@ def test_a_constant_drive_across_several_windows_is_one_drive_run(monkeypatch):
     timeline = ControlTimeline((ControlSegment(0.0, n_steps * _DT16 + 1.0, 5.0, "beamsplit",
                                                ramp=0.0),))
     calls = _recorded_maps(monkeypatch)
-    stretches = [stop for stop, *_ in mbloch._map_segments(OD30, timeline, n_steps, _DT16, 4)]
+    stretches = [stop for stop, *_ in mbloch._map_segments(OD30, timeline, n_steps, _DT16, 4,
+                                                           mbloch._ALL_ROWS)]
     assert stretches == [n_steps - 1, n_steps]
     assert len(calls) == 1 and calls[0].tolist() == [5.0]
 
@@ -1141,6 +1259,35 @@ def test_real_block_form_applies_the_complex_map(m, x):
     err = np.empty((6, 2))
     err[0::2], err[1::2] = got[0::2] - want.real, got[1::2] - want.imag
     assert np.all(np.abs(err) <= 1e-15 * scale + 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    od=st.floats(0.0, 1e5),
+    gamma12=st.floats(0.0, 10.0),
+    drive_dt=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+    delta_dt=st.floats(1e-6, 1e2),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_a_resonant_half_map_keeps_the_real_rows_apart(od, gamma12, drive_dt, delta_dt, sign):
+    # At delta = 0 the generator is real on the E-E, P-P, S-S and E-S
+    # entries and imaginary on E-P and P-S, and so is every product, the
+    # Pade solve and every squaring of expm: each half map's block between
+    # (Re E, Im P, Re S) and (Im E, Re P, Im S) is exactly 0.  A detuning
+    # makes the P-P entry complex, and the block is not 0.
+    dt = 1.0 / (16 * C_EFF)
+    drives = np.array(drive_dt) / dt
+    medium = MediumParams(od=od, gamma12=gamma12)
+    mbloch._require_step_bound(medium, float(np.abs(drives).max()), dt)
+    real = mbloch._REAL_ROWS
+    other = np.setdiff1d(np.arange(6), real)
+    maps = mbloch._local_maps(medium, drives, 0.5 * dt)
+    assert not maps[:, real[:, None], other].any()
+    assert not maps[:, other[:, None], real].any()
+    detuned = replace(medium, delta=sign * delta_dt / dt)
+    mbloch._require_step_bound(detuned, float(np.abs(drives).max()), dt)
+    maps = mbloch._local_maps(detuned, drives, 0.5 * dt)
+    assert maps[:, real[:, None], other].any(axis=(1, 2)).all()
 
 
 def _norm1(x):

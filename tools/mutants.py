@@ -74,6 +74,15 @@ PLANNING_MEMORY_TESTS = (
 CHUNK_TEST = "tests/test_splitter.py::test_a_phase_sweep_in_chunks_is_the_sweep_over_the_whole_array"
 ORACLE_STEP_TEST = ("tests/test_mbloch.py::"
                     "test_a_constant_drive_run_is_its_exact_discrete_transfer_function")
+# Every step group of the first steps all six rows of the real form, and
+# every group of the second the three real rows alone.
+SIX_ROW_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",)
+REAL_ROW_TESTS = ("tests/test_mbloch.py::"
+                  "test_a_resonant_batch_steps_its_real_rows_and_matches_the_reference",)
+
+# The step loop's code that both row layouts run, as the mutants below
+# name each: its name's suffix and the tests that step in that layout.
+LAYOUTS = (("", SIX_ROW_TESTS), (", in the three real rows", REAL_ROW_TESTS))
 
 MUTANTS = (
     ("oracle: drop the loss-port Gram", ORACLE,
@@ -144,14 +153,14 @@ MUTANTS = (
      "while lengths[active - 1] <= base:",
      "while False:",
      BATCH_TESTS),
-    ("mbloch: write the emission window one step late", MBLOCH,
-     "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
-     "outflow[:a, base - w0 + 1 : end - w0 + 1] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
-     BATCH_TESTS),
-    ("mbloch: read the emitted cell from column 1", MBLOCH,
-     "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 0].transpose(2, 0, 1)",
-     "outflow[:a, base - w0 : end - w0] = ring[:m, 0:2, :a, 1].transpose(2, 0, 1)",
-     BATCH_TESTS),
+    *((f"mbloch: write the emission window one step late{layout}", MBLOCH,
+       "outflow[:a, base - w0 : end - w0, :c] = ring[:m, :c, :a, 0].transpose(2, 0, 1)",
+       "outflow[:a, base - w0 + 1 : end - w0 + 1, :c] = ring[:m, :c, :a, 0].transpose(2, 0, 1)",
+       tests) for layout, tests in LAYOUTS),
+    *((f"mbloch: read the emitted cell from column 1{layout}", MBLOCH,
+       "outflow[:a, base - w0 : end - w0, :c] = ring[:m, :c, :a, 0].transpose(2, 0, 1)",
+       "outflow[:a, base - w0 : end - w0, :c] = ring[:m, :c, :a, 1].transpose(2, 0, 1)",
+       tests) for layout, tests in LAYOUTS),
     ("mbloch: inject member 0's pulse into every member", MBLOCH,
      "for i, pulse in enumerate(pulses):",
      "for i, pulse in enumerate([pulses[0]] * b):",
@@ -166,19 +175,29 @@ MUTANTS = (
      "before = windows[pulse][1][-1] if w0 else 0.0",
      "before = 0.0",
      BATCH_TESTS),
-    ("mbloch: write the injection one slot late", MBLOCH,
-     "ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
-     "ring[1 : m + 1, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
-     BATCH_TESTS),
+    *((f"mbloch: write the injection one slot late{layout}", MBLOCH,
+       "ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]",
+       "ring[1 : m + 1, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]",
+       tests) for layout, tests in LAYOUTS),
     # The E shift spills each row's column 0 into the injection column of
     # the row before it, which only the block's write of every member's
     # injection column puts right.
-    ("mbloch: no injection-column reset for a member without a pulse", MBLOCH,
-     "ring[:m, 0:2, :a, n_z + 1] = inflow[base - w0 : end - w0, :, :a]",
-     "for i in range(a):\n"
-     "                if pulses[i] is not None:\n"
-     "                    ring[:m, 0:2, i, n_z + 1] = inflow[base - w0 : end - w0, :, i]",
-     BATCH_TESTS),
+    *((f"mbloch: no injection-column reset for a member without a pulse{layout}", MBLOCH,
+       "ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]",
+       "for i in range(a):\n"
+       "                if pulses[i] is not None:\n"
+       "                    ring[:m, :c, i, n_z + 1] = inflow[base - w0 : end - w0, :c, i]",
+       tests) for layout, tests in LAYOUTS),
+    # A detuned run then drops its Im E, Re P and Im S rows.
+    ("mbloch: the row rule ignores delta", MBLOCH,
+     "if medium.delta != 0.0 or initial is not None and (",
+     "if initial is not None and (",
+     ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
+    ("mbloch: the row rule ignores the seeded state's imaginary pattern", MBLOCH,
+     "initial is not None and (",
+     "initial is not None and False and (",
+     ("tests/test_mbloch.py::"
+      "test_a_resonant_run_seeded_off_its_real_rows_matches_the_reference",)),
     ("mbloch: the injection window never refilled", MBLOCH,
      "            w0 = r + 1\n            fill(w0, w0 + _CHECK_EVERY)\n",
      "            w0 = r + 1\n",
@@ -636,10 +655,14 @@ MUTANTS = (
      "gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling\n",
      "gen[:, 0, 1] = gen[:, 1, 0] = 1j * medium.coupling * (1.0 + 4.0 * dt_half)\n",
      ("tests/test_acceptance.py::test_criterion_7_fails_on_a_first_order_coupling_error[exact]",)),
+    # A resonant group steps its real rows alone, so its Grams stay real
+    # whatever its maps; the maps' block between the real rows and the
+    # others shows the fault, and a six-row group's Grams do.
     ("mbloch: a real part on the coupling", MBLOCH,
      "1j * medium.coupling",
      "(1e-3 + 1j) * medium.coupling",
-     ("tests/test_splitter.py::test_grams_on_resonance_are_exactly_real",)),
+     ("tests/test_splitter.py::test_grams_on_resonance_are_exactly_real",
+      "tests/test_mbloch.py::test_a_resonant_half_map_keeps_the_real_rows_apart")),
     # A number rewritten within the tolerance then moves.
     ("contract: the tool compares text only", "tools/contract.py",
      "if a % 2 and not same_number(new[b], old[a]):",
