@@ -497,8 +497,12 @@ def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
     medium, timeline, sim, pulse = _build_run(config)
     traj = evolve(medium, timeline, sim, pulse=pulse)
 
+    # The ledger's summary, as the sweep's rows print it, and the loss
+    # quadrature with its gap to the ledger's loss, which shows a grid
+    # that does not resolve the medium.
     header = header_lines("run", config, seed)
-    for key, value in _run_summary(traj).items():
+    checks = {"loss_quad": traj.loss_quad, "loss_gap": traj.loss_gap}
+    for key, value in {**_run_summary(traj), **checks}.items():
         header.append(f"{key} = {_fmt(value)}")
 
     write_csv(out_dir / "run_emitted.csv", header, [

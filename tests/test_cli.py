@@ -292,6 +292,25 @@ def test_run_emits_tables_with_summary_header(tmp_path):
     assert len(times) == 2
 
 
+def test_run_prints_the_loss_gap_of_a_grid_that_does_not_resolve_its_medium(tmp_path):
+    # At od 6,144 on 16 cells G dt is 1: the run passes the step bound, and
+    # its loss quadrature misses the ledger's loss by about 16%.  The header
+    # prints both and their gap, the trajectory's, which its own numbers
+    # give again.
+    overrides = ["grid.n_z=16", "grid.t_end=10", "medium.od=6144"]
+    assert main(["run", "--out", str(tmp_path),
+                 *(a for o in overrides for a in ("--override", o))]) == 0
+    header = (tmp_path / "run_emitted.csv").read_text(encoding="utf-8").splitlines()
+    summary = dict(line[2:].split(" = ", 1) for line in header if " = " in line)
+    medium, timeline, sim, pulse = cli._build_run(load_config(None, overrides))
+    traj = mbloch.evolve(medium, timeline, sim, pulse=pulse)
+    assert summary["loss_quad"] == cli._fmt(traj.loss_quad)
+    assert summary["loss_gap"] == cli._fmt(traj.loss_gap)
+    quad, loss, gap = (float(summary[k]) for k in ("loss_quad", "loss", "loss_gap"))
+    assert gap == pytest.approx(abs(quad - loss) / loss, rel=1e-8)
+    assert 0.1 < gap < 0.2
+
+
 @pytest.mark.parametrize("sweep", [
     ["sweep.parameter=medium.od", "sweep.start=5", "sweep.stop=60", "sweep.num=5"],
     ["sweep.parameter=grid.n_z", "sweep.values=32,48,32,24,48"],
