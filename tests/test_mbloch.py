@@ -611,12 +611,8 @@ def _batch_runs():
     ]
 
 
-@pytest.fixture(scope="module")
-def batch_references():
-    """`_batch_runs()`, with each run's snapshot steps and written-out
-    reference, computed once; a test's patches reach only the batch it steps.
-    """
-    runs = _batch_runs()
+def _with_references(runs):
+    """`runs`, with each run's snapshot steps and written-out reference."""
     references = []
     for medium, timeline, config, pulse, initial in runs:
         snap_steps = [max(0, round(t / config.dt) - 1) for t in config.snapshot_times]
@@ -624,6 +620,31 @@ def batch_references():
             medium, timeline, config.n_z, config.t_end, pulse, initial, states_at=snap_steps
         )))
     return runs, references
+
+
+def _assert_batch_matches_references(runs, references):
+    for traj, (_, _, config, _, _), (snap_steps, reference) in zip(
+        mbloch.evolve_batch(runs), runs, references, strict=True
+    ):
+        dt = config.dt
+        emitted, v, loss, loss_quad, states = reference
+        assert traj.times[0] == pytest.approx(0.5 * dt, rel=1e-12)
+        assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
+        _assert_state_matches(traj.final_state, v)
+        assert traj.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
+        assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
+        assert len(traj.snapshots) == len(snap_steps)
+        for snap, n in zip(traj.snapshots, snap_steps):
+            assert snap.t_now == pytest.approx((n + 1) * dt, rel=1e-12)
+            _assert_state_matches(snap, states[n])
+
+
+@pytest.fixture(scope="module")
+def batch_references():
+    """`_batch_runs()`, with each run's snapshot steps and written-out
+    reference, computed once; a test's patches reach only the batch it steps.
+    """
+    return _with_references(_batch_runs())
 
 
 def _assert_same_run(got, want):
@@ -668,20 +689,10 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
     assert mbloch._group_width(32) > 5
     runs, references = batch_references
     assert sum(config.n_z == 32 for _, _, config, _, _ in runs) == 5
-    for traj, (_, _, config, _, _), (snap_steps, reference) in zip(
-        mbloch.evolve_batch(runs), runs, references, strict=True
-    ):
-        dt = config.dt
-        emitted, v, loss, loss_quad, states = reference
-        assert traj.times[0] == pytest.approx(0.5 * dt, rel=1e-12)
-        assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
-        _assert_state_matches(traj.final_state, v)
-        assert traj.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
-        assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
-        assert len(traj.snapshots) == len(snap_steps)
-        for snap, n in zip(traj.snapshots, snap_steps):
-            assert snap.t_now == pytest.approx((n + 1) * dt, rel=1e-12)
-            _assert_state_matches(snap, states[n])
+    # Each grid's group has a detuned member and steps all six rows.
+    for n_z in (32, 24):
+        assert mbloch._group_rows([run for run in runs if run[2].n_z == n_z]).size == 6
+    _assert_batch_matches_references(runs, references)
 
 
 def _resonant_batch():
@@ -713,16 +724,8 @@ def _resonant_batch():
 
 @pytest.fixture(scope="module")
 def resonant_references():
-    """`_resonant_batch()` with each run's snapshot steps and written-out
-    reference, computed before any test patches the solver."""
-    runs = _resonant_batch()
-    references = []
-    for medium, timeline, config, pulse, initial in runs:
-        snap_steps = [max(0, round(t / config.dt) - 1) for t in config.snapshot_times]
-        references.append((snap_steps, _reference_evolve(
-            medium, timeline, config.n_z, config.t_end, pulse, initial, states_at=snap_steps
-        )))
-    return runs, references
+    """`_resonant_batch()` with its references, as `batch_references`."""
+    return _with_references(_resonant_batch())
 
 
 @pytest.mark.parametrize("ring", [None, 5], ids=["budget", "ring5"])
@@ -736,18 +739,7 @@ def test_a_resonant_batch_steps_its_real_rows_and_matches_the_reference(
     assert np.array_equal(mbloch._group_rows(runs), [0, 3, 4])
     if ring is not None:
         monkeypatch.setattr(mbloch, "_RING", ring)
-    for traj, (_, _, config, _, _), (snap_steps, reference) in zip(
-        mbloch.evolve_batch(runs), runs, references, strict=True
-    ):
-        emitted, v, loss, loss_quad, states = reference
-        assert np.allclose(traj.emitted, emitted, rtol=0, atol=1e-13)
-        _assert_state_matches(traj.final_state, v)
-        assert traj.loss_accum == pytest.approx(loss, rel=0, abs=1e-13)
-        assert traj.loss_quad == pytest.approx(loss_quad, rel=1e-12)
-        assert len(traj.snapshots) == len(snap_steps)
-        for snap, n in zip(traj.snapshots, snap_steps):
-            assert snap.t_now == pytest.approx((n + 1) * config.dt, rel=1e-12)
-            _assert_state_matches(snap, states[n])
+    _assert_batch_matches_references(runs, references)
 
 
 def test_a_resonant_run_is_the_same_in_three_rows_as_in_six():
