@@ -468,6 +468,8 @@ def _build_run(
 
 
 def _run_summary(traj) -> dict[str, float]:
+    """The ledger of one run, and the loss quadrature with its gap to the
+    ledger's loss, which shows a grid that does not resolve the medium."""
     fin = traj.final_state
     return {
         "input_norm": traj.input_norm,
@@ -475,6 +477,8 @@ def _run_summary(traj) -> dict[str, float]:
         "photon_norm": fin.photon_norm,
         "magnon_norm": fin.magnon_norm,
         "loss": traj.loss_accum,
+        "loss_quad": traj.loss_quad,
+        "loss_gap": traj.loss_gap,
     }
 
 
@@ -497,12 +501,9 @@ def cmd_run(config: Config, out_dir: Path, seed: int) -> int:
     medium, timeline, sim, pulse = _build_run(config)
     traj = evolve(medium, timeline, sim, pulse=pulse)
 
-    # The ledger's summary, as the sweep's rows print it, and the loss
-    # quadrature with its gap to the ledger's loss, which shows a grid
-    # that does not resolve the medium.
+    # The run's summary, as the sweep's rows print it.
     header = header_lines("run", config, seed)
-    checks = {"loss_quad": traj.loss_quad, "loss_gap": traj.loss_gap}
-    for key, value in {**_run_summary(traj), **checks}.items():
+    for key, value in _run_summary(traj).items():
         header.append(f"{key} = {_fmt(value)}")
 
     write_csv(out_dir / "run_emitted.csv", header, [

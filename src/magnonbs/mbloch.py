@@ -66,24 +66,25 @@ step telescopes into
 
 with the emitted norm summed from the emitted cells, whether or not the
 run records them, and the injected norm from the pulse's samples.  The
-ledger adds the emitted cells of a window of 256 steps once, at the read
-that closes the window or at the run's last step; a snapshot checks the
-ledger with the window's cells so far and adds nothing to it.  So
-snapshot times change none of a run's other outputs but `loss_quad`,
-whose sums follow the blocks of steps that the reads end (see below).
-The ledger is the run's: the last read's initial, injected and emitted
-norms go to the `Trajectory`, whose `loss_accum` derives the loss from
-them and the norm the final state holds, so the ledger closes by
-construction, whatever the grid; a snapshot, like a prepared state, is
-its amplitudes alone.  The independent check is the per-step quadrature
-`loss_quad` of 2*|P|^2 + 2*gamma12*|S|^2, read off each w_n (the
-advection leaves P and S unchanged): its gap to the ledger's loss,
-`Trajectory.loss_gap`, is the midpoint rule's discretization error and
-falls 4x per grid doubling.  At every ledger read the held norm is
-checked for non-finite values, and the held plus the emitted norm for
-exceeding the input: a step only loses norm, so a gain shows at the
-first read after it passes roundoff, whether its norm is still in the
-cell or has left it, and no run ends or takes a snapshot unchecked.
+independent check is the per-step quadrature `loss_quad` of
+2*|P|^2 + 2*gamma12*|S|^2, read off each w_n (the advection leaves P and S
+unchanged): its gap to the ledger's loss, `Trajectory.loss_gap`, is the
+midpoint rule's discretization error and falls 4x per grid doubling.  Both
+are summed in windows of 256 steps: the ledger adds a window's emitted
+cells, and `loss_quad` its terms, once, at the read that closes the window
+or at the run's last step; a snapshot checks the ledger with the window's
+cells so far and adds nothing to either.  So every output of a run is the
+run's alone: it does not depend on its snapshot times, on the runs that
+step with it, on the rows its group steps or on where its blocks of steps
+end.  The ledger is the run's: the last read's initial, injected and
+emitted norms go to the `Trajectory`, whose `loss_accum` derives the loss
+from them and the norm the final state holds, so the ledger closes by
+construction, whatever the grid; a snapshot, like a prepared state, is its
+amplitudes alone.  At every ledger read the held norm is checked for
+non-finite values, and the held plus the emitted norm for exceeding the
+input: a step only loses norm, so a gain shows at the first read after it
+passes roundoff, whether its norm is still in the cell or has left it, and
+no run ends or takes a snapshot unchecked.
 
 The runs of one grid step together, whatever their media: `evolve_batch`
 takes a list of runs and `evolve` is a batch of one.  Each grid's runs are
@@ -120,28 +121,31 @@ group's rows of the state go to a scratch state of all six rows, whose
 other rows stay 0, so the ledger, the snapshots and the final state are
 read as from six rows.  One vecdot over the P rows of the block's slots
 (and one over the S rows when a member's gamma12 is nonzero, each weighted
-by its own) then adds the quadrature of the states the block carried.  So a
-block's own cost does not grow with the number of members.  The injected
-and emitted cells pass through a window of _CHECK_EVERY steps, at whose end
-every member still stepping is read: the window is emptied there member by
-member, and refilled.  Each distinct pulse is sampled anew for each window,
-once for every member it feeds, its injected norm summed on from the window
-before.  The P and S rows' edge columns are never written, so they add
-nothing to the quadrature.
+by its own) gives the quadrature terms of the states the block carried,
+each state's summed over its rows first, so the rows a six-row group holds
+at 0 add exact zeros.  So a block's own cost does not grow with the number
+of members.  The injected and emitted cells and the quadrature terms pass
+through a window of _CHECK_EVERY steps, the terms one contiguous row per
+member, so that each member's window sums as it does alone.  At the
+window's end every member still stepping is read: the window is emptied
+there member by member, and refilled.  Each distinct pulse is sampled anew
+for each window, once for every member it feeds, its injected norm summed
+on from the window before.  The P and S rows' edge columns are never
+written, so they add nothing to the quadrature.
 
 What a group holds in its ring and its members' blocks of maps is bounded
-by _BUDGET floats (1.53 MB): three quarters for the ring and one for the
-maps, each sized for six rows, so a real group takes half its share.  A
-wider group takes shorter blocks of steps and of drive runs, and a grid
-with more runs than two ring slots fit (73 at n_z 160) steps in several
-groups.  Besides, a group holds its outputs, its ledger reads (one every
-_CHECK_EVERY steps), the drive runs each member has found and not yet built
-(at most a window's and a block's) and the windows of injected and emitted
-cells and of pulse samples; of the outputs only the emitted fields, of the
-members that record them, are arrays of steps x members.  No step midpoints
-are kept: the drive's and the pulse's windows and the checks compute their
-midpoints from dt, and so does a trajectory, whose caller holds the
-timeline.
+by _BUDGET floats (1.53 MB): three quarters for the ring, in slots of the
+group's rows, and one for the maps, sized for six rows.  A wider group
+takes shorter blocks of steps and of drive runs, and a grid with more runs
+than two six-row ring slots fit (73 at n_z 160) steps in several groups.
+Besides, a group holds its outputs, its ledger reads (one every
+_CHECK_EVERY steps), the drive runs each member has found and not yet
+built (at most a window's and a block's) and the windows of injected and
+emitted cells, of quadrature terms and of pulse samples; of the outputs
+only the emitted fields, of the members that record them, are arrays of
+steps x members.  No step midpoints are kept: the drive's and the pulse's
+windows and the checks compute their midpoints from dt, and so does a
+trajectory, whose caller holds the timeline.
 """
 
 from __future__ import annotations
@@ -188,9 +192,9 @@ _MAX_STEPS = 2**22
 # Steps between ledger reads, and so between the checks on the held and
 # the emitted norm, away from snapshots and the last step.
 _CHECK_EVERY = 256
-# Steps per block of the step loop at most, which settles the loss
-# quadrature, the emitted cells and the injected cells once per block: a
-# narrow group's ring holds this many steps, a wider group's fewer.
+# Steps per block of the step loop at most, which writes the loss
+# quadrature's terms, the emitted cells and the injected cells once per
+# block: a narrow group's ring holds this many steps, a wider group's fewer.
 _RING = 32
 # The floats one step group may hold in its ring and in its members' blocks
 # of maps: the ring of 4 members at n_z 240 in blocks of 32 steps, 1.53 MB.
@@ -277,7 +281,9 @@ class Trajectory(_ArrayValue):
     whatever of the input was neither emitted nor is held.  `snapshots` are
     the states at the step end nearest each requested snapshot time.
     `loss_quad` is the loss summed independently of that ledger, step by
-    step from the decay rates.  The run's control drive is not kept: the
+    step from the decay rates, in the ledger's windows of steps.  Every
+    field is the run's alone, bit for bit, whatever runs step with it and
+    whatever its snapshot times.  The run's control drive is not kept: the
     caller holds its timeline.
     """
 
@@ -540,21 +546,26 @@ def _require_step_bound(medium: MediumParams, drive: float, dt: float) -> None:
 def _group_width(n_z: int) -> int:
     """The most runs on n_z cells that `_block_sizes` fits in _BUDGET, with
     two ring slots (one step per block) and one drive run per block of
-    maps; at least one."""
+    maps; at least one.
+
+    The slots are sized for six rows, whatever rows the group will step:
+    the runs are grouped before `_group_rows` sees them.
+    """
     return max(1, min(3 * _BUDGET // 4 // (12 * (n_z + 2)),
                       _BUDGET // 4 // (2 * _MAP_FLOATS)))
 
 
-def _block_sizes(n_members: int, n_z: int) -> tuple[int, int]:
+def _block_sizes(n_members: int, n_z: int, n_rows: int) -> tuple[int, int]:
     """Steps per block of the step loop and drive runs per block of maps,
-    for a group of `n_members` runs on n_z cells.
+    for a group of `n_members` runs on n_z cells that steps `n_rows` rows
+    of the real form, 3 or 6.
 
     The ring holds one slot more than a block's steps, each of
-    6 (n_z + 2) floats per member, in three quarters of _BUDGET.  Each
+    n_rows (n_z + 2) floats per member, in three quarters of _BUDGET.  Each
     member's block of maps holds its drive runs and the first run of the
     next block, at _MAP_FLOATS each, in its share of the last quarter.
     """
-    slots = 3 * _BUDGET // 4 // (6 * n_members * (n_z + 2))
+    slots = 3 * _BUDGET // 4 // (n_rows * n_members * (n_z + 2))
     runs = _BUDGET // 4 // (_MAP_FLOATS * n_members) - 1
     return max(1, min(_RING, slots - 1)), max(1, runs)
 
@@ -593,10 +604,10 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     matmul = np.matmul
     vecdot = np.vecdot
     lengths = [config.n_steps for _, _, config, _, _ in members]
-    steps, map_runs = _block_sizes(b, n_z)
     # The real-form rows the group steps: c of E, then c of P and c of S.
     rows = _group_rows(members)
     c = rows.size // 3
+    steps, map_runs = _block_sizes(b, n_z, rows.size)
 
     # Each pulse is sampled once for every member it feeds, as far as the
     # first of them, its longest, steps.
@@ -654,17 +665,19 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
 
     # The window: the injected and the emitted cells of every member at
     # steps w0 up to the next multiple of _CHECK_EVERY, which a block reads
-    # and writes in one call each.  Every member still stepping is read at
-    # each multiple of _CHECK_EVERY, so no block crosses a window's end.
-    # The read that closes a window, or ends a member, adds the member's
-    # emitted cells in it to its ledger and, when it records them, copies
-    # them out.  A member without a pulse injects the zeros it is never
-    # given.
+    # and writes in one call each, and the quadrature terms of the states
+    # w_n it carries, one contiguous row per member.  Every member still
+    # stepping is read at each multiple of _CHECK_EVERY, so no block
+    # crosses a window's end.  The read that closes a window, or ends a
+    # member, adds the member's emitted cells and terms in it to its ledger
+    # and its `loss_quad` and, when it records its cells, copies them out.
+    # A member without a pulse injects the zeros it is never given.
     inflow = np.zeros((_CHECK_EVERY, 2, b))
     outflow = np.zeros((b, _CHECK_EVERY, 2))
+    terms = np.zeros((b, _CHECK_EVERY))
     quad_p = dt * dz * 2.0
     quad_s = quad_p * np.array([m[0].gamma12 for m in members])
-    loss_quad = np.zeros(b)
+    loss_quad = [0.0] * b
     emitted = [np.empty(n_i if config.record_emission else 0, dtype=complex)
                for (_, _, config, _, _), n_i in zip(members, lengths)]
     emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
@@ -687,24 +700,6 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                 rows = windows[pulse][0]
                 inflow[: len(rows), :, i] = rows
 
-    def carry(m: int) -> None:
-        # The last block's final product goes to slot 0, where the next
-        # block starts, once nothing reads its shifted state (through slot
-        # 1 when that state is slot 0's own, as numpy would copy it); then
-        # slots 0 .. m - 1 hold the states the block carried, w_{base+1} ..
-        # w_{base+m}, and their loss quadrature is added.
-        if m > 1:
-            matmul(fused_a, states[m - 1, :a], out=states[0, :a])
-        else:
-            matmul(fused_a, states[0, :a], out=states[1, :a])
-            copyto(ring[0], ring[1])
-        loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=(0, 1))
-        if lossy:
-            loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))
-
-    # The quadrature of w_0; each block adds those of the states it carries.
-    loss_quad += quad_p * vecdot(ring[0, c : 2 * c], ring[0, c : 2 * c]).sum(axis=0)
-    loss_quad += quad_s * vecdot(ring[0, 2 * c :], ring[0, 2 * c :]).sum(axis=0)
     a = 0  # members the views below cover; 0 before any step
     active = b  # members still stepping, the longest first
     base = m = 0  # the first step of the block, and the last block's length
@@ -713,8 +708,14 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     for r in sorted(readers):
         # Blocks of at most `steps` steps; the last one ends at step r.
         while base <= r:
-            if m:
-                carry(m)
+            # The last block's final product goes to slot 0, where this
+            # block starts, once nothing reads its shifted state (through
+            # slot 1 when that state is slot 0's own, as numpy would copy it).
+            if m > 1:
+                matmul(fused_a, states[m - 1, :a], out=states[0, :a])
+            elif m:
+                matmul(fused_a, states[0, :a], out=states[1, :a])
+                copyto(ring[0], ring[1])
             while lengths[active - 1] <= base:
                 active -= 1
             if active != a:
@@ -736,7 +737,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]
 
             # In stretches over which no member's map changes.  The last
-            # step only shifts: `carry` makes its product.
+            # step only shifts: the next block starts with its product.
             n = base
             while True:
                 if n == change:
@@ -753,6 +754,12 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                 n = stop
             copyto(*slots[m - 1][:2])
             outflow[:a, base - w0 : end - w0, :c] = ring[:m, :c, :a, 0].transpose(2, 0, 1)
+            # Slots 0 .. m - 1 still hold P and S of w_base .. w_{end-1}:
+            # their quadrature terms, each summed over its rows first.
+            quad = quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=1)
+            if lossy:
+                quad += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=1)
+            terms[:a, base - w0 : end - w0] = quad.T
             base = end
 
         shifted = states[m - 1]  # step r's state, advected and injected
@@ -771,6 +778,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
             last = r == lengths[i] - 1
             if closes or last:
                 emitted_norm[i] = emitted_i
+                loss_quad[i] += terms[i, : r + 1 - w0].sum()
                 if emitted[i].size:
                     emitted_rows[i][w0 : r + 1] = window
             pulse = pulses[i]
@@ -793,7 +801,6 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
         if closes:
             w0 = r + 1
             fill(w0, w0 + _CHECK_EVERY)
-    carry(m)  # the quadrature of the last block; its product is a zero map's
 
     sqrt_c = math.sqrt(C_EFF)
     trajectories = []

@@ -324,9 +324,10 @@ def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path, monkeyp
     # drives of 12,000 and 20,000 give half-step generators whose 1-norm
     # passes expm's threshold for scaling, and share solver calls with
     # drives whose generators stay below it.  With `grid.snapshots`, the
-    # sweep takes none and `run` takes all 49, which leave its ledger as it
-    # is without them.  The rows are held to the headers as text, and the
-    # summaries behind them to each other bit for bit.
+    # sweep takes none and `run` takes all 49, which leave its ledger and
+    # its loss quadrature as they are without them.  The rows, the loss
+    # quadrature and its gap included, are held to the headers as text,
+    # and the summaries behind them to each other bit for bit.
     swept, ran = [], []
 
     def recording(solver, sink):
@@ -344,6 +345,7 @@ def test_sweep_rows_equal_the_run_summary_at_each_point(sweep, tmp_path, monkeyp
     lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
     body = [line.split(",") for line in lines if not line.startswith("#")]
     names = body[0][2:]
+    assert names[-2:] == ["loss_quad", "loss_gap"]
     config = load_config(None, common + sweep)
     parameter = config["sweep"]["parameter"]
     values = _sweep_values(config, 0)

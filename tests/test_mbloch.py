@@ -540,7 +540,7 @@ def test_step_loop_in_blocks_of_five_steps_matches_the_reference(reference_case,
 def test_step_maps_built_in_small_blocks_match_the_reference(reference_case, monkeypatch):
     # Three drive runs per block, so that blocks meet inside the ramps.
     monkeypatch.setattr(mbloch, "_MAP_FLOATS", 10_000)
-    assert mbloch._block_sizes(1, reference_case[2].n_z)[1] == 3
+    assert mbloch._block_sizes(1, reference_case[2].n_z, 6)[1] == 3
     calls = []
     local_maps = mbloch._local_maps
     monkeypatch.setattr(
@@ -648,17 +648,17 @@ def batch_references():
 
 
 def _assert_same_run(got, want):
+    """Every output of `got` is `want`'s, bit for bit: emission, ledger,
+    loss quadrature, final state and snapshots."""
     assert got.dt == want.dt
-    assert np.array_equal(got.times, want.times)
-    assert np.allclose(got.emitted, want.emitted, rtol=0, atol=1e-13)
-    assert got.loss_quad == pytest.approx(want.loss_quad, rel=1e-13)
+    assert np.array_equal(got.emitted, want.emitted)
+    for name in ("loss_quad", "initial_norm", "injected_norm", "emitted_norm"):
+        assert getattr(got, name) == getattr(want, name), name
     assert len(got.snapshots) == len(want.snapshots)
-    for name in ("loss_accum", "emitted_norm", "injected_norm", "initial_norm"):
-        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-13)
     for a, b in zip((got.final_state, *got.snapshots), (want.final_state, *want.snapshots)):
         assert a.t_now == b.t_now
         for name in ("e_field", "sigma12", "sigma13"):
-            assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-13)
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_batch_members_equal_their_solo_runs_in_call_order():
@@ -680,12 +680,12 @@ def test_batch_members_match_the_written_out_reference(map_block, ring, batch_re
     # step on.  Fewer floats per drive run make blocks of three drive runs,
     # and a ring of five slots blocks of five steps.
     monkeypatch.setattr(mbloch, "_BUDGET", 11_520)
-    assert mbloch._block_sizes(5, 32) == (7, 2)
+    assert mbloch._block_sizes(5, 32, 6) == (7, 2)
     if map_block is not None:
         monkeypatch.setattr(mbloch, "_MAP_FLOATS", 144)
     if ring is not None:
         monkeypatch.setattr(mbloch, "_RING", ring)
-    assert mbloch._block_sizes(5, 32) == (ring or 7, map_block or 2)
+    assert mbloch._block_sizes(5, 32, 6) == (ring or 7, map_block or 2)
     assert mbloch._group_width(32) > 5
     runs, references = batch_references
     assert sum(config.n_z == 32 for _, _, config, _, _ in runs) == 5
@@ -759,15 +759,47 @@ def test_a_resonant_run_is_the_same_in_three_rows_as_in_six():
     assert mbloch._group_rows([detuned, run]).size == 6
     alone = evolve(*run)
     _, batched = mbloch.evolve_batch([detuned, run])
-    assert np.array_equal(batched.emitted, alone.emitted)
-    for name in ("loss_quad", "initial_norm", "injected_norm", "emitted_norm"):
-        assert getattr(batched, name) == getattr(alone, name), name
-    assert len(alone.snapshots) == len(batched.snapshots) == 2
-    for a, b in zip((alone.final_state, *alone.snapshots),
-                    (batched.final_state, *batched.snapshots)):
-        assert a.t_now == b.t_now
-        for name in ("e_field", "sigma12", "sigma13"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(alone.snapshots) == 2
+    _assert_same_run(batched, alone)
+
+
+# A ramped run in each kind of medium: resonant, resonant with gamma12 > 0,
+# and detuned, which steps all six rows.
+_MEDIA = {"resonant": MediumParams(od=30.0),
+          "gamma12": MediumParams(od=30.0, gamma12=0.1),
+          "detuned": MediumParams(od=30.0, delta=1.5, gamma12=0.05)}
+
+
+@pytest.mark.parametrize("stepping", ["batched", "ring5", "small-budget"])
+@pytest.mark.parametrize("medium", list(_MEDIA), ids=list(_MEDIA))
+def test_every_output_of_a_run_is_its_own_whatever_steps_it(medium, stepping, monkeypatch):
+    # The run alone with 49 snapshots, whose reads end blocks of steps,
+    # against the same run stepped otherwise: without snapshots, batched
+    # behind a longer detuned run (so a resonant run steps six rows, not
+    # three); or alone in blocks of five steps; or under a budget that
+    # cuts its blocks of steps and of drive runs.  Each output, the loss
+    # quadrature too, is the run's alone, bit for bit.
+    timeline = ControlTimeline((ControlSegment(0.0, 2.0, 5.0, "storage", ramp=0.3),
+                                ControlSegment(2.5, 5.0, 10.0, "beamsplit", ramp=0.3)))
+    snaps = tuple(0.1 * k for k in range(1, 50))
+    run = (_MEDIA[medium], timeline, SimulationConfig(t_end=5.0, n_z=32, snapshot_times=snaps),
+           PULSE, None)
+    alone = evolve(*run)
+    assert len(alone.snapshots) == 49
+    if stepping == "batched":
+        longer = (MediumParams(od=25.0, delta=-1.5), timeline,
+                  SimulationConfig(t_end=6.0, n_z=32), PulseEnvelope(fwhm=1.0, t_center=1.0),
+                  None)
+        quiet = (*run[:2], SimulationConfig(t_end=5.0, n_z=32), *run[3:])
+        got, _ = mbloch.evolve_batch([quiet, longer])
+        _assert_same_run(got, replace(alone, snapshots=()))
+        return
+    if stepping == "ring5":
+        monkeypatch.setattr(mbloch, "_RING", 5)
+    else:
+        monkeypatch.setattr(mbloch, "_BUDGET", 3_000)
+        assert mbloch._block_sizes(1, 32, 6) == (10, 2)
+    _assert_same_run(evolve(*run), alone)
 
 
 @pytest.mark.parametrize("part", ["Im S", "Im E", "Re P"])
@@ -841,18 +873,9 @@ def test_a_wide_batch_equals_its_solo_runs(budget, monkeypatch):
     monkeypatch.setattr(mbloch, "_step_together", recording)
     if budget is not None:
         monkeypatch.setattr(mbloch, "_BUDGET", budget)
-        assert mbloch._block_sizes(3, 24) == (8, 1)
+        assert mbloch._block_sizes(3, 24, 6) == (8, 1)
     for got, want in zip(mbloch.evolve_batch(runs), solo, strict=True):
         _assert_same_run(got, want)
-        # Each member's maps are the ones it gets alone, whatever shares its
-        # group, so all but the loss quadrature, which sums over the group's
-        # blocks of steps, is the solo run's bit for bit.
-        assert np.array_equal(got.emitted, want.emitted)
-        for name in ("loss_accum", "emitted_norm"):
-            assert getattr(got, name) == getattr(want, name), name
-        for a, b in zip((got.final_state, *got.snapshots), (want.final_state, *want.snapshots)):
-            for name in ("e_field", "sigma12", "sigma13"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert widths == ([14] if budget is None else [3, 3, 3, 3, 2])
 
 
@@ -861,9 +884,9 @@ def test_a_48_run_group_holds_no_more_than_the_budget():
     # ring would take 33 slots of 373 kB, and the maps of every drive run
     # of the group 7 MB.  What the group held beyond its outputs, at its
     # peak, is the budget's ring and maps, the windows of injected and
-    # emitted cells (4 floats per member and step of a window), the drive
-    # runs (2 numbers each: where it starts and its drive), and 64 kB for
-    # the rest.
+    # emitted cells and of quadrature terms (5 floats per member and step
+    # of a window), the drive runs (2 numbers each: where it starts and its
+    # drive), and 64 kB for the rest.
     n_z, b = 160, 48
     config = SimulationConfig(t_end=0.25, n_z=n_z)
     times = (np.arange(config.n_steps) + 0.5) * config.dt
@@ -874,7 +897,7 @@ def test_a_48_run_group_holds_no_more_than_the_budget():
         runs.append((MediumParams(od=30.0 + k), timeline, config, PULSE, None))
     drive_runs = sum(1 + np.count_nonzero(np.diff(run[1].rabi(times))) for run in runs)
     assert mbloch._group_width(n_z) >= b
-    steps, map_runs = mbloch._block_sizes(b, n_z)
+    steps, map_runs = mbloch._block_sizes(b, n_z, 3)
     assert steps < mbloch._RING and map_runs < drive_runs // b
     tracemalloc.start()
     try:
@@ -883,7 +906,7 @@ def test_a_48_run_group_holds_no_more_than_the_budget():
     finally:
         tracemalloc.stop()
     assert len(trajectories) == b
-    allowed = 8 * (mbloch._BUDGET + 4 * mbloch._CHECK_EVERY * b + 2 * drive_runs) + 65_536
+    allowed = 8 * (mbloch._BUDGET + 5 * mbloch._CHECK_EVERY * b + 2 * drive_runs) + 65_536
     assert peak - held <= allowed
 
 
@@ -911,10 +934,9 @@ def test_a_run_that_records_no_emission_is_the_recording_run_without_it():
 
 def test_snapshots_move_no_ledger_number():
     # One pulsed run with 0, 1, 3 and 199 snapshot times.  A snapshot reads
-    # the ledger and adds nothing to it, so the emission, the ledger and
-    # every field of the final state are the run's without snapshots, bit
-    # for bit.  The loss quadrature is left out: it sums by blocks of
-    # steps, and a snapshot ends a block.
+    # the ledger and adds nothing to it, so the emission, the ledger, the
+    # loss quadrature and the final state are the run's without snapshots,
+    # bit for bit.
     medium = MediumParams(od=30.0, delta=1.5, gamma12=0.02)
     timeline = ControlTimeline((ControlSegment(0.0, 10.0, 13.0, "beamsplit"),))
     plain, *snapped = (
@@ -922,12 +944,7 @@ def test_snapshots_move_no_ledger_number():
         for times in ((), (5.0,), (1.0, 2.5, 7.3), tuple(0.05 * k for k in range(1, 200)))
     )
     for run in snapped:
-        assert np.array_equal(run.emitted, plain.emitted)
-        for name in ("emitted_norm", "injected_norm", "initial_norm"):
-            assert getattr(run, name) == getattr(plain, name), name
-        for name in ("e_field", "sigma12", "sigma13"):
-            assert np.array_equal(getattr(run.final_state, name),
-                                  getattr(plain.final_state, name)), name
+        _assert_same_run(replace(run, snapshots=()), plain)
     assert [len(run.snapshots) for run in snapped] == [1, 3, 199]
 
 
@@ -978,7 +995,7 @@ def test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step():
         timeline = ControlTimeline((ControlSegment(0.0, t_end, 5.0, "beamsplit",
                                                    ramp=0.5 * t_end),))
         stretches = mbloch._map_segments(OD30, timeline, n_steps, dt,
-                                         mbloch._block_sizes(1, 16)[1], mbloch._ALL_ROWS)
+                                         mbloch._block_sizes(1, 16, 6)[1], mbloch._ALL_ROWS)
         tracemalloc.start()
         try:
             assert sum(1 for _ in stretches) >= n_steps

@@ -62,6 +62,8 @@ GAIN_FAULT_TEST = ("tests/test_mbloch.py::"
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
                "tests/test_mbloch.py::test_batch_members_equal_their_solo_runs_in_call_order",
                "tests/test_mbloch.py::test_a_wide_batch_equals_its_solo_runs")
+INVARIANCE_TESTS = ("tests/test_mbloch.py::"
+                    "test_every_output_of_a_run_is_its_own_whatever_steps_it",)
 SMALL_BLOCK_TESTS = (
     "tests/test_mbloch.py::test_step_maps_built_in_small_blocks_match_the_reference",
     *BATCH_TESTS)
@@ -140,15 +142,26 @@ MUTANTS = (
     # The reference run has gamma12 = 0.05 and checks loss_quad against a
     # written-out quadrature.
     ("mbloch: gamma12 term of loss_quad never added", MBLOCH,
-     "loss_quad[:a] += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))",
-     "loss_quad[:a] += 0.0 * vecdot(s_rows[:m], s_rows[:m]).sum(axis=(0, 1))",
+     "quad += quad_s_a * vecdot(s_rows[:m], s_rows[:m]).sum(axis=1)",
+     "quad += 0.0 * vecdot(s_rows[:m], s_rows[:m]).sum(axis=1)",
      ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
     # The batch loop: blocks of steps in a ring of state slots, ending at
     # ledger reads, and members of unequal length, pulses and initial states.
     ("mbloch: drop the partial loss-quadrature block at a ledger read", MBLOCH,
-     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=(0, 1))",
-     "loss_quad[:a] += quad_p * vecdot(p_rows[:m], p_rows[:m]).sum(axis=(0, 1)) * (m == steps)",
+     "terms[:a, base - w0 : end - w0] = quad.T",
+     "terms[:a, base - w0 : end - w0] = quad.T * (m == steps)",
      BATCH_TESTS),
+    # Each block's terms summed as one, as the loss quadrature once was:
+    # its bits then follow where the group's blocks of steps end.
+    ("mbloch: quadrature summed per block", MBLOCH,
+     "terms[:a, base - w0 : end - w0] = quad.T",
+     "terms[:a, base - w0 : end - w0] = 0.0\n"
+     "            terms[:a, base - w0] = quad.sum(axis=0)",
+     INVARIANCE_TESTS),
+    ("mbloch: a member ending mid-window loses its last window's terms", MBLOCH,
+     "loss_quad[i] += terms[i, : r + 1 - w0].sum()",
+     "loss_quad[i] += terms[i, : r + 1 - w0].sum() * closes",
+     ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
     ("mbloch: keep a finished member in the step", MBLOCH,
      "while lengths[active - 1] <= base:",
      "while False:",
