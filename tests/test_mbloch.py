@@ -771,7 +771,7 @@ _MEDIA = {"resonant": MediumParams(od=30.0),
 
 
 @pytest.mark.parametrize("stepping", ["batched", "ring5", "small-budget"])
-@pytest.mark.parametrize("medium", list(_MEDIA), ids=list(_MEDIA))
+@pytest.mark.parametrize("medium", list(_MEDIA))
 def test_every_output_of_a_run_is_its_own_whatever_steps_it(medium, stepping, monkeypatch):
     # The run alone with 49 snapshots, whose reads end blocks of steps,
     # against the same run stepped otherwise: without snapshots, batched
@@ -792,14 +792,15 @@ def test_every_output_of_a_run_is_its_own_whatever_steps_it(medium, stepping, mo
                   None)
         quiet = (*run[:2], SimulationConfig(t_end=5.0, n_z=32), *run[3:])
         got, _ = mbloch.evolve_batch([quiet, longer])
-        _assert_same_run(got, replace(alone, snapshots=()))
-        return
-    if stepping == "ring5":
-        monkeypatch.setattr(mbloch, "_RING", 5)
+        alone = replace(alone, snapshots=())
     else:
-        monkeypatch.setattr(mbloch, "_BUDGET", 3_000)
-        assert mbloch._block_sizes(1, 32, 6) == (10, 2)
-    _assert_same_run(evolve(*run), alone)
+        if stepping == "ring5":
+            monkeypatch.setattr(mbloch, "_RING", 5)
+        else:
+            monkeypatch.setattr(mbloch, "_BUDGET", 3_000)
+            assert mbloch._block_sizes(1, 32, 6) == (10, 2)
+        got = evolve(*run)
+    _assert_same_run(got, alone)
 
 
 @pytest.mark.parametrize("part", ["Im S", "Im E", "Re P"])
