@@ -38,9 +38,8 @@ from .splitter import (
     tau_from_fwhm,
 )
 from .stats import (
+    CLASSICAL,
     ClassicalBounds,
-    OverlapEnvelope,
-    classical_bounds,
     g2_formula,
     g3_formula,
 )
@@ -77,9 +76,8 @@ __all__ = [
     "phi_rt_of_matrix",
     "splitter_from_outputs",
     "tau_from_fwhm",
+    "CLASSICAL",
     "ClassicalBounds",
-    "OverlapEnvelope",
-    "classical_bounds",
     "g2_formula",
     "g3_formula",
 ]

@@ -39,7 +39,7 @@ from .scenarios import (
     Fig2Grid,
     Fig2Params,
     RESONANT_MIXING,
-    delay_envelope,
+    delay_overlap,
     fig2_curve,
     fig2_grid,
     fig4_grid,
@@ -50,7 +50,7 @@ from .scenarios import (
     triangle_check,
 )
 from .splitter import fold_phase, phi_rt_analytic, phi_rt_sweep, tau_from_fwhm
-from .stats import classical_bounds, g2_formula, g3_formula
+from .stats import CLASSICAL, g2_formula, g3_formula
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,11 @@ def criterion_6() -> CriterionResult:
     value_ok = abs(g3 - 4.0) <= 1e-6
 
     delays, grid = fig4_grid(FIG4_STEPS, FIG4_SPAN, FIG4_I_PEAK)
-    env = delay_envelope(FIG4_I_PEAK)(delays)
+    env = delay_overlap(delays, FIG4_I_PEAK)
     worst = float(np.abs(grid - g3_formula(env[:, None], env[None, :])).max())
     grid_ok = worst <= 1e-9
 
-    threshold = classical_bounds().g3_max
+    threshold = CLASSICAL.g3_max
     threshold_ok = abs(threshold - 2.25) < 1e-12
     ok = value_ok and grid_ok and threshold_ok
     return CriterionResult(

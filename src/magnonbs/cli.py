@@ -47,7 +47,7 @@ from .core import (
 )
 from .mbloch import SimulationConfig, evolve, evolve_batch
 from .splitter import phi_rt_analytic, tau_from_fwhm
-from .stats import classical_bounds, g2_formula
+from .stats import CLASSICAL, g2_formula
 from . import scenarios
 
 # gamma31 = 2pi x 3 MHz anchors the normalized unit system.
@@ -399,19 +399,18 @@ def cmd_fig3(config: Config, out_dir: Path, seed: int) -> int:
     i_peak = sc["i_peak"]
     phis = [phi_rt_analytic(sc["phase_rabi"], d, od, tau) for od, d in triples]
 
-    bounds = classical_bounds()
     header = header_lines("fig3", config, seed)
     for (od, d), phi in zip(triples, phis):
         header.append(f"phi_rt(od={od:g}, delta={d:g}) = {_fmt(phi)}")
 
     def classical(n: int) -> list[tuple[str, list[float]]]:
-        return [("classical_lo", [bounds.g2_min] * n),
-                ("classical_hi", [bounds.g2_max] * n)]
+        return [("classical_lo", [CLASSICAL.g2_min] * n),
+                ("classical_hi", [CLASSICAL.g2_max] * n)]
 
     span = sc["delay_span"]
     delays = np.linspace(-span, span, sc["delay_steps"])
     curves = [
-        (f"g2_od{od:g}_delta{d:g}", scenarios.fig3_delay_curve(phi, delays, i_peak))
+        (f"g2_od{od:g}_delta{d:g}", g2_formula(scenarios.delay_overlap(delays, i_peak), phi))
         for (od, d), phi in zip(triples, phis)
     ]
     write_csv(out_dir / "fig3_delay.csv", header,
@@ -428,22 +427,21 @@ def cmd_fig4(config: Config, out_dir: Path, seed: int) -> int:
     sc = config["scenario"]
     n = sc["fig4_steps"]
     delays, grid = scenarios.fig4_grid(n, sc["fig4_span"], sc["fig4_i_peak"])
-    bounds = classical_bounds()
 
     header = header_lines("fig4", config, seed)
-    header.append(f"classical_g3_max = {_fmt(bounds.g3_max)}")
+    header.append(f"classical_g3_max = {_fmt(CLASSICAL.g3_max)}")
     # Row-major over the grid: delay_1 is the row, delay_2 the column.
     write_csv(out_dir / "fig4_surface.csv", header, [
         ("delay_1", np.repeat(delays, n)),
         ("delay_2", np.tile(delays, n)),
         ("g3", grid.ravel()),
-        ("classical_g3_max", [bounds.g3_max] * n * n),
+        ("classical_g3_max", [CLASSICAL.g3_max] * n * n),
     ])
 
     peak = float(grid[n // 2, n // 2]) if n % 2 else float(grid.max())
     write_csv(out_dir / "fig4_corners.csv", header, [
         ("source", ["oracle_ideal", "formula_peak", "classical_threshold"]),
-        ("g3", [scenarios.ideal_cascade_g3(), peak, bounds.g3_max]),
+        ("g3", [scenarios.ideal_cascade_g3(), peak, CLASSICAL.g3_max]),
     ])
     return 0
 

@@ -76,8 +76,9 @@ or at the run's last step; a snapshot checks the ledger with the window's
 cells so far and adds nothing to either.  So every output of a run is the
 run's alone: it does not depend on its snapshot times, on the runs that
 step with it, on the rows its group steps or on where its blocks of steps
-end.  The ledger is the run's: the last read's initial, injected and
-emitted norms go to the `Trajectory`, whose `loss_accum` derives the loss
+end.  The ledger is the run's: the last read builds the run's
+`Trajectory` from its initial, injected and emitted norms and its final
+state, and scales its emission there; `loss_accum` derives the loss
 from them and the norm the final state holds, so the ledger closes by
 construction, whatever the grid; a snapshot, like a prepared state, is its
 amplitudes alone.  At every ledger read the held norm is checked for
@@ -111,12 +112,12 @@ with the members' fused maps.
 
 The steps run in blocks that end at the next ledger read or when the ring
 is full.  Once per block, before it, one copy writes every member's
-injection column in all its slots, which overwrites the spill: the pulse's
-cell for a pulsed member and 0 for any other (its real part alone in three
-rows).  After it, one copy takes the emitted cells out, whose imaginary
-parts stay 0 in three rows.  The block's last step only shifts; once the
-ledger has read its state, its product goes into slot 0, where the next
-block starts, so no slot is copied between blocks.  At a ledger read the
+injection column in all its slots, which overwrites the spill: the cells
+of the member's pulse, or 0 for a member without one (their real parts
+alone in three rows).  After it, one copy takes the emitted cells out,
+whose imaginary parts stay 0 in three rows.  The block's last step only
+shifts; once the ledger has read its state, its product goes into slot 0,
+where the next block starts, so no slot is copied between blocks.  At a ledger read the
 group's rows of the state go to a scratch state of all six rows, whose
 other rows stay 0, so the ledger, the snapshots and the final state are
 read as from six rows.  One vecdot over the P rows of the block's slots
@@ -128,10 +129,14 @@ of members.  The injected and emitted cells and the quadrature terms pass
 through a window of _CHECK_EVERY steps, the terms one contiguous row per
 member, so that each member's window sums as it does alone.  At the
 window's end every member still stepping is read: the window is emptied
-there member by member, and refilled.  Each distinct pulse is sampled anew
-for each window, once for every member it feeds, its injected norm summed
-on from the window before.  The P and S rows' edge columns are never
-written, so they add nothing to the quadrature.
+there member by member, and refilled.  The injected cells and norms are
+held once per distinct pulse, not per member (equal pulses are one): each
+pulse is sampled anew for each window into a column of its own, its
+injected norm summed on from the window before, and a member reads its
+pulse's column through one index, or the last column, which stays 0, if
+it has no pulse.  The P and
+S rows' edge columns are never written, so they add nothing to the
+quadrature.
 
 What a group holds in its ring and its members' blocks of maps is bounded
 by _BUDGET floats (1.53 MB): three quarters for the ring, in slots of the
@@ -140,10 +145,10 @@ takes shorter blocks of steps and of drive runs, and a grid with more runs
 than two six-row ring slots fit (73 at n_z 160) steps in several groups.
 Besides, a group holds its outputs, its ledger reads (one every
 _CHECK_EVERY steps), the drive runs each member has found and not yet
-built (at most a window's and a block's) and the windows of injected and
-emitted cells, of quadrature terms and of pulse samples; of the outputs
-only the emitted fields, of the members that record them, are arrays of
-steps x members.  No step midpoints are kept: the drive's and the pulse's
+built (at most a window's and a block's), the windows of emitted cells and
+of quadrature terms, per member, and of injected cells and norms, per
+distinct pulse; of the outputs only the emitted fields, of the members that
+record them, are arrays of steps x members.  No step midpoints are kept: the drive's and the pulse's
 windows and the checks compute their midpoints from dt, and so does a
 trajectory, whose caller holds the timeline.
 """
@@ -609,14 +614,15 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     c = rows.size // 3
     steps, map_runs = _block_sizes(b, n_z, rows.size)
 
-    # Each pulse is sampled once for every member it feeds, as far as the
-    # first of them, its longest, steps.
-    pulses = [pulse for _, _, _, pulse, _ in members]
+    # Each distinct pulse is sampled into a column of its own, as far as
+    # the first of its members, its longest, steps.  A member reads its
+    # pulse's column, or the last, which stays 0, if it has none.
     pulse_ends: dict = {}
-    for pulse, n_i in zip(pulses, lengths):
+    for (*_, pulse, _), n_i in zip(members, lengths):
         if pulse is not None:
             pulse_ends.setdefault(pulse, n_i)
-    windows: dict = {}  # each pulse's cells and injected norms in the window
+    columns = {pulse: p for p, pulse in enumerate(pulse_ends)}
+    column = np.array([columns.get(pulse, len(columns)) for *_, pulse, _ in members])
 
     # Each member's current stretch of one map: where it ends, the half map
     # of its drive run, and its fused map in the stack the step applies.
@@ -663,16 +669,18 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
         for n in sorted(set(range(0, n_i, _CHECK_EVERY)) | snap_steps[i] | {n_i - 1}):
             readers.setdefault(n, []).append(i)
 
-    # The window: the injected and the emitted cells of every member at
-    # steps w0 up to the next multiple of _CHECK_EVERY, which a block reads
-    # and writes in one call each, and the quadrature terms of the states
-    # w_n it carries, one contiguous row per member.  Every member still
-    # stepping is read at each multiple of _CHECK_EVERY, so no block
+    # The window, at steps w0 up to the next multiple of _CHECK_EVERY:
+    # each pulse's injected cells and the norm it has injected up to each
+    # step, the emitted cells of every member, and the quadrature terms of
+    # the states w_n a block carries, one contiguous row per member.  A
+    # block reads and writes the cells in one call each.  Every member
+    # still stepping is read at each multiple of _CHECK_EVERY, so no block
     # crosses a window's end.  The read that closes a window, or ends a
     # member, adds the member's emitted cells and terms in it to its ledger
-    # and its `loss_quad` and, when it records its cells, copies them out.
-    # A member without a pulse injects the zeros it is never given.
-    inflow = np.zeros((_CHECK_EVERY, 2, b))
+    # and its `loss_quad` and, when it records its cells, copies them out;
+    # the read that ends it builds its trajectory.
+    inflow = np.zeros((_CHECK_EVERY, 2, len(columns) + 1))
+    injected = np.zeros((_CHECK_EVERY, len(columns) + 1))
     outflow = np.zeros((b, _CHECK_EVERY, 2))
     terms = np.zeros((b, _CHECK_EVERY))
     quad_p = dt * dz * 2.0
@@ -680,42 +688,35 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
     loss_quad = [0.0] * b
     emitted = [np.empty(n_i if config.record_emission else 0, dtype=complex)
                for (_, _, config, _, _), n_i in zip(members, lengths)]
-    emitted_rows = [e.view(np.float64).reshape(-1, 2) for e in emitted]
     emitted_norm = [0.0] * b
     snapshots: list[list[FieldState]] = [[] for _ in range(b)]
-    # Each member's (final state, initial, injected, emitted norm).
-    finals: list = [None] * b
+    sqrt_c = math.sqrt(C_EFF)
+    trajectories: list = [None] * b
 
-    def fill(w0: int, w1: int) -> None:
+    def fill(w0: int, w1: int, last: int) -> None:
         # Each pulse's cells at steps w0 .. w1 - 1, cut at its longest run's
         # end, and the norm it has injected up to each: the sum goes on from
-        # the window before, which ended at step w0 - 1, so the windows
+        # row `last`, the window before's at step w0 - 1, so the windows
         # make one cumsum over the run.
-        for pulse, n_p in pulse_ends.items():
+        for p, (pulse, n_p) in enumerate(pulse_ends.items()):
             if n_p > w0:
-                before = windows[pulse][1][-1] if w0 else 0.0
-                windows[pulse] = _pulse_window(pulse, w0, min(w1, n_p), dt, before)
-        for i, pulse in enumerate(pulses):
-            if pulse is not None and lengths[i] > w0:
-                rows = windows[pulse][0]
-                inflow[: len(rows), :, i] = rows
+                cells, norms = _pulse_window(pulse, w0, min(w1, n_p), dt, injected[last, p])
+                inflow[: len(cells), :, p] = cells
+                injected[: len(norms), p] = norms
 
     a = 0  # members the views below cover; 0 before any step
     active = b  # members still stepping, the longest first
     base = m = 0  # the first step of the block, and the last block's length
     w0 = 0  # the window's first step
-    fill(w0, 1)
+    fill(w0, 1, 0)
     for r in sorted(readers):
         # Blocks of at most `steps` steps; the last one ends at step r.
         while base <= r:
             # The last block's final product goes to slot 0, where this
-            # block starts, once nothing reads its shifted state (through
-            # slot 1 when that state is slot 0's own, as numpy would copy it).
-            if m > 1:
+            # block starts, once nothing reads its shifted state (which numpy
+            # buffers when it is slot 0's own).
+            if m:
                 matmul(fused_a, states[m - 1, :a], out=states[0, :a])
-            elif m:
-                matmul(fused_a, states[0, :a], out=states[1, :a])
-                copyto(ring[0], ring[1])
             while lengths[active - 1] <= base:
                 active -= 1
             if active != a:
@@ -734,7 +735,7 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                           states[k, :a], states[k + 1, :a]) for k in range(steps)]
             end = min(r + 1, base + steps)
             m = end - base
-            ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]
+            ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c][..., column[:a]]
 
             # In stretches over which no member's map changes.  The last
             # step only shifts: the next block starts with its product.
@@ -780,9 +781,8 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                 emitted_norm[i] = emitted_i
                 loss_quad[i] += terms[i, : r + 1 - w0].sum()
                 if emitted[i].size:
-                    emitted_rows[i][w0 : r + 1] = window
-            pulse = pulses[i]
-            inflow_norm = float(windows[pulse][1][r - w0]) if pulse is not None else 0.0
+                    emitted[i].view(np.float64).reshape(-1, 2)[w0 : r + 1] = window
+            inflow_norm = float(injected[r - w0, column[i]])
             budget = initial_norm[i] + inflow_norm
             if not np.isfinite(held):
                 raise PhysicsViolation(f"non-finite state norm at t={(r + 0.5) * dt:.4g}")
@@ -797,17 +797,12 @@ def _step_together(z: np.ndarray, members: list) -> list[Trajectory]:
                 if r in snap_steps[i]:
                     snapshots[i].append(state)
                 if last:
-                    finals[i] = (state, initial_norm[i], inflow_norm, emitted_i)
+                    emitted[i] *= sqrt_c
+                    trajectories[i] = Trajectory(
+                        dt, emitted[i], state, float(loss_quad[i]), initial_norm[i],
+                        inflow_norm, emitted_i, tuple(snapshots[i]))
         if closes:
+            fill(r + 1, r + 1 + _CHECK_EVERY, r - w0)
             w0 = r + 1
-            fill(w0, w0 + _CHECK_EVERY)
-
-    sqrt_c = math.sqrt(C_EFF)
-    trajectories = []
-    for i in range(b):
-        emitted[i] *= sqrt_c
-        final_state, *ledger = finals[i]
-        trajectories.append(Trajectory(dt, emitted[i], final_state, float(loss_quad[i]),
-                                       *ledger, tuple(snapshots[i])))
     return trajectories
 

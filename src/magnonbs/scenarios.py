@@ -7,7 +7,7 @@ The storage-drive sweep builds the visibility curve g2(Omega_S) from its
 runs on two grids with `richardson`, the one grid-refinement rule, which
 the gate reads too, with `observed_order`; the mixing scenarios feed the
 splitter extraction and the Fock oracle; the delay curves and the
-three-particle grid are formula-level and reuse the envelope model.
+three-particle grid are formula-level and read `delay_overlap`.
 
 Conventions used by every protocol here:
 - the storage control is resonant; mixing stages may be detuned;
@@ -33,6 +33,7 @@ from .core import (
     PulseEnvelope,
     SplitterMatrix,
     _ArrayValue,
+    _check_overlap,
     _readonly,
     _require_cells,
 )
@@ -51,7 +52,7 @@ from .splitter import (
     extract_matrix,
     phi_rt_of_matrix,
 )
-from .stats import OverlapEnvelope, g2_formula
+from .stats import g2_formula
 
 
 # Every protocol's storage pulse, centered late enough that its leading tail
@@ -464,14 +465,17 @@ def triangle_check(scenario: MixingScenario, stored: StorageResult) -> TriangleC
     )
 
 
-def delay_envelope(i_peak: float) -> OverlapEnvelope:
-    """Mode overlap versus arrival delay of two of the figures' probe pulses."""
-    return OverlapEnvelope(i_peak=i_peak, sigma=PULSE.sigma)
+def delay_overlap(delays: float | np.ndarray, i_peak: float) -> float | np.ndarray:
+    """Mode overlap of two of the figures' probe pulses versus their delay.
 
-
-def fig3_delay_curve(phi_rt: float, delays: np.ndarray, i_peak: float) -> np.ndarray:
-    """g2 versus arrival delay at a fixed round-trip phase."""
-    return g2_formula(delay_envelope(i_peak)(delays), phi_rt)
+    I(d) = i_peak * exp(-d^2 / (4 sigma^2)) with sigma the pulses'
+    intensity-profile standard deviation: two identical Gaussian modes
+    delayed by d overlap by exactly this much.  An `i_peak` outside [0, 1]
+    raises ConfigError.
+    """
+    _check_overlap(i_peak, "i_peak")
+    d = np.asarray(delays, dtype=float)
+    return i_peak * np.exp(-(d**2) / (4.0 * PULSE.sigma**2))
 
 
 def ideal_cascade_g3() -> float:
@@ -497,5 +501,5 @@ def fig4_grid(
     (delays[i], delays[j]).
     """
     delays = np.linspace(-delay_span, delay_span, n)
-    g2 = g2_formula(delay_envelope(i_peak)(delays), 0.0)
+    g2 = g2_formula(delay_overlap(delays, i_peak), 0.0)
     return delays, np.outer(g2, g2)

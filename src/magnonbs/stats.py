@@ -1,4 +1,4 @@
-"""Closed-form interference statistics and overlap-envelope handling.
+"""Closed-form interference statistics and the classical bounds.
 
 These formulas describe the ideal balanced splitter: the normalized two-input
 coincidence is  g2 = 1 + I cos(phi_rt)  with I the mode overlap of the two
@@ -13,12 +13,11 @@ reference is compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, _check_overlap, _require_finite
+from .core import ConfigError, _check_overlap
 
 
 class ClassicalBounds(NamedTuple):
@@ -27,14 +26,11 @@ class ClassicalBounds(NamedTuple):
     g3_max: float
 
 
-def classical_bounds() -> ClassicalBounds:
-    """Range reachable by classical fields of arbitrary mutual coherence.
-
-    Interfering classical pulses on a balanced splitter keep the normalized
-    coincidence inside [1/2, 3/2]; the three-fold analogue cannot exceed
-    (3/2)^2.  Values outside these bounds need particle-number statistics.
-    """
-    return ClassicalBounds(0.5, 1.5, 2.25)
+# Range reachable by classical fields of arbitrary mutual coherence.
+# Interfering classical pulses on a balanced splitter keep the normalized
+# coincidence inside [1/2, 3/2]; the three-fold analogue cannot exceed
+# (3/2)^2.  Values outside these bounds need particle-number statistics.
+CLASSICAL = ClassicalBounds(0.5, 1.5, 2.25)
 
 
 def g2_formula(
@@ -62,26 +58,3 @@ def g3_formula(
     a = _check_overlap(i12, "i12")
     b = _check_overlap(i23, "i23")
     return (1.0 + a) * (1.0 + b)
-
-
-@dataclass(frozen=True)
-class OverlapEnvelope:
-    """Mode overlap I as a function of the delay between the two inputs.
-
-    I(dt) = i_peak * exp(-dt^2 / (4 sigma^2)) with sigma the intensity-profile
-    standard deviation of the pulses: two identical Gaussian modes delayed by
-    dt overlap by exactly this much.
-    """
-
-    i_peak: float = 1.0
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_overlap(self.i_peak, "i_peak")
-        _require_finite(self, "sigma")
-        if self.sigma <= 0:
-            raise ConfigError("envelope width must be positive")
-
-    def __call__(self, dtau: float | np.ndarray) -> float | np.ndarray:
-        dtau = np.asarray(dtau, dtype=float)
-        return self.i_peak * np.exp(-(dtau**2) / (4.0 * self.sigma**2))

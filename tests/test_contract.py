@@ -46,11 +46,15 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.returncode == 0, done.stderr or "magnonbs.cli imports scipy or a process pool"
 
 
-def _contract_tool():
-    spec = importlib.util.spec_from_file_location("contract_tool", ROOT / "tools" / "contract.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
+
+
+def _contract_tool():
+    return _tool("contract")
 
 
 def test_the_contract_tool_reports_exactly_the_token_that_moved(tmp_path, contract_dir):
@@ -69,3 +73,21 @@ def test_the_contract_tool_reports_exactly_the_token_that_moved(tmp_path, contra
         path.write_text("".join(lines), encoding="utf-8")
         want = [tool.Move("fig4/fig4_corners.csv", str(k + 1), "g3", "2.25", value)]
         assert tool.compare(copy, contract_dir) == (want if moved else [])
+
+
+def test_every_mutant_names_text_and_tests_that_exist():
+    # The mutant catalogue is run by hand; a change that removes a mutant's
+    # text, or the tests it names, fails here instead of there.
+    mutants = _tool("mutants").MUTANTS
+    assert len({name for name, *_ in mutants}) == len(mutants)
+    for name, rel, old, _, ids in mutants:
+        found = (ROOT / rel).read_text(encoding="utf-8").count(old)
+        assert found == 1, f"{name}: old text found {found} times"
+        assert ids, name
+        for test_id in ids:
+            path, _, test = test_id.partition("::")
+            assert (ROOT / path).is_file(), (name, test_id)
+            if test:
+                function = test.partition("[")[0]
+                assert f"def {function}(" in (ROOT / path).read_text(encoding="utf-8"), \
+                    (name, test_id)

@@ -880,6 +880,39 @@ def test_a_wide_batch_equals_its_solo_runs(budget, monkeypatch):
     assert widths == ([14] if budget is None else [3, 3, 3, 3, 2])
 
 
+def test_shared_equal_distinct_and_absent_pulses_in_one_group_are_each_runs_own():
+    # One step group on n_z 24, over three ledger windows: one pulse
+    # object shared by two runs of unequal length, two equal but distinct
+    # pulse objects, a third pulse, a run without one, which reads the
+    # window's zero column, and a detuned member, so the group steps all
+    # six rows.  Every member is its solo run bit for bit, its injected
+    # norm included.
+    stored = store([(OD30, 5.0)], 24)[0].state
+    shared = PulseEnvelope(fwhm=1.0, t_center=1.0)
+    equal = [PulseEnvelope(fwhm=0.8, t_center=0.9) for _ in range(2)]
+    third = PulseEnvelope(fwhm=0.6, t_center=1.4, amplitude_norm=0.5)
+    assert equal[0] == equal[1] and equal[0] is not equal[1]
+    timeline = ControlTimeline((ControlSegment(0.0, 0.8, 5.0, "storage", ramp=0.2),
+                                ControlSegment(1.0, 2.4, 8.0, "beamsplit", ramp=0.2)))
+    runs = [(MediumParams(od=od, delta=delta, gamma12=gamma12), timeline,
+             SimulationConfig(t_end=t_end, n_z=24), pulse, initial)
+            for od, delta, gamma12, t_end, pulse, initial in (
+                (30.0, 0.0, 0.0, 2.4, shared, None),
+                (40.0, 0.0, 0.1, 1.2, shared, None),
+                (20.0, 0.0, 0.0, 2.0, equal[0], None),
+                (50.0, 0.0, 0.05, 1.6, equal[1], None),
+                (25.0, 0.0, 0.0, 2.2, third, None),
+                (30.0, 0.0, 0.0, 1.9, None, stored),
+                (35.0, -1.5, 0.0, 1.8, third, None))]
+    assert max(run[2].n_steps for run in runs) > 2 * mbloch._CHECK_EVERY
+    assert mbloch._group_width(24) >= len(runs)
+    assert mbloch._group_rows(runs).size == 6
+    batch = mbloch.evolve_batch(runs)
+    for got, run in zip(batch, runs, strict=True):
+        _assert_same_run(got, evolve(*run))
+        assert (got.injected_norm > 0.0) == (run[3] is not None)
+
+
 def test_a_48_run_group_holds_no_more_than_the_budget():
     # Forty-eight ramped runs on n_z 160, one group.  At its widest the
     # ring would take 33 slots of 373 kB, and the maps of every drive run

@@ -15,9 +15,8 @@ from magnonbs.scenarios import (
     Fig2Grid,
     MixingScenario,
     RESONANT_MIXING,
-    delay_envelope,
+    delay_overlap,
     fig2_curve,
-    fig3_delay_curve,
     fig4_grid,
     ideal_cascade_g3,
     observed_order,
@@ -132,9 +131,8 @@ def test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80():
 
 def test_fig3_delay_curve_shapes():
     delays = np.linspace(-4.0, 4.0, 81)
-    bump = fig3_delay_curve(0.0, delays, 0.75)
-    flat = fig3_delay_curve(math.pi / 2, delays, 0.75)
-    dip = fig3_delay_curve(math.pi, delays, 0.75)
+    overlap = delay_overlap(delays, 0.75)
+    bump, flat, dip = (g2_formula(overlap, phi) for phi in (0.0, math.pi / 2, math.pi))
     assert bump.shape == delays.shape
     mid = delays.size // 2
     assert delays[mid] == 0.0
@@ -149,18 +147,16 @@ def test_fig3_delay_curve_shapes():
 
 def test_figure_curves_equal_their_pointwise_values():
     delays = np.linspace(-4.0, 4.0, 81)
-    env = delay_envelope(0.75)
     for phi in (0.0, 1.5332, math.pi):
         assert np.array_equal(
-            fig3_delay_curve(phi, delays, 0.75),
-            [g2_formula(env(d), phi) for d in delays],
+            g2_formula(delay_overlap(delays, 0.75), phi),
+            [g2_formula(delay_overlap(d, 0.75), phi) for d in delays],
         )
     delays, grid = fig4_grid(7, 2.71, 0.83)
-    env = delay_envelope(0.83)
     assert np.array_equal(
         grid,
-        [[g2_formula(env(a), 0.0) * g2_formula(env(b), 0.0) for b in delays]
-         for a in delays],
+        [[g2_formula(delay_overlap(a, 0.83), 0.0) * g2_formula(delay_overlap(b, 0.83), 0.0)
+          for b in delays] for a in delays],
     )
 
 

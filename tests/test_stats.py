@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnonbs import (
+    CLASSICAL,
     ConfigError,
-    OverlapEnvelope,
     PulseEnvelope,
-    classical_bounds,
     g2_formula,
     g3_formula,
 )
-from magnonbs.scenarios import delay_envelope
+from magnonbs.scenarios import delay_overlap
 
 
 def test_g2_formula_frozen_values():
@@ -85,32 +84,26 @@ def test_g3_formula_factorizes():
 
 
 def test_classical_bounds_values():
-    bounds = classical_bounds()
-    assert bounds.g2_min == 0.5
-    assert bounds.g2_max == 1.5
-    assert bounds.g3_max == 2.25
+    assert CLASSICAL.g2_min == 0.5
+    assert CLASSICAL.g2_max == 1.5
+    assert CLASSICAL.g3_max == 2.25
 
 
 def test_gaussian_envelope_peak_symmetry_and_tails():
-    env = OverlapEnvelope(i_peak=0.8, sigma=0.7)
-    assert env(0.0) == pytest.approx(0.8)
-    assert env(1.3) == pytest.approx(env(-1.3))
-    assert env(50.0) < 1e-12
-    # 1/e of the peak at dt = 2 sigma for the two-pulse overlap.
-    assert env(1.4) == pytest.approx(0.8 / math.e, rel=1e-9)
+    assert delay_overlap(0.0, 0.8) == pytest.approx(0.8)
+    assert delay_overlap(1.3, 0.8) == pytest.approx(delay_overlap(-1.3, 0.8))
+    assert delay_overlap(50.0, 0.8) < 1e-12
 
 
 def test_envelope_from_pulse_uses_intensity_sigma():
-    # The figures' delay envelope takes its width from their probe pulse.
-    pulse = PulseEnvelope(fwhm=1.5, t_center=0.0)
-    env = delay_envelope(0.9)
-    assert env.sigma == pytest.approx(pulse.sigma)
-    assert env(0.0) == pytest.approx(0.9)
+    # The figures' delay overlap takes its width from their probe pulse, a
+    # FWHM of 1.5: 1/e of the peak at d = 2 sigma for the two-pulse overlap.
+    sigma = PulseEnvelope(fwhm=1.5, t_center=0.0).sigma
+    assert delay_overlap(2.0 * sigma, 0.9) == pytest.approx(0.9 / math.e, rel=1e-9)
+    assert delay_overlap(0.0, 0.9) == pytest.approx(0.9)
 
 
 def test_envelope_guards():
-    for i_peak, sigma in [
-        (1.2, 0.5), (0.5, 0.0), (math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)
-    ]:
+    for i_peak in (1.2, -0.1, math.nan):
         with pytest.raises(ConfigError):
-            OverlapEnvelope(i_peak=i_peak, sigma=sigma)
+            delay_overlap(0.0, i_peak)

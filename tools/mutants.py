@@ -74,6 +74,8 @@ PLANNING_MEMORY_TESTS = (
     "tests/test_mbloch.py::test_runs_recording_no_emission_hold_little_per_step",
     "tests/test_mbloch.py::test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step")
 CHUNK_TEST = "tests/test_splitter.py::test_a_phase_sweep_in_chunks_is_the_sweep_over_the_whole_array"
+PULSE_COLUMN_TEST = ("tests/test_mbloch.py::"
+                     "test_shared_equal_distinct_and_absent_pulses_in_one_group_are_each_runs_own")
 ORACLE_STEP_TEST = ("tests/test_mbloch.py::"
                     "test_a_constant_drive_run_is_its_exact_discrete_transfer_function")
 # Every step group of the first steps all six rows of the real form, and
@@ -175,32 +177,45 @@ MUTANTS = (
        "outflow[:a, base - w0 : end - w0, :c] = ring[:m, :c, :a, 1].transpose(2, 0, 1)",
        tests) for layout, tests in LAYOUTS),
     ("mbloch: inject member 0's pulse into every member", MBLOCH,
-     "for i, pulse in enumerate(pulses):",
-     "for i, pulse in enumerate([pulses[0]] * b):",
+     "for *_, pulse, _ in members])",
+     "for *_, pulse, _ in [members[0]] * b])",
      BATCH_TESTS),
+    # The pulse window's zero column is the last; column 0 is the first
+    # pulse's.
+    ("mbloch: a member without a pulse reads column 0", MBLOCH,
+     "columns.get(pulse, len(columns))",
+     "columns.get(pulse, 0)",
+     (*BATCH_TESTS, PULSE_COLUMN_TEST)),
     ("mbloch: each pulse's samples held for the whole run", MBLOCH,
-     "    windows: dict = {}  # each pulse's cells and injected norms in the window\n",
-     "    windows: dict = {}  # each pulse's cells and injected norms in the window\n"
-     "    history = {pulse: pulse.amplitude(times[:n_p]) for pulse, n_p in pulse_ends.items()}\n",
+     "    injected = np.zeros((_CHECK_EVERY, len(columns) + 1))\n",
+     "    injected = np.zeros((_CHECK_EVERY, len(columns) + 1))\n"
+     "    history = [pulse.amplitude((np.arange(n_p) + 0.5) * dt)\n"
+     "               for pulse, n_p in pulse_ends.items()]\n",
      ("tests/test_mbloch.py::test_a_pulse_is_held_a_window_at_a_time",)),
     # Each window's cumsum goes on from the norm injected before it.
     ("mbloch: the window's injected-norm carry dropped", MBLOCH,
-     "before = windows[pulse][1][-1] if w0 else 0.0",
-     "before = 0.0",
-     BATCH_TESTS),
+     "min(w1, n_p), dt, injected[last, p])",
+     "min(w1, n_p), dt, 0.0)",
+     (*BATCH_TESTS, PULSE_COLUMN_TEST)),
     *((f"mbloch: write the injection one slot late{layout}", MBLOCH,
-       "ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]",
-       "ring[1 : m + 1, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]",
+       "ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c][..., column[:a]]",
+       "ring[1 : m + 1, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c][..., column[:a]]",
        tests) for layout, tests in LAYOUTS),
     # The E shift spills each row's column 0 into the injection column of
     # the row before it, which only the block's write of every member's
     # injection column puts right.
     *((f"mbloch: no injection-column reset for a member without a pulse{layout}", MBLOCH,
-       "ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c, :a]",
+       "ring[:m, :c, :a, n_z + 1] = inflow[base - w0 : end - w0, :c][..., column[:a]]",
        "for i in range(a):\n"
-       "                if pulses[i] is not None:\n"
-       "                    ring[:m, :c, i, n_z + 1] = inflow[base - w0 : end - w0, :c, i]",
+       "                if column[i] < len(columns):\n"
+       "                    ring[:m, :c, i, n_z + 1] = inflow[base - w0 : end - w0, :c, column[i]]",
        tests) for layout, tests in LAYOUTS),
+    # Each run's trajectory is built at its last read, with its emission
+    # scaled there.
+    ("mbloch: the emission left unscaled at the last read", MBLOCH,
+     "emitted[i] *= sqrt_c",
+     "emitted[i] *= 1.0",
+     ("tests/test_mbloch.py::test_step_loop_matches_the_written_out_reference",)),
     # A detuned run then drops its Im E, Re P and Im S rows.
     ("mbloch: the row rule ignores delta", MBLOCH,
      "if medium.delta != 0.0 or initial is not None and (",
@@ -212,8 +227,8 @@ MUTANTS = (
      ("tests/test_mbloch.py::"
       "test_a_resonant_run_seeded_off_its_real_rows_matches_the_reference",)),
     ("mbloch: the injection window never refilled", MBLOCH,
-     "            w0 = r + 1\n            fill(w0, w0 + _CHECK_EVERY)\n",
-     "            w0 = r + 1\n",
+     "            fill(r + 1, r + 1 + _CHECK_EVERY, r - w0)\n",
+     "",
      BATCH_TESTS),
     # Each step group of the batch tests mixes media, and gamma12 = 0 with
     # gamma12 > 0.
@@ -253,11 +268,11 @@ MUTANTS = (
      "width = _group_width(n_z)",
      "width = len(order)",
      ("tests/test_mbloch.py::test_a_wide_batch_equals_its_solo_runs",)),
-    # Criterion 6's grid and its reference share the envelope, so criterion
+    # Criterion 6's grid and its reference share the overlap, so criterion
     # 6 alone cannot kill this one.
-    ("stats: OverlapEnvelope width 4 sigma^2 -> 2 sigma^2", "src/magnonbs/stats.py",
-     "np.exp(-(dtau**2) / (4.0 * self.sigma**2))",
-     "np.exp(-(dtau**2) / (2.0 * self.sigma**2))",
+    ("scenarios: delay_overlap width 4 sigma^2 -> 2 sigma^2", SCENARIOS,
+     "np.exp(-(d**2) / (4.0 * PULSE.sigma**2))",
+     "np.exp(-(d**2) / (2.0 * PULSE.sigma**2))",
      ("tests/test_acceptance.py::test_criterion_6_triple_correlations",
       "tests/test_stats.py", "tests/test_scenarios.py")),
     # The old chained comparison's reading of the range check, under which
