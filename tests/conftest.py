@@ -6,6 +6,7 @@ criteria reported, when the files were committed.  A later build must
 reproduce them: text exactly, numbers to within roundoff.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,18 @@ def assert_same_output(got: str, want: str) -> None:
             for i, (a, b) in enumerate(zip(gt, wt))
         )
         assert same, f"line {k}: {g!r}, contract has {w!r}"
+
+
+def traced(fn, *args, **kwargs) -> tuple[int, int]:
+    """The bytes `fn(*args, **kwargs)` allocated and still held when it
+    returned, its result included, and the most it held at once, both as
+    `tracemalloc` counts them from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)  # held while the counts are read
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

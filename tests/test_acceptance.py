@@ -10,9 +10,10 @@ complete.
 import multiprocessing
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from magnonbs import acceptance, mbloch, scenarios
+from magnonbs import MediumParams, acceptance, mbloch, scenarios
 from magnonbs.acceptance import (
     EXTRAPOLATED_GAP_TOL,
     LOSS_GAP_TOL,
@@ -26,6 +27,7 @@ from magnonbs.acceptance import (
     criterion_7,
     criterion_8,
 )
+from magnonbs.core import C_EFF
 from magnonbs.scenarios import DETUNED_MIXING, FIG2_CURVES, RESONANT_MIXING
 
 
@@ -124,21 +126,33 @@ def test_criterion_7_fails_on_an_efficiency_order_out_of_its_band(
 
 
 @pytest.mark.parametrize("error", [0.0, 1.0], ids=["exact", "first order"])
-def test_criterion_7_fails_on_a_first_order_coupling_error(error, mixing_checks,
+def test_criterion_7_fails_on_a_first_order_coupling_error(error, fig2_pairs, mixing_checks,
                                                            monkeypatch):
     # The coupling scaled by 1 + 2 dt, a 0.4% od error at n_z 80: the
     # observed order of each curve's efficiency falls to 0.99 and 0.98,
     # halving the grid moves it by 1.6e-3 and 1.3e-3, and the quarter-grid
     # runs' extrapolated gaps rise to 1.5e-6 and 2.2e-6.  The mixing runs,
-    # made without the error, are the gate's.
+    # made without the error, are the gate's.  At error 0 the patch gives
+    # `_local_maps`' arrays bit for bit on each gate depth, drive and grid,
+    # so the curves it would step are the gate's own.
     local_maps = mbloch._local_maps
 
     def coupled(medium, drives, dt_half):
         od = medium.od * (1.0 + error * 4.0 * dt_half) ** 2
         return local_maps(replace(medium, od=od), drives, dt_half)
 
-    monkeypatch.setattr(mbloch, "_local_maps", coupled)
-    curves = {params.od: acceptance.curve_and_quarter(params) for params in FIG2_CURVES}
+    if error == 0.0:
+        for p in FIG2_CURVES:
+            medium = MediumParams(od=p.od)
+            drives = np.array((p.rabi_bs, p.ref_rabi_s, *p.rabi_s_grid))
+            for n_z in (p.n_z, p.n_z // 2, p.n_z // 4):
+                dt_half = 0.5 / (n_z * C_EFF)
+                assert np.array_equal(coupled(medium, drives, dt_half),
+                                      local_maps(medium, drives, dt_half))
+        curves = fig2_pairs
+    else:
+        monkeypatch.setattr(mbloch, "_local_maps", coupled)
+        curves = {params.od: acceptance.curve_and_quarter(params) for params in FIG2_CURVES}
     result = criterion_7(curves=curves, checks=mixing_checks)
     assert result.passed is (error == 0.0), result.details
 

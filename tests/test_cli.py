@@ -1,11 +1,11 @@
 import math
 import multiprocessing
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import traced
 from magnonbs import ConfigError, PhysicsViolation, cli, mbloch, scenarios
 from magnonbs.cli import (
     GAMMA31_MHZ,
@@ -32,10 +32,7 @@ def test_defaults_resolve_without_a_file():
 
 
 def test_unit_suffixes_convert_exactly_once():
-    config = load_config(
-        None,
-        ["medium.delta_mhz=60", "pulse.t_center_ns=100"],
-    )
+    config = load_config(None, ["medium.delta_mhz=60", "pulse.t_center_ns=100"])
     # 60 MHz detuning over gamma31 = 2pi x 3 MHz is 20 normalized.
     assert config["medium"]["delta"] == pytest.approx(60.0 / GAMMA31_MHZ)
     assert config["pulse"]["t_center"] == pytest.approx(100.0 * NS_TO_NORM)
@@ -98,16 +95,11 @@ def test_sweep_value_grids():
     assert np.allclose(_sweep_values(config, 0), [1.0, 2.0, 3.0, 4.0])
     config = load_config(None, ["sweep.values=5, 2, 8"])
     assert np.allclose(_sweep_values(config, 0), [5.0, 2.0, 8.0])
-    config = load_config(
-        None,
-        ["sweep.start=1", "sweep.stop=4", "sweep.num=3", "sweep.spacing=log"],
-    )
+    config = load_config(None, ["sweep.start=1", "sweep.stop=4", "sweep.num=3",
+                                "sweep.spacing=log"])
     assert np.allclose(_sweep_values(config, 0), [1.0, 2.0, 4.0])
-    config = load_config(
-        None,
-        ["sweep.start=0", "sweep.stop=1", "sweep.num=5",
-         "sweep.spacing=random"],
-    )
+    config = load_config(None, ["sweep.start=0", "sweep.stop=1", "sweep.num=5",
+                                "sweep.spacing=random"])
     first = _sweep_values(config, 11)
     again = _sweep_values(config, 11)
     other = _sweep_values(config, 12)
@@ -188,19 +180,17 @@ def test_write_csv_cells_match_the_row_by_row_reference(tmp_path):
 def test_run_holds_only_its_recorded_emission_per_step(tmp_path):
     # `run` keeps the field emitted at each step, 16 B, and computes its
     # time and drive columns a chunk of rows at a time as they are written:
-    # 15.8 B per step measured between 19,200 and 76,800 steps at n_z 16.
-    # Whole time and drive columns took 49 B per step.
+    # 16.3 B per step measured between 2,400 and 9,600 steps at n_z 16,
+    # where either column computed whole takes 25 B, both 33 B.  A short
+    # run first takes the caches a process allocates once.
     def peak(t_end):
-        tracemalloc.start()
-        try:
+        def run():
             assert main(["run", "--out", str(tmp_path), "--override", "grid.n_z=16",
                          "--override", f"grid.t_end={t_end}"]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(run)[1]
 
-    peak(10)
-    assert (peak(400) - peak(100)) / (192 * 300) < 20.0
+    peak(1)
+    assert (peak(50) - peak(12.5)) / (192 * 37.5) < 20.0
 
 
 def test_run_writes_the_time_and_drive_of_every_step(tmp_path):
@@ -221,21 +211,18 @@ def test_run_writes_the_time_and_drive_of_every_step(tmp_path):
 
 def test_write_csv_holds_one_chunk_of_rows(tmp_path):
     # Four times the rows take no more memory while they are written: the
-    # growth measured 2 kB.  All rows formatted at once took about 377 B
-    # per row of `run`'s four columns (68.9 MB for 192,000 rows).  The first
-    # table of a process allocates caches once, so a short one goes first.
+    # growth measured 6.9 kB between 4,096 and 16,384 rows, as later
+    # chunks' cells take more digits.  All rows formatted at once took
+    # about 377 B per row of `run`'s four columns (68.9 MB for 192,000
+    # rows), and 165 B per row of these two.  The first table of a process
+    # allocates caches once, so a short one goes first.
     def peak(rows):
         t = np.arange(rows) * 1e-3
-        columns = [("t", t), ("e_out_re", np.cos(t))]
-        tracemalloc.start()
-        try:
-            write_csv(tmp_path / "long.csv", ["demo header"], columns)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(write_csv, tmp_path / "long.csv", ["demo header"],
+                      [("t", t), ("e_out_re", np.cos(t))])[1]
 
     peak(1_000)
-    assert peak(200_000) - peak(50_000) < 16_384
+    assert peak(16_384) - peak(4_096) < 16_384
 
 
 def test_missing_output_directory_fails_before_compute(tmp_path):
@@ -270,25 +257,15 @@ def test_fig3_emits_phase_header_and_bounds(tmp_path):
 
 
 def test_run_emits_tables_with_summary_header(tmp_path):
-    rc = main(
-        [
-            "run", "--out", str(tmp_path),
-            "--override", "grid.t_end=6",
-            "--override", "grid.n_z=64",
-            "--override", "grid.snapshots=2,4",
-            "--override", "control.segments=beamsplit:0:6:13",
-        ]
-    )
-    assert rc == 0
+    assert main(["run", "--out", str(tmp_path), "--override", "grid.t_end=6",
+                 "--override", "grid.n_z=64", "--override", "grid.snapshots=2,4",
+                 "--override", "control.segments=beamsplit:0:6:13"]) == 0
     emitted = (tmp_path / "run_emitted.csv").read_text(encoding="utf-8")
     assert "# emitted_norm = " in emitted
     assert "# loss = " in emitted
     snaps = (tmp_path / "run_snapshots.csv").read_text(encoding="utf-8")
-    times = {
-        line.split(",")[0]
-        for line in snaps.splitlines()
-        if line and not line.startswith("#") and not line.startswith("t,")
-    }
+    times = {line.split(",")[0] for line in snaps.splitlines()
+             if line and not line.startswith("#") and not line.startswith("t,")}
     assert len(times) == 2
 
 

@@ -7,6 +7,7 @@ command wrote with `--out data/contract/<case>`.  Regenerate them, and
 prints where the change is recorded.
 """
 
+import ast
 import importlib.util
 import shutil
 import subprocess
@@ -91,3 +92,24 @@ def test_every_mutant_names_text_and_tests_that_exist():
                 function = test.partition("[")[0]
                 assert f"def {function}(" in (ROOT / path).read_text(encoding="utf-8"), \
                     (name, test_id)
+
+
+def test_every_traced_test_is_named_by_a_mutant():
+    # A memory test passes on any code that holds little enough; only a
+    # mutant that re-creates the defect it guards shows that it can fail.
+    # A test is traced when it calls `traced` itself or through functions
+    # of its module.
+    named = {test_id.partition("[")[0] for *_, ids in _tool("mutants").MUTANTS for test_id in ids}
+    traced_tests = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        calls = {node.name: {call.func.id for call in ast.walk(node)
+                             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)}
+        tracing = {"traced"}
+        while grown := {name for name, called in calls.items() if called & tracing} - tracing:
+            tracing |= grown
+        traced_tests += [f"tests/{path.name}::{name}" for name in calls
+                         if name in tracing and name.startswith("test_")]
+    assert traced_tests
+    assert [test for test in traced_tests if test not in named] == []

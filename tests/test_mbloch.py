@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from conftest import traced
 from magnonbs import mbloch
 from magnonbs import (
     ConfigError,
@@ -40,10 +40,7 @@ def test_vacuum_propagation_is_a_pure_delay():
     # so the shape is preserved to interpolation accuracy.
     medium = MediumParams(od=0.0)
     pulse = PulseEnvelope(fwhm=1.5, t_center=5.0)
-    traj = evolve(
-        medium, constant_drive(0.0, 10.0), SimulationConfig(t_end=10.0, n_z=160),
-        pulse=pulse,
-    )
+    traj = evolve(medium, constant_drive(0.0, 10.0), SimulationConfig(t_end=10.0), pulse=pulse)
     assert traj.emitted_norm == pytest.approx(traj.input_norm, rel=1e-6)
     expected = pulse.amplitude(traj.times - 1.0 / C_EFF)
     num = abs(np.vdot(expected, traj.emitted)) ** 2
@@ -52,20 +49,18 @@ def test_vacuum_propagation_is_a_pure_delay():
     assert traj.loss_accum < 1e-12
 
 
-def test_eit_transparency_at_strong_drive():
-    traj = evolve(
-        OD30, constant_drive(20.0), SimulationConfig(t_end=12.0, n_z=160),
-        pulse=PULSE,
-    )
-    transmission = traj.emitted_norm / traj.input_norm
-    assert transmission >= 0.99
+@pytest.fixture(scope="module")
+def transparent_run():
+    """The pulse through the cell under a strong constant drive."""
+    return evolve(OD30, constant_drive(20.0), SimulationConfig(t_end=12.0), pulse=PULSE)
 
 
-def test_group_delay_matches_polariton_velocity():
-    traj = evolve(
-        OD30, constant_drive(20.0), SimulationConfig(t_end=12.0, n_z=160),
-        pulse=PULSE,
-    )
+def test_eit_transparency_at_strong_drive(transparent_run):
+    assert transparent_run.emitted_norm / transparent_run.input_norm >= 0.99
+
+
+def test_group_delay_matches_polariton_velocity(transparent_run):
+    traj = transparent_run
     w = np.abs(traj.emitted) ** 2
     centroid = float(np.sum(traj.times * w) / np.sum(w))
     delay = centroid - PULSE.t_center
@@ -76,10 +71,7 @@ def test_evolve_is_linear_in_the_input_amplitude():
     config = SimulationConfig(t_end=8.0, n_z=96)
     tl = constant_drive(13.0, 8.0)
     full = evolve(OD30, tl, config, pulse=PULSE)
-    quarter = evolve(
-        OD30, tl, config,
-        pulse=PulseEnvelope(fwhm=1.5, t_center=3.2, amplitude_norm=0.25),
-    )
+    quarter = evolve(OD30, tl, config, pulse=replace(PULSE, amplitude_norm=0.25))
     assert np.allclose(quarter.emitted, 0.5 * full.emitted, atol=1e-13)
 
 
@@ -94,11 +86,8 @@ def test_two_port_run_is_the_sum_of_single_port_runs():
     run_ab = evolve(OD30, tl, config, pulse=probe, initial=stored.state)
 
     assert np.allclose(run_ab.emitted, run_a.emitted + run_b.emitted, atol=1e-12)
-    assert np.allclose(
-        run_ab.final_state.sigma12,
-        run_a.final_state.sigma12 + run_b.final_state.sigma12,
-        atol=1e-12,
-    )
+    assert np.allclose(run_ab.final_state.sigma12,
+                       run_a.final_state.sigma12 + run_b.final_state.sigma12, atol=1e-12)
 
 
 def test_bookkeeping_closes_through_storage():
@@ -111,10 +100,8 @@ def test_bookkeeping_closes_through_storage():
     # write, recording its emission, and sum that field independently of
     # the ledger.  The storage run recorded none.
     t_off = PULSE.t_center + 0.5 / v_group(OD30, 5.0)
-    rerun = evolve(
-        OD30, ControlTimeline((ControlSegment(0.0, t_off, 5.0, "storage"),)),
-        SimulationConfig(t_end=t_off + 3.0), pulse=PULSE,
-    )
+    rerun = evolve(OD30, ControlTimeline((ControlSegment(0.0, t_off, 5.0, "storage"),)),
+                   SimulationConfig(t_end=t_off + 3.0), pulse=PULSE)
     assert traj.emitted.size == 0 and rerun.emitted.size == SimulationConfig(t_off + 3.0).n_steps
     for name in ("e_field", "sigma12", "sigma13", "t_now"):
         assert np.array_equal(getattr(rerun.final_state, name), getattr(fin, name)), name
@@ -413,11 +400,9 @@ def test_constant_drive_run_matches_the_eit_transfer_function():
     fwhm, t_center = 1.5, 5.0
 
     def error(n_z, od_ref):
-        traj = evolve(
-            MediumParams(od=od, delta=delta), constant_drive(rabi, 1000.0),
-            SimulationConfig(t_end=10.0, n_z=n_z),
-            pulse=PulseEnvelope(fwhm=fwhm, t_center=t_center),
-        )
+        traj = evolve(MediumParams(od=od, delta=delta), constant_drive(rabi, 1000.0),
+                      SimulationConfig(t_end=10.0, n_z=n_z),
+                      pulse=PulseEnvelope(fwhm=fwhm, t_center=t_center))
         want = _eit_output(_gaussian(traj.times, fwhm, t_center), traj.dt,
                            od_ref, delta, rabi)
         return np.linalg.norm(traj.emitted - want) / np.linalg.norm(want)
@@ -505,9 +490,7 @@ def reference_case():
     snap_steps = (512, 1036)
     config = SimulationConfig(t_end=4.5, n_z=n_z,
                               snapshot_times=tuple((n + 1) * dt for n in snap_steps))
-    reference = _reference_evolve(
-        medium, tl, n_z, 4.5, PULSE, initial=stored, states_at=snap_steps
-    )
+    reference = _reference_evolve(medium, tl, n_z, 4.5, PULSE, initial=stored, states_at=snap_steps)
     return medium, tl, config, stored, snap_steps, reference
 
 
@@ -913,35 +896,35 @@ def test_shared_equal_distinct_and_absent_pulses_in_one_group_are_each_runs_own(
         assert (got.injected_norm > 0.0) == (run[3] is not None)
 
 
-def test_a_48_run_group_holds_no_more_than_the_budget():
-    # Forty-eight ramped runs on n_z 160, one group.  At its widest the
-    # ring would take 33 slots of 373 kB, and the maps of every drive run
-    # of the group 7 MB.  What the group held beyond its outputs, at its
-    # peak, is the budget's ring and maps, the windows of injected and
-    # emitted cells and of quadrature terms (5 floats per member and step
-    # of a window), the drive runs (2 numbers each: where it starts and its
-    # drive), and 64 kB for the rest.
-    n_z, b = 160, 48
-    config = SimulationConfig(t_end=0.25, n_z=n_z)
+def test_a_step_group_holds_its_budget_and_a_window_per_member():
+    # Groups of 12 and 24 ramped runs on n_z 160, each one group and each
+    # step a drive run of its own.  At 24 members the ring would take 33
+    # slots of 93 kB and the maps of every drive run 7.1 MB, so the budget
+    # cuts both.  Beyond its outputs a group holds at its peak the budget's
+    # ring and maps, the windows of injected and emitted cells and of
+    # quadrature terms (5 floats per member and window step), the drive
+    # runs (2 numbers each: where it starts and its drive), and 64 kB for
+    # the rest.  The ring and maps fill the same share of the budget in
+    # both groups, so each member adds its windows and drive runs alone:
+    # 11.8 kB measured, where a pulse column per member adds 4 kB more.
+    config = SimulationConfig(t_end=0.1, n_z=160)
     times = (np.arange(config.n_steps) + 0.5) * config.dt
-    runs = []
-    for k in range(b):
-        timeline = ControlTimeline((ControlSegment(0.0, 0.25, 5.0 + 0.1 * k, "beamsplit",
-                                                   ramp=0.1),))
-        runs.append((MediumParams(od=30.0 + k), timeline, config, PULSE, None))
-    drive_runs = sum(1 + np.count_nonzero(np.diff(run[1].rabi(times))) for run in runs)
-    assert mbloch._group_width(n_z) >= b
-    steps, map_runs = mbloch._block_sizes(b, n_z, 3)
-    assert steps < mbloch._RING and map_runs < drive_runs // b
-    tracemalloc.start()
-    try:
-        trajectories = mbloch.evolve_batch(runs)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(trajectories) == b
-    allowed = 8 * (mbloch._BUDGET + 5 * mbloch._CHECK_EVERY * b + 2 * drive_runs) + 65_536
-    assert peak - held <= allowed
+    per_member = 8 * (5 * mbloch._CHECK_EVERY + 2 * config.n_steps)
+    beyond = {}
+    for b in (12, 24):
+        runs = [(MediumParams(od=30.0 + k), ControlTimeline((ControlSegment(
+                    0.0, 0.25, 5.0 + 0.1 * k, "beamsplit", ramp=0.1),)), config, PULSE, None)
+                for k in range(b)]
+        assert all(np.diff(run[1].rabi(times)).all() for run in runs)
+        assert mbloch._group_width(160) >= b
+        steps, map_runs = mbloch._block_sizes(b, 160, 3)
+        assert steps < mbloch._RING and map_runs < config.n_steps
+        trajectories = []
+        held, peak = traced(lambda: trajectories.extend(mbloch.evolve_batch(runs)))
+        assert len(trajectories) == b
+        beyond[b] = peak - held
+        assert beyond[b] <= 8 * mbloch._BUDGET + b * per_member + 65_536
+    assert beyond[24] - beyond[12] <= 12 * per_member
 
 
 def test_a_run_that_records_no_emission_is_the_recording_run_without_it():
@@ -982,15 +965,6 @@ def test_snapshots_move_no_ledger_number():
     assert [len(run.snapshots) for run in snapped] == [1, 3, 199]
 
 
-def _traced_peak(runs):
-    tracemalloc.start()
-    try:
-        mbloch.evolve_batch(runs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _long_runs(n_steps, k, pulsed=True):
     """k runs of n_steps on n_z 16 under one constant drive, recording no
     emission, with two pulses between them."""
@@ -1003,26 +977,29 @@ def _long_runs(n_steps, k, pulsed=True):
 
 
 def test_runs_recording_no_emission_hold_little_per_step():
-    # Eight runs that record no emission, longer than several windows of
+    # Two runs that record no emission, longer than several windows of
     # drive samples, hold nothing per step beyond their ledger reads, one
     # every _CHECK_EVERY steps: the read's step and its list of members,
-    # about 190 B for eight members, here allowed 256 B (1 B per step;
-    # the growth measured 0.75 B).  Their emitted fields alone would take
-    # 128 B per step, and the drive sampled at every step at once 8 B.  The
-    # first run of a process allocates caches once, so a run goes first.
-    n1, n2 = 8_192, 32_768
+    # here allowed 256 B (1 B per step; the growth measured 0.6 to 0.7 B).
+    # Their emitted fields alone would take 32 B per step, and the drive
+    # sampled at every step at once 27 B.  The first long run of a process
+    # allocates caches once, 10 kB at its peak, so one goes first, untraced.
+    def peak(n_steps):
+        return traced(mbloch.evolve_batch, _long_runs(n_steps, 2))[1]
+
+    n1, n2 = 8_192, 24_576
     assert n1 >= 2 * mbloch._DRIVE_WINDOW
-    _traced_peak(_long_runs(n1, 8))
-    grown = _traced_peak(_long_runs(n2, 8)) - _traced_peak(_long_runs(n1, 8))
-    assert grown < 256 * (n2 - n1) // mbloch._CHECK_EVERY
+    mbloch.evolve_batch(_long_runs(n2, 2))
+    assert peak(n2) - peak(n1) < 256 * (n2 - n1) // mbloch._CHECK_EVERY
 
 
 def test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step():
     # One run's maps, planned and dropped stretch by stretch, under a drive
     # that is one long ramp, so that every step is a drive run of its own:
     # the planning holds a window of samples and a block of drive runs,
-    # whatever the run's length.  Its traced peak measured 666 kB at both
-    # lengths; sampling the drive at every step at once grows it by 1.7 MB.
+    # whatever the run's length.  Its traced peak measured 660 kB at one
+    # window's length and at two; sampling the drive at every step at once
+    # grows it by 69 kB.
     def peak(n_steps):
         dt = 1.0 / (16 * C_EFF)
         t_end = n_steps * dt
@@ -1030,14 +1007,12 @@ def test_planning_a_drive_that_changes_at_every_step_holds_nothing_per_step():
                                                    ramp=0.5 * t_end),))
         stretches = mbloch._map_segments(OD30, timeline, n_steps, dt,
                                          mbloch._block_sizes(1, 16, 6)[1], mbloch._ALL_ROWS)
-        tracemalloc.start()
-        try:
-            assert sum(1 for _ in stretches) >= n_steps
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(32_768) - peak(8_192) < 8_192
+        def plan():
+            assert sum(1 for _ in stretches) >= n_steps
+        return traced(plan)[1]
+
+    assert peak(8_192) - peak(4_096) < 8_192
 
 
 # Steps of n_z 16 (dt = 1/192) at which the drive windows meet.
@@ -1195,11 +1170,16 @@ def test_a_constant_drive_run_is_its_exact_discrete_transfer_function(od, delta,
 
 def test_a_pulse_is_held_a_window_at_a_time():
     # What a pulse adds to the traced peak of a run, over the same run
-    # without one, does not grow with the step count.
-    n1, n2 = 2_048, 8_192
-    extra = [_traced_peak(_long_runs(n, 1)) - _traced_peak(_long_runs(n, 1, pulsed=False))
-             for n in (n1, n2)]
-    assert extra[1] - extra[0] < n2 - n1
+    # without one, does not grow with the step count: 0.4 kB measured,
+    # where the pulse's samples held for the whole run add 25 kB.  A short
+    # run first takes the caches a process allocates once.
+    def extra(n):
+        return (traced(mbloch.evolve_batch, _long_runs(n, 1))[1]
+                - traced(mbloch.evolve_batch, _long_runs(n, 1, pulsed=False))[1])
+
+    n1, n2 = 512, 2_048
+    extra(256)
+    assert extra(n2) - extra(n1) < n2 - n1
 
 
 def test_a_bad_batch_is_a_config_error_before_any_step(monkeypatch):
@@ -1266,9 +1246,7 @@ def test_a_snapshot_is_taken_at_the_step_end_nearest_its_time():
     # n_z = 160 steps by dt = 1/1920, so a step ends exactly at t = 2.
     pulse = PulseEnvelope(fwhm=1.5, t_center=1.0)
     tl = constant_drive(13.0, 10.0)
-    longer = evolve(
-        OD30, tl, SimulationConfig(t_end=4.0, snapshot_times=(2.0,)), pulse=pulse
-    )
+    longer = evolve(OD30, tl, SimulationConfig(t_end=4.0, snapshot_times=(2.0,)), pulse=pulse)
     upto = evolve(OD30, tl, SimulationConfig(t_end=2.0), pulse=pulse)
     (snap,) = longer.snapshots
     fin = upto.final_state

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from magnonbs import (
     ConfigError,
     MediumParams,
@@ -313,18 +313,14 @@ def test_a_phase_sweep_in_chunks_is_the_sweep_over_the_whole_array():
 
 
 def test_a_phase_sweep_holds_one_chunk_besides_its_output():
-    # 32 times the detunings take no more memory beyond the output array;
-    # the whole array at once would take about 64 B per detuning.
+    # 32 times the detunings take no more memory beyond the output array,
+    # one float per detuning as the detunings are; the whole array at once
+    # would take about 64 B per detuning.
     tau = tau_from_fwhm(1.8847)
 
     def held(n):
         detunings = np.linspace(-20.0, 20.0, n)
-        tracemalloc.start()
-        try:
-            phis = splitter.phi_rt_sweep(34.25, detunings, 100.0, tau)
-            return tracemalloc.get_traced_memory()[1] - phis.nbytes
-        finally:
-            tracemalloc.stop()
+        return traced(splitter.phi_rt_sweep, 34.25, detunings, 100.0, tau)[1] - detunings.nbytes
 
     held(4_096)
     assert held(128_004) - held(4_096) < 4_096
