@@ -32,7 +32,10 @@ def test_defaults_resolve_without_a_file():
 
 
 def test_unit_suffixes_convert_exactly_once():
-    config = load_config(None, ["medium.delta_mhz=60", "pulse.t_center_ns=100"])
+    config = load_config(
+        None,
+        ["medium.delta_mhz=60", "pulse.t_center_ns=100"],
+    )
     # 60 MHz detuning over gamma31 = 2pi x 3 MHz is 20 normalized.
     assert config["medium"]["delta"] == pytest.approx(60.0 / GAMMA31_MHZ)
     assert config["pulse"]["t_center"] == pytest.approx(100.0 * NS_TO_NORM)
@@ -95,11 +98,16 @@ def test_sweep_value_grids():
     assert np.allclose(_sweep_values(config, 0), [1.0, 2.0, 3.0, 4.0])
     config = load_config(None, ["sweep.values=5, 2, 8"])
     assert np.allclose(_sweep_values(config, 0), [5.0, 2.0, 8.0])
-    config = load_config(None, ["sweep.start=1", "sweep.stop=4", "sweep.num=3",
-                                "sweep.spacing=log"])
+    config = load_config(
+        None,
+        ["sweep.start=1", "sweep.stop=4", "sweep.num=3", "sweep.spacing=log"],
+    )
     assert np.allclose(_sweep_values(config, 0), [1.0, 2.0, 4.0])
-    config = load_config(None, ["sweep.start=0", "sweep.stop=1", "sweep.num=5",
-                                "sweep.spacing=random"])
+    config = load_config(
+        None,
+        ["sweep.start=0", "sweep.stop=1", "sweep.num=5",
+         "sweep.spacing=random"],
+    )
     first = _sweep_values(config, 11)
     again = _sweep_values(config, 11)
     other = _sweep_values(config, 12)
@@ -210,19 +218,20 @@ def test_run_writes_the_time_and_drive_of_every_step(tmp_path):
 
 
 def test_write_csv_holds_one_chunk_of_rows(tmp_path):
-    # Four times the rows take no more memory while they are written: the
-    # growth measured 6.9 kB between 4,096 and 16,384 rows, as later
-    # chunks' cells take more digits.  All rows formatted at once took
-    # about 377 B per row of `run`'s four columns (68.9 MB for 192,000
-    # rows), and 165 B per row of these two.  The first table of a process
-    # allocates caches once, so a short one goes first.
+    # Four times the rows take no more memory while they are written,
+    # here allowed 16 kB per 150,000 rows: the growth measured 0 B between
+    # 16,384 and 65,536 rows, whose last cells take as many digits.  All
+    # rows formatted at once took about 377 B per row of `run`'s four
+    # columns (68.9 MB for 192,000 rows), and 165 B per row of these two.
+    # The first table of a process allocates caches once, so a short one
+    # goes first.
     def peak(rows):
         t = np.arange(rows) * 1e-3
         return traced(write_csv, tmp_path / "long.csv", ["demo header"],
                       [("t", t), ("e_out_re", np.cos(t))])[1]
 
     peak(1_000)
-    assert peak(16_384) - peak(4_096) < 16_384
+    assert peak(65_536) - peak(16_384) < 16_384 * (65_536 - 16_384) / 150_000
 
 
 def test_missing_output_directory_fails_before_compute(tmp_path):
@@ -257,15 +266,25 @@ def test_fig3_emits_phase_header_and_bounds(tmp_path):
 
 
 def test_run_emits_tables_with_summary_header(tmp_path):
-    assert main(["run", "--out", str(tmp_path), "--override", "grid.t_end=6",
-                 "--override", "grid.n_z=64", "--override", "grid.snapshots=2,4",
-                 "--override", "control.segments=beamsplit:0:6:13"]) == 0
+    rc = main(
+        [
+            "run", "--out", str(tmp_path),
+            "--override", "grid.t_end=6",
+            "--override", "grid.n_z=64",
+            "--override", "grid.snapshots=2,4",
+            "--override", "control.segments=beamsplit:0:6:13",
+        ]
+    )
+    assert rc == 0
     emitted = (tmp_path / "run_emitted.csv").read_text(encoding="utf-8")
     assert "# emitted_norm = " in emitted
     assert "# loss = " in emitted
     snaps = (tmp_path / "run_snapshots.csv").read_text(encoding="utf-8")
-    times = {line.split(",")[0] for line in snaps.splitlines()
-             if line and not line.startswith("#") and not line.startswith("t,")}
+    times = {
+        line.split(",")[0]
+        for line in snaps.splitlines()
+        if line and not line.startswith("#") and not line.startswith("t,")
+    }
     assert len(times) == 2
 
 

@@ -709,13 +709,6 @@ MUTANTS = (
      "    traced(int)\n\n\n"
      "def test_a_pulse_is_held_a_window_at_a_time():",
      ("tests/test_contract.py::test_every_traced_test_is_named_by_a_mutant",)),
-    # Criterion 7 still passes on the gate's curves stepped with od this far
-    # off; the check that the patch at error 0 is `_local_maps` bit for bit
-    # does not.
-    ("tests: the coupling patch moves od by 1e-12 at error 0", "tests/test_acceptance.py",
-     "od = medium.od * (1.0 + error * 4.0 * dt_half) ** 2",
-     "od = medium.od * (1.0 + error * 4.0 * dt_half) ** 2 * (1.0 + 1e-12)",
-     ("tests/test_acceptance.py::test_criterion_7_fails_on_a_first_order_coupling_error[exact]",)),
     # A number rewritten within the tolerance then moves.
     ("contract: the tool compares text only", "tools/contract.py",
      "if a % 2 and not same_number(new[b], old[a]):",
