@@ -29,7 +29,7 @@ from .mbloch import (
 )
 from .splitter import (
     ExtractionResult,
-    effective_overlap,
+    exact_coincidence,
     extract_matrix,
     fold_phase,
     phi_rt_analytic,
@@ -69,7 +69,7 @@ __all__ = [
     "evolve",
     "evolve_batch",
     "ExtractionResult",
-    "effective_overlap",
+    "exact_coincidence",
     "extract_matrix",
     "fold_phase",
     "phi_rt_analytic",

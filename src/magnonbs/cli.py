@@ -107,6 +107,14 @@ def _number(text: str) -> float:
     return value
 
 
+def _span(text: str) -> float:
+    """A delay axis' half-width, whose square each delay's overlap takes."""
+    value = _number(text)
+    if not math.isfinite(value * value):
+        raise ConfigError(f"span too large: its square overflows, got {text!r}")
+    return value
+
+
 def _int(text: str) -> int:
     value = _number(text)
     if value != int(value):
@@ -202,11 +210,11 @@ KEYS: dict[str, dict[str, tuple]] = {
         "phase_rabi": (_number, scenarios.PHASE_CAL_RABI),
         "phase_fwhm": (_number, scenarios.PHASE_FWHM),
         "triples": (_parse_triples, scenarios.PHASE_POINTS),
-        "delay_span": (_number, 4.0),
+        "delay_span": (_span, 4.0),
         "delay_steps": (_rows, 81),
         "phase_steps": (_rows, 97),
         "fig4_steps": (_side, scenarios.FIG4_STEPS),
-        "fig4_span": (_number, scenarios.FIG4_SPAN),
+        "fig4_span": (_span, scenarios.FIG4_SPAN),
         "rabi_s_grid": (_floats, None),
     },
     "medium": {
@@ -256,7 +264,7 @@ def _parse_item(section: str, key: str, raw: str) -> tuple[str, object]:
     if name not in KEYS.get(section, {}):
         raise ConfigError(f"unknown config key: {section}.{key}")
     parse = KEYS[section][name][0]
-    if convert is not None and parse is not _number:
+    if convert is not None and parse not in (_number, _span):
         raise ConfigError(f"{section}.{key}: unit suffix on a non-float key")
     try:
         value = parse(raw.strip())

@@ -48,7 +48,7 @@ from .fock_oracle import (
 )
 from .mbloch import SimulationConfig, Trajectory, _require_step_bound, evolve_batch
 from .splitter import (
-    effective_overlap,
+    exact_coincidence,
     extract_matrix,
     phi_rt_of_matrix,
 )
@@ -440,15 +440,15 @@ class TriangleCheck:
 
 
 def triangle_check(scenario: MixingScenario, stored: StorageResult) -> TriangleCheck:
-    """Run a mixing point's mixing stage, from its stored stage `stored`,
-    through solver, oracle and formula."""
+    """Run a mixing point's mixing stage, from its stored stage `stored`
+    and on its grid, through solver, oracle and formula."""
     result = extract_matrix(
         scenario.medium, scenario.rabi_bs, scenario.t_cut,
         replace(PULSE, t_center=_MIX_PROBE_CENTER), stored.state,
-        n_z=MIX_N_Z, t_end=scenario.t_cut + _MIX_SETTLE,
+        t_end=scenario.t_cut + _MIX_SETTLE,
     )
     b = result.matrix
-    overlap_value = effective_overlap(result)
+    overlap_value = exact_coincidence(result).overlap
     phi = phi_rt_of_matrix(b)
     network = ModeNetwork(b.matrix)
     dist = output_distribution(network, two_photon_input(overlap_value))

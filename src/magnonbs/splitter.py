@@ -243,20 +243,19 @@ def extract_matrix(
     pulse: PulseEnvelope,
     initial_magnon: FieldState,
     t_end: float,
-    n_z: int = 160,
 ) -> ExtractionResult:
     """Measure the splitter matrix of one mixing stage.
 
     The stage is a beamsplit segment of drive `rabi_bs` from t = 0 to
-    `t_cut`.  Runs the solver twice, as one batch, for `t_end` each: once
-    from the stored spin wave with no input light, once from vacuum with
-    the probe pulse.  No drive follows the stage, so the final spin wave
-    is the magnon output port.  The photon output port is the emission at
-    the steps up to t_cut + 1 / C_EFF + 0.5; the window starts at t = 0,
-    so it always holds the first step.
+    `t_cut`.  Runs the solver twice on the stored wave's grid, as one
+    batch, for `t_end` each: once from the stored spin wave with no input
+    light, once from vacuum with the probe pulse.  No drive follows the
+    stage, so the final spin wave is the magnon output port.  The photon
+    output port is the emission at the steps up to t_cut + 1 / C_EFF +
+    0.5; the window starts at t = 0, so it always holds the first step.
     """
     timeline = ControlTimeline((ControlSegment(0.0, t_cut, rabi_bs, "beamsplit"),))
-    config = SimulationConfig(t_end=t_end, n_z=n_z)
+    config = SimulationConfig(t_end=t_end, n_z=initial_magnon.z_grid.size)
     run_a, run_b = evolve_batch([
         (medium, timeline, config, None, initial_magnon),
         (medium, timeline, config, pulse, None),
@@ -279,20 +278,39 @@ def extract_matrix(
     )
 
 
-def effective_overlap(result: ExtractionResult) -> float:
-    """Two-particle envelope overlap of the two single-input runs.
+@dataclass(frozen=True, eq=False)
+class Coincidence(_ArrayValue):
+    """The exact coincidence of two single-input runs, a the stored wave's
+    and b the probe's, with e the photon port's outputs (norms N) and s the
+    magnon port's (norms M), all per unit input.
 
-    The coincidence interference term couples the photon-port amplitudes and
-    the magnon-port amplitudes of the two runs at once, so the usable overlap
-    is the product of the photon-side amplitude overlap (windowed emission
-    profiles) and the magnon-side amplitude overlap (final spin waves), each
-    normalized to [0, 1].  The product form keeps the value a bound on the
-    interference contrast rather than a single-port mode match.  Each
-    factor is |G_01| / sqrt(G_00 G_11) of that port's Gram matrix, and a
-    port where sqrt(G_00 G_11) is below 1e-12 gives 0.
+    `stack` is (G0, G1, L), the magnon and photon port Grams and the loss
+    Gram L = I - G0 - G1, as `fock_oracle._distribution_from_grams` takes
+    them.  P(1,1) = N_a M_b + N_b M_a + 2 Re(<e_a,e_b><s_b,s_a>) (Legero et
+    al., Appl. Phys. B 77, 797 (2003); Shchesnovich, PRA 91, 013844 (2015))
+    and g2 is P(1,1) over its first two terms.  `overlap`, at most 1, is
+    |<e_a,e_b><s_b,s_a>| / sqrt(N_a N_b M_a M_b), both ports at once: a
+    bound on the interference contrast rather than a single port's mode
+    match.  A port whose sqrt(G_00 G_11) is below 1e-12 makes it 0.
     """
-    g = result.grams
-    den = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
-    if den.min() < 1e-12:
-        return 0.0
-    return float(min(1.0, np.prod(np.abs(g[:, 0, 1]) / den)))
+
+    stack: np.ndarray
+    p11: float
+    g2: float
+    overlap: float
+
+    def __post_init__(self) -> None:
+        self.stack.setflags(write=False)  # built for this record alone
+
+
+def exact_coincidence(result: ExtractionResult) -> Coincidence:
+    """The exact coincidence of the two single-input runs behind `result`."""
+    root = np.sqrt([result.run_magnon.initial_norm, result.run_photon.injected_norm])
+    spin, light = result.grams / np.outer(root, root)
+    stack = np.stack([spin, light, np.eye(2) - spin - light])
+    apart = (light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]).real
+    cross = light[0, 1] * spin[1, 0]
+    p11 = apart + 2.0 * cross.real
+    ports = np.sqrt(stack[:2, 0, 0].real * stack[:2, 1, 1].real)
+    overlap = 0.0 if ports.min() < 1e-12 else min(1.0, abs(cross) / ports.prod())
+    return Coincidence(stack, float(p11), float(p11 / apart), float(overlap))

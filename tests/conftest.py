@@ -1,35 +1,13 @@
-"""The output contract shared by the command and acceptance tests, and the
-gate's solver runs, computed once per session.
-
-`tests/data/contract/` holds what the commands wrote, and what the gate's
-criteria reported, when the files were committed.  A later build must
-reproduce them: text exactly, numbers to within roundoff.
-"""
+"""The gate's solver runs, computed once per session and shared by the
+tests, and `traced`, the memory count of one call."""
 
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from magnonbs import scenarios
 from magnonbs.acceptance import _triangle_pair, curve_and_quarter
 from magnonbs.scenarios import FIG2_CURVES
-from output_contract import CONTRACT, NUMBER, same_number
-
-
-def assert_same_output(got: str, want: str) -> None:
-    """Fail unless `got` matches `want` line by line and token by token."""
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    assert len(got_lines) == len(want_lines), (
-        f"{len(got_lines)} lines, contract has {len(want_lines)}"
-    )
-    for k, (g, w) in enumerate(zip(got_lines, want_lines), 1):
-        gt, wt = NUMBER.split(g), NUMBER.split(w)
-        same = len(gt) == len(wt) and all(
-            same_number(a, b) if i % 2 else a == b
-            for i, (a, b) in enumerate(zip(gt, wt))
-        )
-        assert same, f"line {k}: {g!r}, contract has {w!r}"
 
 
 def traced(fn, *args, **kwargs) -> tuple[int, int]:
@@ -42,16 +20,6 @@ def traced(fn, *args, **kwargs) -> tuple[int, int]:
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-
-
-@pytest.fixture(scope="session")
-def contract_dir() -> Path:
-    return CONTRACT
-
-
-@pytest.fixture(scope="session")
-def same_output():
-    return assert_same_output
 
 
 @pytest.fixture(scope="session")

@@ -509,6 +509,9 @@ def no_solver(monkeypatch):
          "--override", "scenario.triples=1.7e308:2"],
         # A detuning so far past the pulse area that (1 - xi)^2 underflows.
         ["fig3", "--override", "scenario.triples=30:1e300"],
+        # A delay span whose square, and so the delay axis, overflows.
+        ["fig3", "--override", "scenario.delay_span=1e308"],
+        ["fig4", "--override", "scenario.fig4_span=1e308"],
         # A drive past the grid's bound at the last point, which would be
         # stepped after the first group of points.
         ["sweep", "--override", "sweep.values=2,3,4,5,1e7"],

@@ -17,20 +17,16 @@ from pathlib import Path
 import pytest
 
 from magnonbs.cli import main
-from output_contract import CASES
+from output_contract import CASES, CONTRACT, Move, compare, table
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_command_tables_match_the_contract(case, tmp_path, contract_dir, same_output):
+def test_command_tables_match_the_contract(case, tmp_path):
     assert main(CASES[case] + ["--out", str(tmp_path)]) == 0
-    want = contract_dir / case
-    names = sorted(p.name for p in want.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
-    for name in names:
-        same_output((tmp_path / name).read_text(encoding="utf-8"),
-                    (want / name).read_text(encoding="utf-8"))
+    moves = compare(tmp_path, CONTRACT / case)
+    assert not moves, table(moves)
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -54,26 +50,23 @@ def _tool(name):
     return tool
 
 
-def _contract_tool():
-    return _tool("contract")
-
-
-def test_the_contract_tool_reports_exactly_the_token_that_moved(tmp_path, contract_dir):
+def test_the_contract_tool_reports_exactly_the_token_that_moved(tmp_path):
     # On committed files, not on a rerun: an unchanged copy has not moved,
     # nor has a number rewritten within the tolerance; a number moved past
-    # it is reported alone, with its file, line and column.
-    tool = _contract_tool()
+    # it is reported alone, with its file, line and column.  The tool and
+    # the contract tests compare alike, through `output_contract`.
+    assert _tool("contract").compare is compare
     copy = tmp_path / "contract"
-    shutil.copytree(contract_dir, copy)
-    assert tool.compare(copy, contract_dir) == []
+    shutil.copytree(CONTRACT, copy)
+    assert compare(copy, CONTRACT) == []
     path = copy / "fig4" / "fig4_corners.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     k = lines.index("classical_threshold,2.25\n")
     for value, moved in (("2.2500000000001", False), ("2.2500001", True)):
         lines[k] = f"classical_threshold,{value}\n"
         path.write_text("".join(lines), encoding="utf-8")
-        want = [tool.Move("fig4/fig4_corners.csv", str(k + 1), "g3", "2.25", value)]
-        assert tool.compare(copy, contract_dir) == (want if moved else [])
+        want = [Move("fig4/fig4_corners.csv", str(k + 1), "g3", "2.25", value)]
+        assert compare(copy, CONTRACT) == (want if moved else [])
 
 
 def test_every_mutant_names_text_and_tests_that_exist():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magnonbs import (
-    ConfigError, MediumParams, effective_overlap, fock_oracle, g2_formula, scenarios,
+    ConfigError, MediumParams, exact_coincidence, fock_oracle, g2_formula, scenarios,
 )
 from magnonbs.scenarios import (
     DETUNED_MIXING,
@@ -233,13 +233,6 @@ _CROSSOVER_POINTS = tuple(
 )
 
 
-def _per_input(extraction):
-    """An extraction's port Grams divided by sqrt(inputs) on both sides."""
-    root = np.sqrt([extraction.run_magnon.initial_norm,
-                    extraction.run_photon.injected_norm])
-    return extraction.grams / np.outer(root, root)
-
-
 def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(
         mixing_extractions, extractions):
     # Per unit input, L = I - G(0) - G(1) is the Gram of what a passive
@@ -253,73 +246,55 @@ def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(
     resonant, detuned = mixing_extractions
     fermionic, *bosonic = extractions
     for extraction in (resonant, detuned, fermionic, *bosonic):
-        grams = _per_input(extraction)
-        loss = np.eye(2) - grams[0] - grams[1]
+        loss = exact_coincidence(extraction).stack[2]
         assert np.abs(loss - loss.conj().T).max() <= _LOSS_GRAM_TOL
         assert np.linalg.eigvalsh(loss).min() >= -_LOSS_GRAM_TOL
     # The check can fail: with the magnon Gram conjugated, L has the
     # eigenvalue -8.8e-3 at the detuned gate point and -0.51 and -0.67 at
     # the bosonic points.  These points lose too little to hide it.
     for extraction in (detuned, *bosonic):
-        grams = _per_input(extraction)
-        loss = np.eye(2) - grams[0].conj() - grams[1]
-        assert np.linalg.eigvalsh(loss).min() < -_LOSS_GRAM_TOL
+        spin, _, loss = exact_coincidence(extraction).stack
+        assert np.linalg.eigvalsh(loss + spin - spin.conj()).min() < -_LOSS_GRAM_TOL
 
 
 def test_the_oracle_gives_the_exact_coincidence_at_the_gate_points(
         mixing_checks, mixing_extractions):
-    # The two single-input runs fix the two-particle output exactly.  Per
-    # unit input, the oracle over the stack (G(0), G(1), L), the loss Gram
-    # L = I - G(0) - G(1), gives P(1,1) = N_a M_b + N_b M_a
-    # + 2 Re(<e_a,e_b><s_b,s_a>), with N the photon port's norms and M the
-    # magnon port's (Legero et al., Appl. Phys. B 77, 797 (2003);
-    # Shchesnovich, PRA 91, 013844 (2015)); measured within 3e-17.  With
-    # the cross term's sign flipped the closed form misses by 1.5e-3 and
-    # 1.6e-2 (resonant, detuned).  Its overlap |<e_a,e_b><s_b,s_a>| /
-    # sqrt(N_a N_b M_a M_b) is `effective_overlap`.
-    exact = []
+    # The two single-input runs fix the two-particle output exactly: the
+    # oracle over the per-unit-input stack (G(0), G(1), L) gives the closed
+    # form of `exact_coincidence`, within 3e-17 measured; with the cross
+    # term's sign flipped it misses by 1.5e-3 and 1.6e-2 (resonant,
+    # detuned).  The overlap bounds the cross term's real part, and equals
+    # it at the resonant point, where every Gram is real.
+    exact, crosses = [], []
     for extraction in mixing_extractions:
-        spin, light = _per_input(extraction)
-        stack = np.stack([spin, light, np.eye(2) - spin - light])
-        p11 = fock_oracle._distribution_from_grams(stack)[(1, 1)]
-        apart = (light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]).real
-        cross = light[0, 1] * spin[1, 0]
-        assert abs(p11 - (apart + 2.0 * cross.real)) <= 1e-12
-        assert abs(p11 - (apart - 2.0 * cross.real)) > 1e-3
-        norms = light[0, 0].real * light[1, 1].real * spin[0, 0].real * spin[1, 1].real
-        assert abs(cross) / math.sqrt(norms) == effective_overlap(extraction)
-        exact.append(p11 / apart)
+        coincidence = exact_coincidence(extraction)
+        p11 = fock_oracle._distribution_from_grams(coincidence.stack)[(1, 1)]
+        apart = coincidence.p11 / coincidence.g2
+        assert abs(p11 - coincidence.p11) <= 1e-12
+        assert abs(p11 - (2.0 * apart - coincidence.p11)) > 1e-3
+        norms = np.prod(np.diagonal(coincidence.stack[:2], axis1=1, axis2=2).real)
+        crosses.append((abs(p11 - apart) / 2.0, coincidence.overlap * math.sqrt(norms)))
+        exact.append(coincidence.g2)
+    (real, bound), (detuned, detuned_bound) = crosses
+    assert real == pytest.approx(bound, rel=1e-12) and detuned < detuned_bound
     assert exact == pytest.approx([1.0116, 0.9551], abs=1e-4)
     # The detuned point's exact g2 is on the bosonic side, below 1, where
     # criterion 5 prints 1.0203.
     assert exact[1] < 1.0 < mixing_checks[1].g2_oracle
 
 
-def _exact_g2(grams):
-    """The exact coincidence g2 of two single-input runs' port Grams.
-
-    With run a the stored wave's and run b the probe's, e the photon port's
-    outputs (norms N) and s the magnon port's (norms M):
-    g2 = 1 + 2 Re(<e_a,e_b><s_b,s_a>) / (N_a M_b + N_b M_a).
-    """
-    spin, light = grams
-    apart = light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]
-    return 1.0 + 2.0 * (light[0, 1] * spin[1, 0]).real / apart.real
-
-
 def test_the_resonant_gate_point_converges_at_second_order(
-        mixing_extractions, extractions, monkeypatch):
+        mixing_extractions, extractions):
     # Strang splitting is second order in the grid, so the exact g2's
     # successive differences over n_z 40, 80 and 160 fall 4 times per
     # halving of the cell.  Measured: 4.014 here, 4.000 to 4.014 at four
     # mixing points over n_z 40 to 320.  A first-order error, the coupling
     # scaled by 1 + 2 dt, gives 1.85 here.  Runs in about 0.1 s.
     for n_z in (40, 80):
-        monkeypatch.setattr(scenarios, "MIX_N_Z", n_z)
         (stored,) = scenarios.store([RESONANT_MIXING.stage], n_z)
         triangle_check(RESONANT_MIXING, stored)
     runs = (*extractions, mixing_extractions[0])
     assert [e.run_magnon.final_state.z_grid.size for e in runs] == [40, 80, 160]
-    g2 = [_exact_g2(e.grams) for e in runs]
+    g2 = [exact_coincidence(e).g2 for e in runs]
     d_coarse, d_fine = np.diff(g2)
     assert abs(d_coarse / d_fine - 4.0) <= 0.05

@@ -12,7 +12,7 @@ from magnonbs import (
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
-    effective_overlap,
+    exact_coincidence,
     extract_matrix,
     fold_phase,
     phi_rt_analytic,
@@ -449,23 +449,30 @@ def test_extract_matrix_identity_without_drive_or_atoms():
     # the probe untouched, so the measured matrix is the identity.
     empty = MediumParams(od=0.0)
     stored = store([(OD30, 5.0)], 96)[0]
-    result = extract_matrix(empty, 0.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.0)
+    result = extract_matrix(empty, 0.0, 2.0, PROBE, stored.state, t_end=5.0)
     b = result.matrix
     assert abs(b.t1) == pytest.approx(1.0, abs=1e-3)
     assert abs(b.r1) == pytest.approx(0.0, abs=1e-3)
     assert abs(b.t2) == pytest.approx(1.0, abs=1e-3)
     assert abs(b.r2) == pytest.approx(0.0, abs=1e-3)
+    # The photon run leaves no spin wave and the magnon run emits nothing:
+    # the cross term's factors are exactly 0, and the overlap 0 by its
+    # guard, not 0 / 0.  P(1,1) per unit input measures 0.99827, the
+    # probe's tail past the photon window lost.
+    coincidence = exact_coincidence(result)
+    assert coincidence.overlap == 0.0 and coincidence.g2 == 1.0
+    assert coincidence.p11 == pytest.approx(1.0, abs=2e-3)
 
 
 def test_extract_matrix_mixes_ports_in_a_driven_cell():
     stored = store([(OD30, 3.0)], 96)[0]
-    result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.5)
+    result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, t_end=5.5)
     b = result.matrix
     # All four channels carry weight and the matrix stays passive.
     for amp in (b.t1, b.r1, b.t2, b.r2):
         assert abs(amp) > 0.05
     assert (np.linalg.norm(b.matrix, axis=0) ** 2).max() <= 1.0 + 1e-6
-    assert 0.0 <= effective_overlap(result) <= 1.0
+    assert 0.0 <= exact_coincidence(result).overlap <= 1.0
     assert not result.grams.flags.writeable
 
 
@@ -473,7 +480,7 @@ def test_grams_give_the_vector_projection_of_a_driven_cell():
     # The matrix and overlap read off the port Grams equal the projection
     # of the sampled outputs onto the summed modes, written out here.
     stored = store([(OD30, 3.0)], 96)[0]
-    result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, n_z=96, t_end=5.5)
+    result = extract_matrix(OD30, 13.0, 2.0, PROBE, stored.state, t_end=5.5)
     run_a, run_b = result.run_magnon, result.run_photon
     # The photon window of a stage cut at 2.0.
     inside = (run_a.times >= 0.0) & (run_a.times <= 2.0 + 1.0 / C_EFF + 0.5)
@@ -494,7 +501,7 @@ def test_grams_give_the_vector_projection_of_a_driven_cell():
 
     c_ph = abs(np.vdot(ea, eb)) / (np.linalg.norm(ea) * np.linalg.norm(eb))
     c_mg = abs(np.vdot(sa, sb)) / (np.linalg.norm(sa) * np.linalg.norm(sb))
-    assert abs(effective_overlap(result) - min(1.0, c_ph * c_mg)) < 1e-13
+    assert abs(exact_coincidence(result).overlap - min(1.0, c_ph * c_mg)) < 1e-13
     assert 0.0 < c_ph * c_mg < 1.0
 
 
@@ -509,7 +516,7 @@ def test_extract_matrix_rejects_a_stored_wave_that_starts_late(monkeypatch):
     # before either run builds a step map.
     monkeypatch.setattr(mbloch, "expm", forbidden)
     with pytest.raises(ConfigError, match="t_now"):
-        extract_matrix(OD30, 13.0, 2.0, PROBE, late, n_z=96, t_end=5.0)
+        extract_matrix(OD30, 13.0, 2.0, PROBE, late, t_end=5.0)
 
 
 def _mixing_grams(od, delta, gamma12=0.0):
@@ -517,7 +524,7 @@ def _mixing_grams(od, delta, gamma12=0.0):
     # `MixingScenario` stores it.
     stored = store([(MediumParams(od=od, gamma12=gamma12), 3.0)], 48)[0]
     medium = MediumParams(od=od, delta=delta, gamma12=gamma12)
-    return extract_matrix(medium, 13.0, 2.0, PROBE, stored.state, n_z=48, t_end=5.5).grams
+    return extract_matrix(medium, 13.0, 2.0, PROBE, stored.state, t_end=5.5).grams
 
 
 def test_grams_on_resonance_are_exactly_real():

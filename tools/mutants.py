@@ -42,6 +42,10 @@ OVERLAP_TESTS = ("tests/test_stats.py::test_g2_formula_rejects_bad_overlap",
                  "tests/test_fock_oracle.py::test_fock_input_guards")
 EXPM_TESTS = ("tests/test_mbloch.py::test_expm_matches_scipy_on_random_stacks",)
 GRAM_TEST = "tests/test_splitter.py::test_grams_give_the_vector_projection_of_a_driven_cell"
+EXACT_TEST = ("tests/test_scenarios.py::"
+              "test_the_oracle_gives_the_exact_coincidence_at_the_gate_points")
+LOSS_GRAM_TEST = ("tests/test_scenarios.py::"
+                  "test_the_gate_points_leave_a_positive_semidefinite_loss_gram")
 PHASE_REFERENCE_TEST = "tests/test_splitter.py::test_phi_rt_estimates_match_the_two_angle_reference"
 MEMO_TEST = "tests/test_splitter.py::test_phi_rt_analytic_memo_never_serves_a_stale_drive"
 UNDERFLOW_TEST = "tests/test_splitter.py::test_phi_rt_estimates_stop_where_the_square_underflows"
@@ -50,13 +54,13 @@ RICHARDSON_TEST = ("tests/test_scenarios.py::"
                    "test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80")
 COLUMNS_TEST = ("tests/test_scenarios.py::"
                 "test_each_curve_column_is_the_richardson_value_of_its_grids")
-FIG2_GRID_BOUND_TEST = ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-                        "[fig2 --override scenario.ods=150,30 --override scenario.rabi_s_grid=5e5]")
+BAD_INPUT = "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+FIG2_GRID_BOUND_TEST = (f"{BAD_INPUT}[fig2 --override scenario.ods=150,30 "
+                        "--override scenario.rabi_s_grid=5e5]")
 MEDIUM_BOUND_TEST = ("tests/test_mbloch.py::"
                      "test_a_medium_the_grid_cannot_resolve_is_a_config_error_before_any_step")
 MEDIUM_BOUND_CLI_TESTS = tuple(
-    "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-    f"[run --override grid.n_z=16 --override grid.t_end=0.5 --override medium.{medium}]"
+    f"{BAD_INPUT}[run --override grid.n_z=16 --override grid.t_end=0.5 --override medium.{medium}]"
     for medium in ("od=1e160", "od=1e200", "delta=1e100", "delta=1e300"))
 RUN_MEMORY_TEST = "tests/test_cli.py::test_run_holds_only_its_recorded_emission_per_step"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
@@ -351,8 +355,7 @@ MUTANTS = (
     ("cli: the sweep checks each point only as it steps", "src/magnonbs/cli.py",
      "for traj in evolve_batch(runs)]",
      "for run in runs for traj in evolve_batch([run])]",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[sweep --override sweep.values=2,3,4,5,1e7]",)),
+     (f"{BAD_INPUT}[sweep --override sweep.values=2,3,4,5,1e7]",)),
     ("mbloch: a grid's runs stepped shortest first", MBLOCH,
      "key=lambda i: -runs[i][2].n_steps)",
      "key=lambda i: runs[i][2].n_steps)",
@@ -372,27 +375,30 @@ MUTANTS = (
     ("cli: a sweep's point count unbounded", "src/magnonbs/cli.py",
      '"num": (_rows, 6),',
      '"num": (_count, 6),',
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[sweep --override sweep.num=100001]",)),
+     (f"{BAD_INPUT}[sweep --override sweep.num=100001]",)),
     ("cli: a list of values unbounded", "src/magnonbs/cli.py",
      "if len(values) > _MAX_ROWS:",
      "if False:",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[sweep --override sweep.values=<100001 values>]",)),
+     (f"{BAD_INPUT}[sweep --override sweep.values=<100001 values>]",)),
     ("cli: no bound on a table's rows", "src/magnonbs/cli.py",
      "_MAX_ROWS = 100_000",
      "_MAX_ROWS = 100_000_000",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
+     (BAD_INPUT,)),
     ("cli: fig4's points per axis bounded, not its rows", "src/magnonbs/cli.py",
      "if value * value > _MAX_ROWS:",
      "if value > _MAX_ROWS:",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[fig4 --override scenario.fig4_steps=317]",)),
+     (f"{BAD_INPUT}[fig4 --override scenario.fig4_steps=317]",)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
      "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
      "KEYS.get(section, {}).get(key, (None,))[0]",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
+     (BAD_INPUT,
       "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
+    # The overflows' RuntimeWarnings, which the tests raise as errors.
+    ("cli: a delay span's square unchecked", "src/magnonbs/cli.py",
+     "if not math.isfinite(value * value):",
+     "if False:",
+     tuple(f"{BAD_INPUT}[{command} --override scenario.{key}=1e308]"
+           for command, key in (("fig3", "delay_span"), ("fig4", "fig4_span")))),
     ("splitter: the scalar phase's exp conjugates its argument", SPLITTER,
      "xi = cmath.exp(-x / (1.0 - 1j * d))",
      "xi = cmath.exp((-x / (1.0 - 1j * d)).conjugate())",
@@ -410,14 +416,13 @@ MUTANTS = (
      "x = r * r * float(tau) / 4.0",
      "x = r ** 2 * float(tau) / 4.0",
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
-      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[fig3 --override scenario.phase_rabi=1e200]")),
+      f"{BAD_INPUT}[fig3 --override scenario.phase_rabi=1e200]")),
     ("splitter: drop the od overflow guard", SPLITTER,
      "if not 4.0 * (x + od) < math.inf:",
      "if False:",
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
-      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[fig3 --override scenario.phase_rabi=3.76 --override scenario.triples=1.7e308:2]")),
+      f"{BAD_INPUT}[fig3 --override scenario.phase_rabi=3.76 "
+      "--override scenario.triples=1.7e308:2]")),
     ("splitter: the phase memo's key leaves out tau", SPLITTER,
      "if rabi is last_rabi and od is last_od and tau is last_tau:",
      "if rabi is last_rabi and od is last_od:",
@@ -430,8 +435,7 @@ MUTANTS = (
      "if not -max_detuning <= d <= max_detuning:",
      "if False:",
      (UNDERFLOW_TEST,
-      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[fig3 --override scenario.triples=30:1e300]")),
+      f"{BAD_INPUT}[fig3 --override scenario.triples=30:1e300]")),
     ("splitter: the phase sweep drops the detuning bound", SPLITTER,
      "if not -max_detuning <= lo <= hi <= max_detuning:",
      "if False:",
@@ -483,12 +487,27 @@ MUTANTS = (
     ("splitter: the magnon Gram drops its .conj()", SPLITTER,
      "run_a.final_state.dz * (spin.conj() @ spin.T)",
      "run_a.final_state.dz * (spin @ spin.T)",
-     ("tests/test_scenarios.py::"
-      "test_the_gate_points_leave_a_positive_semidefinite_loss_gram",)),
+     (LOSS_GRAM_TEST,)),
     ("splitter: the photon Gram weighted by dz", SPLITTER,
      "run_a.dt * (light.conj() @ light.T)",
      "run_a.final_state.dz * (light.conj() @ light.T)",
      (GRAM_TEST,)),
+    ("splitter: the overlap's vanishing-port guard dropped", SPLITTER,
+     "overlap = 0.0 if ports.min() < 1e-12 else min(1.0, abs(cross) / ports.prod())",
+     "overlap = min(1.0, abs(cross) / ports.prod())",
+     ("tests/test_splitter.py::test_extract_matrix_identity_without_drive_or_atoms",)),
+    ("splitter: the coincidence's cross term with its sign flipped", SPLITTER,
+     "p11 = apart + 2.0 * cross.real",
+     "p11 = apart - 2.0 * cross.real",
+     (EXACT_TEST,)),
+    ("splitter: the coincidence's stack not divided by the inputs", SPLITTER,
+     "spin, light = result.grams / np.outer(root, root)",
+     "spin, light = result.grams",
+     ("tests/test_splitter.py::test_extract_matrix_identity_without_drive_or_atoms",)),
+    ("splitter: the magnon Gram conjugated in the coincidence's stack", SPLITTER,
+     "stack = np.stack([spin, light, np.eye(2) - spin - light])",
+     "stack = np.stack([spin.conj(), light, np.eye(2) - spin.conj() - light])",
+     (LOSS_GRAM_TEST,)),
     ("mbloch: a run may start from a state at t_now != 0", MBLOCH,
      "if initial.t_now != 0.0:",
      "if False:",
@@ -512,8 +531,7 @@ MUTANTS = (
      "if self.t_end / self.dt - 1e-9 > _MAX_STEPS:",
      "if False:",
      ("tests/test_mbloch.py::test_a_run_may_take_up_to_the_step_bound",
-      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-      "[run --override grid.t_end=1e12]")),
+      f"{BAD_INPUT}[run --override grid.t_end=1e12]")),
     # Forward and mirrored runs then sample the drive a step apart.
     ("mbloch: sample the drive one step late", MBLOCH,
      "timeline.rabi((np.arange(n0, n1) + 0.5) * dt)",
@@ -612,8 +630,7 @@ MUTANTS = (
     ("splitter: the magnon Gram transposed", SPLITTER,
      "run_a.final_state.dz * (spin.conj() @ spin.T),",
      "run_a.final_state.dz * (spin.conj() @ spin.T).T,",
-     ("tests/test_scenarios.py::"
-      "test_the_oracle_gives_the_exact_coincidence_at_the_gate_points",)),
+     (EXACT_TEST,)),
     ("scenarios: drop the storage run from triangle_check's loss gap",
      SCENARIOS,
      "(stored.trajectory, result.run_magnon, result.run_photon)),",
@@ -638,12 +655,12 @@ MUTANTS = (
     ("core: drop the od overflow guard of MediumParams", CORE,
      "if not math.isfinite(2.0 * self.od * C_EFF):",
      "if False:",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
+     (BAD_INPUT,
       "tests/test_core.py::test_medium_rejects_bad_parameters")),
     ("scenarios: v_group squares the drive with **", SCENARIOS,
      "w2 = abs(rabi) * abs(rabi)",
      "w2 = abs(rabi) ** 2",
-     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
+     (BAD_INPUT,
       "tests/test_mbloch.py::"
       "test_a_storage_drive_without_a_finite_group_velocity_is_a_config_error")),
     ("cli: a config file that is not UTF-8 escapes as a traceback", "src/magnonbs/cli.py",
@@ -710,7 +727,7 @@ MUTANTS = (
      "def test_a_pulse_is_held_a_window_at_a_time():",
      ("tests/test_contract.py::test_every_traced_test_is_named_by_a_mutant",)),
     # A number rewritten within the tolerance then moves.
-    ("contract: the tool compares text only", "tools/contract.py",
+    ("contract: the tool compares text only", "tests/output_contract.py",
      "if a % 2 and not same_number(new[b], old[a]):",
      "if a % 2 and new[b] != old[a]:",
      ("tests/test_contract.py::"
