@@ -291,7 +291,8 @@ class Coincidence(_ArrayValue):
     and g2 is P(1,1) over its first two terms.  `overlap`, at most 1, is
     |<e_a,e_b><s_b,s_a>| / sqrt(N_a N_b M_a M_b), both ports at once: a
     bound on the interference contrast rather than a single port's mode
-    match.  A port whose sqrt(G_00 G_11) is below 1e-12 makes it 0.
+    match.  It is the ports' |G_01| / sqrt(G_00 G_11) multiplied, on the
+    Grams as measured, where a sqrt(G_00 G_11) below 1e-12 makes it 0.
     """
 
     stack: np.ndarray
@@ -311,6 +312,7 @@ def exact_coincidence(result: ExtractionResult) -> Coincidence:
     apart = (light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]).real
     cross = light[0, 1] * spin[1, 0]
     p11 = apart + 2.0 * cross.real
-    ports = np.sqrt(stack[:2, 0, 0].real * stack[:2, 1, 1].real)
-    overlap = 0.0 if ports.min() < 1e-12 else min(1.0, abs(cross) / ports.prod())
+    g = result.grams
+    ports = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
+    overlap = 0.0 if ports.min() < 1e-12 else min(1.0, np.prod(abs(g[:, 0, 1]) / ports))
     return Coincidence(stack, float(p11), float(p11 / apart), float(overlap))

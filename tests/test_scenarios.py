@@ -263,20 +263,24 @@ def test_the_oracle_gives_the_exact_coincidence_at_the_gate_points(
     # oracle over the per-unit-input stack (G(0), G(1), L) gives the closed
     # form of `exact_coincidence`, within 3e-17 measured; with the cross
     # term's sign flipped it misses by 1.5e-3 and 1.6e-2 (resonant,
-    # detuned).  The overlap bounds the cross term's real part, and equals
-    # it at the resonant point, where every Gram is real.
-    exact, crosses = [], []
+    # detuned).  The overlap |<e_a,e_b><s_b,s_a>| / sqrt(N_a N_b M_a M_b) is
+    # the ports' |G_01| / sqrt(G_00 G_11) multiplied.  At the resonant
+    # point, where every Gram is real, it also gives the cross term itself.
+    exact = []
     for extraction in mixing_extractions:
         coincidence = exact_coincidence(extraction)
         p11 = fock_oracle._distribution_from_grams(coincidence.stack)[(1, 1)]
         apart = coincidence.p11 / coincidence.g2
         assert abs(p11 - coincidence.p11) <= 1e-12
         assert abs(p11 - (2.0 * apart - coincidence.p11)) > 1e-3
-        norms = np.prod(np.diagonal(coincidence.stack[:2], axis1=1, axis2=2).real)
-        crosses.append((abs(p11 - apart) / 2.0, coincidence.overlap * math.sqrt(norms)))
+        c_mg, c_ph = (abs(g[0, 1]) / math.sqrt(g[0, 0].real * g[1, 1].real)
+                      for g in coincidence.stack[:2])
+        assert coincidence.overlap == pytest.approx(min(1.0, c_ph * c_mg), rel=1e-14)
         exact.append(coincidence.g2)
-    (real, bound), (detuned, detuned_bound) = crosses
-    assert real == pytest.approx(bound, rel=1e-12) and detuned < detuned_bound
+    resonant = exact_coincidence(mixing_extractions[0])
+    norms = np.prod(np.diagonal(resonant.stack[:2], axis1=1, axis2=2).real)
+    assert (resonant.p11 - resonant.p11 / resonant.g2) / 2.0 == pytest.approx(
+        resonant.overlap * math.sqrt(norms), rel=1e-12)
     assert exact == pytest.approx([1.0116, 0.9551], abs=1e-4)
     # The detuned point's exact g2 is on the bosonic side, below 1, where
     # criterion 5 prints 1.0203.

@@ -54,13 +54,13 @@ RICHARDSON_TEST = ("tests/test_scenarios.py::"
                    "test_a_curve_on_80_and_40_cells_extrapolates_to_one_on_160_and_80")
 COLUMNS_TEST = ("tests/test_scenarios.py::"
                 "test_each_curve_column_is_the_richardson_value_of_its_grids")
-BAD_INPUT = "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
-FIG2_GRID_BOUND_TEST = (f"{BAD_INPUT}[fig2 --override scenario.ods=150,30 "
-                        "--override scenario.rabi_s_grid=5e5]")
+FIG2_GRID_BOUND_TEST = ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+                        "[fig2 --override scenario.ods=150,30 --override scenario.rabi_s_grid=5e5]")
 MEDIUM_BOUND_TEST = ("tests/test_mbloch.py::"
                      "test_a_medium_the_grid_cannot_resolve_is_a_config_error_before_any_step")
 MEDIUM_BOUND_CLI_TESTS = tuple(
-    f"{BAD_INPUT}[run --override grid.n_z=16 --override grid.t_end=0.5 --override medium.{medium}]"
+    "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+    f"[run --override grid.n_z=16 --override grid.t_end=0.5 --override medium.{medium}]"
     for medium in ("od=1e160", "od=1e200", "delta=1e100", "delta=1e300"))
 RUN_MEMORY_TEST = "tests/test_cli.py::test_run_holds_only_its_recorded_emission_per_step"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
@@ -355,7 +355,8 @@ MUTANTS = (
     ("cli: the sweep checks each point only as it steps", "src/magnonbs/cli.py",
      "for traj in evolve_batch(runs)]",
      "for run in runs for traj in evolve_batch([run])]",
-     (f"{BAD_INPUT}[sweep --override sweep.values=2,3,4,5,1e7]",)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[sweep --override sweep.values=2,3,4,5,1e7]",)),
     ("mbloch: a grid's runs stepped shortest first", MBLOCH,
      "key=lambda i: -runs[i][2].n_steps)",
      "key=lambda i: runs[i][2].n_steps)",
@@ -375,29 +376,33 @@ MUTANTS = (
     ("cli: a sweep's point count unbounded", "src/magnonbs/cli.py",
      '"num": (_rows, 6),',
      '"num": (_count, 6),',
-     (f"{BAD_INPUT}[sweep --override sweep.num=100001]",)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[sweep --override sweep.num=100001]",)),
     ("cli: a list of values unbounded", "src/magnonbs/cli.py",
      "if len(values) > _MAX_ROWS:",
      "if False:",
-     (f"{BAD_INPUT}[sweep --override sweep.values=<100001 values>]",)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[sweep --override sweep.values=<100001 values>]",)),
     ("cli: no bound on a table's rows", "src/magnonbs/cli.py",
      "_MAX_ROWS = 100_000",
      "_MAX_ROWS = 100_000_000",
-     (BAD_INPUT,)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",)),
     ("cli: fig4's points per axis bounded, not its rows", "src/magnonbs/cli.py",
      "if value * value > _MAX_ROWS:",
      "if value > _MAX_ROWS:",
-     (f"{BAD_INPUT}[fig4 --override scenario.fig4_steps=317]",)),
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig4 --override scenario.fig4_steps=317]",)),
     ("cli: a sweep may set any section's number", "src/magnonbs/cli.py",
      "KEYS[section].get(key, (None,))[0] if section in _RUN_SECTIONS else None",
      "KEYS.get(section, {}).get(key, (None,))[0]",
-     (BAD_INPUT,
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_cli.py::test_sweep_rejects_unknown_parameter")),
     # The overflows' RuntimeWarnings, which the tests raise as errors.
     ("cli: a delay span's square unchecked", "src/magnonbs/cli.py",
      "if not math.isfinite(value * value):",
      "if False:",
-     tuple(f"{BAD_INPUT}[{command} --override scenario.{key}=1e308]"
+     tuple("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+           f"[{command} --override scenario.{key}=1e308]"
            for command, key in (("fig3", "delay_span"), ("fig4", "fig4_span")))),
     ("splitter: the scalar phase's exp conjugates its argument", SPLITTER,
      "xi = cmath.exp(-x / (1.0 - 1j * d))",
@@ -416,13 +421,14 @@ MUTANTS = (
      "x = r * r * float(tau) / 4.0",
      "x = r ** 2 * float(tau) / 4.0",
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
-      f"{BAD_INPUT}[fig3 --override scenario.phase_rabi=1e200]")),
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig3 --override scenario.phase_rabi=1e200]")),
     ("splitter: drop the od overflow guard", SPLITTER,
      "if not 4.0 * (x + od) < math.inf:",
      "if False:",
      ("tests/test_splitter.py::test_phi_rt_analytic_guards",
-      f"{BAD_INPUT}[fig3 --override scenario.phase_rabi=3.76 "
-      "--override scenario.triples=1.7e308:2]")),
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig3 --override scenario.phase_rabi=3.76 --override scenario.triples=1.7e308:2]")),
     ("splitter: the phase memo's key leaves out tau", SPLITTER,
      "if rabi is last_rabi and od is last_od and tau is last_tau:",
      "if rabi is last_rabi and od is last_od:",
@@ -435,7 +441,8 @@ MUTANTS = (
      "if not -max_detuning <= d <= max_detuning:",
      "if False:",
      (UNDERFLOW_TEST,
-      f"{BAD_INPUT}[fig3 --override scenario.triples=30:1e300]")),
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[fig3 --override scenario.triples=30:1e300]")),
     ("splitter: the phase sweep drops the detuning bound", SPLITTER,
      "if not -max_detuning <= lo <= hi <= max_detuning:",
      "if False:",
@@ -493,8 +500,8 @@ MUTANTS = (
      "run_a.final_state.dz * (light.conj() @ light.T)",
      (GRAM_TEST,)),
     ("splitter: the overlap's vanishing-port guard dropped", SPLITTER,
-     "overlap = 0.0 if ports.min() < 1e-12 else min(1.0, abs(cross) / ports.prod())",
-     "overlap = min(1.0, abs(cross) / ports.prod())",
+     "overlap = 0.0 if ports.min() < 1e-12 else min(1.0, np.prod(abs(g[:, 0, 1]) / ports))",
+     "overlap = min(1.0, np.prod(abs(g[:, 0, 1]) / ports))",
      ("tests/test_splitter.py::test_extract_matrix_identity_without_drive_or_atoms",)),
     ("splitter: the coincidence's cross term with its sign flipped", SPLITTER,
      "p11 = apart + 2.0 * cross.real",
@@ -531,7 +538,8 @@ MUTANTS = (
      "if self.t_end / self.dt - 1e-9 > _MAX_STEPS:",
      "if False:",
      ("tests/test_mbloch.py::test_a_run_may_take_up_to_the_step_bound",
-      f"{BAD_INPUT}[run --override grid.t_end=1e12]")),
+      "tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[run --override grid.t_end=1e12]")),
     # Forward and mirrored runs then sample the drive a step apart.
     ("mbloch: sample the drive one step late", MBLOCH,
      "timeline.rabi((np.arange(n0, n1) + 0.5) * dt)",
@@ -655,12 +663,12 @@ MUTANTS = (
     ("core: drop the od overflow guard of MediumParams", CORE,
      "if not math.isfinite(2.0 * self.od * C_EFF):",
      "if False:",
-     (BAD_INPUT,
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_core.py::test_medium_rejects_bad_parameters")),
     ("scenarios: v_group squares the drive with **", SCENARIOS,
      "w2 = abs(rabi) * abs(rabi)",
      "w2 = abs(rabi) ** 2",
-     (BAD_INPUT,
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute",
       "tests/test_mbloch.py::"
       "test_a_storage_drive_without_a_finite_group_velocity_is_a_config_error")),
     ("cli: a config file that is not UTF-8 escapes as a traceback", "src/magnonbs/cli.py",
