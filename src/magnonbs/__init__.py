@@ -29,7 +29,6 @@ from .mbloch import (
 )
 from .splitter import (
     ExtractionResult,
-    exact_coincidence,
     extract_matrix,
     fold_phase,
     phi_rt_analytic,
@@ -69,7 +68,6 @@ __all__ = [
     "evolve",
     "evolve_batch",
     "ExtractionResult",
-    "exact_coincidence",
     "extract_matrix",
     "fold_phase",
     "phi_rt_analytic",

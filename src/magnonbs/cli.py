@@ -557,7 +557,7 @@ def _apply_value(config: Config, parameter: str, value: float) -> Config:
         patched["control"]["segments"] = ControlTimeline(
             tuple(replace(seg, amplitude=value) for seg in timeline.segments)
         )
-    elif parse in (_number, _int, _count):
+    elif parse in (_number, _int):
         # Through the key's own parser, so a swept value meets the same
         # checks as a configured one.
         patched[section][key] = parse(repr(float(value)))

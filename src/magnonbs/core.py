@@ -166,8 +166,9 @@ class PulseEnvelope:
 
     def __post_init__(self) -> None:
         _require_finite(self, "fwhm", "t_center")
-        if self.fwhm <= 0:
-            raise ConfigError("pulse fwhm must be positive")
+        # The amplitude divides by 4 sigma^2, which must be a normal float.
+        if not (self.fwhm > 0 and 4.0 * self.sigma * self.sigma >= np.finfo(float).tiny):
+            raise ConfigError(f"pulse fwhm must be positive, about 1.8e-154 or more, got {self.fwhm}")
         if not 0.0 <= self.amplitude_norm <= 1.0 + PROBABILITY_SLACK:
             raise ConfigError(
                 f"amplitude_norm is a single-excitation weight in [0, 1], "
@@ -183,7 +184,9 @@ class PulseEnvelope:
         t = np.asarray(t, dtype=float)
         s = self.sigma
         peak = self.amplitude_norm / (s * math.sqrt(2.0 * math.pi))
-        out = math.sqrt(peak) * np.exp(-((t - self.t_center) ** 2) / (4.0 * s * s))
+        # exp(-1024) is 0.0: held to 64 sigma, the distance's square cannot overflow.
+        d = np.minimum(np.abs(t - self.t_center), 64.0 * s)
+        out = math.sqrt(peak) * np.exp(-(d**2) / (4.0 * s * s))
         out = out.astype(complex)
         if out.ndim == 0:
             return complex(out)
@@ -222,8 +225,9 @@ class ControlSegment:
     def _edge(self, t: np.ndarray, ramp: float) -> np.ndarray:
         # Raised-cosine turn-on/turn-off weight; it is exactly 1 wherever both
         # clipped ramp coordinates are 1, so callers pass only ramp samples.
-        up = np.clip((t - self.t_start) / ramp, 0.0, 1.0)
-        down = np.clip((self.t_end - t) / ramp, 0.0, 1.0)
+        # Clipped before it is divided, a distance cannot overflow the quotient.
+        up = np.clip(t - self.t_start, 0.0, ramp) / ramp
+        down = np.clip(self.t_end - t, 0.0, ramp) / ramp
         return 0.5 * (1 - np.cos(np.pi * up)) * 0.5 * (1 - np.cos(np.pi * down))
 
     def _add_to(self, out: np.ndarray, t: np.ndarray) -> None:
@@ -231,8 +235,7 @@ class ControlSegment:
         inside = (t >= self.t_start) & (t <= self.t_end)
         ramp = min(self.ramp, 0.5 * (self.t_end - self.t_start))
         if ramp > 0:
-            # (t - t_start) / ramp < 1 exactly when t - t_start < ramp, so
-            # this selects the samples whose clipped coordinate is below 1.
+            # Samples within a ramp of an end, where a clipped coordinate is below 1.
             ramped = t - self.t_start < ramp
             ramped |= self.t_end - t < ramp
             ramped &= inside

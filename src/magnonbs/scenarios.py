@@ -48,7 +48,7 @@ from .fock_oracle import (
 )
 from .mbloch import SimulationConfig, Trajectory, _require_step_bound, evolve_batch
 from .splitter import (
-    exact_coincidence,
+    ExtractionResult,
     extract_matrix,
     phi_rt_of_matrix,
 )
@@ -424,15 +424,19 @@ DETUNED_MIXING = MixingScenario(
 
 @dataclass(frozen=True)
 class TriangleCheck:
-    """Oracle pair statistics against the closed-form value."""
+    """Oracle pair statistics against the closed-form value, and the extraction both read."""
 
     label: str
     g2_oracle: float
     g2_formula: float
-    overlap: float
     phi_rt: float
     # Worst loss-quadrature gap over the runs.
     loss_gap: float
+    extraction: ExtractionResult
+
+    @property
+    def overlap(self) -> float:
+        return self.extraction.overlap
 
     @property
     def deviation(self) -> float:
@@ -448,7 +452,7 @@ def triangle_check(scenario: MixingScenario, stored: StorageResult) -> TriangleC
         t_end=scenario.t_cut + _MIX_SETTLE,
     )
     b = result.matrix
-    overlap_value = exact_coincidence(result).overlap
+    overlap_value = result.overlap
     phi = phi_rt_of_matrix(b)
     network = ModeNetwork(b.matrix)
     dist = output_distribution(network, two_photon_input(overlap_value))
@@ -458,10 +462,10 @@ def triangle_check(scenario: MixingScenario, stored: StorageResult) -> TriangleC
         label=scenario.label,
         g2_oracle=float(g2_oracle),
         g2_formula=float(g2_closed),
-        overlap=float(overlap_value),
         phi_rt=float(phi),
         loss_gap=max(run.loss_gap for run in
                      (stored.trajectory, result.run_magnon, result.run_photon)),
+        extraction=result,
     )
 
 

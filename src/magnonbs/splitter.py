@@ -219,12 +219,26 @@ def splitter_from_outputs(
 
 @dataclass(frozen=True, eq=False)
 class ExtractionResult(_ArrayValue):
-    """Measured splitter matrix with the runs behind it.
+    """Measured splitter matrix with the runs behind it and their exact
+    coincidence, which is read off them at each read.
 
     `grams` holds the two port Gram matrices of the runs' outputs, as
     `splitter_from_outputs` reads them: the magnon port's over the final
     spin waves, then the photon port's over the photon window.  Row and
-    column 0 are the magnon run, 1 the photon run.
+    column 0 are the magnon run a, from the stored wave, and 1 the photon
+    run b, from the probe.
+
+    `stack` is (G0, G1, L) per unit input, the port Grams and the loss Gram
+    L = I - G0 - G1, as `fock_oracle._distribution_from_grams` takes them.
+    With e the photon port's outputs (norms N) and s the magnon port's
+    (norms M), all per unit input, `p11` is P(1,1) = N_a M_b + N_b M_a +
+    2 Re(<e_a,e_b><s_b,s_a>) (Legero et al., Appl. Phys. B 77, 797 (2003);
+    Shchesnovich, PRA 91, 013844 (2015)) and `g2` is P(1,1) over its first
+    two terms.  `overlap`, at most 1, is |<e_a,e_b><s_b,s_a>| /
+    sqrt(N_a N_b M_a M_b), both ports at once: a bound on the interference
+    contrast rather than a single port's mode match.  It is the ports'
+    |G_01| / sqrt(G_00 G_11) multiplied, on the Grams as measured, where a
+    sqrt(G_00 G_11) below 1e-12 makes it 0.
     """
 
     matrix: SplitterMatrix
@@ -234,6 +248,33 @@ class ExtractionResult(_ArrayValue):
 
     def __post_init__(self) -> None:
         self.grams.setflags(write=False)  # built for this result alone
+
+    @property
+    def stack(self) -> np.ndarray:
+        root = np.sqrt([self.run_magnon.initial_norm, self.run_photon.injected_norm])
+        spin, light = self.grams / np.outer(root, root)
+        return np.stack([spin, light, np.eye(2) - spin - light])
+
+    @property
+    def p11(self) -> float:
+        return self._p11_and_g2()[0]
+
+    @property
+    def g2(self) -> float:
+        return self._p11_and_g2()[1]
+
+    def _p11_and_g2(self) -> tuple[float, float]:
+        spin, light, _ = self.stack
+        apart = (light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]).real
+        p11 = apart + 2.0 * (light[0, 1] * spin[1, 0]).real
+        return float(p11), float(p11 / apart)
+
+    @property
+    def overlap(self) -> float:
+        g = self.grams
+        ports = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
+        overlap = 0.0 if ports.min() < 1e-12 else min(1.0, np.prod(abs(g[:, 0, 1]) / ports))
+        return float(overlap)
 
 
 def extract_matrix(
@@ -276,43 +317,3 @@ def extract_matrix(
         run_magnon=run_a,
         run_photon=run_b,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Coincidence(_ArrayValue):
-    """The exact coincidence of two single-input runs, a the stored wave's
-    and b the probe's, with e the photon port's outputs (norms N) and s the
-    magnon port's (norms M), all per unit input.
-
-    `stack` is (G0, G1, L), the magnon and photon port Grams and the loss
-    Gram L = I - G0 - G1, as `fock_oracle._distribution_from_grams` takes
-    them.  P(1,1) = N_a M_b + N_b M_a + 2 Re(<e_a,e_b><s_b,s_a>) (Legero et
-    al., Appl. Phys. B 77, 797 (2003); Shchesnovich, PRA 91, 013844 (2015))
-    and g2 is P(1,1) over its first two terms.  `overlap`, at most 1, is
-    |<e_a,e_b><s_b,s_a>| / sqrt(N_a N_b M_a M_b), both ports at once: a
-    bound on the interference contrast rather than a single port's mode
-    match.  It is the ports' |G_01| / sqrt(G_00 G_11) multiplied, on the
-    Grams as measured, where a sqrt(G_00 G_11) below 1e-12 makes it 0.
-    """
-
-    stack: np.ndarray
-    p11: float
-    g2: float
-    overlap: float
-
-    def __post_init__(self) -> None:
-        self.stack.setflags(write=False)  # built for this record alone
-
-
-def exact_coincidence(result: ExtractionResult) -> Coincidence:
-    """The exact coincidence of the two single-input runs behind `result`."""
-    root = np.sqrt([result.run_magnon.initial_norm, result.run_photon.injected_norm])
-    spin, light = result.grams / np.outer(root, root)
-    stack = np.stack([spin, light, np.eye(2) - spin - light])
-    apart = (light[0, 0] * spin[1, 1] + light[1, 1] * spin[0, 0]).real
-    cross = light[0, 1] * spin[1, 0]
-    p11 = apart + 2.0 * cross.real
-    g = result.grams
-    ports = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
-    overlap = 0.0 if ports.min() < 1e-12 else min(1.0, np.prod(abs(g[:, 0, 1]) / ports))
-    return Coincidence(stack, float(p11), float(p11 / apart), float(overlap))

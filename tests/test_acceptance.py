@@ -1,10 +1,10 @@
 """Release gate: every headline criterion, one pass/fail line each.
 
 The storage sweeps behind criteria 7 and 8 dominate the runtime, so the
-curves with their quarter-grid runs and the mixing-point runs are computed
-once per session and shared (the `fig2_pairs` and `mixing_checks` fixtures
-of conftest.py).  Run with `-s` to see the per-criterion lines as they
-complete.
+curves with their quarter-grid runs and the mixing-point checks, each
+holding its extraction, are computed once per session and shared (the
+`fig2_pairs` and `mixing_checks` fixtures of conftest.py).  Run with `-s`
+to see the per-criterion lines as they complete.
 """
 
 import multiprocessing
@@ -169,14 +169,17 @@ def test_the_mixing_points_keep_their_ledger_loss_on_the_loss_quadrature(mixing_
 
 def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monkeypatch):
     # Both points' storage runs step in one solver call, then each point
-    # takes one triangle check and one extraction, in gate order; each
-    # check equals the one its point's own storage run gives.
+    # takes one triangle check and one extraction, in gate order, and
+    # holds that very extraction; each check equals the one its point's own
+    # storage run gives.
     calls = {"store": [], "triangle": [], "extract": []}
+    returned = {name: [] for name in calls}
 
     def recording(name, fn, key):
         def call(*args, **kwargs):
             calls[name].append(key(args))
-            return fn(*args, **kwargs)
+            returned[name].append(fn(*args, **kwargs))
+            return returned[name][-1]
         return call
 
     monkeypatch.setattr(scenarios, "evolve_batch", recording(
@@ -189,6 +192,8 @@ def test_the_mixing_points_store_in_one_batch_as_each_alone(mixing_checks, monke
     assert calls["store"] == [2]
     assert calls["triangle"] == ["resonant", "detuned"]
     assert calls["extract"] == [RESONANT_MIXING.medium, DETUNED_MIXING.medium]
+    for check, extraction in zip(checks, returned["extract"], strict=True):
+        assert check.extraction is extraction
     assert checks == mixing_checks
     monkeypatch.undo()
     for batched, point in zip(checks, (RESONANT_MIXING, DETUNED_MIXING), strict=True):

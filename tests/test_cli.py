@@ -457,6 +457,8 @@ def no_solver(monkeypatch):
         ["run", "--override", "grid.n_z=160.9"],
         ["run", "--override", "medium.odd=30"],
         ["run", "--override", "pulse.fwhm=nan"],
+        # A width whose 4 sigma^2, the amplitude's divisor, underflows to 0.
+        ["run", "--override", "pulse.fwhm=1e-200"],
         ["run", "--override", "grid.t_end=inf"],
         ["fig4", "--override", "scenario.fig4_steps=2.5"],
         ["fig4", "--override", "scenario.fig4_steps=0"],
@@ -622,6 +624,28 @@ def test_a_drive_the_grid_cannot_resolve_is_a_config_error(drive, tmp_path, caps
 @pytest.mark.filterwarnings("error")
 def test_a_drive_just_under_the_grid_bound_runs(tmp_path):
     assert main(_drive_run("1.9e5") + ["--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, far, near", [
+    ("control.segments", "beamsplit:0:1e308:5", "beamsplit:0:1e6:5"),
+    ("pulse.t_center", "1e200", "1e6"),
+], ids=["segment end", "pulse centre"])
+def test_a_far_segment_end_or_pulse_centre_runs_as_a_near_one(key, far, near, tmp_path):
+    # A ramp coordinate is clipped before its division and the pulse's
+    # distance before its square, so neither overflows: the drive of a
+    # segment ending at 1e308 and a probe centred at 1e200 are those of
+    # 1e6 on every step, and only the header line of the key differs.
+    tables = []
+    for value in (far, near):
+        out = tmp_path / value
+        out.mkdir()
+        assert main(["run", "--out", str(out), "--override", f"{key}={value}",
+                     "--override", "grid.n_z=16", "--override", "grid.t_end=1"]) == 0
+        for name in ("run_emitted.csv", "run_final.csv"):
+            lines = (out / name).read_text(encoding="utf-8").splitlines()
+            tables.append([line for line in lines if not line.startswith(f"# {key} = ")])
+    assert tables[:2] == tables[2:]
 
 
 @pytest.mark.parametrize(

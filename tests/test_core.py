@@ -23,7 +23,6 @@ from magnonbs import (
 )
 from magnonbs.core import C_EFF
 from magnonbs.scenarios import Fig2Curve, Fig2Grid
-from magnonbs.splitter import Coincidence
 
 
 def test_grid_is_cell_centered():
@@ -243,7 +242,6 @@ _ARRAY_VALUES = {
         grams=np.ones((2, 2, 2), dtype=complex), run_magnon=_short_run(),
         run_photon=_short_run(),
     ),
-    "Coincidence": lambda: Coincidence(np.ones((3, 2, 2), dtype=complex), 0.5, 1.0, 0.5),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magnonbs import (
-    ConfigError, MediumParams, exact_coincidence, fock_oracle, g2_formula, scenarios,
+    ConfigError, MediumParams, fock_oracle, g2_formula, scenarios,
 )
 from magnonbs.scenarios import (
     DETUNED_MIXING,
@@ -233,51 +233,48 @@ _CROSSOVER_POINTS = tuple(
 )
 
 
-def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(
-        mixing_extractions, extractions):
+def test_the_gate_points_leave_a_positive_semidefinite_loss_gram(mixing_checks):
     # Per unit input, L = I - G(0) - G(1) is the Gram of what a passive
     # splitter loses, so it is Hermitian and positive semidefinite.  Its
     # smallest eigenvalue is 0.041 and 0.029 at the gate points (resonant,
     # detuned) and 0.213, 0.019 and 0.017 at the crossover points, stored
     # in one batch.  They add about 0.3 s.
     stored = scenarios.store([p.stage for p in _CROSSOVER_POINTS], scenarios.MIX_N_Z)
-    for point, stage in zip(_CROSSOVER_POINTS, stored):
-        triangle_check(point, stage)
-    resonant, detuned = mixing_extractions
-    fermionic, *bosonic = extractions
+    fermionic, *bosonic = (triangle_check(point, stage).extraction
+                           for point, stage in zip(_CROSSOVER_POINTS, stored, strict=True))
+    resonant, detuned = (tc.extraction for tc in mixing_checks)
     for extraction in (resonant, detuned, fermionic, *bosonic):
-        loss = exact_coincidence(extraction).stack[2]
+        loss = extraction.stack[2]
         assert np.abs(loss - loss.conj().T).max() <= _LOSS_GRAM_TOL
         assert np.linalg.eigvalsh(loss).min() >= -_LOSS_GRAM_TOL
     # The check can fail: with the magnon Gram conjugated, L has the
     # eigenvalue -8.8e-3 at the detuned gate point and -0.51 and -0.67 at
     # the bosonic points.  These points lose too little to hide it.
     for extraction in (detuned, *bosonic):
-        spin, _, loss = exact_coincidence(extraction).stack
+        spin, _, loss = extraction.stack
         assert np.linalg.eigvalsh(loss + spin - spin.conj()).min() < -_LOSS_GRAM_TOL
 
 
-def test_the_oracle_gives_the_exact_coincidence_at_the_gate_points(
-        mixing_checks, mixing_extractions):
+def test_the_oracle_gives_the_exact_coincidence_at_the_gate_points(mixing_checks):
     # The two single-input runs fix the two-particle output exactly: the
     # oracle over the per-unit-input stack (G(0), G(1), L) gives the closed
-    # form of `exact_coincidence`, within 3e-17 measured; with the cross
+    # form of `ExtractionResult.p11`, within 3e-17 measured; with the cross
     # term's sign flipped it misses by 1.5e-3 and 1.6e-2 (resonant,
     # detuned).  The overlap |<e_a,e_b><s_b,s_a>| / sqrt(N_a N_b M_a M_b) is
     # the ports' |G_01| / sqrt(G_00 G_11) multiplied.  At the resonant
     # point, where every Gram is real, it also gives the cross term itself.
     exact = []
-    for extraction in mixing_extractions:
-        coincidence = exact_coincidence(extraction)
-        p11 = fock_oracle._distribution_from_grams(coincidence.stack)[(1, 1)]
-        apart = coincidence.p11 / coincidence.g2
-        assert abs(p11 - coincidence.p11) <= 1e-12
-        assert abs(p11 - (2.0 * apart - coincidence.p11)) > 1e-3
+    for tc in mixing_checks:
+        extraction = tc.extraction
+        p11 = fock_oracle._distribution_from_grams(extraction.stack)[(1, 1)]
+        apart = extraction.p11 / extraction.g2
+        assert abs(p11 - extraction.p11) <= 1e-12
+        assert abs(p11 - (2.0 * apart - extraction.p11)) > 1e-3
         c_mg, c_ph = (abs(g[0, 1]) / math.sqrt(g[0, 0].real * g[1, 1].real)
-                      for g in coincidence.stack[:2])
-        assert coincidence.overlap == pytest.approx(min(1.0, c_ph * c_mg), rel=1e-14)
-        exact.append(coincidence.g2)
-    resonant = exact_coincidence(mixing_extractions[0])
+                      for g in extraction.stack[:2])
+        assert extraction.overlap == pytest.approx(min(1.0, c_ph * c_mg), rel=1e-14)
+        exact.append(extraction.g2)
+    resonant = mixing_checks[0].extraction
     norms = np.prod(np.diagonal(resonant.stack[:2], axis1=1, axis2=2).real)
     assert (resonant.p11 - resonant.p11 / resonant.g2) / 2.0 == pytest.approx(
         resonant.overlap * math.sqrt(norms), rel=1e-12)
@@ -287,18 +284,18 @@ def test_the_oracle_gives_the_exact_coincidence_at_the_gate_points(
     assert exact[1] < 1.0 < mixing_checks[1].g2_oracle
 
 
-def test_the_resonant_gate_point_converges_at_second_order(
-        mixing_extractions, extractions):
+def test_the_resonant_gate_point_converges_at_second_order(mixing_checks):
     # Strang splitting is second order in the grid, so the exact g2's
     # successive differences over n_z 40, 80 and 160 fall 4 times per
     # halving of the cell.  Measured: 4.014 here, 4.000 to 4.014 at four
     # mixing points over n_z 40 to 320.  A first-order error, the coupling
     # scaled by 1 + 2 dt, gives 1.85 here.  Runs in about 0.1 s.
+    runs = []
     for n_z in (40, 80):
         (stored,) = scenarios.store([RESONANT_MIXING.stage], n_z)
-        triangle_check(RESONANT_MIXING, stored)
-    runs = (*extractions, mixing_extractions[0])
+        runs.append(triangle_check(RESONANT_MIXING, stored).extraction)
+    runs.append(mixing_checks[0].extraction)
     assert [e.run_magnon.final_state.z_grid.size for e in runs] == [40, 80, 160]
-    g2 = [exact_coincidence(e).g2 for e in runs]
+    g2 = [e.g2 for e in runs]
     d_coarse, d_fine = np.diff(g2)
     assert abs(d_coarse / d_fine - 4.0) <= 0.05

@@ -12,7 +12,6 @@ from magnonbs import (
     MediumParams,
     PulseEnvelope,
     SplitterMatrix,
-    exact_coincidence,
     extract_matrix,
     fold_phase,
     phi_rt_analytic,
@@ -459,9 +458,8 @@ def test_extract_matrix_identity_without_drive_or_atoms():
     # the cross term's factors are exactly 0, and the overlap 0 by its
     # guard, not 0 / 0.  P(1,1) per unit input measures 0.99827, the
     # probe's tail past the photon window lost.
-    coincidence = exact_coincidence(result)
-    assert coincidence.overlap == 0.0 and coincidence.g2 == 1.0
-    assert coincidence.p11 == pytest.approx(1.0, abs=2e-3)
+    assert result.overlap == 0.0 and result.g2 == 1.0
+    assert result.p11 == pytest.approx(1.0, abs=2e-3)
 
 
 def test_extract_matrix_mixes_ports_in_a_driven_cell():
@@ -472,7 +470,7 @@ def test_extract_matrix_mixes_ports_in_a_driven_cell():
     for amp in (b.t1, b.r1, b.t2, b.r2):
         assert abs(amp) > 0.05
     assert (np.linalg.norm(b.matrix, axis=0) ** 2).max() <= 1.0 + 1e-6
-    assert 0.0 <= exact_coincidence(result).overlap <= 1.0
+    assert 0.0 <= result.overlap <= 1.0
     assert not result.grams.flags.writeable
 
 
@@ -501,7 +499,7 @@ def test_grams_give_the_vector_projection_of_a_driven_cell():
 
     c_ph = abs(np.vdot(ea, eb)) / (np.linalg.norm(ea) * np.linalg.norm(eb))
     c_mg = abs(np.vdot(sa, sb)) / (np.linalg.norm(sa) * np.linalg.norm(sb))
-    assert abs(exact_coincidence(result).overlap - min(1.0, c_ph * c_mg)) < 1e-13
+    assert abs(result.overlap - min(1.0, c_ph * c_mg)) < 1e-13
     assert 0.0 < c_ph * c_mg < 1.0
 
 

@@ -65,6 +65,7 @@ MEDIUM_BOUND_CLI_TESTS = tuple(
 RUN_MEMORY_TEST = "tests/test_cli.py::test_run_holds_only_its_recorded_emission_per_step"
 RECIPROCITY_TEST = "tests/test_mbloch.py::test_the_step_loop_is_its_own_transpose_run_backwards"
 PICKLE_TEST = "tests/test_core.py::test_array_values_keep_read_only_arrays_through_pickle"
+FAR_RUN_TEST = "tests/test_cli.py::test_a_far_segment_end_or_pulse_centre_runs_as_a_near_one"
 GAIN_FAULT_TEST = ("tests/test_mbloch.py::"
                    "test_a_gain_whose_norm_has_left_the_cell_stops_the_run_before_its_end")
 BATCH_TESTS = ("tests/test_mbloch.py::test_batch_members_match_the_written_out_reference",
@@ -503,17 +504,17 @@ MUTANTS = (
      "overlap = 0.0 if ports.min() < 1e-12 else min(1.0, np.prod(abs(g[:, 0, 1]) / ports))",
      "overlap = min(1.0, np.prod(abs(g[:, 0, 1]) / ports))",
      ("tests/test_splitter.py::test_extract_matrix_identity_without_drive_or_atoms",)),
-    ("splitter: the coincidence's cross term with its sign flipped", SPLITTER,
-     "p11 = apart + 2.0 * cross.real",
-     "p11 = apart - 2.0 * cross.real",
+    ("splitter: the pair statistic's cross term with its sign flipped", SPLITTER,
+     "p11 = apart + 2.0 * (light[0, 1] * spin[1, 0]).real",
+     "p11 = apart - 2.0 * (light[0, 1] * spin[1, 0]).real",
      (EXACT_TEST,)),
-    ("splitter: the coincidence's stack not divided by the inputs", SPLITTER,
-     "spin, light = result.grams / np.outer(root, root)",
-     "spin, light = result.grams",
+    ("splitter: the pair statistic's stack not divided by the inputs", SPLITTER,
+     "spin, light = self.grams / np.outer(root, root)",
+     "spin, light = self.grams",
      ("tests/test_splitter.py::test_extract_matrix_identity_without_drive_or_atoms",)),
-    ("splitter: the magnon Gram conjugated in the coincidence's stack", SPLITTER,
-     "stack = np.stack([spin, light, np.eye(2) - spin - light])",
-     "stack = np.stack([spin.conj(), light, np.eye(2) - spin.conj() - light])",
+    ("splitter: the magnon Gram conjugated in the pair statistic's stack", SPLITTER,
+     "return np.stack([spin, light, np.eye(2) - spin - light])",
+     "return np.stack([spin.conj(), light, np.eye(2) - spin.conj() - light])",
      (LOSS_GRAM_TEST,)),
     ("mbloch: a run may start from a state at t_now != 0", MBLOCH,
      "if initial.t_now != 0.0:",
@@ -632,6 +633,19 @@ MUTANTS = (
      '"t_start", "t_end", "amplitude", "ramp")',
      '"t_start", "t_end", "amplitude")',
      ("tests/test_core.py::test_constructors_reject_non_finite_values",)),
+    ("core: a ramp coordinate divided before it is clipped", CORE,
+     "down = np.clip(self.t_end - t, 0.0, ramp) / ramp",
+     "down = np.clip((self.t_end - t) / ramp, 0.0, 1.0)",
+     (FAR_RUN_TEST + "[segment end]",)),
+    ("core: the pulse's distance from its centre squared unclipped", CORE,
+     "d = np.minimum(np.abs(t - self.t_center), 64.0 * s)",
+     "d = t - self.t_center",
+     (FAR_RUN_TEST + "[pulse centre]",)),
+    ("core: a pulse width whose 4 sigma^2 underflows passes", CORE,
+     " and 4.0 * self.sigma * self.sigma >= np.finfo(float).tiny",
+     "",
+     ("tests/test_cli.py::test_bad_input_is_a_config_error_before_compute"
+      "[run --override pulse.fwhm=1e-200]",)),
     # A Gram transposed is its conjugate: the detuned gate point's exact g2
     # then moves from 0.9551 to 0.9980, and its cross term's real part to
     # -1.7e-4, within the sign check's 1e-3.
